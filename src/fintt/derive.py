@@ -75,7 +75,7 @@ def _generic_spine(depth: int, k: int) -> tuple[Expr, ...]:
 def _close_solution(e: Expr, depth: int, k: int) -> Optional[object]:
     """Abstracts the innermost ``k`` binders of the match site out of ``e``;
     fails if ``e`` mentions binders outside that window."""
-    from .syntax import bv, shift, subst_bound_many
+    from .syntax import bv
 
     esc = bv(e)
     if any(i >= k for i in esc):

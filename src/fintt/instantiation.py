@@ -11,9 +11,7 @@ from .syntax import (
     Argument,
     AsmArg,
     AssumptionSet,
-    BoundVar,
     Convert,
-    DummyArg,
     EqTm,
     EqTmB,
     EqTy,
@@ -24,11 +22,11 @@ from .syntax import (
     IsTm,
     IsTmB,
     IsTy,
-    IsTyB,
     MetaName,
     SymbolApp,
     MetaApp,
     asm,
+    mv,
     shift,
     subst_bound_many,
 )
@@ -93,10 +91,13 @@ def act(inst: Instantiation, x):
     Metavariable applications are replaced by the instantiating argument with
     the (acted) terms simultaneously substituted; assumption-set entries for
     an instantiated metavariable are replaced by the assumption set of its
-    argument; free-variable annotations are rewritten in place.
+    argument; free-variable annotations are rewritten in place.  A subterm
+    that mentions no metavariable is returned as it is.
     """
 
     def walk_set(aset: AssumptionSet, depth: int) -> AssumptionSet:
+        if not mv(aset):
+            return aset
         fv = frozenset(walk(v, 0) for v in aset.free_vars)
         out = AssumptionSet(fv, aset.bound_vars, frozenset())
         for m in aset.metas:
@@ -107,11 +108,11 @@ def act(inst: Instantiation, x):
         return out
 
     def walk(x, depth: int):
+        if not mv(x):
+            return x
         match x:
             case FreeVar(name=n, annotation=ann):
-                return x if ann is None else FreeVar(n, walk(ann, 0))
-            case BoundVar() | DummyArg() | IsTyB() | None:
-                return x
+                return FreeVar(n, walk(ann, 0))
             case SymbolApp(symbol=s, args=args):
                 return SymbolApp(s, tuple(walk(a, depth) for a in args))
             case MetaApp(meta=m, args=args):

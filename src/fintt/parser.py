@@ -74,6 +74,10 @@ _TOKEN_RE = re.compile(
     re.VERBOSE,
 )
 
+# Deepest nesting of expressions (arguments, annotations, conversions) the
+# parser accepts; anything deeper is a ParseError rather than a stack overflow.
+MAX_NESTING = 256
+
 
 @dataclass
 class Token:
@@ -157,6 +161,7 @@ class Parser:
     def __init__(self, text: str):
         self.toks = tokenize(text)
         self.i = 0
+        self.nesting = 0
 
     # -- token plumbing ------------------------------------------------------
 
@@ -193,6 +198,10 @@ class Parser:
 
     def expr(self, binders: list[str]) -> Expr:
         t = self.peek()
+        if self.nesting == MAX_NESTING:
+            raise ParseError(f"expressions nested deeper than {MAX_NESTING}", t.line, t.col)
+        # A ParseError abandons the parser, so only the returns unwind this.
+        self.nesting += 1
         if t.text == "convert":
             self.next()
             self.expect("(")
@@ -200,6 +209,7 @@ class Parser:
             self.expect(",")
             aset = self.assumption_set(binders)
             self.expect(")")
+            self.nesting -= 1
             return ("convert", inner, aset)
         if t.kind != "name":
             raise ParseError(f"expected an expression, found {t.text!r}", t.line, t.col)
@@ -223,6 +233,7 @@ class Parser:
                     self.next()
                     args.append(self.argument(binders))
             self.expect(")")
+        self.nesting -= 1
         return ("name", name, annotation, args, binders[:])  # resolved later
 
     def atomic_expr(self) -> Expr:
@@ -471,7 +482,11 @@ class Scope:
                     ts = tuple(self._expr_args(args or [], binders))
                     return MetaApp(m, ts)
                 if name in self.symbols:
-                    return SymbolApp(name, tuple(self.resolve_arg(a, binders) for a in (args or [])))
+                    resolved = []
+                    # A loop, unlike a generator, adds no stack frame per nesting level.
+                    for a in args or []:
+                        resolved.append(self.resolve_arg(a, binders))
+                    return SymbolApp(name, tuple(resolved))
                 if name in self.variables:
                     if args is not None:
                         raise ParseError(f"variable {name} cannot take arguments")

@@ -12,11 +12,16 @@ of the atom's identity.  Equality of atoms is always structural on the pair
 The cf flavour additionally has conversion terms ``convert(t, alpha)`` and
 assumption-set arguments; the tt flavour uses a single dummy argument for
 every equality-class position.
+
+Syntax nodes are never mutated after construction.  Each node's hash and
+occurrence sets are therefore computed at most once, from its children's,
+and cached on the node (see ``_node``).  The caches are not dataclass
+fields, so equality, ``repr`` and pickling stay field-based.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from typing import Iterable, Iterator, Optional, Union
 
@@ -104,10 +109,71 @@ class Signature:
 
 
 # ---------------------------------------------------------------------------
+# Syntax nodes
+
+
+def _node(cls):
+    """Makes ``cls`` a syntax node: a frozen dataclass whose hash and
+    occurrence summary are computed at most once and kept on the instance.
+
+    The cached hash is the dataclass's own field hash, so hash values, and
+    with them set iteration orders, are those of plain frozen dataclasses.
+    The caches ``_h`` and ``_occ`` read ``None`` until filled; they are not
+    fields, so equality and ``repr`` ignore them, and pickling drops them
+    (string hashes differ between processes).
+    """
+    cls = dataclass(frozen=True)(cls)
+    names = tuple(f.name for f in fields(cls))
+    cls._field_hash = cls.__hash__
+    cls.__hash__ = _cached_hash
+    cls.__getstate__ = lambda self: {n: getattr(self, n) for n in names}
+    cls._h = None
+    cls._occ = None
+    return cls
+
+
+def _cached_hash(self) -> int:
+    h = self._h
+    if h is None:
+        _fill(self, "_h", _hash_fields)
+        h = self._h
+    return h
+
+
+def _hash_fields(x, kids) -> int:
+    return x._field_hash()
+
+
+_READY = object()
+
+
+def _fill(root, slot: str, compute) -> None:
+    """Sets the cache ``slot`` to ``compute(x, children)`` on ``root`` and on
+    every node ``x`` below it that lacks it, children first.  The walk keeps
+    its own stack, so term depth is not bounded by the recursion limit."""
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if x is _READY:
+            # The pair below the marker is a node whose children are filled.
+            x, kids = stack.pop()
+        elif getattr(x, slot) is not None:
+            continue
+        else:
+            kids = _CHILDREN[type(x)](x)
+            # Children that are not syntax nodes have no slot to fill.
+            todo = [c for c in kids if getattr(c, slot, 0) is None]
+            if todo:
+                stack += ((x, kids), _READY, *todo)
+                continue
+        object.__setattr__(x, slot, compute(x, kids))
+
+
+# ---------------------------------------------------------------------------
 # Expressions and arguments
 
 
-@dataclass(frozen=True)
+@_node
 class FreeVar:
     """A free variable atom; cf atoms carry their type as the annotation."""
 
@@ -115,14 +181,14 @@ class FreeVar:
     annotation: Optional["Expr"] = None
 
 
-@dataclass(frozen=True)
+@_node
 class BoundVar:
     """De Bruijn index, 0 = innermost enclosing binder."""
 
     index: int
 
 
-@dataclass(frozen=True)
+@_node
 class MetaName:
     """A metavariable atom; cf atoms carry their boundary as the annotation."""
 
@@ -130,19 +196,19 @@ class MetaName:
     annotation: Optional["AbstractedBoundary"] = None
 
 
-@dataclass(frozen=True)
+@_node
 class SymbolApp:
     symbol: str
     args: tuple["Argument", ...] = ()
 
 
-@dataclass(frozen=True)
+@_node
 class MetaApp:
     meta: MetaName
     args: tuple["Expr", ...] = ()
 
 
-@dataclass(frozen=True)
+@_node
 class Convert:
     """cf-only conversion wrapper recording the assumptions of the equation."""
 
@@ -153,7 +219,7 @@ class Convert:
 Expr = Union[FreeVar, BoundVar, SymbolApp, MetaApp, Convert]
 
 
-@dataclass(frozen=True)
+@_node
 class AssumptionSet:
     """Finite set of annotated free variables, bound indices and metavariables."""
 
@@ -193,12 +259,12 @@ class AssumptionSet:
 EMPTY_ASSUMPTIONS = AssumptionSet()
 
 
-@dataclass(frozen=True)
+@_node
 class ExprArg:
     expr: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class DummyArg:
     """The tt stand-in for an equality-class argument."""
 
@@ -206,14 +272,14 @@ class DummyArg:
 DUMMY = DummyArg()
 
 
-@dataclass(frozen=True)
+@_node
 class AsmArg:
     """A cf equality-class argument: an assumption set."""
 
     assumptions: AssumptionSet
 
 
-@dataclass(frozen=True)
+@_node
 class Abstr:
     """One binder wrapped around an argument."""
 
@@ -228,25 +294,25 @@ Argument = Union[ExprArg, DummyArg, AsmArg, Abstr]
 # boundaries; the operations on them live in fintt.judgements)
 
 
-@dataclass(frozen=True)
+@_node
 class IsTy:
     ty: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class IsTm:
     term: Expr
     ty: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class EqTy:
     lhs: Expr
     rhs: Expr
     by: Union[DummyArg, AssumptionSet] = DUMMY
 
 
-@dataclass(frozen=True)
+@_node
 class EqTm:
     lhs: Expr
     rhs: Expr
@@ -257,23 +323,23 @@ class EqTm:
 Thesis = Union[IsTy, IsTm, EqTy, EqTm]
 
 
-@dataclass(frozen=True)
+@_node
 class IsTyB:
     pass
 
 
-@dataclass(frozen=True)
+@_node
 class IsTmB:
     ty: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class EqTyB:
     lhs: Expr
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@_node
 class EqTmB:
     lhs: Expr
     rhs: Expr
@@ -283,7 +349,7 @@ class EqTmB:
 BoundaryThesis = Union[IsTyB, IsTmB, EqTyB, EqTmB]
 
 
-@dataclass(frozen=True)
+@_node
 class Abstracted:
     """An abstraction prefix over a thesis or boundary thesis.
 
@@ -511,248 +577,172 @@ def _expect(cls_of: ClsOf, e: Expr, c: Cls) -> None:
 # Occurrences
 
 
+# The children of each node: every syntax node held in its fields, including
+# annotations and the atoms of assumption sets.
+_CHILDREN = {
+    FreeVar: lambda x: () if x.annotation is None else (x.annotation,),
+    BoundVar: lambda x: (),
+    MetaName: lambda x: () if x.annotation is None else (x.annotation,),
+    SymbolApp: lambda x: x.args,
+    MetaApp: lambda x: (x.meta, *x.args),
+    Convert: lambda x: (x.term, x.assumptions),
+    AssumptionSet: lambda x: (*x.free_vars, *x.metas),
+    ExprArg: lambda x: (x.expr,),
+    DummyArg: lambda x: (),
+    AsmArg: lambda x: (x.assumptions,),
+    Abstr: lambda x: (x.body,),
+    IsTy: lambda x: (x.ty,),
+    IsTm: lambda x: (x.term, x.ty),
+    EqTy: lambda x: (x.lhs, x.rhs, x.by),
+    EqTm: lambda x: (x.lhs, x.rhs, x.ty, x.by),
+    IsTyB: lambda x: (),
+    IsTmB: lambda x: (x.ty,),
+    EqTyB: lambda x: (x.lhs, x.rhs),
+    EqTmB: lambda x: (x.lhs, x.rhs, x.ty),
+    Abstracted: lambda x: (*x.prefix, x.body),
+}
+
+# A node's occurrence summary is the tuple (fv0, fv, bv, mv, mv_shallow) of
+# the functions below.  A metavariable atom is not an occurrence context of
+# its own; its summary carries only what an occurrence of it adds to mv: the
+# atom and everything its boundary annotation mentions.
+_E: frozenset = frozenset()
+_NO_OCCURRENCES = (_E, _E, _E, _E, _E)
+
+
+def _union(sets) -> frozenset:
+    out = _E
+    for s in sets:
+        if s and not s <= out:
+            out = s if not out else out | s
+    return out
+
+
+def _escaping(indices: frozenset, binders: int) -> frozenset:
+    """The indices that escape ``binders`` binders, as seen from outside."""
+    if not indices or (binders == 0 and min(indices) >= 0):
+        return indices
+    return frozenset(i - binders for i in indices if i >= binders)
+
+
+def _join(parts: list) -> tuple:
+    """Componentwise union of summaries."""
+    if not parts:
+        return _NO_OCCURRENCES
+    first = parts[0]
+    for p in parts:
+        if p is not first:
+            return tuple(map(_union, zip(*parts)))
+    return first
+
+
+def _under(occ: tuple, binders: int) -> tuple:
+    """A child's summary as seen from outside ``binders`` binders."""
+    if not binders or not occ[2]:
+        return occ
+    return (occ[0], occ[1], _escaping(occ[2], binders), occ[3], occ[4])
+
+
+def _summary_free_var(x: FreeVar, kids) -> tuple:
+    me = frozenset((x,))
+    if x.annotation is None:
+        return (me, me, _E, _E, _E)
+    _, ann_fv, _, ann_mv, _ = x.annotation._occ
+    return (me, _union((me, ann_fv)), _E, ann_mv, _E)
+
+
+def _summary_meta_name(x: MetaName, kids) -> tuple:
+    me = frozenset((x,))
+    return (_E, _E, _E, me if x.annotation is None else _union((me, x.annotation._occ[3])), _E)
+
+
+def _summary_meta_app(x: MetaApp, kids) -> tuple:
+    f0, f, b, m, ms = _join([t._occ for t in x.args])
+    return (f0, f, b, _union((m, x.meta._occ[3])), _union((ms, frozenset((x.meta,)))))
+
+
+def _summary_assumptions(x: AssumptionSet, kids) -> tuple:
+    atoms = [c._occ for c in kids]
+    return (
+        x.free_vars,
+        _union([o[1] for o in atoms]),
+        _escaping(x.bound_vars, 0),
+        _union([o[3] for o in atoms]),
+        x.metas,
+    )
+
+
+_SUMMARIES = {
+    FreeVar: _summary_free_var,
+    BoundVar: lambda x, kids: (_E, _E, _escaping(frozenset((x.index,)), 0), _E, _E),
+    MetaName: _summary_meta_name,
+    MetaApp: _summary_meta_app,
+    AssumptionSet: _summary_assumptions,
+    Abstr: lambda x, kids: _under(x.body._occ, 1),
+    Abstracted: lambda x, kids: _join([_under(c._occ, i) for i, c in enumerate(kids)]),
+}
+
+
+def _summary(x, kids) -> tuple:
+    """The occurrence summary of ``x``, built from its children's; also
+    caches the hash, which the children already carry."""
+    if x._h is None:
+        object.__setattr__(x, "_h", x._field_hash())
+    make = _SUMMARIES.get(type(x))
+    if make is not None:
+        return make(x, kids)
+    return _join([c._occ for c in kids])
+
+
+def _occurrences(x) -> tuple:
+    if x is None:
+        return _NO_OCCURRENCES
+    if type(x) not in _CHILDREN or type(x) is MetaName:
+        raise TypeError(f"no occurrences in {x!r}")
+    occ = x._occ
+    if occ is None:
+        _fill(x, "_occ", _summary)
+        occ = x._occ
+    return occ
+
+
 def fv0(x) -> frozenset[FreeVar]:
     """Free variables occurring outside all typing annotations."""
-    out: set[FreeVar] = set()
-
-    def walk(x) -> None:
-        match x:
-            case FreeVar():
-                out.add(x)
-            case BoundVar() | DummyArg() | IsTyB() | None:
-                pass
-            case SymbolApp(args=args):
-                for a in args:
-                    walk(a)
-            case MetaApp(args=args):
-                for t in args:
-                    walk(t)
-            case Convert(term=t, assumptions=a):
-                walk(t)
-                walk(a)
-            case AssumptionSet(free_vars=fvs):
-                out.update(fvs)
-            case ExprArg(expr=e):
-                walk(e)
-            case AsmArg(assumptions=a):
-                walk(a)
-            case Abstr(body=b):
-                walk(b)
-            case IsTy(ty=a) | IsTmB(ty=a):
-                walk(a)
-            case IsTm(term=t, ty=a):
-                walk(t)
-                walk(a)
-            case EqTy(lhs=a, rhs=b, by=by):
-                walk(a), walk(b), walk(by)
-            case EqTm(lhs=s, rhs=t, ty=a, by=by):
-                walk(s), walk(t), walk(a), walk(by)
-            case EqTyB(lhs=a, rhs=b):
-                walk(a), walk(b)
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                walk(s), walk(t), walk(a)
-            case Abstracted(prefix=pfx, body=body):
-                for ty in pfx:
-                    walk(ty)
-                walk(body)
-            case _:
-                raise TypeError(f"no occurrences in {x!r}")
-
-    walk(x)
-    return frozenset(out)
+    return _occurrences(x)[0]
 
 
 def fv(x) -> frozenset[FreeVar]:
     """All free variables, including those inside typing annotations."""
-    seen: set[FreeVar] = set()
-    todo = list(fv0(x))
-    while todo:
-        v = todo.pop()
-        if v in seen:
-            continue
-        seen.add(v)
-        if v.annotation is not None:
-            todo.extend(fv0(v.annotation))
-    return frozenset(seen)
+    return _occurrences(x)[1]
 
 
 def fvt(x) -> frozenset[FreeVar]:
     """Free variables occurring only inside typing annotations."""
-    out: set[FreeVar] = set()
-    for v in fv0(x):
-        if v.annotation is not None:
-            out |= fv(v.annotation)
-    return frozenset(out)
+    return _union(fv(v.annotation) for v in fv0(x) if v.annotation is not None)
 
 
 def bv(x) -> frozenset[int]:
     """Bound indices escaping the root of ``x``."""
-    out: set[int] = set()
-
-    def walk(x, depth: int) -> None:
-        match x:
-            case BoundVar(index=i):
-                if i >= depth:
-                    out.add(i - depth)
-            case FreeVar() | DummyArg() | IsTyB() | None:
-                pass
-            case SymbolApp(args=args):
-                for a in args:
-                    walk(a, depth)
-            case MetaApp(args=args):
-                for t in args:
-                    walk(t, depth)
-            case Convert(term=t, assumptions=a):
-                walk(t, depth)
-                walk(a, depth)
-            case AssumptionSet(bound_vars=bvs):
-                for i in bvs:
-                    if i >= depth:
-                        out.add(i - depth)
-            case ExprArg(expr=e):
-                walk(e, depth)
-            case AsmArg(assumptions=a):
-                walk(a, depth)
-            case Abstr(body=b):
-                walk(b, depth + 1)
-            case IsTy(ty=a) | IsTmB(ty=a):
-                walk(a, depth)
-            case IsTm(term=t, ty=a):
-                walk(t, depth), walk(a, depth)
-            case EqTy(lhs=a, rhs=b, by=by):
-                walk(a, depth), walk(b, depth), walk(by, depth)
-            case EqTm(lhs=s, rhs=t, ty=a, by=by):
-                walk(s, depth), walk(t, depth), walk(a, depth), walk(by, depth)
-            case EqTyB(lhs=a, rhs=b):
-                walk(a, depth), walk(b, depth)
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                walk(s, depth), walk(t, depth), walk(a, depth)
-            case Abstracted(prefix=pfx, body=body):
-                for i, ty in enumerate(pfx):
-                    walk(ty, depth + i)
-                walk(body, depth + len(pfx))
-            case _:
-                raise TypeError(f"no occurrences in {x!r}")
-
-    walk(x, 0)
-    return frozenset(out)
+    return _occurrences(x)[2]
 
 
 def mv(x) -> frozenset[MetaName]:
     """All metavariables, descending into boundary and type annotations."""
-    out: set[MetaName] = set()
-
-    def add_meta(m: MetaName) -> None:
-        if m in out:
-            return
-        out.add(m)
-        if m.annotation is not None:
-            walk(m.annotation)
-
-    def walk(x) -> None:
-        match x:
-            case FreeVar(_, ann):
-                if ann is not None:
-                    walk(ann)
-            case BoundVar() | DummyArg() | IsTyB() | None:
-                pass
-            case SymbolApp(args=args):
-                for a in args:
-                    walk(a)
-            case MetaApp(meta=m, args=args):
-                add_meta(m)
-                for t in args:
-                    walk(t)
-            case Convert(term=t, assumptions=a):
-                walk(t), walk(a)
-            case AssumptionSet(free_vars=fvs, metas=ms):
-                for v in fvs:
-                    if v.annotation is not None:
-                        walk(v.annotation)
-                for m in ms:
-                    add_meta(m)
-            case ExprArg(expr=e):
-                walk(e)
-            case AsmArg(assumptions=a):
-                walk(a)
-            case Abstr(body=b):
-                walk(b)
-            case IsTy(ty=a) | IsTmB(ty=a):
-                walk(a)
-            case IsTm(term=t, ty=a):
-                walk(t), walk(a)
-            case EqTy(lhs=a, rhs=b, by=by):
-                walk(a), walk(b), walk(by)
-            case EqTm(lhs=s, rhs=t, ty=a, by=by):
-                walk(s), walk(t), walk(a), walk(by)
-            case EqTyB(lhs=a, rhs=b):
-                walk(a), walk(b)
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                walk(s), walk(t), walk(a)
-            case Abstracted(prefix=pfx, body=body):
-                for ty in pfx:
-                    walk(ty)
-                walk(body)
-            case _:
-                raise TypeError(f"no occurrences in {x!r}")
-
-    walk(x)
-    return frozenset(out)
+    return _occurrences(x)[3]
 
 
 def mv_shallow(x) -> frozenset[MetaName]:
     """Metavariable heads only, treating annotated atoms as opaque (tt view)."""
-    out: set[MetaName] = set()
-
-    def walk(x) -> None:
-        match x:
-            case FreeVar() | BoundVar() | DummyArg() | IsTyB() | None:
-                pass
-            case SymbolApp(args=args):
-                for a in args:
-                    walk(a)
-            case MetaApp(meta=m, args=args):
-                out.add(m)
-                for t in args:
-                    walk(t)
-            case Convert(term=t, assumptions=a):
-                walk(t), walk(a)
-            case AssumptionSet(metas=ms):
-                out.update(ms)
-            case ExprArg(expr=e):
-                walk(e)
-            case AsmArg(assumptions=a):
-                walk(a)
-            case Abstr(body=b):
-                walk(b)
-            case IsTy(ty=a) | IsTmB(ty=a):
-                walk(a)
-            case IsTm(term=t, ty=a):
-                walk(t), walk(a)
-            case EqTy(lhs=a, rhs=b, by=by):
-                walk(a), walk(b), walk(by)
-            case EqTm(lhs=s, rhs=t, ty=a, by=by):
-                walk(s), walk(t), walk(a), walk(by)
-            case EqTyB(lhs=a, rhs=b):
-                walk(a), walk(b)
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                walk(s), walk(t), walk(a)
-            case Abstracted(prefix=pfx, body=body):
-                for ty in pfx:
-                    walk(ty)
-                walk(body)
-            case _:
-                raise TypeError(f"no occurrences in {x!r}")
-
-    walk(x)
-    return frozenset(out)
+    return _occurrences(x)[4]
 
 
 def asm(*xs) -> AssumptionSet:
     """The assumption set of one or more syntactic entities."""
-    sets = [AssumptionSet(fv(x), bv(x), mv(x)) for x in xs]
+    sets = [AssumptionSet(o[1], o[2], o[3]) for o in map(_occurrences, xs)]
     if not sets:
         return EMPTY_ASSUMPTIONS
+    if len(sets) == 1:
+        return sets[0]
     return sets[0].union(*sets[1:])
 
 

@@ -16,6 +16,7 @@ from .errors import (
     NotObjectBoundary,
     NotObjectRule,
     SymbolExists,
+    UnknownMeta,
 )
 from .instantiation import Instantiation, act
 from .judgements import MetaCtx, fill, fill_equation, plain
@@ -184,9 +185,15 @@ def rule_instance_premises(
         m != n for (m, _), (n, _) in zip(rule.premises, inst.entries)
     ):
         raise ArityMismatch("instantiation does not match the rule's premises")
-    premises = []
-    for i, (m, b) in enumerate(rule.premises, start=1):
-        premises.append(fill(act(inst.restrict(i), b), inst[m]))
+    # A premise boundary that mentions only earlier premises' metavariables
+    # is acted on by the whole instantiation as by its initial segment.
+    earlier: set[MetaName] = set()
+    for m, b in rule.premises:
+        for u in mv(b):
+            if u not in earlier:
+                raise UnknownMeta(u.name)
+        earlier.add(m)
+    premises = [fill(act(inst, b), inst[m]) for m, b in rule.premises]
     bdry_thesis = _conclusion_boundary(rule.conclusion)
     bdry = act(inst, plain(bdry_thesis))
     conclusion = act(inst, plain(rule.conclusion))

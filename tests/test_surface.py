@@ -8,7 +8,7 @@ import pytest
 
 from fintt import cli
 from fintt.judgements import plain
-from fintt.parser import elaborate, parse_script, parse_term, parse_theory
+from fintt.parser import MAX_NESTING, elaborate, parse_script, parse_term, parse_theory
 from fintt.printer import print_abstracted, print_expr, print_theory_decl, print_script
 from fintt.script import run_script
 from fintt.syntax import (
@@ -161,6 +161,26 @@ def test_cli_natural_type(capsys):
     rc = cli.main(["natural-type", str(CORPUS / "mltt.ftt"), "succ(succ(n^nat))"])
     assert rc == 0
     assert capsys.readouterr().out.strip() == "nat"
+
+
+def _nested_succ(nesting: int) -> str:
+    """A term whose expressions nest ``nesting`` deep: succ(...(n^nat)...)."""
+    return "succ(" * (nesting - 1) + "n^nat" + ")" * (nesting - 1)
+
+
+def test_cli_natural_type_at_the_nesting_limit(capsys):
+    rc = cli.main(["natural-type", str(CORPUS / "mltt.ftt"), _nested_succ(MAX_NESTING)])
+    assert rc == 0
+    assert capsys.readouterr().out.strip() == "nat"
+
+
+def test_cli_natural_type_past_the_nesting_limit(capsys):
+    term = _nested_succ(MAX_NESTING + 1)
+    rc = cli.main(["natural-type", str(CORPUS / "mltt.ftt"), term])
+    assert rc == 2
+    col = len("succ(") * MAX_NESTING + 1
+    err = capsys.readouterr().err
+    assert f"syntax error: 1:{col}: expressions nested deeper than {MAX_NESTING}" in err
 
 
 def test_cli_erase(capsys):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fintt.errors import ArityMismatch, UnboundIndex, VarInAnnotation
+from fintt.instantiation import Instantiation, act
+from fintt.judgements import plain
 from fintt.syntax import (
     Abstr,
     Abstracted,
@@ -21,6 +23,7 @@ from fintt.syntax import (
     FreeVar,
     IsTm,
     IsTy,
+    IsTyB,
     MetaApp,
     MetaArity,
     MetaName,
@@ -37,6 +40,7 @@ from fintt.syntax import (
     fv0,
     fvt,
     mv,
+    shift,
     subst_bound,
     substitute,
 )
@@ -158,21 +162,57 @@ def oracle_mv(x):
     return out
 
 
+def assert_occurrences_match_oracle(e):
+    f0, b, _ = oracle_occurrences(e)
+    assert fv0(e) == frozenset(f0)
+    assert bv(e) == frozenset(b)
+    assert fv(e) == frozenset(oracle_fv(e))
+    assert mv(e) == frozenset(oracle_mv(e))
+    a = asm(e)
+    assert a.free_vars == fv(e)
+    assert a.bound_vars == bv(e)
+    assert a.metas == mv(e)
+
+
+def with_meta(e: Abstracted, m: MetaName) -> Abstracted:
+    """``e`` under one more binder, whose type mentions ``m`` as an
+    application, in an annotation and in an assumption set."""
+    m_ty = MetaApp(m, ())
+    c = FreeVar("c", m_ty)
+    by_m = AssumptionSet(frozenset([c]), frozenset(), frozenset([m]))
+    planted = SymbolApp("Id", (ExprArg(m_ty), ExprArg(c), ExprArg(Convert(c, by_m))))
+    return Abstracted(e.prefix + (planted,), shift(e.body, 1))
+
+
 @pytest.mark.parametrize("seed", range(40))
 def test_occurrences_agree_with_oracle(seed):
     rng = random.Random(seed)
     g = ExprGen(rng, cf=True)
+    m = MetaName("M", plain(IsTyB()))
     for _ in range(25):
         e = g.abstracted(depth=rng.randrange(7))
-        f0, b, _ = oracle_occurrences(e)
-        assert fv0(e) == frozenset(f0)
-        assert bv(e) == frozenset(b)
-        assert fv(e) == frozenset(oracle_fv(e))
-        assert mv(e) == frozenset(oracle_mv(e))
-        a = asm(e)
-        assert a.free_vars == fv(e)
-        assert a.bound_vars == bv(e)
-        assert a.metas == mv(e)
+        assert_occurrences_match_oracle(e)
+        # The outputs below are rebuilt around children whose occurrences
+        # were already computed for their inputs.
+        binders = len(e.prefix)
+        s = g.tm(2, max(binders - 1, 0))
+        y = with_meta(e, m)
+        inst = Instantiation([(m, ExprArg(g.ty(2)))])
+        for x in (s, y, inst[m]):
+            asm(x)
+        assert_occurrences_match_oracle(shift(e.body, 2, 1))
+        assert_occurrences_match_oracle(subst_bound(e.body, s, 0))
+        assert_occurrences_match_oracle(act(inst, y))
+
+
+@pytest.mark.parametrize("walk", [hash, fv, bv, mv, asm])
+def test_walks_on_deep_terms_stay_off_the_call_stack(walk):
+    x = FreeVar("x", NAT)
+    t = x
+    for _ in range(2000):
+        t = succ(t)
+    walk(t)
+    assert asm(t) == asm(x)
 
 
 def test_fv0_and_fvt_on_annotated_var():

@@ -9,6 +9,7 @@ from fintt.errors import (
     MetaIntroducedTwice,
     MetaNotIntroduced,
     NotObjectRule,
+    UnknownMeta,
 )
 from fintt.instantiation import Instantiation
 from fintt.judgements import plain
@@ -44,6 +45,7 @@ from fintt.theory import (
     congruence_premises_tt_eco,
     equality_rule,
     generic_application,
+    rule_instance_premises,
     symbol_rule,
 )
 
@@ -322,6 +324,25 @@ def test_pi_congruence_shape(mltt_tt):
     eco_prem, eco_concl = congruence_premises_tt_eco(rule, left, right)
     assert eco_concl == conclusion
     assert eco_prem == [premises[4], premises[5]]
+
+
+def test_rule_instance_premises_fill_each_boundary(mltt_tt):
+    rule = mltt_tt.rule("Pi").rule
+    (A, _), (B, _) = rule.premises
+    inst = Instantiation([(A, ExprArg(BOOL)), (B, Abstr(ExprArg(NAT)))])
+    premises, _, _ = rule_instance_premises(rule, inst)
+    assert premises == [plain(IsTy(BOOL)), Abstracted((BOOL,), IsTy(NAT))]
+
+
+def test_rule_instance_premises_refuses_a_forward_reference(mltt_tt):
+    """A premise boundary may mention only earlier premises' metavariables."""
+    from fintt.theory import RawRule
+
+    (A, b_a), (B, b_b) = mltt_tt.rule("Pi").rule.premises
+    swapped = RawRule(((B, b_b), (A, b_a)), IsTy(SymbolApp("Pi", ())))
+    inst = Instantiation([(B, Abstr(ExprArg(NAT))), (A, ExprArg(BOOL))])
+    with pytest.raises(UnknownMeta, match="A"):
+        rule_instance_premises(swapped, inst)
 
 
 def test_monotonicity_of_finitary_check(mltt_tt):
