@@ -121,10 +121,21 @@ Certificate = Union[CertifiedJudgement, CertifiedBoundary]
 
 
 def _theory_extends(big: Theory, small: Theory) -> bool:
+    """Whether every rule and symbol of ``small`` is in ``big``, unchanged:
+    then a certificate over ``small`` is one over ``big`` too, since
+    derivability only grows with the theory.
+
+    Two prefixes of one base theory (``Theory.prefix``) are answered in
+    O(1): the shorter or equal one is extended.  Any other pair, such as two
+    separately elaborated copies of one theory, is compared rule by rule
+    and symbol by symbol."""
     if big is small:
         return True
     if big.flavor != small.flavor:
         return False
+    (big_token, big_n), (small_token, small_n) = big.origin, small.origin
+    if big_token is small_token and small_n <= big_n:
+        return True
     have = {r.name: r.rule for r in big.rules}
     for r in small.rules:
         if have.get(r.name) != r.rule:

@@ -13,6 +13,9 @@ never backtracks across premise choices.
 
 from __future__ import annotations
 
+import functools
+from bisect import bisect_left
+from operator import itemgetter
 from typing import Optional
 
 from . import cf_engine as cf
@@ -29,6 +32,7 @@ from .judgements import (
     plain,
     unfill,
 )
+from .printer import print_expr_cut
 from .syntax import (
     Abstr,
     Abstracted,
@@ -62,6 +66,69 @@ class DeriveError(KernelError):
 
 
 MAX_DEPTH = 200
+
+
+class DepthRefusal(DeriveError):
+    """An obligation nested deeper than ``MAX_DEPTH``.  A goal whose every
+    candidate rule failed raises this refusal again when one of the
+    failures was one, rather than a "no rule" message about the goal."""
+
+    def __init__(self):
+        super().__init__("obligation recursion too deep")
+
+
+SHOWN_LENGTH = 200
+
+
+def _shown(e: Expr) -> str:
+    """``e`` as the printer writes it, cut to ``SHOWN_LENGTH`` characters."""
+    return print_expr_cut(e, SHOWN_LENGTH)
+
+
+def _shown_equation(lhs: Expr, rhs: Expr, ty: Optional[Expr]) -> str:
+    text = f"{_shown(lhs)} == {_shown(rhs)}"
+    return text if ty is None else f"{text} : {_shown(ty)}"
+
+
+def _refusal(too_deep: bool, message: str) -> DeriveError:
+    """The error for a goal whose every candidate rule failed: the depth
+    refusal when one of the failures was one, since it is the deepest
+    failure there can be, else ``message``."""
+    return DepthRefusal() if too_deep else DeriveError(message)
+
+
+def _remembered(arity: int):
+    """Refuses a goal nested deeper than ``MAX_DEPTH``, and, when the
+    deriver has a memo, remembers its successful results for a goal: the
+    method's first ``arity`` arguments, then an optional depth.
+
+    A remembered result is taken again only at a depth no greater than the
+    one it was derived at: deeper, the fresh search has less room below
+    ``MAX_DEPTH`` and might be refused, so it runs again.  Failures are not
+    remembered (see ``check_finitary``)."""
+
+    def wrap(goal):
+        kind = goal.__name__
+
+        @functools.wraps(goal)
+        def method(self, *args):
+            depth = args[arity] if len(args) > arity else 0
+            if depth > MAX_DEPTH:
+                raise DepthRefusal()
+            if self.memo is None:
+                return goal(self, *args)
+            key = (kind, *args[:arity])
+            hit = self.memo.get(key)
+            if hit is not None and depth <= hit[0]:
+                return hit[1]
+            out = goal(self, *args)
+            if hit is None:
+                self.memo[key] = (depth, out)
+            return out
+
+        return method
+
+    return wrap
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +230,70 @@ def match_equation(
     return None
 
 
+_RULE_TABLE = "derive rule table"
+
+
+def _rule_table(theory: Theory) -> dict:
+    """The rules of ``theory`` by conclusion class (``IsTy``, ``IsTm``, or
+    ``None`` for equality rules), in theory order, each as (index, name,
+    rule, conclusion head or ``None``, unknowns); computed once per theory."""
+
+    def table():
+        out: dict = {IsTy: [], IsTm: [], None: []}
+        for i, trule in enumerate(theory.rules):
+            match trule.rule.conclusion:
+                case IsTy(ty=head):
+                    cls = IsTy
+                case IsTm(term=head):
+                    cls = IsTm
+                case _:
+                    cls = head = None
+            out[cls].append((i, trule.name, trule.rule, head, trule.rule.meta_arities()))
+        return out
+
+    return theory.cached(_RULE_TABLE, table)
+
+
+def _first_rules(table: dict, n: int) -> dict:
+    """The entries of a rule table for the first ``n`` rules."""
+    return {k: v[: bisect_left(v, n, key=itemgetter(0))] for k, v in table.items()}
+
+
+def _match_eq_rule(rule: RawRule, lhs, rhs, ty, unknowns) -> Optional[dict]:
+    """Matches an equality rule against a goal; a term equation may also be
+    concluded at a convertible type."""
+    sol = match_equation(rule, lhs, rhs, ty, unknowns)
+    if sol is None and ty is not None:
+        sol = {}
+        c = rule.conclusion
+        if not (
+            isinstance(c, EqTm)
+            and match_expr(c.lhs, lhs, unknowns, sol)
+            and match_expr(c.rhs, rhs, unknowns, sol)
+        ):
+            sol = None
+    return sol
+
+
 # ---------------------------------------------------------------------------
 # tt-side obligation derivation
 
 
 class TTDeriver:
-    def __init__(self, theory: Theory):
+    """Derives tt obligations over ``theory``.
+
+    ``memo``, when given, holds the successful results of ``ty``, ``tm``
+    and ``boundary`` by goal; it may be shared with derivers over longer
+    prefixes of the same theory (see ``check_finitary``).  Without one,
+    nothing is remembered: hashing a fresh goal costs more than a one-off
+    derivation saves."""
+
+    def __init__(self, theory: Theory, memo: Optional[dict] = None):
         if theory.flavor != "tt":
             raise DeriveError("TTDeriver needs a tt theory")
         self.theory = theory
+        self.memo = memo
+        self._rules = _rule_table(theory)
 
     def _fresh(self, mctx, vctx, *stuff) -> FreeVar:
         avoid = set(atoms_in_use(*stuff))
@@ -182,7 +304,7 @@ class TTDeriver:
 
     def judgement(self, mctx, vctx, j: Abstracted, depth: int = 0):
         if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
+            raise DepthRefusal()
         if j.prefix:
             ty_d = self.ty(mctx, vctx, j.prefix[0], depth + 1)
             a = self._fresh(mctx, vctx, j)
@@ -200,9 +322,8 @@ class TTDeriver:
                 return self.eqtm(mctx, vctx, s, t, a, depth + 1)
         raise DeriveError(f"not a judgement: {j.body!r}")
 
+    @_remembered(3)
     def boundary(self, mctx, vctx, b: Abstracted, depth: int = 0):
-        if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
         if b.prefix:
             ty_d = self.ty(mctx, vctx, b.prefix[0], depth + 1)
             a = self._fresh(mctx, vctx, b)
@@ -229,9 +350,8 @@ class TTDeriver:
                 )
         raise DeriveError(f"not a boundary: {b.body!r}")
 
+    @_remembered(3)
     def ty(self, mctx, vctx, a: Expr, depth: int = 0):
-        if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
         match a:
             case MetaApp(meta=m, args=ts):
                 if m not in mctx or not isinstance(mctx[m].body, IsTyB):
@@ -240,11 +360,10 @@ class TTDeriver:
             case SymbolApp():
                 d, got = self._object_by_rule(mctx, vctx, a, want_ty=True, depth=depth)
                 return d
-        raise DeriveError(f"cannot derive that {a!r} is a type")
+        raise DeriveError(f"cannot derive that {_shown(a)} is a type")
 
+    @_remembered(4)
     def tm(self, mctx, vctx, t: Expr, a: Expr, depth: int = 0):
-        if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
         match t:
             case FreeVar():
                 if t not in vctx:
@@ -260,7 +379,7 @@ class TTDeriver:
             case SymbolApp():
                 d, got = self._object_by_rule(mctx, vctx, t, want_ty=False, depth=depth)
                 return self._convert_to(mctx, vctx, d, got, a, depth)
-        raise DeriveError(f"cannot derive a typing for {t!r}")
+        raise DeriveError(f"cannot derive a typing for {_shown(t)}")
 
     def _convert_to(self, mctx, vctx, d, got: Expr, want: Expr, depth: int):
         if got == want:
@@ -279,23 +398,21 @@ class TTDeriver:
     def _object_by_rule(self, mctx, vctx, e: Expr, want_ty: bool, depth: int):
         """Derives a symbol application via a matching specific object rule,
         returning the derivation and the type it concluded at (terms)."""
-        want_cls = IsTy if want_ty else IsTm
-        for trule in self.theory.rules:
-            rule = trule.rule
-            if not isinstance(rule.conclusion, want_cls):
-                continue
-            head = rule.conclusion.ty if want_ty else rule.conclusion.term
-            unknowns = dict(rule.meta_arities())
+        too_deep = False
+        for _, name, rule, head, unknowns in self._rules[IsTy if want_ty else IsTm]:
             sol: dict = {}
             if not match_expr(head, e, unknowns, sol):
                 continue
             try:
-                d = self._apply(mctx, vctx, trule.name, rule, sol, depth)
-            except (DeriveError, KernelError):
+                d = self._apply(mctx, vctx, name, rule, sol, depth)
+            except DepthRefusal:
+                too_deep = True
+                continue
+            except KernelError:
                 continue
             got = None if want_ty else d.conclusion.jdg.body.ty
             return d, got
-        raise DeriveError(f"no specific rule concludes {e!r}")
+        raise _refusal(too_deep, f"no specific rule concludes {_shown(e)}")
 
     def _apply(self, mctx, vctx, name: str, rule: RawRule, sol: dict, depth: int):
         """Applies a specific rule economically, deriving each premise fill;
@@ -318,62 +435,44 @@ class TTDeriver:
 
     def eqty(self, mctx, vctx, a: Expr, b: Expr, depth: int = 0):
         if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
+            raise DepthRefusal()
         if a == b:
             return tt.eqty_refl(self.theory, self.ty(mctx, vctx, a, depth + 1))
-        d = self._eq_by_rule(mctx, vctx, a, b, None, depth)
-        if d is not None:
-            return d
-        d = self._eq_by_rule(mctx, vctx, b, a, None, depth)
-        if d is not None:
-            return tt.eqty_sym(self.theory, d)
-        raise DeriveError(f"cannot derive {a!r} == {b!r}")
+        return self._eq_by_rule(mctx, vctx, a, b, None, depth)
 
     def eqtm(self, mctx, vctx, s: Expr, t: Expr, a: Expr, depth: int = 0):
         if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
+            raise DepthRefusal()
         if s == t:
             return tt.eqtm_refl(self.theory, self.tm(mctx, vctx, s, a, depth + 1))
-        d = self._eq_by_rule(mctx, vctx, s, t, a, depth)
-        if d is not None:
-            return d
-        d = self._eq_by_rule(mctx, vctx, t, s, a, depth)
-        if d is not None:
-            return tt.eqtm_sym(self.theory, d)
-        raise DeriveError(f"cannot derive {s!r} == {t!r} : {a!r}")
+        return self._eq_by_rule(mctx, vctx, s, t, a, depth)
 
     def _eq_by_rule(self, mctx, vctx, lhs, rhs, ty, depth):
-        for trule in self.theory.rules:
-            rule = trule.rule
-            if rule.is_object:
-                continue
-            unknowns = dict(rule.meta_arities())
-            sol = match_equation(rule, lhs, rhs, ty, unknowns)
-            if sol is None and ty is not None:
-                # allow the rule to conclude at a convertible type
-                sol = {}
-                c = rule.conclusion
-                if isinstance(c, EqTm) and match_expr(c.lhs, lhs, unknowns, sol) and match_expr(
-                    c.rhs, rhs, unknowns, sol
-                ):
-                    pass
-                else:
-                    sol = None
-            if sol is None:
-                continue
-            try:
-                d = self._apply(mctx, vctx, trule.name, rule, sol, depth)
-            except (DeriveError, KernelError):
-                continue
-            got = d.conclusion.jdg.body
-            if ty is not None and got.ty != ty:
-                try:
-                    eq = self.eqty(mctx, vctx, got.ty, ty, depth + 1)
-                except (DeriveError, KernelError):
+        """Derives ``lhs == rhs`` (at ``ty`` for terms) by the first equality
+        rule concluding it, or else ``rhs == lhs`` and symmetry."""
+        too_deep = False
+        for flipped, (l, r) in enumerate(((lhs, rhs), (rhs, lhs))):
+            for _, name, rule, _, unknowns in self._rules[None]:
+                sol = _match_eq_rule(rule, l, r, ty, unknowns)
+                if sol is None:
                     continue
-                d = tt.conv_eqtm(self.theory, d, eq)
-            return d
-        return None
+                try:
+                    d = self._apply(mctx, vctx, name, rule, sol, depth)
+                    got = d.conclusion.jdg.body
+                    eq = None
+                    if ty is not None and got.ty != ty:
+                        eq = self.eqty(mctx, vctx, got.ty, ty, depth + 1)
+                except DepthRefusal:
+                    too_deep = True
+                    continue
+                except KernelError:
+                    continue
+                if eq is not None:
+                    d = tt.conv_eqtm(self.theory, d, eq)
+                if not flipped:
+                    return d
+                return tt.eqty_sym(self.theory, d) if ty is None else tt.eqtm_sym(self.theory, d)
+        raise _refusal(too_deep, f"cannot derive {_shown_equation(lhs, rhs, ty)}")
 
     def mctx_wf(self, mctx: MetaCtx, depth: int = 0):
         d = tt.mctx_empty(self.theory)
@@ -406,17 +505,22 @@ def _dummy_head(binders: int):
 
 
 class CFDeriver:
-    def __init__(self, theory: Theory):
+    """Certifies cf obligations over ``theory``; ``memo`` is as for
+    ``TTDeriver``."""
+
+    def __init__(self, theory: Theory, memo: Optional[dict] = None):
         if theory.flavor != "cf":
             raise DeriveError("CFDeriver needs a cf theory")
         self.theory = theory
+        self.memo = memo
+        self._rules = _rule_table(theory)
 
     def _fresh(self, *stuff) -> str:
         return fresh_name("x", atoms_in_use(*stuff))
 
     def judgement(self, j: Abstracted, depth: int = 0) -> cf.CertifiedJudgement:
         if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
+            raise DepthRefusal()
         if j.prefix:
             ty_c = self.ty(j.prefix[0], depth + 1)
             v = FreeVar(self._fresh(j), j.prefix[0])
@@ -440,9 +544,8 @@ class CFDeriver:
                 return d
         raise DeriveError(f"not a judgement: {j.body!r}")
 
+    @_remembered(1)
     def boundary(self, b: Abstracted, depth: int = 0) -> cf.CertifiedBoundary:
-        if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
         if b.prefix:
             ty_c = self.ty(b.prefix[0], depth + 1)
             v = FreeVar(self._fresh(b), b.prefix[0])
@@ -467,9 +570,8 @@ class CFDeriver:
                 )
         raise DeriveError(f"not a boundary: {b.body!r}")
 
+    @_remembered(1)
     def ty(self, a: Expr, depth: int = 0) -> cf.CertifiedJudgement:
-        if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
         match a:
             case MetaApp(meta=m, args=ts):
                 if m.annotation is None or not isinstance(m.annotation.body, IsTyB):
@@ -478,11 +580,10 @@ class CFDeriver:
             case SymbolApp():
                 c, _ = self._object_by_rule(a, want_ty=True, depth=depth)
                 return c
-        raise DeriveError(f"cannot derive that {a!r} is a type")
+        raise DeriveError(f"cannot derive that {_shown(a)} is a type")
 
+    @_remembered(2)
     def tm(self, t: Expr, a: Expr, depth: int = 0) -> cf.CertifiedJudgement:
-        if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
         match t:
             case FreeVar(annotation=ann):
                 if ann is None:
@@ -506,7 +607,7 @@ class CFDeriver:
                 if out.payload.body.term != t:
                     raise DeriveError("conversion goal carries a different assumption set")
                 return out
-        raise DeriveError(f"cannot derive a typing for {t!r}")
+        raise DeriveError(f"cannot derive a typing for {_shown(t)}")
 
     def _convert_to(self, c, got: Expr, want: Expr, depth: int, force: bool = False):
         if got == want and not force:
@@ -523,23 +624,21 @@ class CFDeriver:
         return cf.cf_meta(self.theory, m, kids, annotation_cert=ann_cert)
 
     def _object_by_rule(self, e: Expr, want_ty: bool, depth: int):
-        want_cls = IsTy if want_ty else IsTm
-        for trule in self.theory.rules:
-            rule = trule.rule
-            if not isinstance(rule.conclusion, want_cls):
-                continue
-            head = rule.conclusion.ty if want_ty else rule.conclusion.term
-            unknowns = dict(rule.meta_arities())
+        too_deep = False
+        for _, name, rule, head, unknowns in self._rules[IsTy if want_ty else IsTm]:
             sol: dict = {}
             if not match_expr(head, e, unknowns, sol):
                 continue
             try:
-                c = self._apply(trule.name, rule, sol, depth)
-            except (DeriveError, KernelError):
+                c = self._apply(name, rule, sol, depth)
+            except DepthRefusal:
+                too_deep = True
+                continue
+            except KernelError:
                 continue
             got = None if want_ty else c.payload.body.ty
             return c, got
-        raise DeriveError(f"no specific rule concludes {e!r}")
+        raise _refusal(too_deep, f"no specific rule concludes {_shown(e)}")
 
     def _apply(self, name: str, rule: RawRule, sol: dict, depth: int):
         entries = []
@@ -576,65 +675,48 @@ class CFDeriver:
 
     def eqty(self, a: Expr, b: Expr, depth: int = 0) -> cf.CertifiedJudgement:
         if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
+            raise DepthRefusal()
         if erased_equal(a, b):
             return cf.cf_eqty_refl(
                 self.theory, self.ty(a, depth + 1), self.ty(b, depth + 1)
             )
-        c = self._eq_by_rule(a, b, None, depth)
-        if c is not None:
-            return c
-        c = self._eq_by_rule(b, a, None, depth)
-        if c is not None:
-            return cf.cf_eqty_sym(self.theory, c)
-        raise DeriveError(f"cannot derive {a!r} == {b!r}")
+        return self._eq_by_rule(a, b, None, depth)
 
     def eqtm(self, s: Expr, t: Expr, a: Expr, depth: int = 0) -> cf.CertifiedJudgement:
         if depth > MAX_DEPTH:
-            raise DeriveError("obligation recursion too deep")
+            raise DepthRefusal()
         if erased_equal(s, t):
             return cf.cf_eqtm_refl(
                 self.theory, self.tm(s, a, depth + 1), self.tm(t, a, depth + 1)
             )
-        c = self._eq_by_rule(s, t, a, depth)
-        if c is not None:
-            return c
-        c = self._eq_by_rule(t, s, a, depth)
-        if c is not None:
-            return cf.cf_eqtm_sym(self.theory, c)
-        raise DeriveError(f"cannot derive {s!r} == {t!r} : {a!r}")
+        return self._eq_by_rule(s, t, a, depth)
 
     def _eq_by_rule(self, lhs, rhs, ty, depth):
-        for trule in self.theory.rules:
-            rule = trule.rule
-            if rule.is_object:
-                continue
-            unknowns = dict(rule.meta_arities())
-            sol = match_equation(rule, lhs, rhs, ty, unknowns)
-            if sol is None and ty is not None:
-                sol = {}
-                c = rule.conclusion
-                if not (
-                    isinstance(c, EqTm)
-                    and match_expr(c.lhs, lhs, unknowns, sol)
-                    and match_expr(c.rhs, rhs, unknowns, sol)
-                ):
-                    sol = None
-            if sol is None:
-                continue
-            try:
-                cert = self._apply(trule.name, rule, sol, depth)
-            except (DeriveError, KernelError):
-                continue
-            got = cert.payload.body
-            if ty is not None and got.ty != ty:
-                try:
-                    eq = self.eqty(got.ty, ty, depth + 1)
-                except (DeriveError, KernelError):
+        """Certifies ``lhs == rhs`` (at ``ty`` for terms) by the first
+        equality rule concluding it, or else ``rhs == lhs`` and symmetry."""
+        too_deep = False
+        for flipped, (l, r) in enumerate(((lhs, rhs), (rhs, lhs))):
+            for _, name, rule, _, unknowns in self._rules[None]:
+                sol = _match_eq_rule(rule, l, r, ty, unknowns)
+                if sol is None:
                     continue
-                cert = cf.cf_conv_eqtm(self.theory, cert, eq)
-            return cert
-        return None
+                try:
+                    cert = self._apply(name, rule, sol, depth)
+                    got = cert.payload.body
+                    eq = None
+                    if ty is not None and got.ty != ty:
+                        eq = self.eqty(got.ty, ty, depth + 1)
+                except DepthRefusal:
+                    too_deep = True
+                    continue
+                except KernelError:
+                    continue
+                if eq is not None:
+                    cert = cf.cf_conv_eqtm(self.theory, cert, eq)
+                if not flipped:
+                    return cert
+                return cf.cf_eqty_sym(self.theory, cert) if ty is None else cf.cf_eqtm_sym(self.theory, cert)
+        raise _refusal(too_deep, f"cannot derive {_shown_equation(lhs, rhs, ty)}")
 
 
 # ---------------------------------------------------------------------------
@@ -646,17 +728,28 @@ def check_finitary(theory: Theory) -> None:
 
     tt theories get  |- mctx  and conclusion-boundary derivations; cf
     theories get premise-boundary and conclusion-boundary certificates.
+
+    The derivers of all prefixes share one memo for the pass, so an
+    obligation met over one prefix (``A type``, a metavariable's annotation
+    boundary, ...) is not derived again for every later rule.  Reuse is
+    sound because derivability only grows with the prefix: a derivation or
+    certificate over the first i rules is one over the first j >= i rules,
+    and ``cf_engine`` accepts certificates over a shorter prefix of the same
+    theory in O(1).  Failures are not remembered, since a goal refused over
+    one prefix may be met over a longer one.  The memo is dropped when the
+    pass ends.
     """
     for r in theory.rules:
         check_raw(theory.signature, r.rule, theory.flavor)
     witnesses: dict = {}
+    memo: dict = {}
+    table = _rule_table(theory)
     for i, r in enumerate(theory.rules):
         prefix = theory.prefix(i)
-        prefix.finitary_witnesses = {
-            rr.name: witnesses[rr.name] for rr in prefix.rules if rr.name in witnesses
-        }
+        prefix.finitary_witnesses = dict(witnesses)
+        prefix.cached(_RULE_TABLE, lambda: _first_rules(table, i))
         if theory.flavor == "tt":
-            deriver = TTDeriver(prefix)
+            deriver = TTDeriver(prefix, memo)
             mctx = MetaCtx(list(r.rule.premises))
             try:
                 mctx_d = deriver.mctx_wf(mctx)
@@ -666,7 +759,7 @@ def check_finitary(theory: Theory) -> None:
                 raise ConclusionNotDerivableOverPrefix(r.name, str(exc)) from exc
             witnesses[r.name] = {"mctx": mctx_d, "boundary": bdry_d}
         else:
-            deriver = CFDeriver(prefix)
+            deriver = CFDeriver(prefix, memo)
             try:
                 prem_certs = [deriver.boundary(b) for _, b in r.rule.premises]
                 bdry_thesis, _ = unfill(plain(r.rule.conclusion))

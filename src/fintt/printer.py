@@ -75,6 +75,56 @@ def print_expr(e, binders: tuple[str, ...] = ()) -> str:
     raise TypeError(f"cannot print {e!r}")
 
 
+_CUT = SymbolApp("...", ())
+
+
+def print_expr_cut(e, limit: int) -> str:
+    """``print_expr(e)`` cut to at most ``limit`` characters, ending in
+    "..." when cut.
+
+    Each level of nesting prints at least two characters before its
+    subterms (``f(``, ``a^``, ``{x} ``), so a subterm nested deeper than
+    ``limit // 2`` levels would start past the cut.  Such subterms are
+    replaced unvisited, so a term of any depth prints with bounded
+    recursion."""
+    text = print_expr(_pruned(e, limit // 2 + 1))
+    return text if len(text) <= limit else text[: limit - 3] + "..."
+
+
+def _pruned(e, levels: int):
+    match e:
+        case FreeVar(name=n, annotation=ann) if ann is not None:
+            # kept a variable: assumption sets sort theirs by name
+            return FreeVar(n, _pruned(ann, levels - 1))
+    if levels <= 0:
+        return _CUT
+    match e:
+        case SymbolApp(symbol=s, args=args):
+            return SymbolApp(s, tuple(_pruned_arg(a, levels - 1) for a in args))
+        case MetaApp(meta=m, args=args):
+            return MetaApp(m, tuple(_pruned(t, levels - 1) for t in args))
+        case Convert(term=t, assumptions=a):
+            return Convert(_pruned(t, levels - 1), _pruned_set(a, levels - 1))
+    return e
+
+
+def _pruned_arg(a, levels: int):
+    match a:
+        case Abstr(body=b):
+            return Abstr(_pruned_arg(b, levels - 1)) if levels > 0 else ExprArg(_CUT)
+        case ExprArg(expr=x):
+            return ExprArg(_pruned(x, levels))
+        case AsmArg(assumptions=s):
+            return AsmArg(_pruned_set(s, levels))
+    return a
+
+
+def _pruned_set(a: AssumptionSet, levels: int) -> AssumptionSet:
+    return AssumptionSet(
+        frozenset(_pruned(v, levels) for v in a.free_vars), a.bound_vars, a.metas
+    )
+
+
 def print_set(a: AssumptionSet, binders: tuple[str, ...] = ()) -> str:
     parts = []
     for i in sorted(a.bound_vars):

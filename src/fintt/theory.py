@@ -365,6 +365,11 @@ class Theory:
         self._by_name = {r.name: r for r in self.rules}
         self.finitary_witnesses: Optional[dict] = None
         self._cache: dict = {}
+        # (token, n): this theory is the first n rules of the theory the
+        # token was made for, itself unless made by ``prefix``.  A token and
+        # not that theory: certificates held by the theory refer to its
+        # prefixes, and the reference back would make a cycle.
+        self.origin: tuple[object, int] = (object(), len(self.rules))
 
     def cached(self, key, compute):
         """``compute()``, remembered on the theory under ``key``."""
@@ -381,7 +386,12 @@ class Theory:
         return self._by_name[name]
 
     def prefix(self, n: int) -> "Theory":
-        return Theory(self.signature, list(self.rules[:n]), self.flavor)
+        """The first ``n`` rules over the same signature.  It records whose
+        prefix it is, so ``cf_engine`` tells in O(1) that a longer prefix of
+        the same theory extends it."""
+        out = Theory(self.signature, list(self.rules[:n]), self.flavor)
+        out.origin = (self.origin[0], len(out.rules))
+        return out
 
     def symbol_rule_for(self, symbol: str) -> TheoryRule:
         for r in self.rules:

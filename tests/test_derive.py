@@ -1,0 +1,297 @@
+"""The obligation derivers: the depth limit at its edge, bounded refusal
+messages, the finitary gate's memo across prefixes, and the prefix fast path
+of ``cf_engine._theory_extends``."""
+
+import random
+
+import pytest
+
+from fintt import cf_engine as cf
+from fintt.derive import (
+    MAX_DEPTH,
+    SHOWN_LENGTH,
+    CFDeriver,
+    DepthRefusal,
+    DeriveError,
+    TTDeriver,
+    check_finitary,
+)
+from fintt.errors import KernelError, PremiseMismatch
+from fintt.judgements import EMPTY_METAS, EMPTY_VARS, MetaCtx, VarCtx, plain, unfill
+from fintt.parser import elaborate, parse_theory
+from fintt.printer import print_expr, print_expr_cut
+from fintt.syntax import ExprArg, FreeVar, IsTmB, IsTyB, Signature, SymbolApp
+from fintt.theory import Theory, TheoryBuilder, check_raw
+
+from .gen import ExprGen
+from .test_lambda_theory import THEORY_TEXT as LAMBDA_TEXT
+from .test_theory import BOOL, NAT, mltt_builder, pi_family_builder, succ_typo_builder
+
+
+def succ(t):
+    return SymbolApp("succ", (ExprArg(t),))
+
+
+def chain(n, t):
+    for _ in range(n):
+        t = succ(t)
+    return t
+
+
+def gated(builder):
+    th = builder.theory()
+    check_finitary(th)
+    return th
+
+
+# ---------------------------------------------------------------------------
+# MAX_DEPTH at its edge
+
+# Each succ costs two levels (the goal, then its premise's judgement).  The
+# cf variable's annotation type costs one more; the tt variable is read off
+# the context.
+CF_EDGE = (MAX_DEPTH - 1) // 2
+TT_EDGE = MAX_DEPTH // 2
+REFUSAL = "obligation recursion too deep"
+
+
+def cf_succ(deriver, n):
+    return deriver.tm(chain(n, FreeVar("a", NAT)), NAT)
+
+
+def tt_succ(deriver, n):
+    a = FreeVar("a")
+    return deriver.tm(EMPTY_METAS, VarCtx([(a, NAT)]), chain(n, a), NAT)
+
+
+@pytest.mark.parametrize(
+    "make, derive, edge",
+    [(CFDeriver, cf_succ, CF_EDGE), (TTDeriver, tt_succ, TT_EDGE)],
+    ids=["cf", "tt"],
+)
+def test_depth_limit_edge(corpus_cf, corpus_tt, make, derive, edge):
+    th = corpus_cf if make is CFDeriver else corpus_tt
+    derive(make(th), edge)
+    with pytest.raises(DepthRefusal) as err:
+        derive(make(th), edge + 1)
+    assert str(err.value) == REFUSAL
+
+
+@pytest.mark.parametrize(
+    "make, derive, edge",
+    [(CFDeriver, cf_succ, CF_EDGE), (TTDeriver, tt_succ, TT_EDGE)],
+    ids=["cf", "tt"],
+)
+def test_memo_leaves_the_depth_limit_in_place(corpus_cf, corpus_tt, make, derive, edge):
+    """Entries derived near the root are not taken deeper down, and a
+    refusal is not remembered."""
+    th = corpus_cf if make is CFDeriver else corpus_tt
+    deriver = make(th, {})
+    derive(deriver, 10)
+    with pytest.raises(DepthRefusal):
+        derive(deriver, edge + 1)
+    derive(deriver, edge)
+    with pytest.raises(DepthRefusal):
+        derive(deriver, edge + 1)
+
+
+def test_refusal_messages_are_printed_and_bounded(corpus_cf, corpus_tt):
+    deep = chain(150, FreeVar("a", NAT))
+    with pytest.raises(DeriveError) as err:
+        CFDeriver(corpus_cf).ty(deep)
+    msg = str(err.value)
+    assert msg.startswith("no specific rule concludes succ(succ(")
+    assert len(msg) <= len("no specific rule concludes ") + SHOWN_LENGTH
+    with pytest.raises(DeriveError) as err:
+        CFDeriver(corpus_cf).eqty(SymbolApp("Id", (ExprArg(NAT), ExprArg(deep), ExprArg(deep))), BOOL)
+    msg = str(err.value)
+    assert msg.startswith("cannot derive Id(nat, succ(")
+    assert msg.endswith(" == bool")
+    assert len(msg) <= len("cannot derive  == bool") + SHOWN_LENGTH
+    with pytest.raises(DeriveError) as err:
+        TTDeriver(corpus_tt).ty(EMPTY_METAS, EMPTY_VARS, chain(150, FreeVar("a")))
+    assert len(str(err.value)) <= len("no specific rule concludes ") + SHOWN_LENGTH
+
+
+def test_refusal_of_a_very_deep_subject_is_printed(corpus_cf):
+    """The printer recurses, but only as deep as the cut can show."""
+    with pytest.raises(DeriveError) as err:
+        CFDeriver(corpus_cf).ty(chain(3000, FreeVar("a", NAT)))
+    msg = str(err.value)
+    assert msg.startswith("no specific rule concludes succ(succ(") and msg.endswith("...")
+    assert len(msg) == len("no specific rule concludes ") + SHOWN_LENGTH
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_print_expr_cut_is_the_full_print_cut(seed):
+    rng = random.Random(seed)
+    g = ExprGen(rng, cf=seed % 2 == 0)
+    e = g.tm(rng.randrange(2, 7)) if seed % 3 else g.ty(rng.randrange(2, 7))
+    full = print_expr(e)
+    for limit in (8, 12, 20, 40, 80):
+        want = full if len(full) <= limit else full[: limit - 3] + "..."
+        assert print_expr_cut(e, limit) == want
+
+
+# ---------------------------------------------------------------------------
+# _theory_extends: prefixes of one theory, copies, flavours
+
+
+def bool_cert(theory):
+    return CFDeriver(theory).ty(BOOL)
+
+
+def test_prefix_certificates_merge_into_longer_prefixes_only():
+    th = gated(mltt_builder("cf"))
+    n = len(th.rules)
+    for i in range(1, n + 1):
+        c = bool_cert(th.prefix(i))
+        for j in range(n + 1):
+            target = th.prefix(j)
+            if i <= j:
+                assert cf.cf_bdry_tm(target, c).theory is target
+            else:
+                with pytest.raises(PremiseMismatch):
+                    cf.cf_bdry_tm(target, c)
+        assert cf.cf_bdry_tm(th, c).theory is th
+
+
+def test_separately_elaborated_copies_take_the_full_comparison():
+    th, copy = gated(mltt_builder("cf")), gated(mltt_builder("cf"))
+    n = len(th.rules)
+    assert th.origin[0] is not copy.origin[0]
+    for i in range(1, n + 1):
+        c = bool_cert(th.prefix(i))
+        cf.cf_bdry_tm(copy, c)
+        for j in range(n + 1):
+            if i <= j:
+                cf.cf_bdry_tm(copy.prefix(j), c)
+            else:
+                with pytest.raises(PremiseMismatch):
+                    cf.cf_bdry_tm(copy.prefix(j), c)
+
+
+def test_other_flavour_and_other_signature_are_refused():
+    th_cf = gated(mltt_builder("cf"))
+    th_tt = mltt_builder("tt").theory()
+    with pytest.raises(PremiseMismatch):
+        cf.cf_bdry_tm(th_tt, bool_cert(th_cf))
+    with pytest.raises(PremiseMismatch):
+        cf.cf_bdry_tm(th_tt.prefix(len(th_tt.rules)), bool_cert(th_cf.prefix(1)))
+    # the same rule tuple over a smaller signature is another theory
+    bare = Theory(Signature(), th_cf.rules, "cf")
+    with pytest.raises(PremiseMismatch):
+        cf.cf_bdry_tm(bare, bool_cert(th_cf.prefix(1)))
+
+
+# ---------------------------------------------------------------------------
+# The memoised gate against fresh derivers per rule
+
+
+def fresh_gate(theory):
+    """The finitary gate with a fresh deriver over ``theory.prefix(i)`` for
+    each rule: the reference the shared memo must agree with."""
+    from fintt.errors import ConclusionNotDerivableOverPrefix
+
+    for r in theory.rules:
+        check_raw(theory.signature, r.rule, theory.flavor)
+    witnesses = {}
+    for i, r in enumerate(theory.rules):
+        prefix = theory.prefix(i)
+        prefix.finitary_witnesses = dict(witnesses)
+        bdry_thesis, _ = unfill(plain(r.rule.conclusion))
+        try:
+            if theory.flavor == "tt":
+                d = TTDeriver(prefix)
+                mctx = MetaCtx(list(r.rule.premises))
+                witnesses[r.name] = {
+                    "mctx": d.mctx_wf(mctx),
+                    "boundary": d.boundary(mctx, EMPTY_VARS, bdry_thesis),
+                }
+            else:
+                d = CFDeriver(prefix)
+                witnesses[r.name] = {
+                    "premise_boundaries": [d.boundary(b) for _, b in r.rule.premises],
+                    "boundary": d.boundary(bdry_thesis),
+                }
+        except KernelError as exc:
+            raise ConclusionNotDerivableOverPrefix(r.name, str(exc)) from exc
+    theory.finitary_witnesses = witnesses
+
+
+def outcome(gate, theory):
+    """The witnesses' payloads (cf) or derivations (tt), or the refusal."""
+    try:
+        gate(theory)
+    except KernelError as exc:
+        return type(exc), getattr(exc, "rule_name", None), getattr(exc, "obligation", str(exc))
+    out = {}
+    for name, w in theory.finitary_witnesses.items():
+        if theory.flavor == "tt":
+            out[name] = (w["mctx"], w["boundary"])
+        else:
+            out[name] = ([c.payload for c in w["premise_boundaries"]], w["boundary"].payload)
+    return out
+
+
+def lambda_theory(flavor):
+    return elaborate(parse_theory(LAMBDA_TEXT), flavor)
+
+
+CASES = {
+    "mltt": lambda fl: mltt_builder(fl).theory(),
+    "lambda": lambda_theory,
+    "pi_short": lambda fl: pi_family_builder(fl, "short").theory(),
+    "succ_typo": lambda fl: succ_typo_builder(fl, False).theory(),
+    "succ_typo_fixed": lambda fl: succ_typo_builder(fl, True).theory(),
+}
+
+
+@pytest.mark.parametrize("flavor", ["cf", "tt"])
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_memoised_gate_agrees_with_fresh_derivers(case, flavor):
+    memoised = outcome(check_finitary, CASES[case](flavor))
+    fresh = outcome(fresh_gate, CASES[case](flavor))
+    assert memoised == fresh
+    if case in ("mltt", "lambda", "succ_typo_fixed"):
+        assert isinstance(memoised, dict) and len(memoised) == len(CASES[case](flavor).rules)
+    else:
+        assert isinstance(memoised, tuple)
+
+
+def shared_premise_theory(flavor, k):
+    """T0, then k operations f_i(n) : T0 that all have the premise n : T0."""
+    b = TheoryBuilder(flavor)
+    b.declare_symbol_rule("T0", [], IsTyB())
+    t0 = SymbolApp("T0", ())
+    for i in range(k):
+        b.declare_symbol_rule(f"f{i}", [("n", plain(IsTmB(t0)))], IsTmB(t0))
+    return b.theory()
+
+
+def count_t0_applications(monkeypatch, cls, gate, theory):
+    calls = []
+    original = cls._apply
+
+    def counting(self, *args):
+        name = args[-4]  # (..., name, rule, sol, depth)
+        calls.append(name)
+        return original(self, *args)
+
+    monkeypatch.setattr(cls, "_apply", counting)
+    gate(theory)
+    monkeypatch.setattr(cls, "_apply", original)
+    return calls.count("T0")
+
+
+@pytest.mark.parametrize("flavor", ["cf", "tt"])
+def test_shared_obligation_is_derived_once_per_pass(monkeypatch, flavor):
+    cls = CFDeriver if flavor == "cf" else TTDeriver
+    k = 6
+    memoised = count_t0_applications(monkeypatch, cls, check_finitary, shared_premise_theory(flavor, k))
+    fresh = count_t0_applications(monkeypatch, cls, fresh_gate, shared_premise_theory(flavor, k))
+    # cf: one goal, T0 type.  tt: T0 type in the empty metavariable context
+    # (the premise boundary) and in n : T0 (the conclusion boundary).
+    assert memoised == (1 if flavor == "cf" else 2)
+    assert fresh >= k
+    assert count_t0_applications(monkeypatch, cls, check_finitary, shared_premise_theory(flavor, 1)) == memoised
