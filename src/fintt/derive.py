@@ -38,7 +38,6 @@ from .syntax import (
     Abstracted,
     BoundVar,
     Convert,
-    DUMMY,
     EqTm,
     EqTmB,
     EqTy,
@@ -55,10 +54,12 @@ from .syntax import (
     SymbolApp,
     atoms_in_use,
     boundary_arity,
+    bv,
+    dummy_head,
     erased_equal,
     fresh_name,
 )
-from .theory import RawRule, Theory, check_raw
+from .theory import RawRule, Theory, check_raw, metavariable_rule_instance
 
 
 class DeriveError(KernelError):
@@ -142,8 +143,6 @@ def _generic_spine(depth: int, k: int) -> tuple[Expr, ...]:
 def _close_solution(e: Expr, depth: int, k: int) -> Optional[object]:
     """Abstracts the innermost ``k`` binders of the match site out of ``e``;
     fails if ``e`` mentions binders outside that window."""
-    from .syntax import bv
-
     esc = bv(e)
     if any(i >= k for i in esc):
         return None
@@ -389,8 +388,6 @@ class TTDeriver:
 
     def _meta(self, mctx, vctx, m: MetaName, ts: list[Expr], depth: int):
         bdry = mctx[m]
-        from .theory import metavariable_rule_instance
-
         premises, _, _ = metavariable_rule_instance(m, bdry, ts)
         kids = [self.judgement(mctx, vctx, p, depth + 1) for p in premises]
         return tt.tt_meta(self.theory, mctx, vctx, m, kids)
@@ -426,7 +423,7 @@ class TTDeriver:
             if m in sol:
                 head = sol[m]
             elif boundary_arity(b).cls.is_equality:
-                head = _dummy_head(len(b.prefix))
+                head = dummy_head(len(b.prefix))
             else:
                 raise DeriveError(f"object metavariable {m.name} undetermined by matching")
             entries.append((m, head))
@@ -491,13 +488,6 @@ class TTDeriver:
             d = tt.vctx_extend(self.theory, d, ty_d, v)
             sofar = sofar.extend(v, ty)
         return d
-
-
-def _dummy_head(binders: int):
-    head = DUMMY
-    for _ in range(binders):
-        head = Abstr(head)
-    return head
 
 
 # ---------------------------------------------------------------------------
@@ -617,8 +607,6 @@ class CFDeriver:
 
     def _meta(self, m: MetaName, ts: list[Expr], depth: int) -> cf.CertifiedJudgement:
         ann_cert = self.boundary(m.annotation, depth + 1)
-        from .theory import metavariable_rule_instance
-
         premises, _, _ = metavariable_rule_instance(m, m.annotation, ts)
         kids = [self.judgement(p, depth + 1) for p in premises]
         return cf.cf_meta(self.theory, m, kids, annotation_cert=ann_cert)

@@ -289,6 +289,15 @@ class Abstr:
 Argument = Union[ExprArg, DummyArg, AsmArg, Abstr]
 
 
+def dummy_head(binders: int) -> Argument:
+    """The tt argument of an equality-class metavariable binding
+    ``binders`` variables: ``DUMMY`` under that many binders."""
+    head: Argument = DUMMY
+    for _ in range(binders):
+        head = Abstr(head)
+    return head
+
+
 # ---------------------------------------------------------------------------
 # Judgement and boundary theses (defined here so annotations can mention
 # boundaries; the operations on them live in fintt.judgements)

@@ -41,10 +41,8 @@ from .judgements import (
     plain,
 )
 from .syntax import (
-    Abstr,
     Abstracted,
     AssumptionSet,
-    DUMMY,
     EqTm,
     EqTmB,
     EqTy,
@@ -69,6 +67,7 @@ from .syntax import (
     mv,
     strip_conversions,
     conversion_residue,
+    dummy_head,
 )
 from .theory import RawRule, Theory, TheoryRule
 
@@ -458,7 +457,7 @@ class CfToTT:
                 except KernelError:
                     return None
             elif boundary_arity(b).cls.is_equality:
-                head = _dummy_head(len(b.prefix))
+                head = dummy_head(len(b.prefix))
                 try:
                     kids.append(self._jdg_erased(mctx, vctx, fill(b_inst, head), hints))
                 except KernelError:
@@ -493,13 +492,6 @@ class CfToTT:
             return tt.specific(self.tt, mctx, vctx, trule.name, Instantiation(entries), kids)
         except KernelError:
             return None
-
-
-def _dummy_head(binders: int):
-    head = DUMMY
-    for _ in range(binders):
-        head = Abstr(head)
-    return head
 
 
 def _cf_annotation_of(a_tt: Expr) -> Expr:

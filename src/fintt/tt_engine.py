@@ -16,12 +16,20 @@ equal-instantiation walks (``prepare_subst_eq``, ``eq_instantiate``) emit
 full ``TT-Congr`` nodes for specific rules, carrying both instantiations'
 fills and, for term rules, the conclusion's type equation: the tt -> cf
 translation needs all of them and cannot rebuild them from an economic node.
+
+``_SLOTS`` gives the kind of each slot of a node's ``data`` for every
+closure rule: contexts, atoms, metavariables, term tuples, rule names and
+instantiations.  The walks that apply one change to every slot of a kind
+(renaming, weakening, substitution, instantiation, the two equal-side walks,
+collecting names) rebuild data with ``_map_data`` from that table and spell
+out only the rules where they really differ.  A new closure rule adds a row
+to ``_SLOTS`` and a case to ``_infer``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     BadNode,
@@ -33,11 +41,14 @@ from .errors import (
 )
 from .instantiation import Instantiation, act
 from .judgements import (
+    EMPTY_METAS,
+    EMPTY_VARS,
     MetaCtx,
     VarCtx,
     abstract_judgement,
     fill,
     plain,
+    unfill,
 )
 from .syntax import (
     Abstracted,
@@ -125,13 +136,70 @@ class Derivation:
     conclusion: Statement
 
 
+# The kind of each ``Derivation.data`` slot, per closure rule: the
+# metavariable and variable contexts the node works in ("mctx", "vctx"), a
+# variable it mentions ("var") or binds ("binder"), a metavariable ("meta"),
+# a tuple of terms ("terms"), a specific rule's name ("rule") and an
+# instantiation ("inst").
+_CTX = ("mctx", "vctx")
+_SLOTS: dict[str, tuple[str, ...]] = {
+    "TT-Var": (*_CTX, "var"),
+    "TT-Meta": (*_CTX, "meta", "terms"),
+    "TT-Meta-Eco": (*_CTX, "meta", "terms"),
+    "TT-Meta-Congr": (*_CTX, "meta", "terms", "terms"),
+    "TT-Meta-Congr-Eco": (*_CTX, "meta", "terms", "terms"),
+    "TT-Abstr": (*_CTX, "binder"),
+    "TT-EqTy-Refl": _CTX,
+    "TT-EqTy-Sym": _CTX,
+    "TT-EqTy-Trans": _CTX,
+    "TT-EqTm-Refl": _CTX,
+    "TT-EqTm-Sym": _CTX,
+    "TT-EqTm-Trans": _CTX,
+    "TT-Conv-Tm": _CTX,
+    "TT-Conv-EqTm": _CTX,
+    "TT-Bdry-Ty": _CTX,
+    "TT-Bdry-Tm": _CTX,
+    "TT-Bdry-EqTy": _CTX,
+    "TT-Bdry-EqTm": _CTX,
+    "TT-Bdry-Abstr": (*_CTX, "binder"),
+    "MCtx-Empty": (),
+    "MCtx-Extend": ("meta",),
+    "VCtx-Empty": ("mctx",),
+    "VCtx-Extend": ("binder",),
+    "TT-Specific": (*_CTX, "rule", "inst"),
+    "TT-Specific-Eco": (*_CTX, "rule", "inst"),
+    "TT-Congr": (*_CTX, "rule", "inst", "inst"),
+    "TT-Congr-Eco": (*_CTX, "rule", "inst", "inst"),
+}
+# Rules concluding context well-formedness; the judgement walks refuse them.
+_CTX_RULES = frozenset({"MCtx-Empty", "MCtx-Extend", "VCtx-Empty", "VCtx-Extend"})
+_ABSTRACTIONS = ("TT-Abstr", "TT-Bdry-Abstr")
+
+
+def _map_data(rule: str, data: tuple, maps: dict) -> tuple:
+    """``data`` rebuilt slot by slot: ``maps[kind]`` is applied to each slot
+    of that kind, and ``maps["expr"]`` to each term of a term tuple and each
+    argument of an instantiation; slots of other kinds are kept."""
+    expr = maps.get("expr")
+    out = []
+    for kind, x in zip(_SLOTS[rule], data):
+        if kind == "terms":
+            if expr is not None:
+                x = tuple(expr(t) for t in x)
+        elif kind == "inst":
+            if expr is not None:
+                x = Instantiation([(k, expr(a)) for k, a in x])
+        elif kind in maps:
+            x = maps[kind](x)
+        out.append(x)
+    return tuple(out)
+
+
 def _ctxs(stmt: Statement) -> tuple[MetaCtx, VarCtx]:
     match stmt:
         case JdgTT(mctx=m, vctx=v) | BdryTT(mctx=m, vctx=v) | VctxWF(mctx=m, vctx=v):
             return m, v
         case MctxWF(mctx=m):
-            from .judgements import EMPTY_VARS
-
             return m, EMPTY_VARS
     raise TypeError(stmt)
 
@@ -339,8 +407,6 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
         case "MCtx-Empty":
             if kids or data:
                 raise BadNode("MCtx-Empty is a leaf")
-            from .judgements import EMPTY_METAS
-
             return MctxWF(EMPTY_METAS)
 
         case "MCtx-Extend":
@@ -362,8 +428,6 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
             (mctx,) = data
             if kids:
                 raise BadNode("VCtx-Empty is a leaf")
-            from .judgements import EMPTY_VARS
-
             return VctxWF(mctx, EMPTY_VARS)
 
         case "VCtx-Extend":
@@ -595,44 +659,63 @@ def meta_congr(
 # Renaming and weakening
 
 
+def _slots(d: Derivation, kinds: frozenset) -> Iterator[tuple[str, object]]:
+    """(kind, value) of each slot of the given kinds in the nodes of ``d``,
+    each node visited once."""
+    stack, visited = [d], set()
+    while stack:
+        n = stack.pop()
+        if id(n) in visited:
+            continue
+        visited.add(id(n))
+        stack.extend(n.premises)
+        for kind, x in zip(_SLOTS[n.rule], n.data):
+            if kind in kinds:
+                yield kind, x
+
+
 def _binding_atoms(d: Derivation) -> set[FreeVar]:
-    out: set[FreeVar] = set()
-    if d.rule in ("TT-Abstr", "TT-Bdry-Abstr"):
-        out.add(d.data[2])
-    if d.rule == "VCtx-Extend":
-        out.add(d.data[0])
-    for p in d.premises:
-        out |= _binding_atoms(p)
-    return out
+    return {x for _, x in _slots(d, frozenset({"binder"}))}
+
+
+_NAMED = frozenset({"mctx", "vctx", "var", "binder", "meta", "terms", "inst"})
 
 
 def _all_names(d: Derivation) -> set[str]:
     """Names mentioned anywhere in a derivation (contexts + side data)."""
     out: set[str] = set()
-
-    def stmt_names(s: Statement) -> None:
-        m, v = _ctxs(s)
-        for mm, b in m:
-            out.add(mm.name)
-            out.update(atoms_in_use(b))
-        for vv, ty in v:
-            out.add(vv.name)
-            out.update(atoms_in_use(ty))
-        match s:
-            case JdgTT(jdg=j):
-                out.update(atoms_in_use(j))
-            case BdryTT(bdry=b):
-                out.update(atoms_in_use(b))
-            case _:
-                pass
-
-    def walk(d: Derivation) -> None:
-        stmt_names(d.conclusion)
-        for p in d.premises:
-            walk(p)
-
-    walk(d)
+    contexts: set[int] = set()  # contexts shared between nodes are read once
+    for kind, x in _slots(d, _NAMED):
+        if kind in _CTX:
+            if id(x) not in contexts:
+                contexts.add(id(x))
+                for a, b in x:
+                    out.add(a.name)
+                    out.update(atoms_in_use(b))
+        elif kind == "terms":
+            out.update(atoms_in_use(*x))
+        elif kind == "inst":
+            out.update(atoms_in_use(*(a for _, a in x)))
+        else:
+            out.add(x.name)
     return out
+
+
+def _map_derivation(theory: Theory, d: Derivation, maps: dict, special=None) -> Derivation:
+    """``d`` rebuilt node by node with ``_map_data(.., maps)``; ``special(n,
+    walk)``, when given, answers each node ``n`` it returns a derivation for
+    (``walk`` continues the rebuild below it) and may refuse a node by
+    raising."""
+
+    def walk(d: Derivation) -> Derivation:
+        if special is not None:
+            out = special(d, walk)
+            if out is not None:
+                return out
+        kids = [walk(p) for p in d.premises]
+        return node(theory, d.rule, _map_data(d.rule, d.data, maps), kids)
+
+    return walk(d)
 
 
 def rename_derivation(
@@ -643,7 +726,7 @@ def rename_derivation(
 ) -> Derivation:
     """Applies an injective renaming of atoms throughout a derivation,
     freshening binding atoms when the renaming would capture them."""
-    meta_map = meta_map or {}
+    mm = dict(meta_map or {})
     taken: set[str] = set()  # filled at the first binder that must be freshened
 
     def fresh(atom: FreeVar) -> FreeVar:
@@ -651,7 +734,7 @@ def rename_derivation(
             taken.update(
                 _all_names(d),
                 (v.name for v in var_map.values()),
-                (m.name for m in meta_map.values()),
+                (m.name for m in mm.values()),
             )
         out = FreeVar(fresh_name(atom.name, frozenset(taken)), atom.annotation)
         taken.add(out.name)
@@ -661,87 +744,45 @@ def rename_derivation(
     # entries keep their keys' objects alive.
     done: dict = {}
 
-    def ren_mctx(m: MetaCtx, vm, mm) -> MetaCtx:
+    def ren_mctx(m: MetaCtx, vm) -> MetaCtx:
         key = (id(m), id(vm))
         if key not in done:
             done[key] = (m, vm, MetaCtx([(mm.get(k, k), rename_atoms(b, vm, mm)) for k, b in m]))
         return done[key][2]
 
-    def ren_vctx(v: VarCtx, vm, mm) -> VarCtx:
+    def ren_vctx(v: VarCtx, vm) -> VarCtx:
         key = (id(v), id(vm))
         if key not in done:
             done[key] = (v, vm, VarCtx([(vm.get(k, k), rename_atoms(ty, vm, mm)) for k, ty in v]))
         return done[key][2]
 
-    def walk(d: Derivation, vm: dict, mm: dict) -> Derivation:
-        data = d.data
+    def maps_for(vm: dict) -> dict:
+        return {
+            "mctx": lambda m: ren_mctx(m, vm),
+            "vctx": lambda v: ren_vctx(v, vm),
+            "var": lambda v: vm.get(v, v),
+            "binder": lambda v: vm.get(v, v),
+            "meta": lambda m: mm.get(m, m),
+            "expr": lambda e: rename_atoms(e, vm, mm),
+        }
+
+    def walk(d: Derivation, vm: dict, maps: dict) -> Derivation:
         rule = d.rule
-        if rule in ("TT-Abstr", "TT-Bdry-Abstr"):
-            mctx, vctx, atom = data
+        if rule in _ABSTRACTIONS:
+            mctx, vctx, atom = d.data
             new_atom = vm.get(atom, atom)
-            target_vctx = ren_vctx(vctx, vm, mm)
+            target_vctx = ren_vctx(vctx, vm)
             if new_atom in target_vctx:
                 new_atom = fresh(atom)
             vm2 = dict(vm)
             vm2[atom] = new_atom
-            kids = [walk(d.premises[0], vm, mm), walk(d.premises[1], vm2, mm)]
-            return node(theory, rule, (ren_mctx(mctx, vm, mm), target_vctx, new_atom), kids)
-        match rule:
-            case "TT-Var":
-                mctx, vctx, v = data
-                new_data = (ren_mctx(mctx, vm, mm), ren_vctx(vctx, vm, mm), vm.get(v, v))
-            case "TT-Meta" | "TT-Meta-Eco":
-                mctx, vctx, m, terms = data
-                new_data = (
-                    ren_mctx(mctx, vm, mm),
-                    ren_vctx(vctx, vm, mm),
-                    mm.get(m, m),
-                    tuple(rename_atoms(t, vm, mm) for t in terms),
-                )
-            case "TT-Meta-Congr" | "TT-Meta-Congr-Eco":
-                mctx, vctx, m, ss, ts = data
-                new_data = (
-                    ren_mctx(mctx, vm, mm),
-                    ren_vctx(vctx, vm, mm),
-                    mm.get(m, m),
-                    tuple(rename_atoms(t, vm, mm) for t in ss),
-                    tuple(rename_atoms(t, vm, mm) for t in ts),
-                )
-            case "TT-Specific" | "TT-Specific-Eco":
-                mctx, vctx, rn, inst = data
-                new_data = (
-                    ren_mctx(mctx, vm, mm),
-                    ren_vctx(vctx, vm, mm),
-                    rn,
-                    Instantiation([(k, rename_atoms(a, vm, mm)) for k, a in inst]),
-                )
-            case "TT-Congr" | "TT-Congr-Eco":
-                mctx, vctx, rn, li, ri = data
-                new_data = (
-                    ren_mctx(mctx, vm, mm),
-                    ren_vctx(vctx, vm, mm),
-                    rn,
-                    Instantiation([(k, rename_atoms(a, vm, mm)) for k, a in li]),
-                    Instantiation([(k, rename_atoms(a, vm, mm)) for k, a in ri]),
-                )
-            case "MCtx-Empty":
-                new_data = ()
-            case "MCtx-Extend":
-                (m,) = data
-                new_data = (mm.get(m, m),)
-            case "VCtx-Empty":
-                (mctx,) = data
-                new_data = (ren_mctx(mctx, vm, mm),)
-            case "VCtx-Extend":
-                (v,) = data
-                new_data = (vm.get(v, v),)
-            case _:
-                mctx, vctx = data[0], data[1]
-                new_data = (ren_mctx(mctx, vm, mm), ren_vctx(vctx, vm, mm)) + data[2:]
-        kids = [walk(p, vm, mm) for p in d.premises]
-        return node(theory, rule, new_data, kids)
+            kids = [walk(d.premises[0], vm, maps), walk(d.premises[1], vm2, maps_for(vm2))]
+            return node(theory, rule, (ren_mctx(mctx, vm), target_vctx, new_atom), kids)
+        kids = [walk(p, vm, maps) for p in d.premises]
+        return node(theory, rule, _map_data(rule, d.data, maps), kids)
 
-    return walk(d, dict(var_map), dict(meta_map))
+    vm = dict(var_map)
+    return walk(d, vm, maps_for(vm))
 
 
 def _avoid_binding_clashes(theory: Theory, d: Derivation, names: set[str]) -> Derivation:
@@ -775,40 +816,21 @@ def weaken_vars(theory: Theory, d: Derivation, entries: Sequence[tuple[FreeVar, 
         old = vctx.entries
         return VarCtx(old[:position] + entries + old[position:])
 
-    def walk(d: Derivation) -> Derivation:
-        kids = [walk(p) for p in d.premises]
-        data = d.data
-        match d.rule:
-            case "MCtx-Empty" | "MCtx-Extend" | "VCtx-Empty" | "VCtx-Extend":
-                raise BadNode("cannot weaken a context derivation by a variable")
-            case _:
-                mctx, vctx = data[0], data[1]
-                data = (mctx, insert(vctx)) + data[2:]
-        return node(theory, d.rule, data, kids)
+    def refuse(d: Derivation, walk) -> None:
+        if d.rule in _CTX_RULES:
+            raise BadNode("cannot weaken a context derivation by a variable")
 
-    return walk(d)
+    return _map_derivation(theory, d, {"vctx": insert}, refuse)
 
 
 def weaken_meta(theory: Theory, d: Derivation, m: MetaName, b: AbstractedBoundary) -> Derivation:
     """Appends ``m : b`` to the metavariable context of every node."""
 
-    def walk(d: Derivation) -> Derivation:
-        kids = [walk(p) for p in d.premises]
-        data = d.data
-        match d.rule:
-            case "MCtx-Empty" | "MCtx-Extend":
-                raise BadNode("cannot weaken a metavariable-context derivation")
-            case "VCtx-Empty":
-                (mctx,) = data
-                data = (mctx.extend(m, b),)
-            case "VCtx-Extend":
-                pass
-            case _:
-                mctx, vctx = data[0], data[1]
-                data = (mctx.extend(m, b), vctx) + data[2:]
-        return node(theory, d.rule, data, kids)
+    def refuse(d: Derivation, walk) -> None:
+        if d.rule in ("MCtx-Empty", "MCtx-Extend"):
+            raise BadNode("cannot weaken a metavariable-context derivation")
 
-    return walk(d)
+    return _map_derivation(theory, d, {"mctx": lambda mctx: mctx.extend(m, b)}, refuse)
 
 
 # ---------------------------------------------------------------------------
@@ -879,74 +901,23 @@ def prepare_subst(theory: Theory, d: Derivation, v: FreeVar, t_deriv: Derivation
         before, after = _split_vctx(vctx, v)
         return VarCtx(before + [(u, subst_free(ty, v, t)) for u, ty in after])
 
-    def sub(x):
-        return subst_free(x, v, t)
-
-    def walk(d: Derivation) -> Derivation:
-        data = d.data
-        match d.rule:
-            case "TT-Var":
-                mctx, vctx, u = data
-                if u == v:
-                    _, after = _split_vctx(vctx, v)
-                    out = t_deriv
-                    # t_deriv may sit over a prefix of Gamma; first pad to Gamma
-                    before, _ = _split_vctx(vctx, v)
-                    pad = before[len(base_vctx.entries):]
-                    for (w, ty) in pad:
-                        out = weaken_var(theory, out, w, ty)
-                    for (w, ty) in after:
-                        out = weaken_var(theory, out, w, subst_free(ty, v, t))
-                    return out
-                return node(theory, "TT-Var", (mctx, sub_vctx(vctx), u), [])
-            case "TT-Abstr" | "TT-Bdry-Abstr":
-                mctx, vctx, atom = data
-                kids = [walk(p) for p in d.premises]
-                return node(theory, d.rule, (mctx, sub_vctx(vctx), atom), kids)
-            case "TT-Meta" | "TT-Meta-Eco":
-                mctx, vctx, m, terms = data
-                kids = [walk(p) for p in d.premises]
-                return node(
-                    theory, d.rule, (mctx, sub_vctx(vctx), m, tuple(sub(x) for x in terms)), kids
-                )
-            case "TT-Meta-Congr" | "TT-Meta-Congr-Eco":
-                mctx, vctx, m, ss, ts = data
-                kids = [walk(p) for p in d.premises]
-                return node(
-                    theory,
-                    d.rule,
-                    (mctx, sub_vctx(vctx), m, tuple(sub(x) for x in ss), tuple(sub(x) for x in ts)),
-                    kids,
-                )
-            case "TT-Specific" | "TT-Specific-Eco":
-                mctx, vctx, rn, inst = data
-                kids = [walk(p) for p in d.premises]
-                new_inst = Instantiation([(k, sub(a)) for k, a in inst])
-                return node(theory, d.rule, (mctx, sub_vctx(vctx), rn, new_inst), kids)
-            case "TT-Congr" | "TT-Congr-Eco":
-                mctx, vctx, rn, li, ri = data
-                kids = [walk(p) for p in d.premises]
-                return node(
-                    theory,
-                    d.rule,
-                    (
-                        mctx,
-                        sub_vctx(vctx),
-                        rn,
-                        Instantiation([(k, sub(a)) for k, a in li]),
-                        Instantiation([(k, sub(a)) for k, a in ri]),
-                    ),
-                    kids,
-                )
-            case "MCtx-Empty" | "MCtx-Extend" | "VCtx-Empty" | "VCtx-Extend":
-                raise BadNode("substitution applies to judgement derivations")
-            case _:
-                mctx, vctx = data[0], data[1]
-                kids = [walk(p) for p in d.premises]
-                return node(theory, d.rule, (mctx, sub_vctx(vctx)) + data[2:], kids)
+    def substituted_var(d: Derivation, walk) -> Optional[Derivation]:
+        if d.rule in _CTX_RULES:
+            raise BadNode("substitution applies to judgement derivations")
+        if d.rule != "TT-Var" or d.data[2] != v:
+            return None
+        before, after = _split_vctx(d.data[1], v)
+        out = t_deriv
+        # t_deriv may sit over a prefix of Gamma; first pad to Gamma
+        for (w, ty) in before[len(base_vctx.entries):]:
+            out = weaken_var(theory, out, w, ty)
+        for (w, ty) in after:
+            out = weaken_var(theory, out, w, subst_free(ty, v, t))
+        return out
 
     d = _avoid_binding_clashes(theory, d, set(atoms_in_use(t)))
-    return walk(d)
+    maps = {"vctx": sub_vctx, "expr": lambda x: subst_free(x, v, t)}
+    return _map_derivation(theory, d, maps, substituted_var)
 
 
 def _invert_abstraction(d: Derivation) -> tuple[Derivation, Derivation, FreeVar]:
@@ -1001,6 +972,97 @@ class EqSubst:
     eq_deriv: Derivation
 
 
+def _equal_sides(theory: Theory, what: str, names: set[str], ctx, sides, leaf, seen=None):
+    """The walk shared by equal substitution and equal instantiation.
+
+    ``walk(d, delta, delta_eqs)`` gives, for a subderivation ``d`` under the
+    binders ``delta`` (atoms with their source types), its s-side, its
+    t-side and, for object judgements, the equation between them;
+    ``delta_eqs`` maps the binders whose type differs between the sides to
+    the type equation.  The caller supplies ``ctx(d, delta)``, the contexts
+    the sides live in; ``sides``, the s- and t-maps on expressions; and
+    ``leaf(d, delta, delta_eqs)``, which answers the nodes the caller treats
+    itself (or returns None, or refuses by raising).  With ``seen`` the
+    results are remembered per (conclusion, binders); ``names`` are the
+    atoms a walked boundary's binders must avoid."""
+    s_map, t_map = {"expr": sides[0]}, {"expr": sides[1]}
+
+    def walk(d: Derivation, delta: list, delta_eqs: dict):
+        if seen is None:
+            return step(d, delta, delta_eqs)
+        key = (d.conclusion, tuple(delta))
+        if key not in seen:
+            seen[key] = step(d, delta, delta_eqs)
+        return seen[key]
+
+    def step(d: Derivation, delta: list, delta_eqs: dict):
+        out = leaf(d, delta, delta_eqs)
+        if out is not None:
+            return out
+        rule, data = d.rule, d.data
+        if rule in _CTX_RULES:
+            raise BadNode(f"{what} does not handle {rule}")
+        if rule in _ABSTRACTIONS:
+            atom = data[2]
+            ty_s, ty_t, ty_eq = walk(d.premises[0], delta, delta_eqs)
+            src_ty = _want_plain_thesis(d.premises[0].conclusion, IsTy, "abstr").ty
+            new_ty_s = _want_plain_thesis(ty_s.conclusion, IsTy, "abstr").ty
+            new_ty_t = _want_plain_thesis(ty_t.conclusion, IsTy, "abstr").ty
+            assert ty_eq is not None
+            eqs2 = {u: weaken_var(theory, e, atom, new_ty_s) for u, e in delta_eqs.items()}
+            eqs2[atom] = weaken_var(theory, ty_eq, atom, new_ty_s)
+            body_s, body_t, body_eq = walk(d.premises[1], delta + [(atom, src_ty)], eqs2)
+            if rule == "TT-Bdry-Abstr":
+                raise BadNode(f"{what} across an abstracted boundary is not supported")
+            out_s = tt_abstr(theory, ty_s, body_s, atom)
+            abs_t = tt_abstr(theory, ty_s, body_t, atom)
+            out_t = conv_abstr(theory, abs_t, ty_t, ty_eq) if new_ty_t != new_ty_s else abs_t
+            out_eq = tt_abstr(theory, ty_s, body_eq, atom) if body_eq is not None else None
+            return out_s, out_t, out_eq
+        mctx, vctx = ctx(d, delta)
+        kids = [walk(p, delta, delta_eqs) for p in d.premises]
+        d_s = node(theory, rule, (mctx, vctx) + _map_data(rule, data, s_map)[2:], [x[0] for x in kids])
+        if rule == "TT-Var":
+            u = data[2]
+            d_t = conv_tm(theory, d_s, delta_eqs[u]) if u in delta_eqs else d_s
+            return d_s, d_t, eqtm_refl(theory, d_s)
+        d_t = node(theory, rule, (mctx, vctx) + _map_data(rule, data, t_map)[2:], [x[1] for x in kids])
+        d_eq = None
+        match rule:
+            case "TT-Meta" | "TT-Meta-Eco" if boundary_arity(mctx[data[2]]).cls.is_object:
+                m, triples = data[2], kids[: len(data[3])]
+                if isinstance(mctx[m].body, IsTyB):
+                    # type metavariables admit the full congruence rule
+                    # without extra premises
+                    d_eq = meta_congr(
+                        theory, mctx, vctx, m, d_s.data[3], d_t.data[3],
+                        [x[0] for x in triples] + [x[1] for x in triples] + [x[2] for x in triples],
+                    )
+                else:
+                    d_eq = meta_congr(
+                        theory, mctx, vctx, m, d_s.data[3], d_t.data[3],
+                        [x[2] for x in triples], economic=True,
+                    )
+            case "TT-Specific" | "TT-Specific-Eco":
+                trule = theory.rule(data[2]).rule
+                if trule.is_object:
+                    ty_eq = None
+                    if isinstance(trule.conclusion, IsTm):
+                        bd = _avoid_binding_clashes(theory, _specific_boundary(theory, d), names)
+                        ty_eq = walk(bd.premises[0], delta, delta_eqs)[2]
+                    d_eq = _congruence_of_sides(
+                        theory, mctx, vctx, data[2], d_s.data[3], d_t.data[3], kids, ty_eq
+                    )
+            case "TT-Conv-Tm":
+                assert kids[0][2] is not None
+                d_eq = conv_eqtm(theory, kids[0][2], kids[1][0])
+            case "TT-Bdry-Tm":
+                d_eq = kids[0][2]
+        return d_s, d_t, d_eq
+
+    return walk
+
+
 def prepare_subst_eq(
     theory: Theory,
     d: Derivation,
@@ -1026,175 +1088,31 @@ def prepare_subst_eq(
         raise BadNode("prepare_subst_eq needs at least one substituted variable")
     svars = [e.var for e in subs]
     by_var = {e.var: e for e in subs}
-    s_terms = {e.var: _head_term(e.s_deriv) for e in subs}
-    t_terms = {e.var: _head_term(e.t_deriv) for e in subs}
-    base_vctx = _ctxs(subs[0].s_deriv.conclusion)[1]
-    base_len = len(base_vctx.entries)
+    base_len = len(_ctxs(subs[0].s_deriv.conclusion)[1].entries)
 
-    def sub_s(x):
-        for v in svars:
-            x = subst_free(x, v, s_terms[v])
-        return x
+    def sub_by(terms: dict):
+        def sub(x):
+            for v in svars:
+                x = subst_free(x, v, terms[v])
+            return x
 
-    def sub_t(x):
-        for v in svars:
-            x = subst_free(x, v, t_terms[v])
-        return x
+        return sub
 
-    def sub_vctx(vctx: VarCtx) -> VarCtx:
-        return VarCtx([(u, sub_s(ty)) for u, ty in vctx.entries if u not in by_var])
+    sub_s = sub_by({e.var: _head_term(e.s_deriv) for e in subs})
+    sub_t = sub_by({e.var: _head_term(e.t_deriv) for e in subs})
 
-    def pad_entries(vctx: VarCtx) -> list[tuple[FreeVar, Expr]]:
-        return list(sub_vctx(vctx).entries)[base_len:]
+    def ctx(d: Derivation, delta) -> tuple[MetaCtx, VarCtx]:
+        mctx, vctx = _ctxs(d.conclusion)
+        return mctx, VarCtx([(u, sub_s(ty)) for u, ty in vctx.entries if u not in by_var])
 
-    def walk(d: Derivation, delta_eqs: dict) -> tuple[Derivation, Derivation, Optional[Derivation]]:
-        data = d.data
-        match d.rule:
-            case "TT-Var":
-                mctx, vctx, u = data
-                new_vctx = sub_vctx(vctx)
-                if u in by_var:
-                    e = by_var[u]
-                    d_s, d_t, d_eq = e.s_deriv, e.t_deriv, e.eq_deriv
-                    for (w, ty) in pad_entries(vctx):
-                        d_s = weaken_var(theory, d_s, w, ty)
-                        d_t = weaken_var(theory, d_t, w, ty)
-                        d_eq = weaken_var(theory, d_eq, w, ty)
-                    return d_s, d_t, d_eq
-                var_s = node(theory, "TT-Var", (mctx, new_vctx, u), [])
-                refl = eqtm_refl(theory, var_s)
-                if u in delta_eqs:
-                    return var_s, conv_tm(theory, var_s, delta_eqs[u]), refl
-                return var_s, var_s, refl
-            case "TT-Abstr" | "TT-Bdry-Abstr":
-                mctx, vctx, atom = data
-                ty_s, ty_t, ty_eq = walk(d.premises[0], delta_eqs)
-                new_ty_s = _want_plain_thesis(ty_s.conclusion, IsTy, "abstr").ty
-                new_ty_t = _want_plain_thesis(ty_t.conclusion, IsTy, "abstr").ty
-                assert ty_eq is not None
-                eqs2 = {u: weaken_var(theory, e, atom, new_ty_s) for u, e in delta_eqs.items()}
-                eqs2[atom] = weaken_var(theory, ty_eq, atom, new_ty_s)
-                body_s, body_t, body_eq = walk(d.premises[1], eqs2)
-                if d.rule == "TT-Bdry-Abstr":
-                    raise BadNode(
-                        "equal substitution across an abstracted boundary is not supported"
-                    )
-                out_s = tt_abstr(theory, ty_s, body_s, atom)
-                abs_t = tt_abstr(theory, ty_s, body_t, atom)
-                out_t = (
-                    conv_abstr(theory, abs_t, ty_t, ty_eq) if new_ty_t != new_ty_s else abs_t
-                )
-                out_eq = tt_abstr(theory, ty_s, body_eq, atom) if body_eq is not None else None
-                return out_s, out_t, out_eq
-            case "TT-Meta" | "TT-Meta-Eco":
-                mctx, vctx, m, terms = data
-                n_terms = len(terms)
-                triples = [walk(p, delta_eqs) for p in d.premises[:n_terms]]
-                rest = [walk(p, delta_eqs) for p in d.premises[n_terms:]]
-                new_vctx = sub_vctx(vctx)
-                d_s = node(
-                    theory, d.rule,
-                    (mctx, new_vctx, m, tuple(sub_s(x) for x in terms)),
-                    [x[0] for x in triples] + [r[0] for r in rest],
-                )
-                d_t = node(
-                    theory, d.rule,
-                    (mctx, new_vctx, m, tuple(sub_t(x) for x in terms)),
-                    [x[1] for x in triples] + [r[1] for r in rest],
-                )
-                d_eq = None
-                if boundary_arity(mctx[m]).cls.is_object:
-                    if isinstance(mctx[m].body, IsTyB):
-                        # type metavariables admit the full congruence rule
-                        # without extra premises
-                        d_eq = meta_congr(
-                            theory, mctx, new_vctx, m,
-                            [sub_s(x) for x in terms], [sub_t(x) for x in terms],
-                            [x[0] for x in triples]
-                            + [x[1] for x in triples]
-                            + [x[2] for x in triples],
-                        )
-                    else:
-                        d_eq = meta_congr(
-                            theory, mctx, new_vctx, m,
-                            [sub_s(x) for x in terms], [sub_t(x) for x in terms],
-                            [x[2] for x in triples], economic=True,
-                        )
-                return d_s, d_t, d_eq
-            case "TT-Meta-Congr" | "TT-Meta-Congr-Eco":
-                mctx, vctx, m, ss, ts = data
-                pairs = [walk(p, delta_eqs) for p in d.premises]
-                new_vctx = sub_vctx(vctx)
-                d_s = node(
-                    theory, d.rule,
-                    (mctx, new_vctx, m, tuple(sub_s(x) for x in ss), tuple(sub_s(x) for x in ts)),
-                    [x[0] for x in pairs],
-                )
-                d_t = node(
-                    theory, d.rule,
-                    (mctx, new_vctx, m, tuple(sub_t(x) for x in ss), tuple(sub_t(x) for x in ts)),
-                    [x[1] for x in pairs],
-                )
-                return d_s, d_t, None
-            case "TT-Specific" | "TT-Specific-Eco":
-                mctx, vctx, rn, inst = data
-                triples = [walk(p, delta_eqs) for p in d.premises]
-                new_vctx = sub_vctx(vctx)
-                inst_s = Instantiation([(k, sub_s(a)) for k, a in inst])
-                inst_t = Instantiation([(k, sub_t(a)) for k, a in inst])
-                d_s = node(theory, d.rule, (mctx, new_vctx, rn, inst_s), [x[0] for x in triples])
-                d_t = node(theory, d.rule, (mctx, new_vctx, rn, inst_t), [x[1] for x in triples])
-                trule = theory.rule(rn)
-                d_eq = None
-                if trule.rule.is_object:
-                    ty_eq = None
-                    if isinstance(trule.rule.conclusion, IsTm):
-                        bd = _avoid_binding_clashes(theory, _specific_boundary(theory, d), names)
-                        ty_eq = walk(bd.premises[0], delta_eqs)[2]
-                    d_eq = _congruence_of_sides(
-                        theory, mctx, new_vctx, rn, inst_s, inst_t, triples, ty_eq
-                    )
-                return d_s, d_t, d_eq
-            case "TT-Congr" | "TT-Congr-Eco":
-                mctx, vctx, rn, li, ri = data
-                pairs = [walk(p, delta_eqs) for p in d.premises]
-                new_vctx = sub_vctx(vctx)
-                d_s = node(
-                    theory, d.rule,
-                    (mctx, new_vctx, rn,
-                     Instantiation([(k, sub_s(a)) for k, a in li]),
-                     Instantiation([(k, sub_s(a)) for k, a in ri])),
-                    [x[0] for x in pairs],
-                )
-                d_t = node(
-                    theory, d.rule,
-                    (mctx, new_vctx, rn,
-                     Instantiation([(k, sub_t(a)) for k, a in li]),
-                     Instantiation([(k, sub_t(a)) for k, a in ri])),
-                    [x[1] for x in pairs],
-                )
-                return d_s, d_t, None
-            case "TT-Conv-Tm":
-                mctx, vctx = data[0], data[1]
-                t1 = walk(d.premises[0], delta_eqs)
-                t2 = walk(d.premises[1], delta_eqs)
-                new_vctx = sub_vctx(vctx)
-                d_s = node(theory, d.rule, (mctx, new_vctx), [t1[0], t2[0]])
-                d_t = node(theory, d.rule, (mctx, new_vctx), [t1[1], t2[1]])
-                assert t1[2] is not None
-                d_eq = conv_eqtm(theory, t1[2], t2[0])
-                return d_s, d_t, d_eq
-            case "TT-EqTy-Refl" | "TT-EqTy-Sym" | "TT-EqTy-Trans" | "TT-EqTm-Refl" \
-                | "TT-EqTm-Sym" | "TT-EqTm-Trans" | "TT-Conv-EqTm" \
-                | "TT-Bdry-Ty" | "TT-Bdry-Tm" | "TT-Bdry-EqTy" | "TT-Bdry-EqTm":
-                mctx, vctx = data[0], data[1]
-                pairs = [walk(p, delta_eqs) for p in d.premises]
-                new_vctx = sub_vctx(vctx)
-                d_s = node(theory, d.rule, (mctx, new_vctx) + data[2:], [x[0] for x in pairs])
-                d_t = node(theory, d.rule, (mctx, new_vctx) + data[2:], [x[1] for x in pairs])
-                return d_s, d_t, None
-            case _:
-                raise BadNode(f"prepare_subst_eq does not handle {d.rule}")
+    def substituted_var(d: Derivation, delta, delta_eqs):
+        if d.rule != "TT-Var" or d.data[2] not in by_var:
+            return None
+        e = by_var[d.data[2]]
+        out = (e.s_deriv, e.t_deriv, e.eq_deriv)
+        for (w, ty) in ctx(d, delta)[1].entries[base_len:]:
+            out = tuple(weaken_var(theory, x, w, ty) for x in out)
+        return out
 
     names: set[str] = set()
     for e in subs:
@@ -1202,13 +1120,17 @@ def prepare_subst_eq(
             atoms_in_use(_head_term(e.t_deriv))
         )
     d = _avoid_binding_clashes(theory, d, names)
-    return walk(d, delta_eqs)
+    walk = _equal_sides(
+        theory, "equal substitution", names, ctx, (sub_s, sub_t), substituted_var
+    )
+    d_s, d_t, d_eq = walk(d, [], delta_eqs)
+    return d_s, d_t, None if isinstance(d.conclusion, BdryTT) else d_eq
 
 
 def _open_abstractions(d: Derivation) -> tuple[list[tuple[Derivation, FreeVar]], Derivation]:
     """Peels a chain of abstraction nodes: [(type derivation, atom)...], body."""
     chain = []
-    while d.rule in ("TT-Abstr", "TT-Bdry-Abstr"):
+    while d.rule in _ABSTRACTIONS:
         chain.append((d.premises[0], d.data[2]))
         d = d.premises[1]
     return chain, d
@@ -1221,9 +1143,11 @@ def eq_subst_n(
     t_derivs: Sequence[Derivation],
     eq_derivs: Sequence[Derivation],
 ) -> Derivation:
-    """Iterated equal substitution into an abstracted object judgement:
-    from  {xs:As} plug(B, e)  and triples  s_i, t_i, s_i == t_i  derive
-    plug(B[ss], e[ss] == e[ts])."""
+    """Iterated equal substitution into an abstracted object judgement
+    (TT-Subst-EqTy / TT-Subst-EqTm): from  {xs:As} plug(B, e)  and triples
+    s_i, t_i, s_i == t_i  for the outermost binders derive
+    plug(B[ss], e[ss] == e[ts]), leaving any surplus abstraction in place;
+    with no triples, reflexivity."""
     m = len(s_derivs)
     if m == 0:
         j = _want_jdg(d_abs.conclusion, "eq_subst_n")
@@ -1249,31 +1173,7 @@ def eq_subst_n(
     return d_eq
 
 
-def subst_eqty(
-    theory: Theory,
-    d_abs: Derivation,
-    s_derivs: Sequence[Derivation],
-    t_derivs: Sequence[Derivation],
-    eq_derivs: Sequence[Derivation],
-) -> Derivation:
-    """TT-Subst-EqTy / TT-Subst-EqTm: equal substitution of the outermost
-    binders, leaving any surplus abstraction in place."""
-    m = len(s_derivs)
-    chain, body = _open_abstractions(d_abs)
-    if len(chain) < m:
-        raise BadNode("more terms than binders")
-    for ty_d, atom in reversed(chain[m:]):
-        body = tt_abstr(theory, ty_d, body, atom)
-    subs = [
-        EqSubst(chain[i][1], s_derivs[i], t_derivs[i], eq_derivs[i]) for i in range(m)
-    ]
-    _, _, d_eq = prepare_subst_eq(theory, body, subs)
-    if d_eq is None:
-        raise NotObjectJudgement("equal substitution needs an object judgement")
-    return d_eq
-
-
-subst_eqtm = subst_eqty
+subst_eqty = eq_subst_n
 
 
 # ---------------------------------------------------------------------------
@@ -1304,64 +1204,36 @@ def admissible_instantiate(
     for _, arg in inst:
         names |= set(atoms_in_use(arg))
     d = _avoid_binding_clashes(theory, d, names)
+    # A node's context is Gamma followed by the binders above it.
+    n = len(target_vctx)
 
-    def walk(d: Derivation, delta: list[tuple[FreeVar, Expr]]) -> Derivation:
-        data = d.data
-        new_vctx = VarCtx(list(target_vctx.entries) + [(u, act(inst, ty)) for u, ty in delta])
-        match d.rule:
-            case "TT-Var":
-                u = data[2]
-                return node(theory, "TT-Var", (target_mctx, new_vctx, u), [])
-            case "TT-Abstr" | "TT-Bdry-Abstr":
-                atom = data[2]
-                ty_k = walk(d.premises[0], delta)
-                src_ty = _want_plain_thesis(d.premises[0].conclusion, IsTy, "abstr").ty
-                body_k = walk(d.premises[1], delta + [(atom, src_ty)])
-                return node(theory, d.rule, (target_mctx, new_vctx, atom), [ty_k, body_k])
-            case "TT-Meta" | "TT-Meta-Eco":
-                m, terms = data[2], data[3]
-                n_terms = len(terms)
-                term_kids = [walk(p, delta) for p in d.premises[:n_terms]]
-                base = inst_derivs[m]
-                for u, ty in delta:
-                    base = weaken_var(theory, base, u, act(inst, ty))
-                out = base
-                for tk in term_kids:
-                    out = admissible_substitute(theory, out, tk)
-                return out
-            case "TT-Meta-Congr":
-                m, ss, ts = data[2], data[3], data[4]
-                k = len(ss)
-                s_kids = [walk(p, delta) for p in d.premises[:k]]
-                t_kids = [walk(p, delta) for p in d.premises[k : 2 * k]]
-                e_kids = [walk(p, delta) for p in d.premises[2 * k : 3 * k]]
-                base = inst_derivs[m]
-                for u, ty in delta:
-                    base = weaken_var(theory, base, u, act(inst, ty))
-                return eq_subst_n(theory, base, s_kids, t_kids, e_kids)
-            case "TT-Meta-Congr-Eco":
-                raise BadNode(
-                    "instantiation across economic metavariable congruence is not supported; "
-                    "use the full rule"
-                )
-            case "TT-Specific" | "TT-Specific-Eco":
-                rn, k_inst = data[2], data[3]
-                kids = [walk(p, delta) for p in d.premises]
-                new_inst = Instantiation([(k2, act(inst, a)) for k2, a in k_inst])
-                return node(theory, d.rule, (target_mctx, new_vctx, rn, new_inst), kids)
-            case "TT-Congr" | "TT-Congr-Eco":
-                rn, li, ri = data[2], data[3], data[4]
-                kids = [walk(p, delta) for p in d.premises]
-                nli = Instantiation([(k2, act(inst, a)) for k2, a in li])
-                nri = Instantiation([(k2, act(inst, a)) for k2, a in ri])
-                return node(theory, d.rule, (target_mctx, new_vctx, rn, nli, nri), kids)
-            case "MCtx-Empty" | "MCtx-Extend" | "VCtx-Empty" | "VCtx-Extend":
-                raise BadNode("instantiation applies to judgement derivations")
-            case _:
-                kids = [walk(p, delta) for p in d.premises]
-                return node(theory, d.rule, (target_mctx, new_vctx) + data[2:], kids)
+    def act_vctx(vctx: VarCtx) -> VarCtx:
+        return VarCtx(list(target_vctx.entries) + [(u, act(inst, ty)) for u, ty in vctx.entries[n:]])
 
-    return walk(d, [])
+    def instantiated_meta(d: Derivation, walk) -> Optional[Derivation]:
+        rule = d.rule
+        if rule in _CTX_RULES:
+            raise BadNode("instantiation applies to judgement derivations")
+        if rule == "TT-Meta-Congr-Eco":
+            raise BadNode(
+                "instantiation across economic metavariable congruence is not supported; "
+                "use the full rule"
+            )
+        if rule not in ("TT-Meta", "TT-Meta-Eco", "TT-Meta-Congr"):
+            return None
+        m, k = d.data[2], len(d.data[3])
+        kids = [walk(p) for p in d.premises[: 3 * k if rule == "TT-Meta-Congr" else k]]
+        base = inst_derivs[m]
+        for u, ty in d.data[1].entries[n:]:
+            base = weaken_var(theory, base, u, act(inst, ty))
+        if rule == "TT-Meta-Congr":
+            return eq_subst_n(theory, base, kids[:k], kids[k : 2 * k], kids[2 * k :])
+        for tk in kids:
+            base = admissible_substitute(theory, base, tk)
+        return base
+
+    maps = {"mctx": lambda _: target_mctx, "vctx": act_vctx, "expr": lambda x: act(inst, x)}
+    return _map_derivation(theory, d, maps, instantiated_meta)
 
 
 # ---------------------------------------------------------------------------
@@ -1600,54 +1472,6 @@ def uniqueness_of_typing(
 # Equal instantiations (admissibility of instantiation equality)
 
 
-def open_with_atoms(theory: Theory, d_abs: Derivation) -> tuple[list[tuple[Derivation, FreeVar]], Derivation]:
-    """Public view of the abstraction chain of a constructed derivation."""
-    return _open_abstractions(d_abs)
-
-
-def _open_one_with(theory: Theory, d_abs: Derivation, var_d: Derivation) -> Derivation:
-    """Opens the outermost binder of an abstracted derivation with a variable
-    derivation (a TT-Var over the extended context)."""
-    _, opened, atom = _invert_abstraction(d_abs)
-    return prepare_subst(theory, opened, atom, var_d)
-
-
-def trans_under_abstraction(theory: Theory, e1: Derivation, e2: Derivation) -> Derivation:
-    """Chains two abstracted equations by transitivity, opening the first
-    derivation's binders and aligning the second by substitution."""
-    chain1, body1 = _open_abstractions(e1)
-    if not chain1:
-        lj = _want_jdg(e1.conclusion, "trans")
-        if isinstance(lj.body, EqTy):
-            return eqty_trans(theory, e1, e2)
-        return eqtm_trans(theory, e1, e2)
-    aligned = e2
-    for ty_d, atom in chain1:
-        m2, v2 = _ctxs(aligned.conclusion)
-        ty = _want_plain_thesis(ty_d.conclusion, IsTy, "trans").ty
-        var_d = tt_var(theory, m2, v2.extend(atom, ty), atom)
-        aligned = _open_one_with(theory, aligned, var_d)
-    inner = trans_under_abstraction(theory, body1, aligned)
-    for ty_d, atom in reversed(chain1):
-        inner = tt_abstr(theory, ty_d, inner, atom)
-    return inner
-
-
-def subst_eq_sides(
-    theory: Theory,
-    d_eq_abs: Derivation,
-    d_rhs_abs: Derivation,
-    s_deriv: Derivation,
-    t_deriv: Derivation,
-    eq_deriv: Derivation,
-) -> Derivation:
-    """From  {x:A}{ys} C == D  (and  {x:A}{ys} D-type judgement) with
-    s, t, s == t : A  derive  {ys[s/x]} C[s/x] == D[t/x]."""
-    e1 = admissible_substitute(theory, d_eq_abs, s_deriv)
-    e2 = subst_eqty(theory, d_rhs_abs, [s_deriv], [t_deriv], [eq_deriv])
-    return trans_under_abstraction(theory, e1, e2)
-
-
 @dataclass
 class EqInstEntry:
     """Per-metavariable data for equal instantiation: the two arguments'
@@ -1676,13 +1500,19 @@ def eq_instantiate(
 
     Specific-rule nodes of object rules give full ``TT-Congr`` equations;
     for term rules the type equation  I*A == J*A  comes from walking the
-    node's boundary derivation."""
+    node's boundary derivation.  Object metavariables binding more than one
+    variable are refused."""
 
     by_meta = {e.meta: e for e in entries}
+    src_mctx = _ctxs(d.conclusion)[0]
+    for m, b in src_mctx:
+        if m in by_meta and boundary_arity(b).cls.is_object and len(b.prefix) > 1:
+            raise BadNode(
+                f"equal instantiation of {m.name}, which binds more than one variable, "
+                "is not supported"
+            )
     inst_i = Instantiation([(e.meta, _argument_of(e.i_deriv)) for e in entries])
     inst_j = Instantiation([(e.meta, _argument_of(e.j_deriv)) for e in entries])
-
-    src_mctx = _ctxs(d.conclusion)[0]
 
     names: set[str] = set()
     for e in entries:
@@ -1691,19 +1521,50 @@ def eq_instantiate(
         )
     d = _avoid_binding_clashes(theory, d, names)
 
-    def abstracted_types_of(m: MetaName) -> list[Derivation]:
-        """The binder-type derivations {x_<j} A_j-type of m's boundary, from
-        the metavariable-context evidence, weakened to the target context."""
+    def binder_type(m: MetaName) -> Derivation:
+        """The derivation of the type m binds, from the metavariable-context
+        evidence, weakened to the target context."""
         b_deriv = mctx_entry_boundary(theory, source_mctx_deriv, m)
-        b_deriv = weaken_vars(theory, b_deriv, list(target_vctx.entries))
-        chain, _ = _open_abstractions(b_deriv)
-        out = []
-        for j in range(len(chain)):
-            cur = chain[j][0]
-            for k in reversed(range(j)):
-                cur = tt_abstr(theory, chain[k][0], cur, chain[k][1])
-            out.append(cur)
-        return out
+        return weaken_vars(theory, b_deriv, list(target_vctx.entries)).premises[0]
+
+    def ctx(d: Derivation, delta: list) -> tuple[MetaCtx, VarCtx]:
+        return target_mctx, VarCtx(
+            list(target_vctx.entries) + [(u, act(inst_i, ty)) for u, ty in delta]
+        )
+
+    def instantiated_meta(d: Derivation, delta: list, delta_eqs: dict):
+        if d.rule in ("TT-Meta-Congr", "TT-Meta-Congr-Eco"):
+            raise BadNode("equal instantiation across metavariable congruence is not supported")
+        if d.rule not in ("TT-Meta", "TT-Meta-Eco"):
+            return None
+        m, terms = d.data[2], d.data[3]
+        e = by_meta[m]
+        triples = [walk(p, delta, delta_eqs) for p in d.premises[: len(terms)]]
+        pad = [(u, act(inst_i, ty)) for u, ty in delta]
+        d_i = weaken_vars(theory, e.i_deriv, pad)
+        d_j = weaken_vars(theory, e.j_deriv, pad)
+        for tr_ in triples:
+            d_i = admissible_substitute(theory, d_i, tr_[0])
+            d_j = admissible_substitute(theory, d_j, tr_[1])
+        if not boundary_arity(src_mctx[m]).cls.is_object:
+            return d_i, d_j, None
+        assert e.eq_deriv is not None
+        eq_w = weaken_vars(theory, e.eq_deriv, pad)
+        if not triples:
+            return d_i, d_j, eq_w
+        ((s_d, t_d, st_eq),) = triples  # one binder: more were refused above
+        # left piece: (e_I == e_J)[I*t]
+        left = admissible_substitute(theory, eq_w, s_d)
+        # right piece: e_J[I*t] == e_J[J*t] by equal substitution, J*t
+        # converted to the binder type under I
+        ty_d = _avoid_binding_clashes(theory, binder_type(m), {u.name for u, _ in delta} | names)
+        ty_eq = walk(ty_d, delta, delta_eqs)[2]
+        conv_t = conv_tm(theory, t_d, eqty_sym(theory, ty_eq))
+        base_jat = weaken_vars(theory, e.j_at_i_deriv, pad)
+        right = eq_subst_n(theory, base_jat, [s_d], [conv_t], [st_eq])
+        if isinstance(_want_jdg(left.conclusion, "chain").body, EqTy):
+            return d_i, d_j, eqty_trans(theory, left, right)
+        return d_i, d_j, eqtm_trans(theory, left, right)
 
     # The three results depend only on the judgement a subderivation
     # concludes and on the binders it is walked under, so a judgement that
@@ -1718,169 +1579,10 @@ def eq_instantiate(
             own = fill(b, generic_application(e.meta, boundary_arity(b), theory.flavor))
             seen[(JdgTT(src_mctx, top_vctx, own), ())] = (e.i_deriv, e.j_deriv, e.eq_deriv)
 
-    def walk(d: Derivation, delta: list, delta_eqs: dict):
-        key = (d.conclusion, tuple(delta))
-        if key not in seen:
-            seen[key] = step(d, delta, delta_eqs)
-        return seen[key]
-
-    def step(d: Derivation, delta: list, delta_eqs: dict):
-        data = d.data
-        new_vctx = VarCtx(
-            list(target_vctx.entries) + [(u, act(inst_i, ty)) for u, ty in delta]
-        )
-        match d.rule:
-            case "TT-Var":
-                u = data[2]
-                var_d = node(theory, "TT-Var", (target_mctx, new_vctx, u), [])
-                refl = eqtm_refl(theory, var_d)
-                if u in delta_eqs:
-                    return var_d, conv_tm(theory, var_d, delta_eqs[u]), refl
-                return var_d, var_d, refl
-            case "TT-Abstr" | "TT-Bdry-Abstr":
-                atom = data[2]
-                ty_i, ty_j, ty_eq = walk(d.premises[0], delta, delta_eqs)
-                src_ty = _want_plain_thesis(d.premises[0].conclusion, IsTy, "abstr").ty
-                new_ty_i = _want_plain_thesis(ty_i.conclusion, IsTy, "abstr").ty
-                new_ty_j = _want_plain_thesis(ty_j.conclusion, IsTy, "abstr").ty
-                eqs2 = {
-                    u: weaken_var(theory, e, atom, new_ty_i) for u, e in delta_eqs.items()
-                }
-                assert ty_eq is not None
-                eqs2[atom] = weaken_var(theory, ty_eq, atom, new_ty_i)
-                body_i, body_j, body_eq = walk(
-                    d.premises[1], delta + [(atom, src_ty)], eqs2
-                )
-                if d.rule == "TT-Bdry-Abstr":
-                    raise BadNode(
-                        "equal instantiation across an abstracted boundary is not supported"
-                    )
-                d_i = tt_abstr(theory, ty_i, body_i, atom)
-                abs_j = tt_abstr(theory, ty_i, body_j, atom)
-                d_j = (
-                    conv_abstr(theory, abs_j, ty_j, ty_eq)
-                    if new_ty_j != new_ty_i
-                    else abs_j
-                )
-                d_eq = tt_abstr(theory, ty_i, body_eq, atom) if body_eq is not None else None
-                return d_i, d_j, d_eq
-            case "TT-Meta" | "TT-Meta-Eco":
-                m, terms = data[2], data[3]
-                e = by_meta[m]
-                n_terms = len(terms)
-                triples = [walk(p, delta, delta_eqs) for p in d.premises[:n_terms]]
-                pad = [(u, act(inst_i, ty)) for u, ty in delta]
-                base_i = weaken_vars(theory, e.i_deriv, pad)
-                base_j = weaken_vars(theory, e.j_deriv, pad)
-                base_jat = weaken_vars(theory, e.j_at_i_deriv, pad)
-                d_i = base_i
-                for tr_ in triples:
-                    d_i = admissible_substitute(theory, d_i, tr_[0])
-                d_j = base_j
-                for tr_ in triples:
-                    d_j = admissible_substitute(theory, d_j, tr_[1])
-                d_eq = None
-                if boundary_arity(src_mctx[m]).cls.is_object:
-                    assert e.eq_deriv is not None
-                    eq_w = weaken_vars(theory, e.eq_deriv, pad)
-                    if n_terms == 0:
-                        return d_i, d_j, eq_w
-                    # left piece: (e_I == e_J)[I*ts]
-                    left = eq_w
-                    for tr_ in triples:
-                        left = admissible_substitute(theory, left, tr_[0])
-                    # right piece: e_J[I*ts] == e_J[J*ts] by equal substitution
-                    types = abstracted_types_of(m)
-                    conv_js = []
-                    for j in range(n_terms):
-                        tj = _avoid_binding_clashes(
-                            theory, types[j], {u.name for u, _ in delta} | names
-                        )
-                        _, _, ty_eq_abs = walk_external(tj, delta, delta_eqs)
-                        ty_eq = ty_eq_abs
-                        for k in range(j):
-                            ty_eq = subst_eq_sides_step(
-                                theory, ty_eq, triples[k][0], conv_js[k], triples[k][2]
-                            )
-                        conv_js.append(conv_tm(theory, triples[j][1], eqty_sym(theory, ty_eq)))
-                    right = eq_subst_n(
-                        theory,
-                        base_jat,
-                        [tr_[0] for tr_ in triples],
-                        conv_js,
-                        [tr_[2] for tr_ in triples],
-                    )
-                    d_eq = _chain_equations(theory, left, right)
-                return d_i, d_j, d_eq
-            case "TT-Meta-Congr" | "TT-Meta-Congr-Eco":
-                raise BadNode(
-                    "equal instantiation across metavariable congruence is not supported"
-                )
-            case "TT-Specific" | "TT-Specific-Eco":
-                rn, k_inst = data[2], data[3]
-                trule = theory.rule(rn)
-                triples = [walk(p, delta, delta_eqs) for p in d.premises]
-                ki = Instantiation([(k2, act(inst_i, a)) for k2, a in k_inst])
-                kj = Instantiation([(k2, act(inst_j, a)) for k2, a in k_inst])
-                d_i = node(theory, d.rule, (target_mctx, new_vctx, rn, ki), [x[0] for x in triples])
-                d_j = node(theory, d.rule, (target_mctx, new_vctx, rn, kj), [x[1] for x in triples])
-                d_eq = None
-                if trule.rule.is_object:
-                    ty_eq = None
-                    if isinstance(trule.rule.conclusion, IsTm):
-                        bd = _avoid_binding_clashes(theory, _specific_boundary(theory, d), names)
-                        ty_eq = walk(bd.premises[0], delta, delta_eqs)[2]
-                    d_eq = _congruence_of_sides(
-                        theory, target_mctx, new_vctx, rn, ki, kj, triples, ty_eq
-                    )
-                return d_i, d_j, d_eq
-            case "TT-Congr" | "TT-Congr-Eco":
-                rn, li, ri = data[2], data[3], data[4]
-                triples = [walk(p, delta, delta_eqs) for p in d.premises]
-                nli_i = Instantiation([(k2, act(inst_i, a)) for k2, a in li])
-                nri_i = Instantiation([(k2, act(inst_i, a)) for k2, a in ri])
-                nli_j = Instantiation([(k2, act(inst_j, a)) for k2, a in li])
-                nri_j = Instantiation([(k2, act(inst_j, a)) for k2, a in ri])
-                d_i = node(theory, d.rule, (target_mctx, new_vctx, rn, nli_i, nri_i), [x[0] for x in triples])
-                d_j = node(theory, d.rule, (target_mctx, new_vctx, rn, nli_j, nri_j), [x[1] for x in triples])
-                return d_i, d_j, None
-            case "TT-Conv-Tm":
-                t1 = walk(d.premises[0], delta, delta_eqs)
-                t2 = walk(d.premises[1], delta, delta_eqs)
-                d_i = node(theory, d.rule, (target_mctx, new_vctx), [t1[0], t2[0]])
-                d_j = node(theory, d.rule, (target_mctx, new_vctx), [t1[1], t2[1]])
-                assert t1[2] is not None
-                d_eq = conv_eqtm(theory, t1[2], t2[0])
-                return d_i, d_j, d_eq
-            case "TT-EqTy-Refl" | "TT-EqTy-Sym" | "TT-EqTy-Trans" | "TT-EqTm-Refl" \
-                | "TT-EqTm-Sym" | "TT-EqTm-Trans" | "TT-Conv-EqTm" \
-                | "TT-Bdry-Ty" | "TT-Bdry-Tm" | "TT-Bdry-EqTy" | "TT-Bdry-EqTm":
-                pairs = [walk(p, delta, delta_eqs) for p in d.premises]
-                d_i = node(theory, d.rule, (target_mctx, new_vctx) + data[2:], [x[0] for x in pairs])
-                d_j = node(theory, d.rule, (target_mctx, new_vctx) + data[2:], [x[1] for x in pairs])
-                d_eq = None
-                if d.rule == "TT-Bdry-Tm":
-                    d_eq = pairs[0][2]
-                return d_i, d_j, d_eq
-            case _:
-                raise BadNode(f"eq_instantiate does not handle {d.rule}")
-
-    def walk_external(dd: Derivation, delta, delta_eqs):
-        return walk(dd, delta, delta_eqs)
-
-    def subst_eq_sides_step(theory, ty_eq_abs, s_d, t_d, eq_d):
-        raise BadNode("mixed-prefix type equations need subst_eq_sides; not supported")
-
-    def _chain_equations(theory, left, right):
-        lj = _want_jdg(left.conclusion, "chain")
-        if isinstance(lj.body, EqTy):
-            return eqty_trans(theory, left, right)
-        return eqtm_trans(theory, left, right)
-
+    sides = (lambda x: act(inst_i, x), lambda x: act(inst_j, x))
+    walk = _equal_sides(theory, "equal instantiation", names, ctx, sides, instantiated_meta, seen)
     return walk(d, [], {})
 
 
 def _argument_of(d: Derivation) -> "object":
-    from .judgements import unfill
-
     return unfill(_want_jdg(d.conclusion, "instantiation entry"))[1]

@@ -34,6 +34,7 @@ from fintt.syntax import (
     MetaApp,
     MetaName,
     SymbolApp,
+    fresh_name,
     subst_free,
 )
 
@@ -436,3 +437,117 @@ def test_checker_rejects_malformed_nodes(corpus_tt):
     # abstraction over an atom already in the context
     with pytest.raises(KernelError):
         tt.tt_abstr(th, bool_d, tt.weaken_var(th, var_a, FreeVar("c"), BOOL), a)
+
+
+# ---------------------------------------------------------------------------
+# The slot table and the walks built on it
+
+
+def _nodes(d, out):
+    if id(d) not in out:
+        out[id(d)] = d
+        for p in d.premises:
+            _nodes(p, out)
+    return out
+
+
+def _sample_derivations(th):
+    """Every derivation the corpus scripts bind, the deriver's derivations of
+    generated judgements, context evidence, and the theory's finitary
+    boundary witnesses."""
+    from fintt.parser import parse_script
+    from fintt.script import ScriptRunner
+
+    from .gen import ExprGen
+    from .test_surface import CORPUS
+
+    out = []
+    for path in sorted(CORPUS.glob("*.fttd")):
+        runner = ScriptRunner(th, "tt")
+        runner.run(parse_script(path.read_text()))
+        out += [x for x in runner.bindings.values() if isinstance(x, tt.Derivation)]
+    deriver = TTDeriver(th)
+    vctx = VarCtx([(FreeVar(n), NAT) for n in "abcd"])
+    for seed in range(60):
+        rng = random.Random(seed)
+        j = ExprGen(rng, cf=False).abstracted(rng.randrange(3))
+        try:
+            out.append(deriver.judgement(EMPTY_METAS, vctx, j))
+        except KernelError:
+            pass
+    m = MetaName("M")
+    mctx = MetaCtx([(m, Abstracted((NAT,), IsTmB(NAT)))])
+    out += [deriver.mctx_wf(mctx), deriver.vctx_wf(mctx, vctx)]
+    out += [w["boundary"] for w in th.finitary_witnesses.values()]
+    # the closure rules the above leave out, from the public constructors
+    a = FreeVar("a")
+    nat_d, a_d = deriver.ty(mctx, vctx, NAT), tt.tt_var(th, mctx, vctx, a)
+    refl_ty, refl_tm = tt.eqty_refl(th, nat_d), tt.eqtm_refl(th, a_d)
+    inst = Instantiation([(MetaName("n"), ExprArg(a))])
+    out += [
+        tt.eqty_trans(th, tt.eqty_sym(th, refl_ty), refl_ty),
+        tt.eqtm_trans(th, tt.eqtm_sym(th, refl_tm), refl_tm),
+        tt.conv_tm(th, a_d, refl_ty),
+        tt.conv_eqtm(th, refl_tm, refl_ty),
+        tt.bdry_eqty(th, nat_d, nat_d),
+        tt.specific(th, mctx, vctx, "succ", inst, [a_d], tt.bdry_tm(th, nat_d)),
+        tt.congruence(th, mctx, vctx, "succ", inst, inst, [a_d, a_d, refl_tm, refl_ty]),
+        tt.congruence(th, mctx, vctx, "succ", inst, inst, [refl_tm], economic=True),
+        tt.tt_meta(th, mctx, vctx, m, [a_d], tt.bdry_tm(th, nat_d)),
+        tt.meta_congr(th, mctx, vctx, m, [a], [a], [a_d, a_d, refl_tm, refl_ty]),
+        tt.meta_congr(th, mctx, vctx, m, [a], [a], [refl_tm], economic=True),
+    ]
+    return out
+
+
+def test_slot_table_describes_every_node(corpus_tt):
+    """Every node's rule has a row with one kind per data slot, and
+    rebuilding the data with identity maps gives it back."""
+    identity = {k: (lambda x: x) for k in ("mctx", "vctx", "var", "binder", "meta", "expr")}
+    rules = set()
+    for d in _sample_derivations(corpus_tt):
+        for n in _nodes(d, {}).values():
+            rules.add(n.rule)
+            assert len(tt._SLOTS[n.rule]) == len(n.data)
+            assert tt._map_data(n.rule, n.data, identity) == n.data
+            assert tt._map_data(n.rule, n.data, {}) == n.data
+    assert rules == set(tt._SLOTS)
+
+
+def test_renaming_there_and_back_is_the_identity(corpus_tt):
+    """Renaming a context variable to an unused name and back gives the
+    derivation itself."""
+    th = corpus_tt
+    checked = 0
+    for d in _sample_derivations(th):
+        vctx = tt._ctxs(d.conclusion)[1]
+        if not len(vctx):
+            continue
+        x = vctx.entries[0][0]
+        y = FreeVar(fresh_name("y", frozenset(tt._all_names(d))))
+        there = tt.rename_derivation(th, d, {x: y})
+        assert y in there.conclusion.vctx and x not in there.conclusion.vctx
+        assert tt.rename_derivation(th, there, {y: x}) == d
+        checked += 1
+    assert checked >= 20
+
+
+def test_equal_instantiation_refuses_two_binder_metavariables(corpus_tt):
+    """An object metavariable binding two variables is refused before any
+    walking, whether or not the derivation applies it."""
+    th = corpus_tt
+    deriver = TTDeriver(th)
+    g = MetaName("G")
+    mctx = MetaCtx([(g, Abstracted((NAT, NAT), IsTmB(NAT)))])
+    a = FreeVar("a")
+    vctx = VarCtx([(a, NAT)])
+    fill = deriver.judgement(EMPTY_METAS, vctx, Abstracted((NAT, NAT), IsTm(BoundVar(1), NAT)))
+    eq = deriver.judgement(
+        EMPTY_METAS, vctx, Abstracted((NAT, NAT), EqTm(BoundVar(1), BoundVar(1), NAT, DUMMY))
+    )
+    entries = [tt.EqInstEntry(g, fill, fill, fill, eq)]
+    uses_g = deriver.tm(mctx, vctx, MetaApp(g, (a, succ(a))), NAT)
+    ignores_g = deriver.ty(mctx, vctx, NAT)
+    for d in (uses_g, ignores_g):
+        with pytest.raises(BadNode, match="more than one variable"):
+            tt.eq_instantiate(th, entries, d, EMPTY_METAS, vctx, deriver.mctx_wf(mctx))
