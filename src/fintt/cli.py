@@ -19,12 +19,11 @@ from .errors import (
     NotObjectRule,
     ParseError,
 )
-from .judgements import plain
 from .parser import elaborate, parse_script, parse_term, parse_theory
 from .printer import print_abstracted, print_expr, print_statement
 from .script import run_script
-from .syntax import IsTy, erase
-from .theory import check_finitary, check_raw, check_standard
+from .syntax import erase
+from .theory import check_finitary, check_raw_once, check_standard
 
 
 def _load_theory(path: str, flavor: str):
@@ -39,7 +38,7 @@ def cmd_check(args) -> int:
     failed = False
     for r in theory.rules:
         try:
-            check_raw(theory.signature, r.rule, theory.flavor)
+            check_raw_once(theory, r)
             statuses[r.name] = "raw"
         except KernelError as exc:
             statuses[r.name] = f"FAIL {exc}"

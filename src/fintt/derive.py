@@ -59,7 +59,7 @@ from .syntax import (
     erased_equal,
     fresh_name,
 )
-from .theory import RawRule, Theory, check_raw, metavariable_rule_instance
+from .theory import RawRule, Theory, check_raw_once, metavariable_rule_instance
 
 
 class DeriveError(KernelError):
@@ -728,7 +728,7 @@ def check_finitary(theory: Theory) -> None:
     pass ends.
     """
     for r in theory.rules:
-        check_raw(theory.signature, r.rule, theory.flavor)
+        check_raw_once(theory, r)
     witnesses: dict = {}
     memo: dict = {}
     table = _rule_table(theory)

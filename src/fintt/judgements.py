@@ -3,7 +3,7 @@ un-filling, and the two context kinds of the contexted presentation."""
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
 from .errors import ArityMismatch, NotObjectBoundary
 from .syntax import (

@@ -28,9 +28,7 @@ from .syntax import (
     BoundVar,
     Cls,
     Convert,
-    EqTm,
     EqTmB,
-    EqTy,
     EqTyB,
     Expr,
     ExprArg,

@@ -10,8 +10,6 @@ two bindings' contexts are prefix-ordered).
 
 from __future__ import annotations
 
-from typing import Union
-
 from . import cf_engine as cf
 from . import tt_engine as tt
 from .derive import CFDeriver

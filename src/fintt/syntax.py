@@ -13,16 +13,24 @@ The cf flavour additionally has conversion terms ``convert(t, alpha)`` and
 assumption-set arguments; the tt flavour uses a single dummy argument for
 every equality-class position.
 
-Syntax nodes are never mutated after construction.  Each node's hash and
-occurrence sets are therefore computed at most once, from its children's,
-and cached on the node (see ``_node``).  The caches are not dataclass
-fields, so equality, ``repr`` and pickling stay field-based.
+Syntax nodes are hash-consed: the constructor returns the live node with
+the same fields if there is one, so each term has one node and equality of
+nodes is identity.  Construction, ``dataclasses.replace``, pickling,
+``copy`` and ``deepcopy`` all intern; a node leaves its class's weak table
+when it dies (see ``_node``).  Nodes are never mutated after construction,
+so a node's hash is computed when it is made, and its occurrence sets and
+erasures at most once, from its children's; all are cached on the node.
+The caches are not dataclass fields: ``repr`` and pickling see the fields
+only.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+import weakref
+from _weakref import _remove_dead_weakref
+from dataclasses import MISSING, dataclass, fields
 from enum import Enum
+from functools import partial
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -113,44 +121,100 @@ class Signature:
 
 
 def _node(cls):
-    """Makes ``cls`` a syntax node: a frozen dataclass whose hash and
-    occurrence summary are computed at most once and kept on the instance.
+    """Makes ``cls`` a syntax node: a frozen dataclass whose instances are
+    hash-consed.
 
-    The cached hash is the dataclass's own field hash, so hash values, and
-    with them set iteration orders, are those of plain frozen dataclasses.
-    The caches ``_h`` and ``_occ`` read ``None`` until filled; they are not
-    fields, so equality and ``repr`` ignore them, and pickling drops them
-    (string hashes differ between processes).
+    Each node class keeps one weak-value intern table, ``_interned``, keyed
+    by the tuple of field values after defaults are applied.  The
+    constructor looks the key up before it allocates anything and returns
+    the live node on a hit, so there is at most one live node per term, and
+    equality is identity (``object.__eq__``).  Every construction path goes
+    through ``__new__``: positional, keyword and defaulted calls,
+    ``dataclasses.replace``, and pickling, ``copy`` and ``deepcopy``, whose
+    ``__reduce__`` rebuilds the node from its fields.  The constructor is
+    generated per class, as dataclasses generate ``__init__``, and inserts
+    with one ``setdefault``, so threads that build the same term at once get
+    one node.  A node leaves its table when it dies.
+
+    A new node stores ``hash(key)`` as ``_h``: that is the field hash of a
+    plain frozen dataclass, so hash values, and with them set iteration
+    orders, are those of plain frozen dataclasses.  The caches ``_occ``,
+    ``_erase`` and ``_double_erase`` read ``None`` until filled; they are not
+    fields, so ``repr`` ignores them and pickling drops them.
     """
-    cls = dataclass(frozen=True)(cls)
+    cls = dataclass(frozen=True, eq=False, init=False)(cls)
     names = tuple(f.name for f in fields(cls))
-    cls._field_hash = cls.__hash__
-    cls.__hash__ = _cached_hash
-    cls.__getstate__ = lambda self: {n: getattr(self, n) for n in names}
-    cls._h = None
+    defaults = {f.name: f.default for f in fields(cls) if f.default is not MISSING}
+    table: dict = {}
+
+    def drop(entry, remove=_remove_dead_weakref):
+        # Deletes the entry only while it is dead: a later node with the same
+        # key may have replaced it.  (A default, not a global: nodes still
+        # die while the interpreter clears the module at exit.)
+        remove(table, entry.key)
+
+    params = "".join(f", {n}=_default_{n}" if n in defaults else f", {n}" for n in names)
+    stores = "".join(f"    fields[{n!r}] = {n}\n" for n in names)
+    source = (
+        f"def __new__(cls{params}):\n"
+        f"    key = ({''.join(f'{n}, ' for n in names)})\n"
+        "    entry = lookup(key)\n"
+        "    if entry is not None:\n"
+        "        x = entry()\n"
+        "        if x is not None:\n"
+        "            return x\n"
+        "    x = allocate(cls)\n"
+        "    fields = x.__dict__\n"
+        f"{stores}"
+        "    fields['_h'] = hash(key)\n"
+        "    entry = Entry(x, drop)\n"
+        "    entry.key = key\n"
+        "    first = intern(key, entry)\n"
+        "    if first is not entry:\n"
+        "        # Another thread interned the term since the lookup.\n"
+        "        y = first()\n"
+        "        if y is not None:\n"
+        "            return y\n"
+        "        table[key] = entry\n"
+        "    return x\n"
+    )
+    scope = {f"_default_{n}": v for n, v in defaults.items()}
+    scope.update(
+        lookup=table.get, intern=table.setdefault, allocate=object.__new__,
+        table=table, Entry=_Entry, drop=drop,
+    )
+    exec(source, scope)
+    cls.__new__ = scope["__new__"]
+    cls.__new__.__qualname__ = f"{cls.__qualname__}.__new__"
+    cls.__hash__ = _node_hash
+    cls.__reduce__ = lambda self: (type(self), tuple(getattr(self, n) for n in names))
+    cls._interned = table
     cls._occ = None
+    cls._erase = None
+    cls._double_erase = None
     return cls
 
 
-def _cached_hash(self) -> int:
-    h = self._h
-    if h is None:
-        _fill(self, "_h", _hash_fields)
-        h = self._h
-    return h
+class _Entry(weakref.ref):
+    """An intern-table entry: a weak reference to a node that knows its key."""
+
+    __slots__ = ("key",)
 
 
-def _hash_fields(x, kids) -> int:
-    return x._field_hash()
+def _node_hash(self) -> int:
+    return self._h
 
 
 _READY = object()
 
 
-def _fill(root, slot: str, compute) -> None:
-    """Sets the cache ``slot`` to ``compute(x, children)`` on ``root`` and on
-    every node ``x`` below it that lacks it, children first.  The walk keeps
-    its own stack, so term depth is not bounded by the recursion limit."""
+def _fill(root, slot: str, compute, children=None) -> None:
+    """Sets the cache ``slot`` to ``compute(x, kids)`` on ``root`` and on
+    every node ``x`` below it that lacks it, children first; ``kids`` is
+    ``children[type(x)](x)``, by default every syntax node ``x`` holds.  The
+    walk keeps its own stack, so term depth is not bounded by the recursion
+    limit."""
+    children = children or _CHILDREN
     stack = [root]
     while stack:
         x = stack.pop()
@@ -160,7 +224,7 @@ def _fill(root, slot: str, compute) -> None:
         elif getattr(x, slot) is not None:
             continue
         else:
-            kids = _CHILDREN[type(x)](x)
+            kids = children[type(x)](x)
             # Children that are not syntax nodes have no slot to fill.
             todo = [c for c in kids if getattr(c, slot, 0) is None]
             if todo:
@@ -693,10 +757,7 @@ _SUMMARIES = {
 
 
 def _summary(x, kids) -> tuple:
-    """The occurrence summary of ``x``, built from its children's; also
-    caches the hash, which the children already carry."""
-    if x._h is None:
-        object.__setattr__(x, "_h", x._field_hash())
+    """The occurrence summary of ``x``, built from its children's."""
     make = _SUMMARIES.get(type(x))
     if make is not None:
         return make(x, kids)
@@ -1154,92 +1215,102 @@ def rename_names(x, name_map: dict[str, str]):
 # Erasure
 
 
+# The children an erasure descends into.  Not annotations: an annotated
+# atom is an atomic name, and double erasure drops the annotation whole.
+# Not assumption sets either, which erase to the dummy value.
+_ERASED_CHILDREN = {
+    **_CHILDREN,
+    FreeVar: lambda x: (),
+    MetaApp: lambda x: x.args,
+    Convert: lambda x: (x.term,),
+    AssumptionSet: lambda x: (),
+    AsmArg: lambda x: (),
+    EqTy: lambda x: (x.lhs, x.rhs),
+    EqTm: lambda x: (x.lhs, x.rhs, x.ty),
+}
+
+# Each node kind rebuilt around its children's erasures ``es``.
+_ERASE_NODE = {
+    FreeVar: lambda x, es: x,
+    BoundVar: lambda x, es: x,
+    SymbolApp: lambda x, es: SymbolApp(x.symbol, es),
+    MetaApp: lambda x, es: MetaApp(x.meta, es),
+    Convert: lambda x, es: es[0],
+    AssumptionSet: lambda x, es: DUMMY,
+    ExprArg: lambda x, es: ExprArg(*es),
+    DummyArg: lambda x, es: x,
+    AsmArg: lambda x, es: DUMMY,
+    Abstr: lambda x, es: Abstr(*es),
+    IsTy: lambda x, es: IsTy(*es),
+    IsTm: lambda x, es: IsTm(*es),
+    EqTy: lambda x, es: EqTy(*es, DUMMY),
+    EqTm: lambda x, es: EqTm(*es, DUMMY),
+    IsTyB: lambda x, es: x,
+    IsTmB: lambda x, es: IsTmB(*es),
+    EqTyB: lambda x, es: EqTyB(*es),
+    EqTmB: lambda x, es: EqTmB(*es),
+    Abstracted: lambda x, es: Abstracted(es[:-1], es[-1]),
+}
+
+_DOUBLE_ERASE_NODE = {
+    **_ERASE_NODE,
+    FreeVar: lambda x, es: FreeVar(x.name),
+    MetaApp: lambda x, es: MetaApp(MetaName(x.meta.name), es),
+}
+
+# The cached erasure of a node that erases to itself, which the node cannot
+# hold without a reference cycle.
+_SELF = object()
+
+
+def _erase_node(slot: str, rebuild, x, kids):
+    es = []
+    for c in kids:
+        e = getattr(c, slot)
+        es.append(c if e is _SELF else e)
+    e = rebuild[type(x)](x, tuple(es))
+    return _SELF if e is x else e
+
+
+def _erasure(x, slot: str, rebuild):
+    """Fills the erasure cache ``slot`` on ``x`` and below; returns the
+    erasure of ``x``."""
+    if x is None:
+        return None
+    if type(x) not in rebuild:
+        raise TypeError(f"cannot erase {x!r}")
+    _fill(x, slot, partial(_erase_node, slot, rebuild), _ERASED_CHILDREN)
+    e = getattr(x, slot)
+    return x if e is _SELF else e
+
+
 def erase(x):
     """Deletes conversion terms and replaces assumption sets by the dummy
-    value.  Annotations stay put: an annotated atom is an atomic name."""
-
-    match x:
-        case FreeVar() | BoundVar() | DummyArg() | IsTyB() | None:
-            return x
-        case SymbolApp(symbol=s, args=args):
-            return SymbolApp(s, tuple(erase(a) for a in args))
-        case MetaApp(meta=m, args=args):
-            return MetaApp(m, tuple(erase(t) for t in args))
-        case Convert(term=t):
-            return erase(t)
-        case AssumptionSet():
-            return DUMMY
-        case ExprArg(expr=e):
-            return ExprArg(erase(e))
-        case AsmArg():
-            return DUMMY
-        case Abstr(body=b):
-            return Abstr(erase(b))
-        case IsTy(ty=a):
-            return IsTy(erase(a))
-        case IsTm(term=t, ty=a):
-            return IsTm(erase(t), erase(a))
-        case EqTy(lhs=a, rhs=b):
-            return EqTy(erase(a), erase(b), DUMMY)
-        case EqTm(lhs=s, rhs=t, ty=a):
-            return EqTm(erase(s), erase(t), erase(a), DUMMY)
-        case IsTmB(ty=a):
-            return IsTmB(erase(a))
-        case EqTyB(lhs=a, rhs=b):
-            return EqTyB(erase(a), erase(b))
-        case EqTmB(lhs=s, rhs=t, ty=a):
-            return EqTmB(erase(s), erase(t), erase(a))
-        case Abstracted(prefix=pfx, body=body):
-            return Abstracted(tuple(erase(ty) for ty in pfx), erase(body))
-    raise TypeError(f"cannot erase {x!r}")
+    value.  Annotations stay put: an annotated atom is an atomic name.  The
+    result is cached on every node visited."""
+    e = getattr(x, "_erase", None)
+    if e is None:
+        return _erasure(x, "_erase", _ERASE_NODE)
+    return x if e is _SELF else e
 
 
 def double_erase(x):
-    """Erasure that additionally strips atom annotations: a^A -> a, M^B -> M."""
-
-    match x:
-        case FreeVar(name=n):
-            return FreeVar(n, None)
-        case BoundVar() | DummyArg() | IsTyB() | None:
-            return x
-        case SymbolApp(symbol=s, args=args):
-            return SymbolApp(s, tuple(double_erase(a) for a in args))
-        case MetaApp(meta=m, args=args):
-            return MetaApp(MetaName(m.name, None), tuple(double_erase(t) for t in args))
-        case Convert(term=t):
-            return double_erase(t)
-        case AssumptionSet() | AsmArg():
-            return DUMMY
-        case ExprArg(expr=e):
-            return ExprArg(double_erase(e))
-        case Abstr(body=b):
-            return Abstr(double_erase(b))
-        case IsTy(ty=a):
-            return IsTy(double_erase(a))
-        case IsTm(term=t, ty=a):
-            return IsTm(double_erase(t), double_erase(a))
-        case EqTy(lhs=a, rhs=b):
-            return EqTy(double_erase(a), double_erase(b), DUMMY)
-        case EqTm(lhs=s, rhs=t, ty=a):
-            return EqTm(double_erase(s), double_erase(t), double_erase(a), DUMMY)
-        case IsTmB(ty=a):
-            return IsTmB(double_erase(a))
-        case EqTyB(lhs=a, rhs=b):
-            return EqTyB(double_erase(a), double_erase(b))
-        case EqTmB(lhs=s, rhs=t, ty=a):
-            return EqTmB(double_erase(s), double_erase(t), double_erase(a))
-        case Abstracted(prefix=pfx, body=body):
-            return Abstracted(tuple(double_erase(ty) for ty in pfx), double_erase(body))
-    raise TypeError(f"cannot double-erase {x!r}")
+    """Erasure that additionally strips atom annotations: a^A -> a, M^B -> M.
+    The result is cached on every node visited."""
+    e = getattr(x, "_double_erase", None)
+    if e is None:
+        return _erasure(x, "_double_erase", _DOUBLE_ERASE_NODE)
+    return x if e is _SELF else e
 
 
 def alpha_equal(x, y) -> bool:
-    """Syntactic equality; alpha-equivalence is structural on de Bruijn form."""
-    return x == y
+    """Syntactic equality; alpha-equivalence is structural on de Bruijn form,
+    and nodes are interned, so it is identity."""
+    return x is y
 
 
 def erased_equal(x, y) -> bool:
-    return erase(x) == erase(y)
+    return erase(x) is erase(y)
 
 
 def strip_conversions(t: Expr) -> Expr:

@@ -20,7 +20,7 @@ from .errors import (
     UnknownMeta,
 )
 from .instantiation import Instantiation, act
-from .judgements import MetaCtx, fill, fill_equation, plain
+from .judgements import fill, fill_equation, plain
 from .syntax import (
     Abstr,
     Abstracted,
@@ -447,6 +447,12 @@ def check_raw(sig: Signature, rule: Union[RawRule, RuleBoundary], flavor: Flavor
                 "cf conclusion must mention every premise metavariable; "
                 f"missing {', '.join(missing)}"
             )
+
+
+def check_raw_once(theory: Theory, r: TheoryRule) -> None:
+    """``check_raw`` on the rule ``r`` of ``theory``; once the rule passes,
+    the theory remembers it and later calls return at once."""
+    theory.cached(("check_raw", r.name), lambda: check_raw(theory.signature, r.rule, theory.flavor))
 
 
 def check_standard(theory: Theory) -> None:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import cf_engine as cf
 from . import tt_engine as tt
-from .derive import DeriveError, match_expr
+from .derive import match_expr
 from .errors import (
     CyclicAnnotation,
     KernelError,

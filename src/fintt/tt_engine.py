@@ -51,7 +51,6 @@ from .judgements import (
     unfill,
 )
 from .syntax import (
-    Abstracted,
     AbstractedBoundary,
     AbstractedJudgement,
     DUMMY,

@@ -3,10 +3,11 @@ engines, and CLI behaviour."""
 
 import pathlib
 import random
+import sys
 
 import pytest
 
-from fintt import cli
+from fintt import cli, theory
 from fintt.judgements import plain
 from fintt.parser import MAX_NESTING, elaborate, parse_script, parse_term, parse_theory
 from fintt.printer import print_abstracted, print_expr, print_theory_decl, print_script
@@ -121,6 +122,24 @@ def test_cli_check_corpus_exits_zero(capsys):
     assert rc == 0
     assert "RULE Pi: standard" in out
     assert out.count("RULE") == 7
+
+
+@pytest.mark.parametrize("flavor", ["tt", "cf"])
+def test_cli_check_runs_check_raw_once_per_rule(flavor, monkeypatch, capsys):
+    real = theory.check_raw
+    rules = []
+
+    def counted(sig, rule, flavor):
+        rules.append(rule)
+        return real(sig, rule, flavor)
+
+    # Every module of the package that binds check_raw calls the counted one.
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("fintt") and getattr(module, "check_raw", None) is real:
+            monkeypatch.setattr(module, "check_raw", counted)
+    assert cli.main(["check", str(CORPUS / "mltt.ftt"), "--flavor", flavor]) == 0
+    assert capsys.readouterr().out.count(": standard") == 7
+    assert len(rules) == 7
 
 
 def test_cli_check_pi_short_fails_with_diagnostic(capsys):

@@ -1,11 +1,18 @@
 """Core syntax laws: occurrences against a naive oracle, erasure and
 substitution commutation, abstraction/substitution inverses."""
 
+import copy
+import dataclasses
+import gc
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fintt import syntax
 from fintt.errors import ArityMismatch, UnboundIndex, VarInAnnotation
 from fintt.instantiation import Instantiation, act
 from fintt.judgements import plain
@@ -17,6 +24,7 @@ from fintt.syntax import (
     Cls,
     Convert,
     DUMMY,
+    DummyArg,
     EqTm,
     EqTy,
     ExprArg,
@@ -205,14 +213,90 @@ def test_occurrences_agree_with_oracle(seed):
         assert_occurrences_match_oracle(act(inst, y))
 
 
-@pytest.mark.parametrize("walk", [hash, fv, bv, mv, asm])
+def succ_n(n, t):
+    for _ in range(n):
+        t = succ(t)
+    return t
+
+
+@pytest.mark.parametrize(
+    "walk",
+    [hash, fv, bv, mv, asm, erase, double_erase, lambda t: t == succ_n(2000, FreeVar("x", NAT))],
+    ids=["hash", "fv", "bv", "mv", "asm", "erase", "double_erase", "eq"],
+)
 def test_walks_on_deep_terms_stay_off_the_call_stack(walk):
     x = FreeVar("x", NAT)
-    t = x
-    for _ in range(2000):
-        t = succ(t)
+    t = succ_n(2000, x)
     walk(t)
     assert asm(t) == asm(x)
+
+
+def test_deep_copies_are_one_node():
+    t = succ_n(2000, FreeVar("x", NAT))
+    u = succ_n(2000, FreeVar("x", NAT))
+    assert t is u
+    assert t == u
+    assert erase(t) is t
+    assert double_erase(t) is succ_n(2000, FreeVar("x"))
+
+
+def test_threads_building_one_term_get_one_node():
+    results = []
+
+    def build():
+        results.append([succ_n(300, FreeVar(f"t{i}", NAT)) for i in range(20)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 8
+    for terms in results[1:]:
+        assert all(a is b for a, b in zip(terms, results[0]))
+
+
+NODE_CLASSES = {c for c in vars(syntax).values() if isinstance(c, type) and hasattr(c, "_interned")}
+
+
+def interned() -> int:
+    return sum(len(c._interned) for c in NODE_CLASSES)
+
+
+def test_every_construction_path_returns_the_interned_node():
+    assert len(NODE_CLASSES) == 20
+    a = FreeVar("a", NAT)
+    eq = EqTm(a, succ(a), NAT)
+    assert hash(eq) == hash((a, succ(a), NAT, DUMMY))
+    for x in (
+        EqTm(a, succ(a), NAT, DUMMY),
+        EqTm(lhs=a, rhs=succ(a), ty=NAT, by=DUMMY),
+        EqTm(a, succ(a), ty=NAT),
+        dataclasses.replace(eq),
+        dataclasses.replace(EqTm(a, a, NAT), rhs=succ(a)),
+        copy.copy(eq),
+        copy.deepcopy(eq),
+        pickle.loads(pickle.dumps(eq)),
+    ):
+        assert x is eq
+    for x in (DummyArg(), copy.deepcopy(DUMMY), pickle.loads(pickle.dumps(DUMMY))):
+        assert x is DUMMY
+    asms = AssumptionSet(frozenset([a]))
+    assert pickle.loads(pickle.dumps(asms)) is AssumptionSet(free_vars=frozenset([a]))
+
+    gc.collect()
+    before = interned()
+    junk = [succ(FreeVar(f"junk{i}", NAT)) for i in range(10_000)]
+    assert interned() >= before + 30_000
+    del junk
+    gc.collect()
+    assert interned() <= before
 
 
 def test_fv0_and_fvt_on_annotated_var():

@@ -551,3 +551,28 @@ def test_equal_instantiation_refuses_two_binder_metavariables(corpus_tt):
     for d in (uses_g, ignores_g):
         with pytest.raises(BadNode, match="more than one variable"):
             tt.eq_instantiate(th, entries, d, EMPTY_METAS, vctx, deriver.mctx_wf(mctx))
+
+
+def test_equal_instantiation_freshens_binders_of_a_binder_type(corpus_tt):
+    """F binds a variable of type Pi(bool, {x} bool), whose derivation binds
+    an atom.  F applied under a binder of the derivation walked needs that
+    binder type's equation under the same binder, which the deriver names
+    alike; the binder type's own binder must be renamed away from it."""
+    th = corpus_tt
+    deriver = TTDeriver(th)
+    p = pi(BOOL, BOOL)
+    f = MetaName("F")
+    mctx = MetaCtx([(f, Abstracted((p,), IsTyB()))])
+    h = FreeVar("h")
+    vctx = VarCtx([(h, p)])
+    fill = deriver.judgement(EMPTY_METAS, vctx, Abstracted((p,), IsTy(NAT)))
+    eq = deriver.judgement(EMPTY_METAS, vctx, Abstracted((p,), EqTy(NAT, NAT, DUMMY)))
+    d = deriver.ty(mctx, vctx, pi(BOOL, MetaApp(f, (h,))))
+    mctx_d = deriver.mctx_wf(mctx)
+    binder_type_d = tt.mctx_entry_boundary(th, mctx_d, f).premises[0]
+    names = [{a.name for a in tt._binding_atoms(x)} for x in (d, binder_type_d)]
+    assert names[0] == names[1]
+    entries = [tt.EqInstEntry(f, fill, fill, fill, eq)]
+    _, _, d_eq = tt.eq_instantiate(th, entries, d, EMPTY_METAS, vctx, mctx_d)
+    tt.check_derivation(th, d_eq)
+    assert d_eq.conclusion.jdg == Abstracted((), EqTy(pi(BOOL, NAT), pi(BOOL, NAT), DUMMY))
