@@ -25,6 +25,7 @@ from .errors import (
     BinderUsed,
     BoundaryExceedsPremises,
     ErasureMismatch,
+    NoSymbolRule,
     NonStandardTheory,
     NotObjectJudgement,
     PremiseMismatch,
@@ -65,14 +66,17 @@ from .syntax import (
     MetaName,
     SymbolApp,
     asm,
+    atoms_in_use,
     boundary_arity,
     bv,
     conversion_residue,
     erase,
     erased_equal,
+    fresh_name,
     fvt,
     mv,
     strip_conversions,
+    subst_bound,
     subst_bound_many,
 )
 from .theory import (
@@ -258,8 +262,6 @@ def cf_abstract(
 ) -> CertifiedJudgement:
     """Backward-form CF-Abstr: abstracts a deterministically chosen fresh
     variable, for callers that never named one."""
-    from .syntax import atoms_in_use, fresh_name
-
     ty = _plain_body(cert_ty, IsTy, "CF-Abstr").ty
     avoid = atoms_in_use(cert_ty.payload, cert_j.payload)
     v = FreeVar(fresh_name(name_hint, avoid), ty)
@@ -866,8 +868,6 @@ def natural_type_cf(theory: Theory, t: Expr) -> Expr:
                 raise NotObjectJudgement(f"{m.name} is not a term metavariable")
             return subst_bound_many(m.annotation.body.ty, list(args))
         case SymbolApp(symbol=s, args=args):
-            from .errors import NoSymbolRule
-
             try:
                 trule = theory.symbol_rule_for(s)
             except NoSymbolRule as exc:
@@ -942,8 +942,6 @@ def strengthen(theory: Theory, cert: CertifiedJudgement, position: Optional[int]
             raise BinderUsed(f"binder {pos} occurs in a later binder type")
     if (n - 1 - pos) in bv_at_root(j.body):
         raise BinderUsed(f"binder {pos} occurs in the judgement")
-    from .syntax import shift, subst_bound
-
     marker = FreeVar("#strengthen", None)
     new_prefix = tuple(
         subst_bound(ty, marker, i - 1 - pos) if i > pos else ty
@@ -983,8 +981,6 @@ def boundary_convert(
 
     # abstracted case: open with a fresh variable at the second boundary's
     # binder type, convert it into the first, recurse, and re-abstract
-    from .syntax import atoms_in_use, fresh_name
-
     a2_ty = b2.prefix[0]
     avoid = atoms_in_use(b1, b2, j)
     v = FreeVar(fresh_name("a", avoid), a2_ty)

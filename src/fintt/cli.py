@@ -12,6 +12,7 @@ import sys
 from . import cf_engine as cf
 from . import tt_engine as tt
 from . import translate
+from .derive import TTDeriver
 from .errors import (
     ConclusionNotDerivableOverPrefix,
     DuplicateSymbolRule,
@@ -103,8 +104,6 @@ def cmd_translate(args) -> int:
         print(print_abstracted(deriv.conclusion.jdg))
         return 0
     deriv = run_script(theory_tt, script, "tt", annotate_vars=False)
-    from .derive import TTDeriver
-
     ttd = TTDeriver(theory_tt)
     mctx, vctx = tt._ctxs(deriv.conclusion)
     mctx_d = ttd.mctx_wf(mctx)

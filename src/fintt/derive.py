@@ -1,14 +1,22 @@
 """Deterministic, bounded derivation of theory-checking obligations.
 
 The finitary gate must derive each rule's premise boundaries and conclusion
-boundary over the prefix theory.  This module builds those derivations (tt)
-and certificates (cf) syntax-directedly: object goals follow natural types,
+boundary over the prefix theory.  One syntax-directed search, ``Deriver``,
+does this for both presentations: object goals follow natural types,
 inserting a conversion when the stated type differs, and equational goals
 are closed under reflexivity and matching of specific equality rules whose
-object metavariables are fully determined by the conclusion.
+object metavariables are fully determined by the conclusion.  A goal carries
+the contexts it is derived in as one value ``cx``: the metavariable and the
+variable context for tt, none for cf, whose atoms carry their types.  Two
+step adapters build what the search decides: ``TTDeriver`` a tt derivation
+node, ``CFDeriver`` a cf certificate.
 
 This is obligation checking, not proof search: the recursion is bounded and
 never backtracks across premise choices.
+
+Within one pass of the gate the derivers of all prefixes share a memo, and
+the tt deriver extends the metavariable-context chain already built for the
+longest remembered prefix of a rule's premises instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -23,7 +31,6 @@ from . import tt_engine as tt
 from .errors import ConclusionNotDerivableOverPrefix, KernelError
 from .instantiation import Instantiation, act
 from .judgements import (
-    EMPTY_METAS,
     EMPTY_VARS,
     MetaCtx,
     VarCtx,
@@ -50,7 +57,6 @@ from .syntax import (
     IsTy,
     IsTyB,
     MetaApp,
-    MetaName,
     SymbolApp,
     atoms_in_use,
     boundary_arity,
@@ -98,31 +104,36 @@ def _refusal(too_deep: bool, message: str) -> DeriveError:
     return DepthRefusal() if too_deep else DeriveError(message)
 
 
-def _remembered(arity: int):
-    """Refuses a goal nested deeper than ``MAX_DEPTH``, and, when the
-    deriver has a memo, remembers its successful results for a goal: the
-    method's first ``arity`` arguments, then an optional depth.
+def _goal(arity: int, remember: bool = True):
+    """Makes a search method a goal.  Callers pass the deriver's contexts
+    one by one (``CONTEXTS`` of them), then the goal's ``arity`` arguments
+    and an optional depth; the method gets the contexts as one value ``cx``
+    and always a depth.
 
-    A remembered result is taken again only at a depth no greater than the
-    one it was derived at: deeper, the fresh search has less room below
-    ``MAX_DEPTH`` and might be refused, so it runs again.  Failures are not
-    remembered (see ``check_finitary``)."""
+    A goal nested deeper than ``MAX_DEPTH`` is refused.  With ``remember``,
+    and when the deriver has a memo, the successful results of a goal are
+    remembered by its contexts and arguments.  A remembered result is taken
+    again only at a depth no greater than the one it was derived at: deeper,
+    the fresh search has less room below ``MAX_DEPTH`` and might be refused,
+    so it runs again.  Failures are not remembered (see ``check_finitary``)."""
 
     def wrap(goal):
         kind = goal.__name__
 
         @functools.wraps(goal)
         def method(self, *args):
-            depth = args[arity] if len(args) > arity else 0
+            c = self.CONTEXTS
+            n = c + arity
+            depth = args[n] if len(args) > n else 0
             if depth > MAX_DEPTH:
                 raise DepthRefusal()
-            if self.memo is None:
-                return goal(self, *args)
-            key = (kind, *args[:arity])
+            if not remember or self.memo is None:
+                return goal(self, args[:c], *args[c:n], depth)
+            key = (kind, *args[:n])
             hit = self.memo.get(key)
             if hit is not None and depth <= hit[0]:
                 return hit[1]
-            out = goal(self, *args)
+            out = goal(self, args[:c], *args[c:n], depth)
             if hit is None:
                 self.memo[key] = (depth, out)
             return out
@@ -185,9 +196,7 @@ def match_expr(pattern: Expr, subject: Expr, unknowns: dict, sol: dict, depth: i
             return all(
                 _match_arg(p, s, unknowns, sol, depth) for p, s in zip(args, subject.args)
             )
-        case BoundVar() | FreeVar():
-            return pattern == subject
-        case Convert():
+        case BoundVar() | FreeVar() | Convert():
             return pattern == subject
     return False
 
@@ -232,7 +241,7 @@ def match_equation(
 _RULE_TABLE = "derive rule table"
 
 
-def _rule_table(theory: Theory) -> dict:
+def rule_table(theory: Theory) -> dict:
     """The rules of ``theory`` by conclusion class (``IsTy``, ``IsTm``, or
     ``None`` for equality rules), in theory order, each as (index, name,
     rule, conclusion head or ``None``, unknowns); computed once per theory."""
@@ -275,11 +284,21 @@ def _match_eq_rule(rule: RawRule, lhs, rhs, ty, unknowns) -> Optional[dict]:
 
 
 # ---------------------------------------------------------------------------
-# tt-side obligation derivation
+# The search, shared by both presentations
+
+_KIND = {IsTyB: "type", IsTmB: "term"}
+# The steps whose engine constructors take the same arguments in both.
+_SAME_STEPS = ("bdry_ty", "bdry_tm", "bdry_eqty", "bdry_eqtm",
+               "conv_tm", "conv_eqtm", "eqty_sym", "eqtm_sym")
 
 
-class TTDeriver:
-    """Derives tt obligations over ``theory``.
+class Deriver:
+    """The obligation search over ``theory``.  A subclass adapts it to one
+    engine: ``CONTEXTS`` is how many contexts a goal is derived in,
+    ``STEPS`` names the engine's constructor for each step of ``_SAME_STEPS``
+    and for the two abstractions, and the methods ``_bind``, ``_var``,
+    ``_meta``, ``_rule``, ``_refl``, ``_body``, ``_head`` and ``_as_stated``
+    build or read the steps that differ.
 
     ``memo``, when given, holds the successful results of ``ty``, ``tm``
     and ``boundary`` by goal; it may be shared with derivers over longer
@@ -287,166 +306,171 @@ class TTDeriver:
     nothing is remembered: hashing a fresh goal costs more than a one-off
     derivation saves."""
 
+    FLAVOR: str
+    CONTEXTS: int
+    ENGINE: object
+    STEPS: dict
+
     def __init__(self, theory: Theory, memo: Optional[dict] = None):
-        if theory.flavor != "tt":
-            raise DeriveError("TTDeriver needs a tt theory")
+        if theory.flavor != self.FLAVOR:
+            raise DeriveError(f"{type(self).__name__} needs a {self.FLAVOR} theory")
         self.theory = theory
         self.memo = memo
-        self._rules = _rule_table(theory)
+        self._rules = rule_table(theory)
 
-    def _fresh(self, mctx, vctx, *stuff) -> FreeVar:
-        avoid = set(atoms_in_use(*stuff))
-        for v, ty in vctx:
-            avoid.add(v.name)
-            avoid.update(atoms_in_use(ty))
-        return FreeVar(fresh_name("x", frozenset(avoid)))
+    def _step(self, step: str, *args):
+        """The engine's constructor for ``step``, looked up on the engine
+        module at each call, so that a wrapper installed there sees it."""
+        return getattr(self.ENGINE, self.STEPS[step])(self.theory, *args)
 
-    def judgement(self, mctx, vctx, j: Abstracted, depth: int = 0):
-        if depth > MAX_DEPTH:
-            raise DepthRefusal()
+    def _under_binder(self, cx, j: Abstracted, inner, abstraction: str, depth: int):
+        """``inner`` of ``j`` opened at a fresh atom, then abstracted."""
+        ty_w = self.ty(*cx, j.prefix[0], depth + 1)
+        atom, inner_cx = self._bind(cx, j)
+        body = inner(*inner_cx, open_judgement(j, atom), depth + 1)
+        return self._step(abstraction, ty_w, body, atom)
+
+    @_goal(1, remember=False)
+    def judgement(self, cx, j: Abstracted, depth: int):
         if j.prefix:
-            ty_d = self.ty(mctx, vctx, j.prefix[0], depth + 1)
-            a = self._fresh(mctx, vctx, j)
-            opened = open_judgement(j, a)
-            body_d = self.judgement(mctx, vctx.extend(a, j.prefix[0]), opened, depth + 1)
-            return tt.tt_abstr(self.theory, ty_d, body_d, a)
+            return self._under_binder(cx, j, self.judgement, "abstract", depth)
         match j.body:
             case IsTy(ty=a):
-                return self.ty(mctx, vctx, a, depth + 1)
+                return self.ty(*cx, a, depth + 1)
             case IsTm(term=t, ty=a):
-                return self.tm(mctx, vctx, t, a, depth + 1)
+                return self.tm(*cx, t, a, depth + 1)
             case EqTy(lhs=a, rhs=b):
-                return self.eqty(mctx, vctx, a, b, depth + 1)
+                return self._as_stated(self.eqty(*cx, a, b, depth + 1), j.body)
             case EqTm(lhs=s, rhs=t, ty=a):
-                return self.eqtm(mctx, vctx, s, t, a, depth + 1)
+                return self._as_stated(self.eqtm(*cx, s, t, a, depth + 1), j.body)
         raise DeriveError(f"not a judgement: {j.body!r}")
 
-    @_remembered(3)
-    def boundary(self, mctx, vctx, b: Abstracted, depth: int = 0):
+    @_goal(1)
+    def boundary(self, cx, b: Abstracted, depth: int):
         if b.prefix:
-            ty_d = self.ty(mctx, vctx, b.prefix[0], depth + 1)
-            a = self._fresh(mctx, vctx, b)
-            opened = open_judgement(b, a)
-            body_d = self.boundary(mctx, vctx.extend(a, b.prefix[0]), opened, depth + 1)
-            return tt.bdry_abstr(self.theory, ty_d, body_d, a)
+            return self._under_binder(cx, b, self.boundary, "bdry_abstract", depth)
         match b.body:
             case IsTyB():
-                return tt.bdry_ty(self.theory, mctx, vctx)
+                return self._step("bdry_ty", *cx)
             case IsTmB(ty=a):
-                return tt.bdry_tm(self.theory, self.ty(mctx, vctx, a, depth + 1))
+                return self._step("bdry_tm", self.ty(*cx, a, depth + 1))
             case EqTyB(lhs=a, rhs=c):
-                return tt.bdry_eqty(
-                    self.theory,
-                    self.ty(mctx, vctx, a, depth + 1),
-                    self.ty(mctx, vctx, c, depth + 1),
+                return self._step(
+                    "bdry_eqty", self.ty(*cx, a, depth + 1), self.ty(*cx, c, depth + 1)
                 )
             case EqTmB(lhs=s, rhs=t, ty=a):
-                return tt.bdry_eqtm(
-                    self.theory,
-                    self.ty(mctx, vctx, a, depth + 1),
-                    self.tm(mctx, vctx, s, a, depth + 1),
-                    self.tm(mctx, vctx, t, a, depth + 1),
+                return self._step(
+                    "bdry_eqtm",
+                    self.ty(*cx, a, depth + 1),
+                    self.tm(*cx, s, a, depth + 1),
+                    self.tm(*cx, t, a, depth + 1),
                 )
         raise DeriveError(f"not a boundary: {b.body!r}")
 
-    @_remembered(3)
-    def ty(self, mctx, vctx, a: Expr, depth: int = 0):
+    @_goal(1, remember=False)
+    def _equation(self, cx, b: Abstracted, depth: int):
+        """Derives some judgement filling the equational boundary ``b``."""
+        if b.prefix:
+            return self._under_binder(cx, b, self._equation, "abstract", depth)
+        match b.body:
+            case EqTyB(lhs=a, rhs=c):
+                return self.eqty(*cx, a, c, depth + 1)
+            case EqTmB(lhs=s, rhs=t, ty=a):
+                return self.eqtm(*cx, s, t, a, depth + 1)
+        raise DeriveError("expected an equational boundary")
+
+    @_goal(1)
+    def ty(self, cx, a: Expr, depth: int):
         match a:
-            case MetaApp(meta=m, args=ts):
-                if m not in mctx or not isinstance(mctx[m].body, IsTyB):
-                    raise DeriveError(f"{m.name} is not a type metavariable here")
-                return self._meta(mctx, vctx, m, list(ts), depth)
+            case MetaApp():
+                return self._meta(cx, a, IsTyB, depth)
             case SymbolApp():
-                d, got = self._object_by_rule(mctx, vctx, a, want_ty=True, depth=depth)
-                return d
+                return self._object_by_rule(cx, a, IsTy, depth)[0]
         raise DeriveError(f"cannot derive that {_shown(a)} is a type")
 
-    @_remembered(4)
-    def tm(self, mctx, vctx, t: Expr, a: Expr, depth: int = 0):
+    @_goal(2)
+    def tm(self, cx, t: Expr, a: Expr, depth: int):
         match t:
             case FreeVar():
-                if t not in vctx:
-                    raise DeriveError(f"unknown variable {t.name}")
-                d = tt.tt_var(self.theory, mctx, vctx, t)
-                return self._convert_to(mctx, vctx, d, vctx[t], a, depth)
-            case MetaApp(meta=m, args=ts):
-                if m not in mctx or not isinstance(mctx[m].body, IsTmB):
-                    raise DeriveError(f"{m.name} is not a term metavariable here")
-                d = self._meta(mctx, vctx, m, list(ts), depth)
-                got = d.conclusion.jdg.body.ty
-                return self._convert_to(mctx, vctx, d, got, a, depth)
+                w, got = self._var(cx, t, depth)
+            case MetaApp():
+                w = self._meta(cx, t, IsTmB, depth)
+                got = self._body(w).ty
             case SymbolApp():
-                d, got = self._object_by_rule(mctx, vctx, t, want_ty=False, depth=depth)
-                return self._convert_to(mctx, vctx, d, got, a, depth)
+                w, got = self._object_by_rule(cx, t, IsTm, depth)
+            case Convert():
+                return self._convert_goal(cx, t, a, depth)
+            case _:
+                raise DeriveError(f"cannot derive a typing for {_shown(t)}")
+        return self._convert_to(cx, w, got, a, depth)
+
+    def _convert_goal(self, cx, t: Convert, a: Expr, depth: int):
+        """A conversion term: only the context-free presentation has them."""
         raise DeriveError(f"cannot derive a typing for {_shown(t)}")
 
-    def _convert_to(self, mctx, vctx, d, got: Expr, want: Expr, depth: int):
+    def _convert_to(self, cx, w, got: Expr, want: Expr, depth: int):
         if got == want:
-            return d
-        eq = self.eqty(mctx, vctx, got, want, depth + 1)
-        return tt.conv_tm(self.theory, d, eq)
+            return w
+        return self._step("conv_tm", w, self.eqty(*cx, got, want, depth + 1))
 
-    def _meta(self, mctx, vctx, m: MetaName, ts: list[Expr], depth: int):
-        bdry = mctx[m]
-        premises, _, _ = metavariable_rule_instance(m, bdry, ts)
-        kids = [self.judgement(mctx, vctx, p, depth + 1) for p in premises]
-        return tt.tt_meta(self.theory, mctx, vctx, m, kids)
+    def _meta_premises(self, cx, e: MetaApp, bdry: Abstracted, depth: int) -> list:
+        premises, _, _ = metavariable_rule_instance(e.meta, bdry, list(e.args))
+        return [self.judgement(*cx, p, depth + 1) for p in premises]
 
-    def _object_by_rule(self, mctx, vctx, e: Expr, want_ty: bool, depth: int):
-        """Derives a symbol application via a matching specific object rule,
-        returning the derivation and the type it concluded at (terms)."""
+    def _object_by_rule(self, cx, e: Expr, cls, depth: int):
+        """Derives a symbol application via a matching specific object rule
+        concluding ``cls``, returning the witness and the type it concluded
+        at (terms)."""
         too_deep = False
-        for _, name, rule, head, unknowns in self._rules[IsTy if want_ty else IsTm]:
+        for _, name, rule, head, unknowns in self._rules[cls]:
             sol: dict = {}
             if not match_expr(head, e, unknowns, sol):
                 continue
             try:
-                d = self._apply(mctx, vctx, name, rule, sol, depth)
+                w = self._apply(cx, name, rule, sol, depth)
             except DepthRefusal:
                 too_deep = True
                 continue
             except KernelError:
                 continue
-            got = None if want_ty else d.conclusion.jdg.body.ty
-            return d, got
+            return w, (None if cls is IsTy else self._body(w).ty)
         raise _refusal(too_deep, f"no specific rule concludes {_shown(e)}")
 
-    def _apply(self, mctx, vctx, name: str, rule: RawRule, sol: dict, depth: int):
+    def _apply(self, cx, name: str, rule: RawRule, sol: dict, depth: int):
         """Applies a specific rule economically, deriving each premise fill;
-        unmatched equality metavariables are filled with dummies and their
-        equations derived recursively."""
+        an equality metavariable left unmatched gets the fill of its
+        boundary that the search derives."""
         entries = []
         kids = []
         for m, b in rule.premises:
-            inst = Instantiation(entries)
-            b_inst = act(inst, b)
+            b_inst = act(Instantiation(entries), b)
             if m in sol:
                 head = sol[m]
+                kids.append(self.judgement(*cx, fill(b_inst, head), depth + 1))
             elif boundary_arity(b).cls.is_equality:
-                head = dummy_head(len(b.prefix))
+                w = self._equation(*cx, b_inst, depth + 1)
+                kids.append(w)
+                head = self._head(w, b_inst)
             else:
                 raise DeriveError(f"object metavariable {m.name} undetermined by matching")
             entries.append((m, head))
-            kids.append(self.judgement(mctx, vctx, fill(b_inst, head), depth + 1))
-        return tt.specific(self.theory, mctx, vctx, name, Instantiation(entries), kids)
+        return self._rule(cx, name, entries, kids)
 
-    def eqty(self, mctx, vctx, a: Expr, b: Expr, depth: int = 0):
-        if depth > MAX_DEPTH:
-            raise DepthRefusal()
-        if a == b:
-            return tt.eqty_refl(self.theory, self.ty(mctx, vctx, a, depth + 1))
-        return self._eq_by_rule(mctx, vctx, a, b, None, depth)
+    @_goal(2, remember=False)
+    def eqty(self, cx, a: Expr, b: Expr, depth: int):
+        return self._equal(cx, a, b, None, depth)
 
-    def eqtm(self, mctx, vctx, s: Expr, t: Expr, a: Expr, depth: int = 0):
-        if depth > MAX_DEPTH:
-            raise DepthRefusal()
-        if s == t:
-            return tt.eqtm_refl(self.theory, self.tm(mctx, vctx, s, a, depth + 1))
-        return self._eq_by_rule(mctx, vctx, s, t, a, depth)
+    @_goal(3, remember=False)
+    def eqtm(self, cx, s: Expr, t: Expr, a: Expr, depth: int):
+        return self._equal(cx, s, t, a, depth)
 
-    def _eq_by_rule(self, mctx, vctx, lhs, rhs, ty, depth):
-        """Derives ``lhs == rhs`` (at ``ty`` for terms) by the first equality
-        rule concluding it, or else ``rhs == lhs`` and symmetry."""
+    def _equal(self, cx, lhs, rhs, ty, depth):
+        """Derives ``lhs == rhs`` (at ``ty`` for terms) by reflexivity, else
+        by the first equality rule concluding it, or else ``rhs == lhs`` and
+        symmetry."""
+        w = self._refl(cx, lhs, rhs, ty, depth)
+        if w is not None:
+            return w
         too_deep = False
         for flipped, (l, r) in enumerate(((lhs, rhs), (rhs, lhs))):
             for _, name, rule, _, unknowns in self._rules[None]:
@@ -454,30 +478,96 @@ class TTDeriver:
                 if sol is None:
                     continue
                 try:
-                    d = self._apply(mctx, vctx, name, rule, sol, depth)
-                    got = d.conclusion.jdg.body
+                    w = self._apply(cx, name, rule, sol, depth)
+                    got = self._body(w)
                     eq = None
                     if ty is not None and got.ty != ty:
-                        eq = self.eqty(mctx, vctx, got.ty, ty, depth + 1)
+                        eq = self.eqty(*cx, got.ty, ty, depth + 1)
                 except DepthRefusal:
                     too_deep = True
                     continue
                 except KernelError:
                     continue
                 if eq is not None:
-                    d = tt.conv_eqtm(self.theory, d, eq)
-                if not flipped:
-                    return d
-                return tt.eqty_sym(self.theory, d) if ty is None else tt.eqtm_sym(self.theory, d)
+                    w = self._step("conv_eqtm", w, eq)
+                if flipped:
+                    w = self._step("eqty_sym" if ty is None else "eqtm_sym", w)
+                return w
         raise _refusal(too_deep, f"cannot derive {_shown_equation(lhs, rhs, ty)}")
 
+
+# ---------------------------------------------------------------------------
+# The step adapters
+
+
+class TTDeriver(Deriver):
+    """Derives tt obligations: a goal is derived in a metavariable context
+    and a variable context, and each step is a derivation node."""
+
+    FLAVOR = "tt"
+    CONTEXTS = 2
+    ENGINE = tt
+    STEPS = {"abstract": "tt_abstr", "bdry_abstract": "bdry_abstr", **{s: s for s in _SAME_STEPS}}
+
+    def _bind(self, cx, j: Abstracted):
+        mctx, vctx = cx
+        avoid = atoms_in_use(j, *(ty for _, ty in vctx)) | {v.name for v, _ in vctx}
+        atom = FreeVar(fresh_name("x", avoid))
+        return atom, (mctx, vctx.extend(atom, j.prefix[0]))
+
+    def _var(self, cx, v: FreeVar, depth: int):
+        mctx, vctx = cx
+        if v not in vctx:
+            raise DeriveError(f"unknown variable {v.name}")
+        return tt.tt_var(self.theory, mctx, vctx, v), vctx[v]
+
+    def _meta(self, cx, e: MetaApp, cls, depth: int):
+        mctx, vctx = cx
+        m = e.meta
+        if m not in mctx or not isinstance(mctx[m].body, cls):
+            raise DeriveError(f"{m.name} is not a {_KIND[cls]} metavariable here")
+        kids = self._meta_premises(cx, e, mctx[m], depth)
+        return tt.tt_meta(self.theory, mctx, vctx, m, kids)
+
+    def _rule(self, cx, name: str, entries: list, kids: list):
+        return tt.specific(self.theory, *cx, name, Instantiation(entries), kids)
+
+    def _refl(self, cx, lhs: Expr, rhs: Expr, ty: Optional[Expr], depth: int):
+        """Reflexivity, when the sides are equal; None otherwise."""
+        if lhs != rhs:
+            return None
+        if ty is None:
+            return tt.eqty_refl(self.theory, self.ty(*cx, lhs, depth + 1))
+        return tt.eqtm_refl(self.theory, self.tm(*cx, lhs, ty, depth + 1))
+
+    def _body(self, d):
+        return d.conclusion.jdg.body
+
+    def _head(self, d, b: Abstracted):
+        return dummy_head(len(b.prefix))
+
+    def _as_stated(self, d, body):
+        return d
+
     def mctx_wf(self, mctx: MetaCtx, depth: int = 0):
-        d = tt.mctx_empty(self.theory)
-        sofar = EMPTY_METAS
-        for m, b in mctx:
-            b_d = self.boundary(sofar, EMPTY_VARS, b, depth + 1)
-            d = tt.mctx_extend(self.theory, d, b_d, m)
+        """``mctx`` is well formed.  With a memo, this extends the chain
+        remembered for the longest prefix of ``mctx`` and remembers the chain
+        of each longer prefix, under the rule of ``_goal``."""
+        memo = {} if self.memo is None else self.memo
+        entries = mctx.entries
+        for k in range(len(entries), -1, -1):
+            hit = memo.get(("mctx_wf", entries[:k]))
+            if hit is not None and depth <= hit[0]:
+                d = hit[1]
+                break
+        else:
+            d = tt.mctx_empty(self.theory)
+            memo.setdefault(("mctx_wf", ()), (depth, d))
+        sofar = MetaCtx(entries[:k])
+        for m, b in entries[k:]:
+            d = tt.mctx_extend(self.theory, d, self.boundary(sofar, EMPTY_VARS, b, depth + 1), m)
             sofar = sofar.extend(m, b)
+            memo.setdefault(("mctx_wf", sofar.entries), (depth, d))
         return d
 
     def vctx_wf(self, mctx: MetaCtx, vctx: VarCtx, depth: int = 0):
@@ -489,240 +579,104 @@ class TTDeriver:
             sofar = sofar.extend(v, ty)
         return d
 
+    def witnesses(self, rule: RawRule) -> dict:
+        """The well-formedness of ``rule``'s metavariable context, and its
+        conclusion boundary derived in that context."""
+        mctx = MetaCtx(list(rule.premises))
+        mctx_d = self.mctx_wf(mctx)
+        bdry_thesis = unfill(plain(rule.conclusion))[0]
+        return {"mctx": mctx_d, "boundary": self.boundary(mctx, EMPTY_VARS, bdry_thesis)}
 
-# ---------------------------------------------------------------------------
-# cf-side obligation derivation
 
+class CFDeriver(Deriver):
+    """Certifies cf obligations: goals need no contexts, since every atom
+    carries its type, and each step is a cf constructor call."""
 
-class CFDeriver:
-    """Certifies cf obligations over ``theory``; ``memo`` is as for
-    ``TTDeriver``."""
+    FLAVOR = "cf"
+    CONTEXTS = 0
+    ENGINE = cf
+    STEPS = {
+        "abstract": "cf_abstract_fwd",
+        "bdry_abstract": "cf_abstract_bdry_fwd",
+        **{s: "cf_" + s for s in _SAME_STEPS},
+    }
 
-    def __init__(self, theory: Theory, memo: Optional[dict] = None):
-        if theory.flavor != "cf":
-            raise DeriveError("CFDeriver needs a cf theory")
-        self.theory = theory
-        self.memo = memo
-        self._rules = _rule_table(theory)
+    def _bind(self, cx, j: Abstracted):
+        return FreeVar(fresh_name("x", atoms_in_use(j)), j.prefix[0]), cx
 
-    def _fresh(self, *stuff) -> str:
-        return fresh_name("x", atoms_in_use(*stuff))
+    def _var(self, cx, v: FreeVar, depth: int):
+        if v.annotation is None:
+            raise DeriveError("bare variable in cf goal")
+        return cf.cf_var(self.theory, v, self.ty(v.annotation, depth + 1)), v.annotation
 
-    def judgement(self, j: Abstracted, depth: int = 0) -> cf.CertifiedJudgement:
-        if depth > MAX_DEPTH:
-            raise DepthRefusal()
-        if j.prefix:
-            ty_c = self.ty(j.prefix[0], depth + 1)
-            v = FreeVar(self._fresh(j), j.prefix[0])
-            opened = open_judgement(j, v)
-            body_c = self.judgement(opened, depth + 1)
-            return cf.cf_abstract_fwd(self.theory, ty_c, body_c, v)
-        match j.body:
-            case IsTy(ty=a):
-                return self.ty(a, depth + 1)
-            case IsTm(term=t, ty=a):
-                return self.tm(t, a, depth + 1)
-            case EqTy(lhs=a, rhs=b, by=by):
-                d = self.eqty(a, b, depth + 1)
-                if d.payload.body != j.body:
-                    raise DeriveError("derived equation carries a different assumption set")
-                return d
-            case EqTm(lhs=s, rhs=t, ty=a, by=by):
-                d = self.eqtm(s, t, a, depth + 1)
-                if d.payload.body != j.body:
-                    raise DeriveError("derived equation carries a different assumption set")
-                return d
-        raise DeriveError(f"not a judgement: {j.body!r}")
-
-    @_remembered(1)
-    def boundary(self, b: Abstracted, depth: int = 0) -> cf.CertifiedBoundary:
-        if b.prefix:
-            ty_c = self.ty(b.prefix[0], depth + 1)
-            v = FreeVar(self._fresh(b), b.prefix[0])
-            opened = open_judgement(b, v)
-            body_c = self.boundary(opened, depth + 1)
-            return cf.cf_abstract_bdry_fwd(self.theory, ty_c, body_c, v)
-        match b.body:
-            case IsTyB():
-                return cf.cf_bdry_ty(self.theory)
-            case IsTmB(ty=a):
-                return cf.cf_bdry_tm(self.theory, self.ty(a, depth + 1))
-            case EqTyB(lhs=a, rhs=c):
-                return cf.cf_bdry_eqty(
-                    self.theory, self.ty(a, depth + 1), self.ty(c, depth + 1)
-                )
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                return cf.cf_bdry_eqtm(
-                    self.theory,
-                    self.ty(a, depth + 1),
-                    self.tm(s, a, depth + 1),
-                    self.tm(t, a, depth + 1),
-                )
-        raise DeriveError(f"not a boundary: {b.body!r}")
-
-    @_remembered(1)
-    def ty(self, a: Expr, depth: int = 0) -> cf.CertifiedJudgement:
-        match a:
-            case MetaApp(meta=m, args=ts):
-                if m.annotation is None or not isinstance(m.annotation.body, IsTyB):
-                    raise DeriveError(f"{m.name} is not a type metavariable")
-                return self._meta(m, list(ts), depth)
-            case SymbolApp():
-                c, _ = self._object_by_rule(a, want_ty=True, depth=depth)
-                return c
-        raise DeriveError(f"cannot derive that {_shown(a)} is a type")
-
-    @_remembered(2)
-    def tm(self, t: Expr, a: Expr, depth: int = 0) -> cf.CertifiedJudgement:
-        match t:
-            case FreeVar(annotation=ann):
-                if ann is None:
-                    raise DeriveError("bare variable in cf goal")
-                ann_c = self.ty(ann, depth + 1)
-                c = cf.cf_var(self.theory, t, ann_c)
-                return self._convert_to(c, ann, a, depth)
-            case MetaApp(meta=m, args=ts):
-                if m.annotation is None or not isinstance(m.annotation.body, IsTmB):
-                    raise DeriveError(f"{m.name} is not a term metavariable")
-                c = self._meta(m, list(ts), depth)
-                return self._convert_to(c, c.payload.body.ty, a, depth)
-            case SymbolApp():
-                c, got = self._object_by_rule(t, want_ty=False, depth=depth)
-                return self._convert_to(c, got, a, depth)
-            case Convert():
-                inner = t.term
-                nat = cf.natural_type_cf(self.theory, inner)
-                c = self.tm(inner, nat, depth + 1)
-                out = self._convert_to(c, nat, a, depth, force=True)
-                if out.payload.body.term != t:
-                    raise DeriveError("conversion goal carries a different assumption set")
-                return out
-        raise DeriveError(f"cannot derive a typing for {_shown(t)}")
-
-    def _convert_to(self, c, got: Expr, want: Expr, depth: int, force: bool = False):
-        if got == want and not force:
-            return c
-        eq = self.eqty(got, want, depth + 1)
-        return cf.cf_conv_tm(self.theory, c, eq)
-
-    def _meta(self, m: MetaName, ts: list[Expr], depth: int) -> cf.CertifiedJudgement:
+    def _meta(self, cx, e: MetaApp, cls, depth: int):
+        m = e.meta
+        if m.annotation is None or not isinstance(m.annotation.body, cls):
+            raise DeriveError(f"{m.name} is not a {_KIND[cls]} metavariable")
         ann_cert = self.boundary(m.annotation, depth + 1)
-        premises, _, _ = metavariable_rule_instance(m, m.annotation, ts)
-        kids = [self.judgement(p, depth + 1) for p in premises]
+        kids = self._meta_premises(cx, e, m.annotation, depth)
         return cf.cf_meta(self.theory, m, kids, annotation_cert=ann_cert)
 
-    def _object_by_rule(self, e: Expr, want_ty: bool, depth: int):
-        too_deep = False
-        for _, name, rule, head, unknowns in self._rules[IsTy if want_ty else IsTm]:
-            sol: dict = {}
-            if not match_expr(head, e, unknowns, sol):
-                continue
-            try:
-                c = self._apply(name, rule, sol, depth)
-            except DepthRefusal:
-                too_deep = True
-                continue
-            except KernelError:
-                continue
-            got = None if want_ty else c.payload.body.ty
-            return c, got
-        raise _refusal(too_deep, f"no specific rule concludes {_shown(e)}")
-
-    def _apply(self, name: str, rule: RawRule, sol: dict, depth: int):
-        entries = []
-        kids = []
-        for m, b in rule.premises:
-            inst = Instantiation(entries)
-            b_inst = act(inst, b)
-            if m in sol:
-                head = sol[m]
-                kids.append(self.judgement(fill(b_inst, head), depth + 1))
-            elif boundary_arity(b).cls.is_equality:
-                cert = self.judgement_for_equation_boundary(b_inst, depth + 1)
-                kids.append(cert)
-                _, head = unfill(cert.payload)
-            else:
-                raise DeriveError(f"object metavariable {m.name} undetermined by matching")
-            entries.append((m, head))
+    def _rule(self, cx, name: str, entries: list, kids: list):
         return cf.cf_apply_rule(self.theory, name, kids)
 
-    def judgement_for_equation_boundary(self, b: Abstracted, depth: int) -> cf.CertifiedJudgement:
-        """Derives some judgement filling an equational boundary."""
-        if b.prefix:
-            ty_c = self.ty(b.prefix[0], depth + 1)
-            v = FreeVar(self._fresh(b), b.prefix[0])
-            opened = open_judgement(b, v)
-            inner = self.judgement_for_equation_boundary(opened, depth + 1)
-            return cf.cf_abstract_fwd(self.theory, ty_c, inner, v)
-        match b.body:
-            case EqTyB(lhs=a, rhs=c):
-                return self.eqty(a, c, depth + 1)
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                return self.eqtm(s, t, a, depth + 1)
-        raise DeriveError("expected an equational boundary")
+    def _refl(self, cx, lhs: Expr, rhs: Expr, ty: Optional[Expr], depth: int):
+        """Reflexivity, when the sides are equal up to erasure (both are
+        certified); None otherwise."""
+        if not erased_equal(lhs, rhs):
+            return None
+        if ty is None:
+            return cf.cf_eqty_refl(self.theory, self.ty(lhs, depth + 1), self.ty(rhs, depth + 1))
+        return cf.cf_eqtm_refl(
+            self.theory, self.tm(lhs, ty, depth + 1), self.tm(rhs, ty, depth + 1)
+        )
 
-    def eqty(self, a: Expr, b: Expr, depth: int = 0) -> cf.CertifiedJudgement:
-        if depth > MAX_DEPTH:
-            raise DepthRefusal()
-        if erased_equal(a, b):
-            return cf.cf_eqty_refl(
-                self.theory, self.ty(a, depth + 1), self.ty(b, depth + 1)
-            )
-        return self._eq_by_rule(a, b, None, depth)
+    def _body(self, c):
+        return c.payload.body
 
-    def eqtm(self, s: Expr, t: Expr, a: Expr, depth: int = 0) -> cf.CertifiedJudgement:
-        if depth > MAX_DEPTH:
-            raise DepthRefusal()
-        if erased_equal(s, t):
-            return cf.cf_eqtm_refl(
-                self.theory, self.tm(s, a, depth + 1), self.tm(t, a, depth + 1)
-            )
-        return self._eq_by_rule(s, t, a, depth)
+    def _head(self, c, b: Abstracted):
+        return unfill(c.payload)[1]
 
-    def _eq_by_rule(self, lhs, rhs, ty, depth):
-        """Certifies ``lhs == rhs`` (at ``ty`` for terms) by the first
-        equality rule concluding it, or else ``rhs == lhs`` and symmetry."""
-        too_deep = False
-        for flipped, (l, r) in enumerate(((lhs, rhs), (rhs, lhs))):
-            for _, name, rule, _, unknowns in self._rules[None]:
-                sol = _match_eq_rule(rule, l, r, ty, unknowns)
-                if sol is None:
-                    continue
-                try:
-                    cert = self._apply(name, rule, sol, depth)
-                    got = cert.payload.body
-                    eq = None
-                    if ty is not None and got.ty != ty:
-                        eq = self.eqty(got.ty, ty, depth + 1)
-                except DepthRefusal:
-                    too_deep = True
-                    continue
-                except KernelError:
-                    continue
-                if eq is not None:
-                    cert = cf.cf_conv_eqtm(self.theory, cert, eq)
-                if not flipped:
-                    return cert
-                return cf.cf_eqty_sym(self.theory, cert) if ty is None else cf.cf_eqtm_sym(self.theory, cert)
-        raise _refusal(too_deep, f"cannot derive {_shown_equation(lhs, rhs, ty)}")
+    def _as_stated(self, c, body):
+        if c.payload.body != body:
+            raise DeriveError("derived equation carries a different assumption set")
+        return c
+
+    def _convert_goal(self, cx, t: Convert, a: Expr, depth: int):
+        nat = cf.natural_type_cf(self.theory, t.term)
+        c = self.tm(t.term, nat, depth + 1)
+        out = cf.cf_conv_tm(self.theory, c, self.eqty(nat, a, depth + 1))
+        if out.payload.body.term != t:
+            raise DeriveError("conversion goal carries a different assumption set")
+        return out
+
+    def witnesses(self, rule: RawRule) -> dict:
+        """Certificates of ``rule``'s premise boundaries and conclusion
+        boundary."""
+        prem_certs = [self.boundary(b) for _, b in rule.premises]
+        bdry_thesis = unfill(plain(rule.conclusion))[0]
+        return {"premise_boundaries": prem_certs, "boundary": self.boundary(bdry_thesis)}
 
 
 # ---------------------------------------------------------------------------
 # The finitary gate
 
+_DERIVERS = {d.FLAVOR: d for d in (TTDeriver, CFDeriver)}
+
 
 def check_finitary(theory: Theory) -> None:
-    """Validates each rule over the prefix theory and caches the witnesses.
-
-    tt theories get  |- mctx  and conclusion-boundary derivations; cf
-    theories get premise-boundary and conclusion-boundary certificates.
+    """Validates each rule over the prefix theory and caches the witnesses
+    (``Deriver.witnesses``): for tt the metavariable context's
+    well-formedness and the conclusion boundary's derivation, for cf the
+    premise-boundary and conclusion-boundary certificates.
 
     The derivers of all prefixes share one memo for the pass, so an
     obligation met over one prefix (``A type``, a metavariable's annotation
-    boundary, ...) is not derived again for every later rule.  Reuse is
-    sound because derivability only grows with the prefix: a derivation or
-    certificate over the first i rules is one over the first j >= i rules,
-    and ``cf_engine`` accepts certificates over a shorter prefix of the same
+    boundary, the metavariable context of shared premises, ...) is not
+    derived again for every later rule.  Reuse is sound because
+    derivability only grows with the prefix: a derivation or certificate
+    over the first i rules is one over the first j >= i rules, and
+    ``cf_engine`` accepts certificates over a shorter prefix of the same
     theory in O(1).  Failures are not remembered, since a goal refused over
     one prefix may be met over a longer one.  The memo is dropped when the
     pass ends.
@@ -731,28 +685,14 @@ def check_finitary(theory: Theory) -> None:
         check_raw_once(theory, r)
     witnesses: dict = {}
     memo: dict = {}
-    table = _rule_table(theory)
+    table = rule_table(theory)
     for i, r in enumerate(theory.rules):
         prefix = theory.prefix(i)
         prefix.finitary_witnesses = dict(witnesses)
         prefix.cached(_RULE_TABLE, lambda: _first_rules(table, i))
-        if theory.flavor == "tt":
-            deriver = TTDeriver(prefix, memo)
-            mctx = MetaCtx(list(r.rule.premises))
-            try:
-                mctx_d = deriver.mctx_wf(mctx)
-                bdry_thesis, _ = unfill(plain(r.rule.conclusion))
-                bdry_d = deriver.boundary(mctx, EMPTY_VARS, bdry_thesis)
-            except KernelError as exc:
-                raise ConclusionNotDerivableOverPrefix(r.name, str(exc)) from exc
-            witnesses[r.name] = {"mctx": mctx_d, "boundary": bdry_d}
-        else:
-            deriver = CFDeriver(prefix, memo)
-            try:
-                prem_certs = [deriver.boundary(b) for _, b in r.rule.premises]
-                bdry_thesis, _ = unfill(plain(r.rule.conclusion))
-                bdry_c = deriver.boundary(bdry_thesis)
-            except KernelError as exc:
-                raise ConclusionNotDerivableOverPrefix(r.name, str(exc)) from exc
-            witnesses[r.name] = {"premise_boundaries": prem_certs, "boundary": bdry_c}
+        deriver = _DERIVERS[theory.flavor](prefix, memo)
+        try:
+            witnesses[r.name] = deriver.witnesses(r.rule)
+        except KernelError as exc:
+            raise ConclusionNotDerivableOverPrefix(r.name, str(exc)) from exc
     theory.finitary_witnesses = witnesses

@@ -22,10 +22,11 @@ from .syntax import (
     IsTm,
     IsTmB,
     IsTy,
+    MetaApp,
     MetaName,
     SymbolApp,
-    MetaApp,
     asm,
+    erase,
     mv,
     shift,
     subst_bound_many,
@@ -156,6 +157,4 @@ def act(inst: Instantiation, x):
 
 def erase_instantiation(inst: Instantiation) -> Instantiation:
     """Erases every instantiating argument (metavariable keys unchanged)."""
-    from .syntax import erase
-
     return Instantiation([(m, erase(arg)) for m, arg in inst.entries])

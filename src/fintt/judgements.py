@@ -185,21 +185,24 @@ def binder_types_opened(j: Abstracted, vs: list[FreeVar]) -> list[Expr]:
 # Contexts of the contexted presentation
 
 
-class MetaCtx:
-    """Finite list of metavariable declarations M : B, names distinct."""
+class _Context:
+    """Finite list of declarations ``name : declared``, names distinct.
+    Contexts of different kinds are never equal."""
 
-    def __init__(self, entries: list[tuple[MetaName, AbstractedBoundary]] = ()):  # type: ignore[assignment]
-        self.entries: tuple[tuple[MetaName, AbstractedBoundary], ...] = tuple(entries)
-        names = [m for m, _ in self.entries]
+    NAMES: str  # what the names are, for the error on a repeated one
+
+    def __init__(self, entries=()):
+        self.entries = tuple(entries)
+        names = [n for n, _ in self.entries]
         if len(set(names)) != len(names):
-            raise ValueError("metavariable names must be distinct")
+            raise ValueError(f"{self.NAMES} names must be distinct")
         self._map = dict(self.entries)
 
-    def __contains__(self, m: MetaName) -> bool:
-        return m in self._map
+    def __contains__(self, name) -> bool:
+        return name in self._map
 
-    def __getitem__(self, m: MetaName) -> AbstractedBoundary:
-        return self._map[m]
+    def __getitem__(self, name):
+        return self._map[name]
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -208,60 +211,38 @@ class MetaCtx:
         return iter(self.entries)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, MetaCtx) and self.entries == other.entries
+        return type(other) is type(self) and self.entries == other.entries
 
     def __hash__(self) -> int:
         return hash(self.entries)
+
+    def extend(self, name, declared):
+        return type(self)(self.entries + ((name, declared),))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({[n.name for n, _ in self.entries]})"
+
+
+class MetaCtx(_Context):
+    """Metavariable declarations M : B (``entries`` are (MetaName,
+    AbstractedBoundary) pairs)."""
+
+    NAMES = "metavariable"
 
     def upto(self, i: int) -> "MetaCtx":
         return MetaCtx(list(self.entries[: max(i - 1, 0)]))
 
-    def extend(self, m: MetaName, b: AbstractedBoundary) -> "MetaCtx":
-        return MetaCtx(list(self.entries) + [(m, b)])
-
     def arities(self) -> dict[MetaName, MetaArity]:
         return {m: boundary_arity(b) for m, b in self.entries}
 
-    def __repr__(self) -> str:
-        return f"MetaCtx({[m.name for m, _ in self.entries]})"
 
+class VarCtx(_Context):
+    """Variable declarations a : A (``entries`` are (FreeVar, Expr) pairs)."""
 
-class VarCtx:
-    """Finite list of variable declarations a : A, names distinct."""
-
-    def __init__(self, entries: list[tuple[FreeVar, Expr]] = ()):  # type: ignore[assignment]
-        self.entries: tuple[tuple[FreeVar, Expr], ...] = tuple(entries)
-        names = [v for v, _ in self.entries]
-        if len(set(names)) != len(names):
-            raise ValueError("variable names must be distinct")
-        self._map = dict(self.entries)
-
-    def __contains__(self, v: FreeVar) -> bool:
-        return v in self._map
-
-    def __getitem__(self, v: FreeVar) -> Expr:
-        return self._map[v]
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, VarCtx) and self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def extend(self, v: FreeVar, ty: Expr) -> "VarCtx":
-        return VarCtx(list(self.entries) + [(v, ty)])
+    NAMES = "variable"
 
     def pop(self) -> "VarCtx":
         return VarCtx(list(self.entries[:-1]))
-
-    def __repr__(self) -> str:
-        return f"VarCtx({[v.name for v, _ in self.entries]})"
 
 
 EMPTY_METAS = MetaCtx([])

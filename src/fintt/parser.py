@@ -24,10 +24,12 @@ from .errors import ParseError
 from .syntax import (
     Abstr,
     Abstracted,
+    AsmArg,
     AssumptionSet,
     BoundVar,
     Cls,
     Convert,
+    DUMMY,
     EqTmB,
     EqTyB,
     Expr,
@@ -514,15 +516,11 @@ class Scope:
                     inner = Abstr(inner)
                 return inner
             case ("dummy-arg", names):
-                from .syntax import DUMMY
-
                 inner = DUMMY
                 for _ in names:
                     inner = Abstr(inner)
                 return inner
             case ("asm-arg", names, aset):
-                from .syntax import AsmArg
-
                 inner = AsmArg(self.resolve_set(aset, binders + tuple(names)))
                 for _ in names:
                     inner = Abstr(inner)

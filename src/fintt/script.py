@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from . import cf_engine as cf
 from . import tt_engine as tt
-from .derive import CFDeriver
+from .derive import CFDeriver, TTDeriver
 from .errors import KernelError
 from .instantiation import Instantiation
 from .judgements import EMPTY_METAS, EMPTY_VARS, unfill
@@ -127,7 +127,7 @@ class ScriptRunner:
         m = MetaName(step.name, b if self.annotate_vars else None)
         self.mctx = self.mctx.extend(m, b)
         self.metas[step.name] = m
-        deriver = _tt_deriver(self.theory)
+        deriver = TTDeriver(self.theory)
         bd = deriver.boundary(self.mctx, EMPTY_VARS, b)
         bd = self._align_boundary(bd)
         self.bindings[step.name] = bd
@@ -279,7 +279,7 @@ class ScriptRunner:
                 )
             case "presup":
                 j = self._align(self._get(names[0]))
-                deriver = _tt_deriver(th)
+                deriver = TTDeriver(th)
                 mctx_d = deriver.mctx_wf(self.mctx)
                 vctx_d = deriver.vctx_wf(self.mctx, self.vctx)
                 return tt.presuppositions(th, j, mctx_d, vctx_d)
@@ -303,12 +303,6 @@ class ScriptRunner:
             case "strengthen":
                 raise ScriptError("strengthening is not admissible with contexts")
         raise ScriptError(f"unknown tt operation {op!r}")
-
-
-def _tt_deriver(theory: Theory):
-    from .derive import TTDeriver
-
-    return TTDeriver(theory)
 
 
 def run_script(theory: Theory, script: Script, engine: str, annotate_vars: bool = True):

@@ -13,6 +13,7 @@ from .errors import (
     FreeVarInRule,
     MetaIntroducedTwice,
     MetaNotIntroduced,
+    NoSymbolRule,
     NotEqualityBoundary,
     NotObjectBoundary,
     NotObjectRule,
@@ -20,7 +21,7 @@ from .errors import (
     UnknownMeta,
 )
 from .instantiation import Instantiation, act
-from .judgements import fill, fill_equation, plain
+from .judgements import fill, fill_equation, plain, unfill
 from .syntax import (
     Abstr,
     Abstracted,
@@ -31,14 +32,20 @@ from .syntax import (
     AssumptionSet,
     BoundVar,
     BoundaryThesis,
+    Convert,
     DUMMY,
     DummyArg,
     EqTm,
+    EqTmB,
     EqTy,
+    EqTyB,
     Expr,
     ExprArg,
+    FreeVar,
     IsTm,
+    IsTmB,
     IsTy,
+    IsTyB,
     MetaApp,
     MetaArity,
     MetaName,
@@ -168,8 +175,6 @@ def is_symbol_rule(sig: Signature, rule: RawRule, flavor: Flavor) -> Optional[st
 
 
 def _conclusion_boundary(t: Thesis) -> BoundaryThesis:
-    from .judgements import unfill
-
     return unfill(plain(t))[0].body
 
 
@@ -267,8 +272,6 @@ def _congruence_conclusion(
     right: Instantiation,
     by: Union[DummyArg, AssumptionSet],
 ) -> AbstractedJudgement:
-    from .judgements import unfill
-
     bdry, head = unfill(plain(rule.conclusion))
     return fill_equation(act(left, bdry), act(left, head), act(right, head), by)
 
@@ -312,8 +315,6 @@ def metavariable_congruence_instance(
         opened = subst_bound_many(ty, left_terms[:j])
         premises.append(plain(EqTm(left_terms[j], right_terms[j], opened, DUMMY)))
     body = boundary.body
-    from .syntax import IsTmB
-
     if isinstance(body, IsTmB):
         premises.append(
             plain(
@@ -397,8 +398,6 @@ class Theory:
         for r in self.rules:
             if r.symbol_for == symbol:
                 return r
-        from .errors import NoSymbolRule
-
         raise NoSymbolRule(symbol)
 
     def __repr__(self) -> str:
@@ -491,26 +490,6 @@ def check_finitary(theory: Theory) -> None:
 
 def _annotate(x, mapping: dict[str, MetaName]):
     """Rewrites bare metavariable heads to their annotated cf counterparts."""
-    from .syntax import (
-        Abstr,
-        Abstracted,
-        AsmArg,
-        AssumptionSet,
-        BoundVar,
-        Convert,
-        EqTm,
-        EqTmB,
-        EqTy,
-        EqTyB,
-        ExprArg,
-        FreeVar,
-        IsTm,
-        IsTmB,
-        IsTy,
-        IsTyB,
-        MetaApp,
-    )
-
     def walk(x):
         match x:
             case MetaApp(meta=m, args=args):

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 from . import cf_engine as cf
 from . import tt_engine as tt
-from .derive import match_expr
+from .derive import CFDeriver, TTDeriver, match_equation, rule_table
 from .errors import (
     CyclicAnnotation,
     KernelError,
@@ -415,36 +415,18 @@ class CfToTT:
         """Matches specific equality rules against an erased equation goal;
         premise metavariables not determined by the conclusion are resolved
         from the assumption-set hints."""
-        for trule in self.tt.rules:
-            rule = trule.rule
-            if rule.is_object:
+        for _, name, rule, _, unknowns in rule_table(self.tt)[None]:
+            sol = match_equation(rule, lhs, rhs, ty, unknowns)
+            if sol is None:
                 continue
-            unknowns = dict(rule.meta_arities())
-            sol: dict = {}
-            c = rule.conclusion
-            if ty is None:
-                if not isinstance(c, EqTy):
-                    continue
-                ok = match_expr(c.lhs, lhs, unknowns, sol) and match_expr(
-                    c.rhs, rhs, unknowns, sol
-                )
-            else:
-                if not isinstance(c, EqTm):
-                    continue
-                ok = (
-                    match_expr(c.lhs, lhs, unknowns, sol)
-                    and match_expr(c.rhs, rhs, unknowns, sol)
-                    and match_expr(c.ty, ty, unknowns, sol)
-                )
-            if not ok:
-                continue
-            d = self._apply_with_hints(mctx, vctx, trule, sol, hints)
+            d = self._apply_with_hints(mctx, vctx, name, rule, sol, hints)
             if d is not None:
                 return d
         return None
 
-    def _apply_with_hints(self, mctx, vctx, trule, sol: dict, hints: AssumptionSet):
-        rule = trule.rule
+    def _apply_with_hints(
+        self, mctx, vctx, name: str, rule: RawRule, sol: dict, hints: AssumptionSet
+    ):
         entries: list = []
         kids: list = []
         for m, b in rule.premises:
@@ -489,7 +471,7 @@ class CfToTT:
                     return None
             entries.append((m, head))
         try:
-            return tt.specific(self.tt, mctx, vctx, trule.name, Instantiation(entries), kids)
+            return tt.specific(self.tt, mctx, vctx, name, Instantiation(entries), kids)
         except KernelError:
             return None
 
@@ -984,16 +966,12 @@ def round_trip_cf(cf_theory: Theory, tt_theory: Theory, cert: cf.CertifiedJudgem
         got = deriver_cache.get(payload)
         if got is not None:
             return got
-        from .derive import CFDeriver
-
         return CFDeriver(cf_theory).judgement(payload)
 
     def ann_boundary_cert(payload):
         got = deriver_cache.get(payload)
         if got is not None:
             return got
-        from .derive import CFDeriver
-
         return CFDeriver(cf_theory).boundary(payload)
 
     theta: dict = {}
@@ -1046,8 +1024,6 @@ def _labelings_for(cf_theory: Theory, mctx: MetaCtx, vctx: VarCtx, caches: dict)
     """Labels each atom of a suitable context with its own annotation.  The
     atoms stay annotated: the translation reads only their names and
     labels, so no bare-atom copy of the derivation is needed."""
-    from .derive import CFDeriver
-
     deriver = CFDeriver(cf_theory)
 
     theta: dict = {}
@@ -1081,8 +1057,6 @@ def transported_congruence(
     congruence conclusion, rectified onto ``target_bdry_cert`` when given;
     its assumption set is drawn from the inputs.
     """
-    from .derive import TTDeriver
-
     rule_cf = cf_theory.rule(rule_name).rule
     rule_tt = tt_theory.rule(rule_name).rule
     if not rule_cf.is_object:

@@ -1,12 +1,13 @@
 """The obligation derivers: the depth limit at its edge, bounded refusal
-messages, the finitary gate's memo across prefixes, and the prefix fast path
-of ``cf_engine._theory_extends``."""
+messages, the finitary gate's memo across prefixes (metavariable-context
+chains included), and the prefix fast path of ``cf_engine._theory_extends``."""
 
 import random
 
 import pytest
 
 from fintt import cf_engine as cf
+from fintt import tt_engine as tt
 from fintt.derive import (
     MAX_DEPTH,
     SHOWN_LENGTH,
@@ -295,3 +296,25 @@ def test_shared_obligation_is_derived_once_per_pass(monkeypatch, flavor):
     assert memoised == (1 if flavor == "cf" else 2)
     assert fresh >= k
     assert count_t0_applications(monkeypatch, cls, check_finitary, shared_premise_theory(flavor, 1)) == memoised
+
+
+def count_mctx_nodes(monkeypatch, theory):
+    """The MCtx-Empty and MCtx-Extend nodes the finitary gate builds."""
+    rules = []
+    original = tt.node
+
+    def counting(th, rule, *args):
+        rules.append(rule)
+        return original(th, rule, *args)
+
+    monkeypatch.setattr(tt, "node", counting)
+    check_finitary(theory)
+    monkeypatch.setattr(tt, "node", original)
+    return sum(rule in ("MCtx-Empty", "MCtx-Extend") for rule in rules)
+
+
+def test_gate_builds_each_metavariable_context_chain_once(monkeypatch):
+    """Rules with the same premises share one chain: k operations on n : T0
+    cost the chain of (), then of (n : T0), whatever k is."""
+    one, six = (count_mctx_nodes(monkeypatch, shared_premise_theory("tt", k)) for k in (1, 6))
+    assert one == six == 2
