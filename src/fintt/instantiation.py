@@ -6,25 +6,16 @@ from typing import Iterable
 
 from .errors import ArityMismatch, IndexOutOfRange, UnknownMeta
 from .syntax import (
+    _MV,
     Abstr,
-    Abstracted,
     Argument,
-    AsmArg,
     AssumptionSet,
-    Convert,
-    EqTm,
-    EqTmB,
-    EqTy,
-    EqTyB,
     Expr,
     ExprArg,
     FreeVar,
-    IsTm,
-    IsTmB,
-    IsTy,
     MetaApp,
     MetaName,
-    SymbolApp,
+    _rewrite,
     asm,
     erase,
     mv,
@@ -98,61 +89,28 @@ def act(inst: Instantiation, x):
     argument; free-variable annotations are rewritten in place.  A subterm
     that mentions no metavariable is returned as it is.
     """
+    if not mv(x):
+        return x
 
-    def walk_set(aset: AssumptionSet, depth: int) -> AssumptionSet:
-        if not mv(aset):
-            return aset
-        fv = frozenset(walk(v, 0) for v in aset.free_vars)
-        out = AssumptionSet(fv, aset.bound_vars, frozenset())
-        for m in aset.metas:
-            if m in inst:
-                out = out.union(asm(shift(inst[m], depth)))
-            else:
+    def walk(y):
+        return _rewrite(y, leaves, _MV)
+
+    def var(y: FreeVar, d: int):
+        return FreeVar(y.name, walk(y.annotation))
+
+    def meta(y: MetaApp, args: tuple, d: int):
+        return _apply_meta_argument(shift(inst[y.meta], d), args)
+
+    def aset(y: AssumptionSet, d: int):
+        out = AssumptionSet(frozenset(map(walk, y.free_vars)), y.bound_vars, frozenset())
+        for m in y.metas:
+            if m not in inst:
                 raise UnknownMeta(m.name)
+            out = out.union(asm(shift(inst[m], d)))
         return out
 
-    def walk(x, depth: int):
-        if not mv(x):
-            return x
-        match x:
-            case FreeVar(name=n, annotation=ann):
-                return FreeVar(n, walk(ann, 0))
-            case SymbolApp(symbol=s, args=args):
-                return SymbolApp(s, tuple(walk(a, depth) for a in args))
-            case MetaApp(meta=m, args=args):
-                terms = tuple(walk(t, depth) for t in args)
-                return _apply_meta_argument(shift(inst[m], depth), terms)
-            case Convert(term=t, assumptions=a):
-                return Convert(walk(t, depth), walk_set(a, depth))
-            case AssumptionSet():
-                return walk_set(x, depth)
-            case ExprArg(expr=e):
-                return ExprArg(walk(e, depth))
-            case AsmArg(assumptions=a):
-                return AsmArg(walk_set(a, depth))
-            case Abstr(body=b):
-                return Abstr(walk(b, depth + 1))
-            case IsTy(ty=a):
-                return IsTy(walk(a, depth))
-            case IsTm(term=t, ty=a):
-                return IsTm(walk(t, depth), walk(a, depth))
-            case EqTy(lhs=a, rhs=b, by=by):
-                return EqTy(walk(a, depth), walk(b, depth), walk(by, depth))
-            case EqTm(lhs=s, rhs=t, ty=a, by=by):
-                return EqTm(walk(s, depth), walk(t, depth), walk(a, depth), walk(by, depth))
-            case IsTmB(ty=a):
-                return IsTmB(walk(a, depth))
-            case EqTyB(lhs=a, rhs=b):
-                return EqTyB(walk(a, depth), walk(b, depth))
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                return EqTmB(walk(s, depth), walk(t, depth), walk(a, depth))
-            case Abstracted(prefix=pfx, body=body):
-                new_pfx = tuple(walk(ty, depth + i) for i, ty in enumerate(pfx))
-                return Abstracted(new_pfx, walk(body, depth + len(pfx)))
-            case _:
-                raise TypeError(f"cannot instantiate {x!r}")
-
-    return walk(x, 0)
+    leaves = {FreeVar: var, MetaApp: meta, AssumptionSet: aset}
+    return walk(x)
 
 
 def erase_instantiation(inst: Instantiation) -> Instantiation:

@@ -35,6 +35,7 @@ from .syntax import (
     boundary_arity,
     close_var,
     subst_bound,
+    substitute,
 )
 
 
@@ -144,10 +145,7 @@ def abstract_judgement(j: Abstracted, v: FreeVar, ty: Expr) -> Abstracted:
 
 def open_judgement(j: Abstracted, v: FreeVar) -> Abstracted:
     """Removes the outermost binder, substituting the atom ``v`` for it."""
-    if not j.prefix:
-        raise ValueError("judgement has no abstraction to open")
-    rest = tuple(subst_bound(t, v, i - 1) for i, t in enumerate(j.prefix) if i > 0)
-    return Abstracted(rest, subst_bound(j.body, v, len(j.prefix) - 1))
+    return substitute(j, v)
 
 
 def open_all(j: Abstracted, vs: list[FreeVar]) -> Abstracted:
@@ -161,10 +159,7 @@ def instantiate_prefix(j: Abstracted, terms: list[Expr]) -> Abstracted:
     """Substitutes ``terms`` for the outermost ``len(terms)`` binders."""
     out = j
     for t in terms:
-        if not out.prefix:
-            raise ValueError("more terms than binders")
-        rest = tuple(subst_bound(ty, t, i - 1) for i, ty in enumerate(out.prefix) if i > 0)
-        out = Abstracted(rest, subst_bound(out.body, t, len(out.prefix) - 1))
+        out = substitute(out, t)
     return out
 
 

@@ -50,93 +50,30 @@ def _is_atomic(e) -> bool:
             return False
 
 
-def print_expr(e, binders: tuple[str, ...] = ()) -> str:
+def _expr(e, binders: tuple[str, ...]) -> list:
     match e:
         case FreeVar(name=n, annotation=None):
-            return n
+            return [n]
         case FreeVar(name=n, annotation=ann):
-            inner = print_expr(ann, ())
-            return f"{n}^{inner}" if _is_atomic(ann) else f"{n}^({inner})"
+            if _is_atomic(ann):
+                return [f"{n}^", (_expr, ann, ())]
+            return [f"{n}^(", (_expr, ann, ()), ")"]
         case BoundVar(index=i):
-            if i >= len(binders):
-                return f"?{i}"
-            return binders[len(binders) - 1 - i]
+            return [_index(i, binders)]
         case SymbolApp(symbol=s, args=args):
             if not args:
-                return s
-            return f"{s}({', '.join(print_arg(a, binders) for a in args)})"
+                return [s]
+            return [f"{s}(", *_listed(_arg, args, binders), ")"]
         case MetaApp(meta=m, args=args):
-            head = m.name
             if not args:
-                return head
-            return f"{head}({', '.join(print_expr(t, binders) for t in args)})"
+                return [m.name]
+            return [f"{m.name}(", *_listed(_expr, args, binders), ")"]
         case Convert(term=t, assumptions=a):
-            return f"convert({print_expr(t, binders)}, {print_set(a, binders)})"
+            return ["convert(", (_expr, t, binders), ", ", print_set(a, binders), ")"]
     raise TypeError(f"cannot print {e!r}")
 
 
-_CUT = SymbolApp("...", ())
-
-
-def print_expr_cut(e, limit: int) -> str:
-    """``print_expr(e)`` cut to at most ``limit`` characters, ending in
-    "..." when cut.
-
-    Each level of nesting prints at least two characters before its
-    subterms (``f(``, ``a^``, ``{x} ``), so a subterm nested deeper than
-    ``limit // 2`` levels would start past the cut.  Such subterms are
-    replaced unvisited, so a term of any depth prints with bounded
-    recursion."""
-    text = print_expr(_pruned(e, limit // 2 + 1))
-    return text if len(text) <= limit else text[: limit - 3] + "..."
-
-
-def _pruned(e, levels: int):
-    match e:
-        case FreeVar(name=n, annotation=ann) if ann is not None:
-            # kept a variable: assumption sets sort theirs by name
-            return FreeVar(n, _pruned(ann, levels - 1))
-    if levels <= 0:
-        return _CUT
-    match e:
-        case SymbolApp(symbol=s, args=args):
-            return SymbolApp(s, tuple(_pruned_arg(a, levels - 1) for a in args))
-        case MetaApp(meta=m, args=args):
-            return MetaApp(m, tuple(_pruned(t, levels - 1) for t in args))
-        case Convert(term=t, assumptions=a):
-            return Convert(_pruned(t, levels - 1), _pruned_set(a, levels - 1))
-    return e
-
-
-def _pruned_arg(a, levels: int):
-    match a:
-        case Abstr(body=b):
-            return Abstr(_pruned_arg(b, levels - 1)) if levels > 0 else ExprArg(_CUT)
-        case ExprArg(expr=x):
-            return ExprArg(_pruned(x, levels))
-        case AsmArg(assumptions=s):
-            return AsmArg(_pruned_set(s, levels))
-    return a
-
-
-def _pruned_set(a: AssumptionSet, levels: int) -> AssumptionSet:
-    return AssumptionSet(
-        frozenset(_pruned(v, levels) for v in a.free_vars), a.bound_vars, a.metas
-    )
-
-
-def print_set(a: AssumptionSet, binders: tuple[str, ...] = ()) -> str:
-    parts = []
-    for i in sorted(a.bound_vars):
-        parts.append(print_expr(BoundVar(i), binders))
-    for v in sorted(a.free_vars, key=lambda v: (v.name, print_expr(v))):
-        parts.append(print_expr(v, ()))
-    for m in sorted(a.metas, key=lambda m: m.name):
-        parts.append(m.name)
-    return "{" + ", ".join(parts) + "}"
-
-
-def print_arg(a, binders: tuple[str, ...] = ()) -> str:
+def _arg(a, binders: tuple[str, ...]) -> list:
     names = []
     while isinstance(a, Abstr):
         names.append(binder_name(len(binders) + len(names)))
@@ -145,12 +82,70 @@ def print_arg(a, binders: tuple[str, ...] = ()) -> str:
     inner_binders = binders + tuple(names)
     match a:
         case ExprArg(expr=e):
-            return prefix + print_expr(e, inner_binders)
+            return [prefix, (_expr, e, inner_binders)]
         case DummyArg():
-            return prefix + "*"
+            return [prefix + "*"]
         case AsmArg(assumptions=s):
-            return prefix + print_set(s, inner_binders)
+            return [prefix + print_set(s, inner_binders)]
     raise TypeError(f"cannot print argument {a!r}")
+
+
+def _index(i: int, binders: tuple[str, ...]) -> str:
+    return f"?{i}" if i >= len(binders) else binders[len(binders) - 1 - i]
+
+
+def _listed(step, xs, binders: tuple[str, ...]) -> list:
+    """The steps printing each of ``xs``, separated by commas."""
+    out = []
+    for i, x in enumerate(xs):
+        if i:
+            out.append(", ")
+        out.append((step, x, binders))
+    return out
+
+
+def _pieces(step, x, binders: tuple[str, ...]):
+    """The text ``step`` prints for ``x``, piece by piece and in order.  A
+    step returns strings and the steps still to print; they wait on an
+    explicit stack, so term depth is not bounded by the recursion limit."""
+    stack = [(step, x, binders)]
+    while stack:
+        top = stack.pop()
+        if isinstance(top, str):
+            yield top
+        else:
+            step, x, binders = top
+            stack += reversed(step(x, binders))
+
+
+def print_expr(e, binders: tuple[str, ...] = ()) -> str:
+    return "".join(_pieces(_expr, e, binders))
+
+
+def print_expr_cut(e, limit: int) -> str:
+    """``print_expr(e)`` cut to at most ``limit`` characters, ending in
+    "..." when cut.  Printing stops once the text is longer than ``limit``,
+    so the work is bounded by ``limit``, not by the size of the term (an
+    assumption set is printed whole: its variables are sorted by their
+    text)."""
+    pieces, length = [], 0
+    for piece in _pieces(_expr, e, ()):
+        pieces.append(piece)
+        length += len(piece)
+        if length > limit:
+            return "".join(pieces)[: limit - 3] + "..."
+    return "".join(pieces)
+
+
+def print_set(a: AssumptionSet, binders: tuple[str, ...] = ()) -> str:
+    bound = [_index(i, binders) for i in sorted(a.bound_vars)]
+    free = [text for _, text in sorted((v.name, print_expr(v)) for v in a.free_vars)]
+    metas = sorted(m.name for m in a.metas)
+    return "{" + ", ".join(bound + free + metas) + "}"
+
+
+def print_arg(a, binders: tuple[str, ...] = ()) -> str:
+    return "".join(_pieces(_arg, a, binders))
 
 
 def print_thesis(t, binders: tuple[str, ...] = (), show_by: bool = True) -> str:

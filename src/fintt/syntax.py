@@ -22,6 +22,17 @@ so a node's hash is computed when it is made, and its occurrence sets and
 erasures at most once, from its children's; all are cached on the node.
 The caches are not dataclass fields: ``repr`` and pickling see the fields
 only.
+
+Each node kind's shape (its children, the binders each sits under, and its
+rebuild) is written once, in ``_SHAPES``.  One driver, ``_rewrite``, walks
+it for every syntactic action: shifting, substitution of bound indices,
+abstraction, substitution of atoms and both renamings here, and the action
+of instantiations and the cf annotation of metavariables elsewhere.  Each
+action gives only what it does at atoms, assumption sets and metavariable
+applications, and the occurrence caches let the driver skip every subterm
+the action cannot touch.  Like hashing, equality, occurrences and erasure,
+the driver keeps its own stack, so no action is bounded by the recursion
+limit: each works on terms of any depth.
 """
 
 from __future__ import annotations
@@ -31,6 +42,7 @@ from _weakref import _remove_dead_weakref
 from dataclasses import MISSING, dataclass, fields
 from enum import Enum
 from functools import partial
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Union
 
 from .errors import (
@@ -650,29 +662,60 @@ def _expect(cls_of: ClsOf, e: Expr, c: Cls) -> None:
 # Occurrences
 
 
-# The children of each node: every syntax node held in its fields, including
-# annotations and the atoms of assumption sets.
+def _no_children(x) -> tuple:
+    return ()
+
+
+def _same(x, kids):
+    return x
+
+
+# The i-th child of a node whose binder count is _AT_INDEX sits under i
+# binders (an abstraction prefix, then its body).
+_AT_INDEX = -1
+
+# Each node kind's shape, written once: ``(children, binders, rebuild)``.
+# ``children(x)`` are the nodes a rewrite descends into, in field order;
+# each sits under ``binders`` more binders than ``x``; ``rebuild(x, kids)``
+# is ``x`` with those children replaced.  Atoms and assumption sets are
+# leaves: what a rewrite does to them, annotations included, is its own
+# business (see ``_rewrite``).  The tables for occurrences and erasure below
+# override this one where they see other children.
+_SHAPES = {
+    FreeVar: (_no_children, 0, _same),
+    BoundVar: (_no_children, 0, _same),
+    MetaName: (_no_children, 0, _same),
+    SymbolApp: (attrgetter("args"), 0, lambda x, k: SymbolApp(x.symbol, k)),
+    MetaApp: (attrgetter("args"), 0, lambda x, k: MetaApp(x.meta, k)),
+    Convert: (attrgetter("term", "assumptions"), 0, lambda x, k: Convert(*k)),
+    AssumptionSet: (_no_children, 0, _same),
+    ExprArg: (lambda x: (x.expr,), 0, lambda x, k: ExprArg(*k)),
+    DummyArg: (_no_children, 0, _same),
+    AsmArg: (lambda x: (x.assumptions,), 0, lambda x, k: AsmArg(*k)),
+    Abstr: (lambda x: (x.body,), 1, lambda x, k: Abstr(*k)),
+    IsTy: (lambda x: (x.ty,), 0, lambda x, k: IsTy(*k)),
+    IsTm: (attrgetter("term", "ty"), 0, lambda x, k: IsTm(*k)),
+    EqTy: (attrgetter("lhs", "rhs", "by"), 0, lambda x, k: EqTy(*k)),
+    EqTm: (attrgetter("lhs", "rhs", "ty", "by"), 0, lambda x, k: EqTm(*k)),
+    IsTyB: (_no_children, 0, _same),
+    IsTmB: (lambda x: (x.ty,), 0, lambda x, k: IsTmB(*k)),
+    EqTyB: (attrgetter("lhs", "rhs"), 0, lambda x, k: EqTyB(*k)),
+    EqTmB: (attrgetter("lhs", "rhs", "ty"), 0, lambda x, k: EqTmB(*k)),
+    Abstracted: (
+        lambda x: (*x.prefix, x.body),
+        _AT_INDEX,
+        lambda x, k: Abstracted(k[:-1], k[-1]),
+    ),
+}
+
+# The children whose occurrences make up a node's: every syntax node held
+# in its fields, including annotations and the atoms of assumption sets.
 _CHILDREN = {
+    **{cls: children for cls, (children, _, _) in _SHAPES.items()},
     FreeVar: lambda x: () if x.annotation is None else (x.annotation,),
-    BoundVar: lambda x: (),
     MetaName: lambda x: () if x.annotation is None else (x.annotation,),
-    SymbolApp: lambda x: x.args,
     MetaApp: lambda x: (x.meta, *x.args),
-    Convert: lambda x: (x.term, x.assumptions),
     AssumptionSet: lambda x: (*x.free_vars, *x.metas),
-    ExprArg: lambda x: (x.expr,),
-    DummyArg: lambda x: (),
-    AsmArg: lambda x: (x.assumptions,),
-    Abstr: lambda x: (x.body,),
-    IsTy: lambda x: (x.ty,),
-    IsTm: lambda x: (x.term, x.ty),
-    EqTy: lambda x: (x.lhs, x.rhs, x.by),
-    EqTm: lambda x: (x.lhs, x.rhs, x.ty, x.by),
-    IsTyB: lambda x: (),
-    IsTmB: lambda x: (x.ty,),
-    EqTyB: lambda x: (x.lhs, x.rhs),
-    EqTmB: lambda x: (x.lhs, x.rhs, x.ty),
-    Abstracted: lambda x: (*x.prefix, x.body),
 }
 
 # A node's occurrence summary is the tuple (fv0, fv, bv, mv, mv_shallow) of
@@ -681,6 +724,7 @@ _CHILDREN = {
 # atom and everything its boundary annotation mentions.
 _E: frozenset = frozenset()
 _NO_OCCURRENCES = (_E, _E, _E, _E, _E)
+_FV0, _FV, _BV, _MV, _MV_SHALLOW = range(5)
 
 
 def _union(sets) -> frozenset:
@@ -848,67 +892,60 @@ def fresh_name(base: str, avoid: frozenset[str]) -> str:
 # Shifting, substitution, abstraction
 
 
-def _map_bound(x, depth: int, on_index, on_set):
-    """Structure-preserving traversal rebuilding ``x``; bound indices at
-    distance >= 0 from the root are rewritten by ``on_index(i, depth)`` and
-    assumption sets by ``on_set(aset, depth)``."""
+def _rewrite(x, leaves: dict, slot: Optional[int] = None, hit=None):
+    """``x`` rebuilt bottom-up by one transform, on its own stack, so term
+    depth is not bounded by the recursion limit.
 
-    def walk(x, depth: int):
-        match x:
-            case FreeVar(name=n, annotation=ann):
-                if ann is None:
-                    return x
-                # Annotations are closed under binders: they never contain
-                # exposed bound variables, so depth resets to 0.
-                new_ann = walk(ann, 0)
-                return x if new_ann is ann else FreeVar(n, new_ann)
-            case BoundVar(index=i):
-                return on_index(i, depth)
-            case SymbolApp(symbol=s, args=args):
-                return SymbolApp(s, tuple(walk(a, depth) for a in args))
-            case MetaApp(meta=m, args=args):
-                return MetaApp(walk_meta(m), tuple(walk(t, depth) for t in args))
-            case Convert(term=t, assumptions=a):
-                return Convert(walk(t, depth), walk(a, depth))
-            case AssumptionSet():
-                return on_set(x, depth, walk)
-            case ExprArg(expr=e):
-                return ExprArg(walk(e, depth))
-            case DummyArg():
-                return x
-            case AsmArg(assumptions=a):
-                return AsmArg(walk(a, depth))
-            case Abstr(body=b):
-                return Abstr(walk(b, depth + 1))
-            case IsTy(ty=a):
-                return IsTy(walk(a, depth))
-            case IsTm(term=t, ty=a):
-                return IsTm(walk(t, depth), walk(a, depth))
-            case EqTy(lhs=a, rhs=b, by=by):
-                return EqTy(walk(a, depth), walk(b, depth), walk(by, depth))
-            case EqTm(lhs=s, rhs=t, ty=a, by=by):
-                return EqTm(walk(s, depth), walk(t, depth), walk(a, depth), walk(by, depth))
-            case IsTyB():
-                return x
-            case IsTmB(ty=a):
-                return IsTmB(walk(a, depth))
-            case EqTyB(lhs=a, rhs=b):
-                return EqTyB(walk(a, depth), walk(b, depth))
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                return EqTmB(walk(s, depth), walk(t, depth), walk(a, depth))
-            case Abstracted(prefix=pfx, body=body):
-                new_pfx = tuple(walk(ty, depth + i) for i, ty in enumerate(pfx))
-                return Abstracted(new_pfx, walk(body, depth + len(pfx)))
-            case _:
-                raise TypeError(f"cannot traverse {x!r}")
+    ``leaves`` maps BoundVar, FreeVar and AssumptionSet to ``f(y, d)``, and
+    MetaApp to ``f(y, args, d)``, where ``d`` is the number of binders
+    between the root and ``y`` and ``args`` are the rewritten arguments of
+    ``y``; every other node is rebuilt by its shape around its rewritten
+    children.  A leaf's annotations are not visited: a transform that
+    rewrites them calls ``_rewrite`` on them, from depth 0.
 
-    def walk_meta(m: MetaName) -> MetaName:
-        if m.annotation is None:
-            return m
-        new_ann = walk(m.annotation, 0)
-        return m if new_ann is m.annotation else MetaName(m.name, new_ann)
+    A subterm is returned as it is, unvisited, when its occurrence set
+    ``slot`` (an index into the summary ``(fv0, fv, bv, mv, mv_shallow)``)
+    is empty, or when ``hit(summary, d)`` is false: the transform cannot
+    touch it."""
+    if x is None or type(x) not in _SHAPES:
+        raise TypeError(f"cannot rewrite {x!r}")
+    prune = slot is not None or hit is not None
+    # A frame is a node being rebuilt: (node, its depth, its children still
+    # to visit, their binder count, the results of those visited, its
+    # rebuild, its MetaApp callback or None).  The bottom frame holds the
+    # root as its one child.
+    frames = [(None, 0, iter((x,)), 0, [], None, None)]
+    while True:
+        y, d, todo, binders, done, rebuild, post = frames[-1]
+        for c in todo:
+            cd = d + binders if binders >= 0 else d + len(done)
+            if prune:
+                o = c._occ
+                if o is None:
+                    o = _occurrences(c)
+                if (slot is not None and not o[slot]) or (hit is not None and not hit(o, cd)):
+                    done.append(c)
+                    continue
+            cls = type(c)
+            f = leaves.get(cls)
+            children, cbinders, crebuild = _SHAPES[cls]
+            kids = children(c)
+            if kids or cls is MetaApp:
+                frames.append((c, cd, iter(kids), cbinders, [], crebuild, f))
+                break
+            done.append(crebuild(c, ()) if f is None else f(c, cd))
+        else:
+            frames.pop()
+            if y is None:
+                return done[0]
+            new = tuple(done)
+            frames[-1][4].append(rebuild(y, new) if post is None else post(y, new, d))
 
-    return walk(x, depth)
+
+def _escaping_from(cutoff: int):
+    """The ``hit`` of a rewrite that touches only bound indices at distance
+    ``cutoff`` or more from its root."""
+    return lambda o, d: max(o[_BV]) >= cutoff + d
 
 
 def shift(x, amount: int, cutoff: int = 0):
@@ -916,17 +953,50 @@ def shift(x, amount: int, cutoff: int = 0):
     if amount == 0:
         return x
 
-    def on_index(i: int, depth: int):
-        if i - depth >= cutoff:
-            return BoundVar(i + amount)
-        return BoundVar(i)
+    def index(y: BoundVar, d: int):
+        return BoundVar(y.index + amount) if y.index - d >= cutoff else y
 
-    def on_set(aset: AssumptionSet, depth: int, walk):
-        new_fv = frozenset(walk(v, 0) for v in aset.free_vars)
-        new_bv = frozenset(i + amount if i - depth >= cutoff else i for i in aset.bound_vars)
-        return AssumptionSet(new_fv, new_bv, aset.metas)
+    def aset(y: AssumptionSet, d: int):
+        bvs = frozenset(i + amount if i - d >= cutoff else i for i in y.bound_vars)
+        return AssumptionSet(y.free_vars, bvs, y.metas)
 
-    return _map_bound(x, 0, on_index, on_set)
+    leaves = {BoundVar: index, AssumptionSet: aset}
+    return _rewrite(x, leaves, _BV, _escaping_from(cutoff))
+
+
+def _substitute_slots(x, terms: tuple, k: int):
+    """Substitutes ``terms = (t_1, ..., t_n)`` for the binder slots at
+    distance ``k .. k+n-1`` from the root of ``x`` (t_1 for the outermost,
+    at ``k+n-1``), removing those slots: indices above them shift down by
+    ``n``.  Inside assumption sets a substituted index is replaced by the
+    assumption set of its term, per the context-free substitution
+    equations."""
+    n = len(terms)
+
+    def index(y: BoundVar, d: int):
+        j = y.index - d - k
+        if j < 0:
+            return y
+        if j < n:
+            return shift(terms[n - 1 - j], d)
+        return BoundVar(y.index - n)
+
+    def aset(y: AssumptionSet, d: int):
+        bvs = set()
+        hits = []
+        for i in y.bound_vars:
+            j = i - d - k
+            if j < 0:
+                bvs.add(i)
+            elif j < n:
+                hits.append(asm(shift(terms[n - 1 - j], d)))
+            else:
+                bvs.add(i - n)
+        out = AssumptionSet(y.free_vars, frozenset(bvs), y.metas)
+        return out.union(*hits) if hits else out
+
+    leaves = {BoundVar: index, AssumptionSet: aset}
+    return _rewrite(x, leaves, _BV, _escaping_from(k))
 
 
 def subst_bound(x, s: Expr, k: int = 0):
@@ -936,66 +1006,14 @@ def subst_bound(x, s: Expr, k: int = 0):
     Inside assumption sets the substituted index is replaced by ``asm(s)``,
     per the context-free substitution equations.
     """
-
-    def on_index(i: int, depth: int):
-        if i == k + depth:
-            return shift(s, depth)
-        if i > k + depth:
-            return BoundVar(i - 1)
-        return BoundVar(i)
-
-    def on_set(aset: AssumptionSet, depth: int, walk):
-        new_fv = frozenset(walk(v, 0) for v in aset.free_vars)
-        bvs = set()
-        hit = False
-        for i in aset.bound_vars:
-            if i == k + depth:
-                hit = True
-            elif i > k + depth:
-                bvs.add(i - 1)
-            else:
-                bvs.add(i)
-        out = AssumptionSet(new_fv, frozenset(bvs), aset.metas)
-        if hit:
-            out = out.union(asm(shift(s, depth)))
-        return out
-
-    return _map_bound(x, 0, on_index, on_set)
+    return _substitute_slots(x, (s,), k)
 
 
 def subst_bound_many(x, terms: Iterable[Expr]):
     """Simultaneously substitutes ``terms = (t_1, ..., t_k)`` for the ``k``
     outermost binder slots of ``x`` (t_1 for the outermost), in one pass."""
     ts = tuple(terms)
-    k = len(ts)
-    if k == 0:
-        return x
-
-    def on_index(i: int, depth: int):
-        if depth <= i < depth + k:
-            # distance i-depth = 0 is the innermost of the k slots = t_k
-            return shift(ts[k - 1 - (i - depth)], depth)
-        if i >= depth + k:
-            return BoundVar(i - k)
-        return BoundVar(i)
-
-    def on_set(aset: AssumptionSet, depth: int, walk):
-        new_fv = frozenset(walk(v, 0) for v in aset.free_vars)
-        bvs = set()
-        extra = []
-        for i in aset.bound_vars:
-            if depth <= i < depth + k:
-                extra.append(asm(shift(ts[k - 1 - (i - depth)], depth)))
-            elif i >= depth + k:
-                bvs.add(i - k)
-            else:
-                bvs.add(i)
-        out = AssumptionSet(new_fv, frozenset(bvs), aset.metas)
-        if extra:
-            out = out.union(*extra)
-        return out
-
-    return _map_bound(x, 0, on_index, on_set)
+    return _substitute_slots(x, ts, 0) if ts else x
 
 
 def close_var(x, v: FreeVar, k: int = 0):
@@ -1006,71 +1024,37 @@ def close_var(x, v: FreeVar, k: int = 0):
     annotation, where bound variables cannot appear.
     """
 
-    def walk(x, depth: int):
-        match x:
-            case FreeVar(name=n, annotation=ann):
-                if x == v:
-                    return BoundVar(k + depth)
-                if ann is not None and v in fv(ann):
-                    raise VarInAnnotation(f"{v.name} occurs in the annotation of {n}")
-                return x
-            case BoundVar():
-                return x
-            case SymbolApp(symbol=s, args=args):
-                return SymbolApp(s, tuple(walk(a, depth) for a in args))
-            case MetaApp(meta=m, args=args):
-                if m.annotation is not None and v in fv(m.annotation):
-                    raise VarInAnnotation(f"{v.name} occurs in the annotation of {m.name}")
-                return MetaApp(m, tuple(walk(t, depth) for t in args))
-            case Convert(term=t, assumptions=a):
-                return Convert(walk(t, depth), walk(a, depth))
-            case AssumptionSet(free_vars=fvs, bound_vars=bvs, metas=ms):
-                for u in fvs:
-                    if u != v and u.annotation is not None and v in fv(u.annotation):
-                        raise VarInAnnotation(
-                            f"{v.name} occurs in the annotation of {u.name}"
-                        )
-                for m in ms:
-                    if m.annotation is not None and v in fv(m.annotation):
-                        raise VarInAnnotation(
-                            f"{v.name} occurs in the annotation of {m.name}"
-                        )
-                if v in fvs:
-                    return AssumptionSet(
-                        fvs - {v}, bvs | {k + depth}, ms
-                    )
-                return x
-            case ExprArg(expr=e):
-                return ExprArg(walk(e, depth))
-            case DummyArg():
-                return x
-            case AsmArg(assumptions=a):
-                return AsmArg(walk(a, depth))
-            case Abstr(body=b):
-                return Abstr(walk(b, depth + 1))
-            case IsTy(ty=a):
-                return IsTy(walk(a, depth))
-            case IsTm(term=t, ty=a):
-                return IsTm(walk(t, depth), walk(a, depth))
-            case EqTy(lhs=a, rhs=b, by=by):
-                return EqTy(walk(a, depth), walk(b, depth), walk(by, depth))
-            case EqTm(lhs=s, rhs=t, ty=a, by=by):
-                return EqTm(walk(s, depth), walk(t, depth), walk(a, depth), walk(by, depth))
-            case IsTyB():
-                return x
-            case IsTmB(ty=a):
-                return IsTmB(walk(a, depth))
-            case EqTyB(lhs=a, rhs=b):
-                return EqTyB(walk(a, depth), walk(b, depth))
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                return EqTmB(walk(s, depth), walk(t, depth), walk(a, depth))
-            case Abstracted(prefix=pfx, body=body):
-                new_pfx = tuple(walk(ty, depth + i) for i, ty in enumerate(pfx))
-                return Abstracted(new_pfx, walk(body, depth + len(pfx)))
-            case _:
-                raise TypeError(f"cannot traverse {x!r}")
+    def check(atom) -> None:
+        if atom.annotation is not None and v in fv(atom.annotation):
+            raise VarInAnnotation(f"{v.name} occurs in the annotation of {atom.name}")
 
-    return walk(x, 0)
+    def var(y: FreeVar, d: int):
+        if y is v:
+            return BoundVar(k + d)
+        check(y)
+        return y
+
+    def meta(y: MetaApp, args: tuple, d: int):
+        check(y.meta)
+        return MetaApp(y.meta, args)
+
+    def aset(y: AssumptionSet, d: int):
+        for u in y.free_vars:
+            if u is not v:
+                check(u)
+        for m in y.metas:
+            check(m)
+        if v in y.free_vars:
+            return AssumptionSet(y.free_vars - {v}, y.bound_vars | {k + d}, y.metas)
+        return y
+
+    def hit(o, d) -> bool:
+        # fv does not see into metavariable boundaries, which are checked too.
+        return v in o[_FV] or any(
+            m.annotation is not None and v in fv(m.annotation) for m in o[_MV_SHALLOW]
+        )
+
+    return _rewrite(x, {FreeVar: var, MetaApp: meta, AssumptionSet: aset}, None, hit)
 
 
 def abstract_var(x, v: FreeVar) -> Argument:
@@ -1098,117 +1082,65 @@ def subst_free(x, v: FreeVar, s: Expr):
     """Replaces the atom ``v`` by ``s``, treating atoms as opaque units (the
     tt notion used by admissible substitution; annotations not descended)."""
 
-    def on_index(i, depth):
-        return BoundVar(i)
+    def var(y: FreeVar, d: int):
+        return shift(s, d) if y is v else y
 
-    def on_set(aset: AssumptionSet, depth: int, walk):
-        if v in aset.free_vars:
-            return AssumptionSet(
-                aset.free_vars - {v}, aset.bound_vars, aset.metas
-            ).union(asm(shift(s, depth)))
-        return aset
+    def aset(y: AssumptionSet, d: int):
+        if v in y.free_vars:
+            rest = AssumptionSet(y.free_vars - {v}, y.bound_vars, y.metas)
+            return rest.union(asm(shift(s, d)))
+        return y
 
-    def walk(x, depth: int):
-        match x:
-            case FreeVar():
-                return shift(s, depth) if x == v else x
-            case _:
-                return _map_bound_shallow(x, depth, walk, on_set)
-
-    return walk(x, 0)
-
-
-def _map_bound_shallow(x, depth, walk, on_set):
-    """Helper for atom-level rewrites: like _map_bound but leaves FreeVar and
-    MetaName annotations untouched and delegates leaves back to ``walk``."""
-    match x:
-        case BoundVar() | DummyArg() | IsTyB():
-            return x
-        case SymbolApp(symbol=s, args=args):
-            return SymbolApp(s, tuple(walk(a, depth) for a in args))
-        case MetaApp(meta=m, args=args):
-            return MetaApp(m, tuple(walk(t, depth) for t in args))
-        case Convert(term=t, assumptions=a):
-            return Convert(walk(t, depth), walk(a, depth))
-        case AssumptionSet():
-            return on_set(x, depth, walk)
-        case ExprArg(expr=e):
-            return ExprArg(walk(e, depth))
-        case AsmArg(assumptions=a):
-            return AsmArg(walk(a, depth))
-        case Abstr(body=b):
-            return Abstr(walk(b, depth + 1))
-        case IsTy(ty=a):
-            return IsTy(walk(a, depth))
-        case IsTm(term=t, ty=a):
-            return IsTm(walk(t, depth), walk(a, depth))
-        case EqTy(lhs=a, rhs=b, by=by):
-            return EqTy(walk(a, depth), walk(b, depth), walk(by, depth))
-        case EqTm(lhs=s2, rhs=t, ty=a, by=by):
-            return EqTm(walk(s2, depth), walk(t, depth), walk(a, depth), walk(by, depth))
-        case IsTmB(ty=a):
-            return IsTmB(walk(a, depth))
-        case EqTyB(lhs=a, rhs=b):
-            return EqTyB(walk(a, depth), walk(b, depth))
-        case EqTmB(lhs=s2, rhs=t, ty=a):
-            return EqTmB(walk(s2, depth), walk(t, depth), walk(a, depth))
-        case Abstracted(prefix=pfx, body=body):
-            new_pfx = tuple(walk(ty, depth + i) for i, ty in enumerate(pfx))
-            return Abstracted(new_pfx, walk(body, depth + len(pfx)))
-        case _:
-            raise TypeError(f"cannot traverse {x!r}")
+    leaves = {FreeVar: var, AssumptionSet: aset}
+    return _rewrite(x, leaves, _FV0, lambda o, d: v in o[_FV0])
 
 
 def rename_atoms(x, var_map: dict[FreeVar, FreeVar], meta_map: dict[MetaName, MetaName]):
     """Injectively renames atoms as opaque units (tt renaming)."""
 
-    def on_set(aset: AssumptionSet, depth: int, walk):
+    def var(y: FreeVar, d: int):
+        return var_map.get(y, y)
+
+    def meta(y: MetaApp, args: tuple, d: int):
+        return MetaApp(meta_map.get(y.meta, y.meta), args)
+
+    def aset(y: AssumptionSet, d: int):
         return AssumptionSet(
-            frozenset(var_map.get(v, v) for v in aset.free_vars),
-            aset.bound_vars,
-            frozenset(meta_map.get(m, m) for m in aset.metas),
+            frozenset(var_map.get(u, u) for u in y.free_vars),
+            y.bound_vars,
+            frozenset(meta_map.get(m, m) for m in y.metas),
         )
 
-    def walk(x, depth: int):
-        match x:
-            case FreeVar():
-                return var_map.get(x, x)
-            case MetaApp(meta=m, args=args):
-                return MetaApp(meta_map.get(m, m), tuple(walk(t, depth) for t in args))
-            case _:
-                return _map_bound_shallow(x, depth, walk, on_set)
+    def hit(o, d) -> bool:
+        return not (var_map.keys().isdisjoint(o[_FV0]) and meta_map.keys().isdisjoint(o[_MV_SHALLOW]))
 
-    return walk(x, 0)
+    return _rewrite(x, {FreeVar: var, MetaApp: meta, AssumptionSet: aset}, None, hit)
 
 
 def rename_names(x, name_map: dict[str, str]):
     """Renames atoms by bare name, descending into annotations (cf renaming)."""
 
-    def ren_var(v: FreeVar) -> FreeVar:
-        ann = None if v.annotation is None else walk(v.annotation, 0)
-        return FreeVar(name_map.get(v.name, v.name), ann)
+    def annotation(a):
+        return None if a is None else _rewrite(a, leaves)
+
+    def ren_var(u: FreeVar, d: int = 0) -> FreeVar:
+        return FreeVar(name_map.get(u.name, u.name), annotation(u.annotation))
 
     def ren_meta(m: MetaName) -> MetaName:
-        ann = None if m.annotation is None else walk(m.annotation, 0)
-        return MetaName(name_map.get(m.name, m.name), ann)
+        return MetaName(name_map.get(m.name, m.name), annotation(m.annotation))
 
-    def on_set(aset: AssumptionSet, depth: int, walk_):
+    def meta(y: MetaApp, args: tuple, d: int):
+        return MetaApp(ren_meta(y.meta), args)
+
+    def aset(y: AssumptionSet, d: int):
         return AssumptionSet(
-            frozenset(ren_var(v) for v in aset.free_vars),
-            aset.bound_vars,
-            frozenset(ren_meta(m) for m in aset.metas),
+            frozenset(map(ren_var, y.free_vars)),
+            y.bound_vars,
+            frozenset(map(ren_meta, y.metas)),
         )
 
-    def walk(x, depth: int):
-        match x:
-            case FreeVar():
-                return ren_var(x)
-            case MetaApp(meta=m, args=args):
-                return MetaApp(ren_meta(m), tuple(walk(t, depth) for t in args))
-            case _:
-                return _map_bound_shallow(x, depth, walk, on_set)
-
-    return walk(x, 0)
+    leaves = {FreeVar: ren_var, MetaApp: meta, AssumptionSet: aset}
+    return _rewrite(x, leaves)
 
 
 # ---------------------------------------------------------------------------
@@ -1219,37 +1151,22 @@ def rename_names(x, name_map: dict[str, str]):
 # atom is an atomic name, and double erasure drops the annotation whole.
 # Not assumption sets either, which erase to the dummy value.
 _ERASED_CHILDREN = {
-    **_CHILDREN,
-    FreeVar: lambda x: (),
-    MetaApp: lambda x: x.args,
+    **{cls: children for cls, (children, _, _) in _SHAPES.items()},
     Convert: lambda x: (x.term,),
-    AssumptionSet: lambda x: (),
-    AsmArg: lambda x: (),
-    EqTy: lambda x: (x.lhs, x.rhs),
-    EqTm: lambda x: (x.lhs, x.rhs, x.ty),
+    AsmArg: _no_children,
+    EqTy: attrgetter("lhs", "rhs"),
+    EqTm: attrgetter("lhs", "rhs", "ty"),
 }
 
-# Each node kind rebuilt around its children's erasures ``es``.
+# Each node kind rebuilt around its children's erasures ``es``.  A
+# metavariable atom is erased only as the head of its application.
 _ERASE_NODE = {
-    FreeVar: lambda x, es: x,
-    BoundVar: lambda x, es: x,
-    SymbolApp: lambda x, es: SymbolApp(x.symbol, es),
-    MetaApp: lambda x, es: MetaApp(x.meta, es),
+    **{cls: rebuild for cls, (_, _, rebuild) in _SHAPES.items() if cls is not MetaName},
     Convert: lambda x, es: es[0],
     AssumptionSet: lambda x, es: DUMMY,
-    ExprArg: lambda x, es: ExprArg(*es),
-    DummyArg: lambda x, es: x,
     AsmArg: lambda x, es: DUMMY,
-    Abstr: lambda x, es: Abstr(*es),
-    IsTy: lambda x, es: IsTy(*es),
-    IsTm: lambda x, es: IsTm(*es),
     EqTy: lambda x, es: EqTy(*es, DUMMY),
     EqTm: lambda x, es: EqTm(*es, DUMMY),
-    IsTyB: lambda x, es: x,
-    IsTmB: lambda x, es: IsTmB(*es),
-    EqTyB: lambda x, es: EqTyB(*es),
-    EqTmB: lambda x, es: EqTmB(*es),
-    Abstracted: lambda x, es: Abstracted(es[:-1], es[-1]),
 }
 
 _DOUBLE_ERASE_NODE = {

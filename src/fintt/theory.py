@@ -23,6 +23,7 @@ from .errors import (
 from .instantiation import Instantiation, act
 from .judgements import fill, fill_equation, plain, unfill
 from .syntax import (
+    _MV,
     Abstr,
     Abstracted,
     AbstractedBoundary,
@@ -32,20 +33,16 @@ from .syntax import (
     AssumptionSet,
     BoundVar,
     BoundaryThesis,
-    Convert,
     DUMMY,
     DummyArg,
     EqTm,
-    EqTmB,
     EqTy,
-    EqTyB,
     Expr,
     ExprArg,
     FreeVar,
     IsTm,
     IsTmB,
     IsTy,
-    IsTyB,
     MetaApp,
     MetaArity,
     MetaName,
@@ -53,6 +50,7 @@ from .syntax import (
     SymbolApp,
     SymbolArity,
     Thesis,
+    _rewrite,
     arity_check,
     asm,
     boundary_arity,
@@ -490,54 +488,27 @@ def check_finitary(theory: Theory) -> None:
 
 def _annotate(x, mapping: dict[str, MetaName]):
     """Rewrites bare metavariable heads to their annotated cf counterparts."""
-    def walk(x):
-        match x:
-            case MetaApp(meta=m, args=args):
-                new_m = mapping.get(m.name, m) if m.annotation is None else m
-                return MetaApp(new_m, tuple(walk(t) for t in args))
-            case FreeVar(name=n, annotation=ann):
-                return x if ann is None else FreeVar(n, walk(ann))
-            case BoundVar() | DummyArg() | IsTyB() | None:
-                return x
-            case SymbolApp(symbol=s, args=args):
-                return SymbolApp(s, tuple(walk(a) for a in args))
-            case Convert(term=t, assumptions=a):
-                return Convert(walk(t), walk(a))
-            case AssumptionSet(free_vars=fvs, bound_vars=bvs, metas=ms):
-                return AssumptionSet(
-                    frozenset(walk(v) for v in fvs),
-                    bvs,
-                    frozenset(
-                        mapping.get(m.name, m) if m.annotation is None else m for m in ms
-                    ),
-                )
-            case ExprArg(expr=e):
-                return ExprArg(walk(e))
-            case AsmArg(assumptions=a):
-                return AsmArg(walk(a))
-            case Abstr(body=b):
-                return Abstr(walk(b))
-            case IsTy(ty=a):
-                return IsTy(walk(a))
-            case IsTm(term=t, ty=a):
-                return IsTm(walk(t), walk(a))
-            case EqTy(lhs=a, rhs=b, by=by):
-                return EqTy(walk(a), walk(b), walk(by) if not isinstance(by, DummyArg) else by)
-            case EqTm(lhs=s, rhs=t, ty=a, by=by):
-                return EqTm(
-                    walk(s), walk(t), walk(a), walk(by) if not isinstance(by, DummyArg) else by
-                )
-            case IsTmB(ty=a):
-                return IsTmB(walk(a))
-            case EqTyB(lhs=a, rhs=b):
-                return EqTyB(walk(a), walk(b))
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                return EqTmB(walk(s), walk(t), walk(a))
-            case Abstracted(prefix=pfx, body=body):
-                return Abstracted(tuple(walk(t) for t in pfx), walk(body))
-            case _:
-                raise TypeError(f"cannot annotate {x!r}")
+    if not mv(x):
+        return x
 
+    def bare(m: MetaName) -> MetaName:
+        return mapping.get(m.name, m) if m.annotation is None else m
+
+    def walk(y):
+        return _rewrite(y, leaves, _MV)
+
+    def var(y: FreeVar, d: int):
+        return FreeVar(y.name, walk(y.annotation))
+
+    def meta(y: MetaApp, args: tuple, d: int):
+        return MetaApp(bare(y.meta), args)
+
+    def aset(y: AssumptionSet, d: int):
+        return AssumptionSet(
+            frozenset(map(walk, y.free_vars)), y.bound_vars, frozenset(map(bare, y.metas))
+        )
+
+    leaves = {FreeVar: var, MetaApp: meta, AssumptionSet: aset}
     return walk(x)
 
 

@@ -128,3 +128,6 @@ def test_erase_commutes_with_act(seed):
         a_m = FreeVar("c", SymbolApp("Id", (ExprArg(BOOL), ExprArg(MetaApp(m, ())), ExprArg(MetaApp(m, ())))))
         x = plain(EqTy(BOOL, BOOL, asm(a_m)))
         assert erase(act(i, x)) == act(erase_instantiation(i), erase(x))
+        generic = Instantiation([(m, generic_application(m, MetaArity(Cls.TM, 0), "cf"))])
+        for y in (x, a_m, plain(IsTm(Convert(arg.expr, asm(a_m)), MetaApp(m, ())))):
+            assert act(generic, y) is y

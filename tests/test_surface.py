@@ -160,6 +160,17 @@ def test_cli_derive_both_engines(capsys):
         assert "Pi(bool, {x} bool)" in out
 
 
+def test_cli_derive_prints_a_deep_conclusion_on_both_engines(tmp_path, capsys):
+    steps = ["let tn = rule(nat);", "var n : tn;", "let s0 = rule(succ, n);"]
+    steps += [f"let s{i} = rule(succ, s{i - 1});" for i in range(1, 1500)]
+    script = tmp_path / "S.fttd"
+    script.write_text("\n".join(steps + ["return s1499;"]) + "\n")
+    for engine in ("cf", "tt"):
+        rc = cli.main(["derive", str(CORPUS / "mltt.ftt"), str(script), "--engine", engine])
+        assert rc == 0
+        assert "succ(" * 1500 in capsys.readouterr().out
+
+
 def test_cli_translate_both_ways(capsys):
     rc = cli.main(
         ["translate", str(CORPUS / "mltt.ftt"), str(CORPUS / "reflect.fttd"), "--to", "tt"]

@@ -16,6 +16,7 @@ from fintt import syntax
 from fintt.errors import ArityMismatch, UnboundIndex, VarInAnnotation
 from fintt.instantiation import Instantiation, act
 from fintt.judgements import plain
+from fintt.printer import print_expr
 from fintt.syntax import (
     Abstr,
     Abstracted,
@@ -30,6 +31,7 @@ from fintt.syntax import (
     ExprArg,
     FreeVar,
     IsTm,
+    IsTmB,
     IsTy,
     IsTyB,
     MetaApp,
@@ -39,6 +41,7 @@ from fintt.syntax import (
     abstract_var,
     arity_check,
     asm,
+    atoms_in_use,
     bv,
     close_var,
     double_erase,
@@ -48,10 +51,16 @@ from fintt.syntax import (
     fv0,
     fvt,
     mv,
+    mv_shallow,
+    rename_atoms,
+    rename_names,
     shift,
     subst_bound,
+    subst_bound_many,
+    subst_free,
     substitute,
 )
+from fintt.theory import _annotate
 
 from .gen import ExprGen, corpus_signature
 
@@ -219,10 +228,52 @@ def succ_n(n, t):
     return t
 
 
+def same(got, want):
+    assert got is want
+
+
+def equal(got, want):
+    assert got == want
+
+
+X, Y = FreeVar("x", NAT), FreeVar("y", NAT)
+M = MetaName("M", plain(IsTmB(NAT)))
+# Each rewrite below is checked on a 2,000-deep input; ``t`` is succ^2000(x).
+DEEP_REWRITES = {
+    "shift": lambda t: same(shift(succ_n(2000, BoundVar(0)), 1), succ_n(2000, BoundVar(1))),
+    "subst_bound": lambda t: same(subst_bound(succ_n(2000, BoundVar(0)), Y), succ_n(2000, Y)),
+    "subst_bound_many": lambda t: same(
+        subst_bound_many(succ_n(2000, BoundVar(1)), (Y, X)), succ_n(2000, Y)
+    ),
+    "close_var": lambda t: same(close_var(t, X), succ_n(2000, BoundVar(0))),
+    "subst_free": lambda t: same(subst_free(t, X, Y), succ_n(2000, Y)),
+    "rename_atoms": lambda t: same(rename_atoms(t, {X: Y}, {}), succ_n(2000, Y)),
+    "rename_names": lambda t: same(rename_names(t, {"x": "y"}), succ_n(2000, Y)),
+    "act": lambda t: same(
+        act(Instantiation([(M, ExprArg(t))]), succ_n(2000, MetaApp(M, ()))), succ_n(4000, X)
+    ),
+    "annotate": lambda t: same(
+        _annotate(succ_n(2000, MetaApp(MetaName("M"), ())), {"M": M}),
+        succ_n(2000, MetaApp(M, ())),
+    ),
+    "print_expr": lambda t: equal(print_expr(t), "succ(" * 2000 + "x^nat" + ")" * 2000),
+}
+
+
 @pytest.mark.parametrize(
     "walk",
-    [hash, fv, bv, mv, asm, erase, double_erase, lambda t: t == succ_n(2000, FreeVar("x", NAT))],
-    ids=["hash", "fv", "bv", "mv", "asm", "erase", "double_erase", "eq"],
+    [
+        hash,
+        fv,
+        bv,
+        mv,
+        asm,
+        erase,
+        double_erase,
+        lambda t: t == succ_n(2000, FreeVar("x", NAT)),
+        *DEEP_REWRITES.values(),
+    ],
+    ids=["hash", "fv", "bv", "mv", "asm", "erase", "double_erase", "eq", *DEEP_REWRITES],
 )
 def test_walks_on_deep_terms_stay_off_the_call_stack(walk):
     x = FreeVar("x", NAT)
@@ -267,6 +318,10 @@ NODE_CLASSES = {c for c in vars(syntax).values() if isinstance(c, type) and hasa
 
 def interned() -> int:
     return sum(len(c._interned) for c in NODE_CLASSES)
+
+
+def test_the_shape_table_names_every_node_class():
+    assert set(syntax._SHAPES) == NODE_CLASSES
 
 
 def test_every_construction_path_returns_the_interned_node():
@@ -383,6 +438,9 @@ def test_abstract_var_rejects_annotation_occurrence():
     b_at_a = FreeVar("b", SymbolApp("Id", (ExprArg(BOOL), ExprArg(a_bool), ExprArg(a_bool))))
     with pytest.raises(VarInAnnotation):
         abstract_var(b_at_a, a_bool)
+    m_at_a = MetaName("M", plain(IsTmB(b_at_a.annotation)))
+    with pytest.raises(VarInAnnotation):
+        abstract_var(succ(MetaApp(m_at_a, ())), a_bool)
 
 
 def test_substitute_identity():
@@ -406,7 +464,22 @@ def test_abstract_substitute_round_trip(seed):
     rng = random.Random(seed)
     g = ExprGen(rng, cf=True)
     fresh = FreeVar("zz", BOOL)
+    bare = MetaName("M")
+    annotated = MetaName("M", plain(IsTyB()))
     for _ in range(20):
+        y = with_meta(g.abstracted(3), bare)
+        for a, c in ((1, 0), (2, 1), (3, 2)):
+            assert shift(shift(y, a, c), -a, c) is y
+        var_map = {v: FreeVar(f"{v.name}#r", v.annotation) for v in fv0(y)}
+        meta_map = {m: MetaName(f"{m.name}#r", m.annotation) for m in mv_shallow(y)}
+        renamed = rename_atoms(y, var_map, meta_map)
+        assert renamed is not y
+        assert rename_atoms(renamed, _inverse(var_map), _inverse(meta_map)) is y
+        name_map = {n: f"{n}#r" for n in atoms_in_use(y)}
+        assert rename_names(rename_names(y, name_map), _inverse(name_map)) is y
+        once = _annotate(y, {"M": annotated})
+        assert bare not in mv(once)
+        assert _annotate(once, {"M": annotated}) is once
         e = g.tm(3)
         if fresh in fv(e):
             continue
@@ -418,6 +491,10 @@ def test_abstract_substitute_round_trip(seed):
         if fresh in fvt(opened):
             continue
         assert abstract_var(opened.expr, fresh) == arg
+
+
+def _inverse(renaming: dict) -> dict:
+    return {new: old for old, new in renaming.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -548,3 +625,7 @@ def test_hyp_abstract_substitute_inverse(e):
     if fresh in fv(e):
         return
     assert substitute(abstract_var(e, fresh), fresh) == ExprArg(e)
+    name_map = {n: f"{n}#r" for n in atoms_in_use(e)}
+    assert rename_names(rename_names(e, name_map), _inverse(name_map)) is e
+    body = close_var(e, FreeVar("a", BOOL))
+    assert shift(shift(body, 2, 0), -2, 0) is body
