@@ -1,18 +1,25 @@
 """Deterministic, bounded derivation of theory-checking obligations.
 
 The finitary gate must derive each rule's premise boundaries and conclusion
-boundary over the prefix theory.  One syntax-directed search, ``Deriver``,
-does this for both presentations: object goals follow natural types,
-inserting a conversion when the stated type differs, and equational goals
-are closed under reflexivity and matching of specific equality rules whose
-object metavariables are fully determined by the conclusion.  A goal carries
+boundary over the prefix theory, and the cf -> tt translation must derive
+the erasure of a certified judgement, since certificates carry no
+derivations.  One syntax-directed search, ``Deriver``, does this for both
+presentations: object goals follow natural types, inserting a conversion
+when the stated type differs, and equational goals are closed under
+reflexivity and matching of specific equality rules whose object
+metavariables are fully determined by the conclusion.  A goal carries
 the contexts it is derived in as one value ``cx``: the metavariable and the
 variable context for tt, none for cf, whose atoms carry their types.  Two
 step adapters build what the search decides: ``TTDeriver`` a tt derivation
 node, ``CFDeriver`` a cf certificate.
 
 This is obligation checking, not proof search: the recursion is bounded and
-never backtracks across premise choices.
+never backtracks across premise choices.  Each level of a goal costs one
+unit of ``MAX_DEPTH``, and a term costs the search three Python frames per
+level of nesting, so a refusal always comes before Python's recursion
+limit.  A premise object metavariable that matching leaves open is refused
+here; the cf -> tt translation supplies one from the certificate's
+assumption set (``Deriver._undetermined``).
 
 Within one pass of the gate the derivers of all prefixes share a memo, and
 the tt deriver extends the metavariable-context chain already built for the
@@ -21,7 +28,6 @@ longest remembered prefix of a rule's premises instead of rebuilding it.
 
 from __future__ import annotations
 
-import functools
 from bisect import bisect_left
 from operator import itemgetter
 from typing import Optional
@@ -43,6 +49,7 @@ from .printer import print_expr_cut
 from .syntax import (
     Abstr,
     Abstracted,
+    Argument,
     BoundVar,
     Convert,
     EqTm,
@@ -57,6 +64,7 @@ from .syntax import (
     IsTy,
     IsTyB,
     MetaApp,
+    MetaName,
     SymbolApp,
     atoms_in_use,
     boundary_arity,
@@ -104,43 +112,25 @@ def _refusal(too_deep: bool, message: str) -> DeriveError:
     return DepthRefusal() if too_deep else DeriveError(message)
 
 
-def _goal(arity: int, remember: bool = True):
-    """Makes a search method a goal.  Callers pass the deriver's contexts
-    one by one (``CONTEXTS`` of them), then the goal's ``arity`` arguments
-    and an optional depth; the method gets the contexts as one value ``cx``
-    and always a depth.
+def _limit(depth: int) -> None:
+    """Refuses a goal nested deeper than ``MAX_DEPTH``."""
+    if depth > MAX_DEPTH:
+        raise DepthRefusal()
 
-    A goal nested deeper than ``MAX_DEPTH`` is refused.  With ``remember``,
-    and when the deriver has a memo, the successful results of a goal are
-    remembered by its contexts and arguments.  A remembered result is taken
-    again only at a depth no greater than the one it was derived at: deeper,
-    the fresh search has less room below ``MAX_DEPTH`` and might be refused,
-    so it runs again.  Failures are not remembered (see ``check_finitary``)."""
 
-    def wrap(goal):
-        kind = goal.__name__
+def _goal(search):
+    """The public entry to the search goal ``search``.  Callers pass the
+    deriver's contexts one by one (``CONTEXTS`` of them), then the goal's
+    arguments; ``search`` gets the contexts as one value ``cx`` and starts at
+    depth 0.  Within the search, goals call each other's private methods
+    directly, so that each level of a term costs few Python frames."""
 
-        @functools.wraps(goal)
-        def method(self, *args):
-            c = self.CONTEXTS
-            n = c + arity
-            depth = args[n] if len(args) > n else 0
-            if depth > MAX_DEPTH:
-                raise DepthRefusal()
-            if not remember or self.memo is None:
-                return goal(self, args[:c], *args[c:n], depth)
-            key = (kind, *args[:n])
-            hit = self.memo.get(key)
-            if hit is not None and depth <= hit[0]:
-                return hit[1]
-            out = goal(self, args[:c], *args[c:n], depth)
-            if hit is None:
-                self.memo[key] = (depth, out)
-            return out
+    def entry(self, *args):
+        c = self.CONTEXTS
+        return search(self, args[:c], *args[c:], 0)
 
-        return method
-
-    return wrap
+    entry.__doc__ = search.__doc__
+    return entry
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +288,8 @@ class Deriver:
     ``STEPS`` names the engine's constructor for each step of ``_SAME_STEPS``
     and for the two abstractions, and the methods ``_bind``, ``_var``,
     ``_meta``, ``_rule``, ``_refl``, ``_body``, ``_head`` and ``_as_stated``
-    build or read the steps that differ.
+    build or read the steps that differ.  ``_undetermined`` may supply a
+    premise that matching leaves open.
 
     ``memo``, when given, holds the successful results of ``ty``, ``tm``
     and ``boundary`` by goal; it may be shared with derivers over longer
@@ -323,73 +314,111 @@ class Deriver:
         module at each call, so that a wrapper installed there sees it."""
         return getattr(self.ENGINE, self.STEPS[step])(self.theory, *args)
 
+    def _recall(self, key: tuple, depth: int):
+        """The result remembered for the goal ``key``, if it may be taken at
+        ``depth``; else None.  A goal nested deeper than ``MAX_DEPTH`` is
+        refused.  A remembered result is taken again only at a depth no
+        greater than the one it was derived at: deeper, the fresh search has
+        less room below ``MAX_DEPTH`` and might be refused, so it runs
+        again."""
+        _limit(depth)
+        if self.memo is None:
+            return None
+        hit = self.memo.get(key)
+        return hit[1] if hit is not None and depth <= hit[0] else None
+
+    def _remember(self, key: tuple, depth: int, out):
+        """Remembers ``out`` for the goal ``key``, derived at ``depth``,
+        unless an entry derived at least as deep is remembered already, so
+        that a goal asked for ever deeper is not derived again at each
+        depth.  Failures are never remembered (see ``check_finitary``)."""
+        if self.memo is not None:
+            hit = self.memo.get(key)
+            if hit is None or hit[0] < depth:
+                self.memo[key] = (depth, out)
+        return out
+
     def _under_binder(self, cx, j: Abstracted, inner, abstraction: str, depth: int):
         """``inner`` of ``j`` opened at a fresh atom, then abstracted."""
-        ty_w = self.ty(*cx, j.prefix[0], depth + 1)
+        ty_w = self._ty(cx, j.prefix[0], depth + 1)
         atom, inner_cx = self._bind(cx, j)
-        body = inner(*inner_cx, open_judgement(j, atom), depth + 1)
+        body = inner(inner_cx, open_judgement(j, atom), depth + 1)
         return self._step(abstraction, ty_w, body, atom)
 
-    @_goal(1, remember=False)
-    def judgement(self, cx, j: Abstracted, depth: int):
+    def _judgement(self, cx, j: Abstracted, depth: int):
+        _limit(depth)
         if j.prefix:
-            return self._under_binder(cx, j, self.judgement, "abstract", depth)
+            return self._under_binder(cx, j, self._judgement, "abstract", depth)
         match j.body:
             case IsTy(ty=a):
-                return self.ty(*cx, a, depth + 1)
+                return self._ty(cx, a, depth + 1)
             case IsTm(term=t, ty=a):
-                return self.tm(*cx, t, a, depth + 1)
+                return self._tm(cx, t, a, depth + 1)
             case EqTy(lhs=a, rhs=b):
-                return self._as_stated(self.eqty(*cx, a, b, depth + 1), j.body)
+                return self._as_stated(self._eqty(cx, a, b, depth + 1), j.body)
             case EqTm(lhs=s, rhs=t, ty=a):
-                return self._as_stated(self.eqtm(*cx, s, t, a, depth + 1), j.body)
+                return self._as_stated(self._eqtm(cx, s, t, a, depth + 1), j.body)
         raise DeriveError(f"not a judgement: {j.body!r}")
 
-    @_goal(1)
-    def boundary(self, cx, b: Abstracted, depth: int):
+    def _boundary(self, cx, b: Abstracted, depth: int):
+        key = ("boundary", *cx, b)
+        out = self._recall(key, depth)
+        if out is not None:
+            return out
         if b.prefix:
-            return self._under_binder(cx, b, self.boundary, "bdry_abstract", depth)
-        match b.body:
-            case IsTyB():
-                return self._step("bdry_ty", *cx)
-            case IsTmB(ty=a):
-                return self._step("bdry_tm", self.ty(*cx, a, depth + 1))
-            case EqTyB(lhs=a, rhs=c):
-                return self._step(
-                    "bdry_eqty", self.ty(*cx, a, depth + 1), self.ty(*cx, c, depth + 1)
-                )
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                return self._step(
-                    "bdry_eqtm",
-                    self.ty(*cx, a, depth + 1),
-                    self.tm(*cx, s, a, depth + 1),
-                    self.tm(*cx, t, a, depth + 1),
-                )
-        raise DeriveError(f"not a boundary: {b.body!r}")
+            out = self._under_binder(cx, b, self._boundary, "bdry_abstract", depth)
+        else:
+            match b.body:
+                case IsTyB():
+                    out = self._step("bdry_ty", *cx)
+                case IsTmB(ty=a):
+                    out = self._step("bdry_tm", self._ty(cx, a, depth + 1))
+                case EqTyB(lhs=a, rhs=c):
+                    out = self._step(
+                        "bdry_eqty", self._ty(cx, a, depth + 1), self._ty(cx, c, depth + 1)
+                    )
+                case EqTmB(lhs=s, rhs=t, ty=a):
+                    out = self._step(
+                        "bdry_eqtm",
+                        self._ty(cx, a, depth + 1),
+                        self._tm(cx, s, a, depth + 1),
+                        self._tm(cx, t, a, depth + 1),
+                    )
+                case _:
+                    raise DeriveError(f"not a boundary: {b.body!r}")
+        return self._remember(key, depth, out)
 
-    @_goal(1, remember=False)
     def _equation(self, cx, b: Abstracted, depth: int):
         """Derives some judgement filling the equational boundary ``b``."""
+        _limit(depth)
         if b.prefix:
             return self._under_binder(cx, b, self._equation, "abstract", depth)
         match b.body:
             case EqTyB(lhs=a, rhs=c):
-                return self.eqty(*cx, a, c, depth + 1)
+                return self._eqty(cx, a, c, depth + 1)
             case EqTmB(lhs=s, rhs=t, ty=a):
-                return self.eqtm(*cx, s, t, a, depth + 1)
+                return self._eqtm(cx, s, t, a, depth + 1)
         raise DeriveError("expected an equational boundary")
 
-    @_goal(1)
-    def ty(self, cx, a: Expr, depth: int):
+    def _ty(self, cx, a: Expr, depth: int):
+        key = ("ty", *cx, a)
+        out = self._recall(key, depth)
+        if out is not None:
+            return out
         match a:
             case MetaApp():
-                return self._meta(cx, a, IsTyB, depth)
+                out = self._meta(cx, a, IsTyB, depth)
             case SymbolApp():
-                return self._object_by_rule(cx, a, IsTy, depth)[0]
-        raise DeriveError(f"cannot derive that {_shown(a)} is a type")
+                out = self._object_by_rule(cx, a, IsTy, depth)[0]
+            case _:
+                raise DeriveError(f"cannot derive that {_shown(a)} is a type")
+        return self._remember(key, depth, out)
 
-    @_goal(2)
-    def tm(self, cx, t: Expr, a: Expr, depth: int):
+    def _tm(self, cx, t: Expr, a: Expr, depth: int):
+        key = ("tm", *cx, t, a)
+        out = self._recall(key, depth)
+        if out is not None:
+            return out
         match t:
             case FreeVar():
                 w, got = self._var(cx, t, depth)
@@ -399,10 +428,10 @@ class Deriver:
             case SymbolApp():
                 w, got = self._object_by_rule(cx, t, IsTm, depth)
             case Convert():
-                return self._convert_goal(cx, t, a, depth)
+                return self._remember(key, depth, self._convert_goal(cx, t, a, depth))
             case _:
                 raise DeriveError(f"cannot derive a typing for {_shown(t)}")
-        return self._convert_to(cx, w, got, a, depth)
+        return self._remember(key, depth, self._convert_to(cx, w, got, a, depth))
 
     def _convert_goal(self, cx, t: Convert, a: Expr, depth: int):
         """A conversion term: only the context-free presentation has them."""
@@ -411,11 +440,11 @@ class Deriver:
     def _convert_to(self, cx, w, got: Expr, want: Expr, depth: int):
         if got == want:
             return w
-        return self._step("conv_tm", w, self.eqty(*cx, got, want, depth + 1))
+        return self._step("conv_tm", w, self._eqty(cx, got, want, depth + 1))
 
     def _meta_premises(self, cx, e: MetaApp, bdry: Abstracted, depth: int) -> list:
         premises, _, _ = metavariable_rule_instance(e.meta, bdry, list(e.args))
-        return [self.judgement(*cx, p, depth + 1) for p in premises]
+        return [self._tm(cx, p.body.term, p.body.ty, depth + 1) for p in premises]
 
     def _object_by_rule(self, cx, e: Expr, cls, depth: int):
         """Derives a symbol application via a matching specific object rule
@@ -437,31 +466,46 @@ class Deriver:
         raise _refusal(too_deep, f"no specific rule concludes {_shown(e)}")
 
     def _apply(self, cx, name: str, rule: RawRule, sol: dict, depth: int):
-        """Applies a specific rule economically, deriving each premise fill;
-        an equality metavariable left unmatched gets the fill of its
-        boundary that the search derives."""
+        """Applies a specific rule economically, deriving each premise fill
+        one level down.  An equality metavariable left unmatched gets the
+        fill of its boundary that the search derives, an object one the head
+        ``_undetermined`` gives.  A binder-free object fill goes straight to
+        its goal, so that a term costs the search three frames a level."""
         entries = []
         kids = []
         for m, b in rule.premises:
             b_inst = act(Instantiation(entries), b)
             if m in sol:
                 head = sol[m]
-                kids.append(self.judgement(*cx, fill(b_inst, head), depth + 1))
             elif boundary_arity(b).cls.is_equality:
-                w = self._equation(*cx, b_inst, depth + 1)
+                w = self._equation(cx, b_inst, depth + 1)
                 kids.append(w)
-                head = self._head(w, b_inst)
+                entries.append((m, self._head(w, b_inst)))
+                continue
             else:
-                raise DeriveError(f"object metavariable {m.name} undetermined by matching")
+                head = self._undetermined(cx, m, b_inst)
+            match b_inst.prefix, b_inst.body, head:
+                case (), IsTmB(ty=a), ExprArg(expr=t):
+                    kids.append(self._tm(cx, t, a, depth + 1))
+                case (), IsTyB(), ExprArg(expr=a):
+                    kids.append(self._ty(cx, a, depth + 1))
+                case _:
+                    kids.append(self._judgement(cx, fill(b_inst, head), depth + 1))
             entries.append((m, head))
         return self._rule(cx, name, entries, kids)
 
-    @_goal(2, remember=False)
-    def eqty(self, cx, a: Expr, b: Expr, depth: int):
+    def _undetermined(self, cx, m: MetaName, b: Abstracted) -> Argument:
+        """The head of the object premise ``m``, at its instantiated boundary
+        ``b``, of a rule whose conclusion does not determine it.  The search
+        has no source for one."""
+        raise DeriveError(f"object metavariable {m.name} undetermined by matching")
+
+    def _eqty(self, cx, a: Expr, b: Expr, depth: int):
+        _limit(depth)
         return self._equal(cx, a, b, None, depth)
 
-    @_goal(3, remember=False)
-    def eqtm(self, cx, s: Expr, t: Expr, a: Expr, depth: int):
+    def _eqtm(self, cx, s: Expr, t: Expr, a: Expr, depth: int):
+        _limit(depth)
         return self._equal(cx, s, t, a, depth)
 
     def _equal(self, cx, lhs, rhs, ty, depth):
@@ -482,7 +526,7 @@ class Deriver:
                     got = self._body(w)
                     eq = None
                     if ty is not None and got.ty != ty:
-                        eq = self.eqty(*cx, got.ty, ty, depth + 1)
+                        eq = self._eqty(cx, got.ty, ty, depth + 1)
                 except DepthRefusal:
                     too_deep = True
                     continue
@@ -494,6 +538,13 @@ class Deriver:
                     w = self._step("eqty_sym" if ty is None else "eqtm_sym", w)
                 return w
         raise _refusal(too_deep, f"cannot derive {_shown_equation(lhs, rhs, ty)}")
+
+    judgement = _goal(_judgement)
+    boundary = _goal(_boundary)
+    ty = _goal(_ty)
+    tm = _goal(_tm)
+    eqty = _goal(_eqty)
+    eqtm = _goal(_eqtm)
 
 
 # ---------------------------------------------------------------------------
@@ -537,8 +588,8 @@ class TTDeriver(Deriver):
         if lhs != rhs:
             return None
         if ty is None:
-            return tt.eqty_refl(self.theory, self.ty(*cx, lhs, depth + 1))
-        return tt.eqtm_refl(self.theory, self.tm(*cx, lhs, ty, depth + 1))
+            return tt.eqty_refl(self.theory, self._ty(cx, lhs, depth + 1))
+        return tt.eqtm_refl(self.theory, self._tm(cx, lhs, ty, depth + 1))
 
     def _body(self, d):
         return d.conclusion.jdg.body
@@ -552,7 +603,7 @@ class TTDeriver(Deriver):
     def mctx_wf(self, mctx: MetaCtx, depth: int = 0):
         """``mctx`` is well formed.  With a memo, this extends the chain
         remembered for the longest prefix of ``mctx`` and remembers the chain
-        of each longer prefix, under the rule of ``_goal``."""
+        of each longer prefix, under the rule of ``_recall``."""
         memo = {} if self.memo is None else self.memo
         entries = mctx.entries
         for k in range(len(entries), -1, -1):
@@ -565,7 +616,8 @@ class TTDeriver(Deriver):
             memo.setdefault(("mctx_wf", ()), (depth, d))
         sofar = MetaCtx(entries[:k])
         for m, b in entries[k:]:
-            d = tt.mctx_extend(self.theory, d, self.boundary(sofar, EMPTY_VARS, b, depth + 1), m)
+            bd = self._boundary((sofar, EMPTY_VARS), b, depth + 1)
+            d = tt.mctx_extend(self.theory, d, bd, m)
             sofar = sofar.extend(m, b)
             memo.setdefault(("mctx_wf", sofar.entries), (depth, d))
         return d
@@ -574,7 +626,7 @@ class TTDeriver(Deriver):
         d = tt.vctx_empty(self.theory, mctx)
         sofar = EMPTY_VARS
         for v, ty in vctx:
-            ty_d = self.ty(mctx, sofar, ty, depth + 1)
+            ty_d = self._ty((mctx, sofar), ty, depth + 1)
             d = tt.vctx_extend(self.theory, d, ty_d, v)
             sofar = sofar.extend(v, ty)
         return d
@@ -607,13 +659,13 @@ class CFDeriver(Deriver):
     def _var(self, cx, v: FreeVar, depth: int):
         if v.annotation is None:
             raise DeriveError("bare variable in cf goal")
-        return cf.cf_var(self.theory, v, self.ty(v.annotation, depth + 1)), v.annotation
+        return cf.cf_var(self.theory, v, self._ty(cx, v.annotation, depth + 1)), v.annotation
 
     def _meta(self, cx, e: MetaApp, cls, depth: int):
         m = e.meta
         if m.annotation is None or not isinstance(m.annotation.body, cls):
             raise DeriveError(f"{m.name} is not a {_KIND[cls]} metavariable")
-        ann_cert = self.boundary(m.annotation, depth + 1)
+        ann_cert = self._boundary(cx, m.annotation, depth + 1)
         kids = self._meta_premises(cx, e, m.annotation, depth)
         return cf.cf_meta(self.theory, m, kids, annotation_cert=ann_cert)
 
@@ -626,9 +678,11 @@ class CFDeriver(Deriver):
         if not erased_equal(lhs, rhs):
             return None
         if ty is None:
-            return cf.cf_eqty_refl(self.theory, self.ty(lhs, depth + 1), self.ty(rhs, depth + 1))
+            return cf.cf_eqty_refl(
+                self.theory, self._ty(cx, lhs, depth + 1), self._ty(cx, rhs, depth + 1)
+            )
         return cf.cf_eqtm_refl(
-            self.theory, self.tm(lhs, ty, depth + 1), self.tm(rhs, ty, depth + 1)
+            self.theory, self._tm(cx, lhs, ty, depth + 1), self._tm(cx, rhs, ty, depth + 1)
         )
 
     def _body(self, c):
@@ -644,8 +698,8 @@ class CFDeriver(Deriver):
 
     def _convert_goal(self, cx, t: Convert, a: Expr, depth: int):
         nat = cf.natural_type_cf(self.theory, t.term)
-        c = self.tm(t.term, nat, depth + 1)
-        out = cf.cf_conv_tm(self.theory, c, self.eqty(nat, a, depth + 1))
+        c = self._tm(cx, t.term, nat, depth + 1)
+        out = cf.cf_conv_tm(self.theory, c, self._eqty(cx, nat, a, depth + 1))
         if out.payload.body.term != t:
             raise DeriveError("conversion goal carries a different assumption set")
         return out

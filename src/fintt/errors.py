@@ -61,6 +61,10 @@ class FreeVarInRule(KernelError):
     pass
 
 
+class UnknownRule(KernelError):
+    pass
+
+
 class ConclusionNotDerivableOverPrefix(KernelError):
     def __init__(self, rule_name: str, obligation: str):
         super().__init__(f"rule {rule_name}: cannot derive {obligation}")

@@ -19,6 +19,7 @@ from .errors import (
     NotObjectRule,
     SymbolExists,
     UnknownMeta,
+    UnknownRule,
 )
 from .instantiation import Instantiation, act
 from .judgements import fill, fill_equation, plain, unfill
@@ -381,7 +382,7 @@ class Theory:
 
     def rule(self, name: str) -> TheoryRule:
         if name not in self._by_name:
-            raise KeyError(f"no rule named {name!r}")
+            raise UnknownRule(f"no rule named {name!r}")
         return self._by_name[name]
 
     def prefix(self, n: int) -> "Theory":

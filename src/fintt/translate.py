@@ -1,18 +1,16 @@
 """Translations between the contexted and context-free presentations.
 
 cf -> tt: erase the judgement, collect its annotated atoms into a suitable
-context (closed under annotation dependence), and rebuild a checkable tt
-derivation syntax-directedly from the certified payload.
+context (closed under annotation dependence), and derive the erasure there.
+Certificates carry no derivations, so the tt obligation search of
+``derive`` rebuilds one, with its rule choice, failure semantics and depth
+limit; a premise metavariable that the conclusion does not determine (such
+as the proof term of an equality-reflection instance) is resolved from the
+assumption set of the judgement.
 
 tt -> cf: follow the derivation, labelling context entries with certified
 cf annotations, rectifying heads with boundary conversion where erasure
 leaves slack.
-
-Equational goals on the cf -> tt side are reconstructed, not replayed:
-certificates carry no derivations, so the reconstructor closes equations
-under reflexivity and specific equality rules, using the assumption set of
-the goal to resolve premise metavariables that the conclusion does not
-determine (such as the proof term of an equality-reflection instance).
 """
 
 from __future__ import annotations
@@ -21,42 +19,26 @@ from typing import Optional, Sequence
 
 from . import cf_engine as cf
 from . import tt_engine as tt
-from .derive import CFDeriver, TTDeriver, match_equation, rule_table
+from .derive import CFDeriver, DeriveError, TTDeriver
 from .errors import (
     CyclicAnnotation,
-    KernelError,
     NonStandardTheory,
     UncheckableDerivation,
     UnsuitableContext,
 )
-from .instantiation import Instantiation, act
-from .judgements import (
-    EMPTY_METAS,
-    EMPTY_VARS,
-    MetaCtx,
-    VarCtx,
-    fill,
-    instantiate_prefix,
-    open_judgement,
-    plain,
-)
+from .judgements import EMPTY_VARS, MetaCtx, VarCtx, plain
 from .syntax import (
+    EMPTY_ASSUMPTIONS,
     Abstracted,
     AssumptionSet,
-    EqTm,
-    EqTmB,
     EqTy,
-    EqTyB,
-    Expr,
     ExprArg,
     FreeVar,
     IsTm,
     IsTmB,
     IsTy,
-    IsTyB,
     MetaApp,
     MetaName,
-    SymbolApp,
     asm,
     atoms_in_use,
     boundary_arity,
@@ -65,9 +47,6 @@ from .syntax import (
     fresh_name,
     fv,
     mv,
-    strip_conversions,
-    conversion_residue,
-    dummy_head,
 )
 from .theory import RawRule, Theory, TheoryRule
 
@@ -164,17 +143,47 @@ def cf_theory_to_tt(theory: Theory) -> Theory:
 # cf -> tt: judgement reconstruction
 
 
+class _HintDeriver(TTDeriver):
+    """The tt obligation search as cf -> tt runs it.  A fresh atom carries
+    its type as its annotation, as the atoms of a suitable context do, and
+    a premise object metavariable that matching leaves open, such as the
+    proof term of an equality-reflection instance, is the first variable,
+    else the first metavariable, of the assumption set ``hints`` that has
+    the premise's type in the context."""
+
+    def __init__(self, theory: Theory, hints: AssumptionSet):
+        super().__init__(theory)
+        self._vars = sorted(hints.free_vars, key=lambda v: v.name)
+        self._metas = sorted(hints.metas, key=lambda m: m.name)
+
+    def _bind(self, cx, j: Abstracted):
+        bare, _ = super()._bind(cx, j)
+        atom = FreeVar(bare.name, j.prefix[0])
+        return atom, (cx[0], cx[1].extend(atom, j.prefix[0]))
+
+    def _undetermined(self, cx, m: MetaName, b: Abstracted):
+        mctx, vctx = cx
+        if not b.prefix and isinstance(b.body, IsTmB):
+            for v in self._vars:
+                if v in vctx and vctx[v] == b.body.ty:
+                    return ExprArg(v)
+            for n in self._metas:
+                if n in mctx and mctx[n] == b:
+                    return ExprArg(MetaApp(n, ()))
+        return super()._undetermined(cx, m, b)
+
+
 class CfToTT:
-    """Rebuilds tt derivations of erased certified judgements over a
-    suitable context.  ``tt_theory`` is the contexted counterpart the
-    derivations check against (the canonical contexted elaboration, or the
-    rule-wise erasure of the cf theory)."""
+    """Derives the erasures of certified judgements over a suitable context.
+    Certificates carry no derivations, so the tt obligation search rebuilds
+    one, resolving a premise that matching leaves open from the assumption
+    set of the judgement (see ``_HintDeriver``).  ``tt_theory`` is the
+    contexted counterpart the derivations check against (the canonical
+    contexted elaboration, or the rule-wise erasure of the cf theory)."""
 
     def __init__(self, cf_theory: Theory, tt_theory: Theory):
         self.cf = cf_theory
         self.tt = tt_theory
-
-    # -- entry points ------------------------------------------------------
 
     def judgement(self, cert: cf.CertifiedJudgement, ctx=None):
         payload = cert.payload
@@ -186,300 +195,16 @@ class CfToTT:
             need_m, need_v = dependence_closure(list(mv(payload)), list(fv(payload)))
             if any(m not in mctx for m in need_m) or any(v not in vctx for v in need_v):
                 raise UnsuitableContext("context does not cover the judgement")
-        d = self._jdg(mctx, vctx, payload)
+        try:
+            d = _HintDeriver(self.tt, asm(payload)).judgement(mctx, vctx, erase(payload))
+        except DeriveError as exc:
+            raise UncheckableDerivation(f"cf->tt: {exc}") from exc
         return mctx, vctx, d
 
     def context_evidence(self, mctx: MetaCtx, vctx: VarCtx):
-        """Well-formedness derivations for a suitable context, built by
-        reconstructing each annotation's type/boundary derivation."""
-        m_d = tt.mctx_empty(self.tt)
-        sofar = EMPTY_METAS
-        for m, b in mctx:
-            bd = self._bdry(sofar, EMPTY_VARS, m.annotation)
-            m_d = tt.mctx_extend(self.tt, m_d, bd, m)
-            sofar = sofar.extend(m, b)
-        v_d = tt.vctx_empty(self.tt, mctx)
-        vfar = EMPTY_VARS
-        for v, ty in vctx:
-            td = self._ty(mctx, vfar, v.annotation)
-            v_d = tt.vctx_extend(self.tt, v_d, td, v)
-            vfar = vfar.extend(v, ty)
-        return m_d, v_d
-
-    # -- internals ---------------------------------------------------------
-
-    def _fresh(self, vctx, *stuff) -> str:
-        avoid = set(atoms_in_use(*stuff))
-        for v, ty in vctx:
-            avoid.add(v.name)
-            avoid.update(atoms_in_use(ty))
-        return fresh_name("x", frozenset(avoid))
-
-    def _jdg(self, mctx, vctx, j: Abstracted):
-        if j.prefix:
-            a_cf = j.prefix[0]
-            ty_d = self._ty(mctx, vctx, a_cf)
-            v = FreeVar(self._fresh(vctx, j), a_cf)
-            opened = open_judgement(j, v)
-            body = self._jdg(mctx, vctx.extend(v, erase(a_cf)), opened)
-            return tt.tt_abstr(self.tt, ty_d, body, v)
-        match j.body:
-            case IsTy(ty=a):
-                return self._ty(mctx, vctx, a)
-            case IsTm(term=t, ty=a):
-                return self._tm(mctx, vctx, t, a)
-            case EqTy(lhs=a, rhs=b, by=al):
-                return self._eqty(mctx, vctx, a, b, al)
-            case EqTm(lhs=s, rhs=t, ty=a, by=al):
-                return self._eqtm(mctx, vctx, s, t, a, al)
-        raise UncheckableDerivation(f"cannot translate {j.body!r}")
-
-    def _bdry(self, mctx, vctx, b: Abstracted):
-        if b.prefix:
-            a_cf = b.prefix[0]
-            ty_d = self._ty(mctx, vctx, a_cf)
-            v = FreeVar(self._fresh(vctx, b), a_cf)
-            opened = open_judgement(b, v)
-            body = self._bdry(mctx, vctx.extend(v, erase(a_cf)), opened)
-            return tt.bdry_abstr(self.tt, ty_d, body, v)
-        match b.body:
-            case IsTyB():
-                return tt.bdry_ty(self.tt, mctx, vctx)
-            case IsTmB(ty=a):
-                return tt.bdry_tm(self.tt, self._ty(mctx, vctx, a))
-            case EqTyB(lhs=a, rhs=c):
-                return tt.bdry_eqty(
-                    self.tt, self._ty(mctx, vctx, a), self._ty(mctx, vctx, c)
-                )
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                return tt.bdry_eqtm(
-                    self.tt,
-                    self._ty(mctx, vctx, a),
-                    self._tm(mctx, vctx, s, a),
-                    self._tm(mctx, vctx, t, a),
-                )
-        raise UncheckableDerivation(f"cannot translate boundary {b.body!r}")
-
-    def _ty(self, mctx, vctx, a: Expr):
-        match a:
-            case MetaApp(meta=m, args=ts):
-                return self._meta(mctx, vctx, m, list(ts))
-            case SymbolApp(symbol=s, args=es):
-                return self._symbol(mctx, vctx, s, list(es))
-        raise UncheckableDerivation(f"cannot reconstruct that {a!r} is a type")
-
-    def _tm(self, mctx, vctx, t: Expr, a: Expr, hints: Optional[AssumptionSet] = None):
-        stripped = strip_conversions(t)
-        res = conversion_residue(t)
-        match stripped:
-            case FreeVar():
-                if stripped not in vctx:
-                    raise UnsuitableContext(f"{stripped.name} not in the suitable context")
-                d = tt.tt_var(self.tt, mctx, vctx, stripped)
-            case MetaApp(meta=m, args=ts):
-                d = self._meta(mctx, vctx, m, list(ts))
-            case SymbolApp(symbol=s, args=es):
-                d = self._symbol(mctx, vctx, s, list(es))
-            case _:
-                raise UncheckableDerivation(f"cannot reconstruct a typing for {t!r}")
-        got = d.conclusion.jdg.body.ty
-        want = erase(a)
-        if got == want:
-            return d
-        eq = self._eqty_erased(mctx, vctx, got, want, res.union(hints or AssumptionSet()))
-        return tt.conv_tm(self.tt, d, eq)
-
-    def _meta(self, mctx, vctx, m: MetaName, ts: list[Expr]):
-        if m not in mctx:
-            raise UnsuitableContext(f"{m.name} not in the suitable context")
-        bdry_cf = m.annotation
-        premises = []
-        for j, ty in enumerate(bdry_cf.prefix):
-            opened = instantiate_prefix(Abstracted(bdry_cf.prefix[: j + 1], IsTyB()), ts[:j])
-            premises.append(self._tm(mctx, vctx, ts[j], opened.prefix[0]))
-        return tt.tt_meta(self.tt, mctx, vctx, m, premises)
-
-    def _symbol(self, mctx, vctx, s: str, es: list):
-        trule = self.tt.symbol_rule_for(s)
-        rule_cf = self.cf.symbol_rule_for(s).rule
-        entries_cf = [(mm, e) for (mm, _), e in zip(rule_cf.premises, es)]
-        inst_cf = Instantiation(entries_cf)
-        entries_tt = [
-            (mm, erase(e)) for (mm, _), e in zip(trule.rule.premises, es)
-        ]
-        kids = []
-        for i, (mm, b_cf) in enumerate(rule_cf.premises, start=1):
-            fill_cf = fill(act(inst_cf.restrict(i), b_cf), inst_cf[mm])
-            kids.append(self._jdg(mctx, vctx, fill_cf))
-        return tt.specific(
-            self.tt, mctx, vctx, trule.name, Instantiation(entries_tt), kids
-        )
-
-    def _eqty(self, mctx, vctx, a_cf: Expr, b_cf: Expr, al: AssumptionSet):
-        return self._eqty_erased(
-            mctx, vctx, erase(a_cf), erase(b_cf), asm(a_cf, b_cf, al)
-        )
-
-    def _eqtm(self, mctx, vctx, s_cf: Expr, t_cf: Expr, a_cf: Expr, al: AssumptionSet):
-        s, t, a = erase(s_cf), erase(t_cf), erase(a_cf)
-        hints = asm(s_cf, t_cf, a_cf, al)
-        if s == t:
-            return tt.eqtm_refl(self.tt, self._tm(mctx, vctx, s_cf, a_cf))
-        d = self._eq_by_rule(mctx, vctx, s, t, a, hints)
-        if d is None:
-            d = self._eq_by_rule(mctx, vctx, t, s, a, hints)
-            d = tt.eqtm_sym(self.tt, d) if d is not None else None
-        if d is None:
-            raise UncheckableDerivation(f"cannot reconstruct {s!r} == {t!r}")
-        return d
-
-    def _eqty_erased(self, mctx, vctx, a: Expr, b: Expr, hints: AssumptionSet):
-        if a == b:
-            return tt.eqty_refl(self.tt, self._ty_erased(mctx, vctx, a, hints))
-        d = self._eq_by_rule(mctx, vctx, a, b, None, hints)
-        if d is None:
-            d = self._eq_by_rule(mctx, vctx, b, a, None, hints)
-            d = tt.eqty_sym(self.tt, d) if d is not None else None
-        if d is None:
-            raise UncheckableDerivation(f"cannot reconstruct {a!r} == {b!r}")
-        return d
-
-    def _ty_erased(self, mctx, vctx, a: Expr, hints: AssumptionSet):
-        """Type formation for an already-erased type, resolving atoms through
-        the context (annotations on atoms are cf syntax, usable directly)."""
-        match a:
-            case MetaApp(meta=m, args=ts):
-                if m.annotation is not None:
-                    return self._meta(mctx, vctx, m, list(ts))
-            case SymbolApp(symbol=s, args=es):
-                return self._symbol_erased(mctx, vctx, s, list(es), hints)
-        raise UncheckableDerivation(f"cannot reconstruct that {a!r} is a type")
-
-    def _symbol_erased(self, mctx, vctx, s: str, es: list, hints: AssumptionSet):
-        trule = self.tt.symbol_rule_for(s)
-        entries = [(mm, e) for (mm, _), e in zip(trule.rule.premises, es)]
-        inst = Instantiation(entries)
-        kids = []
-        for i, (mm, b_tt) in enumerate(trule.rule.premises, start=1):
-            fill_tt = fill(act(inst.restrict(i), b_tt), inst[mm])
-            kids.append(self._jdg_erased(mctx, vctx, fill_tt, hints))
-        return tt.specific(self.tt, mctx, vctx, trule.name, inst, kids)
-
-    def _jdg_erased(self, mctx, vctx, j: Abstracted, hints: AssumptionSet):
-        if j.prefix:
-            a_tt = j.prefix[0]
-            ty_d = self._ty_erased(mctx, vctx, a_tt, hints)
-            name = self._fresh(vctx, j)
-            v = FreeVar(name, _cf_annotation_of(a_tt))
-            opened = open_judgement(j, v)
-            body = self._jdg_erased(mctx, vctx.extend(v, a_tt), opened, hints)
-            return tt.tt_abstr(self.tt, ty_d, body, v)
-        match j.body:
-            case IsTy(ty=a):
-                return self._ty_erased(mctx, vctx, a, hints)
-            case IsTm(term=t, ty=a):
-                return self._tm_erased(mctx, vctx, t, a, hints)
-            case EqTy(lhs=a, rhs=b):
-                return self._eqty_erased(mctx, vctx, a, b, hints)
-            case EqTm(lhs=s, rhs=t, ty=a):
-                if s == t:
-                    return tt.eqtm_refl(self.tt, self._tm_erased(mctx, vctx, s, a, hints))
-                d = self._eq_by_rule(mctx, vctx, s, t, a, hints)
-                if d is None:
-                    d2 = self._eq_by_rule(mctx, vctx, t, s, a, hints)
-                    d = tt.eqtm_sym(self.tt, d2) if d2 is not None else None
-                if d is None:
-                    raise UncheckableDerivation(f"cannot reconstruct {j.body!r}")
-                return d
-        raise UncheckableDerivation(f"cannot translate {j.body!r}")
-
-    def _tm_erased(self, mctx, vctx, t: Expr, a: Expr, hints: AssumptionSet):
-        match t:
-            case FreeVar():
-                if t not in vctx:
-                    raise UnsuitableContext(f"{t.name} not in the suitable context")
-                d = tt.tt_var(self.tt, mctx, vctx, t)
-            case MetaApp(meta=m, args=ts):
-                d = self._meta(mctx, vctx, m, list(ts))
-            case SymbolApp(symbol=s, args=es):
-                d = self._symbol_erased(mctx, vctx, s, list(es), hints)
-            case _:
-                raise UncheckableDerivation(f"cannot reconstruct a typing for {t!r}")
-        got = d.conclusion.jdg.body.ty
-        if got == a:
-            return d
-        eq = self._eqty_erased(mctx, vctx, got, a, hints)
-        return tt.conv_tm(self.tt, d, eq)
-
-    def _eq_by_rule(self, mctx, vctx, lhs, rhs, ty, hints: AssumptionSet):
-        """Matches specific equality rules against an erased equation goal;
-        premise metavariables not determined by the conclusion are resolved
-        from the assumption-set hints."""
-        for _, name, rule, _, unknowns in rule_table(self.tt)[None]:
-            sol = match_equation(rule, lhs, rhs, ty, unknowns)
-            if sol is None:
-                continue
-            d = self._apply_with_hints(mctx, vctx, name, rule, sol, hints)
-            if d is not None:
-                return d
-        return None
-
-    def _apply_with_hints(
-        self, mctx, vctx, name: str, rule: RawRule, sol: dict, hints: AssumptionSet
-    ):
-        entries: list = []
-        kids: list = []
-        for m, b in rule.premises:
-            inst = Instantiation(entries)
-            b_inst = act(inst, b)
-            if m in sol:
-                head = sol[m]
-                try:
-                    kids.append(self._jdg_erased(mctx, vctx, fill(b_inst, head), hints))
-                except KernelError:
-                    return None
-            elif boundary_arity(b).cls.is_equality:
-                head = dummy_head(len(b.prefix))
-                try:
-                    kids.append(self._jdg_erased(mctx, vctx, fill(b_inst, head), hints))
-                except KernelError:
-                    return None
-            else:
-                # resolve a term/type metavariable from the hint set
-                head = None
-                if isinstance(b_inst.body, IsTmB) and not b_inst.prefix:
-                    want_ty = b_inst.body.ty
-                    for cand in sorted(hints.free_vars, key=lambda v: v.name):
-                        if cand in vctx and vctx[cand] == want_ty:
-                            head = ExprArg(cand)
-                            break
-                    if head is None:
-                        for cand_m in sorted(hints.metas, key=lambda mm: mm.name):
-                            if (
-                                cand_m in mctx
-                                and isinstance(mctx[cand_m].body, IsTmB)
-                                and not mctx[cand_m].prefix
-                                and mctx[cand_m].body.ty == want_ty
-                            ):
-                                head = ExprArg(MetaApp(cand_m, ()))
-                                break
-                if head is None:
-                    return None
-                try:
-                    kids.append(self._jdg_erased(mctx, vctx, fill(b_inst, head), hints))
-                except KernelError:
-                    return None
-            entries.append((m, head))
-        try:
-            return tt.specific(self.tt, mctx, vctx, name, Instantiation(entries), kids)
-        except KernelError:
-            return None
-
-
-def _cf_annotation_of(a_tt: Expr) -> Expr:
-    """Erased types originate from cf annotations, so they are valid cf
-    syntax themselves; reuse them as fresh atoms' annotations."""
-    return a_tt
+        """Well-formedness derivations for a suitable context."""
+        deriver = _HintDeriver(self.tt, EMPTY_ASSUMPTIONS)
+        return deriver.mctx_wf(mctx), deriver.vctx_wf(mctx, vctx)
 
 
 def cf_judgement_to_tt(
@@ -546,7 +271,7 @@ class TTtoCF:
             chain.append((d.data[0], d.premises[1]))
             d = d.premises[0]
         for m, bd in reversed(chain):
-            cert = self._translate_bdry(bd, theta, theta_certs, {}, {})
+            cert = self._translate_bdry_node(bd, theta, theta_certs, {}, {})
             theta[m] = cert.payload
             theta_certs[m] = cert
         gamma: dict = {}
@@ -639,10 +364,6 @@ class TTtoCF:
 
     # -- the main recursion (parts 4 and 5) ---------------------------------
 
-    def translate(self, d, theta, theta_certs, gamma, gamma_certs):
-        out = self._translate(d, theta, theta_certs, gamma, gamma_certs)
-        return out
-
     def _translate(self, d, th, thc, ga, gac):
         # A subderivation shared between nodes is translated once per
         # labeling of its variables; entries keep their keys' objects alive.
@@ -722,9 +443,6 @@ class TTtoCF:
             case "TT-Bdry-Ty" | "TT-Bdry-Tm" | "TT-Bdry-EqTy" | "TT-Bdry-EqTm":
                 return self._translate_bdry_node(d, th, thc, ga, gac)
         raise UncheckableDerivation(f"tt->cf does not handle {rule}")
-
-    def _translate_bdry(self, d, th, thc, ga, gac):
-        return self._translate_bdry_node(d, th, thc, ga, gac)
 
     def _translate_bdry_node(self, d, th, thc, ga, gac):
         match d.rule:
@@ -808,16 +526,13 @@ class TTtoCF:
         eq_certs = []
         for j in range(k):
             raw = self._translate(d.premises[2 * k + j], th, thc, ga, gac)
-            target_b = self._equation_boundary_cert_from(s_certs[j], t_certs[j])
+            target_b = self._equation_boundary_cert(s_certs[j], t_certs[j])
             src_b = cf.presuppositions_cf(self.cf, raw)
             moved = cf.boundary_convert(self.cf, src_b, target_b, raw)
             eq_certs.append(self._rectify_eq_lhs(moved, s_certs[j]))
         return cf.cf_meta_congr(
             self.cf, m_cf, s_certs, t_certs, eq_certs, annotation_cert=thc[m]
         )
-
-    def _equation_boundary_cert_from(self, l_cert, r_cert):
-        return self._equation_boundary_cert(l_cert, r_cert)
 
     def _translate_specific(self, d, th, thc, ga, gac):
         rule_name = d.data[2]
@@ -903,7 +618,7 @@ def tt_to_cf(
         theta, theta_certs, gamma, gamma_certs = tr.labelings_from_evidence(
             mctx_deriv, vctx_deriv
         )
-    out = tr.translate(d, theta, theta_certs, gamma, gamma_certs)
+    out = tr._translate(d, theta, theta_certs, gamma, gamma_certs)
     want = d.conclusion.jdg if hasattr(d.conclusion, "jdg") else d.conclusion.bdry
     if double_erase(out.payload) != double_erase(want):
         raise UncheckableDerivation(

@@ -1,12 +1,15 @@
-"""The obligation derivers: the depth limit at its edge, bounded refusal
-messages, the finitary gate's memo across prefixes (metavariable-context
-chains included), and the prefix fast path of ``cf_engine._theory_extends``."""
+"""The obligation derivers: the depth limit at its edge (cf -> tt
+included) and the frames a level costs, bounded refusal messages, the
+finitary gate's memo across prefixes (metavariable-context chains
+included), and the prefix fast path of ``cf_engine._theory_extends``."""
 
 import random
+import sys
 
 import pytest
 
 from fintt import cf_engine as cf
+from fintt import translate as tr
 from fintt import tt_engine as tt
 from fintt.derive import (
     MAX_DEPTH,
@@ -21,7 +24,7 @@ from fintt.errors import KernelError, PremiseMismatch
 from fintt.judgements import EMPTY_METAS, EMPTY_VARS, MetaCtx, VarCtx, plain, unfill
 from fintt.parser import elaborate, parse_theory
 from fintt.printer import print_expr, print_expr_cut
-from fintt.syntax import ExprArg, FreeVar, IsTmB, IsTyB, Signature, SymbolApp
+from fintt.syntax import ExprArg, FreeVar, IsTmB, IsTyB, Signature, SymbolApp, erased_equal
 from fintt.theory import Theory, TheoryBuilder, check_raw
 
 from .gen import ExprGen
@@ -48,11 +51,11 @@ def gated(builder):
 # ---------------------------------------------------------------------------
 # MAX_DEPTH at its edge
 
-# Each succ costs two levels (the goal, then its premise's judgement).  The
-# cf variable's annotation type costs one more; the tt variable is read off
-# the context.
-CF_EDGE = (MAX_DEPTH - 1) // 2
-TT_EDGE = MAX_DEPTH // 2
+# Each succ costs one level: its premise goes straight to the goal below.
+# The cf variable's annotation type costs one more; the tt variable is read
+# off the context.
+CF_EDGE = MAX_DEPTH - 1
+TT_EDGE = MAX_DEPTH
 REFUSAL = "obligation recursion too deep"
 
 
@@ -76,6 +79,8 @@ def test_depth_limit_edge(corpus_cf, corpus_tt, make, derive, edge):
     with pytest.raises(DepthRefusal) as err:
         derive(make(th), edge + 1)
     assert str(err.value) == REFUSAL
+    with pytest.raises(DepthRefusal):
+        derive(make(th), 1500)
 
 
 @pytest.mark.parametrize(
@@ -94,6 +99,70 @@ def test_memo_leaves_the_depth_limit_in_place(corpus_cf, corpus_tt, make, derive
     derive(deriver, edge)
     with pytest.raises(DepthRefusal):
         derive(deriver, edge + 1)
+
+
+def test_memo_keeps_the_deepest_derivation(corpus_tt, monkeypatch):
+    """A goal derived again deeper down is remembered at the deeper depth,
+    so a later request at any depth up to it is a hit."""
+    deriver = TTDeriver(corpus_tt, {})
+    a = FreeVar("a")
+    vctx = VarCtx([(a, NAT)])
+    deriver.tm(EMPTY_METAS, vctx, chain(5, a), NAT)
+    deriver.tm(EMPTY_METAS, vctx, chain(8, a), NAT)
+    applied = []
+    real = TTDeriver._apply
+
+    def spy(self, cx, name, *rest):
+        applied.append(name)
+        return real(self, cx, name, *rest)
+
+    monkeypatch.setattr(TTDeriver, "_apply", spy)
+    five = ExprArg(chain(5, a))
+    deriver.ty(EMPTY_METAS, vctx, SymbolApp("Id", (ExprArg(NAT), five, five)))
+    assert applied == ["Id", "nat"]
+
+
+def _frames() -> int:
+    f, n = sys._getframe(), 0
+    while f is not None:
+        f, n = f.f_back, n + 1
+    return n
+
+
+@pytest.mark.parametrize(
+    "make, derive", [(CFDeriver, cf_succ), (TTDeriver, tt_succ)], ids=["cf", "tt"]
+)
+def test_each_level_costs_the_search_three_frames(corpus_cf, corpus_tt, monkeypatch, make, derive):
+    th = corpus_cf if make is CFDeriver else corpus_tt
+    at_var = []
+    real = make._var
+
+    def spy(self, cx, v, depth):
+        at_var.append(_frames())
+        return real(self, cx, v, depth)
+
+    monkeypatch.setattr(make, "_var", spy)
+    derive(make(th), 10)
+    derive(make(th), 20)
+    assert at_var[1] - at_var[0] <= 3 * 10
+
+
+# cf -> tt derives the certified judgement: the judgement costs one level
+# and each succ one more; the variable is read off the suitable context.
+CF_TO_TT_EDGE = MAX_DEPTH - 1
+
+
+def test_cf_to_tt_depth_edge(corpus_cf, corpus_tt):
+    cert = cf_succ(CFDeriver(corpus_cf), CF_TO_TT_EDGE)
+    back = tr.round_trip_cf(corpus_cf, corpus_tt, cert)
+    assert erased_equal(back.payload, cert.payload)
+    deeper = cf.cf_apply_rule(corpus_cf, "succ", [cert])
+    with pytest.raises(KernelError):
+        tr.cf_judgement_to_tt(corpus_cf, corpus_tt, deeper)
+    for _ in range(1500 - CF_TO_TT_EDGE - 1):
+        deeper = cf.cf_apply_rule(corpus_cf, "succ", [deeper])
+    with pytest.raises(KernelError):
+        tr.cf_judgement_to_tt(corpus_cf, corpus_tt, deeper)
 
 
 def test_refusal_messages_are_printed_and_bounded(corpus_cf, corpus_tt):

@@ -160,15 +160,38 @@ def test_cli_derive_both_engines(capsys):
         assert "Pi(bool, {x} bool)" in out
 
 
-def test_cli_derive_prints_a_deep_conclusion_on_both_engines(tmp_path, capsys):
+def test_cli_derive_with_an_unknown_rule_fails_in_one_line(tmp_path, capsys):
+    script = tmp_path / "Z.fttd"
+    script.write_text("let s0 = rule(zero);\nreturn s0;\n")
+    for engine in ("cf", "tt"):
+        rc = cli.main(["derive", str(CORPUS / "mltt.ftt"), str(script), "--engine", engine])
+        assert rc == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == "error: no rule named 'zero'\n"
+
+
+@pytest.fixture()
+def deep_script(tmp_path):
+    """A script deriving succ^1500(n)."""
     steps = ["let tn = rule(nat);", "var n : tn;", "let s0 = rule(succ, n);"]
     steps += [f"let s{i} = rule(succ, s{i - 1});" for i in range(1, 1500)]
     script = tmp_path / "S.fttd"
     script.write_text("\n".join(steps + ["return s1499;"]) + "\n")
+    return str(script)
+
+
+def test_cli_derive_prints_a_deep_conclusion_on_both_engines(deep_script, capsys):
     for engine in ("cf", "tt"):
-        rc = cli.main(["derive", str(CORPUS / "mltt.ftt"), str(script), "--engine", engine])
+        rc = cli.main(["derive", str(CORPUS / "mltt.ftt"), deep_script, "--engine", engine])
         assert rc == 0
         assert "succ(" * 1500 in capsys.readouterr().out
+
+
+def test_cli_translate_to_tt_refuses_a_deep_judgement_in_one_line(deep_script, capsys):
+    rc = cli.main(["translate", str(CORPUS / "mltt.ftt"), deep_script, "--to", "tt"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == "error: cf->tt: obligation recursion too deep\n"
 
 
 def test_cli_translate_both_ways(capsys):
