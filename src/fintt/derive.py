@@ -314,8 +314,8 @@ class Deriver:
         module at each call, so that a wrapper installed there sees it."""
         return getattr(self.ENGINE, self.STEPS[step])(self.theory, *args)
 
-    def _recall(self, key: tuple, depth: int):
-        """The result remembered for the goal ``key``, if it may be taken at
+    def _recall(self, depth: int, *goal):
+        """The result remembered for ``goal``, if it may be taken at
         ``depth``; else None.  A goal nested deeper than ``MAX_DEPTH`` is
         refused.  A remembered result is taken again only at a depth no
         greater than the one it was derived at: deeper, the fresh search has
@@ -324,18 +324,18 @@ class Deriver:
         _limit(depth)
         if self.memo is None:
             return None
-        hit = self.memo.get(key)
+        hit = self.memo.get(goal)
         return hit[1] if hit is not None and depth <= hit[0] else None
 
-    def _remember(self, key: tuple, depth: int, out):
-        """Remembers ``out`` for the goal ``key``, derived at ``depth``,
+    def _remember(self, depth: int, out, *goal):
+        """Remembers ``out`` for ``goal``, derived at ``depth``,
         unless an entry derived at least as deep is remembered already, so
         that a goal asked for ever deeper is not derived again at each
         depth.  Failures are never remembered (see ``check_finitary``)."""
         if self.memo is not None:
-            hit = self.memo.get(key)
+            hit = self.memo.get(goal)
             if hit is None or hit[0] < depth:
-                self.memo[key] = (depth, out)
+                self.memo[goal] = (depth, out)
         return out
 
     def _under_binder(self, cx, j: Abstracted, inner, abstraction: str, depth: int):
@@ -361,8 +361,7 @@ class Deriver:
         raise DeriveError(f"not a judgement: {j.body!r}")
 
     def _boundary(self, cx, b: Abstracted, depth: int):
-        key = ("boundary", *cx, b)
-        out = self._recall(key, depth)
+        out = self._recall(depth, "boundary", cx, b)
         if out is not None:
             return out
         if b.prefix:
@@ -386,7 +385,7 @@ class Deriver:
                     )
                 case _:
                     raise DeriveError(f"not a boundary: {b.body!r}")
-        return self._remember(key, depth, out)
+        return self._remember(depth, out, "boundary", cx, b)
 
     def _equation(self, cx, b: Abstracted, depth: int):
         """Derives some judgement filling the equational boundary ``b``."""
@@ -401,8 +400,7 @@ class Deriver:
         raise DeriveError("expected an equational boundary")
 
     def _ty(self, cx, a: Expr, depth: int):
-        key = ("ty", *cx, a)
-        out = self._recall(key, depth)
+        out = self._recall(depth, "ty", cx, a)
         if out is not None:
             return out
         match a:
@@ -412,11 +410,10 @@ class Deriver:
                 out = self._object_by_rule(cx, a, IsTy, depth)[0]
             case _:
                 raise DeriveError(f"cannot derive that {_shown(a)} is a type")
-        return self._remember(key, depth, out)
+        return self._remember(depth, out, "ty", cx, a)
 
     def _tm(self, cx, t: Expr, a: Expr, depth: int):
-        key = ("tm", *cx, t, a)
-        out = self._recall(key, depth)
+        out = self._recall(depth, "tm", cx, t, a)
         if out is not None:
             return out
         match t:
@@ -428,10 +425,12 @@ class Deriver:
             case SymbolApp():
                 w, got = self._object_by_rule(cx, t, IsTm, depth)
             case Convert():
-                return self._remember(key, depth, self._convert_goal(cx, t, a, depth))
+                out = self._convert_goal(cx, t, a, depth)
+                return self._remember(depth, out, "tm", cx, t, a)
             case _:
                 raise DeriveError(f"cannot derive a typing for {_shown(t)}")
-        return self._remember(key, depth, self._convert_to(cx, w, got, a, depth))
+        out = self._convert_to(cx, w, got, a, depth)
+        return self._remember(depth, out, "tm", cx, t, a)
 
     def _convert_goal(self, cx, t: Convert, a: Expr, depth: int):
         """A conversion term: only the context-free presentation has them."""

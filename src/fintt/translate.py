@@ -6,7 +6,8 @@ Certificates carry no derivations, so the tt obligation search of
 ``derive`` rebuilds one, with its rule choice, failure semantics and depth
 limit; a premise metavariable that the conclusion does not determine (such
 as the proof term of an equality-reflection instance) is resolved from the
-assumption set of the judgement.
+assumption set of the judgement, or from the atoms the search opened for its
+bound variables.
 
 tt -> cf: follow the derivation, labelling context entries with certified
 cf annotations, rectifying heads with boundary conversion where erasure
@@ -147,24 +148,29 @@ class _HintDeriver(TTDeriver):
     """The tt obligation search as cf -> tt runs it.  A fresh atom carries
     its type as its annotation, as the atoms of a suitable context do, and
     a premise object metavariable that matching leaves open, such as the
-    proof term of an equality-reflection instance, is the first variable,
-    else the first metavariable, of the assumption set ``hints`` that has
-    the premise's type in the context."""
+    proof term of an equality-reflection instance, is the first variable of
+    the assumption set ``hints``, else the innermost atom the search has
+    opened, else the first metavariable of ``hints``, that has the
+    premise's type in the context.  The opened atoms stand for the bound
+    variables of the judgement, which ``hints`` cannot name."""
 
     def __init__(self, theory: Theory, hints: AssumptionSet):
         super().__init__(theory)
         self._vars = sorted(hints.free_vars, key=lambda v: v.name)
         self._metas = sorted(hints.metas, key=lambda m: m.name)
+        self._opened: set = set()
 
     def _bind(self, cx, j: Abstracted):
         bare, _ = super()._bind(cx, j)
         atom = FreeVar(bare.name, j.prefix[0])
+        self._opened.add(atom)
         return atom, (cx[0], cx[1].extend(atom, j.prefix[0]))
 
     def _undetermined(self, cx, m: MetaName, b: Abstracted):
         mctx, vctx = cx
         if not b.prefix and isinstance(b.body, IsTmB):
-            for v in self._vars:
+            opened = [v for v, _ in reversed(vctx.entries) if v in self._opened]
+            for v in (*self._vars, *opened):
                 if v in vctx and vctx[v] == b.body.ty:
                     return ExprArg(v)
             for n in self._metas:
@@ -282,7 +288,7 @@ class TTtoCF:
             vchain.append((d.data[0], d.premises[1]))
             d = d.premises[0]
         for v, td in reversed(vchain):
-            cert = self._translate(td, theta, theta_certs, gamma, gamma_certs)
+            cert = self.translate(td, theta, theta_certs, gamma, gamma_certs)
             gamma[v] = cert.payload.body.ty
             gamma_certs[v] = cert
         return theta, theta_certs, gamma, gamma_certs
@@ -364,7 +370,7 @@ class TTtoCF:
 
     # -- the main recursion (parts 4 and 5) ---------------------------------
 
-    def _translate(self, d, th, thc, ga, gac):
+    def translate(self, d, th, thc, ga, gac):
         # A subderivation shared between nodes is translated once per
         # labeling of its variables; entries keep their keys' objects alive.
         key = (id(d), id(ga))
@@ -382,19 +388,19 @@ class TTtoCF:
                 return cf.cf_var(self.cf, FreeVar(v.name, ga[v]), gac[v])
             case "TT-Abstr":
                 atom = d.data[2]
-                ty_c = self._translate(d.premises[0], th, thc, ga, gac)
+                ty_c = self.translate(d.premises[0], th, thc, ga, gac)
                 a_cf = ty_c.payload.body.ty
                 ga2 = dict(ga)
                 gac2 = dict(gac)
                 ga2[atom] = a_cf
                 gac2[atom] = ty_c
-                body_c = self._translate(d.premises[1], th, thc, ga2, gac2)
+                body_c = self.translate(d.premises[1], th, thc, ga2, gac2)
                 return cf.cf_abstract_fwd(
                     self.cf, ty_c, body_c, FreeVar(atom.name, a_cf)
                 )
             case "TT-Bdry-Abstr":
                 atom = d.data[2]
-                ty_c = self._translate(d.premises[0], th, thc, ga, gac)
+                ty_c = self.translate(d.premises[0], th, thc, ga, gac)
                 a_cf = ty_c.payload.body.ty
                 ga2, gac2 = dict(ga), dict(gac)
                 ga2[atom] = a_cf
@@ -412,32 +418,32 @@ class TTtoCF:
             case "TT-Congr":
                 return self._translate_congr(d, th, thc, ga, gac)
             case "TT-EqTy-Refl":
-                c = self._translate(d.premises[0], th, thc, ga, gac)
+                c = self.translate(d.premises[0], th, thc, ga, gac)
                 return cf.cf_eqty_refl(self.cf, c, c)
             case "TT-EqTm-Refl":
-                c = self._translate(d.premises[0], th, thc, ga, gac)
+                c = self.translate(d.premises[0], th, thc, ga, gac)
                 return cf.cf_eqtm_refl(self.cf, c, c)
             case "TT-EqTy-Sym":
-                return cf.cf_eqty_sym(self.cf, self._translate(d.premises[0], th, thc, ga, gac))
+                return cf.cf_eqty_sym(self.cf, self.translate(d.premises[0], th, thc, ga, gac))
             case "TT-EqTm-Sym":
-                return cf.cf_eqtm_sym(self.cf, self._translate(d.premises[0], th, thc, ga, gac))
+                return cf.cf_eqtm_sym(self.cf, self.translate(d.premises[0], th, thc, ga, gac))
             case "TT-EqTy-Trans":
-                c1 = self._translate(d.premises[0], th, thc, ga, gac)
-                c2 = self._translate(d.premises[1], th, thc, ga, gac)
+                c1 = self.translate(d.premises[0], th, thc, ga, gac)
+                c2 = self.translate(d.premises[1], th, thc, ga, gac)
                 return cf.cf_eqty_trans(self.cf, c1, c2)
             case "TT-EqTm-Trans":
-                c1 = self._translate(d.premises[0], th, thc, ga, gac)
-                c2 = self._translate(d.premises[1], th, thc, ga, gac)
+                c1 = self.translate(d.premises[0], th, thc, ga, gac)
+                c2 = self.translate(d.premises[1], th, thc, ga, gac)
                 c2 = self._retype_eq(c2, self._components(c1)[0])
                 return cf.cf_eqtm_trans(self.cf, c1, c2)
             case "TT-Conv-Tm":
-                c_t = self._translate(d.premises[0], th, thc, ga, gac)
-                c_eq = self._translate(d.premises[1], th, thc, ga, gac)
+                c_t = self.translate(d.premises[0], th, thc, ga, gac)
+                c_eq = self.translate(d.premises[1], th, thc, ga, gac)
                 c_eq = self._rectify_eq_lhs(c_eq, self._components(c_t)[0])
                 return cf.cf_conv_tm(self.cf, c_t, c_eq)
             case "TT-Conv-EqTm":
-                c_eq = self._translate(d.premises[0], th, thc, ga, gac)
-                c_ty = self._translate(d.premises[1], th, thc, ga, gac)
+                c_eq = self.translate(d.premises[0], th, thc, ga, gac)
+                c_ty = self.translate(d.premises[1], th, thc, ga, gac)
                 c_ty = self._rectify_eq_lhs(c_ty, self._components(c_eq)[0])
                 return cf.cf_conv_eqtm(self.cf, c_eq, c_ty)
             case "TT-Bdry-Ty" | "TT-Bdry-Tm" | "TT-Bdry-EqTy" | "TT-Bdry-EqTm":
@@ -449,22 +455,22 @@ class TTtoCF:
             case "TT-Bdry-Ty":
                 return cf.cf_bdry_ty(self.cf)
             case "TT-Bdry-Tm":
-                return cf.cf_bdry_tm(self.cf, self._translate(d.premises[0], th, thc, ga, gac))
+                return cf.cf_bdry_tm(self.cf, self.translate(d.premises[0], th, thc, ga, gac))
             case "TT-Bdry-EqTy":
                 return cf.cf_bdry_eqty(
                     self.cf,
-                    self._translate(d.premises[0], th, thc, ga, gac),
-                    self._translate(d.premises[1], th, thc, ga, gac),
+                    self.translate(d.premises[0], th, thc, ga, gac),
+                    self.translate(d.premises[1], th, thc, ga, gac),
                 )
             case "TT-Bdry-EqTm":
-                a_c = self._translate(d.premises[0], th, thc, ga, gac)
-                s_c = self._translate(d.premises[1], th, thc, ga, gac)
-                t_c = self._translate(d.premises[2], th, thc, ga, gac)
+                a_c = self.translate(d.premises[0], th, thc, ga, gac)
+                s_c = self.translate(d.premises[1], th, thc, ga, gac)
+                t_c = self.translate(d.premises[2], th, thc, ga, gac)
                 s_c = self._retype_to(s_c, a_c)
                 t_c = self._retype_to(t_c, a_c)
                 return cf.cf_bdry_eqtm(self.cf, a_c, s_c, t_c)
             case "TT-Bdry-Abstr":
-                return self._translate(d, th, thc, ga, gac)
+                return self.translate(d, th, thc, ga, gac)
         raise UncheckableDerivation(f"tt->cf does not handle boundary node {d.rule}")
 
     def _retype_to(self, t_cert, ty_cert):
@@ -481,7 +487,7 @@ class TTtoCF:
         m_cf = MetaName(m.name, b_cf)
         t_certs = []
         for j in range(len(terms)):
-            raw = self._translate(d.premises[j], th, thc, ga, gac)
+            raw = self.translate(d.premises[j], th, thc, ga, gac)
             target_ty = cf.binder_type_cert(self.cf, thc[m], j)
             for tc in t_certs:
                 target_ty = cf.cf_substitute(self.cf, target_ty, tc)
@@ -502,7 +508,7 @@ class TTtoCF:
         s_certs: list = []
         t_certs: list = []
         for j in range(k):
-            raw = self._translate(d.premises[j], th, thc, ga, gac)
+            raw = self.translate(d.premises[j], th, thc, ga, gac)
             target_ty = cf.binder_type_cert(self.cf, thc[m], j)
             for sc in s_certs:
                 target_ty = cf.cf_substitute(self.cf, target_ty, sc)
@@ -513,7 +519,7 @@ class TTtoCF:
                 )
             )
         for j in range(k):
-            raw = self._translate(d.premises[k + j], th, thc, ga, gac)
+            raw = self.translate(d.premises[k + j], th, thc, ga, gac)
             target_ty = cf.binder_type_cert(self.cf, thc[m], j)
             for tc in t_certs:
                 target_ty = cf.cf_substitute(self.cf, target_ty, tc)
@@ -525,7 +531,7 @@ class TTtoCF:
             )
         eq_certs = []
         for j in range(k):
-            raw = self._translate(d.premises[2 * k + j], th, thc, ga, gac)
+            raw = self.translate(d.premises[2 * k + j], th, thc, ga, gac)
             target_b = self._equation_boundary_cert(s_certs[j], t_certs[j])
             src_b = cf.presuppositions_cf(self.cf, raw)
             moved = cf.boundary_convert(self.cf, src_b, target_b, raw)
@@ -540,7 +546,7 @@ class TTtoCF:
         n = len(rule_cf.premises)
         certs: list = []
         for i in range(n):
-            raw = self._translate(d.premises[i], th, thc, ga, gac)
+            raw = self.translate(d.premises[i], th, thc, ga, gac)
             target_b = self._instantiated_premise_boundary(rule_name, i, certs)
             src_b = cf.presuppositions_cf(self.cf, raw)
             certs.append(cf.boundary_convert(self.cf, src_b, target_b, raw))
@@ -553,13 +559,13 @@ class TTtoCF:
         f_certs: list = []
         g_certs: list = []
         for i in range(n):
-            raw = self._translate(d.premises[i], th, thc, ga, gac)
+            raw = self.translate(d.premises[i], th, thc, ga, gac)
             target_b = self._instantiated_premise_boundary(rule_name, i, f_certs)
             f_certs.append(
                 cf.boundary_convert(self.cf, cf.presuppositions_cf(self.cf, raw), target_b, raw)
             )
         for i in range(n):
-            raw = self._translate(d.premises[n + i], th, thc, ga, gac)
+            raw = self.translate(d.premises[n + i], th, thc, ga, gac)
             target_b = self._instantiated_premise_boundary(rule_name, i, g_certs)
             g_certs.append(
                 cf.boundary_convert(self.cf, cf.presuppositions_cf(self.cf, raw), target_b, raw)
@@ -571,7 +577,7 @@ class TTtoCF:
         ]
         eq_certs = []
         for pos, i in enumerate(object_idx):
-            raw = self._translate(d.premises[2 * n + pos], th, thc, ga, gac)
+            raw = self.translate(d.premises[2 * n + pos], th, thc, ga, gac)
             target_b = self._equation_boundary_cert(f_certs[i], g_certs[i])
             moved = cf.boundary_convert(
                 self.cf, cf.presuppositions_cf(self.cf, raw), target_b, raw
@@ -581,7 +587,7 @@ class TTtoCF:
         if isinstance(rule_cf.conclusion, IsTm):
             left_inst = cf.cf_apply_rule(self.cf, rule_name, f_certs)
             right_inst = cf.cf_apply_rule(self.cf, rule_name, g_certs)
-            raw_ceq = self._translate(d.premises[-1], th, thc, ga, gac)
+            raw_ceq = self.translate(d.premises[-1], th, thc, ga, gac)
             li_ty = self._components(left_inst)[0]
             ri_ty = self._components(right_inst)[0]
             ceq = self._rectify_eq_lhs(raw_ceq, li_ty)
@@ -618,7 +624,7 @@ def tt_to_cf(
         theta, theta_certs, gamma, gamma_certs = tr.labelings_from_evidence(
             mctx_deriv, vctx_deriv
         )
-    out = tr._translate(d, theta, theta_certs, gamma, gamma_certs)
+    out = tr.translate(d, theta, theta_certs, gamma, gamma_certs)
     want = d.conclusion.jdg if hasattr(d.conclusion, "jdg") else d.conclusion.bdry
     if double_erase(out.payload) != double_erase(want):
         raise UncheckableDerivation(

@@ -10,7 +10,7 @@ from fintt.derive import CFDeriver, TTDeriver
 from fintt.instantiation import Instantiation
 from fintt.judgements import EMPTY_METAS, EMPTY_VARS, VarCtx, plain
 from fintt.parser import elaborate, parse_script, parse_theory
-from fintt.script import run_script
+from fintt.script import ScriptRunner, run_script
 from fintt.syntax import (
     Abstr,
     AsmArg,
@@ -50,6 +50,20 @@ let e = rule(eq_reflect, tb, u, v, p);
 let r2 = rule(refl2, tb, u, v, e);
 return r2;
 """
+
+
+LAMBDA_TEXT = THEORY_TEXT + """\
+rule Pi: premise A : type; premise B : {x : A} type; yields type
+rule lam: premise A : type; premise B : {x : A} type; premise body : {x : A} B(x); yields : Pi(A, {x} B(x))
+"""
+
+# lam(Id(bool, u, v), {p} Id(bool, u, v), {p} refl2(bool, u, v, e)), where e
+# reflects on the bound p
+BOUND_REFLECTION_SCRIPT = SCRIPT_TEXT.replace(
+    "return r2;",
+    "let fam = abstract(ti, ti, p);\nlet body = abstract(ti, r2, p);\n"
+    "let l = rule(lam, ti, fam, body);\nreturn l;",
+)
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +122,37 @@ def test_translations_across_equational_premise(theories):
         t_tt, t_cf, d_tt, tt.mctx_empty(t_tt), ttd.vctx_wf(m, v)
     )
     assert double_erase(cert2.payload) == d_tt.conclusion.jdg
+
+
+def test_translations_with_reflection_on_a_bound_variable():
+    """cf->tt opens the binder of lam's body premise; the proof the
+    reflection there needs is the atom it opened, which the judgement's
+    assumption set names only as a bound variable.  Transported congruence
+    over the abstracted premise equations translates the same premise."""
+    decl = parse_theory(LAMBDA_TEXT)
+    t_cf, t_tt = elaborate(decl, "cf"), elaborate(decl, "tt")
+    check_finitary(t_cf)
+    check_finitary(t_tt)
+    script = parse_script(BOUND_REFLECTION_SCRIPT)
+    cert = run_script(t_cf, script, "cf")
+    _, _, deriv = tr.cf_judgement_to_tt(t_cf, t_tt, cert)
+    tt.check_derivation(t_tt, deriv)
+    assert deriv.conclusion.jdg == erase(cert.payload)
+
+    runner = ScriptRunner(t_cf, "cf")
+    runner.run(script)
+    ti, r2 = runner.bindings["ti"], runner.bindings["r2"]
+    p = runner.variables["p"]
+    eqs = [
+        cf.cf_eqty_refl(t_cf, ti, ti),
+        cf.cf_abstract_fwd(t_cf, ti, cf.cf_eqty_refl(t_cf, ti, ti), p),
+        cf.cf_abstract_fwd(t_cf, ti, cf.cf_eqtm_refl(t_cf, r2, r2), p),
+    ]
+    out = tr.transported_congruence(t_cf, t_tt, "lam", eqs)
+    body = out.payload.body
+    assert isinstance(body, EqTm)
+    assert erased_equal(body.lhs, cert.payload.body.term)
+    assert erased_equal(body.rhs, cert.payload.body.term)
 
 
 def test_term_rule_congruence_tt_to_cf(corpus_cf, corpus_tt):

@@ -210,6 +210,20 @@ def test_cli_translate_both_ways(capsys):
     assert "by" in out
 
 
+def test_cli_translate_to_tt_takes_a_bound_reflection_proof(tmp_path, capsys):
+    """The proof of the reflected equation is the variable the judgement
+    abstracts over, so the search must take it from the atom it opens."""
+    text = (CORPUS / "reflect.fttd").read_text().replace(
+        "return e;", "let a = abstract(ti, e, p);\nreturn a;"
+    )
+    script = tmp_path / "A.fttd"
+    script.write_text(text)
+    rc = cli.main(["translate", str(CORPUS / "mltt.ftt"), str(script), "--to", "tt"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "{x : Id(bool, u^bool, v^bool)} u^bool == v^bool : bool" in out
+
+
 def test_cli_natural_type(capsys):
     rc = cli.main(["natural-type", str(CORPUS / "mltt.ftt"), "succ(succ(n^nat))"])
     assert rc == 0
