@@ -597,9 +597,11 @@ def cf_congruence(
     ]
     if len(eq_certs) != len(object_idx):
         raise PremiseMismatch("one equation per object premise required")
+    # rule_instance_premises checked that a premise boundary mentions only
+    # earlier premises, so the whole of ``left`` acts on it as its segment.
     for idx, eq_cert in zip(object_idx, eq_certs):
         m, b = rule.premises[idx]
-        want_b = act(left.restrict(idx + 1), b)
+        want_b = act(left, b)
         got = eq_cert.payload
         f_i = left[m]
         g_i = right[m]

@@ -147,6 +147,10 @@ class UncheckableDerivation(KernelError):
     pass
 
 
+class DepthExceeded(KernelError):
+    """An input nested deeper than the translation's explicit limit."""
+
+
 class CyclicAnnotation(KernelError):
     pass
 

@@ -7,6 +7,8 @@ from typing import Iterable
 from .errors import ArityMismatch, IndexOutOfRange, UnknownMeta
 from .syntax import (
     _MV,
+    _SELF,
+    _SHAPES,
     Abstr,
     Argument,
     AssumptionSet,
@@ -15,7 +17,6 @@ from .syntax import (
     FreeVar,
     MetaApp,
     MetaName,
-    _rewrite,
     asm,
     erase,
     mv,
@@ -32,7 +33,11 @@ class Instantiation:
         names = [m for m, _ in self.entries]
         if len(set(names)) != len(names):
             raise ValueError("instantiated metavariables must be distinct")
+        self.metas: tuple[MetaName, ...] = tuple(names)
         self._map = dict(self.entries)
+        # The entries never change, so neither does the hash: each one costs
+        # a Python-level ``__hash__`` call per node in the entries.
+        self._hash = hash(self.entries)
 
     def __contains__(self, m: MetaName) -> bool:
         return m in self._map
@@ -52,7 +57,7 @@ class Instantiation:
         return isinstance(other, Instantiation) and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return self._hash
 
     def restrict(self, i: int) -> "Instantiation":
         """The first ``i - 1`` entries (1-based initial segment)."""
@@ -80,6 +85,102 @@ def _apply_meta_argument(arg: Argument, terms: tuple[Expr, ...]) -> Expr:
     return subst_bound_many(body.expr, terms)
 
 
+# The steps of an action plan.  Each is a tuple ``(op, a, n, c)``:
+#   _CONST    pushes the subterm ``a``, which mentions no metavariable;
+#   _REBUILD  pops ``n`` values, pushes ``c(a, values)``: the node ``a``
+#             (``_SELF`` for the planned node) rebuilt by its shape;
+#   _META     pops the ``n`` acted arguments of the metavariable ``a``'s
+#             application, which sits under ``c`` binders, and pushes its
+#             instantiating argument with them substituted;
+#   _ATOM     pops an acted annotation, pushes the free variable named ``a``
+#             carrying it;
+#   _ASET     pops ``n`` acted free variables and pushes the assumption set
+#             whose free variables ``a`` lists, with ``_HOLE`` for each
+#             popped one, and with ``c = (bound_vars, metas, depth)``.
+_CONST, _REBUILD, _META, _ATOM, _ASET = range(5)
+_HOLE = object()
+
+
+def _recording(x):
+    """Yields the steps of ``act``'s walk of ``x`` in postfix order, on its
+    own stack, and stores them on ``x`` as its plan once the walk is done.
+    The walk descends only into subterms that mention a metavariable, and
+    into the annotation of an atom, from depth 0, where it does."""
+    plan = []
+    todo = [(x, 0)]
+    while todo:
+        step = todo.pop()
+        if len(step) == 2:
+            y, d = step
+            # mv(x) filled the occurrence caches of every node below x.
+            if not y._occ[_MV]:
+                step = (_CONST, y, 0, None)
+            else:
+                cls = type(y)
+                if cls is MetaApp:
+                    todo.append((_META, y.meta, len(y.args), d))
+                    todo += [(t, d) for t in reversed(y.args)]
+                elif cls is FreeVar:
+                    todo += [(_ATOM, y.name, 0, None), (y.annotation, 0)]
+                elif cls is AssumptionSet:
+                    atoms = tuple(_HOLE if v._occ[_MV] else v for v in y.free_vars)
+                    acted = [(v, d) for v in y.free_vars if v._occ[_MV]]
+                    todo.append((_ASET, atoms, len(acted), (y.bound_vars, tuple(y.metas), d)))
+                    todo += reversed(acted)
+                else:
+                    children, binders, rebuild = _SHAPES[cls]
+                    kids = children(y)
+                    todo.append((_REBUILD, _SELF if y is x else y, len(kids), rebuild))
+                    todo += [
+                        (kids[i], d + (binders if binders >= 0 else i))
+                        for i in reversed(range(len(kids)))
+                    ]
+                continue
+        plan.append(step)
+        yield step
+    object.__setattr__(x, "_plan", tuple(plan))
+
+
+def _run(plan, x, inst: Instantiation):
+    """Runs the action plan ``plan`` of ``x`` with ``inst`` on a value stack."""
+    vals: list = []
+    push = vals.append
+    for op, a, n, c in plan:
+        if op == _CONST:
+            push(a)
+        elif op == _REBUILD:
+            y = x if a is _SELF else a
+            if n == 1:
+                vals[-1] = c(y, (vals[-1],))
+            else:
+                kids = tuple(vals[-n:])
+                del vals[-n:]
+                push(c(y, kids))
+        elif op == _META:
+            args = ()
+            if n:
+                args = tuple(vals[-n:])
+                del vals[-n:]
+            arg = inst._map.get(a)
+            if arg is None:
+                raise UnknownMeta(a.name)
+            push(_apply_meta_argument(shift(arg, c) if c else arg, args))
+        elif op == _ATOM:
+            vals[-1] = FreeVar(a, vals[-1])
+        else:
+            acted = iter(vals[len(vals) - n:])
+            del vals[len(vals) - n:]
+            bound_vars, metas, d = c
+            free_vars = frozenset(next(acted) if v is _HOLE else v for v in a)
+            out = AssumptionSet(free_vars, bound_vars, frozenset())
+            for m in metas:
+                if m not in inst:
+                    raise UnknownMeta(m.name)
+                out = out.union(asm(shift(inst[m], d)))
+            push(out)
+    return vals[-1]
+
+
 def act(inst: Instantiation, x):
     """Acts with the instantiation on any syntactic value.
 
@@ -88,29 +189,17 @@ def act(inst: Instantiation, x):
     an instantiated metavariable are replaced by the assumption set of its
     argument; free-variable annotations are rewritten in place.  A subterm
     that mentions no metavariable is returned as it is.
+
+    The walk depends on ``x`` alone, so its first ``act`` records it on
+    ``x`` as a plan of steps (see ``_recording``), and every later ``act``
+    on ``x``, with any instantiation, runs the plan instead of walking.
+    Both keep their own stacks, so term depth is not bounded by the
+    recursion limit.
     """
     if not mv(x):
         return x
-
-    def walk(y):
-        return _rewrite(y, leaves, _MV)
-
-    def var(y: FreeVar, d: int):
-        return FreeVar(y.name, walk(y.annotation))
-
-    def meta(y: MetaApp, args: tuple, d: int):
-        return _apply_meta_argument(shift(inst[y.meta], d), args)
-
-    def aset(y: AssumptionSet, d: int):
-        out = AssumptionSet(frozenset(map(walk, y.free_vars)), y.bound_vars, frozenset())
-        for m in y.metas:
-            if m not in inst:
-                raise UnknownMeta(m.name)
-            out = out.union(asm(shift(inst[m], d)))
-        return out
-
-    leaves = {FreeVar: var, MetaApp: meta, AssumptionSet: aset}
-    return walk(x)
+    plan = x._plan
+    return _run(_recording(x) if plan is None else plan, x, inst)
 
 
 def erase_instantiation(inst: Instantiation) -> Instantiation:

@@ -19,20 +19,23 @@ nodes is identity.  Construction, ``dataclasses.replace``, pickling,
 ``copy`` and ``deepcopy`` all intern; a node leaves its class's weak table
 when it dies (see ``_node``).  Nodes are never mutated after construction,
 so a node's hash is computed when it is made, and its occurrence sets and
-erasures at most once, from its children's; all are cached on the node.
-The caches are not dataclass fields: ``repr`` and pickling see the fields
-only.
+erasures at most once, from its children's; all are cached on the node,
+and so is the plan that the action of instantiations records on its first
+walk of a node.  The caches are not dataclass fields: ``repr`` and
+pickling see the fields only.
 
 Each node kind's shape (its children, the binders each sits under, and its
 rebuild) is written once, in ``_SHAPES``.  One driver, ``_rewrite``, walks
 it for every syntactic action: shifting, substitution of bound indices,
-abstraction, substitution of atoms and both renamings here, and the action
-of instantiations and the cf annotation of metavariables elsewhere.  Each
-action gives only what it does at atoms, assumption sets and metavariable
-applications, and the occurrence caches let the driver skip every subterm
-the action cannot touch.  Like hashing, equality, occurrences and erasure,
-the driver keeps its own stack, so no action is bounded by the recursion
-limit: each works on terms of any depth.
+abstraction, substitution of atoms and both renamings here, and the cf
+annotation of metavariables elsewhere.  Each action gives only what it does
+at atoms, assumption sets and metavariable applications, and the occurrence
+caches let the driver skip every subterm the action cannot touch.  The
+action of instantiations reads the same shapes but runs a plan recorded on
+the node (see ``fintt.instantiation.act``).  Like hashing, equality,
+occurrences and erasure, the driver and the plans keep their own stacks, so
+no action is bounded by the recursion limit: each works on terms of any
+depth.
 """
 
 from __future__ import annotations
@@ -151,8 +154,12 @@ def _node(cls):
     A new node stores ``hash(key)`` as ``_h``: that is the field hash of a
     plain frozen dataclass, so hash values, and with them set iteration
     orders, are those of plain frozen dataclasses.  The caches ``_occ``,
-    ``_erase`` and ``_double_erase`` read ``None`` until filled; they are not
-    fields, so ``repr`` ignores them and pickling drops them.
+    ``_erase``, ``_double_erase`` and ``_plan`` (the steps of ``act``'s walk,
+    see ``fintt.instantiation``) read ``None`` until filled; they are not
+    fields, so ``repr`` ignores them and pickling drops them.  No cache
+    refers to its own node, which would make a reference cycle and keep the
+    node alive after its last use: a cached erasure that is the node itself
+    reads ``_SELF``, and so does the node in its own plan.
     """
     cls = dataclass(frozen=True, eq=False, init=False)(cls)
     names = tuple(f.name for f in fields(cls))
@@ -204,6 +211,7 @@ def _node(cls):
     cls._occ = None
     cls._erase = None
     cls._double_erase = None
+    cls._plan = None
     return cls
 
 

@@ -4,8 +4,8 @@ and metavariable closure-rule schemas, and the theory well-formedness gates."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Union
+from functools import cached_property, lru_cache
+from typing import NamedTuple, Optional, Union
 
 from .errors import (
     ArityMismatch,
@@ -35,7 +35,6 @@ from .syntax import (
     BoundVar,
     BoundaryThesis,
     DUMMY,
-    DummyArg,
     EqTm,
     EqTy,
     Expr,
@@ -65,6 +64,19 @@ from .syntax import (
 Flavor = str  # "tt" | "cf"
 
 
+class RuleParts(NamedTuple):
+    """What the closure rules of a specific rule take from the rule alone."""
+
+    metas: tuple[MetaName, ...]  # the premise metavariables, in order
+    objects: tuple[bool, ...]  # whether each premise is of an object class
+    # The first metavariable a premise boundary mentions before its own
+    # premise introduces it, in premise order, or None.
+    unintroduced: Optional[str]
+    boundary: AbstractedBoundary  # the plain conclusion boundary
+    head: Argument  # the conclusion's head
+    conclusion: AbstractedJudgement  # the plain conclusion
+
+
 @dataclass(frozen=True)
 class RawRule:
     """Premises (a metavariable context) and a non-abstracted conclusion.
@@ -82,6 +94,28 @@ class RawRule:
 
     def meta_arities(self) -> dict[MetaName, MetaArity]:
         return {m: boundary_arity(b) for m, b in self.premises}
+
+    @cached_property
+    def parts(self) -> RuleParts:
+        """The rule's ``RuleParts``, computed on first use and kept on the
+        rule (not a field: equality, hashing and ``repr`` ignore it)."""
+        unintroduced = None
+        earlier: set[MetaName] = set()
+        for m, b in self.premises:
+            late = [u for u in mv(b) if u not in earlier]
+            if late and unintroduced is None:
+                unintroduced = late[0].name
+            earlier.add(m)
+        conclusion = plain(self.conclusion)
+        boundary, head = unfill(conclusion)
+        return RuleParts(
+            tuple(m for m, _ in self.premises),
+            tuple(boundary_arity(b).cls.is_object for _, b in self.premises),
+            unintroduced,
+            boundary,
+            head,
+            conclusion,
+        )
 
 
 @dataclass(frozen=True)
@@ -162,7 +196,7 @@ def is_symbol_rule(sig: Signature, rule: RawRule, flavor: Flavor) -> Optional[st
     symbol = head.symbol
     if symbol not in sig:
         return None
-    rb = RuleBoundary(rule.premises, _conclusion_boundary(rule.conclusion))
+    rb = RuleBoundary(rule.premises, unfill(plain(rule.conclusion))[0].body)
     expected_head = SymbolApp(
         symbol,
         tuple(generic_application(m, boundary_arity(b), flavor) for m, b in rb.premises),
@@ -171,10 +205,6 @@ def is_symbol_rule(sig: Signature, rule: RawRule, flavor: Flavor) -> Optional[st
     if expected == rule.conclusion:
         return symbol
     return None
-
-
-def _conclusion_boundary(t: Thesis) -> BoundaryThesis:
-    return unfill(plain(t))[0].body
 
 
 # ---------------------------------------------------------------------------
@@ -192,28 +222,29 @@ def instance_of(schema, *args):
     return (tuple(prem), *rest)
 
 
+def _instance_parts(rule: RawRule, *insts: Instantiation) -> RuleParts:
+    """The rule's parts, once each instantiation is checked to instantiate
+    exactly the rule's premises, in order, and the rule to introduce every
+    metavariable before a premise boundary mentions it.  Then a premise
+    boundary is acted on by the whole instantiation as by the initial
+    segment before its premise."""
+    parts = rule.parts
+    for inst in insts:
+        if inst.metas != parts.metas:
+            raise ArityMismatch("instantiation does not match the rule's premises")
+    if parts.unintroduced is not None:
+        raise UnknownMeta(parts.unintroduced)
+    return parts
+
+
 def rule_instance_premises(
     rule: RawRule, inst: Instantiation
 ) -> tuple[list[AbstractedJudgement], AbstractedBoundary, AbstractedJudgement]:
     """The closure rule of a specific rule under an instantiation: the filled
     premises, the instantiated conclusion boundary, and the conclusion."""
-    if len(inst) != len(rule.premises) or any(
-        m != n for (m, _), (n, _) in zip(rule.premises, inst.entries)
-    ):
-        raise ArityMismatch("instantiation does not match the rule's premises")
-    # A premise boundary that mentions only earlier premises' metavariables
-    # is acted on by the whole instantiation as by its initial segment.
-    earlier: set[MetaName] = set()
-    for m, b in rule.premises:
-        for u in mv(b):
-            if u not in earlier:
-                raise UnknownMeta(u.name)
-        earlier.add(m)
+    parts = _instance_parts(rule, inst)
     premises = [fill(act(inst, b), inst[m]) for m, b in rule.premises]
-    bdry_thesis = _conclusion_boundary(rule.conclusion)
-    bdry = act(inst, plain(bdry_thesis))
-    conclusion = act(inst, plain(rule.conclusion))
-    return premises, bdry, conclusion
+    return premises, act(inst, parts.boundary), act(inst, parts.conclusion)
 
 
 def congruence_premises_tt(
@@ -224,22 +255,20 @@ def congruence_premises_tt(
     equation for term rules) and the equational conclusion."""
     if not rule.is_object:
         raise NotObjectRule("congruence rules attach to object rules")
-    premises: list[AbstractedJudgement] = []
-    for i, (m, b) in enumerate(rule.premises, start=1):
-        premises.append(fill(act(left.restrict(i), b), left[m]))
-    for i, (m, b) in enumerate(rule.premises, start=1):
-        premises.append(fill(act(right.restrict(i), b), right[m]))
-    for i, (m, b) in enumerate(rule.premises, start=1):
-        if boundary_arity(b).cls.is_object:
-            premises.append(
-                fill_equation(act(left.restrict(i), b), left[m], right[m], DUMMY)
-            )
+    parts = _instance_parts(rule, left, right)
+    left_bdry = [act(left, b) for _, b in rule.premises]
+    premises = [fill(b, left[m]) for m, b in zip(parts.metas, left_bdry)]
+    premises += [fill(act(right, b), right[m]) for m, b in rule.premises]
+    premises += [
+        fill_equation(b, left[m], right[m], DUMMY)
+        for m, b, obj in zip(parts.metas, left_bdry, parts.objects)
+        if obj
+    ]
     if isinstance(rule.conclusion, IsTm):
         premises.append(
             plain(EqTy(act(left, rule.conclusion.ty), act(right, rule.conclusion.ty), DUMMY))
         )
-    conclusion = _congruence_conclusion(rule, left, right, DUMMY)
-    return premises, conclusion
+    return premises, _congruence_conclusion(parts, left, right)
 
 
 def congruence_premises_tt_eco(
@@ -249,30 +278,22 @@ def congruence_premises_tt_eco(
     equations for object premises, in premise order."""
     if not rule.is_object:
         raise NotObjectRule("congruence rules attach to object rules")
-    if len(right) != len(rule.premises) or any(
-        m != n for (m, _), (n, _) in zip(rule.premises, right.entries)
-    ):
-        raise ArityMismatch("instantiation does not match the rule's premises")
-    premises: list[AbstractedJudgement] = []
-    for i, (m, b) in enumerate(rule.premises, start=1):
-        if boundary_arity(b).cls.is_object:
-            premises.append(
-                fill_equation(act(left.restrict(i), b), left[m], right[m], DUMMY)
-            )
-        else:
-            premises.append(fill(act(left.restrict(i), b), left[m]))
-    conclusion = _congruence_conclusion(rule, left, right, DUMMY)
-    return premises, conclusion
+    parts = _instance_parts(rule, left, right)
+    premises = [
+        fill_equation(act(left, b), left[m], right[m], DUMMY)
+        if obj
+        else fill(act(left, b), left[m])
+        for (m, b), obj in zip(rule.premises, parts.objects)
+    ]
+    return premises, _congruence_conclusion(parts, left, right)
 
 
 def _congruence_conclusion(
-    rule: RawRule,
-    left: Instantiation,
-    right: Instantiation,
-    by: Union[DummyArg, AssumptionSet],
+    parts: RuleParts, left: Instantiation, right: Instantiation
 ) -> AbstractedJudgement:
-    bdry, head = unfill(plain(rule.conclusion))
-    return fill_equation(act(left, bdry), act(left, head), act(right, head), by)
+    return fill_equation(
+        act(left, parts.boundary), act(left, parts.head), act(right, parts.head), DUMMY
+    )
 
 
 def metavariable_rule_instance(

@@ -11,7 +11,9 @@ bound variables.
 
 tt -> cf: follow the derivation, labelling context entries with certified
 cf annotations, rectifying heads with boundary conversion where erasure
-leaves slack.
+leaves slack.  The walk recurses, three Python frames per level at most, so
+it refuses a derivation nested deeper than ``MAX_DEPTH`` levels with
+``DepthExceeded``.
 """
 
 from __future__ import annotations
@@ -20,9 +22,10 @@ from typing import Optional, Sequence
 
 from . import cf_engine as cf
 from . import tt_engine as tt
-from .derive import CFDeriver, DeriveError, TTDeriver
+from .derive import MAX_DEPTH, CFDeriver, DeriveError, TTDeriver
 from .errors import (
     CyclicAnnotation,
+    DepthExceeded,
     NonStandardTheory,
     UncheckableDerivation,
     UnsuitableContext,
@@ -256,6 +259,7 @@ class TTtoCF:
         self.tt = tt_theory
         self.cf = cf_theory
         self._done: dict = {}
+        self._depth = 0
         if cf_theory.finitary_witnesses is None:
             raise NonStandardTheory("cf theory must pass the finitary gate first")
         cf_erased = _erased_conclusions(cf_theory)
@@ -373,9 +377,17 @@ class TTtoCF:
     def translate(self, d, th, thc, ga, gac):
         # A subderivation shared between nodes is translated once per
         # labeling of its variables; entries keep their keys' objects alive.
+        # ``_depth`` counts the nodes being translated around this one: the
+        # root is at depth 0.
         key = (id(d), id(ga))
         if key not in self._done:
-            self._done[key] = (d, ga, self._translate_node(d, th, thc, ga, gac))
+            if self._depth > MAX_DEPTH:
+                raise DepthExceeded(f"tt->cf: derivation nested deeper than {MAX_DEPTH}")
+            self._depth += 1
+            try:
+                self._done[key] = (d, ga, self._translate_node(d, th, thc, ga, gac))
+            finally:
+                self._depth -= 1
         return self._done[key][2]
 
     def _translate_node(self, d, th, thc, ga, gac):

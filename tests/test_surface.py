@@ -22,6 +22,7 @@ from fintt.syntax import (
     erased_equal,
 )
 from fintt.theory import check_finitary, check_standard
+from fintt.translate import MAX_DEPTH
 
 from .gen import ExprGen
 
@@ -170,14 +171,19 @@ def test_cli_derive_with_an_unknown_rule_fails_in_one_line(tmp_path, capsys):
         assert out.out == "" and out.err == "error: no rule named 'zero'\n"
 
 
+def succ_script(tmp_path, n: int) -> str:
+    """A script deriving succ^n(n)."""
+    steps = ["let tn = rule(nat);", "var n : tn;", "let s0 = rule(succ, n);"]
+    steps += [f"let s{i} = rule(succ, s{i - 1});" for i in range(1, n)]
+    script = tmp_path / f"S{n}.fttd"
+    script.write_text("\n".join(steps + [f"return s{n - 1};"]) + "\n")
+    return str(script)
+
+
 @pytest.fixture()
 def deep_script(tmp_path):
     """A script deriving succ^1500(n)."""
-    steps = ["let tn = rule(nat);", "var n : tn;", "let s0 = rule(succ, n);"]
-    steps += [f"let s{i} = rule(succ, s{i - 1});" for i in range(1, 1500)]
-    script = tmp_path / "S.fttd"
-    script.write_text("\n".join(steps + ["return s1499;"]) + "\n")
-    return str(script)
+    return succ_script(tmp_path, 1500)
 
 
 def test_cli_derive_prints_a_deep_conclusion_on_both_engines(deep_script, capsys):
@@ -192,6 +198,26 @@ def test_cli_translate_to_tt_refuses_a_deep_judgement_in_one_line(deep_script, c
     assert rc == 1
     out = capsys.readouterr()
     assert out.out == "" and out.err == "error: cf->tt: obligation recursion too deep\n"
+
+
+def test_cli_translate_to_cf_refuses_a_deep_derivation_in_one_line(deep_script, capsys):
+    rc = cli.main(["translate", str(CORPUS / "mltt.ftt"), deep_script, "--to", "cf"])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: tt->cf: derivation nested deeper than {MAX_DEPTH}\n"
+
+
+def test_cli_translate_to_cf_at_the_depth_limit(tmp_path, capsys):
+    """The tt derivation of succ^n(n) nests its variable n levels below the
+    root: n = MAX_DEPTH translates, one more is refused."""
+    theory_file = str(CORPUS / "mltt.ftt")
+    rc = cli.main(["translate", theory_file, succ_script(tmp_path, MAX_DEPTH), "--to", "cf"])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("succ(" * MAX_DEPTH + "n^nat" + ")" * MAX_DEPTH)
+    rc = cli.main(["translate", theory_file, succ_script(tmp_path, MAX_DEPTH + 1), "--to", "cf"])
+    assert rc == 1
+    assert "derivation nested deeper than" in capsys.readouterr().err
 
 
 def test_cli_translate_both_ways(capsys):

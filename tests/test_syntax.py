@@ -344,6 +344,21 @@ def test_every_construction_path_returns_the_interned_node():
         assert x is DUMMY
     asms = AssumptionSet(frozenset([a]))
     assert pickle.loads(pickle.dumps(asms)) is AssumptionSet(free_vars=frozenset([a]))
+    # A node that an instantiation acted on holds its plan, which is not a
+    # field: construction paths still return the node, and pickling drops it.
+    acted = EqTm(a, succ(MetaApp(M, ())), NAT)
+    pickled = pickle.dumps(acted)
+    act(Instantiation([(M, ExprArg(a))]), acted)
+    assert acted._plan is not None
+    assert "_plan" not in {f.name for f in dataclasses.fields(acted)}
+    for x in (
+        dataclasses.replace(acted),
+        copy.copy(acted),
+        copy.deepcopy(acted),
+        pickle.loads(pickle.dumps(acted)),
+    ):
+        assert x is acted
+    assert pickle.dumps(acted) == pickled
 
     gc.collect()
     before = interned()
@@ -352,6 +367,36 @@ def test_every_construction_path_returns_the_interned_node():
     del junk
     gc.collect()
     assert interned() <= before
+
+
+def test_an_acted_node_leaves_no_reference_cycle():
+    """With the cycle collector off, an acted node and its plan die with
+    their last reference and leave the intern tables.  (The fresh nodes are
+    no atoms: an atom's occurrence summary holds the atom itself.)"""
+    gc.collect()
+    gc.disable()
+    try:
+        before = interned()
+        x = Abstr(
+            ExprArg(
+                SymbolApp(
+                    "Id",
+                    (
+                        ExprArg(NAT),
+                        ExprArg(succ_n(100, SymbolApp("cycle#probe", ()))),
+                        ExprArg(succ(MetaApp(M, (BoundVar(0),)))),
+                    ),
+                )
+            )
+        )
+        inst = Instantiation([(M, Abstr(ExprArg(succ(BoundVar(0)))))])
+        first, second = act(inst, x), act(inst, x)
+        assert first is second and x._plan is not None
+        assert interned() > before + 100
+        del x, inst, first, second
+        assert interned() <= before
+    finally:
+        gc.enable()
 
 
 def test_fv0_and_fvt_on_annotated_var():
