@@ -21,9 +21,13 @@ limit.  A premise object metavariable that matching leaves open is refused
 here; the cf -> tt translation supplies one from the certificate's
 assumption set (``Deriver._undetermined``).
 
-Within one pass of the gate the derivers of all prefixes share a memo, and
-the tt deriver extends the metavariable-context chain already built for the
-longest remembered prefix of a rule's premises instead of rebuilding it.
+Each deriver remembers the results of its ``ty``, ``tm`` and ``boundary``
+goals, so a goal met twice in one call (both sides of a reflexivity, the
+type of each annotated variable) is derived once.  The memo is exact: a hit
+is what the search without it derives at that depth.  Within one pass of
+the gate the derivers of all prefixes share a memo, and the tt deriver
+extends the metavariable-context chain already built for the longest
+remembered prefix of a rule's premises instead of rebuilding it.
 """
 
 from __future__ import annotations
@@ -208,24 +212,21 @@ def _match_arg(pattern, subject, unknowns, sol, depth) -> bool:
 def match_equation(
     rule: RawRule, lhs, rhs, ty: Optional[Expr], unknowns: dict
 ) -> Optional[dict]:
-    """Matches an equality rule's conclusion against a goal equation."""
+    """Matches an equality rule's conclusion against a goal equation.  A term
+    equation may also be concluded at a convertible type: if the rule's type
+    does not match ``ty``, the solution is what the two sides determine."""
     sol: dict = {}
     c = rule.conclusion
-    if ty is None:
-        if not isinstance(c, EqTy):
-            return None
-        if match_expr(c.lhs, lhs, unknowns, sol) and match_expr(c.rhs, rhs, unknowns, sol):
-            return sol
-        return None
-    if not isinstance(c, EqTm):
-        return None
-    if (
-        match_expr(c.lhs, lhs, unknowns, sol)
+    if not (
+        isinstance(c, EqTy if ty is None else EqTm)
+        and match_expr(c.lhs, lhs, unknowns, sol)
         and match_expr(c.rhs, rhs, unknowns, sol)
-        and match_expr(c.ty, ty, unknowns, sol)
     ):
+        return None
+    if ty is None:
         return sol
-    return None
+    typed = dict(sol)
+    return typed if match_expr(c.ty, ty, unknowns, typed) else sol
 
 
 _RULE_TABLE = "derive rule table"
@@ -257,22 +258,6 @@ def _first_rules(table: dict, n: int) -> dict:
     return {k: v[: bisect_left(v, n, key=itemgetter(0))] for k, v in table.items()}
 
 
-def _match_eq_rule(rule: RawRule, lhs, rhs, ty, unknowns) -> Optional[dict]:
-    """Matches an equality rule against a goal; a term equation may also be
-    concluded at a convertible type."""
-    sol = match_equation(rule, lhs, rhs, ty, unknowns)
-    if sol is None and ty is not None:
-        sol = {}
-        c = rule.conclusion
-        if not (
-            isinstance(c, EqTm)
-            and match_expr(c.lhs, lhs, unknowns, sol)
-            and match_expr(c.rhs, rhs, unknowns, sol)
-        ):
-            sol = None
-    return sol
-
-
 # ---------------------------------------------------------------------------
 # The search, shared by both presentations
 
@@ -291,11 +276,13 @@ class Deriver:
     build or read the steps that differ.  ``_undetermined`` may supply a
     premise that matching leaves open.
 
-    ``memo``, when given, holds the successful results of ``ty``, ``tm``
-    and ``boundary`` by goal; it may be shared with derivers over longer
-    prefixes of the same theory (see ``check_finitary``).  Without one,
-    nothing is remembered: hashing a fresh goal costs more than a one-off
-    derivation saves."""
+    ``memo`` holds the successful results of ``ty``, ``tm`` and
+    ``boundary`` by goal; a deriver makes its own unless it is given one to
+    share with derivers over longer prefixes of the same theory (see
+    ``check_finitary``).  The memo is exact: a result is remembered only if
+    no search below it caught a depth refusal, and is taken again only at a
+    depth no greater than its own, so a hit is what the search without the
+    memo derives there."""
 
     FLAVOR: str
     CONTEXTS: int
@@ -306,7 +293,8 @@ class Deriver:
         if theory.flavor != self.FLAVOR:
             raise DeriveError(f"{type(self).__name__} needs a {self.FLAVOR} theory")
         self.theory = theory
-        self.memo = memo
+        self.memo = {} if memo is None else memo
+        self._refused = 0  # depth refusals caught so far
         self._rules = rule_table(theory)
 
     def _step(self, step: str, *args):
@@ -314,28 +302,25 @@ class Deriver:
         module at each call, so that a wrapper installed there sees it."""
         return getattr(self.ENGINE, self.STEPS[step])(self.theory, *args)
 
-    def _recall(self, depth: int, *goal):
-        """The result remembered for ``goal``, if it may be taken at
+    def _recall(self, key: tuple, depth: int):
+        """The result remembered for the goal ``key``, if it may be taken at
         ``depth``; else None.  A goal nested deeper than ``MAX_DEPTH`` is
         refused.  A remembered result is taken again only at a depth no
         greater than the one it was derived at: deeper, the fresh search has
         less room below ``MAX_DEPTH`` and might be refused, so it runs
         again."""
         _limit(depth)
-        if self.memo is None:
-            return None
-        hit = self.memo.get(goal)
+        hit = self.memo.get(key)
         return hit[1] if hit is not None and depth <= hit[0] else None
 
-    def _remember(self, depth: int, out, *goal):
-        """Remembers ``out`` for ``goal``, derived at ``depth``,
-        unless an entry derived at least as deep is remembered already, so
-        that a goal asked for ever deeper is not derived again at each
-        depth.  Failures are never remembered (see ``check_finitary``)."""
-        if self.memo is not None:
-            hit = self.memo.get(goal)
-            if hit is None or hit[0] < depth:
-                self.memo[goal] = (depth, out)
+    def _remember(self, key: tuple, depth: int, refused: int, out):
+        """Remembers ``out`` for the goal ``key``, derived at ``depth`` after
+        ``_recall`` found no entry at least as deep, unless the search caught
+        a depth refusal since ``_refused`` read ``refused``: a shallower
+        search might then succeed with an earlier candidate.  Failures are
+        never remembered (see ``check_finitary``)."""
+        if self._refused == refused:
+            self.memo[key] = (depth, out)
         return out
 
     def _under_binder(self, cx, j: Abstracted, inner, abstraction: str, depth: int):
@@ -361,9 +346,11 @@ class Deriver:
         raise DeriveError(f"not a judgement: {j.body!r}")
 
     def _boundary(self, cx, b: Abstracted, depth: int):
-        out = self._recall(depth, "boundary", cx, b)
+        key = ("boundary", cx, b)
+        out = self._recall(key, depth)
         if out is not None:
             return out
+        refused = self._refused
         if b.prefix:
             out = self._under_binder(cx, b, self._boundary, "bdry_abstract", depth)
         else:
@@ -385,7 +372,7 @@ class Deriver:
                     )
                 case _:
                     raise DeriveError(f"not a boundary: {b.body!r}")
-        return self._remember(depth, out, "boundary", cx, b)
+        return self._remember(key, depth, refused, out)
 
     def _equation(self, cx, b: Abstracted, depth: int):
         """Derives some judgement filling the equational boundary ``b``."""
@@ -400,9 +387,11 @@ class Deriver:
         raise DeriveError("expected an equational boundary")
 
     def _ty(self, cx, a: Expr, depth: int):
-        out = self._recall(depth, "ty", cx, a)
+        key = ("ty", cx, a)
+        out = self._recall(key, depth)
         if out is not None:
             return out
+        refused = self._refused
         match a:
             case MetaApp():
                 out = self._meta(cx, a, IsTyB, depth)
@@ -410,12 +399,14 @@ class Deriver:
                 out = self._object_by_rule(cx, a, IsTy, depth)[0]
             case _:
                 raise DeriveError(f"cannot derive that {_shown(a)} is a type")
-        return self._remember(depth, out, "ty", cx, a)
+        return self._remember(key, depth, refused, out)
 
     def _tm(self, cx, t: Expr, a: Expr, depth: int):
-        out = self._recall(depth, "tm", cx, t, a)
+        key = ("tm", cx, t, a)
+        out = self._recall(key, depth)
         if out is not None:
             return out
+        refused = self._refused
         match t:
             case FreeVar():
                 w, got = self._var(cx, t, depth)
@@ -425,12 +416,10 @@ class Deriver:
             case SymbolApp():
                 w, got = self._object_by_rule(cx, t, IsTm, depth)
             case Convert():
-                out = self._convert_goal(cx, t, a, depth)
-                return self._remember(depth, out, "tm", cx, t, a)
+                return self._remember(key, depth, refused, self._convert_goal(cx, t, a, depth))
             case _:
                 raise DeriveError(f"cannot derive a typing for {_shown(t)}")
-        out = self._convert_to(cx, w, got, a, depth)
-        return self._remember(depth, out, "tm", cx, t, a)
+        return self._remember(key, depth, refused, self._convert_to(cx, w, got, a, depth))
 
     def _convert_goal(self, cx, t: Convert, a: Expr, depth: int):
         """A conversion term: only the context-free presentation has them."""
@@ -458,6 +447,7 @@ class Deriver:
                 w = self._apply(cx, name, rule, sol, depth)
             except DepthRefusal:
                 too_deep = True
+                self._refused += 1
                 continue
             except KernelError:
                 continue
@@ -517,7 +507,7 @@ class Deriver:
         too_deep = False
         for flipped, (l, r) in enumerate(((lhs, rhs), (rhs, lhs))):
             for _, name, rule, _, unknowns in self._rules[None]:
-                sol = _match_eq_rule(rule, l, r, ty, unknowns)
+                sol = match_equation(rule, l, r, ty, unknowns)
                 if sol is None:
                     continue
                 try:
@@ -528,6 +518,7 @@ class Deriver:
                         eq = self._eqty(cx, got.ty, ty, depth + 1)
                 except DepthRefusal:
                     too_deep = True
+                    self._refused += 1
                     continue
                 except KernelError:
                     continue
@@ -600,25 +591,22 @@ class TTDeriver(Deriver):
         return d
 
     def mctx_wf(self, mctx: MetaCtx, depth: int = 0):
-        """``mctx`` is well formed.  With a memo, this extends the chain
-        remembered for the longest prefix of ``mctx`` and remembers the chain
-        of each longer prefix, under the rule of ``_recall``."""
-        memo = {} if self.memo is None else self.memo
-        entries = mctx.entries
+        """``mctx`` is well formed.  This extends the chain remembered for
+        the longest prefix of ``mctx`` and remembers the chain of each longer
+        prefix, under the rules of ``_recall`` and ``_remember``."""
+        entries, refused = mctx.entries, self._refused
         for k in range(len(entries), -1, -1):
-            hit = memo.get(("mctx_wf", entries[:k]))
-            if hit is not None and depth <= hit[0]:
-                d = hit[1]
+            d = self._recall(("mctx_wf", entries[:k]), depth)
+            if d is not None:
                 break
         else:
-            d = tt.mctx_empty(self.theory)
-            memo.setdefault(("mctx_wf", ()), (depth, d))
+            d = self._remember(("mctx_wf", ()), depth, refused, tt.mctx_empty(self.theory))
         sofar = MetaCtx(entries[:k])
         for m, b in entries[k:]:
             bd = self._boundary((sofar, EMPTY_VARS), b, depth + 1)
-            d = tt.mctx_extend(self.theory, d, bd, m)
             sofar = sofar.extend(m, b)
-            memo.setdefault(("mctx_wf", sofar.entries), (depth, d))
+            d = tt.mctx_extend(self.theory, d, bd, m)
+            d = self._remember(("mctx_wf", sofar.entries), depth, refused, d)
         return d
 
     def vctx_wf(self, mctx: MetaCtx, vctx: VarCtx, depth: int = 0):

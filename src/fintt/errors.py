@@ -110,10 +110,6 @@ class AnnotationMismatch(KernelError):
     pass
 
 
-class PremiseTypeMismatch(KernelError):
-    pass
-
-
 class PremiseMismatch(KernelError):
     pass
 

@@ -34,7 +34,6 @@ from .syntax import (
     asm,
     boundary_arity,
     close_var,
-    subst_bound,
     substitute,
 )
 
@@ -129,10 +128,6 @@ def unfill(j: AbstractedJudgement) -> tuple[AbstractedBoundary, Argument]:
     return Abstracted(j.prefix, b), head
 
 
-def head_argument(j: AbstractedJudgement) -> Argument:
-    return unfill(j)[1]
-
-
 def boundary_of(j: AbstractedJudgement) -> AbstractedBoundary:
     return unfill(j)[0]
 
@@ -148,31 +143,11 @@ def open_judgement(j: Abstracted, v: FreeVar) -> Abstracted:
     return substitute(j, v)
 
 
-def open_all(j: Abstracted, vs: list[FreeVar]) -> Abstracted:
-    out = j
-    for v in vs:
-        out = open_judgement(out, v)
-    return out
-
-
 def instantiate_prefix(j: Abstracted, terms: list[Expr]) -> Abstracted:
     """Substitutes ``terms`` for the outermost ``len(terms)`` binders."""
     out = j
     for t in terms:
         out = substitute(out, t)
-    return out
-
-
-def binder_types_opened(j: Abstracted, vs: list[FreeVar]) -> list[Expr]:
-    """The prefix types with earlier binders replaced by the given atoms;
-    entry ``i`` is the type of ``vs[i]`` once ``vs[:i]`` stand for binders."""
-    out = []
-    for i, ty in enumerate(j.prefix):
-        opened = ty
-        for k, v in enumerate(vs[:i]):
-            # after substituting the first k, binder k+... distances shrink
-            opened = subst_bound(opened, v, i - 1 - k)
-        out.append(opened)
     return out
 
 
@@ -192,6 +167,9 @@ class _Context:
         if len(set(names)) != len(names):
             raise ValueError(f"{self.NAMES} names must be distinct")
         self._map = dict(self.entries)
+        # The entries never change, so neither does the hash: a context is
+        # part of every goal key of the tt obligation search.
+        self._hash = hash(self.entries)
 
     def __contains__(self, name) -> bool:
         return name in self._map
@@ -209,7 +187,7 @@ class _Context:
         return type(other) is type(self) and self.entries == other.entries
 
     def __hash__(self) -> int:
-        return hash(self.entries)
+        return self._hash
 
     def extend(self, name, declared):
         return type(self)(self.entries + ((name, declared),))

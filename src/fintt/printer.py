@@ -144,10 +144,6 @@ def print_set(a: AssumptionSet, binders: tuple[str, ...] = ()) -> str:
     return "{" + ", ".join(bound + free + metas) + "}"
 
 
-def print_arg(a, binders: tuple[str, ...] = ()) -> str:
-    return "".join(_pieces(_arg, a, binders))
-
-
 def print_thesis(t, binders: tuple[str, ...] = (), show_by: bool = True) -> str:
     match t:
         case IsTy(ty=a):

@@ -477,21 +477,6 @@ def boundary_arity(b: Abstracted) -> MetaArity:
     return MetaArity(thesis_class(b.body), len(b.prefix))
 
 
-def argument_arity(arg: Argument, cls_of: "ClsOf") -> MetaArity:
-    """The metavariable arity of an argument: innermost class, binder count."""
-    binders = 0
-    while isinstance(arg, Abstr):
-        binders += 1
-        arg = arg.body
-    match arg:
-        case ExprArg(e):
-            return MetaArity(cls_of(e), binders)
-        case DummyArg() | AsmArg():
-            # Equality-class argument; the precise class is told by the slot.
-            return MetaArity(Cls.EQTY, binders)
-    raise TypeError(f"not an argument: {arg!r}")
-
-
 # ---------------------------------------------------------------------------
 # Syntactic classes and arity checking
 
@@ -520,15 +505,6 @@ class ClsOf:
             case MetaApp(meta=m):
                 return self.meta_arity(m).cls
         raise TypeError(f"not an expression: {e!r}")
-
-
-def _classes_match(slot: Cls, arg_cls: Cls, arg: Argument) -> bool:
-    innermost = arg
-    while isinstance(innermost, Abstr):
-        innermost = innermost.body
-    if isinstance(innermost, (DummyArg, AsmArg)):
-        return slot.is_equality
-    return slot == arg_cls
 
 
 def arity_check(sig: Signature, metas: dict[MetaName, MetaArity], x, depth: int = 0) -> None:
@@ -1123,32 +1099,6 @@ def rename_atoms(x, var_map: dict[FreeVar, FreeVar], meta_map: dict[MetaName, Me
         return not (var_map.keys().isdisjoint(o[_FV0]) and meta_map.keys().isdisjoint(o[_MV_SHALLOW]))
 
     return _rewrite(x, {FreeVar: var, MetaApp: meta, AssumptionSet: aset}, None, hit)
-
-
-def rename_names(x, name_map: dict[str, str]):
-    """Renames atoms by bare name, descending into annotations (cf renaming)."""
-
-    def annotation(a):
-        return None if a is None else _rewrite(a, leaves)
-
-    def ren_var(u: FreeVar, d: int = 0) -> FreeVar:
-        return FreeVar(name_map.get(u.name, u.name), annotation(u.annotation))
-
-    def ren_meta(m: MetaName) -> MetaName:
-        return MetaName(name_map.get(m.name, m.name), annotation(m.annotation))
-
-    def meta(y: MetaApp, args: tuple, d: int):
-        return MetaApp(ren_meta(y.meta), args)
-
-    def aset(y: AssumptionSet, d: int):
-        return AssumptionSet(
-            frozenset(map(ren_var, y.free_vars)),
-            y.bound_vars,
-            frozenset(map(ren_meta, y.metas)),
-        )
-
-    leaves = {FreeVar: ren_var, MetaApp: meta, AssumptionSet: aset}
-    return _rewrite(x, leaves)
 
 
 # ---------------------------------------------------------------------------

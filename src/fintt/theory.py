@@ -96,6 +96,16 @@ class RawRule:
         return {m: boundary_arity(b) for m, b in self.premises}
 
     @cached_property
+    def _hash(self) -> int:
+        return hash((self.premises, self.conclusion))
+
+    def __hash__(self) -> int:
+        # The fields never change, so neither does the hash, which every
+        # ``instance_of`` lookup asks for: each one costs a Python-level
+        # ``__hash__`` call per node in the premises.
+        return self._hash
+
+    @cached_property
     def parts(self) -> RuleParts:
         """The rule's ``RuleParts``, computed on first use and kept on the
         rule (not a field: equality, hashing and ``repr`` ignore it)."""

@@ -1,7 +1,8 @@
 """The obligation derivers: the depth limit at its edge (cf -> tt
-included) and the frames a level costs, bounded refusal messages, the
-finitary gate's memo across prefixes (metavariable-context chains
-included), and the prefix fast path of ``cf_engine._theory_extends``."""
+included) and the frames a level costs, bounded refusal messages, every
+deriver's memo against the search without it, the finitary gate's memo
+across prefixes (metavariable-context chains included), and the prefix
+fast path of ``cf_engine._theory_extends``."""
 
 import random
 import sys
@@ -16,18 +17,38 @@ from fintt.derive import (
     SHOWN_LENGTH,
     CFDeriver,
     DepthRefusal,
+    Deriver,
     DeriveError,
     TTDeriver,
     check_finitary,
 )
 from fintt.errors import KernelError, PremiseMismatch
-from fintt.judgements import EMPTY_METAS, EMPTY_VARS, MetaCtx, VarCtx, plain, unfill
+from fintt.judgements import (
+    EMPTY_METAS,
+    EMPTY_VARS,
+    MetaCtx,
+    VarCtx,
+    boundary_of,
+    plain,
+    unfill,
+)
 from fintt.parser import elaborate, parse_theory
 from fintt.printer import print_expr, print_expr_cut
-from fintt.syntax import ExprArg, FreeVar, IsTmB, IsTyB, Signature, SymbolApp, erased_equal
+from fintt.syntax import (
+    ExprArg,
+    FreeVar,
+    IsTmB,
+    IsTyB,
+    Signature,
+    SymbolApp,
+    erase,
+    erased_equal,
+    fv,
+    mv,
+)
 from fintt.theory import Theory, TheoryBuilder, check_raw
 
-from .gen import ExprGen
+from .gen import CertGen, ExprGen
 from .test_lambda_theory import THEORY_TEXT as LAMBDA_TEXT
 from .test_theory import BOOL, NAT, mltt_builder, pi_family_builder, succ_typo_builder
 
@@ -92,7 +113,7 @@ def test_memo_leaves_the_depth_limit_in_place(corpus_cf, corpus_tt, make, derive
     """Entries derived near the root are not taken deeper down, and a
     refusal is not remembered."""
     th = corpus_cf if make is CFDeriver else corpus_tt
-    deriver = make(th, {})
+    deriver = make(th)
     derive(deriver, 10)
     with pytest.raises(DepthRefusal):
         derive(deriver, edge + 1)
@@ -104,7 +125,7 @@ def test_memo_leaves_the_depth_limit_in_place(corpus_cf, corpus_tt, make, derive
 def test_memo_keeps_the_deepest_derivation(corpus_tt, monkeypatch):
     """A goal derived again deeper down is remembered at the deeper depth,
     so a later request at any depth up to it is a hit."""
-    deriver = TTDeriver(corpus_tt, {})
+    deriver = TTDeriver(corpus_tt)
     a = FreeVar("a")
     vctx = VarCtx([(a, NAT)])
     deriver.tm(EMPTY_METAS, vctx, chain(5, a), NAT)
@@ -120,6 +141,161 @@ def test_memo_keeps_the_deepest_derivation(corpus_tt, monkeypatch):
     five = ExprArg(chain(5, a))
     deriver.ty(EMPTY_METAS, vctx, SymbolApp("Id", (ExprArg(NAT), five, five)))
     assert applied == ["Id", "nat"]
+
+
+# ---------------------------------------------------------------------------
+# Every deriver's memo against the search without it
+
+
+def without_memo(monkeypatch, run):
+    """``run()`` with every deriver remembering nothing: the search the memo
+    must agree with."""
+    with monkeypatch.context() as m:
+        m.setattr(Deriver, "_remember", lambda self, key, depth, refused, out: out)
+        return run()
+
+
+def outcomes(goals) -> list:
+    """What each goal gives, run in order: a certificate's payload or a
+    derivation, or the refusal."""
+    out = []
+    for goal in goals:
+        try:
+            got = goal()
+        except KernelError as exc:
+            out.append((type(exc), str(exc)))
+        else:
+            out.append(getattr(got, "payload", got))
+    return out
+
+
+def certgen_goals(flavor, theory, certs) -> list:
+    """The judgement and the boundary of each certificate, as goals for one
+    deriver; tt derives their erasures in a suitable context, after the
+    context's well-formedness."""
+    goals = []
+    if flavor == "cf":
+        d = CFDeriver(theory)
+        for c in certs:
+            p = c.payload
+            goals += [lambda p=p: d.judgement(p), lambda p=p: d.boundary(boundary_of(p))]
+        return goals
+    d = TTDeriver(theory)
+    for c in certs:
+        p = c.payload
+        m, v = tr.suitable_context(
+            sorted(mv(p), key=lambda n: n.name), sorted(fv(p), key=lambda n: n.name)
+        )
+        goals += [
+            lambda m=m: d.mctx_wf(m),
+            lambda m=m, v=v: d.vctx_wf(m, v),
+            lambda m=m, v=v, p=p: d.judgement(m, v, erase(p)),
+            lambda m=m, v=v, p=p: d.boundary(m, v, erase(boundary_of(p))),
+        ]
+    return goals
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("flavor", ["cf", "tt"])
+def test_memo_agrees_with_the_search_without_it(corpus_cf, corpus_tt, monkeypatch, flavor, seed):
+    g = CertGen(random.Random(seed), corpus_cf)
+    certs = [g.judgement_cert(depth) for depth in (0, 1, 2) for _ in range(6)]
+    theory = corpus_cf if flavor == "cf" else corpus_tt
+    memoised = outcomes(certgen_goals(flavor, theory, certs))
+    fresh = without_memo(monkeypatch, lambda: outcomes(certgen_goals(flavor, theory, certs)))
+    assert memoised == fresh
+    assert any(not isinstance(o, tuple) for o in memoised)
+
+
+@pytest.mark.parametrize(
+    "make, derive", [(CFDeriver, cf_succ), (TTDeriver, tt_succ)], ids=["cf", "tt"]
+)
+def test_memo_agrees_with_the_search_without_it_at_the_edge(
+    corpus_cf, corpus_tt, monkeypatch, make, derive
+):
+    th = corpus_cf if make is CFDeriver else corpus_tt
+
+    def goals():
+        deriver = make(th)
+        return [lambda n=n: derive(deriver, n) for n in (MAX_DEPTH - 3, MAX_DEPTH - 1, MAX_DEPTH)]
+
+    memoised = outcomes(goals())
+    assert memoised == without_memo(monkeypatch, lambda: outcomes(goals()))
+    # The cf variable's annotation type costs one level more (CF_EDGE).
+    assert [o == (DepthRefusal, REFUSAL) for o in memoised] == [False, False, make is CFDeriver]
+
+
+# Two equality rules conclude P(succ^k(z)) == Q.  The first needs its
+# premise one level deeper than the second, so near the depth limit only the
+# second applies, and further up the first.
+TWO_ROUTES_TEXT = """\
+rule nat: yields type
+rule z: yields : nat
+rule succ: premise n : nat; yields : nat
+rule P: premise n : nat; yields type
+rule Q: yields type
+rule c: premise n : nat; yields : P(n)
+rule e1: premise n : nat; yields P(n) == Q
+rule e2: premise m : nat; yields P(succ(m)) == Q
+"""
+
+
+@pytest.mark.parametrize("flavor", ["cf", "tt"])
+def test_a_result_found_after_a_depth_refusal_is_not_remembered(monkeypatch, flavor):
+    th = elaborate(parse_theory(TWO_ROUTES_TEXT), flavor)
+    check_finitary(th)
+    k = 20
+    t = SymbolApp("c", (ExprArg(chain(k, SymbolApp("z", ()))),))
+    q = SymbolApp("Q", ())
+    cx = () if flavor == "cf" else (EMPTY_METAS, EMPTY_VARS)
+    # c's premise reaches depth d + 1 + k, e1's d + 2 + k and e2's d + 1 + k.
+    edge = MAX_DEPTH - k - 1
+
+    def goals():
+        d = (CFDeriver if flavor == "cf" else TTDeriver)(th)
+        return [lambda depth=depth: d._tm(cx, t, q, depth) for depth in (edge, edge - 1)]
+
+    memoised = outcomes(goals())
+    assert memoised == without_memo(monkeypatch, lambda: outcomes(goals()))
+    if flavor == "tt":
+        assert [w.premises[1].data[2] for w in memoised] == ["e2", "e1"]
+
+
+def count_applications(monkeypatch, run) -> int:
+    applied = []
+    real = Deriver._apply
+
+    def spy(self, *args):
+        applied.append(args[1])
+        return real(self, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(Deriver, "_apply", spy)
+        run()
+    return len(applied)
+
+
+def test_both_sides_of_a_reflexivity_are_derived_once(corpus_cf, monkeypatch):
+    """On the depth-2 ``eq`` items of the cf_certify benchmark, reflexivity
+    applies no more rules than deriving one of its sides, which are one
+    goal; the search without the memo applies them at least twice."""
+    g = CertGen(random.Random(2), corpus_cf)
+    for item in [g.equation_cert(2) for _ in range(6)]:
+        body = item.payload.body
+        ty = getattr(body, "ty", None)
+
+        def one_side():
+            d = CFDeriver(corpus_cf)
+            return d.ty(body.lhs) if ty is None else d.tm(body.lhs, ty)
+
+        def reflexivity():
+            d = CFDeriver(corpus_cf)
+            return d.eqty(body.lhs, body.rhs) if ty is None else d.eqtm(body.lhs, body.rhs, ty)
+
+        one = count_applications(monkeypatch, one_side)
+        assert count_applications(monkeypatch, reflexivity) == one
+        free = without_memo(monkeypatch, lambda: count_applications(monkeypatch, reflexivity))
+        assert free >= 2 * one > 0
 
 
 def _frames() -> int:
@@ -260,7 +436,8 @@ def test_other_flavour_and_other_signature_are_refused():
 
 def fresh_gate(theory):
     """The finitary gate with a fresh deriver over ``theory.prefix(i)`` for
-    each rule: the reference the shared memo must agree with."""
+    each rule: run ``without_memo``, the reference the shared memo must agree
+    with."""
     from fintt.errors import ConclusionNotDerivableOverPrefix
 
     for r in theory.rules:
@@ -319,9 +496,9 @@ CASES = {
 
 @pytest.mark.parametrize("flavor", ["cf", "tt"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_memoised_gate_agrees_with_fresh_derivers(case, flavor):
+def test_memoised_gate_agrees_with_fresh_derivers(monkeypatch, case, flavor):
     memoised = outcome(check_finitary, CASES[case](flavor))
-    fresh = outcome(fresh_gate, CASES[case](flavor))
+    fresh = without_memo(monkeypatch, lambda: outcome(fresh_gate, CASES[case](flavor)))
     assert memoised == fresh
     if case in ("mltt", "lambda", "succ_typo_fixed"):
         assert isinstance(memoised, dict) and len(memoised) == len(CASES[case](flavor).rules)

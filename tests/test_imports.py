@@ -1,13 +1,16 @@
-"""Every name a kernel module imports at module level is used in it, and no
+"""Every name a kernel module imports at module level is used in it, no
 function imports from a module that its file already imports at module
-level (a function-local import is kept only to break an import cycle)."""
+level (a function-local import is kept only to break an import cycle), and
+every top-level definition of a kernel module is named somewhere else."""
 
 import ast
 import pathlib
+import re
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "fintt"
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "fintt"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -80,3 +83,44 @@ def test_no_local_import_of_a_module_imported_at_module_level(path):
         f"{path.name} imports inside a function from modules it imports at module level: "
         f"{', '.join(redundant)}"
     )
+
+
+def top_level_names(tree: ast.Module):
+    """(name, first line, last line) of each module-level function, class
+    and assignment target."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [stmt.name]
+        elif isinstance(stmt, ast.Assign):
+            names = [n.id for t in stmt.targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+            names = [stmt.target.id]
+        else:
+            continue
+        for name in names:
+            yield name, stmt.lineno, stmt.end_lineno
+
+
+def unreferenced_definitions(root: pathlib.Path) -> list[str]:
+    """The top-level definitions of ``src/fintt`` whose name appears, as a
+    word, nowhere in ``src/``, ``tests/``, ``bench/`` or ``pyproject.toml``
+    outside their own definition; dunder names are exempt."""
+    files = sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
+    texts = {p: p.read_text(encoding="utf-8") for p in [*files, root / "pyproject.toml"]}
+    found = []
+    for path in sorted((root / "src" / "fintt").glob("*.py")):
+        lines = texts[path].splitlines()
+        for name, first, last in top_level_names(ast.parse(texts[path])):
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            own = "\n".join(lines[: first - 1] + lines[last:])
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            others = (text for p, text in texts.items() if p != path)
+            if not word.search(own) and not any(word.search(text) for text in others):
+                found.append(f"{path.stem}.{name}")
+    return found
+
+
+def test_every_top_level_definition_is_named_elsewhere():
+    unused = unreferenced_definitions(ROOT)
+    assert not unused, f"top-level definitions named nowhere else: {', '.join(unused)}"

@@ -41,7 +41,6 @@ from fintt.syntax import (
     abstract_var,
     arity_check,
     asm,
-    atoms_in_use,
     bv,
     close_var,
     double_erase,
@@ -53,7 +52,6 @@ from fintt.syntax import (
     mv,
     mv_shallow,
     rename_atoms,
-    rename_names,
     shift,
     subst_bound,
     subst_bound_many,
@@ -248,7 +246,6 @@ DEEP_REWRITES = {
     "close_var": lambda t: same(close_var(t, X), succ_n(2000, BoundVar(0))),
     "subst_free": lambda t: same(subst_free(t, X, Y), succ_n(2000, Y)),
     "rename_atoms": lambda t: same(rename_atoms(t, {X: Y}, {}), succ_n(2000, Y)),
-    "rename_names": lambda t: same(rename_names(t, {"x": "y"}), succ_n(2000, Y)),
     "act": lambda t: same(
         act(Instantiation([(M, ExprArg(t))]), succ_n(2000, MetaApp(M, ()))), succ_n(4000, X)
     ),
@@ -520,8 +517,6 @@ def test_abstract_substitute_round_trip(seed):
         renamed = rename_atoms(y, var_map, meta_map)
         assert renamed is not y
         assert rename_atoms(renamed, _inverse(var_map), _inverse(meta_map)) is y
-        name_map = {n: f"{n}#r" for n in atoms_in_use(y)}
-        assert rename_names(rename_names(y, name_map), _inverse(name_map)) is y
         once = _annotate(y, {"M": annotated})
         assert bare not in mv(once)
         assert _annotate(once, {"M": annotated}) is once
@@ -670,7 +665,5 @@ def test_hyp_abstract_substitute_inverse(e):
     if fresh in fv(e):
         return
     assert substitute(abstract_var(e, fresh), fresh) == ExprArg(e)
-    name_map = {n: f"{n}#r" for n in atoms_in_use(e)}
-    assert rename_names(rename_names(e, name_map), _inverse(name_map)) is e
     body = close_var(e, FreeVar("a", BOOL))
     assert shift(shift(body, 2, 0), -2, 0) is body
