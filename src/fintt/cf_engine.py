@@ -359,7 +359,8 @@ def cf_meta_congr(
         lhs = MetaApp(m, tuple(ss))
         rhs = MetaApp(m, tuple(ts))
         bthesis = EqTyB(lhs, rhs)
-        beta = minimal_suitable(list(s_certs) + list(t_certs) + list(eq_certs), plain(bthesis))
+        mt = cf_meta(theory, m, t_certs, annotation_cert=ann[bdry])
+        beta = minimal_suitable([*s_certs, *t_certs, *eq_certs, mt], plain(bthesis))
         return _jdg(theory, plain(EqTy(lhs, rhs, beta)), ann)
     if not isinstance(body, IsTmB):
         raise NotObjectJudgement("metavariable congruence needs an object boundary")

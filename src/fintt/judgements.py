@@ -202,9 +202,6 @@ class MetaCtx(_Context):
 
     NAMES = "metavariable"
 
-    def upto(self, i: int) -> "MetaCtx":
-        return MetaCtx(list(self.entries[: max(i - 1, 0)]))
-
     def arities(self) -> dict[MetaName, MetaArity]:
         return {m: boundary_arity(b) for m, b in self.entries}
 

@@ -333,9 +333,6 @@ class AssumptionSet:
             and self.metas <= other.metas
         )
 
-    def is_empty(self) -> bool:
-        return not (self.free_vars or self.bound_vars or self.metas)
-
     def __len__(self) -> int:
         return len(self.free_vars) + len(self.bound_vars) + len(self.metas)
 

@@ -9,11 +9,18 @@ as the proof term of an equality-reflection instance) is resolved from the
 assumption set of the judgement, or from the atoms the search opened for its
 bound variables.
 
-tt -> cf: follow the derivation, labelling context entries with certified
-cf annotations, rectifying heads with boundary conversion where erasure
-leaves slack.  The walk recurses, three Python frames per level at most, so
-it refuses a derivation nested deeper than ``MAX_DEPTH`` levels with
+tt -> cf: induction on the derivation, labelling context entries with
+certified cf annotations.  Every rule case translates each premise and moves
+it by boundary conversion onto the boundary it fills, which the rule
+instantiates with the earlier premises; boundary conversion takes up the
+slack that erasure leaves.  The walk recurses, at most three Python frames
+per level (the dispatch, the node kind's method, a premise fill), so it
+refuses a derivation nested deeper than ``MAX_DEPTH`` levels with
 ``DepthExceeded``.
+
+A round trip cf -> tt -> cf labels the atoms of the suitable context, which
+the derivation keeps annotated, with their own annotations, and gives back
+the certificate's payload up to its conversion terms.
 """
 
 from __future__ import annotations
@@ -240,20 +247,57 @@ def _erased_conclusions(theory: Theory) -> dict:
     )
 
 
-class TTtoCF:
-    """Translates checked tt derivations into certificates, labelling context
-    entries with certified cf annotations and rectifying heads through
-    boundary conversion wherever erasure leaves slack.
+def _open(cf_theory: Theory, cert):
+    """Peels one binder off a certified judgement with a fresh variable:
+    returns the binder type's certificate, the variable and the opened
+    judgement."""
+    j = cert.payload
+    ty_c = cf.binder_type_cert(cf_theory, cf.presuppositions_cf(cf_theory, cert), 0)
+    v = FreeVar(fresh_name("x", atoms_in_use(j)), j.prefix[0])
+    return ty_c, v, cf.cf_substitute(cf_theory, cert, cf.cf_var(cf_theory, v, ty_c))
 
-    It translates variables, abstractions, the metavariable rules (TT-Meta,
-    TT-Meta-Eco, TT-Meta-Congr), the specific rules (TT-Specific,
-    TT-Specific-Eco, TT-Congr), the equality and conversion rules and the
-    boundary rules.  Economic congruence (TT-Congr-Eco, TT-Meta-Congr-Eco) is
-    refused with ``UncheckableDerivation``: ``cf_congruence`` and
-    ``cf_meta_congr`` need the right-hand fills at their own boundaries and,
-    for term conclusions, the type equation of the conclusion.  The economic
-    node omits them, and boundary conversion, which moves a judgement only
-    between erasure-equal boundaries, cannot rebuild them."""
+
+class TTtoCF:
+    """Translates checked tt derivations into certificates, by induction on
+    the derivation, labelling context entries with certified cf annotations.
+
+    Every rule case takes the same step: translate each premise, then move
+    it by boundary conversion onto the boundary it fills, which the rule
+    instantiates with the earlier premises (``_fill``); an equation premise
+    moves onto the equation boundary of its two fills and has its left side
+    rectified to the left fill (``_equations``).  ``translate`` dispatches
+    each node kind straight to its method (``_KINDS``):
+
+    - ``_meta``: TT-Meta, TT-Meta-Eco and TT-Meta-Congr, whose arguments fill
+      the metavariable's binder types;
+    - ``_specific``: TT-Specific, TT-Specific-Eco and TT-Congr, whose
+      premises fill the rule's premise boundaries;
+    - ``_abstraction``: TT-Abstr and TT-Bdry-Abstr, whose body is translated
+      with the bound atom labelled;
+    - ``_in_context``: variables, reflexivity, symmetry, transitivity and
+      conversion of both equation kinds, and the boundary rules, whose
+      premises are translated as they are.
+
+    Economic congruence (TT-Congr-Eco, TT-Meta-Congr-Eco) is refused with
+    ``UncheckableDerivation``: ``cf_congruence`` and ``cf_meta_congr`` need
+    the right-hand fills at their own boundaries and, for term conclusions,
+    the type equation of the conclusion.  The economic node omits them, and
+    boundary conversion, which moves a judgement only between erasure-equal
+    boundaries, cannot rebuild them."""
+
+    _KINDS = {
+        **dict.fromkeys(("TT-Meta", "TT-Meta-Eco", "TT-Meta-Congr"), "_meta"),
+        **dict.fromkeys(("TT-Specific", "TT-Specific-Eco", "TT-Congr"), "_specific"),
+        **dict.fromkeys(("TT-Abstr", "TT-Bdry-Abstr"), "_abstraction"),
+        **dict.fromkeys(
+            (
+                "TT-Var", "TT-EqTy-Refl", "TT-EqTy-Sym", "TT-EqTy-Trans", "TT-EqTm-Refl",
+                "TT-EqTm-Sym", "TT-EqTm-Trans", "TT-Conv-Tm", "TT-Conv-EqTm",
+                "TT-Bdry-Ty", "TT-Bdry-Tm", "TT-Bdry-EqTy", "TT-Bdry-EqTm",
+            ),
+            "_in_context",
+        ),
+    }
 
     def __init__(self, tt_theory: Theory, cf_theory: Theory):
         self.tt = tt_theory
@@ -281,7 +325,7 @@ class TTtoCF:
             chain.append((d.data[0], d.premises[1]))
             d = d.premises[0]
         for m, bd in reversed(chain):
-            cert = self._translate_bdry_node(bd, theta, theta_certs, {}, {})
+            cert = self.translate(bd, theta, theta_certs, {}, {})
             theta[m] = cert.payload
             theta_certs[m] = cert
         gamma: dict = {}
@@ -299,24 +343,21 @@ class TTtoCF:
 
     # -- helpers -----------------------------------------------------------
 
-    def _open(self, cert):
-        """Peels one binder off a certified judgement with a fresh variable."""
-        j = cert.payload
-        bd = cf.presuppositions_cf(self.cf, cert)
-        ty_c = cf.binder_type_cert(self.cf, bd, 0)
-        name = fresh_name("x", atoms_in_use(j))
-        v = FreeVar(name, j.prefix[0])
-        var_c = cf.cf_var(self.cf, v, ty_c)
-        return ty_c, v, cf.cf_substitute(self.cf, cert, var_c)
-
     def _components(self, cert):
         return cf.boundary_components(self.cf, cf.presuppositions_cf(self.cf, cert))
+
+    def _retype_to(self, t_cert, ty_cert):
+        """Moves a term to an erasure-equal type via CF-Conv-Tm along
+        reflexivity."""
+        if t_cert.payload.body.ty == ty_cert.payload.body.ty:
+            return t_cert
+        refl = cf.cf_eqty_refl(self.cf, self._components(t_cert)[0], ty_cert)
+        return cf.cf_conv_tm(self.cf, t_cert, refl)
 
     def _retype_eq(self, eq_cert, target_ty_cert):
         """Moves a term equation to an erasure-equal type via CF-Conv-EqTm
         along reflexivity."""
-        comps = self._components(eq_cert)
-        a_now = comps[0]
+        a_now = self._components(eq_cert)[0]
         if a_now.payload == target_ty_cert.payload:
             return eq_cert
         refl = cf.cf_eqty_refl(self.cf, a_now, target_ty_cert)
@@ -325,7 +366,7 @@ class TTtoCF:
     def _rectify_eq_lhs(self, eq_cert, lhs_cert):
         """Replaces the left side of an equation by an erasure-equal term."""
         if eq_cert.payload.prefix:
-            ty_c, v, eq_open = self._open(eq_cert)
+            ty_c, v, eq_open = _open(self.cf, eq_cert)
             lhs_open = cf.cf_substitute(self.cf, lhs_cert, cf.cf_var(self.cf, v, ty_c))
             inner = self._rectify_eq_lhs(eq_open, lhs_open)
             return cf.cf_abstract_fwd(self.cf, ty_c, inner, v)
@@ -339,38 +380,20 @@ class TTtoCF:
         if body.lhs == lhs_cert.payload.body.term:
             return eq_cert
         comps = self._components(eq_cert)  # (A type, lhs : A, rhs : A)
-        lhs_at = lhs_cert
-        if lhs_cert.payload.body.ty != body.ty:
-            refl = cf.cf_eqty_refl(
-                self.cf, self._components(lhs_cert)[0], comps[0]
-            )
-            lhs_at = cf.cf_conv_tm(self.cf, lhs_cert, refl)
-        r = cf.cf_eqtm_refl(self.cf, lhs_at, comps[1])
+        r = cf.cf_eqtm_refl(self.cf, self._retype_to(lhs_cert, comps[0]), comps[1])
         return cf.cf_eqtm_trans(self.cf, r, eq_cert)
 
     def _equation_boundary_cert(self, fill_l, fill_r):
         """The equation boundary of two object fills of one boundary."""
         if fill_l.payload.prefix:
-            ty_c, v, l_open = self._open(fill_l)
+            ty_c, v, l_open = _open(self.cf, fill_l)
             r_open = cf.cf_substitute(self.cf, fill_r, cf.cf_var(self.cf, v, ty_c))
             inner = self._equation_boundary_cert(l_open, r_open)
             return cf.cf_abstract_bdry_fwd(self.cf, ty_c, inner, v)
         if isinstance(fill_l.payload.body, IsTy):
             return cf.cf_bdry_eqty(self.cf, fill_l, fill_r)
-        comps = self._components(fill_l)
-        r_at = fill_r
-        if fill_r.payload.body.ty != fill_l.payload.body.ty:
-            refl = cf.cf_eqty_refl(self.cf, self._components(fill_r)[0], comps[0])
-            r_at = cf.cf_conv_tm(self.cf, fill_r, refl)
-        return cf.cf_bdry_eqtm(self.cf, comps[0], fill_l, r_at)
-
-    def _instantiated_premise_boundary(self, rule_name, idx, entry_certs):
-        """Certificate of  <I'>_idx B'_idx  from the finitary witnesses."""
-        w = self.cf.finitary_witnesses[rule_name]
-        bdry_cert = w["premise_boundaries"][idx]
-        rule_cf = self.cf.rule(rule_name).rule
-        entries = [(m, c) for (m, _), c in zip(rule_cf.premises, entry_certs[:idx])]
-        return cf.cf_instantiate_bdry(self.cf, entries, bdry_cert)
+        ty_c = self._components(fill_l)[0]
+        return cf.cf_bdry_eqtm(self.cf, ty_c, fill_l, self._retype_to(fill_r, ty_c))
 
     # -- the main recursion (parts 4 and 5) ---------------------------------
 
@@ -378,239 +401,144 @@ class TTtoCF:
         # A subderivation shared between nodes is translated once per
         # labeling of its variables; entries keep their keys' objects alive.
         # ``_depth`` counts the nodes being translated around this one: the
-        # root is at depth 0.
+        # root is at depth 0.  A level costs at most three frames: this one,
+        # the node kind's method and a premise fill.
         key = (id(d), id(ga))
         if key not in self._done:
             if self._depth > MAX_DEPTH:
                 raise DepthExceeded(f"tt->cf: derivation nested deeper than {MAX_DEPTH}")
+            kind = self._KINDS.get(d.rule)
+            if kind is None:
+                raise UncheckableDerivation(f"tt->cf does not handle {d.rule}")
             self._depth += 1
             try:
-                self._done[key] = (d, ga, self._translate_node(d, th, thc, ga, gac))
+                self._done[key] = (d, ga, getattr(self, kind)(d, th, thc, ga, gac))
             finally:
                 self._depth -= 1
         return self._done[key][2]
 
-    def _translate_node(self, d, th, thc, ga, gac):
-        rule = d.rule
-        match rule:
+    def _fill(self, premises, boundary, th, thc, ga, gac):
+        """Translates the premises in turn and moves the i-th onto
+        ``boundary(i, fills)``, the boundary it fills after the earlier
+        fills."""
+        fills: list = []
+        for i, p in enumerate(premises):
+            raw = self.translate(p, th, thc, ga, gac)
+            target = boundary(i, fills)
+            fills.append(
+                cf.boundary_convert(self.cf, cf.presuppositions_cf(self.cf, raw), target, raw)
+            )
+        return fills
+
+    def _equations(self, premises, lefts, rights, th, thc, ga, gac):
+        """Translates equation premises, each onto the equation boundary of
+        its left and right fill, with its left side rectified to the left
+        fill."""
+        eqs = []
+        for p, left, right in zip(premises, lefts, rights):
+            raw = self.translate(p, th, thc, ga, gac)
+            target = self._equation_boundary_cert(left, right)
+            moved = cf.boundary_convert(self.cf, cf.presuppositions_cf(self.cf, raw), target, raw)
+            eqs.append(self._rectify_eq_lhs(moved, left))
+        return eqs
+
+    def _meta(self, d, th, thc, ga, gac):
+        m, k = d.data[2], len(d.data[3])
+        if m not in th:
+            raise UnsuitableContext(f"no labeling for {m.name}")
+        m_cf = MetaName(m.name, th[m])
+
+        def binder(j, fills):
+            ty = cf.binder_type_cert(self.cf, thc[m], j)
+            for f in fills:
+                ty = cf.cf_substitute(self.cf, ty, f)
+            return cf.cf_bdry_tm(self.cf, ty)
+
+        ss = self._fill(d.premises[:k], binder, th, thc, ga, gac)
+        if d.rule != "TT-Meta-Congr":
+            return cf.cf_meta(self.cf, m_cf, ss, annotation_cert=thc[m])
+        ts = self._fill(d.premises[k : 2 * k], binder, th, thc, ga, gac)
+        eqs = self._equations(d.premises[2 * k : 3 * k], ss, ts, th, thc, ga, gac)
+        return cf.cf_meta_congr(self.cf, m_cf, ss, ts, eqs, annotation_cert=thc[m])
+
+    def _specific(self, d, th, thc, ga, gac):
+        name = d.data[2]
+        rule_cf = self.cf.rule(name).rule
+        n = len(rule_cf.premises)
+        witnesses = self.cf.finitary_witnesses[name]["premise_boundaries"]
+
+        def premise(i, fills):
+            entries = [(m, c) for (m, _), c in zip(rule_cf.premises, fills)]
+            return cf.cf_instantiate_bdry(self.cf, entries, witnesses[i])
+
+        fs = self._fill(d.premises[:n], premise, th, thc, ga, gac)
+        if d.rule != "TT-Congr":
+            return cf.cf_apply_rule(self.cf, name, fs)
+        gs = self._fill(d.premises[n : 2 * n], premise, th, thc, ga, gac)
+        objects = [
+            i for i, (_, b) in enumerate(rule_cf.premises) if boundary_arity(b).cls.is_object
+        ]
+        eqs = self._equations(
+            d.premises[2 * n : 2 * n + len(objects)],
+            [fs[i] for i in objects],
+            [gs[i] for i in objects],
+            th, thc, ga, gac,
+        )
+        t_prime = None
+        if isinstance(rule_cf.conclusion, IsTm):
+            left_inst = cf.cf_apply_rule(self.cf, name, fs)
+            right_inst = cf.cf_apply_rule(self.cf, name, gs)
+            raw_ceq = self.translate(d.premises[-1], th, thc, ga, gac)
+            ceq = self._rectify_eq_lhs(raw_ceq, self._components(left_inst)[0])
+            # rectify the right side to the right-instantiated type
+            r = cf.cf_eqty_refl(self.cf, self._components(ceq)[1], self._components(right_inst)[0])
+            ceq = cf.cf_eqty_trans(self.cf, ceq, r)
+            t_prime = cf.cf_conv_tm(self.cf, right_inst, cf.cf_eqty_sym(self.cf, ceq))
+        return cf.cf_congruence(self.cf, name, fs, gs, eqs, t_prime_cert=t_prime)
+
+    def _abstraction(self, d, th, thc, ga, gac):
+        atom = d.data[2]
+        ty_c = self.translate(d.premises[0], th, thc, ga, gac)
+        a_cf = ty_c.payload.body.ty
+        body_c = self.translate(
+            d.premises[1], th, thc, {**ga, atom: a_cf}, {**gac, atom: ty_c}
+        )
+        abstract = cf.cf_abstract_fwd if d.rule == "TT-Abstr" else cf.cf_abstract_bdry_fwd
+        return abstract(self.cf, ty_c, body_c, FreeVar(atom.name, a_cf))
+
+    def _in_context(self, d, th, thc, ga, gac):
+        c = [self.translate(p, th, thc, ga, gac) for p in d.premises]
+        match d.rule:
             case "TT-Var":
                 v = d.data[2]
                 if v not in ga:
                     raise UnsuitableContext(f"no labeling for {v.name}")
                 return cf.cf_var(self.cf, FreeVar(v.name, ga[v]), gac[v])
-            case "TT-Abstr":
-                atom = d.data[2]
-                ty_c = self.translate(d.premises[0], th, thc, ga, gac)
-                a_cf = ty_c.payload.body.ty
-                ga2 = dict(ga)
-                gac2 = dict(gac)
-                ga2[atom] = a_cf
-                gac2[atom] = ty_c
-                body_c = self.translate(d.premises[1], th, thc, ga2, gac2)
-                return cf.cf_abstract_fwd(
-                    self.cf, ty_c, body_c, FreeVar(atom.name, a_cf)
-                )
-            case "TT-Bdry-Abstr":
-                atom = d.data[2]
-                ty_c = self.translate(d.premises[0], th, thc, ga, gac)
-                a_cf = ty_c.payload.body.ty
-                ga2, gac2 = dict(ga), dict(gac)
-                ga2[atom] = a_cf
-                gac2[atom] = ty_c
-                body_c = self._translate_bdry_node(d.premises[1], th, thc, ga2, gac2)
-                return cf.cf_abstract_bdry_fwd(
-                    self.cf, ty_c, body_c, FreeVar(atom.name, a_cf)
-                )
-            case "TT-Meta" | "TT-Meta-Eco":
-                return self._translate_meta(d, th, thc, ga, gac)
-            case "TT-Meta-Congr":
-                return self._translate_meta_congr(d, th, thc, ga, gac)
-            case "TT-Specific" | "TT-Specific-Eco":
-                return self._translate_specific(d, th, thc, ga, gac)
-            case "TT-Congr":
-                return self._translate_congr(d, th, thc, ga, gac)
             case "TT-EqTy-Refl":
-                c = self.translate(d.premises[0], th, thc, ga, gac)
-                return cf.cf_eqty_refl(self.cf, c, c)
+                return cf.cf_eqty_refl(self.cf, c[0], c[0])
             case "TT-EqTm-Refl":
-                c = self.translate(d.premises[0], th, thc, ga, gac)
-                return cf.cf_eqtm_refl(self.cf, c, c)
+                return cf.cf_eqtm_refl(self.cf, c[0], c[0])
             case "TT-EqTy-Sym":
-                return cf.cf_eqty_sym(self.cf, self.translate(d.premises[0], th, thc, ga, gac))
+                return cf.cf_eqty_sym(self.cf, c[0])
             case "TT-EqTm-Sym":
-                return cf.cf_eqtm_sym(self.cf, self.translate(d.premises[0], th, thc, ga, gac))
+                return cf.cf_eqtm_sym(self.cf, c[0])
             case "TT-EqTy-Trans":
-                c1 = self.translate(d.premises[0], th, thc, ga, gac)
-                c2 = self.translate(d.premises[1], th, thc, ga, gac)
-                return cf.cf_eqty_trans(self.cf, c1, c2)
+                return cf.cf_eqty_trans(self.cf, c[0], c[1])
             case "TT-EqTm-Trans":
-                c1 = self.translate(d.premises[0], th, thc, ga, gac)
-                c2 = self.translate(d.premises[1], th, thc, ga, gac)
-                c2 = self._retype_eq(c2, self._components(c1)[0])
-                return cf.cf_eqtm_trans(self.cf, c1, c2)
-            case "TT-Conv-Tm":
-                c_t = self.translate(d.premises[0], th, thc, ga, gac)
-                c_eq = self.translate(d.premises[1], th, thc, ga, gac)
-                c_eq = self._rectify_eq_lhs(c_eq, self._components(c_t)[0])
-                return cf.cf_conv_tm(self.cf, c_t, c_eq)
-            case "TT-Conv-EqTm":
-                c_eq = self.translate(d.premises[0], th, thc, ga, gac)
-                c_ty = self.translate(d.premises[1], th, thc, ga, gac)
-                c_ty = self._rectify_eq_lhs(c_ty, self._components(c_eq)[0])
-                return cf.cf_conv_eqtm(self.cf, c_eq, c_ty)
-            case "TT-Bdry-Ty" | "TT-Bdry-Tm" | "TT-Bdry-EqTy" | "TT-Bdry-EqTm":
-                return self._translate_bdry_node(d, th, thc, ga, gac)
-        raise UncheckableDerivation(f"tt->cf does not handle {rule}")
-
-    def _translate_bdry_node(self, d, th, thc, ga, gac):
-        match d.rule:
+                c2 = self._retype_eq(c[1], self._components(c[0])[0])
+                return cf.cf_eqtm_trans(self.cf, c[0], c2)
+            case "TT-Conv-Tm" | "TT-Conv-EqTm":
+                eq = self._rectify_eq_lhs(c[1], self._components(c[0])[0])
+                conv = cf.cf_conv_tm if d.rule == "TT-Conv-Tm" else cf.cf_conv_eqtm
+                return conv(self.cf, c[0], eq)
             case "TT-Bdry-Ty":
                 return cf.cf_bdry_ty(self.cf)
             case "TT-Bdry-Tm":
-                return cf.cf_bdry_tm(self.cf, self.translate(d.premises[0], th, thc, ga, gac))
+                return cf.cf_bdry_tm(self.cf, c[0])
             case "TT-Bdry-EqTy":
-                return cf.cf_bdry_eqty(
-                    self.cf,
-                    self.translate(d.premises[0], th, thc, ga, gac),
-                    self.translate(d.premises[1], th, thc, ga, gac),
-                )
-            case "TT-Bdry-EqTm":
-                a_c = self.translate(d.premises[0], th, thc, ga, gac)
-                s_c = self.translate(d.premises[1], th, thc, ga, gac)
-                t_c = self.translate(d.premises[2], th, thc, ga, gac)
-                s_c = self._retype_to(s_c, a_c)
-                t_c = self._retype_to(t_c, a_c)
-                return cf.cf_bdry_eqtm(self.cf, a_c, s_c, t_c)
-            case "TT-Bdry-Abstr":
-                return self.translate(d, th, thc, ga, gac)
-        raise UncheckableDerivation(f"tt->cf does not handle boundary node {d.rule}")
-
-    def _retype_to(self, t_cert, ty_cert):
-        if t_cert.payload.body.ty == ty_cert.payload.body.ty:
-            return t_cert
-        refl = cf.cf_eqty_refl(self.cf, self._components(t_cert)[0], ty_cert)
-        return cf.cf_conv_tm(self.cf, t_cert, refl)
-
-    def _translate_meta(self, d, th, thc, ga, gac):
-        m, terms = d.data[2], d.data[3]
-        if m not in th:
-            raise UnsuitableContext(f"no labeling for {m.name}")
-        b_cf = th[m]
-        m_cf = MetaName(m.name, b_cf)
-        t_certs = []
-        for j in range(len(terms)):
-            raw = self.translate(d.premises[j], th, thc, ga, gac)
-            target_ty = cf.binder_type_cert(self.cf, thc[m], j)
-            for tc in t_certs:
-                target_ty = cf.cf_substitute(self.cf, target_ty, tc)
-            target_bdry = cf.cf_bdry_tm(self.cf, target_ty)
-            src_bdry = cf.presuppositions_cf(self.cf, raw)
-            t_certs.append(
-                cf.boundary_convert(self.cf, src_bdry, target_bdry, raw)
-            )
-        return cf.cf_meta(self.cf, m_cf, t_certs, annotation_cert=thc[m])
-
-    def _translate_meta_congr(self, d, th, thc, ga, gac):
-        m = d.data[2]
-        k = len(d.data[3])
-        if m not in th:
-            raise UnsuitableContext(f"no labeling for {m.name}")
-        b_cf = th[m]
-        m_cf = MetaName(m.name, b_cf)
-        s_certs: list = []
-        t_certs: list = []
-        for j in range(k):
-            raw = self.translate(d.premises[j], th, thc, ga, gac)
-            target_ty = cf.binder_type_cert(self.cf, thc[m], j)
-            for sc in s_certs:
-                target_ty = cf.cf_substitute(self.cf, target_ty, sc)
-            s_certs.append(
-                cf.boundary_convert(
-                    self.cf, cf.presuppositions_cf(self.cf, raw),
-                    cf.cf_bdry_tm(self.cf, target_ty), raw,
-                )
-            )
-        for j in range(k):
-            raw = self.translate(d.premises[k + j], th, thc, ga, gac)
-            target_ty = cf.binder_type_cert(self.cf, thc[m], j)
-            for tc in t_certs:
-                target_ty = cf.cf_substitute(self.cf, target_ty, tc)
-            t_certs.append(
-                cf.boundary_convert(
-                    self.cf, cf.presuppositions_cf(self.cf, raw),
-                    cf.cf_bdry_tm(self.cf, target_ty), raw,
-                )
-            )
-        eq_certs = []
-        for j in range(k):
-            raw = self.translate(d.premises[2 * k + j], th, thc, ga, gac)
-            target_b = self._equation_boundary_cert(s_certs[j], t_certs[j])
-            src_b = cf.presuppositions_cf(self.cf, raw)
-            moved = cf.boundary_convert(self.cf, src_b, target_b, raw)
-            eq_certs.append(self._rectify_eq_lhs(moved, s_certs[j]))
-        return cf.cf_meta_congr(
-            self.cf, m_cf, s_certs, t_certs, eq_certs, annotation_cert=thc[m]
-        )
-
-    def _translate_specific(self, d, th, thc, ga, gac):
-        rule_name = d.data[2]
-        rule_cf = self.cf.rule(rule_name).rule
-        n = len(rule_cf.premises)
-        certs: list = []
-        for i in range(n):
-            raw = self.translate(d.premises[i], th, thc, ga, gac)
-            target_b = self._instantiated_premise_boundary(rule_name, i, certs)
-            src_b = cf.presuppositions_cf(self.cf, raw)
-            certs.append(cf.boundary_convert(self.cf, src_b, target_b, raw))
-        return cf.cf_apply_rule(self.cf, rule_name, certs)
-
-    def _translate_congr(self, d, th, thc, ga, gac):
-        rule_name = d.data[2]
-        rule_cf = self.cf.rule(rule_name).rule
-        n = len(rule_cf.premises)
-        f_certs: list = []
-        g_certs: list = []
-        for i in range(n):
-            raw = self.translate(d.premises[i], th, thc, ga, gac)
-            target_b = self._instantiated_premise_boundary(rule_name, i, f_certs)
-            f_certs.append(
-                cf.boundary_convert(self.cf, cf.presuppositions_cf(self.cf, raw), target_b, raw)
-            )
-        for i in range(n):
-            raw = self.translate(d.premises[n + i], th, thc, ga, gac)
-            target_b = self._instantiated_premise_boundary(rule_name, i, g_certs)
-            g_certs.append(
-                cf.boundary_convert(self.cf, cf.presuppositions_cf(self.cf, raw), target_b, raw)
-            )
-        object_idx = [
-            i
-            for i, (_, b) in enumerate(rule_cf.premises)
-            if boundary_arity(b).cls.is_object
-        ]
-        eq_certs = []
-        for pos, i in enumerate(object_idx):
-            raw = self.translate(d.premises[2 * n + pos], th, thc, ga, gac)
-            target_b = self._equation_boundary_cert(f_certs[i], g_certs[i])
-            moved = cf.boundary_convert(
-                self.cf, cf.presuppositions_cf(self.cf, raw), target_b, raw
-            )
-            eq_certs.append(self._rectify_eq_lhs(moved, f_certs[i]))
-        t_prime = None
-        if isinstance(rule_cf.conclusion, IsTm):
-            left_inst = cf.cf_apply_rule(self.cf, rule_name, f_certs)
-            right_inst = cf.cf_apply_rule(self.cf, rule_name, g_certs)
-            raw_ceq = self.translate(d.premises[-1], th, thc, ga, gac)
-            li_ty = self._components(left_inst)[0]
-            ri_ty = self._components(right_inst)[0]
-            ceq = self._rectify_eq_lhs(raw_ceq, li_ty)
-            # rectify the right side to the right-instantiated type
-            comps = self._components(ceq)
-            r = cf.cf_eqty_refl(self.cf, comps[1], ri_ty)
-            ceq = cf.cf_eqty_trans(self.cf, ceq, r)
-            t_prime = cf.cf_conv_tm(self.cf, right_inst, cf.cf_eqty_sym(self.cf, ceq))
-        return cf.cf_congruence(
-            self.cf, rule_name, f_certs, g_certs, eq_certs, t_prime_cert=t_prime
-        )
+                return cf.cf_bdry_eqty(self.cf, c[0], c[1])
+        a_c, s_c, t_c = c  # TT-Bdry-EqTm
+        return cf.cf_bdry_eqtm(self.cf, a_c, self._retype_to(s_c, a_c), self._retype_to(t_c, a_c))
 
 
 def tt_to_cf(
@@ -645,114 +573,6 @@ def tt_to_cf(
     return out
 
 
-def strip_derivation_atoms(tt_theory: Theory, d):
-    """Renames annotated atoms to bare ones throughout a derivation, giving
-    the double-erased view that the tt->cf translation starts from."""
-    names: dict[str, object] = {}
-    var_map: dict = {}
-    meta_map: dict = {}
-
-    def visit_stmt(s):
-        m, v = tt._ctxs(s)
-        for mm, _ in m:
-            add_meta(mm)
-        for vv, _ in v:
-            add_var(vv)
-
-    def add_var(v):
-        if v in var_map or v.annotation is None:
-            return
-        bare = v.name
-        if bare in names and names[bare] != v:
-            bare = fresh_name(v.name, frozenset(names))
-        names[bare] = v
-        var_map[v] = FreeVar(bare, None)
-
-    def add_meta(m):
-        if m in meta_map or m.annotation is None:
-            return
-        bare = m.name
-        if bare in names and names[bare] != m:
-            bare = fresh_name(m.name, frozenset(names))
-        names[bare] = m
-        meta_map[m] = MetaName(bare, None)
-
-    def walk(d):
-        visit_stmt(d.conclusion)
-        if d.rule in ("TT-Abstr", "TT-Bdry-Abstr"):
-            add_var(d.data[2])
-        for p in d.premises:
-            walk(p)
-
-    walk(d)
-    stripped = tt.rename_derivation(tt_theory, d, var_map, meta_map)
-    return stripped, var_map, meta_map
-
-
-def round_trip_cf(cf_theory: Theory, tt_theory: Theory, cert: cf.CertifiedJudgement):
-    """cf -> tt -> cf; erased-equal to the identity on well-annotated input."""
-    mctx, vctx, d = cf_judgement_to_tt(cf_theory, tt_theory, cert)
-    stripped, var_map, meta_map = strip_derivation_atoms(tt_theory, d)
-    deriver_cache = dict(cert._annotations)
-
-    def ann_judgement_cert(payload):
-        got = deriver_cache.get(payload)
-        if got is not None:
-            return got
-        return CFDeriver(cf_theory).judgement(payload)
-
-    def ann_boundary_cert(payload):
-        got = deriver_cache.get(payload)
-        if got is not None:
-            return got
-        return CFDeriver(cf_theory).boundary(payload)
-
-    theta: dict = {}
-    theta_certs: dict = {}
-    for m, _ in mctx:
-        bare = meta_map.get(m, m)
-        theta[bare] = m.annotation
-        theta_certs[bare] = ann_boundary_cert(m.annotation)
-    gamma: dict = {}
-    gamma_certs: dict = {}
-    for v, _ in vctx:
-        bare = var_map.get(v, v)
-        gamma[bare] = v.annotation
-        gamma_certs[bare] = ann_judgement_cert(plain(IsTy(v.annotation)))
-    return tt_to_cf(
-        tt_theory,
-        cf_theory,
-        stripped,
-        labelings=(theta, theta_certs, gamma, gamma_certs),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Transported congruence (judgementally equal instantiations, both ways)
-
-
-def _fill_certs_of_equation(cf_theory: Theory, eq_cert):
-    """Splits a certified (possibly abstracted) equation into certificates of
-    its two object fills, via presuppositions and boundary inversion."""
-    if eq_cert.payload.prefix:
-        bd = cf.presuppositions_cf(cf_theory, eq_cert)
-        ty_c = cf.binder_type_cert(cf_theory, bd, 0)
-        name = fresh_name("x", atoms_in_use(eq_cert.payload))
-        v = FreeVar(name, eq_cert.payload.prefix[0])
-        var_c = cf.cf_var(cf_theory, v, ty_c)
-        inner_l, inner_r = _fill_certs_of_equation(
-            cf_theory, cf.cf_substitute(cf_theory, eq_cert, var_c)
-        )
-        return (
-            cf.cf_abstract_fwd(cf_theory, ty_c, inner_l, v),
-            cf.cf_abstract_fwd(cf_theory, ty_c, inner_r, v),
-        )
-    comps = cf.boundary_components(cf_theory, cf.presuppositions_cf(cf_theory, eq_cert))
-    if len(comps) == 2:  # type equation: (lhs type, rhs type)
-        return comps[0], comps[1]
-    return comps[1], comps[2]  # term equation: (type, lhs, rhs)
-
-
 def _labelings_for(cf_theory: Theory, mctx: MetaCtx, vctx: VarCtx, caches: dict):
     """Labels each atom of a suitable context with its own annotation.  The
     atoms stay annotated: the translation reads only their names and
@@ -771,6 +591,37 @@ def _labelings_for(cf_theory: Theory, mctx: MetaCtx, vctx: VarCtx, caches: dict)
         key = plain(IsTy(v.annotation))
         gamma_certs[v] = caches.get(key) or deriver.judgement(key)
     return theta, theta_certs, gamma, gamma_certs
+
+
+def round_trip_cf(cf_theory: Theory, tt_theory: Theory, cert: cf.CertifiedJudgement):
+    """cf -> tt -> cf.  The derivation's atoms are the certificate's own, so
+    each is labelled with its own annotation, and the round trip gives back
+    the certificate's payload, but for the conversion terms, which a
+    contexted derivation does not record: a certificate without them comes
+    back as itself, any other erased-equal."""
+    mctx, vctx, d = cf_judgement_to_tt(cf_theory, tt_theory, cert)
+    labelings = _labelings_for(cf_theory, mctx, vctx, cert._annotations)
+    return tt_to_cf(tt_theory, cf_theory, d, labelings=labelings)
+
+
+# ---------------------------------------------------------------------------
+# Transported congruence (judgementally equal instantiations, both ways)
+
+
+def _fill_certs_of_equation(cf_theory: Theory, eq_cert):
+    """Splits a certified (possibly abstracted) equation into certificates of
+    its two object fills, via presuppositions and boundary inversion."""
+    if eq_cert.payload.prefix:
+        ty_c, v, eq_open = _open(cf_theory, eq_cert)
+        inner_l, inner_r = _fill_certs_of_equation(cf_theory, eq_open)
+        return (
+            cf.cf_abstract_fwd(cf_theory, ty_c, inner_l, v),
+            cf.cf_abstract_fwd(cf_theory, ty_c, inner_r, v),
+        )
+    comps = cf.boundary_components(cf_theory, cf.presuppositions_cf(cf_theory, eq_cert))
+    if len(comps) == 2:  # type equation: (lhs type, rhs type)
+        return comps[0], comps[1]
+    return comps[1], comps[2]  # term equation: (type, lhs, rhs)
 
 
 def transported_congruence(

@@ -252,10 +252,12 @@ class CertGen:
         self._log([ty, s, t, p], out)
         return out
 
-    def judgement_cert(self, depth: int):
-        """Any certified judgement, possibly abstracted."""
+    def judgement_cert(self, depth: int, kind: str | None = None):
+        """A certified judgement of the given kind, else of any kind,
+        possibly abstracted."""
         cf = self.cf
-        kind = self.rng.choice(["ty", "tm", "eq", "reflect", "abs"])
+        if kind is None:
+            kind = self.rng.choice(["ty", "tm", "eq", "reflect", "abs"])
         if kind == "ty":
             return self.type_cert(depth)
         if kind == "tm":

@@ -40,6 +40,8 @@ from fintt.syntax import (
     erased_equal,
 )
 
+from .test_acceptance import oracle_asm
+
 BOOL = SymbolApp("bool", ())
 NAT = SymbolApp("nat", ())
 
@@ -199,6 +201,39 @@ def test_nullary_meta(env):
     ann = d.boundary(m.annotation)
     out = cf.cf_meta(th, m, [], annotation_cert=ann)
     assert out.payload == plain(IsTy(MetaApp(m, ())))
+
+
+@pytest.mark.parametrize("case", ["unary", "nullary", "reflected"])
+def test_meta_congruence_on_a_type_metavariable(env, case):
+    """CF-Meta-Congr-Ty concludes  M(ss) == M(ts)  by what the premises and
+    M(ts) assume beyond both sides, recomputed by the occurrence oracle, and
+    the equation is suitable: it assumes exactly what they do."""
+    th, d, _, ty_nat = env
+    ss = ts = eqs = []
+    if case == "nullary":
+        m = MetaName("T", plain(IsTyB()))
+    else:
+        m = MetaName("F", Abstracted((NAT,), IsTyB()))
+        vb = cf.cf_var(th, FreeVar("b", NAT), ty_nat)
+        ss = ts = [vb]
+        eqs = [cf.cf_eqtm_refl(th, vb, vb)]
+        if case == "reflected":
+            vc = cf.cf_var(th, FreeVar("c", NAT), ty_nat)
+            id_bc = cf.cf_apply_rule(th, "Id", [ty_nat, vb, vc])
+            p = cf.cf_var(th, FreeVar("p", id_bc.payload.body.ty), id_bc)
+            ts = [vc]
+            eqs = [cf.cf_apply_rule(th, "eq_reflect", [ty_nat, vb, vc, p])]
+    out = cf.cf_meta_congr(th, m, ss, ts, eqs, annotation_cert=d.boundary(m.annotation))
+    lhs = MetaApp(m, tuple(c.payload.body.term for c in ss))
+    rhs = MetaApp(m, tuple(c.payload.body.term for c in ts))
+    premises = EMPTY_ASSUMPTIONS
+    for p in [c.payload for c in (*ss, *ts, *eqs)] + [plain(IsTy(rhs))]:
+        premises = premises.union(oracle_asm(p))
+    beta = premises.difference(oracle_asm(lhs).union(oracle_asm(rhs)))
+    assert out.payload == plain(EqTy(lhs, rhs, beta))
+    assert oracle_asm(out.payload) == premises
+    if case == "reflected":
+        assert {v.name for v in beta.free_vars} == {"p"}
 
 
 def test_cf_substitute(env):

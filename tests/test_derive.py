@@ -323,6 +323,27 @@ def test_each_level_costs_the_search_three_frames(corpus_cf, corpus_tt, monkeypa
     assert at_var[1] - at_var[0] <= 3 * 10
 
 
+def test_each_level_costs_tt_to_cf_three_frames(corpus_cf, corpus_tt, monkeypatch):
+    """The variable of succ^n(a) is translated n levels below the root."""
+    at_var = []
+    real = cf.cf_var
+
+    def spy(*args, **kwargs):
+        at_var.append(_frames())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cf, "cf_var", spy)
+    deepest = []
+    for n in (10, 20):
+        at_var.clear()
+        ttd = TTDeriver(corpus_tt)
+        d = tt_succ(ttd, n)
+        vctx_d = ttd.vctx_wf(EMPTY_METAS, VarCtx([(FreeVar("a"), NAT)]))
+        tr.tt_to_cf(corpus_tt, corpus_cf, d, tt.mctx_empty(corpus_tt), vctx_d)
+        deepest.append(max(at_var))
+    assert deepest[1] - deepest[0] <= 3 * 10
+
+
 # cf -> tt derives the certified judgement: the judgement costs one level
 # and each succ one more; the variable is read off the suitable context.
 CF_TO_TT_EDGE = MAX_DEPTH - 1

@@ -1,7 +1,8 @@
 """Every name a kernel module imports at module level is used in it, no
 function imports from a module that its file already imports at module
 level (a function-local import is kept only to break an import cycle), and
-every top-level definition of a kernel module is named somewhere else."""
+every top-level definition and method of a kernel module is named somewhere
+else."""
 
 import ast
 import pathlib
@@ -85,9 +86,10 @@ def test_no_local_import_of_a_module_imported_at_module_level(path):
     )
 
 
-def top_level_names(tree: ast.Module):
-    """(name, first line, last line) of each module-level function, class
-    and assignment target."""
+def definitions(tree: ast.Module):
+    """(qualified name, name, first line, last line) of each module-level
+    function, class and assignment target, and of each method of a
+    module-level class."""
     for stmt in tree.body:
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [stmt.name]
@@ -98,29 +100,34 @@ def top_level_names(tree: ast.Module):
         else:
             continue
         for name in names:
-            yield name, stmt.lineno, stmt.end_lineno
+            yield name, name, stmt.lineno, stmt.end_lineno
+        if isinstance(stmt, ast.ClassDef):
+            for fn in stmt.body:
+                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{stmt.name}.{fn.name}", fn.name, fn.lineno, fn.end_lineno
 
 
 def unreferenced_definitions(root: pathlib.Path) -> list[str]:
-    """The top-level definitions of ``src/fintt`` whose name appears, as a
-    word, nowhere in ``src/``, ``tests/``, ``bench/`` or ``pyproject.toml``
-    outside their own definition; dunder names are exempt."""
+    """The top-level definitions and methods of ``src/fintt`` whose name
+    appears, as a word, nowhere in ``src/``, ``tests/``, ``bench/`` or
+    ``pyproject.toml`` outside their own definition; dunder names are
+    exempt."""
     files = sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
     texts = {p: p.read_text(encoding="utf-8") for p in [*files, root / "pyproject.toml"]}
     found = []
     for path in sorted((root / "src" / "fintt").glob("*.py")):
         lines = texts[path].splitlines()
-        for name, first, last in top_level_names(ast.parse(texts[path])):
+        for qualname, name, first, last in definitions(ast.parse(texts[path])):
             if name.startswith("__") and name.endswith("__"):
                 continue
             own = "\n".join(lines[: first - 1] + lines[last:])
             word = re.compile(rf"\b{re.escape(name)}\b")
             others = (text for p, text in texts.items() if p != path)
             if not word.search(own) and not any(word.search(text) for text in others):
-                found.append(f"{path.stem}.{name}")
+                found.append(f"{path.stem}.{qualname}")
     return found
 
 
 def test_every_top_level_definition_is_named_elsewhere():
     unused = unreferenced_definitions(ROOT)
-    assert not unused, f"top-level definitions named nowhere else: {', '.join(unused)}"
+    assert not unused, f"definitions named nowhere else: {', '.join(unused)}"

@@ -27,7 +27,9 @@ from fintt.syntax import (
     DUMMY,
     DummyArg,
     EqTm,
+    EqTmB,
     EqTy,
+    EqTyB,
     ExprArg,
     FreeVar,
     IsTm,
@@ -124,6 +126,12 @@ def oracle_occurrences(x, depth=0):
             go(x.lhs, depth)
             go(x.rhs, depth)
             go(x.by, depth)
+        elif isinstance(x, IsTmB):
+            go(x.ty, depth)
+        elif isinstance(x, (EqTyB, EqTmB)):
+            go(x.lhs, depth)
+            go(x.rhs, depth)
+            go(getattr(x, "ty", None), depth)
         elif isinstance(x, EqTm):
             go(x.lhs, depth)
             go(x.rhs, depth)
@@ -133,7 +141,7 @@ def oracle_occurrences(x, depth=0):
             for i, ty in enumerate(x.prefix):
                 go(ty, depth + i)
             go(x.body, depth + len(x.prefix))
-        elif x is DUMMY or x is None:
+        elif x is DUMMY or x is None or isinstance(x, IsTyB):
             pass
         else:
             raise TypeError(x)

@@ -1,5 +1,9 @@
 """Translations between presentations: suitable contexts, theory erasure,
-cf -> tt reconstruction, tt -> cf elaboration, round trips."""
+cf -> tt reconstruction, tt -> cf elaboration of every node kind, round
+trips."""
+
+import dataclasses
+import random
 
 import pytest
 
@@ -7,18 +11,25 @@ from fintt import cf_engine as cf
 from fintt import tt_engine as tt
 from fintt import translate as tr
 from fintt.derive import CFDeriver, TTDeriver
+from fintt.errors import KernelError
+from fintt.instantiation import Instantiation
 from fintt.judgements import EMPTY_METAS, EMPTY_VARS, MetaCtx, VarCtx, plain
 from fintt.syntax import (
     Abstr,
+    Abstracted,
     AssumptionSet,
     BoundVar,
+    Convert,
     DUMMY,
     EqTm,
     EqTy,
     ExprArg,
     FreeVar,
     IsTm,
+    IsTmB,
     IsTy,
+    IsTyB,
+    MetaApp,
     MetaName,
     SymbolApp,
     asm,
@@ -29,6 +40,8 @@ from fintt.syntax import (
     mv,
 )
 from fintt.theory import check_finitary, check_standard
+
+from .gen import CertGen
 
 BOOL = SymbolApp("bool", ())
 NAT = SymbolApp("nat", ())
@@ -133,8 +146,6 @@ def test_tt_to_cf_var(corpus_cf, corpus_tt):
 
 
 def test_tt_to_cf_closed_pi(corpus_cf, corpus_tt):
-    from fintt.instantiation import Instantiation
-
     th = corpus_tt
     d_bool = tt.specific(th, EMPTY_METAS, EMPTY_VARS, "bool", Instantiation([]), [])
     a = FreeVar("a")
@@ -150,8 +161,6 @@ def test_tt_to_cf_closed_pi(corpus_cf, corpus_tt):
 
 
 def test_tt_to_cf_equality_reflection(corpus_cf, corpus_tt):
-    from fintt.instantiation import Instantiation
-
     th = corpus_tt
     ttd = TTDeriver(th)
     a, b, p = FreeVar("a"), FreeVar("b"), FreeVar("p")
@@ -187,9 +196,105 @@ def test_tt_to_cf_equality_reflection(corpus_cf, corpus_tt):
     assert any(v.name == "p" for v in body.by.free_vars)
 
 
+# One derivation of each node kind TTtoCF translates, over the context
+# F : {x:nat} type, T : type, N : {x:nat} □ : nat ; a : nat.
+F, T, N = MetaName("F"), MetaName("T"), MetaName("N")
+TABLE_METAS = MetaCtx(
+    [(F, Abstracted((NAT,), IsTyB())), (T, plain(IsTyB())), (N, Abstracted((NAT,), IsTmB(NAT)))]
+)
+A = FreeVar("a")
+TABLE_VARS = VarCtx([(A, NAT)])
+
+
+def f_of(t):
+    return MetaApp(F, (t,))
+
+
+def node_kind_table(th):
+    """Node kind -> a derivation whose root is of that kind."""
+    ttd = TTDeriver(th)
+    mctx, vctx = TABLE_METAS, TABLE_VARS
+    x = FreeVar("x")
+    nat_d = ttd.ty(mctx, vctx, NAT)
+    a_d = tt.tt_var(th, mctx, vctx, A)
+    refl_ty, refl_tm = tt.eqty_refl(th, nat_d), tt.eqtm_refl(th, a_d)
+    fam = ttd.judgement(mctx, vctx, Abstracted((NAT,), IsTy(f_of(BoundVar(0)))))
+    fam_eq = ttd.judgement(
+        mctx, vctx, Abstracted((NAT,), EqTy(f_of(BoundVar(0)), f_of(BoundVar(0)), DUMMY))
+    )
+    succ_a = Instantiation([(MetaName("n"), ExprArg(A))])
+    pi_f = Instantiation([(MetaName("A"), ExprArg(NAT)), (MetaName("B"), Abstr(ExprArg(f_of(BoundVar(0)))))])
+    return {
+        "TT-Var": a_d,
+        "TT-Abstr": fam,
+        "TT-Bdry-Abstr": tt.bdry_abstr(th, nat_d, tt.bdry_ty(th, mctx, vctx.extend(x, NAT)), x),
+        "TT-Meta": tt.tt_meta(th, mctx, vctx, N, [a_d], tt.bdry_tm(th, nat_d)),
+        "TT-Meta-Eco": tt.tt_meta(th, mctx, vctx, N, [a_d]),
+        "TT-Meta-Congr:term": tt.meta_congr(th, mctx, vctx, N, [A], [A], [a_d, a_d, refl_tm, refl_ty]),
+        "TT-Meta-Congr:type": tt.meta_congr(th, mctx, vctx, F, [A], [A], [a_d, a_d, refl_tm]),
+        "TT-Meta-Congr:nullary": tt.meta_congr(th, mctx, vctx, T, [], [], []),
+        "TT-Specific": tt.specific(th, mctx, vctx, "succ", succ_a, [a_d], tt.bdry_tm(th, nat_d)),
+        "TT-Specific-Eco": tt.specific(th, mctx, vctx, "succ", succ_a, [a_d]),
+        "TT-Congr:term": tt.congruence(
+            th, mctx, vctx, "succ", succ_a, succ_a, [a_d, a_d, refl_tm, refl_ty]
+        ),
+        "TT-Congr:type": tt.congruence(
+            th, mctx, vctx, "Pi", pi_f, pi_f, [nat_d, fam, nat_d, fam, refl_ty, fam_eq]
+        ),
+        "TT-EqTy-Refl": refl_ty,
+        "TT-EqTy-Sym": tt.eqty_sym(th, refl_ty),
+        "TT-EqTy-Trans": tt.eqty_trans(th, refl_ty, refl_ty),
+        "TT-EqTm-Refl": refl_tm,
+        "TT-EqTm-Sym": tt.eqtm_sym(th, refl_tm),
+        "TT-EqTm-Trans": tt.eqtm_trans(th, refl_tm, refl_tm),
+        "TT-Conv-Tm": tt.conv_tm(th, a_d, refl_ty),
+        "TT-Conv-EqTm": tt.conv_eqtm(th, refl_tm, refl_ty),
+        "TT-Bdry-Ty": tt.bdry_ty(th, mctx, vctx),
+        "TT-Bdry-Tm": tt.bdry_tm(th, nat_d),
+        "TT-Bdry-EqTy": tt.bdry_eqty(th, nat_d, nat_d),
+        "TT-Bdry-EqTm": tt.bdry_eqtm(th, nat_d, a_d, a_d),
+    }
+
+
+NODE_KINDS = [
+    "TT-Var", "TT-Abstr", "TT-Bdry-Abstr", "TT-Meta", "TT-Meta-Eco", "TT-Meta-Congr:term",
+    "TT-Meta-Congr:type", "TT-Meta-Congr:nullary", "TT-Specific", "TT-Specific-Eco",
+    "TT-Congr:term", "TT-Congr:type", "TT-EqTy-Refl", "TT-EqTy-Sym", "TT-EqTy-Trans",
+    "TT-EqTm-Refl", "TT-EqTm-Sym", "TT-EqTm-Trans", "TT-Conv-Tm", "TT-Conv-EqTm",
+    "TT-Bdry-Ty", "TT-Bdry-Tm", "TT-Bdry-EqTy", "TT-Bdry-EqTm",
+]
+
+
+@pytest.mark.parametrize("kind", NODE_KINDS)
+def test_tt_to_cf_translates_every_node_kind(corpus_cf, corpus_tt, kind):
+    """Each kind, at the root, translates with context evidence to a
+    certificate that double-erases to the node's conclusion."""
+    d = node_kind_table(corpus_tt)[kind]
+    assert d.rule == kind.split(":")[0]
+    ttd = TTDeriver(corpus_tt)
+    evidence = ttd.mctx_wf(TABLE_METAS), ttd.vctx_wf(TABLE_METAS, TABLE_VARS)
+    cert = tr.tt_to_cf(corpus_tt, corpus_cf, d, *evidence)
+    want = d.conclusion.jdg if hasattr(d.conclusion, "jdg") else d.conclusion.bdry
+    assert double_erase(cert.payload) == double_erase(want)
+
+
+def test_tt_to_cf_of_equal_substitution_into_a_type_metavariable(corpus_cf, corpus_tt):
+    """Equal substitution of  a == a  into  {x:nat} F(x) type  gives a
+    metavariable congruence on a type metavariable, which translates."""
+    th = corpus_tt
+    ttd = TTDeriver(th)
+    fam = ttd.judgement(TABLE_METAS, TABLE_VARS, Abstracted((NAT,), IsTy(f_of(BoundVar(0)))))
+    a_d = tt.tt_var(th, TABLE_METAS, TABLE_VARS, A)
+    out = tt.eq_subst_n(th, fam, [a_d], [a_d], [tt.eqtm_refl(th, a_d)])
+    assert out.conclusion.jdg == plain(EqTy(f_of(A), f_of(A), DUMMY))
+    evidence = ttd.mctx_wf(TABLE_METAS), ttd.vctx_wf(TABLE_METAS, TABLE_VARS)
+    cert = tr.tt_to_cf(th, corpus_cf, out, *evidence)
+    assert double_erase(cert.payload) == out.conclusion.jdg
+
+
 def test_round_trip_cf_tt_cf(reflect_cert, corpus_cf, corpus_tt):
     back = tr.round_trip_cf(corpus_cf, corpus_tt, reflect_cert)
-    assert erased_equal(back.payload, reflect_cert.payload)
+    assert back.payload == reflect_cert.payload
 
 
 def test_round_trip_closed(corpus_cf, corpus_tt):
@@ -199,7 +304,54 @@ def test_round_trip_closed(corpus_cf, corpus_tt):
     fam = cf.cf_abstract_fwd(corpus_cf, ty_bool, ty_bool, a)
     pi = cf.cf_apply_rule(corpus_cf, "Pi", [ty_bool, fam])
     back = tr.round_trip_cf(corpus_cf, corpus_tt, pi)
-    assert erased_equal(back.payload, pi.payload)
+    assert back.payload == pi.payload
+
+
+def test_round_trip_keeps_atoms_that_share_a_name(corpus_cf, corpus_tt):
+    """Pi(Id(nat, x, x), {_} Id(bool, x, x)) with x^nat and x^bool comes back
+    as itself: neither x is renamed."""
+    d = CFDeriver(corpus_cf)
+    ty_nat, ty_bool = d.ty(NAT), d.ty(BOOL)
+    x_nat = cf.cf_var(corpus_cf, FreeVar("x", NAT), ty_nat)
+    x_bool = cf.cf_var(corpus_cf, FreeVar("x", BOOL), ty_bool)
+    id_nat = cf.cf_apply_rule(corpus_cf, "Id", [ty_nat, x_nat, x_nat])
+    id_bool = cf.cf_apply_rule(corpus_cf, "Id", [ty_bool, x_bool, x_bool])
+    fam = cf.cf_abstract_fwd(corpus_cf, id_nat, id_bool, FreeVar("y", id_nat.payload.body.ty))
+    pi = cf.cf_apply_rule(corpus_cf, "Pi", [id_nat, fam])
+    back = tr.round_trip_cf(corpus_cf, corpus_tt, pi)
+    assert back.payload == pi.payload
+
+
+def has_conversion(x) -> bool:
+    if isinstance(x, Convert):
+        return True
+    if isinstance(x, (tuple, frozenset)):
+        return any(has_conversion(y) for y in x)
+    return dataclasses.is_dataclass(x) and any(
+        has_conversion(getattr(x, f.name)) for f in dataclasses.fields(x)
+    )
+
+
+@pytest.mark.parametrize("kind", ["ty", "tm", "eq", "reflect", "abs"])
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_round_trip_gives_back_the_payload(corpus_cf, corpus_tt, kind, depth):
+    """A contexted derivation records no conversion terms, so a certificate
+    holding one comes back erased-equal; any other comes back as itself."""
+    rng = random.Random(depth * 10 + len(kind))
+    g = CertGen(rng, corpus_cf)
+    done = exact = 0
+    while done < 8:
+        try:
+            cert = g.judgement_cert(depth, kind)
+        except KernelError:
+            continue
+        back = tr.round_trip_cf(corpus_cf, corpus_tt, cert).payload
+        assert erased_equal(back, cert.payload)
+        if not has_conversion(cert.payload):
+            assert back == cert.payload
+            exact += 1
+        done += 1
+    assert exact > 0
 
 
 # ---------------------------------------------------------------------------
