@@ -9,6 +9,7 @@ from .syntax import (
     _MV,
     _SELF,
     _SHAPES,
+    _occurrences,
     Abstr,
     Argument,
     AssumptionSet,
@@ -113,7 +114,7 @@ def _recording(x):
         if len(step) == 2:
             y, d = step
             # mv(x) filled the occurrence caches of every node below x.
-            if not y._occ[_MV]:
+            if not _occurrences(y)[_MV]:
                 step = (_CONST, y, 0, None)
             else:
                 cls = type(y)
@@ -123,8 +124,8 @@ def _recording(x):
                 elif cls is FreeVar:
                     todo += [(_ATOM, y.name, 0, None), (y.annotation, 0)]
                 elif cls is AssumptionSet:
-                    atoms = tuple(_HOLE if v._occ[_MV] else v for v in y.free_vars)
-                    acted = [(v, d) for v in y.free_vars if v._occ[_MV]]
+                    atoms = tuple(_HOLE if _occurrences(v)[_MV] else v for v in y.free_vars)
+                    acted = [(v, d) for v in y.free_vars if _occurrences(v)[_MV]]
                     todo.append((_ASET, atoms, len(acted), (y.bound_vars, tuple(y.metas), d)))
                     todo += reversed(acted)
                 else:

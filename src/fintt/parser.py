@@ -64,12 +64,22 @@ KEYWORDS = {
     "return",
 }
 
+# One match per token: the whitespace and comments before it, then the
+# token, the end of the text, or an unexpected character.  The greedy skip
+# never backtracks into a comment: it stops only before a character that is
+# neither whitespace nor the start of ``--``, and there either a token or
+# ``bad`` matches, or at the end of the text ``eof`` does.  (Without ``eof``,
+# ``-- only`` at the end would give back its ``y`` as a name.)
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|--[^\n]*)
-  | (?P<name>[A-Za-z_][A-Za-z0-9_'-]*)
-  | (?P<num>\d+)
-  | (?P<op>==|[(){},;:^=*])
+    (?:\s+|--[^\n]*)*
+    (?:
+        (?P<name>[A-Za-z_][A-Za-z0-9_'-]*)
+      | (?P<num>\d+)
+      | (?P<op>==|[(){},;:^=*])
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )
     """,
     re.VERBOSE,
 )
@@ -88,23 +98,28 @@ class Token:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, ending with an ``eof`` token, in one pass of
+    ``_TOKEN_RE``.  A token's line and column are those of its first
+    character, both from 1; the line number moves only where a match
+    skipped a newline.  An unexpected character raises ``ParseError`` at its
+    own position."""
     out = []
-    pos = 0
-    line, col = 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        chunk = m.group(0)
-        if m.lastgroup != "ws":
-            out.append(Token(m.lastgroup, chunk, line, col))
-        nl = chunk.count("\n")
-        if nl:
-            line += nl
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
+    line, line_start = 1, 0
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        start = m.start(kind)
+        skipped = m.start()
+        if skipped != start:
+            newlines = text.count("\n", skipped, start)
+            if newlines:
+                line += newlines
+                line_start = text.rindex("\n", skipped, start) + 1
+        col = start - line_start + 1
+        if kind == "eof":
+            break
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text[start]!r}", line, col)
+        out.append(Token(kind, m.group(kind), line, col))
     out.append(Token("eof", "", line, col))
     return out
 

@@ -99,7 +99,10 @@ class SymbolArity:
 
 
 class Signature:
-    """Ordered map from symbol names to their arities; names unique."""
+    """Ordered map from symbol names to their arities; names unique.
+
+    A signature never changes after construction, so ``arity_check`` keeps
+    the subterms that passed against it on it, in ``_arity_passes``."""
 
     def __init__(self, entries: Iterable[tuple[str, SymbolArity]] = ()):
         self._entries: dict[str, SymbolArity] = {}
@@ -107,6 +110,7 @@ class Signature:
             if name in self._entries:
                 raise ValueError(f"duplicate symbol {name!r}")
             self._entries[name] = arity
+        self._arity_passes: dict = {}
 
     def __contains__(self, name: str) -> bool:
         return name in self._entries
@@ -125,7 +129,9 @@ class Signature:
     def extend(self, name: str, arity: SymbolArity) -> "Signature":
         if name in self._entries:
             raise ValueError(f"duplicate symbol {name!r}")
-        return Signature(list(self._entries.items()) + [(name, arity)])
+        out = Signature()
+        out._entries = {**self._entries, name: arity}
+        return out
 
     def __repr__(self) -> str:
         return f"Signature({list(self._entries)})"
@@ -159,7 +165,8 @@ def _node(cls):
     fields, so ``repr`` ignores them and pickling drops them.  No cache
     refers to its own node, which would make a reference cycle and keep the
     node alive after its last use: a cached erasure that is the node itself
-    reads ``_SELF``, and so does the node in its own plan.
+    reads ``_SELF``, and so does the node in its own plan, and the summary
+    cached on an atom leaves the atom out (see ``_occurrences``).
     """
     cls = dataclass(frozen=True, eq=False, init=False)(cls)
     names = tuple(f.name for f in fields(cls))
@@ -494,14 +501,53 @@ class ClsOf:
         raise UnknownMeta(m.name)
 
     def __call__(self, e: Expr) -> Cls:
-        match e:
-            case FreeVar() | BoundVar() | Convert():
-                return Cls.TM
-            case SymbolApp(symbol=s):
-                return self.sig[s].cls
-            case MetaApp(meta=m):
-                return self.meta_arity(m).cls
+        cls = type(e)
+        if cls is SymbolApp:
+            return self.sig[e.symbol].cls
+        if cls is MetaApp:
+            return self.meta_arity(e.meta).cls
+        if cls is FreeVar or cls is BoundVar or cls is Convert:
+            return Cls.TM
         raise TypeError(f"not an expression: {e!r}")
+
+
+# The classes of the first children of a judgement or boundary node, checked
+# once those children pass and before its other children (an equation's
+# assumption set) are visited.
+_CHILD_CLASSES = {
+    IsTy: (Cls.TY,),
+    IsTm: (Cls.TM, Cls.TY),
+    EqTy: (Cls.TY, Cls.TY),
+    EqTm: (Cls.TM, Cls.TM, Cls.TY),
+    IsTmB: (Cls.TY,),
+    EqTyB: (Cls.TY, Cls.TY),
+    EqTmB: (Cls.TM, Cls.TM, Cls.TY),
+}
+
+# The steps of ``arity_check``'s walk, each a tuple ``(step, x, depth,
+# extra)``: visit the node ``x``; record that the subterm keyed ``x``
+# passed; check the class of the expression ``x`` (``depth`` is the class
+# wanted, ``extra`` who wants it); check the argument ``x`` against the slot
+# ``extra``; check the bound indices ``x`` of an assumption set; resolve the
+# metavariable ``x``.
+_VISIT, _PASS, _CLASS, _ARG, _BOUND, _META = range(6)
+# Who wants a term in a ``_CLASS`` step, when not a judgement or boundary
+# (``None``) and not a metavariable application (its metavariable).
+_IN_CONVERT, _IN_SLOT = object(), object()
+
+
+def _arity_codes(metas: dict) -> dict:
+    """``metas`` with each arity as a plain tuple, which a ``_pass_key``
+    hashes in C (a ``MetaArity`` hashes through two Python-level calls)."""
+    return {m: (a.cls._value_, a.binders) for m, a in metas.items()}
+
+
+def _pass_key(x, codes: dict):
+    """The key under which ``arity_check`` records that ``x`` passed: ``x``
+    with the arity ``codes`` gives each metavariable ``x`` mentions (``None``
+    for one it leaves to the atom's annotation)."""
+    heads = _occurrences(x)[_MV]
+    return (x, tuple(map(codes.get, heads))) if heads else x
 
 
 def arity_check(sig: Signature, metas: dict[MetaName, MetaArity], x, depth: int = 0) -> None:
@@ -509,134 +555,140 @@ def arity_check(sig: Signature, metas: dict[MetaName, MetaArity], x, depth: int 
     that every bound index is captured by enough binders.
 
     Raises :class:`ArityMismatch`, :class:`UnboundIndex`,
-    :class:`UnknownSymbol` or :class:`UnknownMeta` on failure.
-    """
+    :class:`UnknownSymbol` or :class:`UnknownMeta` on failure: the first
+    failure a left-to-right walk meets, children before the checks that
+    read their classes.  The walk keeps its own stack, so term depth is not
+    bounded by the recursion limit.
+
+    Every subterm that passes is recorded on ``sig`` (``_arity_passes``)
+    under its ``_pass_key``, with the fewest binders it passed under, and
+    is not walked again where it sits under at least as many.  Such a hit
+    is sound: what the walk finds below a subterm depends only on the
+    signature, on the arities of the metavariables the subterm mentions
+    (which the key holds; a cf atom missing from ``metas`` brings its own
+    annotation), and on the binders around it, where more binders only
+    capture more indices.  Class checks do not read the binders at all.  A
+    signature never changes, and every prefix of a theory shares the
+    theory's, so the gate walks each subterm of a theory's rules once, not
+    once per rule or per occurrence.  Only passes are recorded."""
+    passes = sig._arity_passes
+    codes = _arity_codes(metas)
+    if type(x) in _SHAPES and type(x) is not MetaName:
+        if passes.get(_pass_key(x, codes), depth + 1) <= depth:
+            return
     cls_of = ClsOf(sig, metas)
-
-    def check(x, depth: int) -> None:
-        match x:
-            case FreeVar(_, ann):
-                if ann is not None:
-                    check(ann, 0)
-            case BoundVar(index=i):
-                if i < 0 or i >= depth:
-                    raise UnboundIndex(f"index {i} under {depth} binders")
-            case SymbolApp(symbol=s, args=args):
-                arity = sig[s]
-                if len(args) != len(arity.args):
-                    raise ArityMismatch(
-                        f"{s} expects {len(arity.args)} arguments, got {len(args)}"
-                    )
-                for slot, arg in zip(arity.args, args):
-                    check_arg(slot, arg, depth)
-            case MetaApp(meta=m, args=args):
-                ar = cls_of.meta_arity(m)
-                if len(args) != ar.binders:
-                    raise ArityMismatch(
-                        f"{m.name} expects {ar.binders} arguments, got {len(args)}"
-                    )
-                for t in args:
-                    check(t, depth)
-                    if cls_of(t) != Cls.TM:
-                        raise ArityMismatch(f"argument of {m.name} must be a term")
-                if m.annotation is not None:
-                    check(m.annotation, 0)
-            case Convert(term=t, assumptions=a):
-                check(t, depth)
-                if cls_of(t) != Cls.TM:
-                    raise ArityMismatch("convert wraps term expressions only")
-                check(a, depth)
-            case AssumptionSet(free_vars=fv, bound_vars=bv, metas=ms):
-                for v in fv:
-                    check(v, 0)
-                for i in bv:
-                    if i < 0 or i >= depth:
-                        raise UnboundIndex(f"index {i} under {depth} binders")
-                for m in ms:
-                    if m.annotation is not None:
-                        check(m.annotation, 0)
-                    else:
-                        cls_of.meta_arity(m)
-            case ExprArg(expr=e):
-                check(e, depth)
-            case DummyArg():
-                pass
-            case AsmArg(assumptions=a):
-                check(a, depth)
-            case Abstr(body=b):
-                check(b, depth + 1)
-            case IsTy(ty=a):
-                check(a, depth)
-                _expect(cls_of, a, Cls.TY)
-            case IsTm(term=t, ty=a):
-                check(t, depth)
-                check(a, depth)
-                _expect(cls_of, t, Cls.TM)
-                _expect(cls_of, a, Cls.TY)
-            case EqTy(lhs=a, rhs=b, by=by):
-                check(a, depth)
-                check(b, depth)
-                _expect(cls_of, a, Cls.TY)
-                _expect(cls_of, b, Cls.TY)
-                check(by, depth)
-            case EqTm(lhs=s, rhs=t, ty=a, by=by):
-                for e in (s, t, a):
-                    check(e, depth)
-                _expect(cls_of, s, Cls.TM)
-                _expect(cls_of, t, Cls.TM)
-                _expect(cls_of, a, Cls.TY)
-                check(by, depth)
-            case IsTyB():
-                pass
-            case IsTmB(ty=a):
-                check(a, depth)
-                _expect(cls_of, a, Cls.TY)
-            case EqTyB(lhs=a, rhs=b):
-                check(a, depth)
-                check(b, depth)
-                _expect(cls_of, a, Cls.TY)
-                _expect(cls_of, b, Cls.TY)
-            case EqTmB(lhs=s, rhs=t, ty=a):
-                for e in (s, t, a):
-                    check(e, depth)
-                _expect(cls_of, s, Cls.TM)
-                _expect(cls_of, t, Cls.TM)
-                _expect(cls_of, a, Cls.TY)
-            case Abstracted(prefix=pfx, body=body):
-                for i, ty in enumerate(pfx):
-                    check(ty, depth + i)
-                    _expect(cls_of, ty, Cls.TY)
-                check(body, depth + len(pfx))
-            case _:
-                raise TypeError(f"cannot arity-check {x!r}")
-
-    def check_arg(slot: MetaArity, arg: Argument, depth: int) -> None:
-        binders = 0
-        inner = arg
-        while isinstance(inner, Abstr):
-            binders += 1
-            inner = inner.body
-        if binders != slot.binders:
-            raise ArityMismatch(f"argument binds {binders} variables, expected {slot.binders}")
-        match inner:
-            case ExprArg(expr=e):
-                check(e, depth + binders)
-                if cls_of(e) != slot.cls:
-                    raise ArityMismatch(f"argument class {cls_of(e)} does not fit slot {slot.cls}")
-            case DummyArg():
-                if not slot.cls.is_equality:
-                    raise ArityMismatch("dummy argument in object-class slot")
-            case AsmArg(assumptions=a):
-                if not slot.cls.is_equality:
-                    raise ArityMismatch("assumption-set argument in object-class slot")
-                check(a, depth + binders)
-
-    check(x, depth)
+    todo: list = [(_VISIT, x, depth, None)]
+    push = todo.append
+    while todo:
+        step, y, d, extra = todo.pop()
+        if step:
+            if step == _PASS:
+                passes[y] = d
+            elif step == _CLASS:
+                found = cls_of(y)
+                if found != d:
+                    raise ArityMismatch(_class_message(found, d, extra))
+            elif step == _ARG:
+                _arity_check_arg(y, extra, d, todo)
+            elif step == _BOUND:
+                for i in y:
+                    if i < 0 or i >= d:
+                        raise UnboundIndex(f"index {i} under {d} binders")
+            else:
+                cls_of.meta_arity(y)
+            continue
+        cls = type(y)
+        if cls is BoundVar:
+            if y.index < 0 or y.index >= d:
+                raise UnboundIndex(f"index {y.index} under {d} binders")
+            continue
+        shape = _SHAPES.get(cls)
+        if shape is None or cls is MetaName:
+            raise TypeError(f"cannot arity-check {y!r}")
+        key = _pass_key(y, codes)
+        if passes.get(key, d + 1) <= d:
+            continue
+        push((_PASS, key, d, None))
+        # The steps below y, pushed last first.
+        children, binders, _ = shape
+        kids = children(y)
+        if cls is SymbolApp:
+            arity = sig[y.symbol]
+            if len(kids) != len(arity.args):
+                raise ArityMismatch(
+                    f"{y.symbol} expects {len(arity.args)} arguments, got {len(kids)}"
+                )
+            for slot, arg in reversed(tuple(zip(arity.args, kids))):
+                push((_ARG, arg, d, slot))
+        elif cls is MetaApp:
+            m = y.meta
+            ar = cls_of.meta_arity(m)
+            if len(kids) != ar.binders:
+                raise ArityMismatch(f"{m.name} expects {ar.binders} arguments, got {len(kids)}")
+            if m.annotation is not None:
+                push((_VISIT, m.annotation, 0, None))
+            for t in reversed(kids):
+                push((_CLASS, t, Cls.TM, m))
+                push((_VISIT, t, d, None))
+        elif cls is FreeVar:
+            if y.annotation is not None:
+                push((_VISIT, y.annotation, 0, None))
+        elif cls is AssumptionSet:
+            for m in reversed(tuple(y.metas)):
+                push((_META, m, 0, None) if m.annotation is None else (_VISIT, m.annotation, 0, None))
+            push((_BOUND, y.bound_vars, d, None))
+            for v in reversed(tuple(y.free_vars)):
+                push((_VISIT, v, 0, None))
+        elif cls is Convert:
+            t, a = kids
+            todo += ((_VISIT, a, d, None), (_CLASS, t, Cls.TM, _IN_CONVERT), (_VISIT, t, d, None))
+        elif cls is Abstracted:
+            prefix = y.prefix
+            push((_VISIT, y.body, d + len(prefix), None))
+            for i in reversed(range(len(prefix))):
+                push((_CLASS, prefix[i], Cls.TY, None))
+                push((_VISIT, prefix[i], d + i, None))
+        else:
+            classes = _CHILD_CLASSES.get(cls, ())
+            k = len(classes)
+            for c in reversed(kids[k:]):
+                push((_VISIT, c, d + binders, None))
+            for c, want in reversed(tuple(zip(kids, classes))):
+                push((_CLASS, c, want, None))
+            for c in reversed(kids[:k]):
+                push((_VISIT, c, d + binders, None))
 
 
-def _expect(cls_of: ClsOf, e: Expr, c: Cls) -> None:
-    if cls_of(e) != c:
-        raise ArityMismatch(f"expected a {c.value} expression, found {cls_of(e).value}")
+def _class_message(found: Cls, wanted: Cls, who) -> str:
+    if who is None:
+        return f"expected a {wanted.value} expression, found {found.value}"
+    if who is _IN_SLOT:
+        return f"argument class {found} does not fit slot {wanted}"
+    if who is _IN_CONVERT:
+        return "convert wraps term expressions only"
+    return f"argument of {who.name} must be a term"
+
+
+def _arity_check_arg(arg: Argument, slot: MetaArity, depth: int, todo: list) -> None:
+    """The steps of ``arity_check`` for an argument in a symbol's slot: its
+    binders are counted at once, its body is pushed onto ``todo``."""
+    binders = 0
+    inner = arg
+    while isinstance(inner, Abstr):
+        binders += 1
+        inner = inner.body
+    if binders != slot.binders:
+        raise ArityMismatch(f"argument binds {binders} variables, expected {slot.binders}")
+    match inner:
+        case ExprArg(expr=e):
+            todo += ((_CLASS, e, slot.cls, _IN_SLOT), (_VISIT, e, depth + binders, None))
+        case DummyArg():
+            if not slot.cls.is_equality:
+                raise ArityMismatch("dummy argument in object-class slot")
+        case AsmArg(assumptions=a):
+            if not slot.cls.is_equality:
+                raise ArityMismatch("assumption-set argument in object-class slot")
+            todo.append((_VISIT, a, depth + binders, None))
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +754,10 @@ _CHILDREN = {
 # A node's occurrence summary is the tuple (fv0, fv, bv, mv, mv_shallow) of
 # the functions below.  A metavariable atom is not an occurrence context of
 # its own; its summary carries only what an occurrence of it adds to mv: the
-# atom and everything its boundary annotation mentions.
+# atom and everything its boundary annotation mentions.  The summary cached
+# on an atom leaves the atom itself out, since a cache that refers to its
+# own node makes a reference cycle; ``_occurrences``, the one reader of the
+# caches, puts it back.
 _E: frozenset = frozenset()
 _NO_OCCURRENCES = (_E, _E, _E, _E, _E)
 _FV0, _FV, _BV, _MV, _MV_SHALLOW = range(5)
@@ -742,25 +797,22 @@ def _under(occ: tuple, binders: int) -> tuple:
 
 
 def _summary_free_var(x: FreeVar, kids) -> tuple:
-    me = frozenset((x,))
-    if x.annotation is None:
-        return (me, me, _E, _E, _E)
-    _, ann_fv, _, ann_mv, _ = x.annotation._occ
-    return (me, _union((me, ann_fv)), _E, ann_mv, _E)
+    _, ann_fv, _, ann_mv, _ = _occurrences(x.annotation)
+    return (_E, ann_fv, _E, ann_mv, _E)
 
 
 def _summary_meta_name(x: MetaName, kids) -> tuple:
-    me = frozenset((x,))
-    return (_E, _E, _E, me if x.annotation is None else _union((me, x.annotation._occ[3])), _E)
+    return (_E, _E, _E, _occurrences(x.annotation)[_MV], _E)
 
 
 def _summary_meta_app(x: MetaApp, kids) -> tuple:
-    f0, f, b, m, ms = _join([t._occ for t in x.args])
-    return (f0, f, b, _union((m, x.meta._occ[3])), _union((ms, frozenset((x.meta,)))))
+    f0, f, b, m, ms = _join([_occurrences(t) for t in x.args])
+    meta = _occurrences(x.meta)[_MV]
+    return (f0, f, b, _union((m, meta)), _union((ms, frozenset((x.meta,)))))
 
 
 def _summary_assumptions(x: AssumptionSet, kids) -> tuple:
-    atoms = [c._occ for c in kids]
+    atoms = [_occurrences(c) for c in kids]
     return (
         x.free_vars,
         _union([o[1] for o in atoms]),
@@ -776,8 +828,8 @@ _SUMMARIES = {
     MetaName: _summary_meta_name,
     MetaApp: _summary_meta_app,
     AssumptionSet: _summary_assumptions,
-    Abstr: lambda x, kids: _under(x.body._occ, 1),
-    Abstracted: lambda x, kids: _join([_under(c._occ, i) for i, c in enumerate(kids)]),
+    Abstr: lambda x, kids: _under(_occurrences(x.body), 1),
+    Abstracted: lambda x, kids: _join([_under(_occurrences(c), i) for i, c in enumerate(kids)]),
 }
 
 
@@ -786,18 +838,29 @@ def _summary(x, kids) -> tuple:
     make = _SUMMARIES.get(type(x))
     if make is not None:
         return make(x, kids)
-    return _join([c._occ for c in kids])
+    return _join([_occurrences(c) for c in kids])
 
 
 def _occurrences(x) -> tuple:
+    """The occurrence summary of the syntax node ``x`` (of ``None``, the
+    empty one), filled on demand.  Every read of the ``_occ`` caches goes
+    through here: the cache of an atom leaves the atom out, and this puts it
+    back."""
     if x is None:
         return _NO_OCCURRENCES
-    if type(x) not in _CHILDREN or type(x) is MetaName:
-        raise TypeError(f"no occurrences in {x!r}")
-    occ = x._occ
+    try:
+        occ = x._occ
+    except AttributeError:
+        raise TypeError(f"no occurrences in {x!r}") from None
     if occ is None:
         _fill(x, "_occ", _summary)
         occ = x._occ
+    cls = type(x)
+    if cls is FreeVar:
+        me = frozenset((x,))
+        return (me, _union((me, occ[_FV])), _E, occ[_MV], _E)
+    if cls is MetaName:
+        return (_E, _E, _E, _union((frozenset((x,)), occ[_MV])), _E)
     return occ
 
 
@@ -901,9 +964,7 @@ def _rewrite(x, leaves: dict, slot: Optional[int] = None, hit=None):
         for c in todo:
             cd = d + binders if binders >= 0 else d + len(done)
             if prune:
-                o = c._occ
-                if o is None:
-                    o = _occurrences(c)
+                o = _occurrences(c)
                 if (slot is not None and not o[slot]) or (hit is not None and not hit(o, cd)):
                     done.append(c)
                     continue

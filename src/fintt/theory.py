@@ -195,26 +195,22 @@ def equality_rule(rb: RuleBoundary, flavor: Flavor) -> RawRule:
 
 
 def is_symbol_rule(sig: Signature, rule: RawRule, flavor: Flavor) -> Optional[str]:
-    """The symbol this rule is the associated symbol rule for, if any."""
-    if not rule.is_object:
+    """The symbol this rule is the associated symbol rule for, if any: the
+    rule's conclusion is its boundary filled with a head, so it is the
+    symbol rule of its own premises and boundary exactly when that head
+    applies a symbol of ``sig`` to the generic application of each
+    premise."""
+    match rule.conclusion:
+        case IsTy(ty=head) | IsTm(term=head):
+            pass
+        case _:
+            return None
+    if not isinstance(head, SymbolApp) or head.symbol not in sig:
         return None
-    head = rule.conclusion.ty if isinstance(rule.conclusion, IsTy) else None
-    if isinstance(rule.conclusion, IsTm):
-        head = rule.conclusion.term
-    if not isinstance(head, SymbolApp):
-        return None
-    symbol = head.symbol
-    if symbol not in sig:
-        return None
-    rb = RuleBoundary(rule.premises, unfill(plain(rule.conclusion))[0].body)
-    expected_head = SymbolApp(
-        symbol,
-        tuple(generic_application(m, boundary_arity(b), flavor) for m, b in rb.premises),
+    generic = tuple(
+        generic_application(m, boundary_arity(b), flavor) for m, b in rule.premises
     )
-    expected = fill(plain(rb.conclusion), ExprArg(expected_head)).body
-    if expected == rule.conclusion:
-        return symbol
-    return None
+    return head.symbol if head.args == generic else None
 
 
 # ---------------------------------------------------------------------------
@@ -387,20 +383,27 @@ class Theory:
     def __init__(self, signature: Signature, rules: list[TheoryRule], flavor: Flavor):
         if flavor not in ("tt", "cf"):
             raise ValueError("flavor must be 'tt' or 'cf'")
-        self.signature = signature
-        self.rules: tuple[TheoryRule, ...] = tuple(rules)
-        self.flavor = flavor
-        names = [r.name for r in self.rules]
-        if len(set(names)) != len(names):
+        rules = tuple(rules)
+        by_name = {r.name: (i, r) for i, r in enumerate(rules)}
+        if len(by_name) != len(rules):
             raise ValueError("rule names must be distinct")
-        self._by_name = {r.name: r for r in self.rules}
+        self._init(signature, rules, flavor, by_name, object())
+
+    def _init(self, signature: Signature, rules: tuple, flavor: Flavor, by_name: dict, token):
+        """Sets every field; ``__init__`` and ``prefix`` both end here."""
+        self.signature = signature
+        self.rules: tuple[TheoryRule, ...] = rules
+        self.flavor = flavor
+        # name -> (position, rule).  Prefixes share it and read it only below
+        # their length, ``origin[1]``.
+        self._by_name = by_name
         self.finitary_witnesses: Optional[dict] = None
         self._cache: dict = {}
         # (token, n): this theory is the first n rules of the theory the
         # token was made for, itself unless made by ``prefix``.  A token and
         # not that theory: certificates held by the theory refer to its
         # prefixes, and the reference back would make a cycle.
-        self.origin: tuple[object, int] = (object(), len(self.rules))
+        self.origin: tuple[object, int] = (token, len(rules))
 
     def cached(self, key, compute):
         """``compute()``, remembered on the theory under ``key``."""
@@ -409,19 +412,23 @@ class Theory:
         return self._cache[key]
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        entry = self._by_name.get(name)
+        return entry is not None and entry[0] < self.origin[1]
 
     def rule(self, name: str) -> TheoryRule:
-        if name not in self._by_name:
+        entry = self._by_name.get(name)
+        if entry is None or entry[0] >= self.origin[1]:
             raise UnknownRule(f"no rule named {name!r}")
-        return self._by_name[name]
+        return entry[1]
 
     def prefix(self, n: int) -> "Theory":
-        """The first ``n`` rules over the same signature.  It records whose
-        prefix it is, so ``cf_engine`` tells in O(1) that a longer prefix of
-        the same theory extends it."""
-        out = Theory(self.signature, list(self.rules[:n]), self.flavor)
-        out.origin = (self.origin[0], len(out.rules))
+        """The first ``n`` rules over the same signature, made without a
+        Python loop over the rules: it shares this theory's signature and
+        rule index, which it reads only below position ``n``, and slices
+        the rule tuple.  It records whose prefix it is, so ``cf_engine``
+        tells in O(1) that a longer prefix of the same theory extends it."""
+        out = object.__new__(Theory)
+        out._init(self.signature, self.rules[:n], self.flavor, self._by_name, self.origin[0])
         return out
 
     def symbol_rule_for(self, symbol: str) -> TheoryRule:
@@ -455,20 +462,20 @@ def check_raw(sig: Signature, rule: Union[RawRule, RuleBoundary], flavor: Flavor
                 raise MetaNotIntroduced(
                     f"boundary of {m.name} fails to introduce the metavariable {u.name}"
                 )
-        arity_check(sig, dict(seen), b)
+        arity_check(sig, seen, b)
         if flavor == "cf" and m.annotation != b:
             raise MetaNotIntroduced(
                 f"cf premise {m.name} must be annotated with its own boundary"
             )
         seen[m] = boundary_arity(b)
-    conclusion = rule.conclusion
-    if fv(plain(conclusion)):
+    conclusion = plain(rule.conclusion)
+    if fv(conclusion):
         raise FreeVarInRule("conclusion mentions free variables")
-    used = mv_shallow(plain(conclusion)) if flavor == "tt" else mv(plain(conclusion))
+    used = mv_shallow(conclusion) if flavor == "tt" else mv(conclusion)
     for u in used:
         if u not in seen:
             raise MetaNotIntroduced(f"conclusion fails to introduce the metavariable {u.name}")
-    arity_check(sig, dict(seen), plain(conclusion))
+    arity_check(sig, seen, conclusion)
     if flavor == "cf" and isinstance(rule, RawRule):
         if used != frozenset(seen):
             missing = sorted(m.name for m in set(seen) - set(used))

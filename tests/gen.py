@@ -6,6 +6,8 @@ schemes so they double as structural oracles in property tests.
 
 from __future__ import annotations
 
+import importlib.util
+import pathlib
 import random
 
 from fintt.syntax import (
@@ -270,3 +272,22 @@ class CertGen:
         v = self.var_cert(ty)
         inner = self.rng.choice([self.type_cert(max(depth - 2, 0)), v])
         return cf.cf_abstract_fwd(self.theory, ty, inner, FreeVar(v.payload.body.term.name, ty.payload.body.ty))
+
+
+def theorygen():
+    """The benchmark's generator of seeded theory texts, ``bench/theorygen.py``,
+    loaded from its file."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "theorygen.py"
+    spec = importlib.util.spec_from_file_location("theorygen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def generated_theory_texts(sizes=(10, 40, 120), seeds=(3, 8, 11, 21)):
+    """``bench/theorygen.py`` texts of every variant, for each seed and size."""
+    gen = theorygen()
+    for seed in seeds:
+        for size in sizes:
+            for variant in gen.VARIANTS:
+                yield gen.TheoryGen(random.Random(seed), size, variant).text

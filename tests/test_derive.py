@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from fintt import cf_engine as cf
+from fintt import syntax
 from fintt import translate as tr
 from fintt import tt_engine as tt
 from fintt.derive import (
@@ -22,7 +23,7 @@ from fintt.derive import (
     TTDeriver,
     check_finitary,
 )
-from fintt.errors import KernelError, PremiseMismatch
+from fintt.errors import KernelError, PremiseMismatch, UnknownRule
 from fintt.judgements import (
     EMPTY_METAS,
     EMPTY_VARS,
@@ -423,6 +424,26 @@ def test_prefix_certificates_merge_into_longer_prefixes_only():
         assert cf.cf_bdry_tm(th, c).theory is th
 
 
+def test_a_prefix_is_the_theory_of_its_rules():
+    """A prefix sets the fields a theory made from its rules sets, and finds
+    exactly that theory's rules by name."""
+    th = gated(mltt_builder("cf"))
+    names = [r.name for r in th.rules] + ["no such rule"]
+    for n in (0, 1, len(th.rules) // 2, len(th.rules), len(th.rules) + 3):
+        prefix, fresh = th.prefix(n), Theory(th.signature, th.rules[:n], th.flavor)
+        assert vars(prefix).keys() == vars(fresh).keys()
+        assert prefix.rules == fresh.rules and prefix.finitary_witnesses is None
+        assert prefix.origin == (th.origin[0], len(fresh.rules))
+        assert prefix.prefix(1).origin[0] is th.origin[0]
+        for name in names:
+            assert (name in prefix) == (name in fresh)
+            if name in fresh:
+                assert prefix.rule(name) is fresh.rule(name)
+            else:
+                with pytest.raises(UnknownRule):
+                    prefix.rule(name)
+
+
 def test_separately_elaborated_copies_take_the_full_comparison():
     th, copy = gated(mltt_builder("cf")), gated(mltt_builder("cf"))
     n = len(th.rules)
@@ -585,3 +606,69 @@ def test_gate_builds_each_metavariable_context_chain_once(monkeypatch):
     cost the chain of (), then of (n : T0), whatever k is."""
     one, six = (count_mctx_nodes(monkeypatch, shared_premise_theory("tt", k)) for k in (1, 6))
     assert one == six == 2
+
+
+# ---------------------------------------------------------------------------
+# The fixed costs of the gate
+
+
+def shared_big_premise_theory(flavor, k, height=30):
+    """T0, a type former F, then k operations g_i(n) : T0 that all have the
+    premise n : F^height(T0), a type of height + 1 symbol applications."""
+    b = TheoryBuilder(flavor)
+    b.declare_symbol_rule("T0", [], IsTyB())
+    b.declare_symbol_rule("F", [("A", plain(IsTyB()))], IsTyB())
+    big = t0 = SymbolApp("T0", ())
+    for _ in range(height):
+        big = SymbolApp("F", (ExprArg(big),))
+    for i in range(k):
+        b.declare_symbol_rule(f"g{i}", [("n", plain(IsTmB(big)))], IsTmB(t0))
+    return b.theory()
+
+
+def count_arity_visits(monkeypatch, theory):
+    """The nodes ``arity_check`` walks in the raw check of every rule of
+    ``theory``: each is one call of its kind's children in ``_SHAPES``."""
+    visits = []
+    for cls, (children, binders, rebuild) in list(syntax._SHAPES.items()):
+
+        def counting(x, children=children):
+            visits.append(x)
+            return children(x)
+
+        monkeypatch.setitem(syntax._SHAPES, cls, (counting, binders, rebuild))
+    for r in theory.rules:
+        check_raw(theory.signature, r.rule, theory.flavor)
+    monkeypatch.undo()
+    return len(visits)
+
+
+@pytest.mark.parametrize("flavor", ["cf", "tt"])
+def test_the_raw_check_walks_a_shared_premise_once_per_theory(monkeypatch, flavor):
+    """58 more rules that share a premise of 31 symbol applications cost at
+    most 6 more visits each (their new conclusions), not the premise again."""
+    two, sixty = (
+        count_arity_visits(monkeypatch, shared_big_premise_theory(flavor, k)) for k in (2, 60)
+    )
+    assert two > 31
+    assert sixty - two <= 58 * 6
+
+
+@pytest.mark.parametrize("flavor", ["cf", "tt"])
+def test_the_gate_builds_no_theory_per_prefix(monkeypatch, flavor):
+    """``check_finitary`` makes its prefix theories without running
+    ``Theory.__init__``, whatever the number of rules."""
+    for k in (2, 60):
+        theory = shared_big_premise_theory(flavor, k, height=3)
+        calls = []
+        original = Theory.__init__
+
+        def counting(self, *args, **kwargs):
+            calls.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Theory, "__init__", counting)
+        check_finitary(theory)
+        monkeypatch.undo()
+        assert len(calls) <= 1
+        assert len(theory.finitary_witnesses) == k + 2

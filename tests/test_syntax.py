@@ -4,6 +4,7 @@ substitution commutation, abstraction/substitution inverses."""
 import copy
 import dataclasses
 import gc
+import pathlib
 import pickle
 import random
 import sys
@@ -13,13 +14,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fintt import syntax
-from fintt.errors import ArityMismatch, UnboundIndex, VarInAnnotation
+from fintt.errors import ArityMismatch, KernelError, UnboundIndex, VarInAnnotation
 from fintt.instantiation import Instantiation, act
 from fintt.judgements import plain
+from fintt.parser import elaborate, parse_theory
 from fintt.printer import print_expr
 from fintt.syntax import (
     Abstr,
     Abstracted,
+    AsmArg,
     AssumptionSet,
     BoundVar,
     Cls,
@@ -39,10 +42,13 @@ from fintt.syntax import (
     MetaApp,
     MetaArity,
     MetaName,
+    Signature,
     SymbolApp,
+    SymbolArity,
     abstract_var,
     arity_check,
     asm,
+    boundary_arity,
     bv,
     close_var,
     double_erase,
@@ -65,6 +71,7 @@ from fintt.theory import _annotate
 from .gen import ExprGen, corpus_signature
 
 SIG = corpus_signature()
+CORPUS = pathlib.Path(__file__).resolve().parent / "corpus"
 BOOL = SymbolApp("bool", ())
 NAT = SymbolApp("nat", ())
 
@@ -276,9 +283,11 @@ DEEP_REWRITES = {
         erase,
         double_erase,
         lambda t: t == succ_n(2000, FreeVar("x", NAT)),
+        lambda t: arity_check(SIG, {}, t),
         *DEEP_REWRITES.values(),
     ],
-    ids=["hash", "fv", "bv", "mv", "asm", "erase", "double_erase", "eq", *DEEP_REWRITES],
+    ids=["hash", "fv", "bv", "mv", "asm", "erase", "double_erase", "eq", "arity_check",
+         *DEEP_REWRITES],
 )
 def test_walks_on_deep_terms_stay_off_the_call_stack(walk):
     x = FreeVar("x", NAT)
@@ -376,12 +385,15 @@ def test_every_construction_path_returns_the_interned_node():
 
 def test_an_acted_node_leaves_no_reference_cycle():
     """With the cycle collector off, an acted node and its plan die with
-    their last reference and leave the intern tables.  (The fresh nodes are
-    no atoms: an atom's occurrence summary holds the atom itself.)"""
+    their last reference and leave the intern tables, and so do the fresh
+    atoms in it, a free variable and an annotated metavariable, whose
+    occurrence summaries were computed."""
     gc.collect()
     gc.disable()
     try:
         before = interned()
+        probe = FreeVar("cycle#probe", SymbolApp("cycle#ty", ()))
+        meta = MetaName("cycle#M", plain(IsTmB(SymbolApp("cycle#ty", ()))))
         x = Abstr(
             ExprArg(
                 SymbolApp(
@@ -390,18 +402,34 @@ def test_an_acted_node_leaves_no_reference_cycle():
                         ExprArg(NAT),
                         ExprArg(succ_n(100, SymbolApp("cycle#probe", ()))),
                         ExprArg(succ(MetaApp(M, (BoundVar(0),)))),
+                        ExprArg(succ(MetaApp(meta, ()))),
                     ),
                 )
             )
         )
-        inst = Instantiation([(M, Abstr(ExprArg(succ(BoundVar(0)))))])
+        inst = Instantiation([(M, Abstr(ExprArg(succ(BoundVar(0))))), (meta, ExprArg(probe))])
         first, second = act(inst, x), act(inst, x)
         assert first is second and x._plan is not None
+        assert probe in fv(first) and fv(probe) == {probe} and meta in mv(x)
         assert interned() > before + 100
-        del x, inst, first, second
+        del x, inst, first, second, probe, meta
         assert interned() <= before
     finally:
         gc.enable()
+
+
+def test_an_atom_is_in_its_own_occurrences_but_not_in_its_cache():
+    """The summary cached on an atom leaves the atom out; ``_occurrences``,
+    which every reader goes through, puts it back.  Anything but a syntax
+    node or ``None`` has no occurrences."""
+    a = FreeVar("own#a", NAT)
+    m = MetaName("own#M", plain(IsTmB(MetaApp(M, ()))))
+    assert fv0(a) == fv(a) == {a} and mv(a) == frozenset()
+    assert mv(m) == {m, M} and fv(m) == frozenset()
+    assert a not in a._occ[syntax._FV0] and a not in a._occ[syntax._FV]
+    assert m not in m._occ[syntax._MV]
+    with pytest.raises(TypeError):
+        fv("own#a")
 
 
 def test_fv0_and_fvt_on_annotated_var():
@@ -457,6 +485,271 @@ def test_arity_check_metas():
     arity_check(SIG, metas, ok)
     with pytest.raises(ArityMismatch):
         arity_check(SIG, metas, MetaApp(m, (FreeVar("a"),)))
+
+
+# The oracle: ``arity_check`` as it was, one recursive walk per call and no
+# record of passes.
+
+
+def oracle_arity_check(sig, metas, x, depth=0):
+    cls_of = syntax.ClsOf(sig, metas)
+
+    def expect(e, c):
+        if cls_of(e) != c:
+            raise ArityMismatch(f"expected a {c.value} expression, found {cls_of(e).value}")
+
+    def check(x, depth):
+        match x:
+            case FreeVar(_, ann):
+                if ann is not None:
+                    check(ann, 0)
+            case BoundVar(index=i):
+                if i < 0 or i >= depth:
+                    raise UnboundIndex(f"index {i} under {depth} binders")
+            case SymbolApp(symbol=s, args=args):
+                arity = sig[s]
+                if len(args) != len(arity.args):
+                    raise ArityMismatch(f"{s} expects {len(arity.args)} arguments, got {len(args)}")
+                for slot, arg in zip(arity.args, args):
+                    check_arg(slot, arg, depth)
+            case MetaApp(meta=m, args=args):
+                ar = cls_of.meta_arity(m)
+                if len(args) != ar.binders:
+                    raise ArityMismatch(f"{m.name} expects {ar.binders} arguments, got {len(args)}")
+                for t in args:
+                    check(t, depth)
+                    if cls_of(t) != Cls.TM:
+                        raise ArityMismatch(f"argument of {m.name} must be a term")
+                if m.annotation is not None:
+                    check(m.annotation, 0)
+            case Convert(term=t, assumptions=a):
+                check(t, depth)
+                if cls_of(t) != Cls.TM:
+                    raise ArityMismatch("convert wraps term expressions only")
+                check(a, depth)
+            case AssumptionSet(free_vars=fvs, bound_vars=bvs, metas=ms):
+                for v in fvs:
+                    check(v, 0)
+                for i in bvs:
+                    if i < 0 or i >= depth:
+                        raise UnboundIndex(f"index {i} under {depth} binders")
+                for m in ms:
+                    if m.annotation is not None:
+                        check(m.annotation, 0)
+                    else:
+                        cls_of.meta_arity(m)
+            case ExprArg(expr=e):
+                check(e, depth)
+            case DummyArg() | IsTyB():
+                pass
+            case AsmArg(assumptions=a):
+                check(a, depth)
+            case Abstr(body=b):
+                check(b, depth + 1)
+            case IsTy(ty=a) | IsTmB(ty=a):
+                check(a, depth)
+                expect(a, Cls.TY)
+            case IsTm(term=t, ty=a):
+                check(t, depth)
+                check(a, depth)
+                expect(t, Cls.TM)
+                expect(a, Cls.TY)
+            case EqTy(lhs=a, rhs=b, by=by):
+                check(a, depth)
+                check(b, depth)
+                expect(a, Cls.TY)
+                expect(b, Cls.TY)
+                check(by, depth)
+            case EqTm(lhs=u, rhs=t, ty=a, by=by):
+                for e in (u, t, a):
+                    check(e, depth)
+                expect(u, Cls.TM)
+                expect(t, Cls.TM)
+                expect(a, Cls.TY)
+                check(by, depth)
+            case EqTyB(lhs=a, rhs=b):
+                check(a, depth)
+                check(b, depth)
+                expect(a, Cls.TY)
+                expect(b, Cls.TY)
+            case EqTmB(lhs=u, rhs=t, ty=a):
+                for e in (u, t, a):
+                    check(e, depth)
+                expect(u, Cls.TM)
+                expect(t, Cls.TM)
+                expect(a, Cls.TY)
+            case Abstracted(prefix=pfx, body=body):
+                for i, ty in enumerate(pfx):
+                    check(ty, depth + i)
+                    expect(ty, Cls.TY)
+                check(body, depth + len(pfx))
+            case _:
+                raise TypeError(f"cannot arity-check {x!r}")
+
+    def check_arg(slot, arg, depth):
+        binders = 0
+        inner = arg
+        while isinstance(inner, Abstr):
+            binders += 1
+            inner = inner.body
+        if binders != slot.binders:
+            raise ArityMismatch(f"argument binds {binders} variables, expected {slot.binders}")
+        match inner:
+            case ExprArg(expr=e):
+                check(e, depth + binders)
+                if cls_of(e) != slot.cls:
+                    raise ArityMismatch(f"argument class {cls_of(e)} does not fit slot {slot.cls}")
+            case DummyArg():
+                if not slot.cls.is_equality:
+                    raise ArityMismatch("dummy argument in object-class slot")
+            case AsmArg(assumptions=a):
+                if not slot.cls.is_equality:
+                    raise ArityMismatch("assumption-set argument in object-class slot")
+                check(a, depth + binders)
+
+    check(x, depth)
+
+
+def arity_outcome(check, sig, metas, x, depth=0):
+    try:
+        check(sig, metas, x, depth)
+    except (KernelError, TypeError) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def rule_checks(theory):
+    """Each (metavariable arities, value) that ``check_raw`` arity-checks
+    in the rules of ``theory``: every premise boundary over the earlier
+    premises, then the conclusion over all of them."""
+    for r in theory.rules:
+        seen = {}
+        for m, b in r.rule.premises:
+            yield dict(seen), b
+            seen[m] = boundary_arity(b)
+        yield dict(seen), plain(r.rule.conclusion)
+
+
+EXPRS = (FreeVar, BoundVar, SymbolApp, MetaApp, Convert)
+
+
+def expression_paths(x, path=()):
+    """The paths (child indices in ``syntax._SHAPES``) to the expressions
+    in ``x``, outside atoms' annotations."""
+    if type(x) in EXPRS:
+        yield path
+    for i, c in enumerate(syntax._SHAPES[type(x)][0](x)):
+        yield from expression_paths(c, (*path, i))
+
+
+def replace_at(x, path, new):
+    if not path:
+        return new
+    children, _, rebuild = syntax._SHAPES[type(x)]
+    kids = list(children(x))
+    kids[path[0]] = replace_at(kids[path[0]], path[1:], new)
+    return rebuild(x, tuple(kids))
+
+
+# Two defects each, put at two disjoint places of a checked value.
+DEFECT_PAIRS = {
+    "bad arity, unbound index": (SymbolApp("Pi", ()), BoundVar(7)),
+    "unbound index, bad arity": (BoundVar(7), SymbolApp("Pi", ())),
+    "wrong class, unknown symbol": (FreeVar("w"), SymbolApp("nosuch", ())),
+    "unknown symbol, wrong class": (SymbolApp("nosuch", ()), FreeVar("w")),
+    "wrong class, bad arity": (SymbolApp("zero", ()), SymbolApp("succ", ())),
+}
+
+
+def mutants(x, rng, n):
+    paths = list(expression_paths(x))
+    pairs = [
+        (p, q) for p in paths for q in paths
+        if p != q and p[: len(q)] != q and q[: len(p)] != p
+    ]
+    for p, q in rng.sample(pairs, min(n, len(pairs))):
+        for first, second in DEFECT_PAIRS.values():
+            yield replace_at(replace_at(x, p, first), q, second)
+
+
+@pytest.mark.parametrize("flavor", ["cf", "tt"])
+def test_arity_check_agrees_with_the_recursive_walk(flavor):
+    """On the corpus rules, then on each with two defects at two places:
+    the same error class and message, or a pass, before and after the
+    originals' passes are recorded on the signature."""
+    rng = random.Random(13)
+    checked = mutated = 0
+    for path in sorted(CORPUS.glob("*.ftt")):
+        theory = elaborate(parse_theory(path.read_text()), flavor)
+        cases = list(rule_checks(theory))
+        for metas, x in cases:
+            # Cold: a fresh copy of the signature records nothing yet.
+            cold = Signature((s, theory.signature[s]) for s in theory.signature)
+            want = arity_outcome(oracle_arity_check, cold, metas, x)
+            assert arity_outcome(arity_check, cold, metas, x) == want
+            assert arity_outcome(arity_check, theory.signature, metas, x) == want
+            checked += 1
+        for metas, x in cases:
+            for bad in mutants(x, rng, 12):
+                want = arity_outcome(oracle_arity_check, theory.signature, metas, bad)
+                assert want is not None
+                assert arity_outcome(arity_check, theory.signature, metas, bad) == want
+                mutated += 1
+    assert checked >= 20 and mutated >= 200
+
+
+W, NOSUCH, ZERO = FreeVar("w"), SymbolApp("nosuch", ()), SymbolApp("zero", ())
+M2 = MetaName("M2")
+# Values with two failures, where the walk's order decides which comes first.
+TWO_FAILURES = {
+    "prefix type class, then a later prefix type": Abstracted((W, NOSUCH), IsTyB()),
+    "argument class, then a later argument": MetaApp(M2, (NAT, NOSUCH)),
+    "equation side class, then its assumption set": EqTy(
+        W, NAT, AssumptionSet(bound_vars=frozenset([5]))
+    ),
+    "converted term class, then its assumption set": Convert(
+        NAT, AssumptionSet(bound_vars=frozenset([3]))
+    ),
+    "slot class, then a later argument": SymbolApp(
+        "Pi", (ExprArg(ZERO), Abstr(ExprArg(NOSUCH)))
+    ),
+    "judgement children, then their classes": IsTm(NAT, NOSUCH),
+    "free variables, then bound indices": AssumptionSet(
+        frozenset([FreeVar("v", NOSUCH)]), frozenset([4])
+    ),
+    "bound indices, then metavariables": AssumptionSet(
+        bound_vars=frozenset([4]), metas=frozenset([MetaName("U")])
+    ),
+}
+
+
+@pytest.mark.parametrize("x", TWO_FAILURES.values(), ids=TWO_FAILURES.keys())
+def test_arity_check_reports_the_first_failure_of_the_recursive_walk(x):
+    sig = Signature([*((s, SIG[s]) for s in SIG), ("zero", SymbolArity(Cls.TM, ()))])
+    metas = {M2: MetaArity(Cls.TM, 2)}
+    want = arity_outcome(oracle_arity_check, sig, metas, x)
+    assert want is not None
+    assert arity_outcome(arity_check, sig, metas, x) == want
+
+
+def test_a_recorded_pass_needs_the_same_arities_and_enough_binders():
+    """A subterm that passed is walked again where a metavariable it
+    mentions has another arity, or where it sits under fewer binders."""
+    sig = corpus_signature()
+    a = MetaName("A")
+    x = SymbolApp("Pi", (ExprArg(MetaApp(a, ())), Abstr(ExprArg(MetaApp(a, ())))))
+    arity_check(sig, {a: MetaArity(Cls.TY, 0)}, x)
+    for metas in ({a: MetaArity(Cls.TY, 1)}, {a: MetaArity(Cls.TM, 0)}, {}):
+        want = arity_outcome(oracle_arity_check, sig, metas, x)
+        assert want is not None
+        assert arity_outcome(arity_check, sig, metas, x) == want
+    under_one = succ(BoundVar(0))
+    arity_check(sig, {}, under_one, 1)
+    assert arity_outcome(arity_check, sig, {}, under_one, 0) == (
+        UnboundIndex, "index 0 under 0 binders"
+    )
+    arity_check(sig, {}, under_one, 3)
+    arity_check(sig, {}, under_one, 2)
 
 
 # ---------------------------------------------------------------------------

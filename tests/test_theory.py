@@ -2,6 +2,8 @@
 worked example family: Ty-Pi-Long / Ty-Pi-Short / Unique-Ty /
 Succ-Congr-Typo / Ty-Id-Typo."""
 
+import random
+
 import pytest
 
 from fintt.errors import (
@@ -12,7 +14,8 @@ from fintt.errors import (
     UnknownMeta,
 )
 from fintt.instantiation import Instantiation
-from fintt.judgements import plain
+from fintt.judgements import fill, plain, unfill
+from fintt.parser import elaborate, parse_theory
 from fintt.syntax import (
     Abstr,
     Abstracted,
@@ -35,8 +38,11 @@ from fintt.syntax import (
     MetaName,
     SymbolApp,
     SymbolArity,
+    boundary_arity,
 )
 from fintt.theory import (
+    RawRule,
+    RuleBoundary,
     TheoryBuilder,
     check_finitary,
     check_raw,
@@ -45,9 +51,12 @@ from fintt.theory import (
     congruence_premises_tt_eco,
     equality_rule,
     generic_application,
+    is_symbol_rule,
     rule_instance_premises,
     symbol_rule,
 )
+
+from .gen import generated_theory_texts
 
 BOOL = SymbolApp("bool", ())
 NAT = SymbolApp("nat", ())
@@ -366,3 +375,73 @@ def test_symbol_rule_output_passes_check_raw(mltt_tt, mltt_cf):
 
                 concl = r.rule.conclusion
                 assert erase(concl) == concl or th.flavor == "cf"
+
+
+# ---------------------------------------------------------------------------
+# Symbol rules by their heads
+
+
+def oracle_is_symbol_rule(sig, rule, flavor):
+    """``is_symbol_rule`` as it was: rebuild the symbol rule of the rule's
+    own premises and boundary, and compare whole conclusions."""
+    if not rule.is_object:
+        return None
+    head = rule.conclusion.ty if isinstance(rule.conclusion, IsTy) else None
+    if isinstance(rule.conclusion, IsTm):
+        head = rule.conclusion.term
+    if not isinstance(head, SymbolApp):
+        return None
+    symbol = head.symbol
+    if symbol not in sig:
+        return None
+    rb = RuleBoundary(rule.premises, unfill(plain(rule.conclusion))[0].body)
+    expected_head = SymbolApp(
+        symbol,
+        tuple(generic_application(m, boundary_arity(b), flavor) for m, b in rb.premises),
+    )
+    expected = fill(plain(rb.conclusion), ExprArg(expected_head)).body
+    return symbol if expected == rule.conclusion else None
+
+
+def with_head(rule, head):
+    if isinstance(rule.conclusion, IsTy):
+        return RawRule(rule.premises, IsTy(head))
+    return RawRule(rule.premises, IsTm(head, rule.conclusion.ty))
+
+
+def mutated_heads(sig, rule):
+    """The rule with its head's arguments swapped, with one more and one
+    fewer binder on an argument, and with another symbol at the head."""
+    if not rule.is_object:
+        return
+    head = rule.conclusion.ty if isinstance(rule.conclusion, IsTy) else rule.conclusion.term
+    if not isinstance(head, SymbolApp):
+        return
+    args = head.args
+    if len(args) >= 2 and args[0] != args[1]:
+        yield with_head(rule, SymbolApp(head.symbol, (args[1], args[0], *args[2:])))
+    for i, a in enumerate(args):
+        yield with_head(rule, SymbolApp(head.symbol, (*args[:i], Abstr(a), *args[i + 1:])))
+        if isinstance(a, Abstr):
+            yield with_head(rule, SymbolApp(head.symbol, (*args[:i], a.body, *args[i + 1:])))
+    for other in sig:
+        if other != head.symbol and len(sig[other].args) == len(args):
+            yield with_head(rule, SymbolApp(other, args))
+            break
+
+
+@pytest.mark.parametrize("flavor", ["cf", "tt"])
+def test_is_symbol_rule_agrees_with_the_rebuilt_conclusion(flavor):
+    """On every rule of 48 generated theories, and on those rules with
+    mutated heads."""
+    answers = []
+    for text in generated_theory_texts():
+        theory = elaborate(parse_theory(text), flavor)
+        sig = theory.signature
+        for r in theory.rules:
+            for rule in (r.rule, *mutated_heads(sig, r.rule)):
+                got = is_symbol_rule(sig, rule, flavor)
+                assert got == oracle_is_symbol_rule(sig, rule, flavor)
+                answers.append(got)
+    assert len(answers) > 5000
+    assert answers.count(None) > 1000 and len(answers) - answers.count(None) > 1000
