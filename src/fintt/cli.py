@@ -77,6 +77,7 @@ def cmd_derive(args) -> int:
     decl, theory = _load_theory(args.theory, args.engine)
     with open(args.script, encoding="utf-8") as fh:
         script = parse_script(fh.read())
+    check_finitary(theory)
     runner_out = run_script(theory, script, args.engine)
     if args.engine == "cf":
         print(print_abstracted(runner_out.payload))
@@ -126,6 +127,7 @@ def cmd_erase(args) -> int:
     decl, theory = _load_theory(args.theory, "cf")
     with open(args.judgement_file, encoding="utf-8") as fh:
         script = parse_script(fh.read())
+    check_finitary(theory)
     cert = run_script(theory, script, "cf")
     print(print_abstracted(erase(cert.payload)))
     return 0

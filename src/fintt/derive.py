@@ -729,7 +729,6 @@ def check_finitary(theory: Theory) -> None:
     table = rule_table(theory)
     for i, r in enumerate(theory.rules):
         prefix = theory.prefix(i)
-        prefix.finitary_witnesses = dict(witnesses)
         prefix.cached(_RULE_TABLE, lambda: _first_rules(table, i))
         deriver = _DERIVERS[theory.flavor](prefix, memo)
         try:

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from .errors import ArityMismatch, NotObjectBoundary
+from .errors import ArityMismatch, NotObjectBoundary, PremiseMismatch
 from .syntax import (
     Abstr,
     Abstracted,
@@ -28,11 +28,8 @@ from .syntax import (
     IsTmB,
     IsTy,
     IsTyB,
-    MetaArity,
-    MetaName,
     Thesis,
     asm,
-    boundary_arity,
     close_var,
     substitute,
 )
@@ -122,7 +119,7 @@ def unfill(j: AbstractedJudgement) -> tuple[AbstractedBoundary, Argument]:
             b = EqTmB(s, t, a)
             head = DUMMY if isinstance(by, DummyArg) else AsmArg(by)
         case _:
-            raise TypeError(f"not a judgement thesis: {j.body!r}")
+            raise PremiseMismatch(f"expected a judgement, got a boundary ({type(j.body).__name__})")
     for _ in range(len(j.prefix)):
         head = Abstr(head)
     return Abstracted(j.prefix, b), head
@@ -201,9 +198,6 @@ class MetaCtx(_Context):
     AbstractedBoundary) pairs)."""
 
     NAMES = "metavariable"
-
-    def arities(self) -> dict[MetaName, MetaArity]:
-        return {m: boundary_arity(b) for m, b in self.entries}
 
 
 class VarCtx(_Context):

@@ -25,6 +25,39 @@ class ScriptError(KernelError):
     pass
 
 
+NAMED = -1  # the count of a step taking a name, then a binding per premise or binder
+
+# Each operation once: per engine, its argument count and its constructor, or
+# None where the engine lacks it, or the reason the engine refuses it.  A
+# kernel constructor takes the theory and the bindings its arguments name; a
+# constructor named by a string is a method of the runner, which reads its
+# own arguments.
+STEPS = {
+    #              cf                                   tt
+    "rule":       ((NAMED, "_rule"),                    (NAMED, "_rule")),
+    "apply":      ((NAMED, "_apply"),                   (NAMED, "_apply")),
+    "abstract":   ((3, "_abstract"),                    (3, "_abstract")),
+    "refl_ty":    ((2, cf.cf_eqty_refl),                (1, tt.eqty_refl)),
+    "refl_tm":    ((2, cf.cf_eqtm_refl),                (1, tt.eqtm_refl)),
+    "sym_ty":     ((1, cf.cf_eqty_sym),                 (1, tt.eqty_sym)),
+    "sym_tm":     ((1, cf.cf_eqtm_sym),                 (1, tt.eqtm_sym)),
+    "trans_ty":   ((2, cf.cf_eqty_trans),               (2, tt.eqty_trans)),
+    "trans_tm":   ((2, cf.cf_eqtm_trans),               (2, tt.eqtm_trans)),
+    "conv":       ((2, cf.cf_conv_tm),                  (2, tt.conv_tm)),
+    "conv_eq":    ((2, cf.cf_conv_eqtm),                (2, tt.conv_eqtm)),
+    "subst":      ((2, cf.cf_substitute),               (2, tt.admissible_substitute)),
+    "subst_bdry": ((2, cf.cf_subst_bdry),               None),
+    "presup":     ((1, cf.presuppositions_cf),          (1, "_tt_presup")),
+    "bdry_ty":    ((0, cf.cf_bdry_ty),                  (0, "_tt_bdry_ty")),
+    "bdry_tm":    ((1, cf.cf_bdry_tm),                  (1, tt.bdry_tm)),
+    "bdry_eqty":  ((2, cf.cf_bdry_eqty),                (2, tt.bdry_eqty)),
+    "bdry_eqtm":  ((3, cf.cf_bdry_eqtm),                (3, tt.bdry_eqtm)),
+    "strengthen": ((1, cf.strengthen),                  "strengthening is not admissible with contexts"),
+    "invert":     ((1, cf.invert_cf),                   (1, tt.invert)),
+    "uniqueness": ((2, cf.uniqueness_of_typing_cf),     None),
+}
+
+
 class ScriptRunner:
     def __init__(self, theory: Theory, engine: str, annotate_vars: bool = True):
         if engine not in ("cf", "tt"):
@@ -43,40 +76,36 @@ class ScriptRunner:
 
     # -- helpers -------------------------------------------------------------
 
-    def _get(self, name: str):
-        if name not in self.bindings:
-            raise ScriptError(f"unknown binding {name!r}")
-        return self.bindings[name]
+    @staticmethod
+    def _lookup(table: dict, name: str, what: str):
+        if name not in table:
+            raise ScriptError(f"unknown {what} {name!r}")
+        return table[name]
 
-    def _getn(self, names, lo: int, hi: int | None = None):
-        if hi is None:
-            hi = lo
-        if not (lo <= len(names) <= hi):
-            raise ScriptError(f"expected {lo}..{hi} arguments, got {len(names)}")
-        return [self._get(n) for n in names]
+    def _arg(self, name: str):
+        """The binding ``name``, weakened up to the ambient contexts in tt mode."""
+        d = self._lookup(self.bindings, name, "binding")
+        return d if self.engine == "cf" else self._align(d)
+
+    def _judgement(self, name: str, d):
+        """The abstracted judgement that the binding ``d`` of ``name`` proves."""
+        if self.engine == "cf":
+            if isinstance(d, cf.CertifiedJudgement):
+                return d.payload
+        elif isinstance(d.conclusion, tt.JdgTT):
+            return d.conclusion.jdg
+        raise ScriptError(f"{name} is a boundary, not a judgement")
 
     def _align(self, d):
         """Weakens a tt derivation up to the ambient contexts."""
-        mctx, vctx = tt._ctxs(d.conclusion)
-        if len(mctx) < len(self.mctx):
-            if list(self.mctx.entries[: len(mctx)]) != list(mctx.entries):
-                raise ScriptError("metavariable contexts diverge")
-            for m, b in self.mctx.entries[len(mctx):]:
-                d = tt.weaken_meta(self.theory, d, m, b)
-        elif mctx != self.mctx:
-            raise ScriptError("metavariable contexts diverge")
-        mctx, vctx = tt._ctxs(d.conclusion)
-        if len(vctx) < len(self.vctx):
-            if list(self.vctx.entries[: len(vctx)]) != list(vctx.entries):
-                raise ScriptError("variable contexts diverge")
-            for v, ty in self.vctx.entries[len(vctx):]:
-                d = tt.weaken_var(self.theory, d, v, ty)
-        elif vctx != self.vctx:
-            raise ScriptError("variable contexts diverge")
+        ambient = ((self.mctx, tt.weaken_meta, "metavariable"), (self.vctx, tt.weaken_var, "variable"))
+        for i, (ctx, weaken, what) in enumerate(ambient):
+            own = tt._ctxs(d.conclusion)[i].entries
+            if own != ctx.entries[: len(own)]:
+                raise ScriptError(f"{what} contexts diverge")
+            for name, declared in ctx.entries[len(own):]:
+                d = weaken(self.theory, d, name, declared)
         return d
-
-    def _scope(self) -> Scope:
-        return Scope(self.theory.signature, dict(self.metas), dict(self.variables))
 
     # -- running -------------------------------------------------------------
 
@@ -84,225 +113,106 @@ class ScriptRunner:
         last = None
         for step in script.steps:
             if isinstance(step, VarDecl):
-                last = self._var(step)
+                name, last = step.name, self._var(step)
             elif isinstance(step, MetaDecl):
-                last = self._meta_decl(step)
+                name, last = step.name, self._meta_decl(step)
             else:
-                last = self._step(step)
+                name, last = step.target, self._dispatch(step)
+            self.bindings[name] = last
         if script.result is not None:
-            return self._get(script.result)
+            return self._lookup(self.bindings, script.result, "binding")
         return last
 
     def _var(self, step: VarDecl):
-        ty_j = self._get(step.type_of)
-        if self.engine == "cf":
-            body = ty_j.payload.body
-            if ty_j.payload.prefix or not isinstance(body, IsTy):
-                raise ScriptError(f"{step.type_of} does not prove a type")
-            v = FreeVar(step.name, body.ty)
-            cert = cf.cf_var(self.theory, v, ty_j)
-            self.variables[step.name] = v
-            self.bindings[step.name] = cert
-            return cert
-        ty_j = self._align(ty_j)
-        body = ty_j.conclusion.jdg.body
-        if ty_j.conclusion.jdg.prefix or not isinstance(body, IsTy):
+        ty_j = self._arg(step.type_of)
+        j = self._judgement(step.type_of, ty_j)
+        if j.prefix or not isinstance(j.body, IsTy):
             raise ScriptError(f"{step.type_of} does not prove a type")
-        v = FreeVar(step.name, body.ty if self.annotate_vars else None)
-        self.vctx = self.vctx.extend(v, body.ty)
-        d = tt.tt_var(self.theory, self.mctx, self.vctx, v)
+        if self.engine == "cf":
+            v = FreeVar(step.name, j.body.ty)
+            out = cf.cf_var(self.theory, v, ty_j)
+        else:
+            v = FreeVar(step.name, j.body.ty if self.annotate_vars else None)
+            self.vctx = self.vctx.extend(v, j.body.ty)
+            out = tt.tt_var(self.theory, self.mctx, self.vctx, v)
         self.variables[step.name] = v
-        self.bindings[step.name] = d
-        return d
+        return out
 
     def _meta_decl(self, step: MetaDecl):
-        scope = self._scope()
+        scope = Scope(self.theory.signature, dict(self.metas), dict(self.variables))
         b = scope.resolve_boundary(step.boundary)
         if self.engine == "cf":
             m = MetaName(step.name, b)
-            ann_cert = self._cf_deriver.boundary(b)
-            self.metas[step.name] = m
-            self.bindings[step.name] = ann_cert
-            return ann_cert
-        m = MetaName(step.name, b if self.annotate_vars else None)
-        self.mctx = self.mctx.extend(m, b)
+            out = self._cf_deriver.boundary(b)
+        else:
+            m = MetaName(step.name, b if self.annotate_vars else None)
+            self.mctx = self.mctx.extend(m, b)
+            out = self._align(TTDeriver(self.theory).boundary(self.mctx, EMPTY_VARS, b))
         self.metas[step.name] = m
-        deriver = TTDeriver(self.theory)
-        bd = deriver.boundary(self.mctx, EMPTY_VARS, b)
-        bd = self._align_boundary(bd)
-        self.bindings[step.name] = bd
-        return bd
-
-    def _align_boundary(self, d):
-        return self._align(d)
-
-    def _step(self, step: Step):
-        out = self._dispatch(step)
-        self.bindings[step.target] = out
         return out
 
     def _dispatch(self, step: Step):
-        op = step.op
-        names = step.args
-        th = self.theory
-        if self.engine == "cf":
-            match op:
-                case "rule":
-                    rule_name, rest = names[0], self._getn(names[1:], 0, 99)
-                    return cf.cf_apply_rule(th, rule_name, rest)
-                case "apply":
-                    m = self.metas.get(names[0])
-                    if m is None:
-                        raise ScriptError(f"unknown metavariable {names[0]!r}")
-                    terms = self._getn(names[1:], 0, 99)
-                    return cf.cf_meta(th, m, terms, annotation_cert=self._get(names[0]))
-                case "abstract":
-                    ja, j = self._getn(names[:2], 2)
-                    v = self.variables.get(names[2])
-                    if v is None:
-                        raise ScriptError(f"unknown variable {names[2]!r}")
-                    return cf.cf_abstract_fwd(th, ja, j, v)
-                case "refl_ty":
-                    a, b = self._getn(names, 2)
-                    return cf.cf_eqty_refl(th, a, b)
-                case "refl_tm":
-                    s, t = self._getn(names, 2)
-                    return cf.cf_eqtm_refl(th, s, t)
-                case "sym_ty":
-                    (j,) = self._getn(names, 1)
-                    return cf.cf_eqty_sym(th, j)
-                case "sym_tm":
-                    (j,) = self._getn(names, 1)
-                    return cf.cf_eqtm_sym(th, j)
-                case "trans_ty":
-                    a, b = self._getn(names, 2)
-                    return cf.cf_eqty_trans(th, a, b)
-                case "trans_tm":
-                    a, b = self._getn(names, 2)
-                    return cf.cf_eqtm_trans(th, a, b)
-                case "conv":
-                    t, eq = self._getn(names, 2)
-                    return cf.cf_conv_tm(th, t, eq)
-                case "conv_eq":
-                    eq, tyeq = self._getn(names, 2)
-                    return cf.cf_conv_eqtm(th, eq, tyeq)
-                case "subst":
-                    jabs, jt = self._getn(names, 2)
-                    return cf.cf_substitute(th, jabs, jt)
-                case "subst_bdry":
-                    jabs, jt = self._getn(names, 2)
-                    return cf.cf_subst_bdry(th, jabs, jt)
-                case "presup":
-                    (j,) = self._getn(names, 1)
-                    return cf.presuppositions_cf(th, j)
-                case "bdry_ty":
-                    return cf.cf_bdry_ty(th)
-                case "bdry_tm":
-                    (a,) = self._getn(names, 1)
-                    return cf.cf_bdry_tm(th, a)
-                case "bdry_eqty":
-                    a, b = self._getn(names, 2)
-                    return cf.cf_bdry_eqty(th, a, b)
-                case "bdry_eqtm":
-                    a, s, t = self._getn(names, 3)
-                    return cf.cf_bdry_eqtm(th, a, s, t)
-                case "strengthen":
-                    (j,) = self._getn(names, 1)
-                    return cf.strengthen(th, j)
-                case "invert":
-                    (j,) = self._getn(names, 1)
-                    return cf.invert_cf(th, j)
-                case "uniqueness":
-                    a, b = self._getn(names, 2)
-                    return cf.uniqueness_of_typing_cf(th, a, b)
-            raise ScriptError(f"unknown cf operation {op!r}")
+        rows = STEPS.get(step.op)
+        row = rows and rows[self.engine == "tt"]
+        if row is None:
+            raise ScriptError(f"unknown operation {step.op!r} on the {self.engine} engine")
+        if isinstance(row, str):
+            raise ScriptError(row)
+        count, make = row
+        op, names = step.op, step.args
+        if count == NAMED:
+            if not names:
+                raise ScriptError(f"{op} takes a name first, got no arguments")
+            op, count = f"{op} {names[0]}", 1 + self._arity(op, names[0])
+        if len(names) != count:
+            raise ScriptError(f"{op} takes {count} arguments, got {len(names)}")
+        if isinstance(make, str):
+            return getattr(self, make)(*names)
+        return make(self.theory, *[self._arg(n) for n in names])
 
-        # tt engine
-        match op:
-            case "rule":
-                rule_name = names[0]
-                rest = [self._align(d) for d in self._getn(names[1:], 0, 99)]
-                trule = th.rule(rule_name)
-                entries = []
-                for (m, _), d in zip(trule.rule.premises, rest):
-                    entries.append((m, unfill(d.conclusion.jdg)[1]))
-                return tt.specific(
-                    th, self.mctx, self.vctx, rule_name, Instantiation(entries), rest
-                )
-            case "apply":
-                m = self.metas.get(names[0])
-                if m is None:
-                    raise ScriptError(f"unknown metavariable {names[0]!r}")
-                terms = [self._align(d) for d in self._getn(names[1:], 0, 99)]
-                return tt.tt_meta(th, self.mctx, self.vctx, m, terms)
-            case "abstract":
-                v = self.variables.get(names[2])
-                if v is None:
-                    raise ScriptError(f"unknown variable {names[2]!r}")
-                if not self.vctx.entries or self.vctx.entries[-1][0] != v:
-                    raise ScriptError(
-                        "tt abstraction must abstract the most recent variable"
-                    )
-                j = self._align(self._get(names[1]))
-                self.vctx = self.vctx.pop()
-                ja = self._align(self._get(names[0]))
-                return tt.tt_abstr(th, ja, j, v)
-            case "refl_ty":
-                (a,) = [self._align(self._get(names[0]))]
-                return tt.eqty_refl(th, a)
-            case "refl_tm":
-                (a,) = [self._align(self._get(names[0]))]
-                return tt.eqtm_refl(th, a)
-            case "sym_ty":
-                return tt.eqty_sym(th, self._align(self._get(names[0])))
-            case "sym_tm":
-                return tt.eqtm_sym(th, self._align(self._get(names[0])))
-            case "trans_ty":
-                return tt.eqty_trans(
-                    th, self._align(self._get(names[0])), self._align(self._get(names[1]))
-                )
-            case "trans_tm":
-                return tt.eqtm_trans(
-                    th, self._align(self._get(names[0])), self._align(self._get(names[1]))
-                )
-            case "conv":
-                return tt.conv_tm(
-                    th, self._align(self._get(names[0])), self._align(self._get(names[1]))
-                )
-            case "conv_eq":
-                return tt.conv_eqtm(
-                    th, self._align(self._get(names[0])), self._align(self._get(names[1]))
-                )
-            case "subst":
-                return tt.admissible_substitute(
-                    th, self._align(self._get(names[0])), self._align(self._get(names[1]))
-                )
-            case "presup":
-                j = self._align(self._get(names[0]))
-                deriver = TTDeriver(th)
-                mctx_d = deriver.mctx_wf(self.mctx)
-                vctx_d = deriver.vctx_wf(self.mctx, self.vctx)
-                return tt.presuppositions(th, j, mctx_d, vctx_d)
-            case "bdry_ty":
-                return tt.bdry_ty(th, self.mctx, self.vctx)
-            case "bdry_tm":
-                return tt.bdry_tm(th, self._align(self._get(names[0])))
-            case "bdry_eqty":
-                return tt.bdry_eqty(
-                    th, self._align(self._get(names[0])), self._align(self._get(names[1]))
-                )
-            case "bdry_eqtm":
-                return tt.bdry_eqtm(
-                    th,
-                    self._align(self._get(names[0])),
-                    self._align(self._get(names[1])),
-                    self._align(self._get(names[2])),
-                )
-            case "invert":
-                return tt.invert(th, self._align(self._get(names[0])))
-            case "strengthen":
-                raise ScriptError("strengthening is not admissible with contexts")
-        raise ScriptError(f"unknown tt operation {op!r}")
+    def _arity(self, op: str, name: str) -> int:
+        """How many premises the rule ``name`` has, or how many binders the
+        boundary of the metavariable ``name`` has."""
+        if op == "rule":
+            return len(self.theory.rule(name).rule.premises)
+        m = self._lookup(self.metas, name, "metavariable")
+        return len((m.annotation if self.engine == "cf" else self.mctx[m]).prefix)
+
+    # -- the hand-written steps ----------------------------------------------
+
+    def _rule(self, rule_name: str, *names: str):
+        prems = [self._arg(n) for n in names]
+        if self.engine == "cf":
+            return cf.cf_apply_rule(self.theory, rule_name, prems)
+        premises = self.theory.rule(rule_name).rule.premises
+        heads = [unfill(self._judgement(n, d))[1] for n, d in zip(names, prems)]
+        inst = Instantiation([(m, head) for (m, _), head in zip(premises, heads)])
+        return tt.specific(self.theory, self.mctx, self.vctx, rule_name, inst, prems)
+
+    def _apply(self, meta: str, *names: str):
+        m = self._lookup(self.metas, meta, "metavariable")
+        terms = [self._arg(n) for n in names]
+        if self.engine == "cf":
+            return cf.cf_meta(self.theory, m, terms, annotation_cert=self._arg(meta))
+        return tt.tt_meta(self.theory, self.mctx, self.vctx, m, terms)
+
+    def _abstract(self, ty: str, body: str, var: str):
+        v = self._lookup(self.variables, var, "variable")
+        if self.engine == "cf":
+            return cf.cf_abstract_fwd(self.theory, self._arg(ty), self._arg(body), v)
+        if not self.vctx.entries or self.vctx.entries[-1][0] != v:
+            raise ScriptError("tt abstraction must abstract the most recent variable")
+        j = self._arg(body)
+        self.vctx = self.vctx.pop()
+        return tt.tt_abstr(self.theory, self._arg(ty), j, v)
+
+    def _tt_presup(self, name: str):
+        j, deriver = self._arg(name), TTDeriver(self.theory)
+        ctxs = deriver.mctx_wf(self.mctx), deriver.vctx_wf(self.mctx, self.vctx)
+        return tt.presuppositions(self.theory, j, *ctxs)
+
+    def _tt_bdry_ty(self):
+        return tt.bdry_ty(self.theory, self.mctx, self.vctx)
 
 
 def run_script(theory: Theory, script: Script, engine: str, annotate_vars: bool = True):

@@ -291,3 +291,51 @@ def generated_theory_texts(sizes=(10, 40, 120), seeds=(3, 8, 11, 21)):
         for size in sizes:
             for variant in gen.VARIANTS:
                 yield gen.TheoryGen(random.Random(seed), size, variant).text
+
+
+SCRIPT_OPS = (
+    "rule", "apply", "abstract", "refl_ty", "refl_tm", "sym_ty", "sym_tm",
+    "trans_ty", "trans_tm", "conv", "conv_eq", "subst", "subst_bdry", "presup",
+    "bdry_ty", "bdry_tm", "bdry_eqty", "bdry_eqtm", "strengthen", "invert",
+    "uniqueness",
+)
+META_BOUNDARIES = ("type", "nat", "bool", "{x : nat} nat", "{x : bool} type", "nat == bool")
+
+
+class ScriptGen:
+    """Draws short `.fttd` scripts over the corpus theory (``mltt.ftt``).
+
+    Each step is a ``var`` or ``meta`` declaration or one of the
+    interpreter's operations (``SCRIPT_OPS``), with 0-3 arguments drawn from
+    the live bindings.  A script opens with a type and a variable of it, and
+    the first argument of ``rule`` and ``apply`` is mostly a rule name or a
+    declared metavariable, so that many scripts get past their first steps;
+    names are never reused."""
+
+    RULES = ("bool", "nat", "succ", "Pi", "Id", "refl", "eq_reflect")
+
+    def __init__(self, rng: random.Random):
+        self.rng = rng
+
+    def script(self, max_steps: int = 6) -> str:
+        rng = self.rng
+        live = ["t0", "v0"]
+        metas: list[str] = []
+        lines = [f"let t0 = rule({rng.choice(('bool', 'nat'))});", "var v0 : t0;"]
+        for i in range(1, rng.randint(1, max_steps) + 1):
+            kind = rng.choice(("var", "meta") + SCRIPT_OPS)
+            if kind == "var":
+                lines.append(f"var x{i} : {rng.choice(live)};")
+            elif kind == "meta":
+                lines.append(f"meta M{i} : {rng.choice(META_BOUNDARIES)};")
+                metas.append(f"M{i}")
+                live.append(f"M{i}")
+                continue
+            else:
+                args = [rng.choice(live) for _ in range(rng.randrange(4))]
+                heads = {"rule": self.RULES, "apply": metas}.get(kind)
+                if heads and rng.random() < 0.8:
+                    args[:1] = [rng.choice(heads)]
+                lines.append(f"let x{i} = {kind}({', '.join(args)});")
+            live.append(f"x{i}")
+        return "\n".join(lines + [f"return {live[-1]};"]) + "\n"

@@ -426,3 +426,20 @@ def test_cf_constructors_reject_bad_premises(env):
     # reflexivity needs erasure-equal sides
     with pytest.raises(ErasureMismatch):
         cf.cf_eqtm_refl(th, va, cf.cf_var(th, FreeVar("b", BOOL), ty_bool))
+
+
+def test_cf_constructors_refuse_a_boundary_premise(env):
+    th, d, ty_bool, ty_nat = env
+    bdry = cf.cf_bdry_tm(th, ty_nat)  # the boundary `? : nat`, not a judgement
+    vb = cf.cf_var(th, FreeVar("b", NAT), ty_nat)
+    eq = cf.cf_eqtm_refl(th, vb, vb)
+    m = MetaName("M", plain(IsTmB(NAT)))
+    sm = cf.cf_apply_rule(th, "succ", [cf.cf_meta(th, m, [], annotation_cert=d.boundary(m.annotation))])
+    calls = [
+        lambda: cf.cf_apply_rule(th, "succ", [bdry]),
+        lambda: cf.cf_congruence(th, "succ", [bdry], [vb], [eq], vb),
+        lambda: cf.cf_instantiate(th, [(m, bdry)], sm),
+    ]
+    for call in calls:
+        with pytest.raises(PremiseMismatch, match=r"expected a judgement, got a boundary \(IsTmB\)"):
+            call()

@@ -487,7 +487,6 @@ def fresh_gate(theory):
     witnesses = {}
     for i, r in enumerate(theory.rules):
         prefix = theory.prefix(i)
-        prefix.finitary_witnesses = dict(witnesses)
         bdry_thesis, _ = unfill(plain(r.rule.conclusion))
         try:
             if theory.flavor == "tt":

@@ -107,23 +107,44 @@ def definitions(tree: ast.Module):
                     yield f"{stmt.name}.{fn.name}", fn.name, fn.lineno, fn.end_lineno
 
 
+def referenced_words(text: str) -> dict[str, set[int]]:
+    """Each word the code of a Python text names -> the lines naming it: its
+    identifiers, attribute names and import names, and the words of its string
+    literals without whitespace (``derive.STEPS`` names constructors as
+    strings).  Comments and prose strings such as docstrings are not code."""
+    words: dict[str, set[int]] = {}
+    for node in ast.walk(ast.parse(text)):
+        names = []
+        for field in ("id", "attr", "name", "asname", "arg", "module", "names", "kwd_attrs"):
+            value = getattr(node, field, None)
+            names += [value] if isinstance(value, str) else []
+            names += [v for v in value if isinstance(v, str)] if isinstance(value, list) else []
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if not any(c.isspace() for c in node.value):
+                names.append(node.value)
+        for name in names:
+            for word in re.findall(r"\w+", name):
+                words.setdefault(word, set()).add(node.lineno)
+    return words
+
+
 def unreferenced_definitions(root: pathlib.Path) -> list[str]:
-    """The top-level definitions and methods of ``src/fintt`` whose name
-    appears, as a word, nowhere in ``src/``, ``tests/``, ``bench/`` or
-    ``pyproject.toml`` outside their own definition; dunder names are
-    exempt."""
+    """The top-level definitions and methods of ``src/fintt`` whose name the
+    code of ``src/``, ``tests/`` and ``bench/`` (``referenced_words``), or the
+    text of ``pyproject.toml``, names nowhere outside their own definition;
+    dunder names are exempt."""
     files = sorted(p for d in ("src", "tests", "bench") for p in (root / d).rglob("*.py"))
-    texts = {p: p.read_text(encoding="utf-8") for p in [*files, root / "pyproject.toml"]}
+    texts = {p: p.read_text(encoding="utf-8") for p in files}
+    words = {p: referenced_words(text) for p, text in texts.items()}
+    project = (root / "pyproject.toml").read_text(encoding="utf-8")
     found = []
     for path in sorted((root / "src" / "fintt").glob("*.py")):
-        lines = texts[path].splitlines()
         for qualname, name, first, last in definitions(ast.parse(texts[path])):
             if name.startswith("__") and name.endswith("__"):
                 continue
-            own = "\n".join(lines[: first - 1] + lines[last:])
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            others = (text for p, text in texts.items() if p != path)
-            if not word.search(own) and not any(word.search(text) for text in others):
+            own = any(not first <= line <= last for line in words[path].get(name, ()))
+            others = any(name in w for p, w in words.items() if p != path)
+            if not (own or others or re.search(rf"\b{re.escape(name)}\b", project)):
                 found.append(f"{path.stem}.{qualname}")
     return found
 

@@ -171,6 +171,28 @@ def test_cli_derive_with_an_unknown_rule_fails_in_one_line(tmp_path, capsys):
         assert out.out == "" and out.err == "error: no rule named 'zero'\n"
 
 
+def test_cli_derive_gates_the_theory_first(tmp_path, capsys):
+    """A tt presupposition needs the rules' finitary witnesses, which the gate
+    leaves on the theory."""
+    script = tmp_path / "P.fttd"
+    script.write_text("let n = rule(nat);\nlet p = presup(n);\n")
+    for engine in ("cf", "tt"):
+        assert cli.main(["derive", str(CORPUS / "mltt.ftt"), str(script), "--engine", engine]) == 0
+    assert capsys.readouterr().out == "type\n;  |- type (boundary)\n"
+
+
+def test_cli_derive_and_erase_refuse_a_theory_the_gate_refuses(tmp_path, capsys):
+    theory_file = tmp_path / "T.ftt"
+    theory_file.write_text("symbol nat : type ()\nrule succ: premise n : nat; yields : nat\n")
+    script = str(CORPUS / "pi_bool.fttd")
+    runs = [["derive", str(theory_file), script, "--engine", e] for e in ("cf", "tt")]
+    for argv in runs + [["erase", str(theory_file), script]]:
+        assert cli.main(argv) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == "error: rule succ: cannot derive no specific rule concludes nat\n"
+
+
 def succ_script(tmp_path, n: int) -> str:
     """A script deriving succ^n(n)."""
     steps = ["let tn = rule(nat);", "var n : tn;", "let s0 = rule(succ, n);"]
