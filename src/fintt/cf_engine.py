@@ -38,6 +38,7 @@ from .judgements import (
     abstract_judgement,
     fill,
     fill_equation,
+    head_of,
     instantiate_prefix,
     plain,
     unfill,
@@ -67,12 +68,12 @@ from .syntax import (
     SymbolApp,
     asm,
     atoms_in_use,
-    boundary_arity,
     bv,
     conversion_residue,
     erase,
     erased_equal,
     fresh_name,
+    fv,
     fvt,
     mv,
     strip_conversions,
@@ -197,14 +198,15 @@ def minimal_suitable(premises: Sequence, bdry: AbstractedBoundary) -> Assumption
 
 
 def _annotation_entries(*payloads) -> set:
-    """Annotation judgements demanded by the well-typed-annotation discipline."""
+    """Annotation judgements demanded by the well-typed-annotation
+    discipline, for the atoms of each payload's assumption set: its free
+    variables ``fv`` and metavariables ``mv``, read without building it."""
     out = set()
     for p in payloads:
-        a = asm(p)
-        for v in a.free_vars:
+        for v in fv(p):
             if v.annotation is not None:
                 out.add(plain(IsTy(v.annotation)))
-        for m in a.metas:
+        for m in mv(p):
             if m.annotation is not None:
                 out.add(m.annotation)
     return out
@@ -544,11 +546,9 @@ def cf_apply_rule(
         raise PremiseMismatch(
             f"rule {rule_name} has {len(rule.premises)} premises, got {len(premise_certs)}"
         )
-    entries = []
-    for (m, b), cert in zip(rule.premises, premise_certs):
-        _, head = unfill(cert.payload)
-        entries.append((m, head))
-    inst = Instantiation(entries)
+    inst = Instantiation(
+        [(m, head_of(cert.payload)) for (m, _), cert in zip(rule.premises, premise_certs)]
+    )
     premises, bdry, conclusion = instance_of(rule_instance_premises, rule, inst)
     for cert, need in zip(premise_certs, premises):
         _want(cert, need, f"rule {rule_name}")
@@ -582,10 +582,10 @@ def cf_congruence(
     if len(left_certs) != n or len(right_certs) != n:
         raise PremiseMismatch("congruence needs both instantiations in full")
     left = Instantiation(
-        [(m, unfill(c.payload)[1]) for (m, _), c in zip(rule.premises, left_certs)]
+        [(m, head_of(c.payload)) for (m, _), c in zip(rule.premises, left_certs)]
     )
     right = Instantiation(
-        [(m, unfill(c.payload)[1]) for (m, _), c in zip(rule.premises, right_certs)]
+        [(m, head_of(c.payload)) for (m, _), c in zip(rule.premises, right_certs)]
     )
     lp, _, _ = instance_of(rule_instance_premises, rule, left)
     rp, _, _ = instance_of(rule_instance_premises, rule, right)
@@ -593,9 +593,7 @@ def cf_congruence(
         _want(cert, need, f"congruence {rule_name} (left)")
     for cert, need in zip(right_certs, rp):
         _want(cert, need, f"congruence {rule_name} (right)")
-    object_idx = [
-        i for i, (_, b) in enumerate(rule.premises) if boundary_arity(b).cls.is_object
-    ]
+    object_idx = [i for i, is_object in enumerate(rule.parts.objects) if is_object]
     if len(eq_certs) != len(object_idx):
         raise PremiseMismatch("one equation per object premise required")
     # rule_instance_premises checked that a premise boundary mentions only
@@ -615,8 +613,6 @@ def cf_congruence(
             raise ErasureMismatch(
                 f"congruence {rule_name}: primed head differs from the right instance"
             )
-    bdry_thesis, head = unfill(plain(rule.conclusion))
-    concl_left = act(left, bdry_thesis)
     all_premises: list = list(left_certs) + list(right_certs) + list(eq_certs)
     if isinstance(rule.conclusion, IsTy):
         lhs = act(left, rule.conclusion.ty)
@@ -784,8 +780,7 @@ def cf_instantiate_bdry(
     for m, cert in entries:
         if m.annotation is None:
             raise AnnotationMismatch("cf metavariables carry boundary annotations")
-        _, head = unfill(cert.payload)
-        inst_entries.append((m, head))
+        inst_entries.append((m, head_of(cert.payload)))
     inst = Instantiation(inst_entries)
     for i, (m, cert) in enumerate(entries, start=1):
         want = fill(act(inst.restrict(i), m.annotation), inst[m])
@@ -810,8 +805,7 @@ def cf_instantiate(
     for m, cert in entries:
         if m.annotation is None:
             raise AnnotationMismatch("cf metavariables carry boundary annotations")
-        _, head = unfill(cert.payload)
-        inst_entries.append((m, head))
+        inst_entries.append((m, head_of(cert.payload)))
     inst = Instantiation(inst_entries)
     for i, (m, cert) in enumerate(entries, start=1):
         want = fill(act(inst.restrict(i), m.annotation), inst[m])

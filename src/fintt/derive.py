@@ -45,6 +45,7 @@ from .judgements import (
     MetaCtx,
     VarCtx,
     fill,
+    head_of,
     open_judgement,
     plain,
     unfill,
@@ -71,11 +72,11 @@ from .syntax import (
     MetaName,
     SymbolApp,
     atoms_in_use,
-    boundary_arity,
     bv,
     dummy_head,
     erased_equal,
     fresh_name,
+    mv,
 )
 from .theory import RawRule, Theory, check_raw_once, metavariable_rule_instance
 
@@ -209,6 +210,33 @@ def _match_arg(pattern, subject, unknowns, sol, depth) -> bool:
             return pattern == subject
 
 
+def read_arguments(head: SymbolApp, generic: tuple, e: Expr) -> Optional[dict]:
+    """What ``match_expr(head, e, ...)`` solves, for a rule whose head
+    applies its symbol to the generic application of each premise
+    (``generic`` is the rule's ``RuleParts.generic``), read straight off the
+    arguments of ``e``; None where matching fails.  An object premise binding
+    k variables is solved by its argument itself, which must be an
+    expression under exactly k binders with no index escaping them; an
+    equality premise's argument must be the pattern's, and solves nothing."""
+    if type(e) is not SymbolApp or e.symbol != head.symbol or len(e.args) != len(generic):
+        return None
+    sol = {}
+    for (m, k, is_object), pattern, arg in zip(generic, head.args, e.args):
+        if not is_object:
+            if arg is not pattern:
+                return None
+            continue
+        core = arg
+        for _ in range(k):
+            if type(core) is not Abstr:
+                return None
+            core = core.body
+        if type(core) is not ExprArg or bv(arg):
+            return None
+        sol[m] = arg
+    return sol
+
+
 def match_equation(
     rule: RawRule, lhs, rhs, ty: Optional[Expr], unknowns: dict
 ) -> Optional[dict]:
@@ -235,7 +263,8 @@ _RULE_TABLE = "derive rule table"
 def rule_table(theory: Theory) -> dict:
     """The rules of ``theory`` by conclusion class (``IsTy``, ``IsTm``, or
     ``None`` for equality rules), in theory order, each as (index, name,
-    rule, conclusion head or ``None``, unknowns); computed once per theory."""
+    rule, conclusion head or ``None``, unknowns, and ``RuleParts.generic``
+    for object rules, else ``None``); computed once per theory."""
 
     def table():
         out: dict = {IsTy: [], IsTm: [], None: []}
@@ -247,7 +276,9 @@ def rule_table(theory: Theory) -> dict:
                     cls = IsTm
                 case _:
                     cls = head = None
-            out[cls].append((i, trule.name, trule.rule, head, trule.rule.meta_arities()))
+            rule = trule.rule
+            generic = None if cls is None else rule.parts.generic
+            out[cls].append((i, trule.name, rule, head, rule.meta_arities(), generic))
         return out
 
     return theory.cached(_RULE_TABLE, table)
@@ -437,11 +468,17 @@ class Deriver:
     def _object_by_rule(self, cx, e: Expr, cls, depth: int):
         """Derives a symbol application via a matching specific object rule
         concluding ``cls``, returning the witness and the type it concluded
-        at (terms)."""
+        at (terms).  A symbol rule's instantiation is read off the arguments
+        of ``e`` (``read_arguments``), any other rule's is matched."""
         too_deep = False
-        for _, name, rule, head, unknowns in self._rules[cls]:
-            sol: dict = {}
-            if not match_expr(head, e, unknowns, sol):
+        for _, name, rule, head, unknowns, generic in self._rules[cls]:
+            if generic is not None:
+                sol = read_arguments(head, generic, e)
+            else:
+                sol = {}
+                if not match_expr(head, e, unknowns, sol):
+                    sol = None
+            if sol is None:
                 continue
             try:
                 w = self._apply(cx, name, rule, sol, depth)
@@ -459,14 +496,15 @@ class Deriver:
         one level down.  An equality metavariable left unmatched gets the
         fill of its boundary that the search derives, an object one the head
         ``_undetermined`` gives.  A binder-free object fill goes straight to
-        its goal, so that a term costs the search three frames a level."""
+        its goal, so that a term costs the search three frames a level.  Only
+        a premise boundary that mentions a metavariable is acted on."""
         entries = []
         kids = []
-        for m, b in rule.premises:
-            b_inst = act(Instantiation(entries), b)
+        for (m, b), is_object in zip(rule.premises, rule.parts.objects):
+            b_inst = act(Instantiation(entries), b) if mv(b) else b
             if m in sol:
                 head = sol[m]
-            elif boundary_arity(b).cls.is_equality:
+            elif not is_object:
                 w = self._equation(cx, b_inst, depth + 1)
                 kids.append(w)
                 entries.append((m, self._head(w, b_inst)))
@@ -506,7 +544,7 @@ class Deriver:
             return w
         too_deep = False
         for flipped, (l, r) in enumerate(((lhs, rhs), (rhs, lhs))):
-            for _, name, rule, _, unknowns in self._rules[None]:
+            for _, name, rule, _, unknowns, _ in self._rules[None]:
                 sol = match_equation(rule, l, r, ty, unknowns)
                 if sol is None:
                     continue
@@ -676,7 +714,7 @@ class CFDeriver(Deriver):
         return c.payload.body
 
     def _head(self, c, b: Abstracted):
-        return unfill(c.payload)[1]
+        return head_of(c.payload)
 
     def _as_stated(self, c, body):
         if c.payload.body != body:

@@ -31,14 +31,14 @@ class Instantiation:
 
     def __init__(self, entries: Iterable[tuple[MetaName, Argument]] = ()):
         self.entries: tuple[tuple[MetaName, Argument], ...] = tuple(entries)
-        names = [m for m, _ in self.entries]
-        if len(set(names)) != len(names):
-            raise ValueError("instantiated metavariables must be distinct")
-        self.metas: tuple[MetaName, ...] = tuple(names)
         self._map = dict(self.entries)
-        # The entries never change, so neither does the hash: each one costs
-        # a Python-level ``__hash__`` call per node in the entries.
-        self._hash = hash(self.entries)
+        if len(self._map) != len(self.entries):
+            raise ValueError("instantiated metavariables must be distinct")
+        self.metas: tuple[MetaName, ...] = tuple(self._map)
+        # The entries never change, so neither does the hash, computed on
+        # the first ``__hash__``: it costs a Python-level ``__hash__`` call
+        # per node in the entries, and most instantiations are never hashed.
+        self._hash = None
 
     def __contains__(self, m: MetaName) -> bool:
         return m in self._map
@@ -58,6 +58,8 @@ class Instantiation:
         return isinstance(other, Instantiation) and self.entries == other.entries
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.entries)
         return self._hash
 
     def restrict(self, i: int) -> "Instantiation":

@@ -103,25 +103,35 @@ def fill_equation(
     return Abstracted(b.prefix, thesis)
 
 
-def unfill(j: AbstractedJudgement) -> tuple[AbstractedBoundary, Argument]:
-    """Splits a judgement into its boundary and head; inverse of ``fill``."""
+def head_of(j: AbstractedJudgement) -> Argument:
+    """The head of a judgement, as ``unfill`` splits it off, without
+    building its boundary."""
     match j.body:
         case IsTy(ty=a):
-            b: BoundaryThesis = IsTyB()
             head: Argument = ExprArg(a)
-        case IsTm(term=t, ty=a):
-            b = IsTmB(a)
+        case IsTm(term=t):
             head = ExprArg(t)
-        case EqTy(lhs=a, rhs=c, by=by):
-            b = EqTyB(a, c)
-            head = DUMMY if isinstance(by, DummyArg) else AsmArg(by)
-        case EqTm(lhs=s, rhs=t, ty=a, by=by):
-            b = EqTmB(s, t, a)
+        case EqTy(by=by) | EqTm(by=by):
             head = DUMMY if isinstance(by, DummyArg) else AsmArg(by)
         case _:
             raise PremiseMismatch(f"expected a judgement, got a boundary ({type(j.body).__name__})")
     for _ in range(len(j.prefix)):
         head = Abstr(head)
+    return head
+
+
+def unfill(j: AbstractedJudgement) -> tuple[AbstractedBoundary, Argument]:
+    """Splits a judgement into its boundary and head; inverse of ``fill``."""
+    head = head_of(j)
+    match j.body:
+        case IsTy():
+            b: BoundaryThesis = IsTyB()
+        case IsTm(ty=a):
+            b = IsTmB(a)
+        case EqTy(lhs=a, rhs=c):
+            b = EqTyB(a, c)
+        case EqTm(lhs=s, rhs=t, ty=a):
+            b = EqTmB(s, t, a)
     return Abstracted(j.prefix, b), head
 
 

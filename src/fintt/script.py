@@ -15,7 +15,7 @@ from . import tt_engine as tt
 from .derive import CFDeriver, TTDeriver
 from .errors import KernelError
 from .instantiation import Instantiation
-from .judgements import EMPTY_METAS, EMPTY_VARS, unfill
+from .judgements import EMPTY_METAS, EMPTY_VARS, head_of
 from .parser import MetaDecl, Scope, Script, Step, VarDecl
 from .syntax import FreeVar, IsTy, MetaName
 from .theory import Theory
@@ -133,6 +133,8 @@ class ScriptRunner:
             out = cf.cf_var(self.theory, v, ty_j)
         else:
             v = FreeVar(step.name, j.body.ty if self.annotate_vars else None)
+            if v in self.vctx:
+                raise ScriptError(f"variable {step.name} is declared twice")
             self.vctx = self.vctx.extend(v, j.body.ty)
             out = tt.tt_var(self.theory, self.mctx, self.vctx, v)
         self.variables[step.name] = v
@@ -146,6 +148,8 @@ class ScriptRunner:
             out = self._cf_deriver.boundary(b)
         else:
             m = MetaName(step.name, b if self.annotate_vars else None)
+            if m in self.mctx:
+                raise ScriptError(f"metavariable {step.name} is declared twice")
             self.mctx = self.mctx.extend(m, b)
             out = self._align(TTDeriver(self.theory).boundary(self.mctx, EMPTY_VARS, b))
         self.metas[step.name] = m
@@ -185,7 +189,7 @@ class ScriptRunner:
         if self.engine == "cf":
             return cf.cf_apply_rule(self.theory, rule_name, prems)
         premises = self.theory.rule(rule_name).rule.premises
-        heads = [unfill(self._judgement(n, d))[1] for n, d in zip(names, prems)]
+        heads = [head_of(self._judgement(n, d)) for n, d in zip(names, prems)]
         inst = Instantiation([(m, head) for (m, _), head in zip(premises, heads)])
         return tt.specific(self.theory, self.mctx, self.vctx, rule_name, inst, prems)
 

@@ -476,9 +476,17 @@ def thesis_class(t: Union[Thesis, BoundaryThesis]) -> Cls:
     raise TypeError(f"not a thesis: {t!r}")
 
 
+_ARITIES: dict[tuple[Cls, int], MetaArity] = {}
+
+
 def boundary_arity(b: Abstracted) -> MetaArity:
-    """The metavariable arity associated to an abstracted boundary."""
-    return MetaArity(thesis_class(b.body), len(b.prefix))
+    """The metavariable arity associated to an abstracted boundary: one
+    shared value per class and binder count, made on first use."""
+    key = (thesis_class(b.body), len(b.prefix))
+    arity = _ARITIES.get(key)
+    if arity is None:
+        arity = _ARITIES[key] = MetaArity(*key)
+    return arity
 
 
 # ---------------------------------------------------------------------------

@@ -65,7 +65,8 @@ Flavor = str  # "tt" | "cf"
 
 
 class RuleParts(NamedTuple):
-    """What the closure rules of a specific rule take from the rule alone."""
+    """What the closure rules of a specific rule, and the obligation search
+    applying it, take from the rule alone."""
 
     metas: tuple[MetaName, ...]  # the premise metavariables, in order
     objects: tuple[bool, ...]  # whether each premise is of an object class
@@ -75,6 +76,10 @@ class RuleParts(NamedTuple):
     boundary: AbstractedBoundary  # the plain conclusion boundary
     head: Argument  # the conclusion's head
     conclusion: AbstractedJudgement  # the plain conclusion
+    # When the head applies a symbol to the generic application of each
+    # premise (``generic_application``, in either flavour), the (metavariable,
+    # binder count, object class) of each premise; else None.
+    generic: Optional[tuple[tuple[MetaName, int, bool], ...]]
 
 
 @dataclass(frozen=True)
@@ -118,13 +123,28 @@ class RawRule:
             earlier.add(m)
         conclusion = plain(self.conclusion)
         boundary, head = unfill(conclusion)
+        metas = tuple(m for m, _ in self.premises)
+        arities = [boundary_arity(b) for _, b in self.premises]
+        generic = None
+        if (
+            isinstance(head, ExprArg)
+            and isinstance(head.expr, SymbolApp)
+            and len(head.expr.args) == len(set(metas)) == len(metas)
+            and all(
+                a == generic_application(m, arity, "tt")
+                or (arity.cls.is_equality and a == generic_application(m, arity, "cf"))
+                for a, m, arity in zip(head.expr.args, metas, arities)
+            )
+        ):
+            generic = tuple((m, arity.binders, arity.cls.is_object) for m, arity in zip(metas, arities))
         return RuleParts(
-            tuple(m for m, _ in self.premises),
-            tuple(boundary_arity(b).cls.is_object for _, b in self.premises),
+            metas,
+            tuple(arity.cls.is_object for arity in arities),
             unintroduced,
             boundary,
             head,
             conclusion,
+            generic,
         )
 
 

@@ -47,8 +47,8 @@ from .judgements import (
     VarCtx,
     abstract_judgement,
     fill,
+    head_of,
     plain,
-    unfill,
 )
 from .syntax import (
     AbstractedBoundary,
@@ -219,7 +219,8 @@ def _want_plain_thesis(stmt: Statement, kind, what: str):
 def _same_ctx(mctx: MetaCtx, vctx: VarCtx, stmts: Sequence[Statement], what: str) -> None:
     for s in stmts:
         m, v = _ctxs(s)
-        if m != mctx or v != vctx:
+        # Premises built in the same contexts hold the same context objects.
+        if (m is not mctx and m != mctx) or (v is not vctx and v != vctx):
             raise BadNode(f"premise context mismatch in {what}")
 
 
@@ -1584,4 +1585,4 @@ def eq_instantiate(
 
 
 def _argument_of(d: Derivation) -> "object":
-    return unfill(_want_jdg(d.conclusion, "instantiation entry"))[1]
+    return head_of(_want_jdg(d.conclusion, "instantiation entry"))

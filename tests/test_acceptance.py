@@ -68,8 +68,12 @@ BOOL = SymbolApp("bool", ())
 NAT = SymbolApp("nat", ())
 
 
-def report(n: int, text: str) -> None:
+def report(n: int, text: str, elapsed: float | None = None) -> None:
+    """Prints the criterion's line, and its wall time on a line of its own,
+    so that two runs of the same code print the same CRITERION lines."""
     print(f"\nCRITERION {n}: PASS — {text}")
+    if elapsed is not None:
+        print(f"TIME {n}: {elapsed:.2f}s")
 
 
 def oracle_asm(x) -> AssumptionSet:
@@ -122,7 +126,7 @@ def test_criterion_1_theory_gates():
 
     elapsed = time.monotonic() - start
     assert elapsed < 1.0
-    report(1, f"five-rule family gates reproduce exactly ({elapsed:.2f}s)")
+    report(1, "five-rule family gates reproduce exactly", elapsed)
 
 
 def test_criterion_2_corpus_derivability(corpus_cf, corpus_tt):
@@ -144,7 +148,7 @@ def test_criterion_2_corpus_derivability(corpus_cf, corpus_tt):
     assert isinstance(reflect_cf.payload.body, EqTm)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
-    report(2, f"three corpus judgements derive in both engines, cf erases to tt ({elapsed:.2f}s)")
+    report(2, "three corpus judgements derive in both engines, cf erases to tt", elapsed)
     test_criterion_2_corpus_derivability.results = results
 
 
@@ -337,7 +341,7 @@ def test_criterion_7_translation_round_trips(corpus_cf, corpus_tt):
         assert erased_equal(back.payload, cert.payload)
     elapsed = time.monotonic() - start
     assert elapsed < 30.0
-    report(7, f"translation round trips on the corpus certificates, 0 failures ({elapsed:.2f}s)")
+    report(7, "translation round trips on the corpus certificates, 0 failures", elapsed)
 
 
 def test_criterion_8_substitution_and_economic_oracles(corpus_tt):

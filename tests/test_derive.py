@@ -6,6 +6,7 @@ fast path of ``cf_engine._theory_extends``."""
 
 import random
 import sys
+from collections import Counter
 
 import pytest
 
@@ -22,8 +23,11 @@ from fintt.derive import (
     DeriveError,
     TTDeriver,
     check_finitary,
+    match_expr,
+    read_arguments,
 )
-from fintt.errors import KernelError, PremiseMismatch, UnknownRule
+from fintt.errors import AnnotationMismatch, KernelError, PremiseMismatch, UnknownRule
+from fintt.instantiation import Instantiation
 from fintt.judgements import (
     EMPTY_METAS,
     EMPTY_VARS,
@@ -33,11 +37,18 @@ from fintt.judgements import (
     plain,
     unfill,
 )
-from fintt.parser import elaborate, parse_theory
+from fintt.parser import elaborate, parse_script, parse_theory
 from fintt.printer import print_expr, print_expr_cut
+from fintt.script import run_script
 from fintt.syntax import (
+    DUMMY,
+    Abstr,
+    AsmArg,
+    AssumptionSet,
+    BoundVar,
     ExprArg,
     FreeVar,
+    IsTm,
     IsTmB,
     IsTyB,
     Signature,
@@ -47,9 +58,12 @@ from fintt.syntax import (
     fv,
     mv,
 )
-from fintt.theory import Theory, TheoryBuilder, check_raw
+from fintt.theory import Theory, TheoryBuilder, check_raw, is_symbol_rule
 
-from .gen import CertGen, ExprGen
+from .gen import CertGen, ExprGen, generated_theory_texts
+from .test_acceptance import CORPUS
+from .test_lambda_theory import APPLY_SCRIPT as LAMBDA_APPLY_SCRIPT
+from .test_lambda_theory import IDENTITY_SCRIPT as LAMBDA_IDENTITY_SCRIPT
 from .test_lambda_theory import THEORY_TEXT as LAMBDA_TEXT
 from .test_theory import BOOL, NAT, mltt_builder, pi_family_builder, succ_typo_builder
 
@@ -322,6 +336,62 @@ def test_each_level_costs_the_search_three_frames(corpus_cf, corpus_tt, monkeypa
     derive(make(th), 10)
     derive(make(th), 20)
     assert at_var[1] - at_var[0] <= 3 * 10
+
+
+def count_step_work(monkeypatch, run) -> Counter:
+    """The instantiations ``run`` constructs, the ``_annotation_entries``
+    calls it makes and the assumption sets those calls build."""
+    work: Counter = Counter()
+    inside = []
+    real_init, real_entries = Instantiation.__init__, cf._annotation_entries
+    real_new = AssumptionSet.__new__
+
+    def init(self, *args):
+        work["instantiations"] += 1
+        real_init(self, *args)
+
+    def entries(*payloads):
+        work["annotation_entries"] += 1
+        inside.append(True)
+        try:
+            return real_entries(*payloads)
+        finally:
+            inside.pop()
+
+    def new(cls, *args, **kwargs):
+        work["assumption_sets"] += bool(inside)
+        return real_new(cls, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(Instantiation, "__init__", init)
+        m.setattr(cf, "_annotation_entries", entries)
+        m.setattr(AssumptionSet, "__new__", new)
+        run()
+    return work
+
+
+@pytest.mark.parametrize(
+    "make, derive", [(CFDeriver, cf_succ), (TTDeriver, tt_succ)], ids=["cf", "tt"]
+)
+def test_each_level_builds_one_instantiation(corpus_cf, corpus_tt, monkeypatch, make, derive):
+    """A level of succ^60 constructs one instantiation, the one its rule
+    application is checked with, and the cf engine reads the annotations
+    its conclusion demands without building an assumption set.  A
+    certificate that lacks an annotation certificate is still refused."""
+    th = corpus_cf if make is CFDeriver else corpus_tt
+    short, long = (count_step_work(monkeypatch, lambda n=n: derive(make(th), n)) for n in (30, 60))
+    assert long["instantiations"] - short["instantiations"] == 30
+    assert long["instantiations"] <= 60 + 2
+    assert long["assumption_sets"] == 0
+    if make is CFDeriver:
+        assert long["annotation_entries"] >= 60
+        a = FreeVar("a", NAT)
+        # Only the engine can make a certificate; its private maker forges
+        # one whose annotation cache lacks the certificate of a's type.
+        forged = cf._jdg(th, plain(IsTm(a, NAT)), {})
+        with pytest.raises(AnnotationMismatch):
+            cf.cf_apply_rule(th, "succ", [forged])
+        cf.cf_apply_rule(th, "succ", [cf.cf_var(th, a, CFDeriver(th).ty(NAT))])
 
 
 def test_each_level_costs_tt_to_cf_three_frames(corpus_cf, corpus_tt, monkeypatch):
@@ -671,3 +741,147 @@ def test_the_gate_builds_no_theory_per_prefix(monkeypatch, flavor):
         monkeypatch.undo()
         assert len(calls) <= 1
         assert len(theory.finitary_witnesses) == k + 2
+
+
+# ---------------------------------------------------------------------------
+# Reading a symbol rule's instantiation off the arguments
+
+# A symbol with a type-equation premise and one with an abstracted term
+# equation: their cf heads hold an assumption set where the others hold an
+# expression.
+EQUATION_PREMISES_TEXT = """\
+rule nat: yields type
+rule coe: premise A : type; premise B : type; premise e : A == B; premise t : A; yields : B
+rule pick: premise A : type; premise s : A; premise t : A; premise e : {x : A} s == t : A; yields : A
+"""
+
+
+def symbol_apps(x) -> list:
+    """Every symbol application in ``x``, annotations and assumption sets
+    included, once each."""
+    out, todo, seen = [], [x], set()
+    while todo:
+        y = todo.pop()
+        if y is None or y in seen or type(y) not in syntax._CHILDREN:
+            continue
+        seen.add(y)
+        if type(y) is SymbolApp:
+            out.append(y)
+        todo += syntax._CHILDREN[type(y)](y)
+    return out
+
+
+def _binders(arg):
+    k = 0
+    while type(arg) is Abstr:
+        arg, k = arg.body, k + 1
+    return k, arg
+
+
+def _wrap(arg, k):
+    for _ in range(k):
+        arg = Abstr(arg)
+    return arg
+
+
+def mutants(e: SymbolApp, symbols: list) -> dict:
+    """``e`` broken in each way the argument reader must refuse, by kind."""
+    out: dict = {"symbol": [], "arity": [], "binders": [], "escape": [], "equality": []}
+    out["symbol"] += [SymbolApp(s, e.args) for s in symbols if s != e.symbol][:2]
+    out["arity"].append(SymbolApp(e.symbol, e.args + (ExprArg(SymbolApp(e.symbol, ())),)))
+    if e.args:
+        out["arity"].append(SymbolApp(e.symbol, e.args[:-1]))
+    for i, arg in enumerate(e.args):
+
+        def put(new, i=i):
+            return SymbolApp(e.symbol, e.args[:i] + (new,) + e.args[i + 1:])
+
+        k, core = _binders(arg)
+        out["binders"].append(put(Abstr(arg)))
+        if k:
+            out["binders"].append(put(arg.body))
+        if type(core) is ExprArg:
+            out["escape"].append(put(_wrap(ExprArg(BoundVar(k)), k)))
+            out["escape"].append(put(_wrap(ExprArg(SymbolApp("succ", (ExprArg(BoundVar(k + 1)),))), k)))
+        else:
+            out["equality"] += [put(_wrap(AsmArg(AssumptionSet()), k)), put(_wrap(DUMMY, k))]
+    return out
+
+
+def oracle_theories():
+    """(name, cf theory, tt theory) for the corpora, the equation-premise
+    theory and the generated theories."""
+    texts = [("mltt", (CORPUS / "mltt.ftt").read_text()), ("lambda", LAMBDA_TEXT)]
+    texts.append(("equations", EQUATION_PREMISES_TEXT))
+    texts += [(f"generated{i}", t) for i, t in enumerate(generated_theory_texts(sizes=(10, 40)))]
+    for name, text in texts:
+        decl = parse_theory(text)
+        yield name, elaborate(decl, "cf"), elaborate(decl, "tt")
+
+
+def oracle_roots(th_cf) -> list:
+    """cf payloads to take subjects from: CertGen certificates over the
+    corpus theory, the function scripts' over the lambda theory."""
+    symbols = set(th_cf.signature)
+    if "lam" in symbols:
+        return [
+            run_script(th_cf, parse_script(script), "cf").payload
+            for script in (LAMBDA_IDENTITY_SCRIPT, LAMBDA_APPLY_SCRIPT)
+        ]
+    if {"nat", "succ", "Pi", "Id"} <= symbols:
+        g = CertGen(random.Random(15), th_cf)
+        return [g.judgement_cert(d).payload for d in (0, 1, 2) for _ in range(12)]
+    return []
+
+
+def oracle_subjects(theory, payloads) -> list:
+    """The symbol applications of the theory's rules and of ``payloads``."""
+    roots = list(payloads)
+    for r in theory.rules:
+        roots += [b for _, b in r.rule.premises] + [r.rule.conclusion]
+    subjects = [e for x in roots for e in symbol_apps(x)]
+    return list(dict.fromkeys(subjects))
+
+
+def reader_against_match_expr(theory, payloads, tally: Counter) -> None:
+    """Runs ``read_arguments`` and ``match_expr`` on every pair of a symbol
+    rule of ``theory`` and a subject, and asserts that they agree."""
+    subjects = oracle_subjects(theory, payloads)
+    symbols = sorted(theory.signature)
+    for e in list(subjects):
+        for kind, broken in mutants(e, symbols).items():
+            tally[kind] += len(broken)
+            subjects += broken
+    for r in theory.rules:
+        parts = r.rule.parts
+        if parts.generic is None:
+            continue
+        for e in subjects:
+            sol: dict = {}
+            want = sol if match_expr(parts.head.expr, e, r.rule.meta_arities(), sol) else None
+            assert read_arguments(parts.head.expr, parts.generic, e) == want, (r.name, e)
+            tally["refused" if want is None else "matched"] += 1
+
+
+def test_the_argument_reader_is_match_expr_on_symbol_rules():
+    """On every pair of a symbol rule and a subject, ``read_arguments``
+    gives exactly ``match_expr``'s solution, and None where it fails.  The
+    subjects are the symbol applications of the rules and of certificates,
+    and each of them broken in every way ``mutants`` knows."""
+    tally: Counter = Counter()
+    for _, th_cf, th_tt in oracle_theories():
+        payloads = oracle_roots(th_cf)
+        reader_against_match_expr(th_cf, payloads, tally)
+        reader_against_match_expr(th_tt, [erase(p) for p in payloads], tally)
+    assert tally["matched"] > 1000 and tally["refused"] > tally["matched"]
+    # Equality-class arguments: two per premise of coe and pick, per flavour.
+    assert tally.pop("equality") == 8 and min(tally.values()) > 1000, tally
+
+
+def test_every_symbol_rule_is_read_off_its_arguments():
+    """Every rule the standard gate takes for a symbol rule has a reader."""
+    for name, *theories in oracle_theories():
+        for theory in theories:
+            for r in theory.rules:
+                if is_symbol_rule(theory.signature, r.rule, theory.flavor) is not None:
+                    assert r.rule.parts.generic is not None, (name, r.name)

@@ -171,6 +171,27 @@ def test_cli_derive_with_an_unknown_rule_fails_in_one_line(tmp_path, capsys):
         assert out.out == "" and out.err == "error: no rule named 'zero'\n"
 
 
+@pytest.mark.parametrize(
+    "steps, what, cf_out",
+    [
+        ("let tn = rule(nat);\nvar n : tn;\nvar n : tn;\nreturn n;\n", "variable n", "n^nat : nat\n"),
+        ("meta A : type;\nmeta A : type;\nreturn A;\n", "metavariable A", "type\n"),
+    ],
+    ids=["var", "meta"],
+)
+def test_cli_derive_refuses_a_name_declared_twice_in_tt(tmp_path, capsys, steps, what, cf_out):
+    """A tt context takes a name once: the second declaration is refused
+    in one line.  The cf engine has no context, and the later declaration
+    shadows the earlier one."""
+    script = tmp_path / "D.fttd"
+    script.write_text(steps)
+    assert cli.main(["derive", str(CORPUS / "mltt.ftt"), str(script), "--engine", "tt"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {what} is declared twice\n"
+    assert cli.main(["derive", str(CORPUS / "mltt.ftt"), str(script), "--engine", "cf"]) == 0
+    assert capsys.readouterr().out == cf_out
+
+
 def test_cli_derive_gates_the_theory_first(tmp_path, capsys):
     """A tt presupposition needs the rules' finitary witnesses, which the gate
     leaves on the theory."""
