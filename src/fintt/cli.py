@@ -89,9 +89,8 @@ def cmd_derive(args) -> int:
 def cmd_translate(args) -> int:
     with open(args.judgement_file, encoding="utf-8") as fh:
         script = parse_script(fh.read())
-    decl, _ = _load_theory(args.theory, "tt")
+    decl, theory_tt = _load_theory(args.theory, "tt")
     theory_cf = elaborate(decl, "cf")
-    theory_tt = elaborate(decl, "tt")
     check_finitary(theory_cf)
     check_finitary(theory_tt)
     if args.to == "tt":

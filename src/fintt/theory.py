@@ -297,23 +297,6 @@ def congruence_premises_tt(
     return premises, _congruence_conclusion(parts, left, right)
 
 
-def congruence_premises_tt_eco(
-    rule: RawRule, left: Instantiation, right: Instantiation
-) -> tuple[list[AbstractedJudgement], AbstractedJudgement]:
-    """The economic tt congruence rule: left fills for equational premises,
-    equations for object premises, in premise order."""
-    if not rule.is_object:
-        raise NotObjectRule("congruence rules attach to object rules")
-    parts = _instance_parts(rule, left, right)
-    premises = [
-        fill_equation(act(left, b), left[m], right[m], DUMMY)
-        if obj
-        else fill(act(left, b), left[m])
-        for (m, b), obj in zip(rule.premises, parts.objects)
-    ]
-    return premises, _congruence_conclusion(parts, left, right)
-
-
 def _congruence_conclusion(
     parts: RuleParts, left: Instantiation, right: Instantiation
 ) -> AbstractedJudgement:

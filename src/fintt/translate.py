@@ -278,12 +278,10 @@ class TTtoCF:
       conversion of both equation kinds, and the boundary rules, whose
       premises are translated as they are.
 
-    Economic congruence (TT-Congr-Eco, TT-Meta-Congr-Eco) is refused with
-    ``UncheckableDerivation``: ``cf_congruence`` and ``cf_meta_congr`` need
-    the right-hand fills at their own boundaries and, for term conclusions,
-    the type equation of the conclusion.  The economic node omits them, and
-    boundary conversion, which moves a judgement only between erasure-equal
-    boundaries, cannot rebuild them."""
+    Every closure rule of the tt engine but the context rules has a case:
+    congruence nodes are always full, so ``cf_congruence`` and
+    ``cf_meta_congr`` get the right-hand fills and, for term conclusions,
+    the type equation of the conclusion from the node's premises."""
 
     _KINDS = {
         **dict.fromkeys(("TT-Meta", "TT-Meta-Eco", "TT-Meta-Congr"), "_meta"),

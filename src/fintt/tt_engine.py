@@ -9,13 +9,14 @@ cannot drift apart.  The admissible operations are derivation-to-derivation
 transformations mirroring the constructive proofs, and always return trees
 the checker accepts.
 
-Economic node kinds (``*-Eco``) implement the admissible economic variants
-of the closure rules; they are sound in finitary theories, which are the
-only ones the engine is run against.  The equal-substitution and
-equal-instantiation walks (``prepare_subst_eq``, ``eq_instantiate``) emit
-full ``TT-Congr`` nodes for specific rules, carrying both instantiations'
-fills and, for term rules, the conclusion's type equation: the tt -> cf
-translation needs all of them and cannot rebuild them from an economic node.
+The economic node kinds ``TT-Meta-Eco`` and ``TT-Specific-Eco`` omit the
+boundary premise; they are sound in finitary theories, which are the only
+ones the engine is run against.  Economic congruence is not a node kind: it
+is admissible, and the equal-substitution and equal-instantiation walks
+(``prepare_subst_eq``, ``eq_instantiate``, and ``eq_subst_n`` over them)
+derive it as full ``TT-Congr`` and ``TT-Meta-Congr`` nodes, carrying both
+sides' fills and, for term conclusions, the type equation walked from the
+node's boundary derivation (``_specific_boundary``, ``_meta_boundary``).
 
 ``_SLOTS`` gives the kind of each slot of a node's ``data`` for every
 closure rule: contexts, atoms, metavariables, term tuples, rule names and
@@ -78,7 +79,6 @@ from .syntax import (
 from .theory import (
     Theory,
     congruence_premises_tt,
-    congruence_premises_tt_eco,
     generic_application,
     instance_of,
     metavariable_congruence_instance,
@@ -146,7 +146,6 @@ _SLOTS: dict[str, tuple[str, ...]] = {
     "TT-Meta": (*_CTX, "meta", "terms"),
     "TT-Meta-Eco": (*_CTX, "meta", "terms"),
     "TT-Meta-Congr": (*_CTX, "meta", "terms", "terms"),
-    "TT-Meta-Congr-Eco": (*_CTX, "meta", "terms", "terms"),
     "TT-Abstr": (*_CTX, "binder"),
     "TT-EqTy-Refl": _CTX,
     "TT-EqTy-Sym": _CTX,
@@ -168,7 +167,6 @@ _SLOTS: dict[str, tuple[str, ...]] = {
     "TT-Specific": (*_CTX, "rule", "inst"),
     "TT-Specific-Eco": (*_CTX, "rule", "inst"),
     "TT-Congr": (*_CTX, "rule", "inst", "inst"),
-    "TT-Congr-Eco": (*_CTX, "rule", "inst", "inst"),
 }
 # Rules concluding context well-formedness; the judgement walks refuse them.
 _CTX_RULES = frozenset({"MCtx-Empty", "MCtx-Extend", "VCtx-Empty", "VCtx-Extend"})
@@ -254,14 +252,11 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
                     raise BadNode("TT-Meta boundary premise mismatch")
             return JdgTT(mctx, vctx, concl)
 
-        case "TT-Meta-Congr" | "TT-Meta-Congr-Eco":
+        case "TT-Meta-Congr":
             mctx, vctx, m, ss, ts = data
             if m not in mctx:
                 raise SideConditionFailed(f"{m.name} not in the metavariable context")
             prem, concl = metavariable_congruence_instance(m, mctx[m], list(ss), list(ts))
-            if rule == "TT-Meta-Congr-Eco":
-                k = len(mctx[m].prefix)
-                prem = prem[2 * k : 3 * k]  # the equation row only
             if len(kids) != len(prem):
                 raise BadNode(f"{rule} expects {len(prem)} premises, got {len(kids)}")
             _same_ctx(mctx, vctx, kids, rule)
@@ -462,11 +457,10 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
                     raise BadNode("TT-Specific boundary premise mismatch")
             return JdgTT(mctx, vctx, concl)
 
-        case "TT-Congr" | "TT-Congr-Eco":
+        case "TT-Congr":
             mctx, vctx, rule_name, left, right = data
             trule = theory.rule(rule_name)
-            schema = congruence_premises_tt if rule == "TT-Congr" else congruence_premises_tt_eco
-            prem, concl = instance_of(schema, trule.rule, left, right)
+            prem, concl = instance_of(congruence_premises_tt, trule.rule, left, right)
             if len(kids) != len(prem):
                 raise BadNode(f"{rule} expects {len(prem)} premises, got {len(kids)}")
             _same_ctx(mctx, vctx, kids, rule)
@@ -609,10 +603,8 @@ def congruence(
     left: Instantiation,
     right: Instantiation,
     premise_derivs: Sequence[Derivation],
-    economic: bool = False,
 ) -> Derivation:
-    kind = "TT-Congr-Eco" if economic else "TT-Congr"
-    return node(theory, kind, (mctx, vctx, rule_name, left, right), premise_derivs)
+    return node(theory, "TT-Congr", (mctx, vctx, rule_name, left, right), premise_derivs)
 
 
 def _congruence_of_sides(
@@ -647,12 +639,9 @@ def meta_congr(
     left_terms: Sequence[Expr],
     right_terms: Sequence[Expr],
     premise_derivs: Sequence[Derivation],
-    economic: bool = False,
 ) -> Derivation:
-    kind = "TT-Meta-Congr-Eco" if economic else "TT-Meta-Congr"
-    return node(
-        theory, kind, (mctx, vctx, m, tuple(left_terms), tuple(right_terms)), premise_derivs
-    )
+    data = (mctx, vctx, m, tuple(left_terms), tuple(right_terms))
+    return node(theory, "TT-Meta-Congr", data, premise_derivs)
 
 
 # ---------------------------------------------------------------------------
@@ -878,6 +867,12 @@ def vctx_entry_type(theory: Theory, vctx_deriv: Derivation, v: FreeVar) -> Deriv
     return out
 
 
+def _check_mctx_evidence(mctx_deriv: Derivation, d: Derivation) -> None:
+    have = mctx_deriv.conclusion
+    if not isinstance(have, MctxWF) or have.mctx != _ctxs(d.conclusion)[0]:
+        raise MissingContextEvidence("metavariable-context evidence does not match")
+
+
 # ---------------------------------------------------------------------------
 # Admissible substitution
 
@@ -972,7 +967,9 @@ class EqSubst:
     eq_deriv: Derivation
 
 
-def _equal_sides(theory: Theory, what: str, names: set[str], ctx, sides, leaf, seen=None):
+def _equal_sides(
+    theory: Theory, what: str, names: set[str], ctx, sides, leaf, seen=None, mctx_deriv=None
+):
     """The walk shared by equal substitution and equal instantiation.
 
     ``walk(d, delta, delta_eqs)`` gives, for a subderivation ``d`` under the
@@ -984,7 +981,9 @@ def _equal_sides(theory: Theory, what: str, names: set[str], ctx, sides, leaf, s
     ``leaf(d, delta, delta_eqs)``, which answers the nodes the caller treats
     itself (or returns None, or refuses by raising).  With ``seen`` the
     results are remembered per (conclusion, binders); ``names`` are the
-    atoms a walked boundary's binders must avoid."""
+    atoms a walked boundary's binders must avoid; ``mctx_deriv``, evidence
+    for the metavariable context, gives the boundary of a ``TT-Meta-Eco``
+    node of a term metavariable."""
     s_map, t_map = {"expr": sides[0]}, {"expr": sides[1]}
 
     def walk(d: Derivation, delta: list, delta_eqs: dict):
@@ -1030,19 +1029,15 @@ def _equal_sides(theory: Theory, what: str, names: set[str], ctx, sides, leaf, s
         d_eq = None
         match rule:
             case "TT-Meta" | "TT-Meta-Eco" if boundary_arity(mctx[data[2]]).cls.is_object:
-                m, triples = data[2], kids[: len(data[3])]
-                if isinstance(mctx[m].body, IsTyB):
-                    # type metavariables admit the full congruence rule
-                    # without extra premises
-                    d_eq = meta_congr(
-                        theory, mctx, vctx, m, d_s.data[3], d_t.data[3],
-                        [x[0] for x in triples] + [x[1] for x in triples] + [x[2] for x in triples],
-                    )
-                else:
-                    d_eq = meta_congr(
-                        theory, mctx, vctx, m, d_s.data[3], d_t.data[3],
-                        [x[2] for x in triples], economic=True,
-                    )
+                triples = kids[: len(data[3])]
+                ty_eq = []
+                if isinstance(mctx[data[2]].body, IsTmB):
+                    bd = _avoid_binding_clashes(theory, _meta_boundary(theory, d, mctx_deriv), names)
+                    ty_eq.append(walk(bd.premises[0], delta, delta_eqs)[2])
+                d_eq = meta_congr(
+                    theory, mctx, vctx, data[2], d_s.data[3], d_t.data[3],
+                    [x[i] for i in range(3) for x in triples] + ty_eq,
+                )
             case "TT-Specific" | "TT-Specific-Eco":
                 trule = theory.rule(data[2]).rule
                 if trule.is_object:
@@ -1068,6 +1063,8 @@ def prepare_subst_eq(
     d: Derivation,
     subs: Sequence[EqSubst],
     delta_eqs: Optional[dict[FreeVar, Derivation]] = None,
+    *,
+    mctx_deriv: Optional[Derivation] = None,
 ) -> tuple[Derivation, Derivation, Optional[Derivation]]:
     """Simultaneous equal substitution: from a derivation over
     Gamma, a_1:A_1', ..., a_n:A_n', Delta  and, for each i, derivations of
@@ -1078,14 +1075,19 @@ def prepare_subst_eq(
     Boundary derivations yield (s-side, t-side, None).  ``delta_eqs`` carries
     the type equations  B[ss] == B[ts]  for the entries of Delta.
 
-    Specific-rule nodes of object rules give full ``TT-Congr`` equations;
-    for term rules the type equation  A[ss] == A[ts]  comes from walking the
-    node's boundary derivation.  Term metavariables still give
-    ``TT-Meta-Congr-Eco``.
+    Specific-rule nodes of object rules give full ``TT-Congr`` equations
+    and object metavariables full ``TT-Meta-Congr`` equations; for term
+    conclusions the type equation  A[ss] == A[ts]  comes from walking the
+    node's boundary derivation.  A ``TT-Meta-Eco`` node of a term
+    metavariable has its boundary from ``mctx_deriv``, evidence for the
+    metavariable context, and is refused with ``MissingContextEvidence``
+    without it.
     """
     delta_eqs = dict(delta_eqs or {})
     if not subs:
         raise BadNode("prepare_subst_eq needs at least one substituted variable")
+    if mctx_deriv is not None:
+        _check_mctx_evidence(mctx_deriv, d)
     svars = [e.var for e in subs]
     by_var = {e.var: e for e in subs}
     base_len = len(_ctxs(subs[0].s_deriv.conclusion)[1].entries)
@@ -1121,7 +1123,8 @@ def prepare_subst_eq(
         )
     d = _avoid_binding_clashes(theory, d, names)
     walk = _equal_sides(
-        theory, "equal substitution", names, ctx, (sub_s, sub_t), substituted_var
+        theory, "equal substitution", names, ctx, (sub_s, sub_t), substituted_var,
+        mctx_deriv=mctx_deriv,
     )
     d_s, d_t, d_eq = walk(d, [], delta_eqs)
     return d_s, d_t, None if isinstance(d.conclusion, BdryTT) else d_eq
@@ -1142,12 +1145,15 @@ def eq_subst_n(
     s_derivs: Sequence[Derivation],
     t_derivs: Sequence[Derivation],
     eq_derivs: Sequence[Derivation],
+    *,
+    mctx_deriv: Optional[Derivation] = None,
 ) -> Derivation:
     """Iterated equal substitution into an abstracted object judgement
     (TT-Subst-EqTy / TT-Subst-EqTm): from  {xs:As} plug(B, e)  and triples
     s_i, t_i, s_i == t_i  for the outermost binders derive
     plug(B[ss], e[ss] == e[ts]), leaving any surplus abstraction in place;
-    with no triples, reflexivity."""
+    with no triples, reflexivity.  This is how economic congruence is
+    derived; ``mctx_deriv`` is as for ``prepare_subst_eq``."""
     m = len(s_derivs)
     if m == 0:
         j = _want_jdg(d_abs.conclusion, "eq_subst_n")
@@ -1167,13 +1173,10 @@ def eq_subst_n(
     subs = [
         EqSubst(chain[i][1], s_derivs[i], t_derivs[i], eq_derivs[i]) for i in range(m)
     ]
-    _, _, d_eq = prepare_subst_eq(theory, body, subs)
+    _, _, d_eq = prepare_subst_eq(theory, body, subs, mctx_deriv=mctx_deriv)
     if d_eq is None:
         raise NotObjectJudgement("eq_subst_n needs an object judgement")
     return d_eq
-
-
-subst_eqty = eq_subst_n
 
 
 # ---------------------------------------------------------------------------
@@ -1214,11 +1217,6 @@ def admissible_instantiate(
         rule = d.rule
         if rule in _CTX_RULES:
             raise BadNode("instantiation applies to judgement derivations")
-        if rule == "TT-Meta-Congr-Eco":
-            raise BadNode(
-                "instantiation across economic metavariable congruence is not supported; "
-                "use the full rule"
-            )
         if rule not in ("TT-Meta", "TT-Meta-Eco", "TT-Meta-Congr"):
             return None
         m, k = d.data[2], len(d.data[3])
@@ -1249,31 +1247,20 @@ def presuppositions(
     """From a derivation of  plug(B, e)  and well-formedness evidence for its
     contexts, a derivation of the boundary  B."""
 
-    have_m = mctx_deriv.conclusion
-    if not isinstance(have_m, MctxWF) or have_m.mctx != _ctxs(d.conclusion)[0]:
-        raise MissingContextEvidence("metavariable-context evidence does not match")
+    _check_mctx_evidence(mctx_deriv, d)
     have_v = vctx_deriv.conclusion
     if not isinstance(have_v, VctxWF) or have_v.vctx != _ctxs(d.conclusion)[1]:
         raise MissingContextEvidence("variable-context evidence does not match")
 
     def walk(d: Derivation, vctx_ev: Derivation) -> Derivation:
-        mctx, vctx = _ctxs(d.conclusion)
         match d.rule:
             case "TT-Var":
                 v = d.data[2]
                 return bdry_tm(theory, vctx_entry_type(theory, vctx_ev, v))
-            case "TT-Meta":
-                return d.premises[len(d.data[3])]
-            case "TT-Meta-Eco":
-                m = d.data[2]
-                b_deriv = mctx_entry_boundary(theory, mctx_deriv, m)
-                b_deriv = weaken_vars(theory, b_deriv, list(vctx.entries))
-                out = b_deriv
-                for tk in d.premises:
-                    out = admissible_substitute(theory, out, tk)
-                return out
+            case "TT-Meta" | "TT-Meta-Eco":
+                return _meta_boundary(theory, d, mctx_deriv)
             case "TT-Meta-Congr":
-                return _presup_meta_congr(d, vctx_ev)
+                return _presup_meta_congr(d)
             case "TT-Abstr":
                 ty_k, body_k, atom = d.premises[0], d.premises[1], d.data[2]
                 ev2 = vctx_extend(theory, vctx_ev, ty_k, atom)
@@ -1318,26 +1305,20 @@ def presuppositions(
             case _:
                 raise BadNode(f"presuppositions does not handle {d.rule}")
 
-    def _presup_meta_congr(d: Derivation, vctx_ev: Derivation) -> Derivation:
+    def _presup_meta_congr(d: Derivation) -> Derivation:
         mctx, vctx = _ctxs(d.conclusion)
         m = d.data[2]
-        bdry = mctx[m]
-        k = len(bdry.prefix)
-        s_kids = list(d.premises[:k])
-        t_kids = list(d.premises[k : 2 * k])
-        b_deriv = mctx_entry_boundary(theory, mctx_deriv, m)
-        b_deriv = weaken_vars(theory, b_deriv, list(vctx.entries))
-        bdry_s = b_deriv
-        for sk in s_kids:
-            bdry_s = admissible_substitute(theory, bdry_s, sk)
-        bdry_t = b_deriv
-        for tk in t_kids:
-            bdry_t = admissible_substitute(theory, bdry_t, tk)
-        left = tt_meta(theory, mctx, vctx, m, s_kids, bdry_s)
-        right = tt_meta(theory, mctx, vctx, m, t_kids, bdry_t)
-        if isinstance(bdry.body, IsTyB):
+        k = len(d.data[3])
+
+        def side(kids) -> Derivation:
+            bdry = _meta_boundary(theory, tt_meta(theory, mctx, vctx, m, kids), mctx_deriv)
+            return tt_meta(theory, mctx, vctx, m, kids, bdry)
+
+        left, right = side(d.premises[:k]), side(d.premises[k : 2 * k])
+        if isinstance(mctx[m].body, IsTyB):
             return bdry_eqty(theory, left, right)
         type_eq = d.premises[-1]  # C[ss] == C[ts]
+        bdry_s = left.premises[-1]
         if bdry_s.rule != "TT-Bdry-Tm":
             raise BadNode("metavariable boundary should be a term boundary")
         right_conv = conv_tm(theory, right, eqty_sym(theory, type_eq))
@@ -1360,6 +1341,23 @@ def presuppositions(
         return bdry_eqtm(theory, c_ty_b.premises[0], left_node, right_conv)
 
     return walk(d, vctx_deriv)
+
+
+def _meta_boundary(theory: Theory, d: Derivation, mctx_deriv: Optional[Derivation]) -> Derivation:
+    """The boundary derivation of a metavariable node: a TT-Meta node's last
+    premise, or for TT-Meta-Eco the metavariable's boundary from the
+    metavariable-context evidence ``mctx_deriv``, with the node's arguments
+    substituted."""
+    if d.rule == "TT-Meta":
+        return d.premises[-1]
+    m = d.data[2]
+    if mctx_deriv is None:
+        raise MissingContextEvidence(f"no metavariable-context evidence for {m.name}")
+    out = mctx_entry_boundary(theory, mctx_deriv, m)
+    out = weaken_vars(theory, out, list(_ctxs(d.conclusion)[1].entries))
+    for tk in d.premises:
+        out = admissible_substitute(theory, out, tk)
+    return out
 
 
 def _specific_boundary(theory: Theory, d: Derivation) -> Derivation:
@@ -1533,7 +1531,7 @@ def eq_instantiate(
         )
 
     def instantiated_meta(d: Derivation, delta: list, delta_eqs: dict):
-        if d.rule in ("TT-Meta-Congr", "TT-Meta-Congr-Eco"):
+        if d.rule == "TT-Meta-Congr":
             raise BadNode("equal instantiation across metavariable congruence is not supported")
         if d.rule not in ("TT-Meta", "TT-Meta-Eco"):
             return None

@@ -412,11 +412,16 @@ def test_criterion_8_substitution_and_economic_oracles(corpus_tt):
             td = ttd.tm(EMPTY_METAS, vctx, t, NAT)
             eq = tt.eqtm_refl(th, td)
             inst = Instantiation([(MetaName("n"), ExprArg(t))])
-            eco = tt.congruence(th, EMPTY_METAS, vctx, "succ", inst, inst, [eq], economic=True)
-            ty_eq = tt.eqty_refl(th, ttd.ty(EMPTY_METAS, vctx, NAT))
+            # the economic rule, derived by equal substitution into {x} succ(x)
+            x, nat_d = FreeVar("x"), ttd.ty(EMPTY_METAS, vctx, NAT)
+            body = ttd.tm(EMPTY_METAS, vctx.extend(x, NAT), SymbolApp("succ", (ExprArg(x),)), NAT)
+            eco = tt.eq_subst_n(th, tt.tt_abstr(th, nat_d, body, x), [td], [td], [eq])
+            ty_eq = tt.eqty_refl(th, nat_d)
             full = tt.congruence(
                 th, EMPTY_METAS, vctx, "succ", inst, inst, [td, td, eq, ty_eq]
             )
+            assert eco.rule == full.rule
+            tt.check_derivation(th, eco)
             assert eco.conclusion == full.conclusion
         agree += 1
     assert agree == 200

@@ -2,13 +2,17 @@
 function imports from a module that its file already imports at module
 level (a function-local import is kept only to break an import cycle), and
 every top-level definition and method of a kernel module is named somewhere
-else."""
+else; and the closure rules the tt engine infers, its slot table and the
+tt -> cf dispatch table name the same rules."""
 
 import ast
 import pathlib
 import re
 
 import pytest
+
+from fintt import translate
+from fintt import tt_engine as tt
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "fintt"
@@ -152,3 +156,27 @@ def unreferenced_definitions(root: pathlib.Path) -> list[str]:
 def test_every_top_level_definition_is_named_elsewhere():
     unused = unreferenced_definitions(ROOT)
     assert not unused, f"definitions named nowhere else: {', '.join(unused)}"
+
+
+def infer_cases() -> set[str]:
+    """The closure rules ``tt_engine._infer`` has a ``match rule`` case for."""
+    tree = ast.parse((SRC / "tt_engine.py").read_text(encoding="utf-8"))
+    infer = next(f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name == "_infer")
+    (match,) = (
+        m for m in ast.walk(infer)
+        if isinstance(m, ast.Match) and isinstance(m.subject, ast.Name) and m.subject.id == "rule"
+    )
+    return {
+        p.value.value
+        for case in match.cases
+        for p in ast.walk(case.pattern)
+        if isinstance(p, ast.MatchValue)
+    }
+
+
+def test_closure_rules_have_a_slot_row_and_a_translation():
+    """A closure rule ``_infer`` accepts has a ``_SLOTS`` row, and a rule
+    concluding a judgement or boundary has a ``TTtoCF`` case: no rule enters
+    the trust base without the walks that rebuild and translate it."""
+    assert infer_cases() == set(tt._SLOTS)
+    assert set(tt._SLOTS) - tt._CTX_RULES == set(translate.TTtoCF._KINDS)

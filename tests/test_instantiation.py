@@ -42,7 +42,6 @@ from fintt.syntax import (
 from fintt.theory import (
     RawRule,
     congruence_premises_tt,
-    congruence_premises_tt_eco,
     generic_application,
     rule_instance_premises,
 )
@@ -292,9 +291,9 @@ def restricted_instance(rule: RawRule, inst: Instantiation):
     return premises, act(inst, boundary), act(inst, plain(rule.conclusion))
 
 
-def restricted_congruence(rule: RawRule, left: Instantiation, right: Instantiation, eco: bool):
-    """Both tt congruence closure rules, premise by premise, as the paper
-    writes them."""
+def restricted_congruence(rule: RawRule, left: Instantiation, right: Instantiation):
+    """The tt congruence closure rule, premise by premise, as the paper
+    writes it."""
 
     def fills(inst):
         return [
@@ -307,13 +306,10 @@ def restricted_congruence(rule: RawRule, left: Instantiation, right: Instantiati
         for i, (m, b) in enumerate(rule.premises, start=1)
         if boundary_arity(b).cls.is_object
     }
-    if eco:
-        premises = [equations.get(i, f) for i, f in enumerate(fills(left), start=1)]
-    else:
-        premises = fills(left) + fills(right) + list(equations.values())
-        if isinstance(rule.conclusion, IsTm):
-            ty = rule.conclusion.ty
-            premises.append(plain(EqTy(act(left, ty), act(right, ty), DUMMY)))
+    premises = fills(left) + fills(right) + list(equations.values())
+    if isinstance(rule.conclusion, IsTm):
+        ty = rule.conclusion.ty
+        premises.append(plain(EqTy(act(left, ty), act(right, ty), DUMMY)))
     boundary, head = unfill(plain(rule.conclusion))
     conclusion = fill_equation(act(left, boundary), act(left, head), act(right, head), DUMMY)
     return premises, conclusion
@@ -358,10 +354,8 @@ def test_rule_instances_agree_with_the_per_premise_formula(theory):
             got = rule_instance_premises(r.rule, left)
             assert got == restricted_instance(r.rule, left)
             if flavor == "tt" and r.rule.is_object:
-                schemas = ((False, congruence_premises_tt), (True, congruence_premises_tt_eco))
-                for eco, schema in schemas:
-                    got = schema(r.rule, left, right)
-                    assert got == restricted_congruence(r.rule, left, right, eco)
+                got = congruence_premises_tt(r.rule, left, right)
+                assert got == restricted_congruence(r.rule, left, right)
 
 
 def test_a_rule_instance_checks_arity_before_premise_order():
@@ -378,10 +372,9 @@ def test_a_rule_instance_checks_arity_before_premise_order():
         with pytest.raises(UnknownMeta, match="A"):
             schema(swapped, in_rule_order)
     with_extra = Instantiation([*in_rule_order, (MetaName("Z"), ExprArg(NAT))])
-    for schema in (congruence_premises_tt, congruence_premises_tt_eco):
-        with pytest.raises(ArityMismatch):
-            schema(swapped, in_rule_order, in_other_order)
-        with pytest.raises(ArityMismatch):
-            schema(swapped, with_extra, in_rule_order)
-        with pytest.raises(UnknownMeta, match="A"):
-            schema(swapped, in_rule_order, in_rule_order)
+    with pytest.raises(ArityMismatch):
+        congruence_premises_tt(swapped, in_rule_order, in_other_order)
+    with pytest.raises(ArityMismatch):
+        congruence_premises_tt(swapped, with_extra, in_rule_order)
+    with pytest.raises(UnknownMeta, match="A"):
+        congruence_premises_tt(swapped, in_rule_order, in_rule_order)

@@ -140,7 +140,7 @@ def test_subst_eqty_with_distinct_sides(corpus_tt):
     )
     s_d = tt.tt_var(th, EMPTY_METAS, vctx, a)
     t_d = tt.tt_var(th, EMPTY_METAS, vctx, b)
-    out = tt.subst_eqty(th, fam, [s_d], [t_d], [eq])
+    out = tt.eq_subst_n(th, fam, [s_d], [t_d], [eq])
     want = plain(EqTy(id_of(NAT, a, a), id_of(NAT, b, b), DUMMY))
     assert out.conclusion.jdg == want
     tt.check_derivation(th, out)
@@ -152,9 +152,7 @@ def test_subst_eqty_with_distinct_sides(corpus_tt):
     s_m = tt.weaken_meta(th, s_d, m, bdry_f)
     t_m = tt.weaken_meta(th, t_d, m, bdry_f)
     ty_eq = tt.eqty_refl(th, TTDeriver(th).ty(mctx, vctx, NAT))
-    congr = tt.meta_congr(
-        th, mctx, vctx, m, [a], [b], [s_m, t_m, eq_m, ty_eq], economic=False
-    )
+    congr = tt.meta_congr(th, mctx, vctx, m, [a], [b], [s_m, t_m, eq_m, ty_eq])
     tt.check_derivation(th, congr)
     body = congr.conclusion.jdg.body
     assert body.lhs == MetaApp(m, (a,)) and body.rhs == MetaApp(m, (b,))

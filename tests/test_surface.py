@@ -279,6 +279,21 @@ def test_cli_translate_both_ways(capsys):
     assert "by" in out
 
 
+@pytest.mark.parametrize("to", ["tt", "cf"])
+def test_cli_translate_elaborates_each_flavour_once(to, monkeypatch, capsys):
+    real = cli.elaborate
+    flavors = []
+
+    def counted(decl, flavor):
+        flavors.append(flavor)
+        return real(decl, flavor)
+
+    monkeypatch.setattr(cli, "elaborate", counted)
+    argv = ["translate", str(CORPUS / "mltt.ftt"), str(CORPUS / "reflect.fttd"), "--to", to]
+    assert cli.main(argv) == 0
+    assert sorted(flavors) == ["cf", "tt"]
+
+
 def test_cli_translate_to_tt_takes_a_bound_reflection_proof(tmp_path, capsys):
     """The proof of the reflected equation is the variable the judgement
     abstracts over, so the search must take it from the atom it opens."""

@@ -48,7 +48,6 @@ from fintt.theory import (
     check_raw,
     check_standard,
     congruence_premises_tt,
-    congruence_premises_tt_eco,
     equality_rule,
     generic_application,
     is_symbol_rule,
@@ -330,9 +329,6 @@ def test_pi_congruence_shape(mltt_tt):
     assert premises[5] == Abstracted((BOOL,), EqTy(BOOL, NAT, DUMMY))
     pi_of = lambda a, fam: SymbolApp("Pi", (ExprArg(a), Abstr(ExprArg(fam))))
     assert conclusion == plain(EqTy(pi_of(BOOL, BOOL), pi_of(NAT, NAT), DUMMY))
-    eco_prem, eco_concl = congruence_premises_tt_eco(rule, left, right)
-    assert eco_concl == conclusion
-    assert eco_prem == [premises[4], premises[5]]
 
 
 def test_rule_instance_premises_fill_each_boundary(mltt_tt):

@@ -11,9 +11,9 @@ from fintt import cf_engine as cf
 from fintt import tt_engine as tt
 from fintt import translate as tr
 from fintt.derive import CFDeriver, TTDeriver
-from fintt.errors import KernelError
+from fintt.errors import KernelError, MissingContextEvidence
 from fintt.instantiation import Instantiation
-from fintt.judgements import EMPTY_METAS, EMPTY_VARS, MetaCtx, VarCtx, plain
+from fintt.judgements import EMPTY_METAS, EMPTY_VARS, MetaCtx, VarCtx, plain, unfill
 from fintt.syntax import (
     Abstr,
     Abstracted,
@@ -278,18 +278,43 @@ def test_tt_to_cf_translates_every_node_kind(corpus_cf, corpus_tt, kind):
     assert double_erase(cert.payload) == double_erase(want)
 
 
+@pytest.mark.parametrize("kind", [k for k in NODE_KINDS if not k.startswith("TT-Bdry")])
+def test_presuppositions_of_every_judgement_node_kind(corpus_tt, kind):
+    """Each judgement kind, at the root, has presuppositions concluding the
+    boundary of its judgement."""
+    d = node_kind_table(corpus_tt)[kind]
+    ttd = TTDeriver(corpus_tt)
+    evidence = ttd.mctx_wf(TABLE_METAS), ttd.vctx_wf(TABLE_METAS, TABLE_VARS)
+    bd = tt.presuppositions(corpus_tt, d, *evidence)
+    tt.check_derivation(corpus_tt, bd)
+    assert bd.conclusion == tt.BdryTT(TABLE_METAS, TABLE_VARS, unfill(d.conclusion.jdg)[0])
+
+
 def test_tt_to_cf_of_equal_substitution_into_a_type_metavariable(corpus_cf, corpus_tt):
-    """Equal substitution of  a == a  into  {x:nat} F(x) type  gives a
-    metavariable congruence on a type metavariable, which translates."""
+    """Equal substitution of  a == a  into  {x:nat} F(x) type, and into
+    {x:nat} N(x) : nat, gives a full metavariable congruence, which
+    translates and has its presuppositions.  The term metavariable's node
+    needs metavariable-context evidence for its type equation."""
     th = corpus_tt
     ttd = TTDeriver(th)
-    fam = ttd.judgement(TABLE_METAS, TABLE_VARS, Abstracted((NAT,), IsTy(f_of(BoundVar(0)))))
     a_d = tt.tt_var(th, TABLE_METAS, TABLE_VARS, A)
-    out = tt.eq_subst_n(th, fam, [a_d], [a_d], [tt.eqtm_refl(th, a_d)])
-    assert out.conclusion.jdg == plain(EqTy(f_of(A), f_of(A), DUMMY))
-    evidence = ttd.mctx_wf(TABLE_METAS), ttd.vctx_wf(TABLE_METAS, TABLE_VARS)
-    cert = tr.tt_to_cf(th, corpus_cf, out, *evidence)
-    assert double_erase(cert.payload) == out.conclusion.jdg
+    mctx_d, vctx_d = ttd.mctx_wf(TABLE_METAS), ttd.vctx_wf(TABLE_METAS, TABLE_VARS)
+    triple = [a_d], [a_d], [tt.eqtm_refl(th, a_d)]
+    for meta in (F, N):
+        m_x, m_a = MetaApp(meta, (BoundVar(0),)), MetaApp(meta, (A,))
+        body = IsTy(m_x) if meta == F else IsTm(m_x, NAT)
+        fam = ttd.judgement(TABLE_METAS, TABLE_VARS, Abstracted((NAT,), body))
+        out = tt.eq_subst_n(th, fam, *triple, mctx_deriv=mctx_d)
+        want = EqTy(m_a, m_a, DUMMY) if meta == F else EqTm(m_a, m_a, NAT, DUMMY)
+        assert out.conclusion.jdg == plain(want)
+        assert out.rule == "TT-Meta-Congr"
+        tt.check_derivation(th, out)
+        cert = tr.tt_to_cf(th, corpus_cf, out, mctx_d, vctx_d)
+        assert double_erase(cert.payload) == out.conclusion.jdg
+        bd = tt.presuppositions(th, out, mctx_d, vctx_d)
+        assert bd.conclusion.bdry == unfill(out.conclusion.jdg)[0]
+    with pytest.raises(MissingContextEvidence, match="N"):
+        tt.eq_subst_n(th, fam, *triple)
 
 
 def test_round_trip_cf_tt_cf(reflect_cert, corpus_cf, corpus_tt):

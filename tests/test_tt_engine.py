@@ -209,7 +209,7 @@ def test_subst_eqty_example(corpus_tt):
     # s == t by reflexivity is impossible for distinct vars; use same var
     s2 = tt.tt_var(th, EMPTY_METAS, vctx2, b)
     eq = tt.eqtm_refl(th, s2)
-    out = tt.subst_eqty(th, fam2, [s_d], [s_d], [eq])
+    out = tt.eq_subst_n(th, fam2, [s_d], [s_d], [eq])
     want = EqTy(
         SymbolApp("Id", (ExprArg(NAT), ExprArg(b), ExprArg(b))),
         SymbolApp("Id", (ExprArg(NAT), ExprArg(b), ExprArg(b))),
@@ -353,7 +353,9 @@ def test_uniqueness_of_typing(corpus_tt):
 
 
 def test_meta_congr_eco_agrees_with_full(corpus_tt):
-    """Economic and full metavariable congruence produce one conclusion."""
+    """Economic metavariable congruence, derived by equal substitution into
+    {x:nat} N(x) : nat, is a full metavariable congruence node with the full
+    rule's conclusion."""
     th = corpus_tt
     n = MetaName("N")
     bdry = Abstracted((NAT,), IsTmB(NAT))
@@ -364,7 +366,9 @@ def test_meta_congr_eco_agrees_with_full(corpus_tt):
     s_d = deriver.tm(mctx, vctx, b, NAT)
     eq_d = tt.eqtm_refl(th, s_d)
     full_prem, full_concl = _meta_congr_parts(th, mctx, vctx, n, b, deriver)
-    eco = tt.meta_congr(th, mctx, vctx, n, [b], [b], [eq_d], economic=True)
+    fam = deriver.judgement(mctx, vctx, Abstracted((NAT,), IsTm(MetaApp(n, (BoundVar(0),)), NAT)))
+    eco = tt.eq_subst_n(th, fam, [s_d], [s_d], [eq_d], mctx_deriv=deriver.mctx_wf(mctx))
+    assert eco.rule == "TT-Meta-Congr"
     assert eco.conclusion.jdg == full_concl
     tt.check_derivation(th, eco)
 
@@ -492,10 +496,8 @@ def _sample_derivations(th):
         tt.bdry_eqty(th, nat_d, nat_d),
         tt.specific(th, mctx, vctx, "succ", inst, [a_d], tt.bdry_tm(th, nat_d)),
         tt.congruence(th, mctx, vctx, "succ", inst, inst, [a_d, a_d, refl_tm, refl_ty]),
-        tt.congruence(th, mctx, vctx, "succ", inst, inst, [refl_tm], economic=True),
         tt.tt_meta(th, mctx, vctx, m, [a_d], tt.bdry_tm(th, nat_d)),
         tt.meta_congr(th, mctx, vctx, m, [a], [a], [a_d, a_d, refl_tm, refl_ty]),
-        tt.meta_congr(th, mctx, vctx, m, [a], [a], [refl_tm], economic=True),
     ]
     return out
 
