@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Union
 
 from .errors import ParseError
@@ -45,7 +46,7 @@ from .syntax import (
     SymbolApp,
     SymbolArity,
 )
-from .theory import TheoryBuilder, Theory
+from .theory import Theory, TheoryBuilder, erase_theory
 
 KEYWORDS = {
     "symbol",
@@ -128,23 +129,31 @@ def tokenize(text: str) -> list[Token]:
 # Declaration ASTs (kept for printing)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class SymbolDecl:
     name: str
     arity: SymbolArity
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class RuleDecl:
     name: str
-    premises: list[tuple[str, Abstracted]]  # metavariable name, boundary
+    premises: tuple[tuple[str, object], ...]  # metavariable name, parsed boundary
     kind: str  # "symbol" | "equality" | "explicit"
-    conclusion: Union[Abstracted, object]  # boundary thesis or explicit thesis
+    conclusion: object  # parsed boundary thesis or explicit thesis
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TheoryDecl:
-    decls: list[Union[SymbolDecl, RuleDecl]] = field(default_factory=list)
+    """The declarations of a theory file, in order.  They never change, so
+    the theory elaborated from them is computed once and kept here."""
+
+    decls: tuple[Union[SymbolDecl, RuleDecl], ...] = ()
+
+    @cached_property
+    def cf_theory(self) -> Theory:
+        """The cf elaboration (``elaborate``), computed on first use."""
+        return _elaborate_cf(self.decls)
 
 
 @dataclass
@@ -362,16 +371,16 @@ class Parser:
     # -- theory files -----------------------------------------------------------
 
     def theory(self) -> TheoryDecl:
-        decls = TheoryDecl()
+        decls = []
         while not self.at(""):
             if self.at("symbol"):
-                decls.decls.append(self.symbol_decl())
+                decls.append(self.symbol_decl())
             elif self.at("rule"):
-                decls.decls.append(self.rule_decl())
+                decls.append(self.rule_decl())
             else:
                 t = self.peek()
                 raise ParseError(f"expected a declaration, found {t.text!r}", t.line, t.col)
-        return decls
+        return TheoryDecl(tuple(decls))
 
     def symbol_decl(self) -> SymbolDecl:
         self.expect("symbol")
@@ -417,7 +426,7 @@ class Parser:
             self.expect(";")
         self.expect("yields")
         kind, concl = self.conclusion()
-        return RuleDecl(name, premises, kind, concl)
+        return RuleDecl(name, tuple(premises), kind, concl)
 
     # -- scripts -----------------------------------------------------------------
 
@@ -465,6 +474,18 @@ class Parser:
 
 # ---------------------------------------------------------------------------
 # Name resolution
+
+
+# Each parsed boundary or conclusion form: the kind of rule it declares after
+# ``yields``, and its thesis.  The symbol and equality forms are boundaries.
+_THESES = {
+    "ty": ("symbol", IsTyB),
+    "tm": ("symbol", IsTmB),
+    "eqty": ("equality", EqTyB),
+    "eqtm": ("equality", EqTmB),
+    "isty": ("explicit", IsTy),
+    "istm": ("explicit", IsTm),
+}
 
 
 class Scope:
@@ -565,22 +586,10 @@ class Scope:
         for n, ty in prefix:
             tys.append(self.resolve_expr(ty, names))
             names = names + (n,)
-        match body:
-            case ("ty",):
-                thesis = IsTyB()
-            case ("tm", e):
-                thesis = IsTmB(self.resolve_expr(e, names))
-            case ("eqty", e1, e2):
-                thesis = EqTyB(self.resolve_expr(e1, names), self.resolve_expr(e2, names))
-            case ("eqtm", e1, e2, ty):
-                thesis = EqTmB(
-                    self.resolve_expr(e1, names),
-                    self.resolve_expr(e2, names),
-                    self.resolve_expr(ty, names),
-                )
-            case _:
-                raise ParseError(f"malformed boundary {body!r}")
-        return Abstracted(tuple(tys), thesis)
+        kind, thesis = _THESES.get(body[0], ("explicit", None))
+        if kind == "explicit":
+            raise ParseError(f"malformed boundary {body!r}")
+        return Abstracted(tuple(tys), thesis(*[self.resolve_expr(e, names) for e in body[1:]]))
 
 
 def _bound_index(binders, name: str) -> int:
@@ -596,9 +605,25 @@ def _bound_index(binders, name: str) -> int:
 
 
 def elaborate(decl: TheoryDecl, flavor: str) -> Theory:
-    """Builds a theory of the requested flavour from parsed declarations."""
-    builder = TheoryBuilder(flavor)
-    for d in decl.decls:
+    """The theory of the parsed declarations in the requested flavour.  The
+    declarations are elaborated once, to the cf flavour, and the declaration
+    keeps that theory (``TheoryDecl.cf_theory``); the tt theory is its
+    rule-wise erasure (``theory.erase_theory``), as the paper translates a
+    context-free theory into a contexted one."""
+    if flavor not in ("tt", "cf"):
+        raise ValueError("flavor must be 'tt' or 'cf'")
+    theory = decl.cf_theory
+    return theory if flavor == "cf" else erase_theory(theory)
+
+
+def _elaborate_cf(decls: tuple[Union[SymbolDecl, RuleDecl], ...]) -> Theory:
+    builder = TheoryBuilder("cf")
+    declare = {
+        "symbol": builder.declare_symbol_rule,
+        "equality": builder.declare_equality_rule,
+        "explicit": builder.declare_explicit_rule,
+    }
+    for d in decls:
         if isinstance(d, SymbolDecl):
             builder.add_symbol(d.name, d.arity)
             continue
@@ -606,43 +631,13 @@ def elaborate(decl: TheoryDecl, flavor: str) -> Theory:
         scope = Scope(builder.signature, metas, {}, loose_metas=True)
         premises = []
         for m_name, b_node in d.premises:
-            b = scope.resolve_boundary(b_node)
-            premises.append((m_name, b))
+            premises.append((m_name, scope.resolve_boundary(b_node)))
             metas[m_name] = MetaName(m_name)
-        if d.kind == "symbol":
-            body = d.conclusion
-            match body:
-                case ("ty",):
-                    concl = IsTyB()
-                case ("tm", e):
-                    concl = IsTmB(scope.resolve_expr(e, ()))
-                case _:
-                    raise ParseError(f"malformed conclusion for rule {d.name}")
-            builder.declare_symbol_rule(d.name, premises, concl)
-        elif d.kind == "equality":
-            body = d.conclusion
-            match body:
-                case ("eqty", e1, e2):
-                    concl = EqTyB(scope.resolve_expr(e1, ()), scope.resolve_expr(e2, ()))
-                case ("eqtm", e1, e2, ty):
-                    concl = EqTmB(
-                        scope.resolve_expr(e1, ()),
-                        scope.resolve_expr(e2, ()),
-                        scope.resolve_expr(ty, ()),
-                    )
-                case _:
-                    raise ParseError(f"malformed conclusion for rule {d.name}")
-            builder.declare_equality_rule(d.name, premises, concl)
-        else:
-            body = d.conclusion
-            match body:
-                case ("isty", e):
-                    concl = IsTy(scope.resolve_expr(e, ()))
-                case ("istm", e, ty):
-                    concl = IsTm(scope.resolve_expr(e, ()), scope.resolve_expr(ty, ()))
-                case _:
-                    raise ParseError(f"malformed conclusion for rule {d.name}")
-            builder.declare_explicit_rule(d.name, premises, concl)
+        tag, *exprs = d.conclusion
+        kind, thesis = _THESES.get(tag, (None, None))
+        if kind != d.kind:
+            raise ParseError(f"malformed conclusion for rule {d.name}")
+        declare[kind](d.name, premises, thesis(*[scope.resolve_expr(e, ()) for e in exprs]))
     return builder.theory()
 
 

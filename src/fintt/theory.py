@@ -54,6 +54,7 @@ from .syntax import (
     arity_check,
     asm,
     boundary_arity,
+    double_erase,
     fv,
     mv,
     mv_shallow,
@@ -179,10 +180,9 @@ def generic_application(m: MetaName, arity: MetaArity, flavor: Flavor) -> Argume
     return inner
 
 
-def symbol_rule(
-    sig: Signature, rb: RuleBoundary, symbol: str, flavor: Flavor
-) -> tuple[Signature, RawRule]:
-    """Extends the signature with ``symbol`` and returns its associated rule."""
+def symbol_rule(sig: Signature, rb: RuleBoundary, symbol: str) -> tuple[Signature, RawRule]:
+    """Extends the signature with ``symbol`` and returns its associated (cf)
+    rule."""
     if not rb.is_object:
         raise NotObjectBoundary("symbol rules arise from object rule-boundaries")
     if symbol in sig:
@@ -194,22 +194,20 @@ def symbol_rule(
     head = SymbolApp(
         symbol,
         tuple(
-            generic_application(m, boundary_arity(b), flavor) for m, b in rb.premises
+            generic_application(m, boundary_arity(b), "cf") for m, b in rb.premises
         ),
     )
     conclusion = fill(plain(rb.conclusion), ExprArg(head)).body
     return new_sig, RawRule(rb.premises, conclusion)
 
 
-def equality_rule(rb: RuleBoundary, flavor: Flavor) -> RawRule:
-    """The equality rule associated to an equality rule-boundary."""
+def equality_rule(rb: RuleBoundary) -> RawRule:
+    """The (cf) equality rule associated to an equality rule-boundary: its
+    conclusion assumes the premise metavariables the boundary omits."""
     if rb.is_object:
         raise NotEqualityBoundary("equality rules arise from equality rule-boundaries")
-    if flavor == "tt":
-        head: Argument = DUMMY
-    else:
-        everything = AssumptionSet(frozenset(), frozenset(), frozenset(m for m, _ in rb.premises))
-        head = AsmArg(everything.difference(asm(plain(rb.conclusion))))
+    everything = AssumptionSet(frozenset(), frozenset(), frozenset(m for m, _ in rb.premises))
+    head = AsmArg(everything.difference(asm(plain(rb.conclusion))))
     conclusion = fill(plain(rb.conclusion), head).body
     return RawRule(rb.premises, conclusion)
 
@@ -495,11 +493,12 @@ def check_raw_once(theory: Theory, r: TheoryRule) -> None:
 
 
 def check_standard(theory: Theory) -> None:
-    """Checks that object rules are symbol rules, one per symbol.
+    """Checks that the object rules are the symbol rules, one per symbol.
 
-    Assumes ``check_finitary`` has already passed; raises
-    :class:`DuplicateSymbolRule` or :class:`NotObjectRule`-flavoured errors
-    via :class:`DuplicateSymbolRule` and ``MetaNotIntroduced`` otherwise.
+    Assumes ``check_finitary`` has already passed.  Raises
+    :class:`NotObjectRule` for an object rule that is not a symbol rule, and
+    :class:`DuplicateSymbolRule` for two rules of one symbol or for a symbol
+    with no rule.
     """
     seen_symbols: set[str] = set()
     for r in theory.rules:
@@ -555,29 +554,29 @@ def _annotate(x, mapping: dict[str, MetaName]):
 
 
 class TheoryBuilder:
-    """Assembles a theory of one flavour from declarations written with bare
-    metavariable names; the cf elaboration annotates them progressively."""
+    """Assembles a theory from declarations written with bare metavariable
+    names.  It elaborates them to the cf flavour, annotating each premise
+    metavariable with its own boundary as it goes; the flavour only chooses
+    what ``theory()`` returns: that theory, or for tt its rule-wise erasure
+    (``erase_theory``)."""
 
     def __init__(self, flavor: Flavor):
+        if flavor not in ("tt", "cf"):
+            raise ValueError("flavor must be 'tt' or 'cf'")
         self.flavor = flavor
         self.signature = Signature()
         self.rules: list[TheoryRule] = []
 
-    def _elaborate_premises(
-        self, premises: list[tuple[str, AbstractedBoundary]]
-    ) -> tuple[tuple[MetaName, AbstractedBoundary], ...]:
+    def _elaborate(self, premises: list[tuple[str, AbstractedBoundary]], conclusion):
+        """The premises, each metavariable annotated with its boundary, and
+        the conclusion, with each earlier premise's name annotated."""
         out = []
         mapping: dict[str, MetaName] = {}
         for name, b in premises:
-            if self.flavor == "cf":
-                b2 = _annotate(b, mapping)
-                m = MetaName(name, b2)
-            else:
-                b2 = b
-                m = MetaName(name)
-            mapping[name] = m
-            out.append((m, b2))
-        return tuple(out), mapping
+            b = _annotate(b, mapping)
+            mapping[name] = m = MetaName(name, b)
+            out.append((m, b))
+        return tuple(out), _annotate(conclusion, mapping)
 
     def add_symbol(self, name: str, arity: SymbolArity) -> "TheoryBuilder":
         self.signature = self.signature.extend(name, arity)
@@ -591,10 +590,8 @@ class TheoryBuilder:
         symbol: Optional[str] = None,
     ) -> "TheoryBuilder":
         symbol = symbol or rule_name
-        prem, mapping = self._elaborate_premises(premises)
-        concl = _annotate(conclusion, mapping) if self.flavor == "cf" else conclusion
-        rb = RuleBoundary(prem, concl)
-        self.signature, rule = symbol_rule(self.signature, rb, symbol, self.flavor)
+        rb = RuleBoundary(*self._elaborate(premises, conclusion))
+        self.signature, rule = symbol_rule(self.signature, rb, symbol)
         self.rules.append(TheoryRule(rule_name, rule, symbol_for=symbol))
         return self
 
@@ -604,9 +601,7 @@ class TheoryBuilder:
         premises: list[tuple[str, AbstractedBoundary]],
         conclusion: BoundaryThesis,
     ) -> "TheoryBuilder":
-        prem, mapping = self._elaborate_premises(premises)
-        concl = _annotate(conclusion, mapping) if self.flavor == "cf" else conclusion
-        rule = equality_rule(RuleBoundary(prem, concl), self.flavor)
+        rule = equality_rule(RuleBoundary(*self._elaborate(premises, conclusion)))
         self.rules.append(TheoryRule(rule_name, rule))
         return self
 
@@ -617,13 +612,30 @@ class TheoryBuilder:
         conclusion: Thesis,
     ) -> "TheoryBuilder":
         """A rule whose conclusion judgement is spelled out (object rules)."""
-        prem, mapping = self._elaborate_premises(premises)
-        concl = _annotate(conclusion, mapping) if self.flavor == "cf" else conclusion
-        rule = RawRule(prem, concl)
+        rule = RawRule(*self._elaborate(premises, conclusion))
         self.rules.append(
-            TheoryRule(rule_name, rule, symbol_for=is_symbol_rule(self.signature, rule, self.flavor))
+            TheoryRule(rule_name, rule, symbol_for=is_symbol_rule(self.signature, rule, "cf"))
         )
         return self
 
     def theory(self) -> Theory:
-        return Theory(self.signature, self.rules, self.flavor)
+        annotated = Theory(self.signature, self.rules, "cf")
+        return erase_theory(annotated) if self.flavor == "tt" else annotated
+
+
+def erase_theory(theory: Theory) -> Theory:
+    """The rule-wise erasure of a cf theory, the tt theory of its
+    declarations: bare premise metavariables, and ``double_erase`` of each
+    premise boundary and conclusion.  It shares the cf theory's signature,
+    so ``arity_check`` passes recorded by either gate serve both.  A rule
+    that is no cf symbol rule may be a tt one: the tt generic application of
+    an equation premise is the dummy value, which the text may write."""
+    sig = theory.signature
+    rules = []
+    for r in theory.rules:
+        rule = RawRule(
+            tuple((MetaName(m.name), double_erase(b)) for m, b in r.rule.premises),
+            double_erase(r.rule.conclusion),
+        )
+        rules.append(TheoryRule(r.name, rule, r.symbol_for or is_symbol_rule(sig, rule, "tt")))
+    return Theory(sig, rules, "tt")

@@ -59,7 +59,7 @@ from .syntax import (
     fv,
     mv,
 )
-from .theory import RawRule, Theory, TheoryRule
+from .theory import Theory
 
 
 # ---------------------------------------------------------------------------
@@ -137,19 +137,6 @@ def suitable_context(
     return mctx, vctx
 
 
-def cf_theory_to_tt(theory: Theory) -> Theory:
-    """Rule-wise erasure of a cf theory; annotated atoms become tt names."""
-    if theory.flavor != "cf":
-        raise UnsuitableContext("expected a cf theory")
-    rules = []
-    for r in theory.rules:
-        prem = tuple((m, erase(b)) for m, b in r.rule.premises)
-        rules.append(
-            TheoryRule(r.name, RawRule(prem, erase(r.rule.conclusion)), r.symbol_for)
-        )
-    return Theory(theory.signature, rules, "tt")
-
-
 # ---------------------------------------------------------------------------
 # cf -> tt: judgement reconstruction
 
@@ -194,8 +181,8 @@ class CfToTT:
     Certificates carry no derivations, so the tt obligation search rebuilds
     one, resolving a premise that matching leaves open from the assumption
     set of the judgement (see ``_HintDeriver``).  ``tt_theory`` is the
-    contexted counterpart the derivations check against (the canonical
-    contexted elaboration, or the rule-wise erasure of the cf theory)."""
+    contexted counterpart the derivations check against: the rule-wise
+    erasure of the cf theory, which is what ``elaborate`` returns for tt."""
 
     def __init__(self, cf_theory: Theory, tt_theory: Theory):
         self.cf = cf_theory

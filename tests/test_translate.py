@@ -3,6 +3,7 @@ cf -> tt reconstruction, tt -> cf elaboration of every node kind, round
 trips."""
 
 import dataclasses
+import pathlib
 import random
 
 import pytest
@@ -39,9 +40,12 @@ from fintt.syntax import (
     fv,
     mv,
 )
-from fintt.theory import check_finitary, check_standard
+from fintt.parser import elaborate, parse_theory
+from fintt.theory import check_finitary, check_standard, erase_theory
 
 from .gen import CertGen
+
+CORPUS = pathlib.Path(__file__).parent / "corpus"
 
 BOOL = SymbolApp("bool", ())
 NAT = SymbolApp("nat", ())
@@ -73,9 +77,14 @@ def test_suitable_context_pulls_in_dependencies():
 
 
 def test_cf_theory_to_tt_is_finitary(corpus_cf):
-    t_tt = tr.cf_theory_to_tt(corpus_cf)
+    t_tt = erase_theory(corpus_cf)
     check_finitary(t_tt)
     check_standard(t_tt)
+    parsed = elaborate(parse_theory((CORPUS / "mltt.ftt").read_text()), "tt")
+    assert t_tt.rules == parsed.rules
+    assert [(s, t_tt.signature[s]) for s in t_tt.signature] == [
+        (s, parsed.signature[s]) for s in parsed.signature
+    ]
 
 
 def test_cf_to_tt_var_case(corpus_cf, corpus_tt):
