@@ -497,20 +497,32 @@ class Deriver:
         fill of its boundary that the search derives, an object one the head
         ``_undetermined`` gives.  A binder-free object fill goes straight to
         its goal, so that a term costs the search three frames a level.  Only
-        a premise boundary that mentions a metavariable is acted on."""
+        a premise boundary that mentions a metavariable is acted on, with one
+        instantiation of the heads known so far and of the rest of ``sol``,
+        built when first needed and again only after the search fills a
+        premise; it is the one the constructor checks, if still whole."""
         entries = []
         kids = []
+        inst = None
         for (m, b), is_object in zip(rule.premises, rule.parts.objects):
-            b_inst = act(Instantiation(entries), b) if mv(b) else b
+            if mv(b):
+                if inst is None:
+                    rest = rule.premises[len(entries):]
+                    inst = Instantiation(entries + [(k, sol[k]) for k, _ in rest if k in sol])
+                b_inst = act(inst, b)
+            else:
+                b_inst = b
             if m in sol:
                 head = sol[m]
             elif not is_object:
                 w = self._equation(cx, b_inst, depth + 1)
                 kids.append(w)
                 entries.append((m, self._head(w, b_inst)))
+                inst = None
                 continue
             else:
                 head = self._undetermined(cx, m, b_inst)
+                inst = None
             match b_inst.prefix, b_inst.body, head:
                 case (), IsTmB(ty=a), ExprArg(expr=t):
                     kids.append(self._tm(cx, t, a, depth + 1))
@@ -519,7 +531,7 @@ class Deriver:
                 case _:
                     kids.append(self._judgement(cx, fill(b_inst, head), depth + 1))
             entries.append((m, head))
-        return self._rule(cx, name, entries, kids)
+        return self._rule(cx, name, entries, inst, kids)
 
     def _undetermined(self, cx, m: MetaName, b: Abstracted) -> Argument:
         """The head of the object premise ``m``, at its instantiated boundary
@@ -608,8 +620,11 @@ class TTDeriver(Deriver):
         kids = self._meta_premises(cx, e, mctx[m], depth)
         return tt.tt_meta(self.theory, mctx, vctx, m, kids)
 
-    def _rule(self, cx, name: str, entries: list, kids: list):
-        return tt.specific(self.theory, *cx, name, Instantiation(entries), kids)
+    def _rule(self, cx, name: str, entries: list, inst: Optional[Instantiation], kids: list):
+        """``inst``, when not None, is ``Instantiation(entries)``, built."""
+        if inst is None:
+            inst = Instantiation(entries)
+        return tt.specific(self.theory, *cx, name, inst, kids)
 
     def _refl(self, cx, lhs: Expr, rhs: Expr, ty: Optional[Expr], depth: int):
         """Reflexivity, when the sides are equal; None otherwise."""
@@ -694,7 +709,7 @@ class CFDeriver(Deriver):
         kids = self._meta_premises(cx, e, m.annotation, depth)
         return cf.cf_meta(self.theory, m, kids, annotation_cert=ann_cert)
 
-    def _rule(self, cx, name: str, entries: list, kids: list):
+    def _rule(self, cx, name: str, entries: list, inst: Optional[Instantiation], kids: list):
         return cf.cf_apply_rule(self.theory, name, kids)
 
     def _refl(self, cx, lhs: Expr, rhs: Expr, ty: Optional[Expr], depth: int):

@@ -280,13 +280,16 @@ class Parser:
         return ("expr-arg", names, e)
 
     def _brace_is_binder(self) -> bool:
-        # `{x}` is a binder; `{x, ...}`, `{}` and `{x^...}` are sets
+        # `{x}` is a binder when the argument goes on after it; `{x, ...}`,
+        # `{}`, `{x^...}` and an argument that is all `{x}` are sets
         j = self.i
         if self.toks[j].text != "{":
             return False
         if self.toks[j + 1].kind != "name":
             return False
-        return self.toks[j + 2].text == "}" and self.toks[j + 1].text not in KEYWORDS
+        if self.toks[j + 2].text != "}" or self.toks[j + 1].text in KEYWORDS:
+            return False
+        return self.toks[j + 3].text not in (",", ")")
 
     def assumption_set(self, binders: list[str]):
         self.expect("{")

@@ -373,6 +373,17 @@ class TheoryRule:
     symbol_for: Optional[str] = None  # set when the rule was generated for a symbol
 
 
+class Origin:
+    """The token a theory and all its prefixes share (``Theory.origin``),
+    with what they share: the tt engine's table of live derivation nodes
+    (``tt_engine.node``)."""
+
+    __slots__ = ("nodes",)
+
+    def __init__(self):
+        self.nodes: dict = {}
+
+
 class Theory:
     """A signature together with an ordered list of named specific rules.
 
@@ -388,7 +399,7 @@ class Theory:
         by_name = {r.name: (i, r) for i, r in enumerate(rules)}
         if len(by_name) != len(rules):
             raise ValueError("rule names must be distinct")
-        self._init(signature, rules, flavor, by_name, object())
+        self._init(signature, rules, flavor, by_name, Origin())
 
     def _init(self, signature: Signature, rules: tuple, flavor: Flavor, by_name: dict, token):
         """Sets every field; ``__init__`` and ``prefix`` both end here."""
@@ -404,7 +415,7 @@ class Theory:
         # token was made for, itself unless made by ``prefix``.  A token and
         # not that theory: certificates held by the theory refer to its
         # prefixes, and the reference back would make a cycle.
-        self.origin: tuple[object, int] = (token, len(rules))
+        self.origin: tuple[Origin, int] = (token, len(rules))
 
     def cached(self, key, compute):
         """``compute()``, remembered on the theory under ``key``."""

@@ -182,14 +182,22 @@ class CfToTT:
     one, resolving a premise that matching leaves open from the assumption
     set of the judgement (see ``_HintDeriver``).  ``tt_theory`` is the
     contexted counterpart the derivations check against: the rule-wise
-    erasure of the cf theory, which is what ``elaborate`` returns for tt."""
+    erasure of the cf theory, which is what ``elaborate`` returns for tt.
+    A result depends only on the payload and the context asked for, so each
+    pair is translated once per translator."""
 
     def __init__(self, cf_theory: Theory, tt_theory: Theory):
         self.cf = cf_theory
         self.tt = tt_theory
+        self._done: dict = {}
 
     def judgement(self, cert: cf.CertifiedJudgement, ctx=None):
-        payload = cert.payload
+        key = (cert.payload, ctx)
+        if key not in self._done:
+            self._done[key] = self._judgement(cert.payload, ctx)
+        return self._done[key]
+
+    def _judgement(self, payload, ctx):
         if ctx is None:
             mctx, vctx = suitable_context(sorted(mv(payload), key=lambda m: m.name),
                                           sorted(fv(payload), key=lambda v: v.name))

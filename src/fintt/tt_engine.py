@@ -2,12 +2,17 @@
 checker, and the admissible operations (substitution, instantiation,
 presuppositions, natural types, inversion).
 
-Derivations are explicit trees.  Every node records the contexts it works in
-and the side data of its closure rule; ``_infer`` recomputes the node's
-conclusion from its children, so the constructors and ``check_derivation``
-cannot drift apart.  The admissible operations are derivation-to-derivation
-transformations mirroring the constructive proofs, and always return trees
-the checker accepts.
+Derivations are explicit trees that share subtrees.  Every node records the
+contexts it works in and the side data of its closure rule; ``_infer``
+recomputes the node's conclusion from its children, so the constructors and
+``check_derivation`` cannot drift apart.  ``node`` keeps one live node per
+(rule, data, premise objects) in a weak table shared by a theory's prefixes,
+and hands it without a second inference to callers over its prefix or a
+longer one; a node built directly is never in the table.
+``check_derivation``, hashing and the rebuilding walks visit each distinct
+node once, on explicit stacks.  The admissible operations are
+derivation-to-derivation transformations mirroring the constructive
+proofs, and always return trees the checker accepts.
 
 The economic node kinds ``TT-Meta-Eco`` and ``TT-Specific-Eco`` omit the
 boundary premise; they are sound in finitary theories, which are the only
@@ -29,7 +34,10 @@ to ``_SLOTS`` and a case to ``_infer``.
 
 from __future__ import annotations
 
+import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
@@ -127,12 +135,47 @@ class VctxWF:
 Statement = Union[JdgTT, BdryTT, MctxWF, VctxWF]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Derivation:
+    """A node.  Its hash is computed once, on first use, from its rule, its
+    data, its conclusion and its premises' hashes, which are computed first
+    on an explicit stack; ``==`` compares two trees on one, each pair of
+    distinct nodes once."""
+
     rule: str
     data: tuple
     premises: tuple["Derivation", ...]
     conclusion: Statement
+    _h = None  # not a field: the stored hash
+
+    def __hash__(self) -> int:
+        if self._h is None:
+            _bottom_up(self, _premises, _store_hash, pre=_hash_of)
+        return self._h
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Derivation):
+            return NotImplemented
+        stack, seen = [(self, other)], set()
+        while stack:
+            a, b = stack.pop()
+            if a is not b and (id(a), id(b)) not in seen:
+                seen.add((id(a), id(b)))
+                if (a.rule, a.data, len(a.premises), a.conclusion) != (b.rule, b.data, len(b.premises), b.conclusion):
+                    return False
+                stack += zip(a.premises, b.premises)
+        return True
+
+    def __reduce__(self):  # the stored hash is not pickled
+        return Derivation, (self.rule, self.data, self.premises, self.conclusion)
+
+
+_hash_of, _premises = attrgetter("_h"), attrgetter("premises")
+
+
+def _store_hash(d: Derivation, _) -> int:
+    d.__dict__["_h"] = h = hash((d.rule, d.data, d.conclusion, *map(_hash_of, d.premises)))
+    return h  # set once, here: the dataclass is frozen
 
 
 # The kind of each ``Derivation.data`` slot, per closure rule: the
@@ -222,9 +265,25 @@ def _same_ctx(mctx: MetaCtx, vctx: VarCtx, stmts: Sequence[Statement], what: str
             raise BadNode(f"premise context mismatch in {what}")
 
 
+def _fits(rule: str, mctx, vctx, kids, prem, bdry=None, rule_name: Optional[str] = None) -> None:
+    """``kids``, in the node's contexts, are the judgements ``prem``, then ``bdry`` unless None."""
+    want = len(prem) + (bdry is not None)
+    if len(kids) != want:
+        raise BadNode(f"{rule} expects {want} premises, got {len(kids)}")
+    _same_ctx(mctx, vctx, kids, rule)
+    for got, need in zip(kids, prem):
+        if _want_jdg(got, rule) != need:
+            where = f" for rule {rule_name}" if rule_name else ""
+            raise BadNode(f"{rule} premise mismatch{where}: wanted {need}")
+    if bdry is not None and (not isinstance(kids[-1], BdryTT) or kids[-1].bdry != bdry):
+        raise BadNode(f"{rule} boundary premise mismatch")
+
+
 def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) -> Statement:
     """Computes the conclusion a node must have; raises on invalid nodes."""
-
+    if _SLOTS.get(rule) == _CTX:  # the rules whose premises share the node's contexts
+        mctx, vctx = data
+        _same_ctx(mctx, vctx, kids, rule)
     match rule:
         case "TT-Var":
             mctx, vctx, v = data
@@ -239,17 +298,7 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
             if m not in mctx:
                 raise SideConditionFailed(f"{m.name} not in the metavariable context")
             prem, bdry, concl = metavariable_rule_instance(m, mctx[m], list(terms))
-            want = len(prem) + (1 if rule == "TT-Meta" else 0)
-            if len(kids) != want:
-                raise BadNode(f"{rule} expects {want} premises, got {len(kids)}")
-            _same_ctx(mctx, vctx, kids, rule)
-            for got, need in zip(kids, prem):
-                if _want_jdg(got, rule) != need:
-                    raise BadNode(f"{rule} premise mismatch: wanted {need}")
-            if rule == "TT-Meta":
-                last = kids[-1]
-                if not isinstance(last, BdryTT) or last.bdry != bdry:
-                    raise BadNode("TT-Meta boundary premise mismatch")
+            _fits(rule, mctx, vctx, kids, prem, bdry if rule == "TT-Meta" else None)
             return JdgTT(mctx, vctx, concl)
 
         case "TT-Meta-Congr":
@@ -257,47 +306,38 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
             if m not in mctx:
                 raise SideConditionFailed(f"{m.name} not in the metavariable context")
             prem, concl = metavariable_congruence_instance(m, mctx[m], list(ss), list(ts))
-            if len(kids) != len(prem):
-                raise BadNode(f"{rule} expects {len(prem)} premises, got {len(kids)}")
-            _same_ctx(mctx, vctx, kids, rule)
-            for got, need in zip(kids, prem):
-                if _want_jdg(got, rule) != need:
-                    raise BadNode(f"{rule} premise mismatch: wanted {need}")
+            _fits(rule, mctx, vctx, kids, prem)
             return JdgTT(mctx, vctx, concl)
 
-        case "TT-Abstr":
+        case "TT-Abstr" | "TT-Bdry-Abstr":
             mctx, vctx, atom = data
             if len(kids) != 2:
-                raise BadNode("TT-Abstr expects 2 premises")
-            ty = _want_plain_thesis(kids[0], IsTy, "TT-Abstr").ty
+                raise BadNode(f"{rule} expects 2 premises")
+            ty = _want_plain_thesis(kids[0], IsTy, rule).ty
             km, kv = _ctxs(kids[0])
             if km != mctx or kv != vctx:
-                raise BadNode("TT-Abstr type premise context mismatch")
+                raise BadNode(f"{rule} type premise context mismatch")
             if atom in vctx:
                 raise SideConditionFailed(f"{atom.name} already in the variable context")
-            bm, bv_ = _ctxs(kids[1])
-            if bm != mctx or bv_ != vctx.extend(atom, ty):
-                raise BadNode("TT-Abstr body premise must extend the context by the atom")
-            body = _want_jdg(kids[1], "TT-Abstr")
-            return JdgTT(mctx, vctx, abstract_judgement(body, atom, ty))
+            body, kind = kids[1], JdgTT if rule == "TT-Abstr" else BdryTT
+            if not isinstance(body, kind):
+                raise BadNode(f"{rule} body premise must be a {'judgement' if kind is JdgTT else 'boundary'}")
+            if body.mctx != mctx or body.vctx != vctx.extend(atom, ty):
+                raise BadNode(f"{rule} body premise must extend the context by the atom")
+            inner = body.jdg if kind is JdgTT else body.bdry
+            return kind(mctx, vctx, abstract_judgement(inner, atom, ty))
 
         case "TT-EqTy-Refl":
-            (mctx, vctx) = data
-            _same_ctx(mctx, vctx, kids, rule)
             (k,) = kids
             a = _want_plain_thesis(k, IsTy, rule).ty
             return JdgTT(mctx, vctx, plain(EqTy(a, a, DUMMY)))
 
         case "TT-EqTy-Sym":
-            (mctx, vctx) = data
-            _same_ctx(mctx, vctx, kids, rule)
             (k,) = kids
             eq = _want_plain_thesis(k, EqTy, rule)
             return JdgTT(mctx, vctx, plain(EqTy(eq.rhs, eq.lhs, DUMMY)))
 
         case "TT-EqTy-Trans":
-            (mctx, vctx) = data
-            _same_ctx(mctx, vctx, kids, rule)
             k1, k2 = kids
             e1 = _want_plain_thesis(k1, EqTy, rule)
             e2 = _want_plain_thesis(k2, EqTy, rule)
@@ -306,22 +346,16 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
             return JdgTT(mctx, vctx, plain(EqTy(e1.lhs, e2.rhs, DUMMY)))
 
         case "TT-EqTm-Refl":
-            (mctx, vctx) = data
-            _same_ctx(mctx, vctx, kids, rule)
             (k,) = kids
             tm = _want_plain_thesis(k, IsTm, rule)
             return JdgTT(mctx, vctx, plain(EqTm(tm.term, tm.term, tm.ty, DUMMY)))
 
         case "TT-EqTm-Sym":
-            (mctx, vctx) = data
-            _same_ctx(mctx, vctx, kids, rule)
             (k,) = kids
             eq = _want_plain_thesis(k, EqTm, rule)
             return JdgTT(mctx, vctx, plain(EqTm(eq.rhs, eq.lhs, eq.ty, DUMMY)))
 
         case "TT-EqTm-Trans":
-            (mctx, vctx) = data
-            _same_ctx(mctx, vctx, kids, rule)
             k1, k2 = kids
             e1 = _want_plain_thesis(k1, EqTm, rule)
             e2 = _want_plain_thesis(k2, EqTm, rule)
@@ -330,8 +364,6 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
             return JdgTT(mctx, vctx, plain(EqTm(e1.lhs, e2.rhs, e1.ty, DUMMY)))
 
         case "TT-Conv-Tm":
-            (mctx, vctx) = data
-            _same_ctx(mctx, vctx, kids, rule)
             k1, k2 = kids
             tm = _want_plain_thesis(k1, IsTm, rule)
             eq = _want_plain_thesis(k2, EqTy, rule)
@@ -340,8 +372,6 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
             return JdgTT(mctx, vctx, plain(IsTm(tm.term, eq.rhs)))
 
         case "TT-Conv-EqTm":
-            (mctx, vctx) = data
-            _same_ctx(mctx, vctx, kids, rule)
             k1, k2 = kids
             tmeq = _want_plain_thesis(k1, EqTm, rule)
             eq = _want_plain_thesis(k2, EqTy, rule)
@@ -350,29 +380,22 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
             return JdgTT(mctx, vctx, plain(EqTm(tmeq.lhs, tmeq.rhs, eq.rhs, DUMMY)))
 
         case "TT-Bdry-Ty":
-            mctx, vctx = data
             if kids:
                 raise BadNode("TT-Bdry-Ty has no premises")
             return BdryTT(mctx, vctx, plain(IsTyB()))
 
         case "TT-Bdry-Tm":
-            (mctx, vctx) = data
-            _same_ctx(mctx, vctx, kids, rule)
             (k,) = kids
             a = _want_plain_thesis(k, IsTy, rule).ty
             return BdryTT(mctx, vctx, plain(IsTmB(a)))
 
         case "TT-Bdry-EqTy":
-            (mctx, vctx) = data
-            _same_ctx(mctx, vctx, kids, rule)
             k1, k2 = kids
             a = _want_plain_thesis(k1, IsTy, rule).ty
             b = _want_plain_thesis(k2, IsTy, rule).ty
             return BdryTT(mctx, vctx, plain(EqTyB(a, b)))
 
         case "TT-Bdry-EqTm":
-            (mctx, vctx) = data
-            _same_ctx(mctx, vctx, kids, rule)
             k1, k2, k3 = kids
             a = _want_plain_thesis(k1, IsTy, rule).ty
             s = _want_plain_thesis(k2, IsTm, rule)
@@ -380,24 +403,6 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
             if s.ty != a or t.ty != a:
                 raise BadNode("TT-Bdry-EqTm sides must live at the stated type")
             return BdryTT(mctx, vctx, plain(EqTmB(s.term, t.term, a)))
-
-        case "TT-Bdry-Abstr":
-            mctx, vctx, atom = data
-            if len(kids) != 2:
-                raise BadNode("TT-Bdry-Abstr expects 2 premises")
-            ty = _want_plain_thesis(kids[0], IsTy, rule).ty
-            km, kv = _ctxs(kids[0])
-            if km != mctx or kv != vctx:
-                raise BadNode("TT-Bdry-Abstr type premise context mismatch")
-            if atom in vctx:
-                raise SideConditionFailed(f"{atom.name} already in the variable context")
-            if not isinstance(kids[1], BdryTT):
-                raise BadNode("TT-Bdry-Abstr body premise must be a boundary")
-            bm, bv_ = _ctxs(kids[1])
-            if bm != mctx or bv_ != vctx.extend(atom, ty):
-                raise BadNode("TT-Bdry-Abstr body premise must extend the context")
-            body = kids[1].bdry
-            return BdryTT(mctx, vctx, abstract_judgement(body, atom, ty))
 
         case "MCtx-Empty":
             if kids or data:
@@ -442,51 +447,92 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
             mctx, vctx, rule_name, inst = data
             trule = theory.rule(rule_name)
             prem, bdry, concl = instance_of(rule_instance_premises, trule.rule, inst)
-            want = len(prem) + (1 if rule == "TT-Specific" else 0)
-            if len(kids) != want:
-                raise BadNode(f"{rule} expects {want} premises, got {len(kids)}")
-            _same_ctx(mctx, vctx, kids, rule)
-            for got, need in zip(kids, prem):
-                if _want_jdg(got, rule) != need:
-                    raise BadNode(
-                        f"{rule} premise mismatch for rule {rule_name}: wanted {need}"
-                    )
-            if rule == "TT-Specific":
-                last = kids[-1]
-                if not isinstance(last, BdryTT) or last.bdry != bdry:
-                    raise BadNode("TT-Specific boundary premise mismatch")
+            _fits(rule, mctx, vctx, kids, prem, bdry if rule == "TT-Specific" else None, rule_name)
             return JdgTT(mctx, vctx, concl)
 
         case "TT-Congr":
             mctx, vctx, rule_name, left, right = data
             trule = theory.rule(rule_name)
             prem, concl = instance_of(congruence_premises_tt, trule.rule, left, right)
-            if len(kids) != len(prem):
-                raise BadNode(f"{rule} expects {len(prem)} premises, got {len(kids)}")
-            _same_ctx(mctx, vctx, kids, rule)
-            for got, need in zip(kids, prem):
-                if _want_jdg(got, rule) != need:
-                    raise BadNode(f"{rule} premise mismatch: wanted {need}")
+            _fits(rule, mctx, vctx, kids, prem)
             return JdgTT(mctx, vctx, concl)
 
     raise BadNode(f"unknown closure rule {rule!r}")
 
 
+class _Entry(weakref.ref):
+    """A weak entry of a node table that knows its key, its table and the
+    number of rules of the theory its node was inferred over."""
+
+    __slots__ = ("key", "table", "n")
+
+
+def _drop(entry, remove=_remove_dead_weakref):
+    remove(entry.table, entry.key)
+
+
 def node(theory: Theory, rule: str, data: tuple, premises: Sequence[Derivation]) -> Derivation:
-    """Builds a node, computing (and thereby validating) its conclusion."""
-    concl = _infer(theory, rule, data, [p.conclusion for p in premises])
-    return Derivation(rule, data, tuple(premises), concl)
+    """Builds a node, computing (and thereby validating) its conclusion, or
+    returns the live node built by ``node`` from the same premise objects and
+    equal data over a prefix of ``theory``: derivability only grows with the
+    prefix.  The table of such nodes, shared by the prefixes of a theory
+    (``Theory.origin``), is keyed by the rule and the premises' ids (a node
+    holds its premises, so no id is reused while it lives), or for a leaf by
+    its data: data is compared on a hit, not hashed for every node built."""
+    premises = tuple(premises)
+    key = (rule, *map(id, premises)) if premises else (rule, data)
+    table, n = theory.origin[0].nodes, theory.origin[1]
+    entry = table.get(key)
+    d = entry() if entry is not None and entry.n <= n else None
+    if d is not None and d.data == data:
+        return d
+    d = Derivation(rule, data, premises, _infer(theory, rule, data, [p.conclusion for p in premises]))
+    entry = table[key] = _Entry(d, _drop)
+    entry.key, entry.table, entry.n = key, table, n
+    return d
+
+
+_READY = object()
+
+
+def _bottom_up(root, children, combine, key=id, pre=None, done=None):
+    """Sets ``done[key(x)]`` to ``combine(x, children(x))`` for ``root`` and
+    each item below it, children first, once per key, on an explicit stack,
+    and returns the root's; ``combine`` reads the children's results from
+    ``done``.  ``pre(x)``, when given, answers ``x`` before its children are
+    visited, unless it returns None."""
+    done = {} if done is None else done
+    stack = [root]
+    while stack:
+        x = stack.pop()
+        if x is _READY:
+            x, k, kids = stack.pop()
+        else:
+            k = key(x)
+            if k in done:
+                continue
+            out = None if pre is None else pre(x)
+            if out is not None:
+                done[k] = out
+                continue
+            kids = children(x)
+            if kids:
+                stack += ((x, k, kids), _READY, *reversed(kids))
+                continue
+        done[k] = combine(x, kids)
+    return done[key(root)]
 
 
 def check_derivation(theory: Theory, d: Derivation) -> None:
-    """Recomputes every node of ``d`` and compares against what is stored."""
-    for p in d.premises:
-        check_derivation(theory, p)
-    concl = _infer(theory, d.rule, d.data, [p.conclusion for p in d.premises])
-    if concl != d.conclusion:
-        raise BadNode(
-            f"node {d.rule} stores conclusion {d.conclusion!r} but infers {concl!r}"
-        )
+    """Recomputes every distinct node of ``d`` once, premises first, and
+    compares against what is stored."""
+
+    def check(n: Derivation, _) -> None:
+        concl = _infer(theory, n.rule, n.data, [p.conclusion for p in n.premises])
+        if concl != n.conclusion:
+            raise BadNode(f"node {n.rule} stores conclusion {n.conclusion!r} but infers {concl!r}")
+
+    _bottom_up(d, _premises, check)
 
 
 # ---------------------------------------------------------------------------
@@ -523,41 +569,30 @@ def tt_abstr(theory: Theory, ty_deriv: Derivation, body_deriv: Derivation, atom:
     return node(theory, "TT-Abstr", (mctx, vctx, atom), [ty_deriv, body_deriv])
 
 
-def _unary(kind: str):
-    def ctor(theory: Theory, d: Derivation) -> Derivation:
-        mctx, vctx = _ctxs(d.conclusion)
-        return node(theory, kind, (mctx, vctx), [d])
+def _in_context(kind: str):
+    """The constructor of a rule whose data are its premises' contexts."""
+
+    def ctor(theory: Theory, *premises: Derivation) -> Derivation:
+        return node(theory, kind, _ctxs(premises[0].conclusion), premises)
 
     return ctor
 
 
-def _binary(kind: str):
-    def ctor(theory: Theory, d1: Derivation, d2: Derivation) -> Derivation:
-        mctx, vctx = _ctxs(d1.conclusion)
-        return node(theory, kind, (mctx, vctx), [d1, d2])
-
-    return ctor
-
-
-eqty_refl = _unary("TT-EqTy-Refl")
-eqty_sym = _unary("TT-EqTy-Sym")
-eqty_trans = _binary("TT-EqTy-Trans")
-eqtm_refl = _unary("TT-EqTm-Refl")
-eqtm_sym = _unary("TT-EqTm-Sym")
-eqtm_trans = _binary("TT-EqTm-Trans")
-conv_tm = _binary("TT-Conv-Tm")
-conv_eqtm = _binary("TT-Conv-EqTm")
-bdry_tm = _unary("TT-Bdry-Tm")
-bdry_eqty = _binary("TT-Bdry-EqTy")
+eqty_refl = _in_context("TT-EqTy-Refl")
+eqty_sym = _in_context("TT-EqTy-Sym")
+eqty_trans = _in_context("TT-EqTy-Trans")
+eqtm_refl = _in_context("TT-EqTm-Refl")
+eqtm_sym = _in_context("TT-EqTm-Sym")
+eqtm_trans = _in_context("TT-EqTm-Trans")
+conv_tm = _in_context("TT-Conv-Tm")
+conv_eqtm = _in_context("TT-Conv-EqTm")
+bdry_tm = _in_context("TT-Bdry-Tm")
+bdry_eqty = _in_context("TT-Bdry-EqTy")
+bdry_eqtm = _in_context("TT-Bdry-EqTm")
 
 
 def bdry_ty(theory: Theory, mctx: MetaCtx, vctx: VarCtx) -> Derivation:
     return node(theory, "TT-Bdry-Ty", (mctx, vctx), [])
-
-
-def bdry_eqtm(theory: Theory, ty: Derivation, lhs: Derivation, rhs: Derivation) -> Derivation:
-    mctx, vctx = _ctxs(ty.conclusion)
-    return node(theory, "TT-Bdry-EqTm", (mctx, vctx), [ty, lhs, rhs])
 
 
 def bdry_abstr(theory: Theory, ty_deriv: Derivation, body_deriv: Derivation, atom: FreeVar) -> Derivation:
@@ -691,18 +726,17 @@ def _all_names(d: Derivation) -> set[str]:
 
 
 def _map_derivation(theory: Theory, d: Derivation, maps: dict, special=None) -> Derivation:
-    """``d`` rebuilt node by node with ``_map_data(.., maps)``; ``special(n,
-    walk)``, when given, answers each node ``n`` it returns a derivation for
-    (``walk`` continues the rebuild below it) and may refuse a node by
-    raising."""
+    """``d`` rebuilt with ``_map_data(.., maps)``, each distinct node once;
+    ``special(n, walk)``, when given, answers each node ``n`` it returns a
+    derivation for (``walk`` continues the rebuild below it) and may refuse a
+    node by raising."""
+    done: dict = {}
 
-    def walk(d: Derivation) -> Derivation:
-        if special is not None:
-            out = special(d, walk)
-            if out is not None:
-                return out
-        kids = [walk(p) for p in d.premises]
-        return node(theory, d.rule, _map_data(d.rule, d.data, maps), kids)
+    def rebuild(n: Derivation, _) -> Derivation:
+        return node(theory, n.rule, _map_data(n.rule, n.data, maps), [done[id(p)] for p in n.premises])
+
+    def walk(x: Derivation) -> Derivation:
+        return _bottom_up(x, _premises, rebuild, pre=special and (lambda n: special(n, walk)), done=done)
 
     return walk(d)
 
@@ -729,49 +763,51 @@ def rename_derivation(
         taken.add(out.name)
         return out
 
-    # Contexts shared between nodes are renamed once per renaming in force;
-    # entries keep their keys' objects alive.
+    # The renamings in force, by index, with their slot maps.  A node is
+    # rebuilt once per renaming in force, and so is a context shared between
+    # nodes (entries keep their keys' contexts alive).
+    scopes: list = []
     done: dict = {}
+    renamed: dict = {}
 
-    def ren_mctx(m: MetaCtx, vm) -> MetaCtx:
-        key = (id(m), id(vm))
-        if key not in done:
-            done[key] = (m, vm, MetaCtx([(mm.get(k, k), rename_atoms(b, vm, mm)) for k, b in m]))
-        return done[key][2]
+    def ren(c, i: int):
+        vm = scopes[i][0]
+        if (id(c), i) not in renamed:
+            names = mm if isinstance(c, MetaCtx) else vm
+            renamed[id(c), i] = (c, type(c)([(names.get(k, k), rename_atoms(x, vm, mm)) for k, x in c]))
+        return renamed[id(c), i][1]
 
-    def ren_vctx(v: VarCtx, vm) -> VarCtx:
-        key = (id(v), id(vm))
-        if key not in done:
-            done[key] = (v, vm, VarCtx([(vm.get(k, k), rename_atoms(ty, vm, mm)) for k, ty in v]))
-        return done[key][2]
+    def scope(vm: dict) -> int:
+        i = len(scopes)
+        same = lambda v: vm.get(v, v)
+        scopes.append((vm, {
+            "mctx": lambda m: ren(m, i), "vctx": lambda v: ren(v, i), "var": same, "binder": same,
+            "meta": lambda m: mm.get(m, m), "expr": lambda e: rename_atoms(e, vm, mm),
+        }))
+        return i
 
-    def maps_for(vm: dict) -> dict:
-        return {
-            "mctx": lambda m: ren_mctx(m, vm),
-            "vctx": lambda v: ren_vctx(v, vm),
-            "var": lambda v: vm.get(v, v),
-            "binder": lambda v: vm.get(v, v),
-            "meta": lambda m: mm.get(m, m),
-            "expr": lambda e: rename_atoms(e, vm, mm),
-        }
+    def children(item) -> list:
+        d, i = item
+        if d.rule not in _ABSTRACTIONS:
+            return [(p, i) for p in d.premises]
+        vm, atom = scopes[i][0], d.data[2]
+        new_atom = vm.get(atom, atom)
+        if new_atom in ren(d.data[1], i):
+            new_atom = fresh(atom)
+        return [(d.premises[0], i), (d.premises[1], scope({**vm, atom: new_atom}))]
 
-    def walk(d: Derivation, vm: dict, maps: dict) -> Derivation:
-        rule = d.rule
-        if rule in _ABSTRACTIONS:
-            mctx, vctx, atom = d.data
-            new_atom = vm.get(atom, atom)
-            target_vctx = ren_vctx(vctx, vm)
-            if new_atom in target_vctx:
-                new_atom = fresh(atom)
-            vm2 = dict(vm)
-            vm2[atom] = new_atom
-            kids = [walk(d.premises[0], vm, maps), walk(d.premises[1], vm2, maps_for(vm2))]
-            return node(theory, rule, (ren_mctx(mctx, vm), target_vctx, new_atom), kids)
-        kids = [walk(p, vm, maps) for p in d.premises]
-        return node(theory, rule, _map_data(rule, d.data, maps), kids)
+    def rebuild(item, kids: list) -> Derivation:
+        d, i = item
+        if d.rule in _ABSTRACTIONS:  # the body's renaming sends the atom to its new name
+            data = (ren(d.data[0], i), ren(d.data[1], i), scopes[kids[1][1]][0][d.data[2]])
+        else:
+            data = _map_data(d.rule, d.data, scopes[i][1])
+        return node(theory, d.rule, data, [done[key(k)] for k in kids])
 
-    vm = dict(var_map)
-    return walk(d, vm, maps_for(vm))
+    def key(item) -> tuple:
+        return id(item[0]), item[1]
+
+    return _bottom_up((d, scope(dict(var_map))), children, rebuild, key, done=done)
 
 
 def _avoid_binding_clashes(theory: Theory, d: Derivation, names: set[str]) -> Derivation:
@@ -828,42 +864,29 @@ def weaken_meta(theory: Theory, d: Derivation, m: MetaName, b: AbstractedBoundar
 
 def mctx_entry_boundary(theory: Theory, mctx_deriv: Derivation, m: MetaName) -> Derivation:
     """From |- mctx Theta, a derivation of  Theta; . |- Theta(m)."""
-    target: Optional[Derivation] = None
-    later: list[tuple[MetaName, AbstractedBoundary]] = []
-    d = mctx_deriv
-    while d.rule == "MCtx-Extend":
-        if d.data[0] == m:
-            target = d
-            break
+    later, d = [], mctx_deriv
+    while d.rule == "MCtx-Extend" and d.data[0] != m:
         later.append((d.data[0], d.premises[1].conclusion.bdry))
         d = d.premises[0]
-    if target is None:
+    if d.rule != "MCtx-Extend":
         raise MissingContextEvidence(f"{m.name} not in the metavariable context")
-    out = weaken_meta(theory, target.premises[1], m, target.premises[1].conclusion.bdry)
-    for mm, bb in reversed(later):
+    out = d.premises[1]
+    for mm, bb in [(m, out.conclusion.bdry)] + later[::-1]:
         out = weaken_meta(theory, out, mm, bb)
     return out
 
 
 def vctx_entry_type(theory: Theory, vctx_deriv: Derivation, v: FreeVar) -> Derivation:
     """From Theta |- vctx Gamma, a derivation of  Theta; Gamma |- Gamma(v) type."""
-    target: Optional[Derivation] = None
-    later: list[tuple[FreeVar, Expr]] = []
-    d = vctx_deriv
-    while d.rule == "VCtx-Extend":
-        step_v = d.data[0]
-        ty = _want_plain_thesis(d.premises[1].conclusion, IsTy, "VCtx-Extend").ty
-        if step_v == v:
-            target = d
-            break
-        later.append((step_v, ty))
+    later, d = [], vctx_deriv
+    while d.rule == "VCtx-Extend" and d.data[0] != v:
+        later.append((d.data[0], _want_plain_thesis(d.premises[1].conclusion, IsTy, "VCtx-Extend").ty))
         d = d.premises[0]
-    if target is None:
+    if d.rule != "VCtx-Extend":
         raise MissingContextEvidence(f"{v.name} not in the variable context")
-    own_ty = _want_plain_thesis(target.premises[1].conclusion, IsTy, "VCtx-Extend").ty
-    out = weaken_var(theory, target.premises[1], v, own_ty)
-    for vv, tt in reversed(later):
-        out = weaken_var(theory, out, vv, tt)
+    out = d.premises[1]
+    for vv, ty in [(v, _want_plain_thesis(out.conclusion, IsTy, "VCtx-Extend").ty)] + later[::-1]:
+        out = weaken_var(theory, out, vv, ty)
     return out
 
 
@@ -1252,7 +1275,14 @@ def presuppositions(
     if not isinstance(have_v, VctxWF) or have_v.vctx != _ctxs(d.conclusion)[1]:
         raise MissingContextEvidence("variable-context evidence does not match")
 
+    done: dict = {}  # a shared node is walked once per context evidence
+
     def walk(d: Derivation, vctx_ev: Derivation) -> Derivation:
+        if (id(d), id(vctx_ev)) not in done:
+            done[id(d), id(vctx_ev)] = (d, vctx_ev, step(d, vctx_ev))
+        return done[id(d), id(vctx_ev)][2]
+
+    def step(d: Derivation, vctx_ev: Derivation) -> Derivation:
         match d.rule:
             case "TT-Var":
                 v = d.data[2]

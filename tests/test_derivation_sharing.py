@@ -1,0 +1,217 @@
+"""Shared derivation work: the node table ``tt_engine.node`` keeps, its trust
+conditions, walks that visit each distinct node once, and one cf -> tt
+translation per distinct certificate in transported congruence."""
+
+import time
+
+import pytest
+
+from fintt import cf_engine as cf
+from fintt import tt_engine as tt
+from fintt import translate as tr
+from fintt.derive import CFDeriver, TTDeriver
+from fintt.errors import BadNode, UnknownRule
+from fintt.instantiation import Instantiation
+from fintt.judgements import EMPTY_METAS, EMPTY_VARS, VarCtx, plain
+from fintt.parser import elaborate, parse_script, parse_theory
+from fintt.script import run_script
+from fintt.syntax import FreeVar, IsTy, SymbolApp
+from fintt.theory import check_finitary, check_standard
+
+from .test_lambda_theory import THEORY_TEXT as LAMBDA_THEORY
+from .test_surface import CORPUS
+
+NAT = SymbolApp("nat", ())
+BOOL = SymbolApp("bool", ())
+K = 30  # the tower's height: 2**30 paths to its leaf, K + 2 distinct nodes
+
+
+def tower(th, k: int = K):
+    """d_{j+1} = eqtm_trans(d_j, d_j) over  a : nat, from reflexivity on a."""
+    a = FreeVar("a")
+    vctx = VarCtx([(a, NAT)])
+    d = tt.eqtm_refl(th, TTDeriver(th).tm(EMPTY_METAS, vctx, a, NAT))
+    for _ in range(k):
+        d = tt.eqtm_trans(th, d, d)
+    return d, vctx
+
+
+def distinct_nodes(d) -> int:
+    seen, stack = set(), [d]
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen.add(id(n))
+            stack.extend(n.premises)
+    return len(seen)
+
+
+def gated(text: str, flavor: str):
+    th = elaborate(parse_theory(text), flavor)
+    check_finitary(th)
+    check_standard(th)
+    return th
+
+
+@pytest.fixture(scope="module")
+def mltt():
+    """The corpus theory in both flavours, elaborated from one declaration."""
+    decl = parse_theory((CORPUS / "mltt.ftt").read_text())
+    out = {flavor: elaborate(decl, flavor) for flavor in ("cf", "tt")}
+    for th in out.values():
+        check_finitary(th)
+        check_standard(th)
+    return out
+
+
+def count_infer(monkeypatch, run) -> int:
+    calls = [0]
+    real = tt._infer
+
+    def spy(*args):
+        calls[0] += 1
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(tt, "_infer", spy)
+        run()
+    return calls[0]
+
+
+# ---------------------------------------------------------------------------
+# Hash and equality
+
+
+def test_hash_and_equality_of_the_tower_visit_each_node_once(corpus_tt, mltt):
+    d, _ = tower(corpus_tt)
+    twin, _ = tower(mltt["tt"])  # another theory: no node is shared
+    assert twin is not d
+    start = time.perf_counter()
+    assert hash(d) == hash(twin)
+    assert d == twin
+    assert d != tower(corpus_tt, K - 1)[0]
+    assert time.perf_counter() - start < 0.5
+
+
+def test_a_two_thousand_step_script_hashes_and_compares(corpus_tt, mltt):
+    """Built twice over one theory the derivation is one object; built over
+    another theory it is another object, equal, with the same hash; none of
+    this, nor checking, weakening or renaming it, recurses."""
+    steps = ["let tn = rule(nat);", "var n : tn;", "let s0 = rule(succ, n);"]
+    steps += [f"let s{i} = rule(succ, s{i - 1});" for i in range(1, 2000)]
+    script = parse_script("\n".join(steps + ["return s1999;"]) + "\n")
+    d = run_script(corpus_tt, script, "tt")
+    assert run_script(corpus_tt, script, "tt") is d
+    other = run_script(mltt["tt"], script, "tt")
+    assert other is not d
+    assert other == d and hash(other) == hash(d)
+    tt.check_derivation(corpus_tt, other)
+    z = FreeVar("z")
+    weakened = tt.weaken_vars(corpus_tt, d, [(z, NAT)])
+    assert [v.name for v, _ in weakened.conclusion.vctx] == ["n", "z"]
+    renamed = tt.rename_derivation(corpus_tt, weakened, {z: FreeVar("y")})
+    assert [v.name for v, _ in renamed.conclusion.vctx] == ["n", "y"]
+
+
+# ---------------------------------------------------------------------------
+# The node table's trust conditions
+
+
+def test_a_forged_derivation_is_never_returned_by_node(corpus_tt):
+    wrong = tt.JdgTT(EMPTY_METAS, EMPTY_VARS, plain(IsTy(BOOL)))
+    forged = tt.Derivation("TT-Specific-Eco", (EMPTY_METAS, EMPTY_VARS, "nat", Instantiation([])), (), wrong)
+    built = tt.specific(corpus_tt, EMPTY_METAS, EMPTY_VARS, "nat", Instantiation([]), [])
+    assert built is not forged and built.conclusion.jdg == plain(IsTy(NAT))
+    # A forged node built after the real one does not replace it either.
+    again = tt.Derivation(built.rule, built.data, built.premises, wrong)
+    assert tt.node(corpus_tt, built.rule, built.data, built.premises) is built
+    assert again is not built and again != built
+
+
+def test_a_node_is_not_handed_to_a_prefix_without_its_rule(corpus_tt, mltt):
+    k = next(i for i, r in enumerate(corpus_tt.rules) if r.name == "nat")
+    vctx = VarCtx([(FreeVar("only_here"), BOOL)])  # no other test builds these nodes
+
+    def nat(th):
+        return tt.specific(th, EMPTY_METAS, vctx, "nat", Instantiation([]), [])
+
+    full = nat(corpus_tt)
+    assert nat(corpus_tt) is full
+    with pytest.raises(UnknownRule):
+        nat(corpus_tt.prefix(k))
+    # Inferred anew over a shorter prefix that has the rule, the node then
+    # serves that prefix and every longer one; another theory gets its own.
+    narrow = nat(corpus_tt.prefix(k + 1))
+    assert narrow is not full and narrow == full
+    assert nat(corpus_tt) is narrow and nat(corpus_tt.prefix(k + 2)) is narrow
+    other = nat(mltt["tt"])
+    assert other is not narrow and other == narrow
+
+
+def test_a_hit_skips_inference(corpus_tt, monkeypatch):
+    d, _ = tower(corpus_tt, 3)
+    assert count_infer(monkeypatch, lambda: tower(corpus_tt, 3)) == 0
+    assert tower(corpus_tt, 3)[0] is d
+
+
+# ---------------------------------------------------------------------------
+# Walks visit each distinct node once
+
+
+def test_walks_over_the_tower_infer_each_distinct_node_at_most_once(corpus_tt, corpus_cf, monkeypatch):
+    d, vctx = tower(corpus_tt)
+    n = distinct_nodes(d)
+    assert n == K + 2
+    mctx_d, vctx_d = tt.mctx_empty(corpus_tt), TTDeriver(corpus_tt).vctx_wf(EMPTY_METAS, vctx)
+    walks = {
+        "check_derivation": lambda: tt.check_derivation(corpus_tt, d),
+        "weaken_vars": lambda: tt.weaken_vars(corpus_tt, d, [(FreeVar("z"), NAT)]),
+        "presuppositions": lambda: tt.presuppositions(corpus_tt, d, mctx_d, vctx_d),
+        "tt_to_cf": lambda: tr.tt_to_cf(corpus_tt, corpus_cf, d, mctx_d, vctx_d),
+    }
+    for name, walk in walks.items():
+        start = time.perf_counter()
+        calls = count_infer(monkeypatch, walk)
+        assert time.perf_counter() - start < 0.5, name
+        assert calls == n if name == "check_derivation" else calls <= n, (name, calls, n)
+
+
+def test_check_derivation_still_compares_every_stored_conclusion(corpus_tt):
+    d, _ = tower(corpus_tt, 4)
+    inner = d.premises[0]
+    wrong = tt.JdgTT(EMPTY_METAS, EMPTY_VARS, plain(IsTy(BOOL)))
+    bad = tt.Derivation(inner.rule, inner.data, inner.premises, wrong)
+    with pytest.raises(BadNode, match="stores conclusion"):
+        tt.check_derivation(corpus_tt, tt.Derivation(d.rule, d.data, (inner, bad), d.conclusion))
+
+
+# ---------------------------------------------------------------------------
+# cf -> tt once per distinct certificate
+
+
+def test_transported_congruence_translates_each_distinct_payload_once(monkeypatch):
+    th_cf, th_tt = gated(LAMBDA_THEORY, "cf"), gated(LAMBDA_THEORY, "tt")
+    ty_bool = CFDeriver(th_cf).ty(BOOL)
+    b = FreeVar("b", BOOL)
+    vb = cf.cf_var(th_cf, b, ty_bool)
+    eqs = [
+        cf.cf_eqty_refl(th_cf, ty_bool, ty_bool),
+        cf.cf_abstract_fwd(th_cf, ty_bool, cf.cf_eqty_refl(th_cf, ty_bool, ty_bool), FreeVar("u", BOOL)),
+        cf.cf_abstract_fwd(th_cf, ty_bool, cf.cf_eqtm_refl(th_cf, vb, vb), FreeVar("w", BOOL)),
+    ]
+    asked, translated = [], []
+    real_judgement, real_translate = tr.CfToTT.judgement, tr.CfToTT._judgement
+
+    def judgement(self, cert, ctx=None):
+        asked.append((cert.payload, ctx))
+        return real_judgement(self, cert, ctx)
+
+    def translate(self, payload, ctx):
+        translated.append((payload, ctx))
+        return real_translate(self, payload, ctx)
+
+    monkeypatch.setattr(tr.CfToTT, "judgement", judgement)
+    monkeypatch.setattr(tr.CfToTT, "_judgement", translate)
+    out = tr.transported_congruence(th_cf, th_tt, "lam", eqs)
+    assert out.payload.body.lhs.symbol == "lam"
+    assert len(translated) == len(set(translated)) == len(set(asked)) < len(asked)

@@ -394,6 +394,28 @@ def test_each_level_builds_one_instantiation(corpus_cf, corpus_tt, monkeypatch, 
         cf.cf_apply_rule(th, "succ", [cf.cf_var(th, a, CFDeriver(th).ty(NAT))])
 
 
+def test_a_rule_application_acts_on_its_premise_boundaries_with_one_instantiation(corpus_cf, monkeypatch):
+    """Re-certifying the boundaries of 100 depth-2 CertGen certificates, each
+    rule application builds the instantiation ``cf_apply_rule`` checks and,
+    when a premise boundary of its rule mentions a metavariable, one more to
+    act on all such boundaries (not one per boundary: 303 for 220
+    applications, where this counts 269)."""
+    g = CertGen(random.Random(3), corpus_cf)
+    bdrys = [cf.presuppositions_cf(corpus_cf, g.judgement_cert(2)).payload for _ in range(100)]
+    applied: Counter = Counter()
+    real = Deriver._apply
+
+    def spy(self, cx, name, rule, sol, depth):
+        applied["rules"] += 1
+        applied["acting"] += any(syntax.mv(b) for _, b in rule.premises)
+        return real(self, cx, name, rule, sol, depth)
+
+    monkeypatch.setattr(Deriver, "_apply", spy)
+    work = count_step_work(monkeypatch, lambda: [CFDeriver(corpus_cf).boundary(b) for b in bdrys])
+    assert applied["rules"] == 220
+    assert work["instantiations"] == applied["rules"] + applied["acting"] < 303
+
+
 def test_each_level_costs_tt_to_cf_three_frames(corpus_cf, corpus_tt, monkeypatch):
     """The variable of succ^n(a) is translated n levels below the root."""
     at_var = []

@@ -297,3 +297,22 @@ def test_a_tt_symbol_rule_written_out_is_no_cf_symbol_rule():
         check_finitary(cf)
     check_finitary(tt)
     check_standard(tt)
+
+
+@pytest.mark.parametrize("flavor", ["cf", "tt"])
+def test_a_one_element_assumption_set_argument_is_not_a_binder(flavor):
+    """``{e}`` closing an argument is the assumption set ``{e, e}``, not a
+    binder waiting for its body."""
+    one = elaborate(parse_theory(E_WITH_AN_EQUATION + "E(A, {e}) type\n"), flavor).rule("R")
+    two = elaborate(parse_theory(E_WITH_AN_EQUATION + "E(A, {e, e}) type\n"), flavor).rule("R")
+    assert (one.rule, one.symbol_for) == (two.rule, two.symbol_for)
+
+
+def test_a_binder_argument_still_parses():
+    decl = parse_theory(
+        "rule bool: yields type\n"
+        "rule F: premise M : {x : bool} type; yields type\n"
+        "rule G: premise M : {x : bool} type; yields F({x} M(x)) type\n"
+    )
+    (x,) = elaborate(decl, "tt").rule("G").rule.conclusion.ty.args
+    assert x == Abstr(ExprArg(MetaApp(MetaName("M"), (BoundVar(0),))))
