@@ -13,10 +13,9 @@ tt -> cf: induction on the derivation, labelling context entries with
 certified cf annotations.  Every rule case translates each premise and moves
 it by boundary conversion onto the boundary it fills, which the rule
 instantiates with the earlier premises; boundary conversion takes up the
-slack that erasure leaves.  The walk recurses, at most three Python frames
-per level (the dispatch, the node kind's method, a premise fill), so it
-refuses a derivation nested deeper than ``MAX_DEPTH`` levels with
-``DepthExceeded``.
+slack that erasure leaves.  The induction runs on ``tt_engine.walk``, which
+keeps no Python frame per level; as a policy it refuses a derivation nested
+deeper than ``MAX_DEPTH`` levels with ``DepthExceeded``.
 
 A round trip cf -> tt -> cf labels the atoms of the suitable context, which
 the derivation keeps annotated, with their own annotations, and gives back
@@ -32,7 +31,6 @@ from . import tt_engine as tt
 from .derive import MAX_DEPTH, CFDeriver, DeriveError, TTDeriver
 from .errors import (
     CyclicAnnotation,
-    DepthExceeded,
     NonStandardTheory,
     UncheckableDerivation,
     UnsuitableContext,
@@ -260,8 +258,12 @@ class TTtoCF:
     it by boundary conversion onto the boundary it fills, which the rule
     instantiates with the earlier premises (``_fill``); an equation premise
     moves onto the equation boundary of its two fills and has its left side
-    rectified to the left fill (``_equations``).  ``translate`` dispatches
-    each node kind straight to its method (``_KINDS``):
+    rectified to the left fill (``_equations``).  ``translate`` runs the
+    induction on ``tt_engine.walk``: the step of a node is its kind's method
+    (``_KINDS``), a generator that yields each premise with its labelings
+    and is sent the premise's certificate (``_fill`` and ``_equations`` are
+    delegated to with ``yield from``), and a node nested deeper than
+    ``MAX_DEPTH`` is refused:
 
     - ``_meta``: TT-Meta, TT-Meta-Eco and TT-Meta-Congr, whose arguments fill
       the metavariable's binder types;
@@ -295,8 +297,6 @@ class TTtoCF:
     def __init__(self, tt_theory: Theory, cf_theory: Theory):
         self.tt = tt_theory
         self.cf = cf_theory
-        self._done: dict = {}
-        self._depth = 0
         if cf_theory.finitary_witnesses is None:
             raise NonStandardTheory("cf theory must pass the finitary gate first")
         cf_erased = _erased_conclusions(cf_theory)
@@ -388,48 +388,44 @@ class TTtoCF:
         ty_c = self._components(fill_l)[0]
         return cf.cf_bdry_eqtm(self.cf, ty_c, fill_l, self._retype_to(fill_r, ty_c))
 
-    # -- the main recursion (parts 4 and 5) ---------------------------------
+    # -- the main induction (parts 4 and 5) ---------------------------------
 
     def translate(self, d, th, thc, ga, gac):
-        # A subderivation shared between nodes is translated once per
-        # labeling of its variables; entries keep their keys' objects alive.
-        # ``_depth`` counts the nodes being translated around this one: the
-        # root is at depth 0.  A level costs at most three frames: this one,
-        # the node kind's method and a premise fill.
-        key = (id(d), id(ga))
-        if key not in self._done:
-            if self._depth > MAX_DEPTH:
-                raise DepthExceeded(f"tt->cf: derivation nested deeper than {MAX_DEPTH}")
+        """The certificate of ``d`` under the labelings ``th``/``thc`` of its
+        metavariables and ``ga``/``gac`` of its variables; a subderivation
+        shared between nodes is translated once per labeling of its
+        variables."""
+
+        def step(item):
+            d, ga, gac = item
             kind = self._KINDS.get(d.rule)
             if kind is None:
                 raise UncheckableDerivation(f"tt->cf does not handle {d.rule}")
-            self._depth += 1
-            try:
-                self._done[key] = (d, ga, getattr(self, kind)(d, th, thc, ga, gac))
-            finally:
-                self._depth -= 1
-        return self._done[key][2]
+            return getattr(self, kind)(d, th, thc, ga, gac)
 
-    def _fill(self, premises, boundary, th, thc, ga, gac):
+        too_deep = (MAX_DEPTH, f"tt->cf: derivation nested deeper than {MAX_DEPTH}")
+        return tt.walk((d, ga, gac), step, lambda x: (id(x[0]), id(x[1])), bound=too_deep)
+
+    def _fill(self, premises, boundary, ga, gac):
         """Translates the premises in turn and moves the i-th onto
         ``boundary(i, fills)``, the boundary it fills after the earlier
         fills."""
         fills: list = []
         for i, p in enumerate(premises):
-            raw = self.translate(p, th, thc, ga, gac)
+            raw = yield p, ga, gac
             target = boundary(i, fills)
             fills.append(
                 cf.boundary_convert(self.cf, cf.presuppositions_cf(self.cf, raw), target, raw)
             )
         return fills
 
-    def _equations(self, premises, lefts, rights, th, thc, ga, gac):
+    def _equations(self, premises, lefts, rights, ga, gac):
         """Translates equation premises, each onto the equation boundary of
         its left and right fill, with its left side rectified to the left
         fill."""
         eqs = []
         for p, left, right in zip(premises, lefts, rights):
-            raw = self.translate(p, th, thc, ga, gac)
+            raw = yield p, ga, gac
             target = self._equation_boundary_cert(left, right)
             moved = cf.boundary_convert(self.cf, cf.presuppositions_cf(self.cf, raw), target, raw)
             eqs.append(self._rectify_eq_lhs(moved, left))
@@ -447,11 +443,11 @@ class TTtoCF:
                 ty = cf.cf_substitute(self.cf, ty, f)
             return cf.cf_bdry_tm(self.cf, ty)
 
-        ss = self._fill(d.premises[:k], binder, th, thc, ga, gac)
+        ss = yield from self._fill(d.premises[:k], binder, ga, gac)
         if d.rule != "TT-Meta-Congr":
             return cf.cf_meta(self.cf, m_cf, ss, annotation_cert=thc[m])
-        ts = self._fill(d.premises[k : 2 * k], binder, th, thc, ga, gac)
-        eqs = self._equations(d.premises[2 * k : 3 * k], ss, ts, th, thc, ga, gac)
+        ts = yield from self._fill(d.premises[k : 2 * k], binder, ga, gac)
+        eqs = yield from self._equations(d.premises[2 * k : 3 * k], ss, ts, ga, gac)
         return cf.cf_meta_congr(self.cf, m_cf, ss, ts, eqs, annotation_cert=thc[m])
 
     def _specific(self, d, th, thc, ga, gac):
@@ -464,24 +460,24 @@ class TTtoCF:
             entries = [(m, c) for (m, _), c in zip(rule_cf.premises, fills)]
             return cf.cf_instantiate_bdry(self.cf, entries, witnesses[i])
 
-        fs = self._fill(d.premises[:n], premise, th, thc, ga, gac)
+        fs = yield from self._fill(d.premises[:n], premise, ga, gac)
         if d.rule != "TT-Congr":
             return cf.cf_apply_rule(self.cf, name, fs)
-        gs = self._fill(d.premises[n : 2 * n], premise, th, thc, ga, gac)
+        gs = yield from self._fill(d.premises[n : 2 * n], premise, ga, gac)
         objects = [
             i for i, (_, b) in enumerate(rule_cf.premises) if boundary_arity(b).cls.is_object
         ]
-        eqs = self._equations(
+        eqs = yield from self._equations(
             d.premises[2 * n : 2 * n + len(objects)],
             [fs[i] for i in objects],
             [gs[i] for i in objects],
-            th, thc, ga, gac,
+            ga, gac,
         )
         t_prime = None
         if isinstance(rule_cf.conclusion, IsTm):
             left_inst = cf.cf_apply_rule(self.cf, name, fs)
             right_inst = cf.cf_apply_rule(self.cf, name, gs)
-            raw_ceq = self.translate(d.premises[-1], th, thc, ga, gac)
+            raw_ceq = yield d.premises[-1], ga, gac
             ceq = self._rectify_eq_lhs(raw_ceq, self._components(left_inst)[0])
             # rectify the right side to the right-instantiated type
             r = cf.cf_eqty_refl(self.cf, self._components(ceq)[1], self._components(right_inst)[0])
@@ -491,16 +487,16 @@ class TTtoCF:
 
     def _abstraction(self, d, th, thc, ga, gac):
         atom = d.data[2]
-        ty_c = self.translate(d.premises[0], th, thc, ga, gac)
+        ty_c = yield d.premises[0], ga, gac
         a_cf = ty_c.payload.body.ty
-        body_c = self.translate(
-            d.premises[1], th, thc, {**ga, atom: a_cf}, {**gac, atom: ty_c}
-        )
+        body_c = yield d.premises[1], {**ga, atom: a_cf}, {**gac, atom: ty_c}
         abstract = cf.cf_abstract_fwd if d.rule == "TT-Abstr" else cf.cf_abstract_bdry_fwd
         return abstract(self.cf, ty_c, body_c, FreeVar(atom.name, a_cf))
 
     def _in_context(self, d, th, thc, ga, gac):
-        c = [self.translate(p, th, thc, ga, gac) for p in d.premises]
+        c = []
+        for p in d.premises:
+            c.append((yield p, ga, gac))
         match d.rule:
             case "TT-Var":
                 v = d.data[2]

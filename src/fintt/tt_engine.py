@@ -9,8 +9,12 @@ recomputes the node's conclusion from its children, so the constructors and
 (rule, data, premise objects) in a weak table shared by a theory's prefixes,
 and hands it without a second inference to callers over its prefix or a
 longer one; a node built directly is never in the table.
-``check_derivation``, hashing and the rebuilding walks visit each distinct
-node once, on explicit stacks.  The admissible operations are
+The walks that build a result from their premises' results (checking,
+hashing, rebuilding, presuppositions, the equal-side walks, and tt -> cf in
+``translate``) run on one driver, ``walk``: a node's step is a generator
+that yields the items whose results it needs, so each walk keeps the shape
+of a recursion, steps each distinct item once and uses no Python frame per
+level.  The admissible operations are
 derivation-to-derivation transformations mirroring the constructive
 proofs, and always return trees the checker accepts.
 
@@ -42,6 +46,7 @@ from typing import Iterator, Optional, Sequence, Union
 
 from .errors import (
     BadNode,
+    DepthExceeded,
     MissingContextEvidence,
     NoSymbolRule,
     NotObjectJudgement,
@@ -138,8 +143,8 @@ Statement = Union[JdgTT, BdryTT, MctxWF, VctxWF]
 @dataclass(frozen=True, eq=False)
 class Derivation:
     """A node.  Its hash is computed once, on first use, from its rule, its
-    data, its conclusion and its premises' hashes, which are computed first
-    on an explicit stack; ``==`` compares two trees on one, each pair of
+    data, its conclusion and its premises' hashes, which ``walk`` computes
+    first; ``==`` compares two trees on an explicit stack, each pair of
     distinct nodes once."""
 
     rule: str
@@ -150,7 +155,7 @@ class Derivation:
 
     def __hash__(self) -> int:
         if self._h is None:
-            _bottom_up(self, _premises, _store_hash, pre=_hash_of)
+            walk(self, _hash_step)
         return self._h
 
     def __eq__(self, other) -> bool:
@@ -170,10 +175,13 @@ class Derivation:
         return Derivation, (self.rule, self.data, self.premises, self.conclusion)
 
 
-_hash_of, _premises = attrgetter("_h"), attrgetter("premises")
+_hash_of = attrgetter("_h")
 
 
-def _store_hash(d: Derivation, _) -> int:
+def _hash_step(d: Derivation):
+    for p in d.premises:
+        if p._h is None:
+            yield p
     d.__dict__["_h"] = h = hash((d.rule, d.data, d.conclusion, *map(_hash_of, d.premises)))
     return h  # set once, here: the dataclass is frozen
 
@@ -213,6 +221,14 @@ _SLOTS: dict[str, tuple[str, ...]] = {
 }
 # Rules concluding context well-formedness; the judgement walks refuse them.
 _CTX_RULES = frozenset({"MCtx-Empty", "MCtx-Extend", "VCtx-Empty", "VCtx-Extend"})
+# The number of premises of each rule whose number is fixed.
+_PREMISE_COUNT = {
+    **dict.fromkeys(("TT-Var", "TT-Bdry-Ty", "MCtx-Empty", "VCtx-Empty"), 0),
+    **dict.fromkeys(("TT-EqTy-Refl", "TT-EqTy-Sym", "TT-EqTm-Refl", "TT-EqTm-Sym", "TT-Bdry-Tm"), 1),
+    **dict.fromkeys(("TT-Abstr", "TT-Bdry-Abstr", "TT-EqTy-Trans", "TT-EqTm-Trans", "TT-Conv-Tm"), 2),
+    **dict.fromkeys(("TT-Conv-EqTm", "TT-Bdry-EqTy", "MCtx-Extend", "VCtx-Extend"), 2),
+    "TT-Bdry-EqTm": 3,
+}
 _ABSTRACTIONS = ("TT-Abstr", "TT-Bdry-Abstr")
 
 
@@ -281,14 +297,15 @@ def _fits(rule: str, mctx, vctx, kids, prem, bdry=None, rule_name: Optional[str]
 
 def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) -> Statement:
     """Computes the conclusion a node must have; raises on invalid nodes."""
+    want = _PREMISE_COUNT.get(rule)
+    if want is not None and len(kids) != want:
+        raise BadNode(f"{rule} expects {want} premises, got {len(kids)}")
     if _SLOTS.get(rule) == _CTX:  # the rules whose premises share the node's contexts
         mctx, vctx = data
         _same_ctx(mctx, vctx, kids, rule)
     match rule:
         case "TT-Var":
             mctx, vctx, v = data
-            if kids:
-                raise BadNode("TT-Var has no premises")
             if v not in vctx:
                 raise SideConditionFailed(f"{v.name} not in the variable context")
             return JdgTT(mctx, vctx, plain(IsTm(v, vctx[v])))
@@ -311,8 +328,6 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
 
         case "TT-Abstr" | "TT-Bdry-Abstr":
             mctx, vctx, atom = data
-            if len(kids) != 2:
-                raise BadNode(f"{rule} expects 2 premises")
             ty = _want_plain_thesis(kids[0], IsTy, rule).ty
             km, kv = _ctxs(kids[0])
             if km != mctx or kv != vctx:
@@ -380,8 +395,6 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
             return JdgTT(mctx, vctx, plain(EqTm(tmeq.lhs, tmeq.rhs, eq.rhs, DUMMY)))
 
         case "TT-Bdry-Ty":
-            if kids:
-                raise BadNode("TT-Bdry-Ty has no premises")
             return BdryTT(mctx, vctx, plain(IsTyB()))
 
         case "TT-Bdry-Tm":
@@ -405,8 +418,8 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
             return BdryTT(mctx, vctx, plain(EqTmB(s.term, t.term, a)))
 
         case "MCtx-Empty":
-            if kids or data:
-                raise BadNode("MCtx-Empty is a leaf")
+            if data:
+                raise BadNode("MCtx-Empty has no data")
             return MctxWF(EMPTY_METAS)
 
         case "MCtx-Extend":
@@ -426,8 +439,6 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
 
         case "VCtx-Empty":
             (mctx,) = data
-            if kids:
-                raise BadNode("VCtx-Empty is a leaf")
             return VctxWF(mctx, EMPTY_VARS)
 
         case "VCtx-Extend":
@@ -492,47 +503,55 @@ def node(theory: Theory, rule: str, data: tuple, premises: Sequence[Derivation])
     return d
 
 
-_READY = object()
+def walk(root, step, key=id, done=None, bound=None):
+    """``step``'s result for ``root``, each item below it stepped once per
+    key, children first, on an explicit stack.
 
-
-def _bottom_up(root, children, combine, key=id, pre=None, done=None):
-    """Sets ``done[key(x)]`` to ``combine(x, children(x))`` for ``root`` and
-    each item below it, children first, once per key, on an explicit stack,
-    and returns the root's; ``combine`` reads the children's results from
-    ``done``.  ``pre(x)``, when given, answers ``x`` before its children are
-    visited, unless it returns None."""
+    ``step(x)`` returns a generator that yields each item whose result it
+    needs, is sent that result and returns ``x``'s: a recursive walk with
+    ``(yield y)`` in place of ``walk(y)``.  ``done`` maps the keys of the
+    items already answered to their results; a caller may pre-seed it.  An
+    item stepped is kept alive until the walk ends, so a key may name it by
+    id.  With ``bound = (n, message)`` an item nested more than ``n`` items
+    below the root is refused with ``DepthExceeded(message)``."""
     done = {} if done is None else done
-    stack = [root]
-    while stack:
-        x = stack.pop()
-        if x is _READY:
-            x, k, kids = stack.pop()
-        else:
-            k = key(x)
-            if k in done:
-                continue
-            out = None if pre is None else pre(x)
-            if out is not None:
-                done[k] = out
-                continue
-            kids = children(x)
-            if kids:
-                stack += ((x, k, kids), _READY, *reversed(kids))
-                continue
-        done[k] = combine(x, kids)
-    return done[key(root)]
+    k = key(root)
+    if k in done:
+        return done[k]
+    # The running step and its key; the steps waiting on a result, with theirs.
+    g, out, stack, kept = step(root), None, [], [root]
+    while True:
+        try:
+            x = g.send(out)
+        except StopIteration as stop:
+            done[k] = out = stop.value
+            if not stack:
+                return out
+            g, k = stack.pop()
+            continue
+        kx = key(x)
+        if kx in done:
+            out = done[kx]
+            continue
+        if bound is not None and len(stack) >= bound[0]:
+            raise DepthExceeded(bound[1])
+        stack.append((g, k))
+        kept.append(x)
+        g, k, out = step(x), kx, None
 
 
 def check_derivation(theory: Theory, d: Derivation) -> None:
     """Recomputes every distinct node of ``d`` once, premises first, and
     compares against what is stored."""
 
-    def check(n: Derivation, _) -> None:
+    def check(n: Derivation):
+        for p in n.premises:
+            yield p
         concl = _infer(theory, n.rule, n.data, [p.conclusion for p in n.premises])
         if concl != n.conclusion:
             raise BadNode(f"node {n.rule} stores conclusion {n.conclusion!r} but infers {concl!r}")
 
-    _bottom_up(d, _premises, check)
+    walk(d, check)
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +592,7 @@ def _in_context(kind: str):
     """The constructor of a rule whose data are its premises' contexts."""
 
     def ctor(theory: Theory, *premises: Derivation) -> Derivation:
-        return node(theory, kind, _ctxs(premises[0].conclusion), premises)
+        return node(theory, kind, _ctxs(premises[0].conclusion) if premises else (), premises)
 
     return ctor
 
@@ -726,19 +745,18 @@ def _all_names(d: Derivation) -> set[str]:
 
 
 def _map_derivation(theory: Theory, d: Derivation, maps: dict, special=None) -> Derivation:
-    """``d`` rebuilt with ``_map_data(.., maps)``, each distinct node once;
-    ``special(n, walk)``, when given, answers each node ``n`` it returns a
-    derivation for (``walk`` continues the rebuild below it) and may refuse a
-    node by raising."""
-    done: dict = {}
+    """``d`` rebuilt with ``_map_data(.., maps)``, each distinct node once.
+    ``special(n, rebuild)``, when given, is the step of each node ``n``: it
+    may refuse ``n`` by raising, hand it to ``rebuild``, or answer it,
+    yielding the premises whose rebuilt derivations it needs."""
 
-    def rebuild(n: Derivation, _) -> Derivation:
-        return node(theory, n.rule, _map_data(n.rule, n.data, maps), [done[id(p)] for p in n.premises])
+    def rebuild(n: Derivation):
+        kids = []
+        for p in n.premises:
+            kids.append((yield p))
+        return node(theory, n.rule, _map_data(n.rule, n.data, maps), kids)
 
-    def walk(x: Derivation) -> Derivation:
-        return _bottom_up(x, _premises, rebuild, pre=special and (lambda n: special(n, walk)), done=done)
-
-    return walk(d)
+    return walk(d, rebuild if special is None else lambda n: special(n, rebuild))
 
 
 def rename_derivation(
@@ -767,7 +785,6 @@ def rename_derivation(
     # rebuilt once per renaming in force, and so is a context shared between
     # nodes (entries keep their keys' contexts alive).
     scopes: list = []
-    done: dict = {}
     renamed: dict = {}
 
     def ren(c, i: int):
@@ -786,28 +803,22 @@ def rename_derivation(
         }))
         return i
 
-    def children(item) -> list:
-        d, i = item
-        if d.rule not in _ABSTRACTIONS:
-            return [(p, i) for p in d.premises]
-        vm, atom = scopes[i][0], d.data[2]
-        new_atom = vm.get(atom, atom)
-        if new_atom in ren(d.data[1], i):
-            new_atom = fresh(atom)
-        return [(d.premises[0], i), (d.premises[1], scope({**vm, atom: new_atom}))]
-
-    def rebuild(item, kids: list) -> Derivation:
+    def rebuild(item):
         d, i = item
         if d.rule in _ABSTRACTIONS:  # the body's renaming sends the atom to its new name
-            data = (ren(d.data[0], i), ren(d.data[1], i), scopes[kids[1][1]][0][d.data[2]])
-        else:
-            data = _map_data(d.rule, d.data, scopes[i][1])
-        return node(theory, d.rule, data, [done[key(k)] for k in kids])
+            vm, atom = scopes[i][0], d.data[2]
+            new_atom = vm.get(atom, atom)
+            if new_atom in ren(d.data[1], i):
+                new_atom = fresh(atom)
+            body = scope({**vm, atom: new_atom})
+            kids = [(yield d.premises[0], i), (yield d.premises[1], body)]
+            return node(theory, d.rule, (ren(d.data[0], i), ren(d.data[1], i), new_atom), kids)
+        kids = []
+        for p in d.premises:
+            kids.append((yield p, i))
+        return node(theory, d.rule, _map_data(d.rule, d.data, scopes[i][1]), kids)
 
-    def key(item) -> tuple:
-        return id(item[0]), item[1]
-
-    return _bottom_up((d, scope(dict(var_map))), children, rebuild, key, done=done)
+    return walk((d, scope(dict(var_map))), rebuild, lambda item: (id(item[0]), item[1]))
 
 
 def _avoid_binding_clashes(theory: Theory, d: Derivation, names: set[str]) -> Derivation:
@@ -841,9 +852,10 @@ def weaken_vars(theory: Theory, d: Derivation, entries: Sequence[tuple[FreeVar, 
         old = vctx.entries
         return VarCtx(old[:position] + entries + old[position:])
 
-    def refuse(d: Derivation, walk) -> None:
+    def refuse(d: Derivation, rebuild):
         if d.rule in _CTX_RULES:
             raise BadNode("cannot weaken a context derivation by a variable")
+        return rebuild(d)
 
     return _map_derivation(theory, d, {"vctx": insert}, refuse)
 
@@ -851,9 +863,10 @@ def weaken_vars(theory: Theory, d: Derivation, entries: Sequence[tuple[FreeVar, 
 def weaken_meta(theory: Theory, d: Derivation, m: MetaName, b: AbstractedBoundary) -> Derivation:
     """Appends ``m : b`` to the metavariable context of every node."""
 
-    def refuse(d: Derivation, walk) -> None:
+    def refuse(d: Derivation, rebuild):
         if d.rule in ("MCtx-Empty", "MCtx-Extend"):
             raise BadNode("cannot weaken a metavariable-context derivation")
+        return rebuild(d)
 
     return _map_derivation(theory, d, {"mctx": lambda mctx: mctx.extend(m, b)}, refuse)
 
@@ -890,9 +903,9 @@ def vctx_entry_type(theory: Theory, vctx_deriv: Derivation, v: FreeVar) -> Deriv
     return out
 
 
-def _check_mctx_evidence(mctx_deriv: Derivation, d: Derivation) -> None:
+def _check_mctx_evidence(mctx_deriv: Derivation, mctx: MetaCtx) -> None:
     have = mctx_deriv.conclusion
-    if not isinstance(have, MctxWF) or have.mctx != _ctxs(d.conclusion)[0]:
+    if not isinstance(have, MctxWF) or have.mctx != mctx:
         raise MissingContextEvidence("metavariable-context evidence does not match")
 
 
@@ -919,11 +932,11 @@ def prepare_subst(theory: Theory, d: Derivation, v: FreeVar, t_deriv: Derivation
         before, after = _split_vctx(vctx, v)
         return VarCtx(before + [(u, subst_free(ty, v, t)) for u, ty in after])
 
-    def substituted_var(d: Derivation, walk) -> Optional[Derivation]:
+    def substituted_var(d: Derivation, rebuild):
         if d.rule in _CTX_RULES:
             raise BadNode("substitution applies to judgement derivations")
         if d.rule != "TT-Var" or d.data[2] != v:
-            return None
+            return (yield from rebuild(d))
         before, after = _split_vctx(d.data[1], v)
         out = t_deriv
         # t_deriv may sit over a prefix of Gamma; first pad to Gamma
@@ -990,50 +1003,36 @@ class EqSubst:
     eq_deriv: Derivation
 
 
-def _equal_sides(
-    theory: Theory, what: str, names: set[str], ctx, sides, leaf, seen=None, mctx_deriv=None
-):
-    """The walk shared by equal substitution and equal instantiation.
+def _equal_sides(theory: Theory, what: str, names: set[str], ctx, sides, mctx_deriv=None):
+    """The step shared by equal substitution and equal instantiation.
 
-    ``walk(d, delta, delta_eqs)`` gives, for a subderivation ``d`` under the
-    binders ``delta`` (atoms with their source types), its s-side, its
-    t-side and, for object judgements, the equation between them;
-    ``delta_eqs`` maps the binders whose type differs between the sides to
-    the type equation.  The caller supplies ``ctx(d, delta)``, the contexts
-    the sides live in; ``sides``, the s- and t-maps on expressions; and
-    ``leaf(d, delta, delta_eqs)``, which answers the nodes the caller treats
-    itself (or returns None, or refuses by raising).  With ``seen`` the
-    results are remembered per (conclusion, binders); ``names`` are the
-    atoms a walked boundary's binders must avoid; ``mctx_deriv``, evidence
-    for the metavariable context, gives the boundary of a ``TT-Meta-Eco``
-    node of a term metavariable."""
+    Its item ``(d, delta, delta_eqs)`` is a subderivation ``d`` under the
+    binders ``delta`` (atoms with their source types), and ``delta_eqs``
+    maps the binders whose type differs between the sides to the type
+    equation; its result is ``d``'s s-side, its t-side and, for object
+    judgements, the equation between them.  The caller supplies
+    ``ctx(d, delta)``, the contexts the sides live in, and ``sides``, the s-
+    and t-maps on expressions, and wraps the step in its own for the nodes
+    it treats itself; ``names`` are the atoms a walked boundary's binders
+    must avoid; ``mctx_deriv``, evidence for the metavariable context,
+    gives the boundary of a ``TT-Meta-Eco`` node of a term metavariable."""
     s_map, t_map = {"expr": sides[0]}, {"expr": sides[1]}
 
-    def walk(d: Derivation, delta: list, delta_eqs: dict):
-        if seen is None:
-            return step(d, delta, delta_eqs)
-        key = (d.conclusion, tuple(delta))
-        if key not in seen:
-            seen[key] = step(d, delta, delta_eqs)
-        return seen[key]
-
-    def step(d: Derivation, delta: list, delta_eqs: dict):
-        out = leaf(d, delta, delta_eqs)
-        if out is not None:
-            return out
+    def step(item):
+        d, delta, delta_eqs = item
         rule, data = d.rule, d.data
         if rule in _CTX_RULES:
             raise BadNode(f"{what} does not handle {rule}")
         if rule in _ABSTRACTIONS:
             atom = data[2]
-            ty_s, ty_t, ty_eq = walk(d.premises[0], delta, delta_eqs)
+            ty_s, ty_t, ty_eq = yield d.premises[0], delta, delta_eqs
             src_ty = _want_plain_thesis(d.premises[0].conclusion, IsTy, "abstr").ty
             new_ty_s = _want_plain_thesis(ty_s.conclusion, IsTy, "abstr").ty
             new_ty_t = _want_plain_thesis(ty_t.conclusion, IsTy, "abstr").ty
             assert ty_eq is not None
             eqs2 = {u: weaken_var(theory, e, atom, new_ty_s) for u, e in delta_eqs.items()}
             eqs2[atom] = weaken_var(theory, ty_eq, atom, new_ty_s)
-            body_s, body_t, body_eq = walk(d.premises[1], delta + [(atom, src_ty)], eqs2)
+            body_s, body_t, body_eq = yield d.premises[1], delta + [(atom, src_ty)], eqs2
             if rule == "TT-Bdry-Abstr":
                 raise BadNode(f"{what} across an abstracted boundary is not supported")
             out_s = tt_abstr(theory, ty_s, body_s, atom)
@@ -1042,7 +1041,9 @@ def _equal_sides(
             out_eq = tt_abstr(theory, ty_s, body_eq, atom) if body_eq is not None else None
             return out_s, out_t, out_eq
         mctx, vctx = ctx(d, delta)
-        kids = [walk(p, delta, delta_eqs) for p in d.premises]
+        kids = []
+        for p in d.premises:
+            kids.append((yield p, delta, delta_eqs))
         d_s = node(theory, rule, (mctx, vctx) + _map_data(rule, data, s_map)[2:], [x[0] for x in kids])
         if rule == "TT-Var":
             u = data[2]
@@ -1056,7 +1057,7 @@ def _equal_sides(
                 ty_eq = []
                 if isinstance(mctx[data[2]].body, IsTmB):
                     bd = _avoid_binding_clashes(theory, _meta_boundary(theory, d, mctx_deriv), names)
-                    ty_eq.append(walk(bd.premises[0], delta, delta_eqs)[2])
+                    ty_eq.append((yield bd.premises[0], delta, delta_eqs)[2])
                 d_eq = meta_congr(
                     theory, mctx, vctx, data[2], d_s.data[3], d_t.data[3],
                     [x[i] for i in range(3) for x in triples] + ty_eq,
@@ -1066,8 +1067,9 @@ def _equal_sides(
                 if trule.is_object:
                     ty_eq = None
                     if isinstance(trule.conclusion, IsTm):
-                        bd = _avoid_binding_clashes(theory, _specific_boundary(theory, d), names)
-                        ty_eq = walk(bd.premises[0], delta, delta_eqs)[2]
+                        bd = _specific_boundary(theory, d, mctx_deriv)
+                        bd = _avoid_binding_clashes(theory, bd, names)
+                        ty_eq = (yield bd.premises[0], delta, delta_eqs)[2]
                     d_eq = _congruence_of_sides(
                         theory, mctx, vctx, data[2], d_s.data[3], d_t.data[3], kids, ty_eq
                     )
@@ -1078,7 +1080,7 @@ def _equal_sides(
                 d_eq = kids[0][2]
         return d_s, d_t, d_eq
 
-    return walk
+    return step
 
 
 def prepare_subst_eq(
@@ -1110,7 +1112,7 @@ def prepare_subst_eq(
     if not subs:
         raise BadNode("prepare_subst_eq needs at least one substituted variable")
     if mctx_deriv is not None:
-        _check_mctx_evidence(mctx_deriv, d)
+        _check_mctx_evidence(mctx_deriv, _ctxs(d.conclusion)[0])
     svars = [e.var for e in subs]
     by_var = {e.var: e for e in subs}
     base_len = len(_ctxs(subs[0].s_deriv.conclusion)[1].entries)
@@ -1130,9 +1132,10 @@ def prepare_subst_eq(
         mctx, vctx = _ctxs(d.conclusion)
         return mctx, VarCtx([(u, sub_s(ty)) for u, ty in vctx.entries if u not in by_var])
 
-    def substituted_var(d: Derivation, delta, delta_eqs):
+    def substituted_var(item):
+        d, delta, _ = item
         if d.rule != "TT-Var" or d.data[2] not in by_var:
-            return None
+            return (yield from step(item))
         e = by_var[d.data[2]]
         out = (e.s_deriv, e.t_deriv, e.eq_deriv)
         for (w, ty) in ctx(d, delta)[1].entries[base_len:]:
@@ -1145,11 +1148,9 @@ def prepare_subst_eq(
             atoms_in_use(_head_term(e.t_deriv))
         )
     d = _avoid_binding_clashes(theory, d, names)
-    walk = _equal_sides(
-        theory, "equal substitution", names, ctx, (sub_s, sub_t), substituted_var,
-        mctx_deriv=mctx_deriv,
-    )
-    d_s, d_t, d_eq = walk(d, [], delta_eqs)
+    step = _equal_sides(theory, "equal substitution", names, ctx, (sub_s, sub_t), mctx_deriv)
+    # A subderivation is walked once under each list of binders.
+    d_s, d_t, d_eq = walk((d, [], delta_eqs), substituted_var, lambda x: (id(x[0]), tuple(x[1])))
     return d_s, d_t, None if isinstance(d.conclusion, BdryTT) else d_eq
 
 
@@ -1213,15 +1214,20 @@ def admissible_instantiate(
     d: Derivation,
     target_mctx: MetaCtx,
     target_vctx: VarCtx,
+    *,
+    mctx_deriv: Optional[Derivation] = None,
 ) -> Derivation:
     """From a derivable instantiation of ``d``'s metavariable context over
     ``target_mctx; target_vctx`` and a derivation  Xi; Gamma |- J  (with the
     same Gamma), produce a derivation of  Theta; Gamma |- I*J.
 
     ``inst_derivs[m]`` must derive  plug(<I>_i B_i, I(m))  over the target
-    context.
+    context.  A ``TT-Meta-Congr`` node is instantiated by equal substitution
+    into its metavariable's fill, which takes ``mctx_deriv``, evidence for
+    ``target_mctx``, as ``eq_subst_n`` does.
     """
-
+    if mctx_deriv is not None:
+        _check_mctx_evidence(mctx_deriv, target_mctx)
     src_mctx, src_vctx = _ctxs(d.conclusion)
     if src_vctx != target_vctx:
         raise MissingContextEvidence("source and target variable contexts must agree")
@@ -1236,19 +1242,23 @@ def admissible_instantiate(
     def act_vctx(vctx: VarCtx) -> VarCtx:
         return VarCtx(list(target_vctx.entries) + [(u, act(inst, ty)) for u, ty in vctx.entries[n:]])
 
-    def instantiated_meta(d: Derivation, walk) -> Optional[Derivation]:
+    def instantiated_meta(d: Derivation, rebuild):
         rule = d.rule
         if rule in _CTX_RULES:
             raise BadNode("instantiation applies to judgement derivations")
         if rule not in ("TT-Meta", "TT-Meta-Eco", "TT-Meta-Congr"):
-            return None
+            return (yield from rebuild(d))
         m, k = d.data[2], len(d.data[3])
-        kids = [walk(p) for p in d.premises[: 3 * k if rule == "TT-Meta-Congr" else k]]
+        kids = []
+        for p in d.premises[: 3 * k if rule == "TT-Meta-Congr" else k]:
+            kids.append((yield p))
         base = inst_derivs[m]
         for u, ty in d.data[1].entries[n:]:
             base = weaken_var(theory, base, u, act(inst, ty))
         if rule == "TT-Meta-Congr":
-            return eq_subst_n(theory, base, kids[:k], kids[k : 2 * k], kids[2 * k :])
+            return eq_subst_n(
+                theory, base, kids[:k], kids[k : 2 * k], kids[2 * k :], mctx_deriv=mctx_deriv
+            )
         for tk in kids:
             base = admissible_substitute(theory, base, tk)
         return base
@@ -1270,19 +1280,14 @@ def presuppositions(
     """From a derivation of  plug(B, e)  and well-formedness evidence for its
     contexts, a derivation of the boundary  B."""
 
-    _check_mctx_evidence(mctx_deriv, d)
+    mctx, vctx = _ctxs(d.conclusion)
+    _check_mctx_evidence(mctx_deriv, mctx)
     have_v = vctx_deriv.conclusion
-    if not isinstance(have_v, VctxWF) or have_v.vctx != _ctxs(d.conclusion)[1]:
+    if not isinstance(have_v, VctxWF) or have_v.vctx != vctx:
         raise MissingContextEvidence("variable-context evidence does not match")
 
-    done: dict = {}  # a shared node is walked once per context evidence
-
-    def walk(d: Derivation, vctx_ev: Derivation) -> Derivation:
-        if (id(d), id(vctx_ev)) not in done:
-            done[id(d), id(vctx_ev)] = (d, vctx_ev, step(d, vctx_ev))
-        return done[id(d), id(vctx_ev)][2]
-
-    def step(d: Derivation, vctx_ev: Derivation) -> Derivation:
+    def step(item):
+        d, vctx_ev = item
         match d.rule:
             case "TT-Var":
                 v = d.data[2]
@@ -1293,51 +1298,58 @@ def presuppositions(
                 return _presup_meta_congr(d)
             case "TT-Abstr":
                 ty_k, body_k, atom = d.premises[0], d.premises[1], d.data[2]
-                ev2 = vctx_extend(theory, vctx_ev, ty_k, atom)
-                inner = walk(body_k, ev2)
+                inner = yield body_k, vctx_extend(theory, vctx_ev, ty_k, atom)
                 return bdry_abstr(theory, ty_k, inner, atom)
             case "TT-Specific" | "TT-Specific-Eco":
-                return _specific_boundary(theory, d)
+                return _specific_boundary(theory, d, mctx_deriv)
             case "TT-Congr":
-                return _presup_congr(d, vctx_ev)
+                m_ctx, v_ctx, rn, li, ri = d.data
+                trule = theory.rule(rn)
+                n = len(trule.rule.premises)
+                left = specific(theory, m_ctx, v_ctx, rn, li, d.premises[:n])
+                right = specific(theory, m_ctx, v_ctx, rn, ri, d.premises[n : 2 * n])
+                if isinstance(trule.rule.conclusion, IsTy):
+                    return bdry_eqty(theory, left, right)
+                type_eq = d.premises[-1]
+                c_ty_b = yield type_eq, vctx_ev
+                right_conv = conv_tm(theory, right, eqty_sym(theory, type_eq))
+                return bdry_eqtm(theory, c_ty_b.premises[0], left, right_conv)
             case "TT-EqTy-Refl":
                 a = d.premises[0]
                 return bdry_eqty(theory, a, a)
             case "TT-EqTy-Sym":
-                inner = walk(d.premises[0], vctx_ev)
+                inner = yield d.premises[0], vctx_ev
                 return bdry_eqty(theory, inner.premises[1], inner.premises[0])
             case "TT-EqTy-Trans":
-                b1 = walk(d.premises[0], vctx_ev)
-                b2 = walk(d.premises[1], vctx_ev)
+                b1 = yield d.premises[0], vctx_ev
+                b2 = yield d.premises[1], vctx_ev
                 return bdry_eqty(theory, b1.premises[0], b2.premises[1])
             case "TT-EqTm-Refl":
                 t = d.premises[0]
-                b = walk(t, vctx_ev)
+                b = yield t, vctx_ev
                 if b.rule != "TT-Bdry-Tm":
                     raise BadNode("expected a term boundary")
                 return bdry_eqtm(theory, b.premises[0], t, t)
             case "TT-EqTm-Sym":
-                inner = walk(d.premises[0], vctx_ev)
+                inner = yield d.premises[0], vctx_ev
                 return bdry_eqtm(theory, inner.premises[0], inner.premises[2], inner.premises[1])
             case "TT-EqTm-Trans":
-                b1 = walk(d.premises[0], vctx_ev)
-                b2 = walk(d.premises[1], vctx_ev)
+                b1 = yield d.premises[0], vctx_ev
+                b2 = yield d.premises[1], vctx_ev
                 return bdry_eqtm(theory, b1.premises[0], b1.premises[1], b2.premises[2])
             case "TT-Conv-Tm":
-                eq_b = walk(d.premises[1], vctx_ev)
+                eq_b = yield d.premises[1], vctx_ev
                 return bdry_tm(theory, eq_b.premises[1])
             case "TT-Conv-EqTm":
-                eq_b = walk(d.premises[0], vctx_ev)
-                ty_b = walk(d.premises[1], vctx_ev)
+                eq_b = yield d.premises[0], vctx_ev
+                ty_b = yield d.premises[1], vctx_ev
                 s_conv = conv_tm(theory, eq_b.premises[1], d.premises[1])
                 t_conv = conv_tm(theory, eq_b.premises[2], d.premises[1])
                 return bdry_eqtm(theory, ty_b.premises[1], s_conv, t_conv)
-            case _:
-                raise BadNode(f"presuppositions does not handle {d.rule}")
+        raise BadNode(f"presuppositions does not handle {d.rule}")
 
     def _presup_meta_congr(d: Derivation) -> Derivation:
-        mctx, vctx = _ctxs(d.conclusion)
-        m = d.data[2]
+        mctx, vctx, m = d.data[:3]
         k = len(d.data[3])
 
         def side(kids) -> Derivation:
@@ -1354,23 +1366,8 @@ def presuppositions(
         right_conv = conv_tm(theory, right, eqty_sym(theory, type_eq))
         return bdry_eqtm(theory, bdry_s.premises[0], left, right_conv)
 
-    def _presup_congr(d: Derivation, vctx_ev: Derivation) -> Derivation:
-        mctx, vctx = _ctxs(d.conclusion)
-        rn, li, ri = d.data[2], d.data[3], d.data[4]
-        trule = theory.rule(rn)
-        n = len(trule.rule.premises)
-        left_kids = list(d.premises[:n])
-        right_kids = list(d.premises[n : 2 * n])
-        left_node = specific(theory, mctx, vctx, rn, li, left_kids)
-        right_node = specific(theory, mctx, vctx, rn, ri, right_kids)
-        if isinstance(trule.rule.conclusion, IsTy):
-            return bdry_eqty(theory, left_node, right_node)
-        type_eq = d.premises[-1]
-        c_ty_b = walk(type_eq, vctx_ev)
-        right_conv = conv_tm(theory, right_node, eqty_sym(theory, type_eq))
-        return bdry_eqtm(theory, c_ty_b.premises[0], left_node, right_conv)
-
-    return walk(d, vctx_deriv)
+    # A shared node is walked once per context evidence.
+    return walk((d, vctx_deriv), step, lambda x: (id(x[0]), id(x[1])))
 
 
 def _meta_boundary(theory: Theory, d: Derivation, mctx_deriv: Optional[Derivation]) -> Derivation:
@@ -1390,10 +1387,11 @@ def _meta_boundary(theory: Theory, d: Derivation, mctx_deriv: Optional[Derivatio
     return out
 
 
-def _specific_boundary(theory: Theory, d: Derivation) -> Derivation:
+def _specific_boundary(theory: Theory, d: Derivation, mctx_deriv: Optional[Derivation]) -> Derivation:
     """The boundary derivation of a specific-rule node: a TT-Specific node's
     last premise, or for TT-Specific-Eco the rule's finitary boundary witness
-    instantiated with the node's premises."""
+    instantiated with the node's premises (``mctx_deriv`` as for
+    ``admissible_instantiate``)."""
     if d.rule == "TT-Specific":
         return d.premises[-1]
     mctx, vctx = _ctxs(d.conclusion)
@@ -1407,7 +1405,7 @@ def _specific_boundary(theory: Theory, d: Derivation) -> Derivation:
     ):
         return witness  # the rule's generic instance: the witness is its boundary
     inst_derivs = {m: p for (m, _), p in zip(premises, d.premises)}
-    return admissible_instantiate(theory, inst, inst_derivs, witness, mctx, vctx)
+    return admissible_instantiate(theory, inst, inst_derivs, witness, mctx, vctx, mctx_deriv=mctx_deriv)
 
 
 def _finitary_boundary_witness(theory: Theory, rule_name: str) -> Derivation:
@@ -1457,21 +1455,20 @@ def invert(theory: Theory, d: Derivation) -> Derivation:
     j = _want_jdg(d.conclusion, "invert")
     if not j.prefix and not isinstance(j.body, (IsTy, IsTm)):
         raise NotObjectJudgement("inversion applies to object judgements")
-    if d.rule != "TT-Conv-Tm":
+    convs = []
+    while d.rule == "TT-Conv-Tm":
+        convs.append(d)
+        d = d.premises[0]
+    if not convs:
         return d
-    inner = invert(theory, d.premises[0])
-    eq = d.premises[1]
-    target = _want_plain_thesis(d.conclusion, IsTm, "invert").ty
-    if inner.rule == "TT-Conv-Tm":
-        stump, eq0 = inner.premises[0], inner.premises[1]
-        nat = _want_plain_thesis(stump.conclusion, IsTm, "invert").ty
-        if nat == target:
-            return stump
-        return conv_tm(theory, stump, eqty_trans(theory, eq0, eq))
-    nat = _want_plain_thesis(inner.conclusion, IsTm, "invert").ty
-    if nat == target:
-        return inner
-    return conv_tm(theory, inner, eq)
+    # From the innermost conversion out: the equation from the type of the
+    # stump ``d`` to the conversion's, None where the two types agree.
+    nat, eq = _want_plain_thesis(d.conclusion, IsTm, "invert").ty, None
+    for conv in reversed(convs):
+        eq = conv.premises[1] if eq is None else eqty_trans(theory, eq, conv.premises[1])
+        if nat == _want_plain_thesis(conv.conclusion, IsTm, "invert").ty:
+            eq = None
+    return d if eq is None else conv_tm(theory, d, eq)
 
 
 def uniqueness_of_typing(
@@ -1560,14 +1557,17 @@ def eq_instantiate(
             list(target_vctx.entries) + [(u, act(inst_i, ty)) for u, ty in delta]
         )
 
-    def instantiated_meta(d: Derivation, delta: list, delta_eqs: dict):
+    def instantiated_meta(item):
+        d, delta, delta_eqs = item
         if d.rule == "TT-Meta-Congr":
             raise BadNode("equal instantiation across metavariable congruence is not supported")
         if d.rule not in ("TT-Meta", "TT-Meta-Eco"):
-            return None
+            return (yield from step(item))
         m, terms = d.data[2], d.data[3]
         e = by_meta[m]
-        triples = [walk(p, delta, delta_eqs) for p in d.premises[: len(terms)]]
+        triples = []
+        for p in d.premises[: len(terms)]:
+            triples.append((yield p, delta, delta_eqs))
         pad = [(u, act(inst_i, ty)) for u, ty in delta]
         d_i = weaken_vars(theory, e.i_deriv, pad)
         d_j = weaken_vars(theory, e.j_deriv, pad)
@@ -1586,7 +1586,7 @@ def eq_instantiate(
         # right piece: e_J[I*t] == e_J[J*t] by equal substitution, J*t
         # converted to the binder type under I
         ty_d = _avoid_binding_clashes(theory, binder_type(m), {u.name for u, _ in delta} | names)
-        ty_eq = walk(ty_d, delta, delta_eqs)[2]
+        ty_eq = (yield ty_d, delta, delta_eqs)[2]
         conv_t = conv_tm(theory, t_d, eqty_sym(theory, ty_eq))
         base_jat = weaken_vars(theory, e.j_at_i_deriv, pad)
         right = eq_subst_n(theory, base_jat, [s_d], [conv_t], [st_eq])
@@ -1599,17 +1599,17 @@ def eq_instantiate(
     # recurs (a binder type, the premises repeated in a boundary) is walked
     # once.  The judgement filling an object metavariable's boundary with its
     # generic application is answered by the entry itself.
-    seen: dict = {}
+    done: dict = {}
     top_vctx = _ctxs(d.conclusion)[1]
     for e in entries:
         if e.eq_deriv is not None and e.meta in src_mctx:
             b = src_mctx[e.meta]
             own = fill(b, generic_application(e.meta, boundary_arity(b), theory.flavor))
-            seen[(JdgTT(src_mctx, top_vctx, own), ())] = (e.i_deriv, e.j_deriv, e.eq_deriv)
+            done[(JdgTT(src_mctx, top_vctx, own), ())] = (e.i_deriv, e.j_deriv, e.eq_deriv)
 
     sides = (lambda x: act(inst_i, x), lambda x: act(inst_j, x))
-    walk = _equal_sides(theory, "equal instantiation", names, ctx, sides, instantiated_meta, seen)
-    return walk(d, [], {})
+    step = _equal_sides(theory, "equal instantiation", names, ctx, sides)
+    return walk((d, [], {}), instantiated_meta, lambda x: (x[0].conclusion, tuple(x[1])), done)
 
 
 def _argument_of(d: Derivation) -> "object":

@@ -180,3 +180,100 @@ def test_closure_rules_have_a_slot_row_and_a_translation():
     the trust base without the walks that rebuild and translate it."""
     assert infer_cases() == set(tt._SLOTS)
     assert set(tt._SLOTS) - tt._CTX_RULES == set(translate.TTtoCF._KINDS)
+
+
+# The recursions left in the walk modules, each with its bound.  Every other
+# walk over a derivation runs on ``tt_engine.walk`` and uses no frame per level.
+ALLOWED_RECURSION = {
+    # bounded by the binder prefix of the equation
+    "translate.TTtoCF._rectify_eq_lhs",
+    # bounded by the binder prefix of the fills
+    "translate.TTtoCF._equation_boundary_cert",
+    # bounded by the binder prefix of the equation
+    "translate._fill_certs_of_equation",
+    # bounded by annotation nesting
+    "translate._dependence_order.depth_of",
+}
+
+
+def call_graph(path: pathlib.Path) -> dict[str, set[str]]:
+    """Each function, nested function and method of a module -> the ones of
+    them it calls: a name, resolved from the innermost enclosing function
+    out, unless a parameter or assignment of the caller binds it; a method
+    ``self.m``; and every method of the class for ``getattr(self, ...)``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions: dict[str, tuple] = {}  # qualified name -> (node, enclosing functions, class)
+
+    def collect(body, scope, cls):
+        for stmt in body:
+            if isinstance(stmt, ast.ClassDef):
+                collect(stmt.body, (), stmt.name)
+            elif isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = ".".join(filter(None, (cls, *scope, stmt.name)))
+                functions[name] = (stmt, scope, cls)
+                collect(stmt.body, (*scope, stmt.name), cls)
+            else:
+                for field in ("body", "orelse", "finalbody", "handlers", "cases"):
+                    collect(getattr(stmt, field, []), scope, cls)
+
+    collect(tree.body, (), None)
+    methods: dict = {}  # class -> its methods
+    for qual, (_, scope, cls) in functions.items():
+        if cls and not scope:
+            methods.setdefault(cls, set()).add(qual.split(".")[1])
+
+    def own_nodes(fn):
+        """The nodes of ``fn``'s body outside its nested functions and classes."""
+        stack = list(fn.body) + list(fn.args.defaults)
+        while stack:
+            n = stack.pop()
+            yield n
+            if not isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.extend(ast.iter_child_nodes(n))
+
+    graph: dict[str, set[str]] = {}
+    for qual, (fn, scope, cls) in functions.items():
+        nodes = list(own_nodes(fn))
+        bound = {a.arg for a in ast.walk(fn.args) if isinstance(a, ast.arg)}
+        bound |= {n.id for n in nodes if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        out = graph[qual] = set()
+        for call in (n for n in nodes if isinstance(n, ast.Call)):
+            f = call.func
+            if isinstance(f, ast.Name) and f.id not in bound:
+                chain = [(*scope, fn.name)[:i] for i in range(len(scope) + 1, -1, -1)]
+                for prefix in chain:
+                    target = ".".join(filter(None, (cls if prefix else None, *prefix, f.id)))
+                    if target in functions:
+                        out.add(target)
+                        break
+            elif isinstance(f, ast.Attribute) and getattr(f.value, "id", None) == "self":
+                if f.attr in methods.get(cls, ()):
+                    out.add(f"{cls}.{f.attr}")
+            elif isinstance(f, ast.Call) and getattr(f.func, "id", None) == "getattr":
+                if getattr(f.args[0], "id", None) == "self":
+                    out |= {f"{cls}.{m}" for m in methods[cls]}
+    return graph
+
+
+def recursive_functions(path: pathlib.Path) -> set[str]:
+    """The functions of a module that its call graph reaches from themselves."""
+    graph = call_graph(path)
+    found = set()
+    for start in graph:
+        stack, seen = list(graph[start]), set()
+        while stack:
+            f = stack.pop()
+            if f == start:
+                found.add(f"{path.stem}.{start}")
+                break
+            if f not in seen:
+                seen.add(f)
+                stack.extend(graph[f])
+    return found
+
+
+def test_the_walk_modules_recurse_only_where_bounded():
+    """No function of ``tt_engine`` or ``translate`` reaches itself through
+    the calls it makes by name but the bounded recursions named above."""
+    found = recursive_functions(SRC / "tt_engine.py") | recursive_functions(SRC / "translate.py")
+    assert found == ALLOWED_RECURSION
