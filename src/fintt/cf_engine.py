@@ -2,13 +2,21 @@
 constructors with no stored derivations, plus the context-free
 meta-operations.
 
-A :class:`CertifiedJudgement` carries only its payload and a theory tag; it
-can be produced exclusively by the constructors in this module, each of
-which validates the side conditions of one closure rule or implements one
+A :class:`Certificate` carries only its payload and a theory tag; it can be
+produced exclusively by the constructors in this module, each of which
+validates the side conditions of one closure rule or implements one
 admissible meta-operation as a judgement-level computation.  Every
 constructor also maintains a monotone cache of certified annotation
 judgements so that the well-typed-annotation discipline never has to be
 re-established.
+
+As in the paper, a structural rule has one constructor for abstracted
+judgements and boundaries alike: ``cf_abstract_fwd`` (CF-Abstr and
+CF-Bdry-Abstr), ``cf_substitute`` and ``cf_instantiate``; and equal
+substitution has one, ``cf_subst_eq``, for types and terms.  A certificate's
+class follows its payload: one maker, ``_cert``, makes a
+:class:`CertifiedBoundary` when the payload's body is a boundary thesis and a
+:class:`CertifiedJudgement` otherwise.
 
 Assumption sets emitted by the constructors are always the minimal suitable
 ones.
@@ -16,7 +24,7 @@ ones.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import (
     AnnotationMismatch,
@@ -90,39 +98,40 @@ from .theory import (
 _TOKEN = object()
 
 
-class CertifiedJudgement:
+class Certificate:
+    """A payload certified by the nucleus over ``theory``, with the cache of
+    certified annotation judgements.  Only this module holds the token that
+    makes one, and it makes every one through ``_cert``."""
+
+    __slots__ = ("payload", "theory", "_annotations")
+
+    def __init__(self, payload: Abstracted, theory: Theory, annotations, token=None):
+        if token is not _TOKEN:
+            raise PermissionError("certificates can only be made by the cf engine")
+        self.payload = payload
+        self.theory = theory
+        self._annotations = annotations
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.payload!r})"
+
+
+class CertifiedJudgement(Certificate):
     """A context-free judgement certified by the nucleus."""
 
-    __slots__ = ("payload", "theory", "_annotations")
-
-    def __init__(self, payload: AbstractedJudgement, theory: Theory, annotations, token=None):
-        if token is not _TOKEN:
-            raise PermissionError("certificates can only be made by the cf engine")
-        self.payload = payload
-        self.theory = theory
-        self._annotations = annotations
-
-    def __repr__(self) -> str:
-        return f"CertifiedJudgement({self.payload!r})"
+    __slots__ = ()
 
 
-class CertifiedBoundary:
+class CertifiedBoundary(Certificate):
     """A context-free boundary certified by the nucleus."""
 
-    __slots__ = ("payload", "theory", "_annotations")
-
-    def __init__(self, payload: AbstractedBoundary, theory: Theory, annotations, token=None):
-        if token is not _TOKEN:
-            raise PermissionError("certificates can only be made by the cf engine")
-        self.payload = payload
-        self.theory = theory
-        self._annotations = annotations
-
-    def __repr__(self) -> str:
-        return f"CertifiedBoundary({self.payload!r})"
+    __slots__ = ()
 
 
-Certificate = Union[CertifiedJudgement, CertifiedBoundary]
+_CLASS_OF = {
+    **dict.fromkeys((IsTy, IsTm, EqTy, EqTm), CertifiedJudgement),
+    **dict.fromkeys((IsTyB, IsTmB, EqTyB, EqTmB), CertifiedBoundary),
+}
 
 
 def _theory_extends(big: Theory, small: Theory) -> bool:
@@ -162,12 +171,10 @@ def _merge(theory: Theory, *certs: Certificate) -> dict:
     return out
 
 
-def _jdg(theory: Theory, payload: AbstractedJudgement, annotations) -> CertifiedJudgement:
-    return CertifiedJudgement(payload, theory, annotations, token=_TOKEN)
-
-
-def _bdry(theory: Theory, payload: AbstractedBoundary, annotations) -> CertifiedBoundary:
-    return CertifiedBoundary(payload, theory, annotations, token=_TOKEN)
+def _cert(theory: Theory, payload: Abstracted, annotations) -> Certificate:
+    """The one maker of certificates: a judgement or a boundary certificate as
+    the payload's body is a judgement or a boundary thesis."""
+    return _CLASS_OF[type(payload.body)](payload, theory, annotations, _TOKEN)
 
 
 def _want(cert: CertifiedJudgement, expected: AbstractedJudgement, what: str) -> None:
@@ -187,7 +194,7 @@ def minimal_suitable(premises: Sequence, bdry: AbstractedBoundary) -> Assumption
     Raises :class:`BoundaryExceedsPremises` when the boundary mentions
     assumptions absent from the premises.
     """
-    payloads = [p.payload if isinstance(p, (CertifiedJudgement, CertifiedBoundary)) else p for p in premises]
+    payloads = [p.payload if isinstance(p, Certificate) else p for p in premises]
     prem = asm(*payloads) if payloads else EMPTY_ASSUMPTIONS
     bd = asm(bdry)
     if not bd.issubset(prem):
@@ -235,33 +242,32 @@ def cf_var(theory: Theory, v: FreeVar, cert_annotation: CertifiedJudgement) -> C
         )
     ann = _merge(theory, cert_annotation)
     ann[cert_annotation.payload] = cert_annotation
-    return _jdg(theory, plain(IsTm(v, v.annotation)), ann)
+    return _cert(theory, plain(IsTm(v, v.annotation)), ann)
 
 
 def cf_abstract_fwd(
     theory: Theory,
     cert_ty: CertifiedJudgement,
-    cert_j: CertifiedJudgement,
+    cert_j: Certificate,
     v: FreeVar,
-) -> CertifiedJudgement:
-    """CF-Abstr-Fwd: abstract the variable ``v`` out of a derived judgement."""
+) -> Certificate:
+    """CF-Abstr-Fwd and CF-Bdry-Abstr: abstract the variable ``v`` out of a
+    derived judgement or boundary."""
     ty = _plain_body(cert_ty, IsTy, "CF-Abstr").ty
     if v.annotation != ty:
         raise AnnotationMismatch("abstracted variable must be annotated with the binder type")
     if v in fvt(cert_j.payload):
-        raise VarInAnnotation(
-            f"{v.name} occurs in a typing annotation of the judgement"
-        )
+        raise VarInAnnotation(f"{v.name} occurs in a typing annotation of the abstracted body")
     payload = abstract_judgement(cert_j.payload, v, ty)
-    return _jdg(theory, payload, _merge(theory, cert_ty, cert_j))
+    return _cert(theory, payload, _merge(theory, cert_ty, cert_j))
 
 
 def cf_abstract(
     theory: Theory,
     cert_ty: CertifiedJudgement,
-    cert_j: CertifiedJudgement,
+    cert_j: Certificate,
     name_hint: str = "x",
-) -> CertifiedJudgement:
+) -> Certificate:
     """Backward-form CF-Abstr: abstracts a deterministically chosen fresh
     variable, for callers that never named one."""
     ty = _plain_body(cert_ty, IsTy, "CF-Abstr").ty
@@ -270,19 +276,20 @@ def cf_abstract(
     return cf_abstract_fwd(theory, cert_ty, cert_j, v)
 
 
-def cf_abstract_bdry_fwd(
-    theory: Theory,
-    cert_ty: CertifiedJudgement,
-    cert_b: CertifiedBoundary,
-    v: FreeVar,
-) -> CertifiedBoundary:
-    ty = _plain_body(cert_ty, IsTy, "CF-Bdry-Abstr").ty
-    if v.annotation != ty:
-        raise AnnotationMismatch("abstracted variable must be annotated with the binder type")
-    if v in fvt(cert_b.payload):
-        raise VarInAnnotation(f"{v.name} occurs in a typing annotation of the boundary")
-    payload = abstract_judgement(cert_b.payload, v, ty)
-    return _bdry(theory, payload, _merge(theory, cert_ty, cert_b))
+def _meta_annotations(theory: Theory, m: MetaName, certs: Sequence, annotation_cert) -> dict:
+    """The merged annotation caches of a metavariable rule's premises
+    ``certs``, which must hold a certificate of ``m``'s boundary annotation:
+    ``annotation_cert``, or one already cached."""
+    if m.annotation is None:
+        raise AnnotationMismatch("cf metavariables carry their boundary as annotation")
+    ann = _merge(theory, *certs, annotation_cert)
+    if annotation_cert is not None:
+        if annotation_cert.payload != m.annotation:
+            raise AnnotationMismatch("annotation certificate proves a different boundary")
+        ann[m.annotation] = annotation_cert
+    if m.annotation not in ann:
+        raise AnnotationMismatch(f"boundary of {m.name} has not been certified")
+    return ann
 
 
 def cf_meta(
@@ -297,15 +304,7 @@ def cf_meta(
     The metavariable's own boundary annotation must be certified, either by
     ``annotation_cert`` or through the premises' annotation caches.
     """
-    if m.annotation is None:
-        raise AnnotationMismatch("cf metavariables carry their boundary as annotation")
-    ann = _merge(theory, *term_certs, cert_bdry, annotation_cert)
-    if annotation_cert is not None:
-        if annotation_cert.payload != m.annotation:
-            raise AnnotationMismatch("annotation certificate proves a different boundary")
-        ann[m.annotation] = annotation_cert
-    if m.annotation not in ann:
-        raise AnnotationMismatch(f"boundary of {m.name} has not been certified")
+    ann = _meta_annotations(theory, m, [*term_certs, cert_bdry], annotation_cert)
     terms = [_plain_body(c, IsTm, "CF-Meta").term for c in term_certs]
     premises, bdry, conclusion = metavariable_rule_instance(m, m.annotation, terms)
     for c, need in zip(term_certs, premises):
@@ -313,7 +312,7 @@ def cf_meta(
     if cert_bdry is not None and cert_bdry.payload != bdry:
         raise PremiseMismatch("CF-Meta boundary premise mismatch")
     _require_annotations(theory, ann, conclusion)
-    return _jdg(theory, conclusion, ann)
+    return _cert(theory, conclusion, ann)
 
 
 def cf_meta_congr(
@@ -331,66 +330,34 @@ def cf_meta_congr(
     ``v = convert(M(ts), eps)`` is constructed here via equal substitution
     into the boundary type.
     """
-    if m.annotation is None:
-        raise AnnotationMismatch("cf metavariables carry their boundary as annotation")
+    ann = _meta_annotations(theory, m, [*s_certs, *t_certs, *eq_certs], annotation_cert)
     bdry = m.annotation
     k = len(bdry.prefix)
     if len(s_certs) != k or len(t_certs) != k or len(eq_certs) != k:
         raise ArityMismatch(f"{m.name} takes {k} arguments")
-    ann = _merge(theory, *s_certs, *t_certs, *eq_certs, annotation_cert)
-    if annotation_cert is not None:
-        if annotation_cert.payload != bdry:
-            raise AnnotationMismatch("annotation certificate proves a different boundary")
-        ann[bdry] = annotation_cert
-    if bdry not in ann:
-        raise AnnotationMismatch(f"boundary of {m.name} has not been certified")
-    ss = [_plain_body(c, IsTm, "CF-Meta-Congr").term for c in s_certs]
-    ts = [_plain_body(c, IsTm, "CF-Meta-Congr").term for c in t_certs]
-    for j in range(k):
-        ty_s = subst_bound_many(bdry.prefix[j], ss[:j])
-        ty_t = subst_bound_many(bdry.prefix[j], ts[:j])
-        _want(s_certs[j], plain(IsTm(ss[j], ty_s)), "CF-Meta-Congr s-premise")
-        _want(t_certs[j], plain(IsTm(ts[j], ty_t)), "CF-Meta-Congr t-premise")
-        eq = _plain_body(eq_certs[j], EqTm, "CF-Meta-Congr equation")
-        if eq.lhs != ss[j] or eq.ty != ty_s:
-            raise PremiseMismatch("CF-Meta-Congr equation does not match the s-premise")
-        if not erased_equal(eq.rhs, ts[j]):
-            raise ErasureMismatch("CF-Meta-Congr primed side differs after erasure")
+    ss, ts = _check_subst_eq_premises(bdry.prefix, s_certs, t_certs, eq_certs, "CF-Meta-Congr")
     body = bdry.body
+    lhs = MetaApp(m, tuple(ss))
     if isinstance(body, IsTyB):
-        lhs = MetaApp(m, tuple(ss))
         rhs = MetaApp(m, tuple(ts))
-        bthesis = EqTyB(lhs, rhs)
         mt = cf_meta(theory, m, t_certs, annotation_cert=ann[bdry])
-        beta = minimal_suitable([*s_certs, *t_certs, *eq_certs, mt], plain(bthesis))
-        return _jdg(theory, plain(EqTy(lhs, rhs, beta)), ann)
+        beta = minimal_suitable([*s_certs, *t_certs, *eq_certs, mt], plain(EqTyB(lhs, rhs)))
+        return _cert(theory, plain(EqTy(lhs, rhs, beta)), ann)
     if not isinstance(body, IsTmB):
         raise NotObjectJudgement("metavariable congruence needs an object boundary")
     # construct v by converting M(ts) to the s-substituted boundary type
-    ty_cert = _type_of_term_boundary_cert(theory, _bdry(theory, bdry, ann))
-    ty_eq = cf_subst_eqty(theory, ty_cert, s_certs, t_certs, eq_certs)
+    ty_cert = _cert(theory, Abstracted(bdry.prefix, IsTy(body.ty)), dict(ann))
+    ty_eq = cf_subst_eq(theory, ty_cert, s_certs, t_certs, eq_certs)
     mt = cf_meta(theory, m, t_certs, annotation_cert=ann[bdry])
     v_cert = cf_conv_tm(theory, mt, cf_eqty_sym(theory, ty_eq))
     v = _plain_body(v_cert, IsTm, "CF-Meta-Congr").term
-    lhs = MetaApp(m, tuple(ss))
     ty_s_full = subst_bound_many(body.ty, ss)
-    bthesis = EqTmB(lhs, v, ty_s_full)
-    beta = minimal_suitable(
-        list(s_certs) + list(t_certs) + list(eq_certs) + [v_cert], plain(bthesis)
-    )
+    bthesis = plain(EqTmB(lhs, v, ty_s_full))
+    beta = minimal_suitable([*s_certs, *t_certs, *eq_certs, v_cert], bthesis)
     ann = _merge(theory, *s_certs, *t_certs, *eq_certs, v_cert)
     if annotation_cert is not None:
         ann[bdry] = annotation_cert
-    return _jdg(theory, plain(EqTm(lhs, v, ty_s_full, beta)), ann)
-
-
-def _type_of_term_boundary_cert(theory: Theory, cert_b: CertifiedBoundary) -> CertifiedJudgement:
-    """Inverts a certified term boundary  {xs:As} (box : B)  to the certified
-    judgement  {xs:As} B type  (the boundary rules demand it as premise)."""
-    b = cert_b.payload
-    if not isinstance(b.body, IsTmB):
-        raise PremiseMismatch("expected a term boundary")
-    return _jdg(theory, Abstracted(b.prefix, IsTy(b.body.ty)), dict(cert_b._annotations))
+    return _cert(theory, plain(EqTm(lhs, v, ty_s_full, beta)), ann)
 
 
 # ---------------------------------------------------------------------------
@@ -404,12 +371,12 @@ def cf_eqty_refl(
     a2 = _plain_body(cert_a2, IsTy, "CF-EqTy-Refl").ty
     if not erased_equal(a1, a2):
         raise ErasureMismatch("CF-EqTy-Refl sides differ after erasure")
-    return _jdg(theory, plain(EqTy(a1, a2, EMPTY_ASSUMPTIONS)), _merge(theory, cert_a1, cert_a2))
+    return _cert(theory, plain(EqTy(a1, a2, EMPTY_ASSUMPTIONS)), _merge(theory, cert_a1, cert_a2))
 
 
 def cf_eqty_sym(theory: Theory, cert: CertifiedJudgement) -> CertifiedJudgement:
     eq = _plain_body(cert, EqTy, "CF-EqTy-Sym")
-    return _jdg(theory, plain(EqTy(eq.rhs, eq.lhs, eq.by)), _merge(theory, cert))
+    return _cert(theory, plain(EqTy(eq.rhs, eq.lhs, eq.by)), _merge(theory, cert))
 
 
 def cf_eqty_trans(
@@ -421,7 +388,7 @@ def cf_eqty_trans(
         raise ErasureMismatch("CF-EqTy-Trans middle types differ after erasure")
     bthesis = EqTyB(e1.lhs, e2.rhs)
     gamma = minimal_suitable([cert1, cert2], plain(bthesis))
-    return _jdg(theory, plain(EqTy(e1.lhs, e2.rhs, gamma)), _merge(theory, cert1, cert2))
+    return _cert(theory, plain(EqTy(e1.lhs, e2.rhs, gamma)), _merge(theory, cert1, cert2))
 
 
 def cf_eqtm_refl(
@@ -433,7 +400,7 @@ def cf_eqtm_refl(
         raise TypeMismatch("CF-EqTm-Refl sides live at different types")
     if not erased_equal(t1.term, t2.term):
         raise ErasureMismatch("CF-EqTm-Refl sides differ after erasure")
-    return _jdg(
+    return _cert(
         theory,
         plain(EqTm(t1.term, t2.term, t1.ty, EMPTY_ASSUMPTIONS)),
         _merge(theory, cert_t1, cert_t2),
@@ -442,7 +409,7 @@ def cf_eqtm_refl(
 
 def cf_eqtm_sym(theory: Theory, cert: CertifiedJudgement) -> CertifiedJudgement:
     eq = _plain_body(cert, EqTm, "CF-EqTm-Sym")
-    return _jdg(theory, plain(EqTm(eq.rhs, eq.lhs, eq.ty, eq.by)), _merge(theory, cert))
+    return _cert(theory, plain(EqTm(eq.rhs, eq.lhs, eq.ty, eq.by)), _merge(theory, cert))
 
 
 def cf_eqtm_trans(
@@ -456,7 +423,7 @@ def cf_eqtm_trans(
         raise ErasureMismatch("CF-EqTm-Trans middle terms differ after erasure")
     bthesis = EqTmB(e1.lhs, e2.rhs, e1.ty)
     gamma = minimal_suitable([cert1, cert2], plain(bthesis))
-    return _jdg(theory, plain(EqTm(e1.lhs, e2.rhs, e1.ty, gamma)), _merge(theory, cert1, cert2))
+    return _cert(theory, plain(EqTm(e1.lhs, e2.rhs, e1.ty, gamma)), _merge(theory, cert1, cert2))
 
 
 def cf_conv_tm(
@@ -474,7 +441,7 @@ def cf_conv_tm(
     out = IsTm(Convert(tm.term, beta), eq.rhs)
     if asm(out) != everything:
         raise BadNode("conversion side condition failed")
-    return _jdg(theory, plain(out), _merge(theory, cert_t, cert_eq))
+    return _cert(theory, plain(out), _merge(theory, cert_t, cert_eq))
 
 
 def cf_conv_eqtm(
@@ -489,7 +456,7 @@ def cf_conv_eqtm(
     gamma = asm(eq.lhs, eq.ty, tyeq.rhs, tyeq.by).difference(asm(eq.lhs, tyeq.rhs))
     delta = asm(eq.rhs, eq.ty, tyeq.rhs, tyeq.by).difference(asm(eq.rhs, tyeq.rhs))
     out = EqTm(Convert(eq.lhs, gamma), Convert(eq.rhs, delta), tyeq.rhs, eq.by)
-    return _jdg(theory, plain(out), _merge(theory, cert_eq, cert_tyeq))
+    return _cert(theory, plain(out), _merge(theory, cert_eq, cert_tyeq))
 
 
 # ---------------------------------------------------------------------------
@@ -497,12 +464,12 @@ def cf_conv_eqtm(
 
 
 def cf_bdry_ty(theory: Theory) -> CertifiedBoundary:
-    return _bdry(theory, plain(IsTyB()), {})
+    return _cert(theory, plain(IsTyB()), {})
 
 
 def cf_bdry_tm(theory: Theory, cert_a: CertifiedJudgement) -> CertifiedBoundary:
     a = _plain_body(cert_a, IsTy, "CF-Bdry-Tm").ty
-    return _bdry(theory, plain(IsTmB(a)), _merge(theory, cert_a))
+    return _cert(theory, plain(IsTmB(a)), _merge(theory, cert_a))
 
 
 def cf_bdry_eqty(
@@ -510,7 +477,7 @@ def cf_bdry_eqty(
 ) -> CertifiedBoundary:
     a = _plain_body(cert_a, IsTy, "CF-Bdry-EqTy").ty
     b = _plain_body(cert_b, IsTy, "CF-Bdry-EqTy").ty
-    return _bdry(theory, plain(EqTyB(a, b)), _merge(theory, cert_a, cert_b))
+    return _cert(theory, plain(EqTyB(a, b)), _merge(theory, cert_a, cert_b))
 
 
 def cf_bdry_eqtm(
@@ -524,7 +491,7 @@ def cf_bdry_eqtm(
     t = _plain_body(cert_t, IsTm, "CF-Bdry-EqTm")
     if s.ty != a or t.ty != a:
         raise TypeMismatch("CF-Bdry-EqTm sides must live at the stated type")
-    return _bdry(theory, plain(EqTmB(s.term, t.term, a)), _merge(theory, cert_a, cert_s, cert_t))
+    return _cert(theory, plain(EqTmB(s.term, t.term, a)), _merge(theory, cert_a, cert_s, cert_t))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +523,7 @@ def cf_apply_rule(
         raise PremiseMismatch(f"rule {rule_name}: boundary premise mismatch")
     ann = _merge(theory, *premise_certs, cert_bdry)
     _require_annotations(theory, ann, conclusion)
-    return _jdg(theory, conclusion, ann)
+    return _cert(theory, conclusion, ann)
 
 
 def cf_congruence(
@@ -618,7 +585,7 @@ def cf_congruence(
         lhs = act(left, rule.conclusion.ty)
         rhs = act(right, rule.conclusion.ty)
         beta = minimal_suitable(all_premises, plain(EqTyB(lhs, rhs)))
-        return _jdg(theory, plain(EqTy(lhs, rhs, beta)), _merge(theory, *all_premises))
+        return _cert(theory, plain(EqTy(lhs, rhs, beta)), _merge(theory, *all_premises))
     lhs = act(left, rule.conclusion.term)
     ty_l = act(left, rule.conclusion.ty)
     if t_prime_cert is None:
@@ -630,7 +597,7 @@ def cf_congruence(
         raise ErasureMismatch("t' differs from the right instance after erasure")
     all_premises.append(t_prime_cert)
     beta = minimal_suitable(all_premises, plain(EqTmB(lhs, tp.term, ty_l)))
-    return _jdg(
+    return _cert(
         theory, plain(EqTm(lhs, tp.term, ty_l, beta)), _merge(theory, *all_premises)
     )
 
@@ -660,102 +627,72 @@ def got_by(j: AbstractedJudgement):
 # Substitution and instantiation
 
 
-def cf_substitute(
-    theory: Theory, cert_abs: CertifiedJudgement, cert_t: CertifiedJudgement
-) -> CertifiedJudgement:
-    """CF-Subst: plug a derived term into the outermost binder."""
+def cf_substitute(theory: Theory, cert_abs: Certificate, cert_t: CertifiedJudgement) -> Certificate:
+    """CF-Subst and CF-Bdry-Subst: plug a derived term into the outermost
+    binder of an abstracted judgement or boundary."""
     j = cert_abs.payload
     if not j.prefix:
-        raise PremiseMismatch("CF-Subst needs an abstracted judgement")
+        raise PremiseMismatch("CF-Subst needs an abstraction")
     tm = _plain_body(cert_t, IsTm, "CF-Subst")
     if tm.ty != j.prefix[0]:
         raise TypeMismatch("substituted term does not live at the binder type")
     payload = instantiate_prefix(j, [tm.term])
-    return _jdg(theory, payload, _merge(theory, cert_abs, cert_t))
-
-
-def cf_subst_bdry(
-    theory: Theory, cert_abs: CertifiedBoundary, cert_t: CertifiedJudgement
-) -> CertifiedBoundary:
-    b = cert_abs.payload
-    if not b.prefix:
-        raise PremiseMismatch("CF-Bdry-Subst needs an abstracted boundary")
-    tm = _plain_body(cert_t, IsTm, "CF-Bdry-Subst")
-    if tm.ty != b.prefix[0]:
-        raise TypeMismatch("substituted term does not live at the binder type")
-    payload = instantiate_prefix(b, [tm.term])
-    return _bdry(theory, payload, _merge(theory, cert_abs, cert_t))
+    return _cert(theory, payload, _merge(theory, cert_abs, cert_t))
 
 
 def _check_subst_eq_premises(
-    cert_abs: CertifiedJudgement,
+    prefix: tuple,
     s_certs: Sequence[CertifiedJudgement],
     t_certs: Sequence[CertifiedJudgement],
     eq_certs: Sequence[CertifiedJudgement],
+    what: str,
 ) -> tuple[list[Expr], list[Expr]]:
-    j = cert_abs.payload
+    """The terms of the (s, t, equation) triples substituted for the first
+    binders of ``prefix``: each s at its binder type under the earlier ss,
+    each t under the earlier ts, each equation s == t' with t' erasing to t."""
     n = len(s_certs)
-    if len(t_certs) != n or len(eq_certs) != n or n > len(j.prefix):
+    if len(t_certs) != n or len(eq_certs) != n or n > len(prefix):
         raise PremiseMismatch("substitution triples do not match the abstraction")
-    ss = [_plain_body(c, IsTm, "CF-Subst-Eq").term for c in s_certs]
-    ts = [_plain_body(c, IsTm, "CF-Subst-Eq").term for c in t_certs]
+    ss = [_plain_body(c, IsTm, what).term for c in s_certs]
+    ts = [_plain_body(c, IsTm, what).term for c in t_certs]
     for i in range(n):
-        ty_s = subst_bound_many(j.prefix[i], ss[:i])
-        ty_t = subst_bound_many(j.prefix[i], ts[:i])
-        _want(s_certs[i], plain(IsTm(ss[i], ty_s)), "CF-Subst-Eq s-premise")
-        _want(t_certs[i], plain(IsTm(ts[i], ty_t)), "CF-Subst-Eq t-premise")
-        eq = _plain_body(eq_certs[i], EqTm, "CF-Subst-Eq equation")
+        ty_s = subst_bound_many(prefix[i], ss[:i])
+        ty_t = subst_bound_many(prefix[i], ts[:i])
+        _want(s_certs[i], plain(IsTm(ss[i], ty_s)), f"{what} s-premise")
+        _want(t_certs[i], plain(IsTm(ts[i], ty_t)), f"{what} t-premise")
+        eq = _plain_body(eq_certs[i], EqTm, f"{what} equation")
         if eq.lhs != ss[i] or eq.ty != ty_s:
-            raise PremiseMismatch("CF-Subst-Eq equation does not match the s-premise")
+            raise PremiseMismatch(f"{what} equation does not match the s-premise")
         if not erased_equal(eq.rhs, ts[i]):
-            raise ErasureMismatch("CF-Subst-Eq primed side differs after erasure")
+            raise ErasureMismatch(f"{what} primed side differs after erasure")
     return ss, ts
 
 
-def cf_subst_eqty(
+def cf_subst_eq(
     theory: Theory,
     cert_abs: CertifiedJudgement,
     s_certs: Sequence[CertifiedJudgement],
     t_certs: Sequence[CertifiedJudgement],
     eq_certs: Sequence[CertifiedJudgement],
 ) -> CertifiedJudgement:
-    """CF-Subst-EqTy: equal substitution into an abstracted type judgement."""
+    """CF-Subst-EqTy / CF-Subst-EqTm: equal substitution into an abstracted
+    type or term judgement.  In the term case the right-hand side is the
+    t-substituted term wrapped in a conversion recording the suitable set."""
     j = cert_abs.payload
-    ss, ts = _check_subst_eq_premises(cert_abs, s_certs, t_certs, eq_certs)
+    ss, ts = _check_subst_eq_premises(j.prefix, s_certs, t_certs, eq_certs, "CF-Subst-Eq")
     left = instantiate_prefix(j, ss)
     right = instantiate_prefix(j, ts)
-    if not isinstance(left.body, IsTy):
-        raise NotObjectJudgement("CF-Subst-EqTy applies to type judgements")
-    bth = Abstracted(left.prefix, EqTyB(left.body.ty, right.body.ty))
-    prem = list(s_certs) + list(t_certs) + list(eq_certs) + [cert_abs]
-    beta = minimal_suitable(prem, bth)
-    payload = Abstracted(left.prefix, EqTy(left.body.ty, right.body.ty, beta))
-    return _jdg(theory, payload, _merge(theory, *prem))
-
-
-def cf_subst_eqtm(
-    theory: Theory,
-    cert_abs: CertifiedJudgement,
-    s_certs: Sequence[CertifiedJudgement],
-    t_certs: Sequence[CertifiedJudgement],
-    eq_certs: Sequence[CertifiedJudgement],
-) -> CertifiedJudgement:
-    """CF-Subst-EqTm: the right-hand side is the t-substituted term wrapped
-    in a conversion recording the suitable set."""
-    j = cert_abs.payload
-    ss, ts = _check_subst_eq_premises(cert_abs, s_certs, t_certs, eq_certs)
-    left = instantiate_prefix(j, ss)
-    right = instantiate_prefix(j, ts)
-    if not isinstance(left.body, IsTm):
-        raise NotObjectJudgement("CF-Subst-EqTm applies to term judgements")
-    bth = Abstracted(left.prefix, EqTmB(left.body.term, right.body.term, left.body.ty))
-    prem = list(s_certs) + list(t_certs) + list(eq_certs) + [cert_abs]
-    beta = minimal_suitable(prem, bth)
-    payload = Abstracted(
-        left.prefix,
-        EqTm(left.body.term, Convert(right.body.term, beta), left.body.ty, beta),
-    )
-    return _jdg(theory, payload, _merge(theory, *prem))
+    prem = [*s_certs, *t_certs, *eq_certs, cert_abs]
+    match left.body:
+        case IsTy(ty=a):
+            beta = minimal_suitable(prem, Abstracted(left.prefix, EqTyB(a, right.body.ty)))
+            body = EqTy(a, right.body.ty, beta)
+        case IsTm(term=s, ty=a):
+            beta = minimal_suitable(prem, Abstracted(left.prefix, EqTmB(s, right.body.term, a)))
+            body = EqTm(s, Convert(right.body.term, beta), a, beta)
+        case _:
+            raise NotObjectJudgement("CF-Subst-Eq applies to type and term judgements")
+    return _cert(theory, Abstracted(left.prefix, body), _merge(theory, *prem))
 
 
 def binder_type_cert(theory: Theory, cert_b: CertifiedBoundary, j: int) -> CertifiedJudgement:
@@ -765,42 +702,19 @@ def binder_type_cert(theory: Theory, cert_b: CertifiedBoundary, j: int) -> Certi
     b = cert_b.payload
     if j < 0 or j >= len(b.prefix):
         raise PremiseMismatch("no such binder")
-    return _jdg(
+    return _cert(
         theory, Abstracted(b.prefix[:j], IsTy(b.prefix[j])), dict(cert_b._annotations)
     )
-
-
-def cf_instantiate_bdry(
-    theory: Theory,
-    entries: Sequence[tuple[MetaName, CertifiedJudgement]],
-    cert_b: CertifiedBoundary,
-) -> CertifiedBoundary:
-    """Instantiation admissibility for boundaries."""
-    inst_entries = []
-    for m, cert in entries:
-        if m.annotation is None:
-            raise AnnotationMismatch("cf metavariables carry boundary annotations")
-        inst_entries.append((m, head_of(cert.payload)))
-    inst = Instantiation(inst_entries)
-    for i, (m, cert) in enumerate(entries, start=1):
-        want = fill(act(inst.restrict(i), m.annotation), inst[m])
-        _want(cert, want, "cf_instantiate_bdry")
-    missing = [m for m in mv(cert_b.payload) if m not in inst]
-    if missing:
-        raise UnknownMeta(missing[0].name)
-    payload = act(inst, cert_b.payload)
-    ann = _merge(theory, cert_b, *[c for _, c in entries])
-    _require_annotations(theory, ann, payload)
-    return _bdry(theory, payload, ann)
 
 
 def cf_instantiate(
     theory: Theory,
     entries: Sequence[tuple[MetaName, CertifiedJudgement]],
-    cert_j: CertifiedJudgement,
-) -> CertifiedJudgement:
-    """Context-free admissibility of instantiation: act on the payload after
-    validating that each certificate fills its restricted boundary."""
+    cert_j: Certificate,
+) -> Certificate:
+    """Context-free admissibility of instantiation, for judgements and
+    boundaries alike: act on the payload after validating that each
+    certificate fills its restricted boundary."""
     inst_entries = []
     for m, cert in entries:
         if m.annotation is None:
@@ -816,7 +730,7 @@ def cf_instantiate(
     payload = act(inst, cert_j.payload)
     ann = _merge(theory, cert_j, *[c for _, c in entries])
     _require_annotations(theory, ann, payload)
-    return _jdg(theory, payload, ann)
+    return _cert(theory, payload, ann)
 
 
 # ---------------------------------------------------------------------------
@@ -827,7 +741,7 @@ def presuppositions_cf(theory: Theory, cert: CertifiedJudgement) -> CertifiedBou
     """Context-free presuppositivity: the boundary of a certified judgement
     with well-typed annotations is itself derivable."""
     b, _ = unfill(cert.payload)
-    return _bdry(theory, b, dict(cert._annotations))
+    return _cert(theory, b, dict(cert._annotations))
 
 
 def boundary_components(theory: Theory, cert_b: CertifiedBoundary) -> tuple:
@@ -841,20 +755,23 @@ def boundary_components(theory: Theory, cert_b: CertifiedBoundary) -> tuple:
         case IsTyB():
             return ()
         case IsTmB(ty=a):
-            return (_jdg(theory, plain(IsTy(a)), ann),)
+            return (_cert(theory, plain(IsTy(a)), ann),)
         case EqTyB(lhs=a, rhs=c):
-            return (_jdg(theory, plain(IsTy(a)), ann), _jdg(theory, plain(IsTy(c)), ann))
+            return (_cert(theory, plain(IsTy(a)), ann), _cert(theory, plain(IsTy(c)), ann))
         case EqTmB(lhs=s, rhs=t, ty=a):
             return (
-                _jdg(theory, plain(IsTy(a)), ann),
-                _jdg(theory, plain(IsTm(s, a)), ann),
-                _jdg(theory, plain(IsTm(t, a)), ann),
+                _cert(theory, plain(IsTy(a)), ann),
+                _cert(theory, plain(IsTm(s, a)), ann),
+                _cert(theory, plain(IsTm(t, a)), ann),
             )
     raise PremiseMismatch(f"not a boundary: {b.body!r}")
 
 
 def natural_type_cf(theory: Theory, t: Expr) -> Expr:
-    """The natural type of a term over a standard cf-theory."""
+    """The natural type of a term over a standard cf-theory: that of the
+    term under its conversions."""
+    while isinstance(t, Convert):
+        t = t.term
     match t:
         case FreeVar(annotation=a):
             if a is None:
@@ -876,8 +793,6 @@ def natural_type_cf(theory: Theory, t: Expr) -> Expr:
                 [(m, a) for (m, _), a in zip(trule.rule.premises, args)]
             )
             return act(inst, concl.ty)
-        case Convert(term=inner):
-            return natural_type_cf(theory, inner)
     raise NotObjectJudgement(f"no natural type for {t!r}")
 
 
@@ -896,8 +811,8 @@ def invert_cf(theory: Theory, cert: CertifiedJudgement) -> CertifiedJudgement:
     if tm.ty == nat and stripped == tm.term:
         return cert
     if tm.ty == nat:
-        return _jdg(theory, plain(IsTm(stripped, nat)), ann)
-    return _jdg(theory, plain(IsTm(Convert(stripped, res), tm.ty)), ann)
+        return _cert(theory, plain(IsTm(stripped, nat)), ann)
+    return _cert(theory, plain(IsTm(Convert(stripped, res), tm.ty)), ann)
 
 
 def natural_type_eq(theory: Theory, cert: CertifiedJudgement) -> CertifiedJudgement:
@@ -905,7 +820,7 @@ def natural_type_eq(theory: Theory, cert: CertifiedJudgement) -> CertifiedJudgem
     tm = _plain_body(cert, IsTm, "natural_type_eq")
     nat = natural_type_cf(theory, tm.term)
     res = conversion_residue(tm.term)
-    return _jdg(theory, plain(EqTy(nat, tm.ty, res)), dict(cert._annotations))
+    return _cert(theory, plain(EqTy(nat, tm.ty, res)), dict(cert._annotations))
 
 
 def uniqueness_of_typing_cf(
@@ -922,9 +837,9 @@ def uniqueness_of_typing_cf(
     return cf_eqty_trans(theory, cf_eqty_sym(theory, e1), e2)
 
 
-def strengthen(theory: Theory, cert: CertifiedJudgement, position: Optional[int] = None) -> CertifiedJudgement:
+def strengthen(theory: Theory, cert: Certificate, position: Optional[int] = None) -> Certificate:
     """Removes the binder at ``position`` (default: the innermost) when the
-    remainder of the judgement does not use it."""
+    remainder of the judgement or boundary does not use it."""
     j = cert.payload
     if not j.prefix:
         raise PremiseMismatch("nothing to strengthen")
@@ -947,7 +862,7 @@ def strengthen(theory: Theory, cert: CertifiedJudgement, position: Optional[int]
     )
     new_body = subst_bound(j.body, marker, n - 1 - pos)
     payload = Abstracted(new_prefix, new_body)
-    return _jdg(theory, payload, dict(cert._annotations))
+    return _cert(theory, payload, dict(cert._annotations))
 
 
 def bv_at_root(x) -> frozenset[int]:
@@ -977,18 +892,19 @@ def boundary_convert(
         return _boundary_convert_plain(theory, b1.body, b2.body, j.body, ann)
 
     # abstracted case: open with a fresh variable at the second boundary's
-    # binder type, convert it into the first, recurse, and re-abstract
+    # binder type, convert it into the first, recurse, and re-abstract: one
+    # level per binder of the prefix
     a2_ty = b2.prefix[0]
     avoid = atoms_in_use(b1, b2, j)
     v = FreeVar(fresh_name("a", avoid), a2_ty)
-    ty2_cert = _jdg(theory, plain(IsTy(a2_ty)), ann)
+    ty2_cert = _cert(theory, plain(IsTy(a2_ty)), ann)
     var_cert = cf_var(theory, v, ty2_cert)
-    ty1_cert = _jdg(theory, plain(IsTy(b1.prefix[0])), ann)
+    ty1_cert = _cert(theory, plain(IsTy(b1.prefix[0])), ann)
     eq = cf_eqty_refl(theory, ty2_cert, ty1_cert)
     conv_var = cf_conv_tm(theory, var_cert, eq)
     inner_j = cf_substitute(theory, cert_j, conv_var)
-    inner_b1 = cf_subst_bdry(theory, cert_b1, conv_var)
-    inner_b2 = cf_subst_bdry(theory, cert_b2, var_cert)
+    inner_b1 = cf_substitute(theory, cert_b1, conv_var)
+    inner_b2 = cf_substitute(theory, cert_b2, var_cert)
     inner = boundary_convert(theory, inner_b1, inner_b2, inner_j)
     return cf_abstract_fwd(theory, ty2_cert, inner, v)
 
@@ -996,11 +912,11 @@ def boundary_convert(
 def _boundary_convert_plain(theory, bt1, bt2, jt, ann) -> CertifiedJudgement:
     match bt1, bt2:
         case IsTyB(), IsTyB():
-            return _jdg(theory, plain(jt), ann)
+            return _cert(theory, plain(jt), ann)
         case IsTmB(ty=a1), IsTmB(ty=a2):
-            t_cert = _jdg(theory, plain(jt), ann)
-            a1_cert = _jdg(theory, plain(IsTy(a1)), ann)
-            a2_cert = _jdg(theory, plain(IsTy(a2)), ann)
+            t_cert = _cert(theory, plain(jt), ann)
+            a1_cert = _cert(theory, plain(IsTy(a1)), ann)
+            a2_cert = _cert(theory, plain(IsTy(a2)), ann)
             eq = cf_eqty_refl(theory, a1_cert, a2_cert)
             return cf_conv_tm(theory, t_cert, eq)
         case EqTyB(lhs=a1, rhs=c1), EqTyB(lhs=a2, rhs=c2):
@@ -1008,9 +924,9 @@ def _boundary_convert_plain(theory, bt1, bt2, jt, ann) -> CertifiedJudgement:
             e2 = (
                 asm(jt.by, a1, c1).difference(asm(a2, c2))
             )
-            return _jdg(theory, plain(EqTy(a2, c2, e2)), ann)
+            return _cert(theory, plain(EqTy(a2, c2, e2)), ann)
         case EqTmB(lhs=s1, rhs=t1, ty=a1), EqTmB(lhs=s2, rhs=t2, ty=a2):
             assert isinstance(jt, EqTm)
             e2 = asm(jt.by, s1, t1, a1).difference(asm(s2, t2, a2))
-            return _jdg(theory, plain(EqTm(s2, t2, a2, e2)), ann)
+            return _cert(theory, plain(EqTm(s2, t2, a2, e2)), ann)
     raise ErasureMismatch("boundary shapes differ")

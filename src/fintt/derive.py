@@ -302,10 +302,11 @@ class Deriver:
     """The obligation search over ``theory``.  A subclass adapts it to one
     engine: ``CONTEXTS`` is how many contexts a goal is derived in,
     ``STEPS`` names the engine's constructor for each step of ``_SAME_STEPS``
-    and for the two abstractions, and the methods ``_bind``, ``_var``,
-    ``_meta``, ``_rule``, ``_refl``, ``_body``, ``_head`` and ``_as_stated``
-    build or read the steps that differ.  ``_undetermined`` may supply a
-    premise that matching leaves open.
+    and for abstraction, one step for judgements and boundaries alike, and
+    the methods ``_bind``, ``_var``, ``_meta``, ``_rule``, ``_refl``,
+    ``_body``, ``_head`` and ``_as_stated`` build or read the steps that
+    differ.  ``_undetermined`` may supply a premise that matching leaves
+    open.
 
     ``memo`` holds the successful results of ``ty``, ``tm`` and
     ``boundary`` by goal; a deriver makes its own unless it is given one to
@@ -354,17 +355,17 @@ class Deriver:
             self.memo[key] = (depth, out)
         return out
 
-    def _under_binder(self, cx, j: Abstracted, inner, abstraction: str, depth: int):
+    def _under_binder(self, cx, j: Abstracted, inner, depth: int):
         """``inner`` of ``j`` opened at a fresh atom, then abstracted."""
         ty_w = self._ty(cx, j.prefix[0], depth + 1)
         atom, inner_cx = self._bind(cx, j)
         body = inner(inner_cx, open_judgement(j, atom), depth + 1)
-        return self._step(abstraction, ty_w, body, atom)
+        return self._step("abstract", ty_w, body, atom)
 
     def _judgement(self, cx, j: Abstracted, depth: int):
         _limit(depth)
         if j.prefix:
-            return self._under_binder(cx, j, self._judgement, "abstract", depth)
+            return self._under_binder(cx, j, self._judgement, depth)
         match j.body:
             case IsTy(ty=a):
                 return self._ty(cx, a, depth + 1)
@@ -383,7 +384,7 @@ class Deriver:
             return out
         refused = self._refused
         if b.prefix:
-            out = self._under_binder(cx, b, self._boundary, "bdry_abstract", depth)
+            out = self._under_binder(cx, b, self._boundary, depth)
         else:
             match b.body:
                 case IsTyB():
@@ -409,7 +410,7 @@ class Deriver:
         """Derives some judgement filling the equational boundary ``b``."""
         _limit(depth)
         if b.prefix:
-            return self._under_binder(cx, b, self._equation, "abstract", depth)
+            return self._under_binder(cx, b, self._equation, depth)
         match b.body:
             case EqTyB(lhs=a, rhs=c):
                 return self._eqty(cx, a, c, depth + 1)
@@ -598,7 +599,7 @@ class TTDeriver(Deriver):
     FLAVOR = "tt"
     CONTEXTS = 2
     ENGINE = tt
-    STEPS = {"abstract": "tt_abstr", "bdry_abstract": "bdry_abstr", **{s: s for s in _SAME_STEPS}}
+    STEPS = {"abstract": "tt_abstr", **{s: s for s in _SAME_STEPS}}
 
     def _bind(self, cx, j: Abstracted):
         mctx, vctx = cx
@@ -687,11 +688,7 @@ class CFDeriver(Deriver):
     FLAVOR = "cf"
     CONTEXTS = 0
     ENGINE = cf
-    STEPS = {
-        "abstract": "cf_abstract_fwd",
-        "bdry_abstract": "cf_abstract_bdry_fwd",
-        **{s: "cf_" + s for s in _SAME_STEPS},
-    }
+    STEPS = {"abstract": "cf_abstract_fwd", **{s: "cf_" + s for s in _SAME_STEPS}}
 
     def _bind(self, cx, j: Abstracted):
         return FreeVar(fresh_name("x", atoms_in_use(j)), j.prefix[0]), cx

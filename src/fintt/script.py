@@ -46,7 +46,6 @@ STEPS = {
     "conv":       ((2, cf.cf_conv_tm),                  (2, tt.conv_tm)),
     "conv_eq":    ((2, cf.cf_conv_eqtm),                (2, tt.conv_eqtm)),
     "subst":      ((2, cf.cf_substitute),               (2, tt.admissible_substitute)),
-    "subst_bdry": ((2, cf.cf_subst_bdry),               None),
     "presup":     ((1, cf.presuppositions_cf),          (1, "_tt_presup")),
     "bdry_ty":    ((0, cf.cf_bdry_ty),                  (0, "_tt_bdry_ty")),
     "bdry_tm":    ((1, cf.cf_bdry_tm),                  (1, tt.bdry_tm)),

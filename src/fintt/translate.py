@@ -240,14 +240,24 @@ def _erased_conclusions(theory: Theory) -> dict:
     )
 
 
-def _open(cf_theory: Theory, cert):
-    """Peels one binder off a certified judgement with a fresh variable:
-    returns the binder type's certificate, the variable and the opened
-    judgement."""
-    j = cert.payload
-    ty_c = cf.binder_type_cert(cf_theory, cf.presuppositions_cf(cf_theory, cert), 0)
-    v = FreeVar(fresh_name("x", atoms_in_use(j)), j.prefix[0])
-    return ty_c, v, cf.cf_substitute(cf_theory, cert, cf.cf_var(cf_theory, v, ty_c))
+def _under_binders(cf_theory: Theory, plain_case, *certs) -> tuple:
+    """``plain_case`` under the binders of the first of ``certs``: each binder
+    is opened at a fresh variable, which is substituted into every
+    certificate; ``plain_case`` takes the opened certificates and returns a
+    tuple of results, and each result is abstracted back over the
+    variables."""
+    opened = []
+    while certs[0].payload.prefix:
+        j = certs[0].payload
+        ty_c = cf.binder_type_cert(cf_theory, cf.presuppositions_cf(cf_theory, certs[0]), 0)
+        v = FreeVar(fresh_name("x", atoms_in_use(j)), j.prefix[0])
+        var_c = cf.cf_var(cf_theory, v, ty_c)
+        certs = [cf.cf_substitute(cf_theory, c, var_c) for c in certs]
+        opened.append((ty_c, v))
+    results = plain_case(*certs)
+    for ty_c, v in reversed(opened):
+        results = tuple(cf.cf_abstract_fwd(cf_theory, ty_c, r, v) for r in results)
+    return results
 
 
 class TTtoCF:
@@ -357,36 +367,34 @@ class TTtoCF:
         return cf.cf_conv_eqtm(self.cf, eq_cert, refl)
 
     def _rectify_eq_lhs(self, eq_cert, lhs_cert):
-        """Replaces the left side of an equation by an erasure-equal term."""
-        if eq_cert.payload.prefix:
-            ty_c, v, eq_open = _open(self.cf, eq_cert)
-            lhs_open = cf.cf_substitute(self.cf, lhs_cert, cf.cf_var(self.cf, v, ty_c))
-            inner = self._rectify_eq_lhs(eq_open, lhs_open)
-            return cf.cf_abstract_fwd(self.cf, ty_c, inner, v)
-        body = eq_cert.payload.body
-        if isinstance(body, EqTy):
-            if body.lhs == lhs_cert.payload.body.ty:
-                return eq_cert
-            comps = self._components(eq_cert)
-            r = cf.cf_eqty_refl(self.cf, lhs_cert, comps[0])
-            return cf.cf_eqty_trans(self.cf, r, eq_cert)
-        if body.lhs == lhs_cert.payload.body.term:
-            return eq_cert
-        comps = self._components(eq_cert)  # (A type, lhs : A, rhs : A)
-        r = cf.cf_eqtm_refl(self.cf, self._retype_to(lhs_cert, comps[0]), comps[1])
-        return cf.cf_eqtm_trans(self.cf, r, eq_cert)
+        """Replaces the left side of an equation by an erasure-equal term,
+        under the equation's binders."""
+
+        def rectify(eq_cert, lhs_cert):
+            body = eq_cert.payload.body
+            if isinstance(body, EqTy):
+                if body.lhs == lhs_cert.payload.body.ty:
+                    return (eq_cert,)
+                r = cf.cf_eqty_refl(self.cf, lhs_cert, self._components(eq_cert)[0])
+                return (cf.cf_eqty_trans(self.cf, r, eq_cert),)
+            if body.lhs == lhs_cert.payload.body.term:
+                return (eq_cert,)
+            comps = self._components(eq_cert)  # (A type, lhs : A, rhs : A)
+            r = cf.cf_eqtm_refl(self.cf, self._retype_to(lhs_cert, comps[0]), comps[1])
+            return (cf.cf_eqtm_trans(self.cf, r, eq_cert),)
+
+        return _under_binders(self.cf, rectify, eq_cert, lhs_cert)[0]
 
     def _equation_boundary_cert(self, fill_l, fill_r):
         """The equation boundary of two object fills of one boundary."""
-        if fill_l.payload.prefix:
-            ty_c, v, l_open = _open(self.cf, fill_l)
-            r_open = cf.cf_substitute(self.cf, fill_r, cf.cf_var(self.cf, v, ty_c))
-            inner = self._equation_boundary_cert(l_open, r_open)
-            return cf.cf_abstract_bdry_fwd(self.cf, ty_c, inner, v)
-        if isinstance(fill_l.payload.body, IsTy):
-            return cf.cf_bdry_eqty(self.cf, fill_l, fill_r)
-        ty_c = self._components(fill_l)[0]
-        return cf.cf_bdry_eqtm(self.cf, ty_c, fill_l, self._retype_to(fill_r, ty_c))
+
+        def boundary(fill_l, fill_r):
+            if isinstance(fill_l.payload.body, IsTy):
+                return (cf.cf_bdry_eqty(self.cf, fill_l, fill_r),)
+            ty_c = self._components(fill_l)[0]
+            return (cf.cf_bdry_eqtm(self.cf, ty_c, fill_l, self._retype_to(fill_r, ty_c)),)
+
+        return _under_binders(self.cf, boundary, fill_l, fill_r)[0]
 
     # -- the main induction (parts 4 and 5) ---------------------------------
 
@@ -458,7 +466,7 @@ class TTtoCF:
 
         def premise(i, fills):
             entries = [(m, c) for (m, _), c in zip(rule_cf.premises, fills)]
-            return cf.cf_instantiate_bdry(self.cf, entries, witnesses[i])
+            return cf.cf_instantiate(self.cf, entries, witnesses[i])
 
         fs = yield from self._fill(d.premises[:n], premise, ga, gac)
         if d.rule != "TT-Congr":
@@ -490,8 +498,7 @@ class TTtoCF:
         ty_c = yield d.premises[0], ga, gac
         a_cf = ty_c.payload.body.ty
         body_c = yield d.premises[1], {**ga, atom: a_cf}, {**gac, atom: ty_c}
-        abstract = cf.cf_abstract_fwd if d.rule == "TT-Abstr" else cf.cf_abstract_bdry_fwd
-        return abstract(self.cf, ty_c, body_c, FreeVar(atom.name, a_cf))
+        return cf.cf_abstract_fwd(self.cf, ty_c, body_c, FreeVar(atom.name, a_cf))
 
     def _in_context(self, d, th, thc, ga, gac):
         c = []
@@ -600,17 +607,12 @@ def round_trip_cf(cf_theory: Theory, tt_theory: Theory, cert: cf.CertifiedJudgem
 def _fill_certs_of_equation(cf_theory: Theory, eq_cert):
     """Splits a certified (possibly abstracted) equation into certificates of
     its two object fills, via presuppositions and boundary inversion."""
-    if eq_cert.payload.prefix:
-        ty_c, v, eq_open = _open(cf_theory, eq_cert)
-        inner_l, inner_r = _fill_certs_of_equation(cf_theory, eq_open)
-        return (
-            cf.cf_abstract_fwd(cf_theory, ty_c, inner_l, v),
-            cf.cf_abstract_fwd(cf_theory, ty_c, inner_r, v),
-        )
-    comps = cf.boundary_components(cf_theory, cf.presuppositions_cf(cf_theory, eq_cert))
-    if len(comps) == 2:  # type equation: (lhs type, rhs type)
-        return comps[0], comps[1]
-    return comps[1], comps[2]  # term equation: (type, lhs, rhs)
+
+    def fills(eq_cert):
+        comps = cf.boundary_components(cf_theory, cf.presuppositions_cf(cf_theory, eq_cert))
+        return comps[-2:]  # type equation: (lhs, rhs); term equation: (type, lhs, rhs)
+
+    return _under_binders(cf_theory, fills, eq_cert)
 
 
 def transported_congruence(

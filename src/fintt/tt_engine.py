@@ -584,8 +584,10 @@ def _head_term(d: Derivation) -> Expr:
 
 
 def tt_abstr(theory: Theory, ty_deriv: Derivation, body_deriv: Derivation, atom: FreeVar) -> Derivation:
+    """TT-Abstr, or TT-Bdry-Abstr when the body concludes a boundary."""
     mctx, vctx = _ctxs(ty_deriv.conclusion)
-    return node(theory, "TT-Abstr", (mctx, vctx, atom), [ty_deriv, body_deriv])
+    rule = "TT-Bdry-Abstr" if isinstance(body_deriv.conclusion, BdryTT) else "TT-Abstr"
+    return node(theory, rule, (mctx, vctx, atom), [ty_deriv, body_deriv])
 
 
 def _in_context(kind: str):
@@ -612,11 +614,6 @@ bdry_eqtm = _in_context("TT-Bdry-EqTm")
 
 def bdry_ty(theory: Theory, mctx: MetaCtx, vctx: VarCtx) -> Derivation:
     return node(theory, "TT-Bdry-Ty", (mctx, vctx), [])
-
-
-def bdry_abstr(theory: Theory, ty_deriv: Derivation, body_deriv: Derivation, atom: FreeVar) -> Derivation:
-    mctx, vctx = _ctxs(ty_deriv.conclusion)
-    return node(theory, "TT-Bdry-Abstr", (mctx, vctx, atom), [ty_deriv, body_deriv])
 
 
 def mctx_empty(theory: Theory) -> Derivation:
@@ -1299,7 +1296,7 @@ def presuppositions(
             case "TT-Abstr":
                 ty_k, body_k, atom = d.premises[0], d.premises[1], d.data[2]
                 inner = yield body_k, vctx_extend(theory, vctx_ev, ty_k, atom)
-                return bdry_abstr(theory, ty_k, inner, atom)
+                return tt_abstr(theory, ty_k, inner, atom)
             case "TT-Specific" | "TT-Specific-Eco":
                 return _specific_boundary(theory, d, mctx_deriv)
             case "TT-Congr":

@@ -295,7 +295,7 @@ def generated_theory_texts(sizes=(10, 40, 120), seeds=(3, 8, 11, 21)):
 
 SCRIPT_OPS = (
     "rule", "apply", "abstract", "refl_ty", "refl_tm", "sym_ty", "sym_tm",
-    "trans_ty", "trans_tm", "conv", "conv_eq", "subst", "subst_bdry", "presup",
+    "trans_ty", "trans_tm", "conv", "conv_eq", "subst", "presup",
     "bdry_ty", "bdry_tm", "bdry_eqty", "bdry_eqtm", "strengthen", "invert",
     "uniqueness",
 )

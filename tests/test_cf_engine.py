@@ -260,7 +260,7 @@ def test_cf_subst_eqtm_produces_convert(env):
     b = FreeVar("b", NAT)
     vb = cf.cf_var(th, b, ty_nat)
     eq = cf.cf_eqtm_refl(th, vb, vb)
-    out = cf.cf_subst_eqtm(th, absd, [vb], [vb], [eq])
+    out = cf.cf_subst_eq(th, absd, [vb], [vb], [eq])
     body = out.payload.body
     assert isinstance(body, EqTm)
     assert body.lhs == succ(b)

@@ -388,7 +388,7 @@ def test_each_level_builds_one_instantiation(corpus_cf, corpus_tt, monkeypatch, 
         a = FreeVar("a", NAT)
         # Only the engine can make a certificate; its private maker forges
         # one whose annotation cache lacks the certificate of a's type.
-        forged = cf._jdg(th, plain(IsTm(a, NAT)), {})
+        forged = cf._cert(th, plain(IsTm(a, NAT)), {})
         with pytest.raises(AnnotationMismatch):
             cf.cf_apply_rule(th, "succ", [forged])
         cf.cf_apply_rule(th, "succ", [cf.cf_var(th, a, CFDeriver(th).ty(NAT))])

@@ -185,14 +185,10 @@ def test_closure_rules_have_a_slot_row_and_a_translation():
 # The recursions left in the walk modules, each with its bound.  Every other
 # walk over a derivation runs on ``tt_engine.walk`` and uses no frame per level.
 ALLOWED_RECURSION = {
-    # bounded by the binder prefix of the equation
-    "translate.TTtoCF._rectify_eq_lhs",
-    # bounded by the binder prefix of the fills
-    "translate.TTtoCF._equation_boundary_cert",
-    # bounded by the binder prefix of the equation
-    "translate._fill_certs_of_equation",
     # bounded by annotation nesting
     "translate._dependence_order.depth_of",
+    # bounded by the binder prefix of the boundaries
+    "cf_engine.boundary_convert",
 }
 
 
@@ -273,7 +269,10 @@ def recursive_functions(path: pathlib.Path) -> set[str]:
 
 
 def test_the_walk_modules_recurse_only_where_bounded():
-    """No function of ``tt_engine`` or ``translate`` reaches itself through
-    the calls it makes by name but the bounded recursions named above."""
-    found = recursive_functions(SRC / "tt_engine.py") | recursive_functions(SRC / "translate.py")
+    """No function of ``tt_engine``, ``translate`` or ``cf_engine`` reaches
+    itself through the calls it makes by name but the bounded recursions
+    named above."""
+    found = set()
+    for module in ("tt_engine", "translate", "cf_engine"):
+        found |= recursive_functions(SRC / f"{module}.py")
     assert found == ALLOWED_RECURSION

@@ -6,10 +6,14 @@ import random
 
 import pytest
 
+from fintt import cf_engine as cf
 from fintt import cli
+from fintt import tt_engine as tt
 from fintt.errors import KernelError
+from fintt.judgements import plain
 from fintt.parser import elaborate, parse_script, parse_theory
 from fintt.script import STEPS, ScriptError, run_script
+from fintt.syntax import IsTyB
 from fintt.theory import check_finitary
 
 from .gen import SCRIPT_OPS, ScriptGen
@@ -50,7 +54,6 @@ ARGS = {
     "conv": ["u", "q"],
     "conv_eq": ["e", "q"],
     "subst": ["fam", "m"],
-    "subst_bdry": ["fb", "m"],
     "presup": ["u"],
     "bdry_ty": [],
     "bdry_tm": ["tb"],
@@ -107,6 +110,19 @@ def test_every_step_counts_its_arguments(op, engine, theories, tmp_path, capsys)
         out = capsys.readouterr()
         assert rc == 1 and out.out == ""
         assert out.err.startswith("error: ") and out.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("engine", ["cf", "tt"])
+def test_subst_takes_a_boundary(engine, theories):
+    """``subst`` plugs a term into an abstracted boundary as into a
+    judgement: ``fb`` is  {x : nat} □ type, and the result certifies or
+    derives the boundary  □ type."""
+    text = script_text(engine, "subst", ["fb", "m"])
+    out = run_script(theories[engine], parse_script(text), engine)
+    if engine == "cf":
+        assert type(out) is cf.CertifiedBoundary and out.payload == plain(IsTyB())
+    else:
+        assert isinstance(out.conclusion, tt.BdryTT) and out.conclusion.bdry == plain(IsTyB())
 
 
 @pytest.mark.parametrize("op", ["rule", "apply"])

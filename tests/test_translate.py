@@ -236,7 +236,7 @@ def node_kind_table(th):
     return {
         "TT-Var": a_d,
         "TT-Abstr": fam,
-        "TT-Bdry-Abstr": tt.bdry_abstr(th, nat_d, tt.bdry_ty(th, mctx, vctx.extend(x, NAT)), x),
+        "TT-Bdry-Abstr": tt.tt_abstr(th, nat_d, tt.bdry_ty(th, mctx, vctx.extend(x, NAT)), x),
         "TT-Meta": tt.tt_meta(th, mctx, vctx, N, [a_d], tt.bdry_tm(th, nat_d)),
         "TT-Meta-Eco": tt.tt_meta(th, mctx, vctx, N, [a_d]),
         "TT-Meta-Congr:term": tt.meta_congr(th, mctx, vctx, N, [A], [A], [a_d, a_d, refl_tm, refl_ty]),
