@@ -51,6 +51,7 @@ from .judgements import (
     plain,
     unfill,
 )
+from .printer import SHOWN_LENGTH, print_abstracted_cut
 from .syntax import (
     Abstr,
     Abstracted,
@@ -179,7 +180,8 @@ def _cert(theory: Theory, payload: Abstracted, annotations) -> Certificate:
 
 def _want(cert: CertifiedJudgement, expected: AbstractedJudgement, what: str) -> None:
     if cert.payload != expected:
-        raise PremiseMismatch(f"{what}: expected {expected!r}, got {cert.payload!r}")
+        want, got = (print_abstracted_cut(j, SHOWN_LENGTH) for j in (expected, cert.payload))
+        raise PremiseMismatch(f"{what}: expected {want}, got {got}")
 
 
 def _plain_body(cert: CertifiedJudgement, kind, what: str):
@@ -870,23 +872,18 @@ def bv_at_root(x) -> frozenset[int]:
 
 
 def boundary_convert(
-    theory: Theory,
-    cert_b1: CertifiedBoundary,
-    cert_b2: CertifiedBoundary,
-    cert_j: CertifiedJudgement,
+    theory: Theory, cert_b: CertifiedBoundary, cert_j: CertifiedJudgement
 ) -> CertifiedJudgement:
-    """Boundary conversion: move the head of a judgement onto an erasure-equal
-    boundary, inserting conversions as the constructive proof prescribes."""
-    b1, b2 = cert_b1.payload, cert_b2.payload
+    """Boundary conversion: move the head of a judgement from the boundary it
+    fills, its own presupposition, onto an erasure-equal boundary, inserting
+    conversions as the constructive proof prescribes."""
+    j = cert_j.payload
+    b1, b2 = unfill(j)[0], cert_b.payload
     if erase(b1) != erase(b2):
         raise ErasureMismatch("boundaries differ after erasure")
-    j = cert_j.payload
-    got_b, _ = unfill(j)
-    if got_b != b1:
-        raise PremiseMismatch("judgement does not fill the first boundary")
     if b1 == b2:
         return cert_j
-    ann = _merge(theory, cert_b1, cert_b2, cert_j)
+    ann = _merge(theory, cert_b, cert_j)
 
     if not b1.prefix:
         return _boundary_convert_plain(theory, b1.body, b2.body, j.body, ann)
@@ -895,24 +892,20 @@ def boundary_convert(
     # binder type, convert it into the first, recurse, and re-abstract: one
     # level per binder of the prefix
     a2_ty = b2.prefix[0]
-    avoid = atoms_in_use(b1, b2, j)
-    v = FreeVar(fresh_name("a", avoid), a2_ty)
+    v = FreeVar(fresh_name("a", atoms_in_use(b1, b2, j)), a2_ty)
     ty2_cert = _cert(theory, plain(IsTy(a2_ty)), ann)
     var_cert = cf_var(theory, v, ty2_cert)
     ty1_cert = _cert(theory, plain(IsTy(b1.prefix[0])), ann)
-    eq = cf_eqty_refl(theory, ty2_cert, ty1_cert)
-    conv_var = cf_conv_tm(theory, var_cert, eq)
+    conv_var = cf_conv_tm(theory, var_cert, cf_eqty_refl(theory, ty2_cert, ty1_cert))
     inner_j = cf_substitute(theory, cert_j, conv_var)
-    inner_b1 = cf_substitute(theory, cert_b1, conv_var)
-    inner_b2 = cf_substitute(theory, cert_b2, var_cert)
-    inner = boundary_convert(theory, inner_b1, inner_b2, inner_j)
+    inner = boundary_convert(theory, cf_substitute(theory, cert_b, var_cert), inner_j)
     return cf_abstract_fwd(theory, ty2_cert, inner, v)
 
 
 def _boundary_convert_plain(theory, bt1, bt2, jt, ann) -> CertifiedJudgement:
+    """Two erasure-equal, unequal, non-abstracted boundaries: never both
+    ``type``."""
     match bt1, bt2:
-        case IsTyB(), IsTyB():
-            return _cert(theory, plain(jt), ann)
         case IsTmB(ty=a1), IsTmB(ty=a2):
             t_cert = _cert(theory, plain(jt), ann)
             a1_cert = _cert(theory, plain(IsTy(a1)), ann)
@@ -920,13 +913,9 @@ def _boundary_convert_plain(theory, bt1, bt2, jt, ann) -> CertifiedJudgement:
             eq = cf_eqty_refl(theory, a1_cert, a2_cert)
             return cf_conv_tm(theory, t_cert, eq)
         case EqTyB(lhs=a1, rhs=c1), EqTyB(lhs=a2, rhs=c2):
-            assert isinstance(jt, EqTy)
-            e2 = (
-                asm(jt.by, a1, c1).difference(asm(a2, c2))
-            )
+            e2 = asm(jt.by, a1, c1).difference(asm(a2, c2))
             return _cert(theory, plain(EqTy(a2, c2, e2)), ann)
         case EqTmB(lhs=s1, rhs=t1, ty=a1), EqTmB(lhs=s2, rhs=t2, ty=a2):
-            assert isinstance(jt, EqTm)
             e2 = asm(jt.by, s1, t1, a1).difference(asm(s2, t2, a2))
             return _cert(theory, plain(EqTm(s2, t2, a2, e2)), ann)
     raise ErasureMismatch("boundary shapes differ")

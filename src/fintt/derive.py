@@ -50,7 +50,7 @@ from .judgements import (
     plain,
     unfill,
 )
-from .printer import print_expr_cut
+from .printer import SHOWN_LENGTH, print_expr_cut
 from .syntax import (
     Abstr,
     Abstracted,
@@ -95,9 +95,6 @@ class DepthRefusal(DeriveError):
 
     def __init__(self):
         super().__init__("obligation recursion too deep")
-
-
-SHOWN_LENGTH = 200
 
 
 def _shown(e: Expr) -> str:

@@ -39,6 +39,9 @@ class Instantiation:
         # the first ``__hash__``: it costs a Python-level ``__hash__`` call
         # per node in the entries, and most instantiations are never hashed.
         self._hash = None
+        # The closure-rule instance a tt node holding this instantiation was
+        # inferred with, with its rule (``tt_engine._instance``).
+        self.instance = None
 
     def __contains__(self, m: MetaName) -> bool:
         return m in self._map

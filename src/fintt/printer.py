@@ -122,19 +122,33 @@ def print_expr(e, binders: tuple[str, ...] = ()) -> str:
     return "".join(_pieces(_expr, e, binders))
 
 
-def print_expr_cut(e, limit: int) -> str:
-    """``print_expr(e)`` cut to at most ``limit`` characters, ending in
+def _cut(pieces, limit: int) -> str:
+    """The text of ``pieces`` cut to at most ``limit`` characters, ending in
     "..." when cut.  Printing stops once the text is longer than ``limit``,
-    so the work is bounded by ``limit``, not by the size of the term (an
+    so the work is bounded by ``limit``, not by the size of the syntax (an
     assumption set is printed whole: its variables are sorted by their
     text)."""
-    pieces, length = [], 0
-    for piece in _pieces(_expr, e, ()):
-        pieces.append(piece)
+    taken, length = [], 0
+    for piece in pieces:
+        taken.append(piece)
         length += len(piece)
         if length > limit:
-            return "".join(pieces)[: limit - 3] + "..."
-    return "".join(pieces)
+            return "".join(taken)[: limit - 3] + "..."
+    return "".join(taken)
+
+
+def print_expr_cut(e, limit: int) -> str:
+    """``print_expr(e)`` cut to at most ``limit`` characters."""
+    return _cut(_pieces(_expr, e, ()), limit)
+
+
+def print_abstracted_cut(j: Abstracted, limit: int) -> str:
+    """``print_abstracted(j)`` cut to at most ``limit`` characters."""
+    return _cut(_pieces(_abstracted, j, ()), limit)
+
+
+# The length to which a refusal cuts each piece of syntax it shows.
+SHOWN_LENGTH = 200
 
 
 def print_set(a: AssumptionSet, binders: tuple[str, ...] = ()) -> str:
@@ -144,46 +158,40 @@ def print_set(a: AssumptionSet, binders: tuple[str, ...] = ()) -> str:
     return "{" + ", ".join(bound + free + metas) + "}"
 
 
-def print_thesis(t, binders: tuple[str, ...] = (), show_by: bool = True) -> str:
+def _thesis(t, binders: tuple[str, ...]) -> list:
+    def e(x):
+        return (_expr, x, binders)
+
     match t:
         case IsTy(ty=a):
-            return f"{print_expr(a, binders)} type"
+            return [e(a), " type"]
         case IsTm(term=tm, ty=a):
-            return f"{print_expr(tm, binders)} : {print_expr(a, binders)}"
-        case EqTy(lhs=a, rhs=b, by=by):
-            base = f"{print_expr(a, binders)} == {print_expr(b, binders)}"
-        case EqTm(lhs=s, rhs=tm, ty=a, by=by):
-            base = (
-                f"{print_expr(s, binders)} == {print_expr(tm, binders)}"
-                f" : {print_expr(a, binders)}"
-            )
+            return [e(tm), " : ", e(a)]
         case IsTyB():
-            return "type"
+            return ["type"]
         case IsTmB(ty=a):
-            return print_expr(a, binders)
-        case EqTyB(lhs=a, rhs=b):
-            return f"{print_expr(a, binders)} == {print_expr(b, binders)}"
-        case EqTmB(lhs=s, rhs=tm, ty=a):
-            return (
-                f"{print_expr(s, binders)} == {print_expr(tm, binders)}"
-                f" : {print_expr(a, binders)}"
-            )
+            return [e(a)]
+        case EqTy(lhs=a, rhs=b) | EqTyB(lhs=a, rhs=b):
+            out = [e(a), " == ", e(b)]
+        case EqTm(lhs=s, rhs=tm, ty=a) | EqTmB(lhs=s, rhs=tm, ty=a):
+            out = [e(s), " == ", e(tm), " : ", e(a)]
         case _:
-            raise TypeError(f"cannot print {t!r}")
-    if show_by and isinstance(by, AssumptionSet):
-        return f"{base} by {print_set(by, binders)}"
-    return base
+            raise TypeError(f"cannot print {type(t).__name__}")
+    by = getattr(t, "by", None)
+    return out + [f" by {print_set(by, binders)}"] if isinstance(by, AssumptionSet) else out
 
 
-def print_abstracted(j: Abstracted, show_by: bool = True) -> str:
-    binders: tuple[str, ...] = ()
-    parts = []
+def _abstracted(j: Abstracted, binders: tuple[str, ...]) -> list:
+    out = []
     for ty in j.prefix:
         name = binder_name(len(binders))
-        parts.append(f"{{{name} : {print_expr(ty, binders)}}}")
-        binders = binders + (name,)
-    head = print_thesis(j.body, binders, show_by=show_by)
-    return " ".join(parts + [head]) if parts else head
+        out += [f"{{{name} : ", (_expr, ty, binders), "} "]
+        binders += (name,)
+    return out + _thesis(j.body, binders)
+
+
+def print_abstracted(j: Abstracted) -> str:
+    return "".join(_pieces(_abstracted, j, ()))
 
 
 def print_statement(stmt) -> str:

@@ -10,16 +10,18 @@ assumption set of the judgement, or from the atoms the search opened for its
 bound variables.
 
 tt -> cf: induction on the derivation, labelling context entries with
-certified cf annotations.  Every rule case translates each premise and moves
-it by boundary conversion onto the boundary it fills, which the rule
+certified cf annotations.  The step of a node translates its premises and
+applies the context-free rule of its kind, after moving each premise by
+boundary conversion from the boundary it fills onto the one the rule
 instantiates with the earlier premises; boundary conversion takes up the
 slack that erasure leaves.  The induction runs on ``tt_engine.walk``, which
 keeps no Python frame per level; as a policy it refuses a derivation nested
 deeper than ``MAX_DEPTH`` levels with ``DepthExceeded``.
 
 A round trip cf -> tt -> cf labels the atoms of the suitable context, which
-the derivation keeps annotated, with their own annotations, and gives back
-the certificate's payload up to its conversion terms.
+the derivation keeps annotated, with their own annotations, certified in the
+certificate's annotation cache, and gives back the certificate's payload up
+to its conversion terms.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from typing import Optional, Sequence
 
 from . import cf_engine as cf
 from . import tt_engine as tt
-from .derive import MAX_DEPTH, CFDeriver, DeriveError, TTDeriver
+from .derive import MAX_DEPTH, DeriveError, TTDeriver
 from .errors import (
     CyclicAnnotation,
     NonStandardTheory,
@@ -40,7 +42,6 @@ from .syntax import (
     EMPTY_ASSUMPTIONS,
     Abstracted,
     AssumptionSet,
-    EqTy,
     ExprArg,
     FreeVar,
     IsTm,
@@ -264,26 +265,23 @@ class TTtoCF:
     """Translates checked tt derivations into certificates, by induction on
     the derivation, labelling context entries with certified cf annotations.
 
-    Every rule case takes the same step: translate each premise, then move
-    it by boundary conversion onto the boundary it fills, which the rule
-    instantiates with the earlier premises (``_fill``); an equation premise
-    moves onto the equation boundary of its two fills and has its left side
-    rectified to the left fill (``_equations``).  ``translate`` runs the
-    induction on ``tt_engine.walk``: the step of a node is its kind's method
-    (``_KINDS``), a generator that yields each premise with its labelings
-    and is sent the premise's certificate (``_fill`` and ``_equations`` are
-    delegated to with ``yield from``), and a node nested deeper than
-    ``MAX_DEPTH`` is refused:
+    ``translate`` runs the induction on ``tt_engine.walk``, and a node nested
+    deeper than ``MAX_DEPTH`` is refused.  The step of a node translates the
+    premises its case reads, an abstraction's body with the bound atom
+    labelled, and hands their certificates to the plain method of the node's
+    kind (``_KINDS``).  Every rule case then does the same: it moves each
+    premise by boundary conversion onto the boundary it fills, which the rule
+    instantiates with the earlier premises (``_fill``), and an equation
+    premise onto the equation boundary of its two fills (``_equations``):
 
     - ``_meta``: TT-Meta, TT-Meta-Eco and TT-Meta-Congr, whose arguments fill
       the metavariable's binder types;
     - ``_specific``: TT-Specific, TT-Specific-Eco and TT-Congr, whose
       premises fill the rule's premise boundaries;
-    - ``_abstraction``: TT-Abstr and TT-Bdry-Abstr, whose body is translated
-      with the bound atom labelled;
+    - ``_abstraction``: TT-Abstr and TT-Bdry-Abstr;
     - ``_in_context``: variables, reflexivity, symmetry, transitivity and
       conversion of both equation kinds, and the boundary rules, whose
-      premises are translated as they are.
+      premises are taken as they are.
 
     Every closure rule of the tt engine but the context rules has a case:
     congruence nodes are always full, so ``cf_congruence`` and
@@ -303,6 +301,10 @@ class TTtoCF:
             "_in_context",
         ),
     }
+    # The nodes whose case reads only their first ``n * len(data[3])``
+    # premises: a full node's boundary premise, and the type equation of a
+    # term metavariable's congruence, are not translated.
+    _READ = {"TT-Meta": 1, "TT-Specific": 1, "TT-Meta-Congr": 3}
 
     def __init__(self, tt_theory: Theory, cf_theory: Theory):
         self.tt = tt_theory
@@ -367,23 +369,12 @@ class TTtoCF:
         return cf.cf_conv_eqtm(self.cf, eq_cert, refl)
 
     def _rectify_eq_lhs(self, eq_cert, lhs_cert):
-        """Replaces the left side of an equation by an erasure-equal term,
-        under the equation's binders."""
-
-        def rectify(eq_cert, lhs_cert):
-            body = eq_cert.payload.body
-            if isinstance(body, EqTy):
-                if body.lhs == lhs_cert.payload.body.ty:
-                    return (eq_cert,)
-                r = cf.cf_eqty_refl(self.cf, lhs_cert, self._components(eq_cert)[0])
-                return (cf.cf_eqty_trans(self.cf, r, eq_cert),)
-            if body.lhs == lhs_cert.payload.body.term:
-                return (eq_cert,)
-            comps = self._components(eq_cert)  # (A type, lhs : A, rhs : A)
-            r = cf.cf_eqtm_refl(self.cf, self._retype_to(lhs_cert, comps[0]), comps[1])
-            return (cf.cf_eqtm_trans(self.cf, r, eq_cert),)
-
-        return _under_binders(self.cf, rectify, eq_cert, lhs_cert)[0]
+        """Replaces the left side of a type equation, which the closure rules
+        take only without binders, by an erasure-equal type."""
+        if eq_cert.payload.body.lhs == lhs_cert.payload.body.ty:
+            return eq_cert
+        r = cf.cf_eqty_refl(self.cf, lhs_cert, self._components(eq_cert)[0])
+        return cf.cf_eqty_trans(self.cf, r, eq_cert)
 
     def _equation_boundary_cert(self, fill_l, fill_r):
         """The equation boundary of two object fills of one boundary."""
@@ -395,6 +386,22 @@ class TTtoCF:
             return (cf.cf_bdry_eqtm(self.cf, ty_c, fill_l, self._retype_to(fill_r, ty_c)),)
 
         return _under_binders(self.cf, boundary, fill_l, fill_r)[0]
+
+    def _fill(self, certs, boundary):
+        """Moves the i-th certificate onto ``boundary(i, fills)``, the
+        boundary it fills after the earlier fills."""
+        fills: list = []
+        for c in certs:
+            fills.append(cf.boundary_convert(self.cf, boundary(len(fills), fills), c))
+        return fills
+
+    def _equations(self, certs, lefts, rights):
+        """Moves each equation onto the equation boundary of its left and
+        right fill, whose left side is the left fill's head."""
+        return [
+            cf.boundary_convert(self.cf, self._equation_boundary_cert(left, right), c)
+            for c, left, right in zip(certs, lefts, rights)
+        ]
 
     # -- the main induction (parts 4 and 5) ---------------------------------
 
@@ -409,37 +416,18 @@ class TTtoCF:
             kind = self._KINDS.get(d.rule)
             if kind is None:
                 raise UncheckableDerivation(f"tt->cf does not handle {d.rule}")
-            return getattr(self, kind)(d, th, thc, ga, gac)
+            n = self._READ.get(d.rule)
+            c: list = []
+            for p in d.premises if n is None else d.premises[: n * len(d.data[3])]:
+                if c and kind == "_abstraction":  # the body, with the atom labelled
+                    ga, gac = {**ga, d.data[2]: c[0].payload.body.ty}, {**gac, d.data[2]: c[0]}
+                c.append((yield p, ga, gac))
+            return getattr(self, kind)(d, c, th, thc, ga, gac)
 
         too_deep = (MAX_DEPTH, f"tt->cf: derivation nested deeper than {MAX_DEPTH}")
         return tt.walk((d, ga, gac), step, lambda x: (id(x[0]), id(x[1])), bound=too_deep)
 
-    def _fill(self, premises, boundary, ga, gac):
-        """Translates the premises in turn and moves the i-th onto
-        ``boundary(i, fills)``, the boundary it fills after the earlier
-        fills."""
-        fills: list = []
-        for i, p in enumerate(premises):
-            raw = yield p, ga, gac
-            target = boundary(i, fills)
-            fills.append(
-                cf.boundary_convert(self.cf, cf.presuppositions_cf(self.cf, raw), target, raw)
-            )
-        return fills
-
-    def _equations(self, premises, lefts, rights, ga, gac):
-        """Translates equation premises, each onto the equation boundary of
-        its left and right fill, with its left side rectified to the left
-        fill."""
-        eqs = []
-        for p, left, right in zip(premises, lefts, rights):
-            raw = yield p, ga, gac
-            target = self._equation_boundary_cert(left, right)
-            moved = cf.boundary_convert(self.cf, cf.presuppositions_cf(self.cf, raw), target, raw)
-            eqs.append(self._rectify_eq_lhs(moved, left))
-        return eqs
-
-    def _meta(self, d, th, thc, ga, gac):
+    def _meta(self, d, c, th, thc, ga, gac):
         m, k = d.data[2], len(d.data[3])
         if m not in th:
             raise UnsuitableContext(f"no labeling for {m.name}")
@@ -451,59 +439,49 @@ class TTtoCF:
                 ty = cf.cf_substitute(self.cf, ty, f)
             return cf.cf_bdry_tm(self.cf, ty)
 
-        ss = yield from self._fill(d.premises[:k], binder, ga, gac)
+        ss = self._fill(c[:k], binder)
         if d.rule != "TT-Meta-Congr":
             return cf.cf_meta(self.cf, m_cf, ss, annotation_cert=thc[m])
-        ts = yield from self._fill(d.premises[k : 2 * k], binder, ga, gac)
-        eqs = yield from self._equations(d.premises[2 * k : 3 * k], ss, ts, ga, gac)
+        ts = self._fill(c[k : 2 * k], binder)
+        eqs = self._equations(c[2 * k :], ss, ts)
         return cf.cf_meta_congr(self.cf, m_cf, ss, ts, eqs, annotation_cert=thc[m])
 
-    def _specific(self, d, th, thc, ga, gac):
+    def _specific(self, d, c, th, thc, ga, gac):
         name = d.data[2]
         rule_cf = self.cf.rule(name).rule
         n = len(rule_cf.premises)
         witnesses = self.cf.finitary_witnesses[name]["premise_boundaries"]
 
         def premise(i, fills):
-            entries = [(m, c) for (m, _), c in zip(rule_cf.premises, fills)]
+            entries = [(m, f) for (m, _), f in zip(rule_cf.premises, fills)]
             return cf.cf_instantiate(self.cf, entries, witnesses[i])
 
-        fs = yield from self._fill(d.premises[:n], premise, ga, gac)
+        fs = self._fill(c[:n], premise)
         if d.rule != "TT-Congr":
             return cf.cf_apply_rule(self.cf, name, fs)
-        gs = yield from self._fill(d.premises[n : 2 * n], premise, ga, gac)
+        gs = self._fill(c[n : 2 * n], premise)
         objects = [
             i for i, (_, b) in enumerate(rule_cf.premises) if boundary_arity(b).cls.is_object
         ]
-        eqs = yield from self._equations(
-            d.premises[2 * n : 2 * n + len(objects)],
-            [fs[i] for i in objects],
-            [gs[i] for i in objects],
-            ga, gac,
+        eqs = self._equations(
+            c[2 * n : 2 * n + len(objects)], [fs[i] for i in objects], [gs[i] for i in objects]
         )
         t_prime = None
         if isinstance(rule_cf.conclusion, IsTm):
             left_inst = cf.cf_apply_rule(self.cf, name, fs)
             right_inst = cf.cf_apply_rule(self.cf, name, gs)
-            raw_ceq = yield d.premises[-1], ga, gac
-            ceq = self._rectify_eq_lhs(raw_ceq, self._components(left_inst)[0])
+            ceq = self._rectify_eq_lhs(c[-1], self._components(left_inst)[0])
             # rectify the right side to the right-instantiated type
             r = cf.cf_eqty_refl(self.cf, self._components(ceq)[1], self._components(right_inst)[0])
             ceq = cf.cf_eqty_trans(self.cf, ceq, r)
             t_prime = cf.cf_conv_tm(self.cf, right_inst, cf.cf_eqty_sym(self.cf, ceq))
         return cf.cf_congruence(self.cf, name, fs, gs, eqs, t_prime_cert=t_prime)
 
-    def _abstraction(self, d, th, thc, ga, gac):
-        atom = d.data[2]
-        ty_c = yield d.premises[0], ga, gac
-        a_cf = ty_c.payload.body.ty
-        body_c = yield d.premises[1], {**ga, atom: a_cf}, {**gac, atom: ty_c}
-        return cf.cf_abstract_fwd(self.cf, ty_c, body_c, FreeVar(atom.name, a_cf))
+    def _abstraction(self, d, c, th, thc, ga, gac):
+        ty_c, body_c = c
+        return cf.cf_abstract_fwd(self.cf, ty_c, body_c, FreeVar(d.data[2].name, ty_c.payload.body.ty))
 
-    def _in_context(self, d, th, thc, ga, gac):
-        c = []
-        for p in d.premises:
-            c.append((yield p, ga, gac))
+    def _in_context(self, d, c, th, thc, ga, gac):
         match d.rule:
             case "TT-Var":
                 v = d.data[2]
@@ -569,23 +547,21 @@ def tt_to_cf(
     return out
 
 
-def _labelings_for(cf_theory: Theory, mctx: MetaCtx, vctx: VarCtx, caches: dict):
-    """Labels each atom of a suitable context with its own annotation.  The
-    atoms stay annotated: the translation reads only their names and
-    labels, so no bare-atom copy of the derivation is needed."""
-    deriver = CFDeriver(cf_theory)
+def _labelings_for(mctx: MetaCtx, vctx: VarCtx, caches: dict):
+    """Labels each atom of a suitable context with its own annotation, whose
+    certificate ``caches`` holds.  The atoms stay annotated: the translation
+    reads only their names and labels, so no bare-atom copy of the
+    derivation is needed."""
 
-    theta: dict = {}
-    theta_certs: dict = {}
-    for m, _ in mctx:
-        theta[m] = m.annotation
-        theta_certs[m] = caches.get(m.annotation) or deriver.boundary(m.annotation)
-    gamma: dict = {}
-    gamma_certs: dict = {}
-    for v, _ in vctx:
-        gamma[v] = v.annotation
-        key = plain(IsTy(v.annotation))
-        gamma_certs[v] = caches.get(key) or deriver.judgement(key)
+    def cached(atom, key):
+        if key not in caches:
+            raise UnsuitableContext(f"no certified annotation for {atom.name}")
+        return caches[key]
+
+    theta = {m: m.annotation for m, _ in mctx}
+    gamma = {v: v.annotation for v, _ in vctx}
+    theta_certs = {m: cached(m, m.annotation) for m in theta}
+    gamma_certs = {v: cached(v, plain(IsTy(v.annotation))) for v in gamma}
     return theta, theta_certs, gamma, gamma_certs
 
 
@@ -596,7 +572,7 @@ def round_trip_cf(cf_theory: Theory, tt_theory: Theory, cert: cf.CertifiedJudgem
     contexted derivation does not record: a certificate without them comes
     back as itself, any other erased-equal."""
     mctx, vctx, d = cf_judgement_to_tt(cf_theory, tt_theory, cert)
-    labelings = _labelings_for(cf_theory, mctx, vctx, cert._annotations)
+    labelings = _labelings_for(mctx, vctx, cert._annotations)
     return tt_to_cf(tt_theory, cf_theory, d, labelings=labelings)
 
 
@@ -702,12 +678,11 @@ def transported_congruence(
         caches.update(c._annotations)
     if target_bdry_cert is not None:
         caches.update(target_bdry_cert._annotations)
-    labelings = _labelings_for(cf_theory, mctx, vctx, caches)
+    labelings = _labelings_for(mctx, vctx, caches)
     out = tt_to_cf(tt_theory, cf_theory, d_eq, labelings=labelings)
     if target_bdry_cert is None:
         return out
-    src_b = cf.presuppositions_cf(cf_theory, out)
-    return cf.boundary_convert(cf_theory, src_b, target_bdry_cert, out)
+    return cf.boundary_convert(cf_theory, target_bdry_cert, out)
 
 
 def _j_fill_tt(tt_theory, rule_tt, idx, jat_tt, prev_eq_tt, rhs_fill, to_tt):

@@ -64,6 +64,7 @@ from .judgements import (
     head_of,
     plain,
 )
+from .printer import SHOWN_LENGTH, print_abstracted_cut
 from .syntax import (
     AbstractedBoundary,
     AbstractedJudgement,
@@ -90,6 +91,7 @@ from .syntax import (
     subst_free,
 )
 from .theory import (
+    RawRule,
     Theory,
     congruence_premises_tt,
     generic_application,
@@ -290,9 +292,26 @@ def _fits(rule: str, mctx, vctx, kids, prem, bdry=None, rule_name: Optional[str]
     for got, need in zip(kids, prem):
         if _want_jdg(got, rule) != need:
             where = f" for rule {rule_name}" if rule_name else ""
-            raise BadNode(f"{rule} premise mismatch{where}: wanted {need}")
+            shown = print_abstracted_cut(need, SHOWN_LENGTH)
+            raise BadNode(f"{rule} premise mismatch{where}: wanted {shown}")
     if bdry is not None and (not isinstance(kids[-1], BdryTT) or kids[-1].bdry != bdry):
         raise BadNode(f"{rule} boundary premise mismatch")
+
+
+def _instance(rule: RawRule, left: Instantiation, right: Optional[Instantiation] = None):
+    """The instance of a specific rule at ``left`` (``rule_instance_premises``)
+    or of its congruence from ``left`` to ``right`` (``congruence_premises_tt``),
+    kept on ``left``, which a node's data holds: re-inferring the node, as
+    ``check_derivation`` does, reuses it however many instances the shared
+    cache has seen since."""
+    kept = left.instance
+    if kept is None or kept[0] is not rule or kept[1] is not right:
+        if right is None:
+            out = instance_of(rule_instance_premises, rule, left)
+        else:
+            out = instance_of(congruence_premises_tt, rule, left, right)
+        kept = left.instance = (rule, right, out)
+    return kept[2]
 
 
 def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) -> Statement:
@@ -457,14 +476,14 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
         case "TT-Specific" | "TT-Specific-Eco":
             mctx, vctx, rule_name, inst = data
             trule = theory.rule(rule_name)
-            prem, bdry, concl = instance_of(rule_instance_premises, trule.rule, inst)
+            prem, bdry, concl = _instance(trule.rule, inst)
             _fits(rule, mctx, vctx, kids, prem, bdry if rule == "TT-Specific" else None, rule_name)
             return JdgTT(mctx, vctx, concl)
 
         case "TT-Congr":
             mctx, vctx, rule_name, left, right = data
             trule = theory.rule(rule_name)
-            prem, concl = instance_of(congruence_premises_tt, trule.rule, left, right)
+            prem, concl = _instance(trule.rule, left, right)
             _fits(rule, mctx, vctx, kids, prem)
             return JdgTT(mctx, vctx, concl)
 

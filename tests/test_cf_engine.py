@@ -356,7 +356,7 @@ def test_boundary_convert_term_case(env):
     b1 = cf.cf_bdry_tm(th, ty_nat)
     # an erasure-equal but distinct type: nat behind nothing vs itself; use
     # the same type to check identity first
-    same = cf.boundary_convert(th, b1, b1, va)
+    same = cf.boundary_convert(th, b1, va)
     assert same is va
     # now a genuinely different boundary: {}-conversion inserted
     idt = id_ty(NAT, a, a)
@@ -368,7 +368,7 @@ def test_boundary_convert_term_case(env):
     idt2 = id_ty(NAT, conv_id, a)
     ty_id2 = d.ty(idt2)
     b_id2 = cf.cf_bdry_tm(th, ty_id2)
-    out = cf.boundary_convert(th, b_id1, b_id2, vp)
+    out = cf.boundary_convert(th, b_id2, vp)
     got_b, _ = unfill(out.payload)
     assert got_b == b_id2.payload
     assert erased_equal(out.payload.body.term, vp.payload.body.term)

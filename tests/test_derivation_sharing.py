@@ -15,7 +15,7 @@ from fintt.instantiation import Instantiation
 from fintt.judgements import EMPTY_METAS, EMPTY_VARS, VarCtx, plain
 from fintt.parser import elaborate, parse_script, parse_theory
 from fintt.script import run_script
-from fintt.syntax import FreeVar, IsTy, SymbolApp
+from fintt.syntax import ExprArg, FreeVar, IsTy, SymbolApp
 from fintt.theory import check_finitary, check_standard
 
 from .test_lambda_theory import THEORY_TEXT as LAMBDA_THEORY
@@ -215,3 +215,37 @@ def test_transported_congruence_translates_each_distinct_payload_once(monkeypatc
     out = tr.transported_congruence(th_cf, th_tt, "lam", eqs)
     assert out.payload.body.lhs.symbol == "lam"
     assert len(translated) == len(set(translated)) == len(set(asked)) < len(asked)
+
+
+# ---------------------------------------------------------------------------
+# A node's rule instance is kept on its instantiation
+
+
+@pytest.mark.parametrize("how", ["search", "script"])
+def test_check_derivation_computes_no_rule_instance_of_a_fresh_derivation(monkeypatch, how):
+    """succ^130(a) found by the search and succ^600(n) run as a script, over a
+    fresh theory, hold more specific-rule nodes than the shared instance
+    cache does: re-inferring each node reuses the instance its inference
+    kept, whatever the cache evicted."""
+    th = gated((CORPUS / "mltt.ftt").read_text(), "tt")
+    computed = [0]
+    real = tt.rule_instance_premises
+
+    def counted(*args):
+        computed[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(tt, "rule_instance_premises", counted)
+    if how == "search":
+        a = t = FreeVar("a")
+        for _ in range(130):
+            t = SymbolApp("succ", (ExprArg(t),))
+        d = TTDeriver(th).tm(EMPTY_METAS, VarCtx([(a, NAT)]), t, NAT)
+    else:
+        steps = ["let tn = rule(nat);", "var n : tn;", "let s0 = rule(succ, n);"]
+        steps += [f"let s{i} = rule(succ, s{i - 1});" for i in range(1, 600)]
+        d = run_script(th, parse_script("\n".join(steps + ["return s599;"]) + "\n"), "tt")
+    assert computed[0] > 128
+    computed[0] = 0
+    tt.check_derivation(th, d)
+    assert computed[0] == 0

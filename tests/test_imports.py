@@ -6,6 +6,7 @@ else; and the closure rules the tt engine infers, its slot table and the
 tt -> cf dispatch table name the same rules."""
 
 import ast
+import inspect
 import pathlib
 import re
 
@@ -276,3 +277,43 @@ def test_the_walk_modules_recurse_only_where_bounded():
     for module in ("tt_engine", "translate", "cf_engine"):
         found |= recursive_functions(SRC / f"{module}.py")
     assert found == ALLOWED_RECURSION
+
+
+def test_tt_to_cf_node_kinds_are_plain_functions():
+    """The tt -> cf walk step translates a node's premises itself and hands
+    their certificates to its kind's method, which is no generator."""
+    for name in set(translate.TTtoCF._KINDS.values()):
+        assert not inspect.isgeneratorfunction(getattr(translate.TTtoCF, name)), name
+
+
+def test_translate_labels_from_the_annotation_caches_only():
+    """tt -> cf labels a suitable context from the certificates' annotation
+    caches, and derives no cf annotation."""
+    assert "CFDeriver" not in referenced_words((SRC / "translate.py").read_text(encoding="utf-8"))
+
+
+def test_no_module_hands_boundary_convert_a_presupposition():
+    """``boundary_convert`` reads the boundary a judgement fills off the
+    judgement: no caller certifies it with ``presuppositions_cf`` and passes
+    it in, directly or through a name."""
+
+    def called(node, name):
+        f = node.func if isinstance(node, ast.Call) else None
+        return getattr(f, "attr", getattr(f, "id", None)) == name
+
+    found = []
+    for path in MODULES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        presups = {
+            t.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Assign) and called(n.value, "presuppositions_cf")
+            for t in n.targets
+            if isinstance(t, ast.Name)
+        }
+        for n in ast.walk(tree):
+            if called(n, "boundary_convert"):
+                for arg in n.args:
+                    if called(arg, "presuppositions_cf") or getattr(arg, "id", None) in presups:
+                        found.append(f"{path.name}:{n.lineno}")
+    assert not found, found

@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from fintt import cli, theory
+from fintt.derive import SHOWN_LENGTH
 from fintt.judgements import plain
 from fintt.parser import MAX_NESTING, elaborate, parse_script, parse_term, parse_theory
 from fintt.printer import print_abstracted, print_expr, print_theory_decl, print_script
@@ -249,6 +250,21 @@ def test_cli_translate_to_cf_refuses_a_deep_derivation_in_one_line(deep_script, 
     out = capsys.readouterr()
     assert out.out == ""
     assert out.err == f"error: tt->cf: derivation nested deeper than {MAX_DEPTH}\n"
+
+
+@pytest.mark.parametrize("engine", ["cf", "tt"])
+def test_cli_derive_refuses_a_deep_premise_mismatch_in_one_line(tmp_path, capsys, engine):
+    """rule(Id, tb, c, c) with c a 2,000-deep nat term: the refusal shows the
+    mismatched premise through the printer, cut, not through repr."""
+    steps = ["let tb = rule(bool);", "let tn = rule(nat);", "var n : tn;", "let c0 = rule(succ, n);"]
+    steps += [f"let c{i} = rule(succ, c{i - 1});" for i in range(1, 2000)]
+    script = tmp_path / "Deep.fttd"
+    script.write_text("\n".join(steps + ["let out = rule(Id, tb, c1999, c1999);", "return out;", ""]))
+    rc = cli.main(["derive", str(CORPUS / "mltt.ftt"), str(script), "--engine", engine])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
+    assert "succ(succ(" in out.err and len(out.err) <= 2 * SHOWN_LENGTH + 100
 
 
 def test_cli_translate_to_cf_at_the_depth_limit(tmp_path, capsys):

@@ -459,3 +459,122 @@ def test_transported_congruence_term_rule(corpus_cf, corpus_tt, depth):
     assert erased_equal(body.lhs, SymbolApp("succ", (ExprArg(s.payload.body.term),)))
     assert erased_equal(body.rhs, SymbolApp("succ", (ExprArg(t.payload.body.term),)))
     assert body.by.issubset(asm(eq.payload))
+
+
+# ---------------------------------------------------------------------------
+# tt -> cf where a premise's certificate is erasure-equal to, but not equal
+# with, what the rule wants.  A term converted along reflexivity is
+# convert(a, {}) in cf, so the cf translation of Id(nat, a, a) derived from
+# it is Id(nat, convert(a, {}), a), which the variable p : Id(nat, a, a)
+# does not live at.
+
+P = FreeVar("p")
+M2 = MetaName("M")
+CONV_METAS = MetaCtx([(M2, Abstracted((NAT, id_ty(NAT, BoundVar(0), BoundVar(0))), IsTyB()))])
+CONV_VARS = VarCtx([(A, NAT), (P, id_ty(NAT, A, A))])
+A_CF = FreeVar("a", NAT)
+P_CF = FreeVar("p", id_ty(NAT, A_CF, A_CF))
+EMPTY = AssumptionSet()
+
+
+def conversion_inputs(th):
+    """The derivations over  M : {x:nat} {y:Id(nat,x,x)} type ; a : nat,
+    p : Id(nat,a,a)  that the cases below are built from."""
+    ttd = TTDeriver(th)
+    mctx, vctx = CONV_METAS, CONV_VARS
+    nat_d = ttd.ty(mctx, vctx, NAT)
+    a_d = tt.tt_var(th, mctx, vctx, A)
+    a_conv = tt.conv_tm(th, a_d, tt.eqty_refl(th, nat_d))
+    inst = Instantiation([(MetaName(m), ExprArg(e)) for m, e in (("A", NAT), ("s", A), ("t", A))])
+    id_plain = tt.specific(th, mctx, vctx, "Id", inst, [nat_d, a_d, a_d])
+    id_conv = tt.specific(th, mctx, vctx, "Id", inst, [nat_d, a_conv, a_d])
+    p_d = tt.tt_var(th, mctx, vctx, P)
+    return ttd, a_d, id_plain, id_conv, p_d
+
+
+def translated(corpus_cf, corpus_tt, d):
+    """tt -> cf of ``d``, which re-checks, with context evidence: the
+    certificate double-erases to the conclusion, and a judgement's goes back
+    to a tt derivation of that conclusion that re-checks."""
+    tt.check_derivation(corpus_tt, d)
+    ttd = TTDeriver(corpus_tt)
+    evidence = ttd.mctx_wf(CONV_METAS), ttd.vctx_wf(CONV_METAS, CONV_VARS)
+    cert = tr.tt_to_cf(corpus_tt, corpus_cf, d, *evidence)
+    want = d.conclusion.jdg if hasattr(d.conclusion, "jdg") else d.conclusion.bdry
+    assert double_erase(cert.payload) == double_erase(want)
+    if hasattr(d.conclusion, "jdg"):
+        _, _, back = tr.cf_judgement_to_tt(corpus_cf, corpus_tt, cert)
+        tt.check_derivation(corpus_tt, back)
+        assert back.conclusion.jdg == erase(cert.payload)
+    return cert
+
+
+def test_tt_to_cf_retypes_a_term_to_an_erasure_equal_type(corpus_cf, corpus_tt):
+    """TT-Bdry-EqTm over Id(nat, convert(a, {}), a) moves p onto that type."""
+    *_, id_conv, p_d = conversion_inputs(corpus_tt)
+    cert = translated(corpus_cf, corpus_tt, tt.bdry_eqtm(corpus_tt, id_conv, p_d, p_d))
+    body = cert.payload.body
+    assert body.ty == id_ty(NAT, Convert(A_CF, EMPTY), A_CF)
+    assert isinstance(body.lhs, Convert) and body.lhs.term == P_CF
+
+
+def test_tt_to_cf_rectifies_the_left_side_of_a_type_equation(corpus_cf, corpus_tt):
+    """p converted along reflexivity of Id(nat, convert(a, {}), a): the
+    equation's left side is rectified to p's type first."""
+    *_, id_conv, p_d = conversion_inputs(corpus_tt)
+    cert = translated(corpus_cf, corpus_tt, tt.conv_tm(corpus_tt, p_d, tt.eqty_refl(corpus_tt, id_conv)))
+    body = cert.payload.body
+    assert body.ty == id_ty(NAT, Convert(A_CF, EMPTY), A_CF)
+    assert body.term == Convert(P_CF, EMPTY)
+
+
+def test_tt_to_cf_retypes_a_term_equation_to_an_erasure_equal_type(corpus_cf, corpus_tt):
+    """Transitivity of  p == p  and of p converted, whose cf equations live
+    at Id(nat, a, a) and at Id(nat, convert(a, {}), a): the second moves to
+    the first's type."""
+    th = corpus_tt
+    *_, id_conv, p_d = conversion_inputs(th)
+    p_conv = tt.conv_tm(th, p_d, tt.eqty_refl(th, id_conv))
+    d = tt.eqtm_trans(th, tt.eqtm_refl(th, p_d), tt.eqtm_refl(th, p_conv))
+    body = translated(corpus_cf, th, d).payload.body
+    assert body.ty == id_ty(NAT, A_CF, A_CF)
+    assert body.lhs == P_CF and erased_equal(body.rhs, P_CF) and body.rhs != P_CF
+
+
+def test_tt_to_cf_of_a_metavariable_binding_two_variables(corpus_cf, corpus_tt):
+    """M(a, p): the second binder type, Id(nat, x, x), has the first argument
+    substituted before p fills it."""
+    th = corpus_tt
+    _, a_d, _, _, p_d = conversion_inputs(th)
+    cert = translated(corpus_cf, th, tt.tt_meta(th, CONV_METAS, CONV_VARS, M2, [a_d, p_d]))
+    assert cert.payload == plain(IsTy(MetaApp(MetaName("M", CONV_METAS[M2]), (A_CF, P_CF))))
+
+
+def test_tt_to_cf_converts_a_type_equation_onto_its_fills(corpus_cf, corpus_tt):
+    """Congruence of Pi over Id(nat, a, a), whose domain equation is
+    reflexivity of Id(nat, convert(a, {}), a): boundary conversion moves it
+    onto the equation boundary of the domain's fills."""
+    th = corpus_tt
+    ttd, _, id_plain, id_conv, _ = conversion_inputs(th)
+    idt = id_ty(NAT, A, A)
+    fam = ttd.judgement(CONV_METAS, CONV_VARS, Abstracted((idt,), IsTy(NAT)))
+    fam_eq = ttd.judgement(CONV_METAS, CONV_VARS, Abstracted((idt,), EqTy(NAT, NAT, DUMMY)))
+    pi = Instantiation([(MetaName("A"), ExprArg(idt)), (MetaName("B"), Abstr(ExprArg(NAT)))])
+    premises = [id_plain, fam, id_plain, fam, tt.eqty_refl(th, id_conv), fam_eq]
+    cert = translated(corpus_cf, th, tt.congruence(th, CONV_METAS, CONV_VARS, "Pi", pi, pi, premises))
+    pi_cf = SymbolApp("Pi", (ExprArg(id_ty(NAT, A_CF, A_CF)), Abstr(ExprArg(NAT))))
+    assert cert.payload.body.lhs == cert.payload.body.rhs == pi_cf
+
+
+def test_tt_to_cf_of_a_specific_node_certifies_no_presupposition(corpus_cf, corpus_tt, monkeypatch):
+    """succ(a): the premise is moved onto the boundary it fills, read off its
+    own judgement, so no presupposition is certified."""
+    calls = []
+    real = cf.presuppositions_cf
+    monkeypatch.setattr(cf, "presuppositions_cf", lambda *args: calls.append(args) or real(*args))
+    d = node_kind_table(corpus_tt)["TT-Specific-Eco"]
+    ttd = TTDeriver(corpus_tt)
+    evidence = ttd.mctx_wf(TABLE_METAS), ttd.vctx_wf(TABLE_METAS, TABLE_VARS)
+    cert = tr.tt_to_cf(corpus_tt, corpus_cf, d, *evidence)
+    assert cert.payload == plain(IsTm(SymbolApp("succ", (ExprArg(FreeVar("a", NAT)),)), NAT))
+    assert calls == []
