@@ -51,7 +51,7 @@ from .judgements import (
     plain,
     unfill,
 )
-from .printer import SHOWN_LENGTH, print_abstracted_cut
+from .printer import SHOWN_LENGTH, print_abstracted_cut, print_difference_cut
 from .syntax import (
     Abstr,
     Abstracted,
@@ -180,8 +180,11 @@ def _cert(theory: Theory, payload: Abstracted, annotations) -> Certificate:
 
 def _want(cert: CertifiedJudgement, expected: AbstractedJudgement, what: str) -> None:
     if cert.payload != expected:
-        want, got = (print_abstracted_cut(j, SHOWN_LENGTH) for j in (expected, cert.payload))
-        raise PremiseMismatch(f"{what}: expected {want}, got {got}")
+        # Four pieces of syntax share the room of two full cuts.
+        cut = SHOWN_LENGTH // 2
+        want, got = (print_abstracted_cut(j, cut) for j in (expected, cert.payload))
+        diff = print_difference_cut(expected, cert.payload, cut)
+        raise PremiseMismatch(f"{what}: expected {want}, got {got} (first difference: {diff})")
 
 
 def _plain_body(cert: CertifiedJudgement, kind, what: str):
@@ -852,9 +855,9 @@ def strengthen(theory: Theory, cert: Certificate, position: Optional[int] = None
     # The binder `pos` is referenced as index (i - 1 - pos) inside prefix[i]
     # for i > pos, and as (n - 1 - pos) inside the body.
     for i in range(pos + 1, n):
-        if (i - 1 - pos) in bv_at_root(j.prefix[i]):
+        if (i - 1 - pos) in bv(j.prefix[i]):
             raise BinderUsed(f"binder {pos} occurs in a later binder type")
-    if (n - 1 - pos) in bv_at_root(j.body):
+    if (n - 1 - pos) in bv(j.body):
         raise BinderUsed(f"binder {pos} occurs in the judgement")
     marker = FreeVar("#strengthen", None)
     new_prefix = tuple(
@@ -865,10 +868,6 @@ def strengthen(theory: Theory, cert: Certificate, position: Optional[int] = None
     new_body = subst_bound(j.body, marker, n - 1 - pos)
     payload = Abstracted(new_prefix, new_body)
     return _cert(theory, payload, dict(cert._annotations))
-
-
-def bv_at_root(x) -> frozenset[int]:
-    return bv(x)
 
 
 def boundary_convert(

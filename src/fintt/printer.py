@@ -31,6 +31,7 @@ from .syntax import (
     MetaArity,
     SymbolApp,
     SymbolArity,
+    first_difference,
 )
 
 _CANON = ["x", "y", "z", "w"]
@@ -194,6 +195,30 @@ def print_abstracted(j: Abstracted) -> str:
     return "".join(_pieces(_abstracted, j, ()))
 
 
+_THESES = (IsTy, IsTm, EqTy, EqTm, IsTyB, IsTmB, EqTyB, EqTmB)
+
+
+def _syntax(x, binders: tuple[str, ...]) -> list:
+    """The steps printing a syntax node of any kind."""
+    if isinstance(x, Abstracted):
+        return _abstracted(x, binders)
+    if isinstance(x, _THESES):
+        return _thesis(x, binders)
+    if isinstance(x, (ExprArg, DummyArg, AsmArg, Abstr)):
+        return _arg(x, binders)
+    if isinstance(x, AssumptionSet):
+        return [print_set(x, binders)]
+    return _expr(x, binders)
+
+
+def print_difference_cut(x, y, limit: int) -> str:
+    """The text "A against B" of the first pair of subterms at which ``x``
+    and ``y`` differ (see ``syntax.first_difference``), each printed and cut
+    to at most ``limit`` characters."""
+    a, b = first_difference(x, y)
+    return " against ".join(_cut(_pieces(_syntax, z, ()), limit) for z in (a, b))
+
+
 def print_statement(stmt) -> str:
     """One-line rendering of a tt statement."""
     from .tt_engine import BdryTT, JdgTT, MctxWF, VctxWF
@@ -211,12 +236,8 @@ def print_statement(stmt) -> str:
         case MctxWF(mctx=m):
             return f"|- mctx {', '.join(mm.name for mm, _ in m)}"
         case VctxWF(mctx=m, vctx=v):
-            return f"{', '.join(mm.name for mm, _ in m)} |- vctx {ctx(EmptyTuple(), v)}"
+            return f"{', '.join(mm.name for mm, _ in m)} |- vctx {ctx((), v)}"
     raise TypeError(stmt)
-
-
-def EmptyTuple():
-    return ()
 
 
 def print_arity(arity: SymbolArity) -> str:

@@ -1254,6 +1254,29 @@ def erased_equal(x, y) -> bool:
     return erase(x) is erase(y)
 
 
+def first_difference(x, y) -> Optional[tuple]:
+    """The first pair of subterms, left to right, at which ``x`` and ``y``
+    differ, or None when they are equal.  A pair differs at its root when
+    the kinds differ, when the nodes are leaves, or when what they hold
+    beside their children (a symbol, a metavariable, the prefix length)
+    differs: rebuilding one around the other's children then does not give
+    the other.  Equal subterms are identical nodes, so the walk, on an
+    explicit stack, descends only along the difference."""
+    todo = [(x, y)]
+    while todo:
+        a, b = todo.pop()
+        if a is b:
+            continue
+        if type(a) is not type(b):
+            return a, b
+        children, _, rebuild = _SHAPES[type(a)]
+        ka, kb = children(a), children(b)
+        if not ka or len(ka) != len(kb) or rebuild(a, kb) is not b:
+            return a, b
+        todo.extend(reversed(tuple(zip(ka, kb))))
+    return None
+
+
 def strip_conversions(t: Expr) -> Expr:
     """Peels all outermost conversion wrappers off a term."""
     while isinstance(t, Convert):

@@ -118,9 +118,9 @@ class RawRule:
         unintroduced = None
         earlier: set[MetaName] = set()
         for m, b in self.premises:
-            late = [u for u in mv(b) if u not in earlier]
+            late = [u.name for u in mv(b) if u not in earlier]
             if late and unintroduced is None:
-                unintroduced = late[0].name
+                unintroduced = min(late)
             earlier.add(m)
         conclusion = plain(self.conclusion)
         boundary, head = unfill(conclusion)
@@ -469,11 +469,11 @@ def check_raw(sig: Signature, rule: Union[RawRule, RuleBoundary], flavor: Flavor
         if fv(b):
             raise FreeVarInRule(f"premise boundary of {m.name} mentions free variables")
         used = mv_shallow(b) if flavor == "tt" else mv(b)
-        for u in used:
-            if u not in seen:
-                raise MetaNotIntroduced(
-                    f"boundary of {m.name} fails to introduce the metavariable {u.name}"
-                )
+        late = [u.name for u in used if u not in seen]
+        if late:
+            raise MetaNotIntroduced(
+                f"boundary of {m.name} fails to introduce the metavariable {min(late)}"
+            )
         arity_check(sig, seen, b)
         if flavor == "cf" and m.annotation != b:
             raise MetaNotIntroduced(
@@ -484,9 +484,9 @@ def check_raw(sig: Signature, rule: Union[RawRule, RuleBoundary], flavor: Flavor
     if fv(conclusion):
         raise FreeVarInRule("conclusion mentions free variables")
     used = mv_shallow(conclusion) if flavor == "tt" else mv(conclusion)
-    for u in used:
-        if u not in seen:
-            raise MetaNotIntroduced(f"conclusion fails to introduce the metavariable {u.name}")
+    late = [u.name for u in used if u not in seen]
+    if late:
+        raise MetaNotIntroduced(f"conclusion fails to introduce the metavariable {min(late)}")
     arity_check(sig, seen, conclusion)
     if flavor == "cf" and isinstance(rule, RawRule):
         if used != frozenset(seen):

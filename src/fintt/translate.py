@@ -9,24 +9,26 @@ as the proof term of an equality-reflection instance) is resolved from the
 assumption set of the judgement, or from the atoms the search opened for its
 bound variables.
 
-tt -> cf: induction on the derivation, labelling context entries with
-certified cf annotations.  The step of a node translates its premises and
-applies the context-free rule of its kind, after moving each premise by
-boundary conversion from the boundary it fills onto the one the rule
-instantiates with the earlier premises; boundary conversion takes up the
-slack that erasure leaves.  The induction runs on ``tt_engine.walk``, which
-keeps no Python frame per level; as a policy it refuses a derivation nested
-deeper than ``MAX_DEPTH`` levels with ``DepthExceeded``.
+tt -> cf: induction on the derivation, labelling each context entry with a
+certificate whose payload is its cf annotation: the certificate of a
+metavariable's boundary, or of a variable's type.  The step of a node
+translates its premises and applies the context-free rule of its kind, after
+moving each premise by boundary conversion from the boundary it fills onto
+the one the rule instantiates with the earlier premises; boundary conversion
+takes up the slack that erasure leaves.  The induction runs on
+``tt_engine.walk``, which keeps no Python frame per level; as a policy it
+refuses a derivation nested deeper than ``MAX_DEPTH`` levels with
+``DepthExceeded``.
 
-A round trip cf -> tt -> cf labels the atoms of the suitable context, which
-the derivation keeps annotated, with their own annotations, certified in the
-certificate's annotation cache, and gives back the certificate's payload up
-to its conversion terms.
+A round trip cf -> tt -> cf labels each atom of the suitable context, which
+the derivation keeps annotated, with the certificate of its own annotation
+from the certificate's annotation cache, and gives back the certificate's
+payload up to its conversion terms.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 from . import cf_engine as cf
 from . import tt_engine as tt
@@ -198,8 +200,7 @@ class CfToTT:
 
     def _judgement(self, payload, ctx):
         if ctx is None:
-            mctx, vctx = suitable_context(sorted(mv(payload), key=lambda m: m.name),
-                                          sorted(fv(payload), key=lambda v: v.name))
+            mctx, vctx = _context_of(payload)
         else:
             mctx, vctx = ctx
             need_m, need_v = dependence_closure(list(mv(payload)), list(fv(payload)))
@@ -217,16 +218,18 @@ class CfToTT:
         return deriver.mctx_wf(mctx), deriver.vctx_wf(mctx, vctx)
 
 
-def cf_judgement_to_tt(
-    cf_theory: Theory,
-    tt_theory: Theory,
-    cert: cf.CertifiedJudgement,
-    ctx: Optional[tuple[MetaCtx, VarCtx]] = None,
-):
+def _context_of(*payloads) -> tuple[MetaCtx, VarCtx]:
+    """The suitable context of the atoms of ``payloads``."""
+    atoms = asm(*payloads)
+    return suitable_context(
+        sorted(atoms.metas, key=lambda m: m.name), sorted(atoms.free_vars, key=lambda v: v.name)
+    )
+
+
+def cf_judgement_to_tt(cf_theory: Theory, tt_theory: Theory, cert: cf.CertifiedJudgement):
     """Translates a certificate to a contexted derivation of its erasure in
     a suitable context.  Returns (mctx, vctx, derivation)."""
-    tr = CfToTT(cf_theory, tt_theory)
-    return tr.judgement(cert, ctx)
+    return CfToTT(cf_theory, tt_theory).judgement(cert)
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +266,9 @@ def _under_binders(cf_theory: Theory, plain_case, *certs) -> tuple:
 
 class TTtoCF:
     """Translates checked tt derivations into certificates, by induction on
-    the derivation, labelling context entries with certified cf annotations.
+    the derivation.  A context entry's label is a certificate whose payload
+    is the atom's cf annotation: a metavariable's boundary or, as an
+    ``IsTy`` judgement, a variable's type.
 
     ``translate`` runs the induction on ``tt_engine.walk``, and a node nested
     deeper than ``MAX_DEPTH`` is refused.  The step of a node translates the
@@ -322,29 +327,22 @@ class TTtoCF:
     # -- labelings (parts 2 and 3 of the theorem) ---------------------------
 
     def labelings_from_evidence(self, mctx_deriv, vctx_deriv):
-        theta: dict = {}
-        theta_certs: dict = {}
-        chain = []
-        d = mctx_deriv
-        while d.rule == "MCtx-Extend":
-            chain.append((d.data[0], d.premises[1]))
-            d = d.premises[0]
-        for m, bd in reversed(chain):
-            cert = self.translate(bd, theta, theta_certs, {}, {})
-            theta[m] = cert.payload
-            theta_certs[m] = cert
-        gamma: dict = {}
-        gamma_certs: dict = {}
-        vchain = []
-        d = vctx_deriv
-        while d.rule == "VCtx-Extend":
-            vchain.append((d.data[0], d.premises[1]))
-            d = d.premises[0]
-        for v, td in reversed(vchain):
-            cert = self.translate(td, theta, theta_certs, gamma, gamma_certs)
-            gamma[v] = cert.payload.body.ty
-            gamma_certs[v] = cert
-        return theta, theta_certs, gamma, gamma_certs
+        """The labels of a context's atoms, read off its well-formedness
+        derivations in context order: a metavariable is labelled with the
+        certificate of its boundary, a variable with that of its type."""
+        metas: dict = {}
+        variables: dict = {}
+        for d, extend, labels in (
+            (mctx_deriv, "MCtx-Extend", metas),
+            (vctx_deriv, "VCtx-Extend", variables),
+        ):
+            chain = []
+            while d.rule == extend:
+                chain.append((d.data[0], d.premises[1]))
+                d = d.premises[0]
+            for atom, entry in reversed(chain):
+                labels[atom] = self.translate(entry, metas, variables)
+        return metas, variables
 
     # -- helpers -----------------------------------------------------------
 
@@ -405,14 +403,14 @@ class TTtoCF:
 
     # -- the main induction (parts 4 and 5) ---------------------------------
 
-    def translate(self, d, th, thc, ga, gac):
-        """The certificate of ``d`` under the labelings ``th``/``thc`` of its
-        metavariables and ``ga``/``gac`` of its variables; a subderivation
-        shared between nodes is translated once per labeling of its
-        variables."""
+    def translate(self, d, metas, variables):
+        """The certificate of ``d`` under the labels ``metas`` of its
+        metavariables and ``variables`` of its variables, each a certificate
+        whose payload is the atom's annotation; a subderivation shared
+        between nodes is translated once per labelling of its variables."""
 
         def step(item):
-            d, ga, gac = item
+            d, variables = item
             kind = self._KINDS.get(d.rule)
             if kind is None:
                 raise UncheckableDerivation(f"tt->cf does not handle {d.rule}")
@@ -420,33 +418,34 @@ class TTtoCF:
             c: list = []
             for p in d.premises if n is None else d.premises[: n * len(d.data[3])]:
                 if c and kind == "_abstraction":  # the body, with the atom labelled
-                    ga, gac = {**ga, d.data[2]: c[0].payload.body.ty}, {**gac, d.data[2]: c[0]}
-                c.append((yield p, ga, gac))
-            return getattr(self, kind)(d, c, th, thc, ga, gac)
+                    variables = {**variables, d.data[2]: c[0]}
+                c.append((yield p, variables))
+            return getattr(self, kind)(d, c, metas, variables)
 
         too_deep = (MAX_DEPTH, f"tt->cf: derivation nested deeper than {MAX_DEPTH}")
-        return tt.walk((d, ga, gac), step, lambda x: (id(x[0]), id(x[1])), bound=too_deep)
+        return tt.walk((d, variables), step, lambda x: (id(x[0]), id(x[1])), bound=too_deep)
 
-    def _meta(self, d, c, th, thc, ga, gac):
+    def _meta(self, d, c, metas, variables):
         m, k = d.data[2], len(d.data[3])
-        if m not in th:
+        if m not in metas:
             raise UnsuitableContext(f"no labeling for {m.name}")
-        m_cf = MetaName(m.name, th[m])
+        label = metas[m]
+        m_cf = MetaName(m.name, label.payload)
 
         def binder(j, fills):
-            ty = cf.binder_type_cert(self.cf, thc[m], j)
+            ty = cf.binder_type_cert(self.cf, label, j)
             for f in fills:
                 ty = cf.cf_substitute(self.cf, ty, f)
             return cf.cf_bdry_tm(self.cf, ty)
 
         ss = self._fill(c[:k], binder)
         if d.rule != "TT-Meta-Congr":
-            return cf.cf_meta(self.cf, m_cf, ss, annotation_cert=thc[m])
+            return cf.cf_meta(self.cf, m_cf, ss, annotation_cert=label)
         ts = self._fill(c[k : 2 * k], binder)
         eqs = self._equations(c[2 * k :], ss, ts)
-        return cf.cf_meta_congr(self.cf, m_cf, ss, ts, eqs, annotation_cert=thc[m])
+        return cf.cf_meta_congr(self.cf, m_cf, ss, ts, eqs, annotation_cert=label)
 
-    def _specific(self, d, c, th, thc, ga, gac):
+    def _specific(self, d, c, metas, variables):
         name = d.data[2]
         rule_cf = self.cf.rule(name).rule
         n = len(rule_cf.premises)
@@ -477,17 +476,18 @@ class TTtoCF:
             t_prime = cf.cf_conv_tm(self.cf, right_inst, cf.cf_eqty_sym(self.cf, ceq))
         return cf.cf_congruence(self.cf, name, fs, gs, eqs, t_prime_cert=t_prime)
 
-    def _abstraction(self, d, c, th, thc, ga, gac):
+    def _abstraction(self, d, c, metas, variables):
         ty_c, body_c = c
         return cf.cf_abstract_fwd(self.cf, ty_c, body_c, FreeVar(d.data[2].name, ty_c.payload.body.ty))
 
-    def _in_context(self, d, c, th, thc, ga, gac):
+    def _in_context(self, d, c, metas, variables):
         match d.rule:
             case "TT-Var":
                 v = d.data[2]
-                if v not in ga:
+                if v not in variables:
                     raise UnsuitableContext(f"no labeling for {v.name}")
-                return cf.cf_var(self.cf, FreeVar(v.name, ga[v]), gac[v])
+                label = variables[v]
+                return cf.cf_var(self.cf, FreeVar(v.name, label.payload.body.ty), label)
             case "TT-EqTy-Refl":
                 return cf.cf_eqty_refl(self.cf, c[0], c[0])
             case "TT-EqTm-Refl":
@@ -526,19 +526,17 @@ def tt_to_cf(
     """Elaborates a contexted derivation into a certificate whose double
     erasure is the derivation's conclusion judgement.
 
-    Labelings are built from the context well-formedness derivations unless
-    supplied directly as ``(theta, theta_certs, gamma, gamma_certs)``.
+    The atoms are labelled from the context well-formedness derivations
+    unless the labels are supplied directly as ``(metas, variables)``: maps
+    from each metavariable to the certificate of its boundary and from each
+    variable to the certificate of its type.
     """
     tr = TTtoCF(tt_theory, cf_theory)
-    if labelings is not None:
-        theta, theta_certs, gamma, gamma_certs = labelings
-    else:
+    if labelings is None:
         if mctx_deriv is None or vctx_deriv is None:
             raise UncheckableDerivation("labelings need context well-formedness evidence")
-        theta, theta_certs, gamma, gamma_certs = tr.labelings_from_evidence(
-            mctx_deriv, vctx_deriv
-        )
-    out = tr.translate(d, theta, theta_certs, gamma, gamma_certs)
+        labelings = tr.labelings_from_evidence(mctx_deriv, vctx_deriv)
+    out = tr.translate(d, *labelings)
     want = d.conclusion.jdg if hasattr(d.conclusion, "jdg") else d.conclusion.bdry
     if double_erase(out.payload) != double_erase(want):
         raise UncheckableDerivation(
@@ -547,22 +545,23 @@ def tt_to_cf(
     return out
 
 
-def _labelings_for(mctx: MetaCtx, vctx: VarCtx, caches: dict):
-    """Labels each atom of a suitable context with its own annotation, whose
-    certificate ``caches`` holds.  The atoms stay annotated: the translation
-    reads only their names and labels, so no bare-atom copy of the
-    derivation is needed."""
+def _labelings_for(mctx: MetaCtx, vctx: VarCtx, *certs):
+    """Labels each atom of a suitable context with the certificate of its
+    own annotation, taken from the annotation cache of the last of ``certs``
+    that holds one.  The atoms stay annotated: the translation reads only
+    their names and labels, so no bare-atom copy of the derivation is
+    needed."""
 
     def cached(atom, key):
-        if key not in caches:
-            raise UnsuitableContext(f"no certified annotation for {atom.name}")
-        return caches[key]
+        for c in reversed(certs):
+            if key in c._annotations:
+                return c._annotations[key]
+        raise UnsuitableContext(f"no certified annotation for {atom.name}")
 
-    theta = {m: m.annotation for m, _ in mctx}
-    gamma = {v: v.annotation for v, _ in vctx}
-    theta_certs = {m: cached(m, m.annotation) for m in theta}
-    gamma_certs = {v: cached(v, plain(IsTy(v.annotation))) for v in gamma}
-    return theta, theta_certs, gamma, gamma_certs
+    return (
+        {m: cached(m, m.annotation) for m, _ in mctx},
+        {v: cached(v, plain(IsTy(v.annotation))) for v, _ in vctx},
+    )
 
 
 def round_trip_cf(cf_theory: Theory, tt_theory: Theory, cert: cf.CertifiedJudgement):
@@ -572,8 +571,7 @@ def round_trip_cf(cf_theory: Theory, tt_theory: Theory, cert: cf.CertifiedJudgem
     contexted derivation does not record: a certificate without them comes
     back as itself, any other erased-equal."""
     mctx, vctx, d = cf_judgement_to_tt(cf_theory, tt_theory, cert)
-    labelings = _labelings_for(mctx, vctx, cert._annotations)
-    return tt_to_cf(tt_theory, cf_theory, d, labelings=labelings)
+    return tt_to_cf(tt_theory, cf_theory, d, labelings=_labelings_for(mctx, vctx, cert))
 
 
 # ---------------------------------------------------------------------------
@@ -616,48 +614,19 @@ def transported_congruence(
     if len(premise_certs) != n:
         raise UncheckableDerivation("one certificate per rule premise required")
 
-    # split equations into their fills on the cf side
-    lhs_fill: list = [None] * n
-    rhs_fill: list = [None] * n
-    for i, (m, b) in enumerate(rule_cf.premises):
-        if boundary_arity(b).cls.is_object:
-            lhs_fill[i], rhs_fill[i] = _fill_certs_of_equation(cf_theory, premise_certs[i])
-        else:
-            lhs_fill[i] = premise_certs[i]
-
-    # joint suitable context
-    payloads = [c.payload for c in premise_certs]
-    if target_bdry_cert is not None:
-        payloads.append(target_bdry_cert.payload)
-    all_m: list = []
-    all_v: list = []
-    for p in payloads:
-        all_m.extend(mv(p))
-        all_v.extend(fv(p))
-    mctx, vctx = suitable_context(
-        sorted(set(all_m), key=lambda m: m.name), sorted(set(all_v), key=lambda v: v.name)
-    )
+    targets = () if target_bdry_cert is None else (target_bdry_cert,)
+    ctx = mctx, vctx = _context_of(*(c.payload for c in (*premise_certs, *targets)))
     translator = CfToTT(cf_theory, tt_theory)
-    ctx = (mctx, vctx)
-
-    def to_tt(cert):
-        return translator.judgement(cert, ctx)[2]
-
-    entries = []
-    prev_eq_tt: list = [None] * n
-    for i, (m, b) in enumerate(rule_cf.premises):
+    entries: list = []
+    for i, ((m, b), cert) in enumerate(zip(rule_cf.premises, premise_certs)):
         bare = MetaName(m.name, None)
         if boundary_arity(b).cls.is_object:
-            eq_tt = to_tt(premise_certs[i])
-            i_tt = to_tt(lhs_fill[i])
-            jat_tt = to_tt(rhs_fill[i])
-            prev_eq_tt[i] = eq_tt
-            j_tt = _j_fill_tt(
-                tt_theory, rule_tt, i, jat_tt, prev_eq_tt, rhs_fill, to_tt
-            )
+            fills = _fill_certs_of_equation(cf_theory, cert)
+            eq_tt, i_tt, jat_tt = (translator.judgement(c, ctx)[2] for c in (cert, *fills))
+            j_tt = _j_fill_tt(tt_theory, rule_tt, i, jat_tt, entries)
             entries.append(tt.EqInstEntry(bare, i_tt, j_tt, jat_tt, eq_tt))
         else:
-            f_tt = to_tt(premise_certs[i])
+            f_tt = translator.judgement(cert, ctx)[2]
             entries.append(tt.EqInstEntry(bare, f_tt, f_tt, f_tt, None))
 
     # the rule's own conclusion over its premises, instantiated equally
@@ -673,22 +642,17 @@ def transported_congruence(
         raise UncheckableDerivation("the rule conclusion is not an object judgement")
 
     # back to cf
-    caches: dict = {}
-    for c in premise_certs:
-        caches.update(c._annotations)
-    if target_bdry_cert is not None:
-        caches.update(target_bdry_cert._annotations)
-    labelings = _labelings_for(mctx, vctx, caches)
+    labelings = _labelings_for(mctx, vctx, *premise_certs, *targets)
     out = tt_to_cf(tt_theory, cf_theory, d_eq, labelings=labelings)
     if target_bdry_cert is None:
         return out
     return cf.boundary_convert(cf_theory, target_bdry_cert, out)
 
 
-def _j_fill_tt(tt_theory, rule_tt, idx, jat_tt, prev_eq_tt, rhs_fill, to_tt):
+def _j_fill_tt(tt_theory, rule_tt, idx, jat_tt, entries):
     """The right instantiation's fill at its own boundary, obtained from the
     fill at the left boundary by converting binder types along the earlier
-    premises' equations."""
+    premises' equations, which ``entries`` holds with their right fills."""
     _, b = rule_tt.premises[idx]
     if not b.prefix:
         return jat_tt
@@ -704,8 +668,6 @@ def _j_fill_tt(tt_theory, rule_tt, idx, jat_tt, prev_eq_tt, rhs_fill, to_tt):
     k = next(
         i for i, (m, _) in enumerate(rule_tt.premises) if m == binder.meta
     )
-    eq_k = prev_eq_tt[k]
-    if eq_k is None:
+    if entries[k].eq_deriv is None:
         raise UncheckableDerivation("binder type premise is not an object premise")
-    rhs_ty = to_tt(rhs_fill[k])
-    return tt.conv_abstr(tt_theory, jat_tt, rhs_ty, eq_k)
+    return tt.conv_abstr(tt_theory, jat_tt, entries[k].j_at_i_deriv, entries[k].eq_deriv)

@@ -64,7 +64,7 @@ from .judgements import (
     head_of,
     plain,
 )
-from .printer import SHOWN_LENGTH, print_abstracted_cut
+from .printer import SHOWN_LENGTH, print_abstracted_cut, print_difference_cut
 from .syntax import (
     AbstractedBoundary,
     AbstractedJudgement,
@@ -290,10 +290,13 @@ def _fits(rule: str, mctx, vctx, kids, prem, bdry=None, rule_name: Optional[str]
         raise BadNode(f"{rule} expects {want} premises, got {len(kids)}")
     _same_ctx(mctx, vctx, kids, rule)
     for got, need in zip(kids, prem):
-        if _want_jdg(got, rule) != need:
+        j = _want_jdg(got, rule)
+        if j != need:
             where = f" for rule {rule_name}" if rule_name else ""
-            shown = print_abstracted_cut(need, SHOWN_LENGTH)
-            raise BadNode(f"{rule} premise mismatch{where}: wanted {shown}")
+            # Each piece of syntax is cut as in ``cf_engine._want``.
+            cut = SHOWN_LENGTH // 2
+            shown, diff = print_abstracted_cut(need, cut), print_difference_cut(need, j, cut)
+            raise BadNode(f"{rule} premise mismatch{where}: wanted {shown} (first difference: {diff})")
     if bdry is not None and (not isinstance(kids[-1], BdryTT) or kids[-1].bdry != bdry):
         raise BadNode(f"{rule} boundary premise mismatch")
 

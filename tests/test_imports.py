@@ -317,3 +317,31 @@ def test_no_module_hands_boundary_convert_a_presupposition():
                     if called(arg, "presuppositions_cf") or getattr(arg, "id", None) in presups:
                         found.append(f"{path.name}:{n.lineno}")
     assert not found, found
+
+
+def test_translate_keeps_each_value_in_one_place():
+    """A label is a certificate, whose payload is the annotation, so tt -> cf
+    keeps no payload map beside a certificate map; transported congruence
+    keeps each premise's derivations in its ``EqInstEntry`` only."""
+    tree = ast.parse((SRC / "translate.py").read_text(encoding="utf-8"))
+    bound = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    bound |= {n.arg for n in ast.walk(tree) if isinstance(n, ast.arg)}
+    assert not bound & {"th", "thc", "ga", "gac", "lhs_fill", "rhs_fill", "prev_eq_tt"}
+
+
+def test_translate_signatures_take_labels_and_no_context():
+    def parameters(f):
+        return list(inspect.signature(f).parameters)
+
+    assert parameters(translate.TTtoCF.translate) == ["self", "d", "metas", "variables"]
+    assert "ctx" not in parameters(translate.cf_judgement_to_tt)
+
+
+def test_right_fill_of_transported_congruence_takes_no_callable():
+    """``_j_fill_tt`` reads the earlier premises' derivations off their
+    entries: none of its parameters is called."""
+    tree = ast.parse((SRC / "translate.py").read_text(encoding="utf-8"))
+    (f,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_j_fill_tt"]
+    params = {a.arg for a in f.args.args}
+    called = {n.func.id for n in ast.walk(f) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert params and not params & called

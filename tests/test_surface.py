@@ -1,8 +1,10 @@
 """Surface formats: parse/print round trips, script interpretation on both
 engines, and CLI behaviour."""
 
+import os
 import pathlib
 import random
+import subprocess
 import sys
 
 import pytest
@@ -265,6 +267,45 @@ def test_cli_derive_refuses_a_deep_premise_mismatch_in_one_line(tmp_path, capsys
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ") and out.err.count("\n") == 1
     assert "succ(succ(" in out.err and len(out.err) <= 2 * SHOWN_LENGTH + 100
+
+
+
+@pytest.mark.parametrize("engine", ["cf", "tt"])
+def test_cli_derive_premise_mismatch_shows_the_first_difference(tmp_path, capsys, engine):
+    """rule(Id, tb, c, c) with c a 2,000-deep nat term: past the common
+    succ(succ(... prefix, the refusal names the types that differ."""
+    steps = ["let tb = rule(bool);", "let tn = rule(nat);", "var n : tn;", "let c0 = rule(succ, n);"]
+    steps += [f"let c{i} = rule(succ, c{i - 1});" for i in range(1, 2000)]
+    script = tmp_path / "Deep.fttd"
+    script.write_text("\n".join(steps + ["let out = rule(Id, tb, c1999, c1999);", "return out;", ""]))
+    rc = cli.main(["derive", str(CORPUS / "mltt.ftt"), str(script), "--engine", engine])
+    assert rc == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.count("\n") == 1
+    assert "first difference: bool against nat" in out.err
+    assert len(out.err) <= 2 * SHOWN_LENGTH + 100
+
+
+@pytest.mark.parametrize("flavor", ["tt", "cf"])
+def test_cli_check_names_the_same_unintroduced_metavariable_in_every_process(tmp_path, flavor):
+    """A bare atom's hash differs between interpreters even with the hash
+    seed pinned, so the refusal names the least of the unintroduced
+    metavariables, not the first of a set."""
+    theory_file = tmp_path / "bad.ftt"
+    theory_file.write_text(
+        "rule nat: yields type\n"
+        "rule P: premise a : nat; premise b : nat; yields type\n"
+        "rule bad: premise x : P(u, v); yields type\n"
+    )
+    src = str(pathlib.Path(cli.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    command = [sys.executable, "-m", "fintt.cli", "check", str(theory_file), "--flavor", flavor]
+    lines = set()
+    for _ in range(6):
+        run = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
+        assert run.returncode == 1
+        lines |= {line for line in run.stdout.splitlines() if line.startswith("RULE bad:")}
+    assert lines == {"RULE bad: FAIL boundary of x fails to introduce the metavariable u"}
 
 
 def test_cli_translate_to_cf_at_the_depth_limit(tmp_path, capsys):

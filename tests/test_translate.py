@@ -578,3 +578,22 @@ def test_tt_to_cf_of_a_specific_node_certifies_no_presupposition(corpus_cf, corp
     cert = tr.tt_to_cf(corpus_tt, corpus_cf, d, *evidence)
     assert cert.payload == plain(IsTm(SymbolApp("succ", (ExprArg(FreeVar("a", NAT)),)), NAT))
     assert calls == []
+
+
+def test_labels_from_context_evidence_are_certificates_of_the_annotations(corpus_cf, corpus_tt):
+    """Over F : {x:nat} type ; a : nat, b : F(a), each label is a
+    certificate: of the entry's boundary for a metavariable, of ``IsTy`` of
+    the entry's type for a variable."""
+    ttd = TTDeriver(corpus_tt)
+    mctx = MetaCtx([(F, Abstracted((NAT,), IsTyB()))])
+    b = FreeVar("b")
+    vctx = VarCtx([(A, NAT), (b, f_of(A))])
+    tr_ = tr.TTtoCF(corpus_tt, corpus_cf)
+    metas, variables = tr_.labelings_from_evidence(ttd.mctx_wf(mctx), ttd.vctx_wf(mctx, vctx))
+    assert set(metas) == {F} and set(variables) == {A, b}
+    for m, bdry in mctx:
+        assert isinstance(metas[m], cf.CertifiedBoundary)
+        assert double_erase(metas[m].payload) == bdry
+    for v, ty in vctx:
+        assert isinstance(variables[v], cf.CertifiedJudgement)
+        assert double_erase(variables[v].payload) == plain(IsTy(ty))
