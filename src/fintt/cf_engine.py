@@ -576,7 +576,7 @@ def cf_congruence(
         got = eq_cert.payload
         f_i = left[m]
         g_i = right[m]
-        fe = fill_equation(want_b, f_i, _head_of_equation(got, want_b), got_by(got))
+        fe = fill_equation(want_b, f_i, _head_of_equation(got, want_b), got.body.by)
         if got != fe:
             raise PremiseMismatch(
                 f"congruence {rule_name}: equation {idx + 1} does not fill the boundary"
@@ -619,13 +619,6 @@ def _head_of_equation(j: AbstractedJudgement, b: AbstractedBoundary) -> Argument
     for _ in range(len(j.prefix)):
         inner = Abstr(inner)
     return inner
-
-
-def got_by(j: AbstractedJudgement):
-    body = j.body
-    if isinstance(body, (EqTy, EqTm)):
-        return body.by
-    raise PremiseMismatch("expected an equation")
 
 
 # ---------------------------------------------------------------------------
@@ -799,10 +792,6 @@ def natural_type_cf(theory: Theory, t: Expr) -> Expr:
             )
             return act(inst, concl.ty)
     raise NotObjectJudgement(f"no natural type for {t!r}")
-
-
-strip = strip_conversions
-residue = conversion_residue
 
 
 def invert_cf(theory: Theory, cert: CertifiedJudgement) -> CertifiedJudgement:

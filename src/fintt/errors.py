@@ -147,10 +147,6 @@ class DepthExceeded(KernelError):
     """An input nested deeper than the translation's explicit limit."""
 
 
-class CyclicAnnotation(KernelError):
-    pass
-
-
 # surface
 class ParseError(KernelError):
     def __init__(self, message: str, line: int = 0, column: int = 0):

@@ -219,25 +219,65 @@ def print_difference_cut(x, y, limit: int) -> str:
     return " against ".join(_cut(_pieces(_syntax, z, ()), limit) for z in (a, b))
 
 
-def print_statement(stmt) -> str:
-    """One-line rendering of a tt statement."""
+def _statement(stmt, binders: tuple[str, ...]) -> list:
+    """The steps printing a tt statement on one line."""
     from .tt_engine import BdryTT, JdgTT, MctxWF, VctxWF
 
-    def ctx(mctx, vctx):
-        ms = ", ".join(f"{m.name} : {print_abstracted(b)}" for m, b in mctx)
-        vs = ", ".join(f"{print_expr(v)} : {print_expr(t)}" for v, t in vctx)
-        return f"{ms}; {vs}"
+    def meta(e, bs):
+        return [e[0].name, " : ", (_abstracted, e[1], bs)]
 
+    def var(e, bs):
+        return [(_expr, e[0], bs), " : ", (_expr, e[1], bs)]
+
+    metas = _listed(meta, stmt.mctx, binders)
+    variables = _listed(var, getattr(stmt, "vctx", ()), binders)
     match stmt:
-        case JdgTT(mctx=m, vctx=v, jdg=j):
-            return f"{ctx(m, v)} |- {print_abstracted(j)}"
-        case BdryTT(mctx=m, vctx=v, bdry=b):
-            return f"{ctx(m, v)} |- {print_abstracted(b)} (boundary)"
+        case JdgTT(jdg=j):
+            return [*metas, "; ", *variables, " |- ", (_abstracted, j, binders)]
+        case BdryTT(bdry=b):
+            return [*metas, "; ", *variables, " |- ", (_abstracted, b, binders), " (boundary)"]
         case MctxWF(mctx=m):
-            return f"|- mctx {', '.join(mm.name for mm, _ in m)}"
-        case VctxWF(mctx=m, vctx=v):
-            return f"{', '.join(mm.name for mm, _ in m)} |- vctx {ctx((), v)}"
+            return [f"|- mctx {', '.join(mm.name for mm, _ in m)}"]
+        case VctxWF(mctx=m):
+            return [f"{', '.join(mm.name for mm, _ in m)} |- vctx ; ", *variables]
     raise TypeError(stmt)
+
+
+def print_statement(stmt) -> str:
+    """One-line rendering of a tt statement."""
+    return "".join(_pieces(_statement, stmt, ()))
+
+
+def print_statement_cut(stmt, limit: int) -> str:
+    """``print_statement(stmt)`` cut to at most ``limit`` characters."""
+    return _cut(_pieces(_statement, stmt, ()), limit)
+
+
+def _statement_syntax(stmt) -> tuple:
+    """The syntax of a tt statement in printing order, in three sections:
+    its metavariable context (each metavariable, as its application to
+    nothing, and its boundary), its variable context (each variable and its
+    type) and its judgement or boundary."""
+    return (
+        tuple(x for m, b in stmt.mctx for x in (MetaApp(m, ()), b)),
+        tuple(x for entry in getattr(stmt, "vctx", ()) for x in entry),
+        tuple(getattr(stmt, f) for f in ("jdg", "bdry") if hasattr(stmt, f)),
+    )
+
+
+def print_statement_difference_cut(x, y, limit: int) -> str:
+    """The first difference of two unequal tt statements, in printing
+    order: their kinds, the first pair of syntax that differs, printed as by
+    ``print_difference_cut``, or the lengths of a context that is longer."""
+    if type(x) is not type(y):
+        return f"{type(x).__name__} against {type(y).__name__}"
+    for xs, ys in zip(_statement_syntax(x), _statement_syntax(y)):
+        for a, b in zip(xs, ys):
+            if a != b:
+                return print_difference_cut(a, b, limit)
+        if len(xs) != len(ys):
+            return f"{len(xs) // 2} against {len(ys) // 2} context entries"
+    raise ValueError("the statements are equal")
 
 
 def print_arity(arity: SymbolArity) -> str:

@@ -1,7 +1,8 @@
 """Translations between the contexted and context-free presentations.
 
 cf -> tt: erase the judgement, collect its annotated atoms into a suitable
-context (closed under annotation dependence), and derive the erasure there.
+context (closed under annotation dependence, as ``mv`` and ``fv`` read it
+off), and derive the erasure there.
 Certificates carry no derivations, so the tt obligation search of
 ``derive`` rebuilds one, with its rule choice, failure semantics and depth
 limit; a premise metavariable that the conclusion does not determine (such
@@ -34,14 +35,12 @@ from . import cf_engine as cf
 from . import tt_engine as tt
 from .derive import MAX_DEPTH, DeriveError, TTDeriver
 from .errors import (
-    CyclicAnnotation,
     NonStandardTheory,
     UncheckableDerivation,
     UnsuitableContext,
 )
 from .judgements import EMPTY_VARS, MetaCtx, VarCtx, plain
 from .syntax import (
-    EMPTY_ASSUMPTIONS,
     Abstracted,
     AssumptionSet,
     ExprArg,
@@ -67,58 +66,30 @@ from .theory import Theory
 # Suitable contexts
 
 
-def _dependence_order(items, deps):
-    """Stable topological order by (dependence depth, name)."""
+def _dependence_order(atoms, deps) -> list:
+    """``atoms`` by (dependence depth, name).  The closed set ``deps(x)`` is
+    smaller than that of each atom depending on ``x``, so stepping the atoms
+    by its size meets every dependency first."""
     depth: dict = {}
-
-    def depth_of(x, seen=()):
-        if x in depth:
-            return depth[x]
-        if x in seen:
-            raise CyclicAnnotation(f"annotation cycle through {x!r}")
+    for x in sorted(atoms, key=lambda x: len(deps(x))):
         ds = deps(x)
-        d = 0 if not ds else 1 + max(depth_of(y, seen + (x,)) for y in ds)
-        depth[x] = d
-        return d
-
-    for x in items:
-        depth_of(x)
-    return sorted(items, key=lambda x: (depth[x], x.name))
+        depth[x] = 1 + max(map(depth.__getitem__, ds)) if ds else 0
+    return sorted(atoms, key=lambda x: (depth[x], x.name))
 
 
 def dependence_closure(
     metas: Sequence[MetaName], variables: Sequence[FreeVar]
 ) -> tuple[list[MetaName], list[FreeVar]]:
     """Closes the given atom sets under annotation dependence and returns
-    them in a deterministic order extending the dependence order."""
-    mset: set[MetaName] = set()
-    vset: set[FreeVar] = set()
-    todo_m = list(metas)
-    todo_v = list(variables)
-    while todo_m or todo_v:
-        while todo_m:
-            m = todo_m.pop()
-            if m in mset:
-                continue
-            mset.add(m)
-            if m.annotation is not None:
-                todo_m.extend(mv(m.annotation))
-                todo_v.extend(fv(m.annotation))
-        while todo_v:
-            v = todo_v.pop()
-            if v in vset:
-                continue
-            vset.add(v)
-            if v.annotation is not None:
-                todo_m.extend(mv(v.annotation))
-                todo_v.extend(fv(v.annotation))
-    ms = _dependence_order(
-        mset, lambda m: (mv(m.annotation) | set()) if m.annotation else set()
+    them in a deterministic order extending the dependence order.  ``mv``
+    and ``fv`` already descend into annotations; only the variables of the
+    metavariables' boundaries are added."""
+    ms = asm(*metas, *variables).metas
+    vs = asm(*variables, *(m.annotation for m in ms)).free_vars
+    return (
+        _dependence_order(ms, lambda m: mv(m.annotation)),
+        _dependence_order(vs, lambda v: fv(v.annotation)),
     )
-    vs = _dependence_order(
-        vset, lambda v: set(fv(v.annotation)) if v.annotation else set()
-    )
-    return ms, vs
 
 
 def suitable_context(
@@ -211,11 +182,6 @@ class CfToTT:
         except DeriveError as exc:
             raise UncheckableDerivation(f"cf->tt: {exc}") from exc
         return mctx, vctx, d
-
-    def context_evidence(self, mctx: MetaCtx, vctx: VarCtx):
-        """Well-formedness derivations for a suitable context."""
-        deriver = _HintDeriver(self.tt, EMPTY_ASSUMPTIONS)
-        return deriver.mctx_wf(mctx), deriver.vctx_wf(mctx, vctx)
 
 
 def _context_of(*payloads) -> tuple[MetaCtx, VarCtx]:

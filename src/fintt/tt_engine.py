@@ -32,8 +32,9 @@ closure rule: contexts, atoms, metavariables, term tuples, rule names and
 instantiations.  The walks that apply one change to every slot of a kind
 (renaming, weakening, substitution, instantiation, the two equal-side walks,
 collecting names) rebuild data with ``_map_data`` from that table and spell
-out only the rules where they really differ.  A new closure rule adds a row
-to ``_SLOTS`` and a case to ``_infer``.
+out only the rules where they really differ; renaming, one name per atom
+throughout, is one such pass.  A new closure rule adds a row to ``_SLOTS``
+and a case to ``_infer``.
 """
 
 from __future__ import annotations
@@ -64,7 +65,13 @@ from .judgements import (
     head_of,
     plain,
 )
-from .printer import SHOWN_LENGTH, print_abstracted_cut, print_difference_cut
+from .printer import (
+    SHOWN_LENGTH,
+    print_abstracted_cut,
+    print_difference_cut,
+    print_statement_cut,
+    print_statement_difference_cut,
+)
 from .syntax import (
     AbstractedBoundary,
     AbstractedJudgement,
@@ -571,7 +578,15 @@ def check_derivation(theory: Theory, d: Derivation) -> None:
             yield p
         concl = _infer(theory, n.rule, n.data, [p.conclusion for p in n.premises])
         if concl != n.conclusion:
-            raise BadNode(f"node {n.rule} stores conclusion {n.conclusion!r} but infers {concl!r}")
+            if not isinstance(n.conclusion, Statement):
+                raise BadNode(f"node {n.rule} stores a {type(n.conclusion).__name__}, not a statement")
+            # Each piece of syntax is cut as in ``_fits``.
+            cut = SHOWN_LENGTH // 2
+            stored, inferred = (print_statement_cut(s, cut) for s in (n.conclusion, concl))
+            diff = print_statement_difference_cut(n.conclusion, concl, cut)
+            raise BadNode(
+                f"node {n.rule} stores conclusion {stored} but infers {inferred} (first difference: {diff})"
+            )
 
     walk(d, check)
 
@@ -778,66 +793,25 @@ def _map_derivation(theory: Theory, d: Derivation, maps: dict, special=None) -> 
     return walk(d, rebuild if special is None else lambda n: special(n, rebuild))
 
 
-def rename_derivation(
-    theory: Theory,
-    d: Derivation,
-    var_map: dict[FreeVar, FreeVar],
-    meta_map: Optional[dict[MetaName, MetaName]] = None,
-) -> Derivation:
-    """Applies an injective renaming of atoms throughout a derivation,
-    freshening binding atoms when the renaming would capture them."""
-    mm = dict(meta_map or {})
-    taken: set[str] = set()  # filled at the first binder that must be freshened
+def rename_derivation(theory: Theory, d: Derivation, var_map: dict[FreeVar, FreeVar]) -> Derivation:
+    """Applies an injective renaming of variables throughout a derivation in
+    one pass, renaming each context object once.  A target name that a
+    binder of ``d`` takes, and that the renaming leaves in place, is refused:
+    the binder would capture it."""
+    targets = {v.name for v in var_map.values()}
+    clashes = sorted(a.name for a in _binding_atoms(d) if a.name in targets and a not in var_map)
+    if clashes:
+        raise BadNode(f"renaming onto {clashes[0]}, which a binder of the derivation takes")
+    same = lambda v: var_map.get(v, v)
+    expr = lambda e: rename_atoms(e, var_map, {})
+    renamed: dict = {}  # a context's id -> (the context, kept alive; its renaming)
 
-    def fresh(atom: FreeVar) -> FreeVar:
-        if not taken:
-            taken.update(
-                _all_names(d),
-                (v.name for v in var_map.values()),
-                (m.name for m in mm.values()),
-            )
-        out = FreeVar(fresh_name(atom.name, frozenset(taken)), atom.annotation)
-        taken.add(out.name)
-        return out
+    def ren(c):
+        if id(c) not in renamed:
+            renamed[id(c)] = (c, type(c)([(same(k), expr(x)) for k, x in c]))
+        return renamed[id(c)][1]
 
-    # The renamings in force, by index, with their slot maps.  A node is
-    # rebuilt once per renaming in force, and so is a context shared between
-    # nodes (entries keep their keys' contexts alive).
-    scopes: list = []
-    renamed: dict = {}
-
-    def ren(c, i: int):
-        vm = scopes[i][0]
-        if (id(c), i) not in renamed:
-            names = mm if isinstance(c, MetaCtx) else vm
-            renamed[id(c), i] = (c, type(c)([(names.get(k, k), rename_atoms(x, vm, mm)) for k, x in c]))
-        return renamed[id(c), i][1]
-
-    def scope(vm: dict) -> int:
-        i = len(scopes)
-        same = lambda v: vm.get(v, v)
-        scopes.append((vm, {
-            "mctx": lambda m: ren(m, i), "vctx": lambda v: ren(v, i), "var": same, "binder": same,
-            "meta": lambda m: mm.get(m, m), "expr": lambda e: rename_atoms(e, vm, mm),
-        }))
-        return i
-
-    def rebuild(item):
-        d, i = item
-        if d.rule in _ABSTRACTIONS:  # the body's renaming sends the atom to its new name
-            vm, atom = scopes[i][0], d.data[2]
-            new_atom = vm.get(atom, atom)
-            if new_atom in ren(d.data[1], i):
-                new_atom = fresh(atom)
-            body = scope({**vm, atom: new_atom})
-            kids = [(yield d.premises[0], i), (yield d.premises[1], body)]
-            return node(theory, d.rule, (ren(d.data[0], i), ren(d.data[1], i), new_atom), kids)
-        kids = []
-        for p in d.premises:
-            kids.append((yield p, i))
-        return node(theory, d.rule, _map_data(d.rule, d.data, scopes[i][1]), kids)
-
-    return walk((d, scope(dict(var_map))), rebuild, lambda item: (id(item[0]), item[1]))
+    return _map_derivation(theory, d, {"mctx": ren, "vctx": ren, "var": same, "binder": same, "expr": expr})
 
 
 def _avoid_binding_clashes(theory: Theory, d: Derivation, names: set[str]) -> Derivation:
@@ -940,12 +914,21 @@ def _split_vctx(vctx: VarCtx, v: FreeVar) -> tuple[list, list]:
     raise MissingContextEvidence(f"{v.name} not in the variable context")
 
 
-def prepare_subst(theory: Theory, d: Derivation, v: FreeVar, t_deriv: Derivation) -> Derivation:
-    """Substitutes the head term of ``t_deriv`` (some  t : A  over Gamma) for
-    the context entry ``v : A`` throughout ``d`` (over Gamma, v:A, Delta),
-    yielding a derivation of the substituted statement over Gamma, Delta[t/v]."""
-    t = _head_term(t_deriv)
-    base_vctx = _ctxs(t_deriv.conclusion)[1]
+def admissible_substitute(theory: Theory, d_abs: Derivation, d_t: Derivation) -> Derivation:
+    """TT-Subst / TT-Bdry-Subst: from  {x:A} J  and  t : A  derive  J[t/x].
+
+    The head term of ``d_t`` (over Gamma) replaces the binder's context
+    entry ``x : A`` throughout the opened derivation (over Gamma, x:A,
+    Delta), which yields a derivation over Gamma, Delta[t/x]."""
+    if d_abs.rule not in _ABSTRACTIONS:
+        raise BadNode("expected a derivation ending with abstraction")
+    (ty_deriv, opened), v = d_abs.premises, d_abs.data[2]
+    want = _want_plain_thesis(d_t.conclusion, IsTm, "TT-Subst")
+    have = _want_plain_thesis(ty_deriv.conclusion, IsTy, "TT-Subst")
+    if want.ty != have.ty:
+        raise BadNode("substituted term does not live at the binder type")
+    t = want.term
+    base_vctx = _ctxs(d_t.conclusion)[1]
 
     def sub_vctx(vctx: VarCtx) -> VarCtx:
         before, after = _split_vctx(vctx, v)
@@ -957,35 +940,17 @@ def prepare_subst(theory: Theory, d: Derivation, v: FreeVar, t_deriv: Derivation
         if d.rule != "TT-Var" or d.data[2] != v:
             return (yield from rebuild(d))
         before, after = _split_vctx(d.data[1], v)
-        out = t_deriv
-        # t_deriv may sit over a prefix of Gamma; first pad to Gamma
+        out = d_t
+        # d_t may sit over a prefix of Gamma; first pad to Gamma
         for (w, ty) in before[len(base_vctx.entries):]:
             out = weaken_var(theory, out, w, ty)
         for (w, ty) in after:
             out = weaken_var(theory, out, w, subst_free(ty, v, t))
         return out
 
-    d = _avoid_binding_clashes(theory, d, set(atoms_in_use(t)))
+    opened = _avoid_binding_clashes(theory, opened, set(atoms_in_use(t)))
     maps = {"vctx": sub_vctx, "expr": lambda x: subst_free(x, v, t)}
-    return _map_derivation(theory, d, maps, substituted_var)
-
-
-def _invert_abstraction(d: Derivation) -> tuple[Derivation, Derivation, FreeVar]:
-    """Splits a derivation ending with (boundary) abstraction into the type
-    derivation, the opened derivation, and the abstraction atom."""
-    if d.rule not in ("TT-Abstr", "TT-Bdry-Abstr"):
-        raise BadNode("expected a derivation ending with abstraction")
-    return d.premises[0], d.premises[1], d.data[2]
-
-
-def admissible_substitute(theory: Theory, d_abs: Derivation, d_t: Derivation) -> Derivation:
-    """TT-Subst / TT-Bdry-Subst: from  {x:A} J  and  t : A  derive  J[t/x]."""
-    ty_deriv, opened, atom = _invert_abstraction(d_abs)
-    want = _want_plain_thesis(d_t.conclusion, IsTm, "TT-Subst")
-    have = _want_plain_thesis(ty_deriv.conclusion, IsTy, "TT-Subst")
-    if want.ty != have.ty:
-        raise BadNode("substituted term does not live at the binder type")
-    return prepare_subst(theory, opened, atom, d_t)
+    return _map_derivation(theory, opened, maps, substituted_var)
 
 
 def conv_abstr(theory: Theory, d_abs: Derivation, d_b: Derivation, d_eq: Derivation) -> Derivation:
@@ -1002,9 +967,7 @@ def conv_abstr(theory: Theory, d_abs: Derivation, d_b: Derivation, d_eq: Derivat
     var_a = tt_var(theory, mctx, vctx.extend(a, eq.rhs), a)
     eq_w = weaken_var(theory, d_eq, a, eq.rhs)
     conv_a = conv_tm(theory, var_a, eqty_sym(theory, eq_w))
-    _, opened, atom = _invert_abstraction(w_abs)
-    body = prepare_subst(theory, opened, atom, conv_a)
-    return tt_abstr(theory, d_b, body, a)
+    return tt_abstr(theory, d_b, admissible_substitute(theory, w_abs, conv_a), a)
 
 
 # ---------------------------------------------------------------------------
@@ -1106,7 +1069,6 @@ def prepare_subst_eq(
     theory: Theory,
     d: Derivation,
     subs: Sequence[EqSubst],
-    delta_eqs: Optional[dict[FreeVar, Derivation]] = None,
     *,
     mctx_deriv: Optional[Derivation] = None,
 ) -> tuple[Derivation, Derivation, Optional[Derivation]]:
@@ -1116,8 +1078,7 @@ def prepare_subst_eq(
     produce derivations over  Gamma, Delta[ss/as]  of  J[ss/as],  J[ts/as]
     and, for object judgements, the distributed equation  J[(ss==ts)/as].
 
-    Boundary derivations yield (s-side, t-side, None).  ``delta_eqs`` carries
-    the type equations  B[ss] == B[ts]  for the entries of Delta.
+    Boundary derivations yield (s-side, t-side, None).
 
     Specific-rule nodes of object rules give full ``TT-Congr`` equations
     and object metavariables full ``TT-Meta-Congr`` equations; for term
@@ -1127,7 +1088,6 @@ def prepare_subst_eq(
     metavariable context, and is refused with ``MissingContextEvidence``
     without it.
     """
-    delta_eqs = dict(delta_eqs or {})
     if not subs:
         raise BadNode("prepare_subst_eq needs at least one substituted variable")
     if mctx_deriv is not None:
@@ -1169,7 +1129,7 @@ def prepare_subst_eq(
     d = _avoid_binding_clashes(theory, d, names)
     step = _equal_sides(theory, "equal substitution", names, ctx, (sub_s, sub_t), mctx_deriv)
     # A subderivation is walked once under each list of binders.
-    d_s, d_t, d_eq = walk((d, [], delta_eqs), substituted_var, lambda x: (id(x[0]), tuple(x[1])))
+    d_s, d_t, d_eq = walk((d, [], {}), substituted_var, lambda x: (id(x[0]), tuple(x[1])))
     return d_s, d_t, None if isinstance(d.conclusion, BdryTT) else d_eq
 
 

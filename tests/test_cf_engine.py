@@ -36,8 +36,10 @@ from fintt.syntax import (
     MetaName,
     SymbolApp,
     asm,
+    conversion_residue,
     erase,
     erased_equal,
+    strip_conversions,
 )
 
 from .test_acceptance import oracle_asm
@@ -303,11 +305,11 @@ def test_natural_type_strip_residue(env):
     alpha = AssumptionSet(frozenset([a]), frozenset(), frozenset())
     beta = AssumptionSet(frozenset([FreeVar("b", BOOL)]), frozenset(), frozenset())
     t = Convert(Convert(a, alpha), beta)
-    assert cf.strip(t) == a
-    assert cf.residue(t) == alpha.union(beta)
+    assert strip_conversions(t) == a
+    assert conversion_residue(t) == alpha.union(beta)
     assert cf.natural_type_cf(th, t) == BOOL
-    assert erase(t) == erase(cf.strip(t))
-    assert asm(t) == asm(cf.strip(t)).union(cf.residue(t).union(asm(alpha), asm(beta)))
+    assert erase(t) == erase(strip_conversions(t))
+    assert asm(t) == asm(strip_conversions(t)).union(conversion_residue(t).union(asm(alpha), asm(beta)))
 
 
 def test_invert_cf_round_trip(env):

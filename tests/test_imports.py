@@ -186,8 +186,6 @@ def test_closure_rules_have_a_slot_row_and_a_translation():
 # The recursions left in the walk modules, each with its bound.  Every other
 # walk over a derivation runs on ``tt_engine.walk`` and uses no frame per level.
 ALLOWED_RECURSION = {
-    # bounded by annotation nesting
-    "translate._dependence_order.depth_of",
     # bounded by the binder prefix of the boundaries
     "cf_engine.boundary_convert",
 }

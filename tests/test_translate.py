@@ -23,6 +23,7 @@ from fintt.syntax import (
     Convert,
     DUMMY,
     EqTm,
+    EqTmB,
     EqTy,
     ExprArg,
     FreeVar,
@@ -74,6 +75,18 @@ def test_suitable_context_pulls_in_dependencies():
     assert names.index(b) > names.index(s)
     # no spurious entries: exactly the dependence closure
     assert set(names) == set(tr.dependence_closure([], [b])[1])
+
+
+def test_a_metavariable_boundary_brings_its_variables_into_the_suitable_context():
+    """``mv`` descends into a metavariable's boundary but ``fv`` does not, so
+    the closure adds the boundary's variables, with their own dependencies."""
+    s = FreeVar("s", BOOL)
+    p = FreeVar("p", id_ty(BOOL, s, s))
+    m = MetaName("M", Abstracted((), EqTmB(p, p, id_ty(BOOL, s, s))))
+    assert tr.dependence_closure([m], []) == ([m], [s, p])
+    mctx, vctx = tr.suitable_context([m], [])
+    assert list(mctx.entries) == [(m, erase(m.annotation))]
+    assert list(vctx.entries) == [(s, BOOL), (p, erase(id_ty(BOOL, s, s)))]
 
 
 def test_cf_theory_to_tt_is_finitary(corpus_cf):
@@ -135,8 +148,8 @@ def test_cf_to_tt_equality_reflection(reflect_cert, corpus_cf, corpus_tt):
     )
     assert [v for v, _ in vctx.entries] == vs
     # and the context evidence derivations check
-    translator = tr.CfToTT(corpus_cf, corpus_tt)
-    m_d, v_d = translator.context_evidence(mctx, vctx)
+    deriver = TTDeriver(corpus_tt)
+    m_d, v_d = deriver.mctx_wf(mctx), deriver.vctx_wf(mctx, vctx)
     tt.check_derivation(corpus_tt, m_d)
     tt.check_derivation(corpus_tt, v_d)
 

@@ -534,6 +534,22 @@ def test_renaming_there_and_back_is_the_identity(corpus_tt):
     assert checked >= 20
 
 
+def test_renaming_onto_a_binder_name_is_refused(corpus_tt):
+    """A renaming whose target a binder of the derivation takes would be
+    captured by it; it is refused before any node is rebuilt."""
+    th = corpus_tt
+    a = FreeVar("a")
+    d = TTDeriver(th).ty(EMPTY_METAS, VarCtx([(a, NAT)]), pi(BOOL, BOOL))
+    (binder,) = tt._binding_atoms(d)
+    with pytest.raises(KernelError, match=f"renaming onto {binder.name}"):
+        tt.rename_derivation(th, d, {a: FreeVar(binder.name)})
+    # a binder the renaming moves away takes no name
+    c = FreeVar(fresh_name("c", frozenset(tt._all_names(d))))
+    out = tt.rename_derivation(th, d, {a: FreeVar(binder.name), binder: c})
+    tt.check_derivation(th, out)
+    assert out.conclusion.vctx == VarCtx([(FreeVar(binder.name), NAT)])
+
+
 def test_equal_instantiation_refuses_two_binder_metavariables(corpus_tt):
     """An object metavariable binding two variables is refused before any
     walking, whether or not the derivation applies it."""

@@ -2,7 +2,8 @@
 that no walk recurses on, one step per distinct (node, binders), the same
 Python frame depth at the leaf of a chain of n and of 2n nodes, and the
 kernel refusals next to them: premise counts, instantiation of a
-metavariable congruence, inversion of a long conversion chain."""
+metavariable congruence, inversion of a long conversion chain, a forged
+root over a long term."""
 
 import sys
 import time
@@ -13,9 +14,12 @@ from fintt import cf_engine as cf
 from fintt import translate as tr
 from fintt import tt_engine as tt
 from fintt.derive import TTDeriver
-from fintt.errors import KernelError, MissingContextEvidence
+from fintt.errors import BadNode, KernelError, MissingContextEvidence
 from fintt.instantiation import Instantiation
 from fintt.judgements import EMPTY_METAS, MetaCtx, VarCtx, plain
+from fintt.parser import parse_script
+from fintt.printer import SHOWN_LENGTH
+from fintt.script import run_script
 from fintt.syntax import (
     Abstr,
     Abstracted,
@@ -270,3 +274,21 @@ def test_instantiating_a_metavariable_congruence_takes_target_evidence(corpus_tt
     m_a = MetaApp(m, (A,))
     assert out.conclusion == tt.JdgTT(target, vctx, plain(EqTm(m_a, m_a, NAT)))
     tt.check_derivation(th, out)
+
+
+def test_a_forged_root_over_a_two_thousand_step_term_is_refused_in_a_short_message(corpus_tt):
+    """``check_derivation`` prints both statements with the printer, each cut
+    as a premise refusal cuts its syntax, and where they first differ."""
+    steps = ["let tn = rule(nat);", "var n : tn;", "let s0 = rule(succ, n);"]
+    steps += [f"let s{i} = rule(succ, s{i - 1});" for i in range(1, LONG)]
+    d = run_script(corpus_tt, parse_script("\n".join(steps + [f"return s{LONG - 1};"]) + "\n"), "tt")
+    c = d.conclusion
+    wrong = tt.JdgTT(c.mctx, c.vctx, plain(IsTm(c.jdg.body.term, SymbolApp("bool", ()))))
+    with pytest.raises(BadNode) as refused:
+        tt.check_derivation(corpus_tt, tt.Derivation(d.rule, d.data, d.premises, wrong))
+    message = str(refused.value)
+    assert message.startswith(f"node {d.rule} stores conclusion ; n^nat : nat |- succ(succ(")
+    assert message.endswith("(first difference: bool against nat)")
+    assert len(message) <= 3 * SHOWN_LENGTH
+    with pytest.raises(BadNode, match="stores a str, not a statement"):
+        tt.check_derivation(corpus_tt, tt.Derivation(d.rule, d.data, d.premises, "nat"))
