@@ -13,9 +13,9 @@ bound variables.
 tt -> cf: induction on the derivation, labelling each context entry with a
 certificate whose payload is its cf annotation: the certificate of a
 metavariable's boundary, or of a variable's type.  The step of a node
-translates its premises and applies the context-free rule of its kind, after
-moving each premise by boundary conversion from the boundary it fills onto
-the one the rule instantiates with the earlier premises; boundary conversion
+translates its premises and applies the context-free rule of its kind.  A
+premise that does not already fill the boundary the rule instantiates with
+the earlier premises is first moved onto it by boundary conversion, which
 takes up the slack that erasure leaves.  The induction runs on
 ``tt_engine.walk``, which keeps no Python frame per level; as a policy it
 refuses a derivation nested deeper than ``MAX_DEPTH`` levels with
@@ -39,7 +39,8 @@ from .errors import (
     UncheckableDerivation,
     UnsuitableContext,
 )
-from .judgements import EMPTY_VARS, MetaCtx, VarCtx, plain
+from .instantiation import Instantiation
+from .judgements import EMPTY_VARS, MetaCtx, VarCtx, fill_equation, head_of, plain, unfill
 from .syntax import (
     Abstracted,
     AssumptionSet,
@@ -59,7 +60,7 @@ from .syntax import (
     fv,
     mv,
 )
-from .theory import Theory
+from .theory import Theory, instance_of, metavariable_rule_instance, rule_instance_premises
 
 
 # ---------------------------------------------------------------------------
@@ -240,10 +241,10 @@ class TTtoCF:
     deeper than ``MAX_DEPTH`` is refused.  The step of a node translates the
     premises its case reads, an abstraction's body with the bound atom
     labelled, and hands their certificates to the plain method of the node's
-    kind (``_KINDS``).  Every rule case then does the same: it moves each
+    kind (``_KINDS``).  Every rule case then does the same: it moves a
     premise by boundary conversion onto the boundary it fills, which the rule
-    instantiates with the earlier premises (``_fill``), and an equation
-    premise onto the equation boundary of its two fills (``_equations``):
+    instantiates with the earlier premises (``_fill``), or an equation onto
+    that of its two fills (``_equations``), unless it fills it already:
 
     - ``_meta``: TT-Meta, TT-Meta-Eco and TT-Meta-Congr, whose arguments fill
       the metavariable's binder types;
@@ -351,21 +352,27 @@ class TTtoCF:
 
         return _under_binders(self.cf, boundary, fill_l, fill_r)[0]
 
-    def _fill(self, certs, boundary):
+    def _fill(self, certs, boundary, demand):
         """Moves the i-th certificate onto ``boundary(i, fills)``, the
-        boundary it fills after the earlier fills."""
+        boundary it fills after the earlier fills, unless each already is its
+        premise in ``demand(heads)``, the constructor's premises at their heads."""
+        if [c.payload for c in certs] == list(demand([head_of(c.payload) for c in certs])):
+            return certs
         fills: list = []
         for c in certs:
             fills.append(cf.boundary_convert(self.cf, boundary(len(fills), fills), c))
         return fills
 
     def _equations(self, certs, lefts, rights):
-        """Moves each equation onto the equation boundary of its left and
-        right fill, whose left side is the left fill's head."""
-        return [
-            cf.boundary_convert(self.cf, self._equation_boundary_cert(left, right), c)
-            for c, left, right in zip(certs, lefts, rights)
-        ]
+        """Moves each equation not already on it onto the equation boundary
+        of its left and right fill, whose left side is the left fill's head."""
+        out = []
+        for c, left, right in zip(certs, lefts, rights):
+            (b, hl), (br, hr) = unfill(left.payload), unfill(right.payload)
+            if b != br or unfill(c.payload)[0] != unfill(fill_equation(b, hl, hr))[0]:
+                c = cf.boundary_convert(self.cf, self._equation_boundary_cert(left, right), c)
+            out.append(c)
+        return out
 
     # -- the main induction (parts 4 and 5) ---------------------------------
 
@@ -404,10 +411,14 @@ class TTtoCF:
                 ty = cf.cf_substitute(self.cf, ty, f)
             return cf.cf_bdry_tm(self.cf, ty)
 
-        ss = self._fill(c[:k], binder)
+        def demand(heads):
+            terms = [h.expr for h in heads if isinstance(h, ExprArg)]  # else ArityMismatch
+            return metavariable_rule_instance(m_cf, label.payload, terms)[0]
+
+        ss = self._fill(c[:k], binder, demand)
         if d.rule != "TT-Meta-Congr":
             return cf.cf_meta(self.cf, m_cf, ss, annotation_cert=label)
-        ts = self._fill(c[k : 2 * k], binder)
+        ts = self._fill(c[k : 2 * k], binder, demand)
         eqs = self._equations(c[2 * k :], ss, ts)
         return cf.cf_meta_congr(self.cf, m_cf, ss, ts, eqs, annotation_cert=label)
 
@@ -421,10 +432,14 @@ class TTtoCF:
             entries = [(m, f) for (m, _), f in zip(rule_cf.premises, fills)]
             return cf.cf_instantiate(self.cf, entries, witnesses[i])
 
-        fs = self._fill(c[:n], premise)
+        def demand(heads):
+            inst = Instantiation(zip(rule_cf.parts.metas, heads))
+            return instance_of(rule_instance_premises, rule_cf, inst)[0]
+
+        fs = self._fill(c[:n], premise, demand)
         if d.rule != "TT-Congr":
             return cf.cf_apply_rule(self.cf, name, fs)
-        gs = self._fill(c[n : 2 * n], premise)
+        gs = self._fill(c[n : 2 * n], premise, demand)
         objects = [
             i for i, (_, b) in enumerate(rule_cf.premises) if boundary_arity(b).cls.is_object
         ]

@@ -260,13 +260,14 @@ def _map_data(rule: str, data: tuple, maps: dict) -> tuple:
     return tuple(out)
 
 
-def _ctxs(stmt: Statement) -> tuple[MetaCtx, VarCtx]:
+def _ctxs(stmt: Statement, rule: str = "derivation") -> tuple[MetaCtx, VarCtx]:
+    """The contexts of ``stmt``, a conclusion that ``rule`` reads."""
     match stmt:
         case JdgTT(mctx=m, vctx=v) | BdryTT(mctx=m, vctx=v) | VctxWF(mctx=m, vctx=v):
             return m, v
         case MctxWF(mctx=m):
             return m, EMPTY_VARS
-    raise TypeError(stmt)
+    raise BadNode(f"{rule}: got a {type(stmt).__name__}, not a statement")
 
 
 def _want_jdg(stmt: Statement, what: str) -> AbstractedJudgement:
@@ -284,7 +285,7 @@ def _want_plain_thesis(stmt: Statement, kind, what: str):
 
 def _same_ctx(mctx: MetaCtx, vctx: VarCtx, stmts: Sequence[Statement], what: str) -> None:
     for s in stmts:
-        m, v = _ctxs(s)
+        m, v = _ctxs(s, what)
         # Premises built in the same contexts hold the same context objects.
         if (m is not mctx and m != mctx) or (v is not vctx and v != vctx):
             raise BadNode(f"premise context mismatch in {what}")
@@ -622,8 +623,8 @@ def _head_term(d: Derivation) -> Expr:
 
 def tt_abstr(theory: Theory, ty_deriv: Derivation, body_deriv: Derivation, atom: FreeVar) -> Derivation:
     """TT-Abstr, or TT-Bdry-Abstr when the body concludes a boundary."""
-    mctx, vctx = _ctxs(ty_deriv.conclusion)
     rule = "TT-Bdry-Abstr" if isinstance(body_deriv.conclusion, BdryTT) else "TT-Abstr"
+    mctx, vctx = _ctxs(ty_deriv.conclusion, rule)
     return node(theory, rule, (mctx, vctx, atom), [ty_deriv, body_deriv])
 
 
@@ -631,7 +632,7 @@ def _in_context(kind: str):
     """The constructor of a rule whose data are its premises' contexts."""
 
     def ctor(theory: Theory, *premises: Derivation) -> Derivation:
-        return node(theory, kind, _ctxs(premises[0].conclusion) if premises else (), premises)
+        return node(theory, kind, _ctxs(premises[0].conclusion, kind) if premises else (), premises)
 
     return ctor
 

@@ -3,6 +3,7 @@ cf -> tt reconstruction, tt -> cf elaboration of every node kind, round
 trips."""
 
 import dataclasses
+import inspect
 import pathlib
 import random
 
@@ -45,6 +46,7 @@ from fintt.parser import elaborate, parse_theory
 from fintt.theory import check_finitary, check_standard, erase_theory
 
 from .gen import CertGen
+from .test_lambda_theory import THEORY_TEXT as LAMBDA_THEORY
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -610,3 +612,143 @@ def test_labels_from_context_evidence_are_certificates_of_the_annotations(corpus
     for v, ty in vctx:
         assert isinstance(variables[v], cf.CertifiedJudgement)
         assert double_erase(variables[v].payload) == plain(IsTy(ty))
+
+
+def test_tt_to_cf_moves_a_premise_that_does_not_fill_its_boundary(corpus_cf, corpus_tt, monkeypatch):
+    """The Pi congruence of ``test_tt_to_cf_converts_a_type_equation_onto_its_fills``:
+    the domain equation lives at Id(nat, convert(a, {}), a), which erases to
+    but is not the boundary of its fills, so boundary conversion really
+    moves it, and the certificate re-checks."""
+    moved = []
+    real = cf.boundary_convert
+
+    def spy(theory, cert_b, cert_j):
+        if unfill(cert_j.payload)[0] != cert_b.payload:
+            moved.append((unfill(cert_j.payload)[0], cert_b.payload))
+        return real(theory, cert_b, cert_j)
+
+    monkeypatch.setattr(cf, "boundary_convert", spy)
+    th = corpus_tt
+    ttd, _, id_plain, id_conv, _ = conversion_inputs(th)
+    idt = id_ty(NAT, A, A)
+    fam = ttd.judgement(CONV_METAS, CONV_VARS, Abstracted((idt,), IsTy(NAT)))
+    fam_eq = ttd.judgement(CONV_METAS, CONV_VARS, Abstracted((idt,), EqTy(NAT, NAT, DUMMY)))
+    pi = Instantiation([(MetaName("A"), ExprArg(idt)), (MetaName("B"), Abstr(ExprArg(NAT)))])
+    premises = [id_plain, fam, id_plain, fam, tt.eqty_refl(th, id_conv), fam_eq]
+    cert = translated(corpus_cf, th, tt.congruence(th, CONV_METAS, CONV_VARS, "Pi", pi, pi, premises))
+    assert moved and all(erase(b1) == erase(b2) for b1, b2 in moved)
+    pi_cf = SymbolApp("Pi", (ExprArg(id_ty(NAT, A_CF, A_CF)), Abstr(ExprArg(NAT))))
+    assert cert.payload.body.lhs == cert.payload.body.rhs == pi_cf
+
+
+# ---------------------------------------------------------------------------
+# Kernel calls per tt -> cf node: a premise that already fills its rule's
+# boundary goes to the constructor as it is.
+
+
+def cf_calls_per_node(monkeypatch, run) -> float:
+    """Runs ``run`` and returns the public ``cf_engine`` calls the tt -> cf
+    node steps make, per node step; a call made from inside another
+    ``cf_engine`` call is not counted."""
+    count = {"cf": 0, "node": 0}
+    inside = {"cf": 0, "node": 0}
+
+    def counted(f, key):
+        def wrapper(*args, **kwargs):
+            if key == "node" or (inside["node"] and not inside["cf"]):
+                count[key] += 1
+            inside[key] += 1
+            try:
+                return f(*args, **kwargs)
+            finally:
+                inside[key] -= 1
+
+        return wrapper
+
+    for name, f in list(vars(cf).items()):
+        if inspect.isfunction(f) and f.__module__ == cf.__name__ and not name.startswith("_"):
+            monkeypatch.setattr(cf, name, counted(f, "cf"))
+    for name in set(tr.TTtoCF._KINDS.values()):
+        monkeypatch.setattr(tr.TTtoCF, name, counted(getattr(tr.TTtoCF, name), "node"))
+    run()
+    assert count["node"] > 0
+    return count["cf"] / count["node"]
+
+
+def congruence_of_id(th):
+    """Id(nat, s, u) == Id(nat, t, u) over  s == t  by reflection."""
+    ty_nat = CFDeriver(th).ty(NAT)
+    s, t, u = (cf.cf_var(th, FreeVar(x, NAT), ty_nat) for x in "stu")
+    id_st = cf.cf_apply_rule(th, "Id", [ty_nat, s, t])
+    p = cf.cf_var(th, FreeVar("p", id_st.payload.body.ty), id_st)
+    eq = cf.cf_apply_rule(th, "eq_reflect", [ty_nat, s, t, p])
+    return [cf.cf_eqty_refl(th, ty_nat, ty_nat), eq, cf.cf_eqtm_refl(th, u, u)]
+
+
+def congruence_of_lam(th):
+    """lam(bool, {x} bool, {x} b) over reflexivity in every premise."""
+    ty_bool = CFDeriver(th).ty(BOOL)
+    vb = cf.cf_var(th, FreeVar("b", BOOL), ty_bool)
+    return [
+        cf.cf_eqty_refl(th, ty_bool, ty_bool),
+        cf.cf_abstract_fwd(th, ty_bool, cf.cf_eqty_refl(th, ty_bool, ty_bool), FreeVar("u", BOOL)),
+        cf.cf_abstract_fwd(th, ty_bool, cf.cf_eqtm_refl(th, vb, vb), FreeVar("w", BOOL)),
+    ]
+
+
+@pytest.mark.parametrize("rule, most", [("Pi", 1.1), ("Id", 1.1), ("lam", 1.7)])
+def test_transported_congruence_makes_about_one_kernel_call_per_node(
+    corpus_cf, corpus_tt, monkeypatch, rule, most
+):
+    """tt -> cf of the congruence derivation: one cf constructor per node but
+    for the term equations of lam, whose right fills are retyped."""
+    if rule == "lam":
+        decl = parse_theory(LAMBDA_THEORY)
+        t_cf, t_tt = elaborate(decl, "cf"), elaborate(decl, "tt")
+        for th in (t_cf, t_tt):
+            check_finitary(th)
+            check_standard(th)
+        eqs = congruence_of_lam(t_cf)
+    else:
+        t_cf, t_tt = corpus_cf, corpus_tt
+        eqs = congruence_of_id(t_cf) if rule == "Id" else list(_pi_congruence_inputs(t_cf)[:2])
+
+    def run():
+        tr.transported_congruence(t_cf, t_tt, rule, eqs)
+
+    assert cf_calls_per_node(monkeypatch, run) <= most
+
+
+def test_tt_to_cf_of_derived_terms_makes_one_kernel_call_per_node(corpus_cf, corpus_tt, monkeypatch):
+    """succ^k(a) for k = 0..4: each node goes to its constructor as it is."""
+    ttd = TTDeriver(corpus_tt)
+    evidence = ttd.mctx_wf(TABLE_METAS), ttd.vctx_wf(TABLE_METAS, TABLE_VARS)
+    terms = [A]
+    for _ in range(4):
+        terms.append(SymbolApp("succ", (ExprArg(terms[-1]),)))
+    derivations = [ttd.tm(TABLE_METAS, TABLE_VARS, t, NAT) for t in terms]
+
+    def run():
+        for d in derivations:
+            tr.tt_to_cf(corpus_tt, corpus_cf, d, *evidence)
+
+    assert cf_calls_per_node(monkeypatch, run) <= 1.1
+
+
+def test_round_trips_make_one_kernel_call_per_node(corpus_cf, corpus_tt, monkeypatch):
+    """cf -> tt -> cf of CertGen certificates of every kind."""
+    g = CertGen(random.Random(24), corpus_cf)
+    kinds = ["ty", "tm", "eq", "reflect", "abs"]
+    certs = []
+    while len(certs) < 10:
+        try:
+            certs.append(g.judgement_cert(len(certs) % 3, kinds[len(certs) % 5]))
+        except KernelError:
+            continue
+
+    def run():
+        for cert in certs:
+            tr.round_trip_cf(corpus_cf, corpus_tt, cert)
+
+    assert cf_calls_per_node(monkeypatch, run) <= 1.1
+

@@ -594,3 +594,23 @@ def test_equal_instantiation_freshens_binders_of_a_binder_type(corpus_tt):
     _, _, d_eq = tt.eq_instantiate(th, entries, d, EMPTY_METAS, vctx, mctx_d)
     tt.check_derivation(th, d_eq)
     assert d_eq.conclusion.jdg == Abstracted((), EqTy(pi(BOOL, NAT), pi(BOOL, NAT), DUMMY))
+
+
+@pytest.mark.parametrize("kind", ["TT-EqTy-Refl", "TT-EqTm-Refl", "TT-Conv-Tm", "TT-Bdry-Tm", "TT-Abstr"])
+def test_a_premise_that_concludes_no_statement_is_a_bad_node(corpus_tt, kind):
+    """A node constructor given a premise whose stored conclusion is not a
+    statement refuses it with ``BadNode`` naming the rule, as ``_ctxs`` reads
+    the premise's contexts."""
+    th = corpus_tt
+    a = FreeVar("a")
+    v = tt.tt_var(th, EMPTY_METAS, VarCtx([(a, BOOL)]), a)
+    g = tt.Derivation(v.rule, v.data, v.premises, "garbage")
+    build = {
+        "TT-EqTy-Refl": lambda: tt.eqty_refl(th, g),
+        "TT-EqTm-Refl": lambda: tt.eqtm_refl(th, g),
+        "TT-Conv-Tm": lambda: tt.conv_tm(th, g, v),
+        "TT-Bdry-Tm": lambda: tt.bdry_tm(th, g),
+        "TT-Abstr": lambda: tt.tt_abstr(th, g, v, FreeVar("x")),
+    }[kind]
+    with pytest.raises(BadNode, match=f"^{kind}: got a str, not a statement$"):
+        build()
