@@ -44,6 +44,8 @@ from .judgements import EMPTY_VARS, MetaCtx, VarCtx, fill_equation, head_of, pla
 from .syntax import (
     Abstracted,
     AssumptionSet,
+    EqTm,
+    EqTy,
     ExprArg,
     FreeVar,
     IsTm,
@@ -313,33 +315,46 @@ class TTtoCF:
 
     # -- helpers -----------------------------------------------------------
 
+    @staticmethod
+    def _body(cert, what: str, *kinds):
+        """``cert``'s body, one of ``kinds`` without binders: a forged node's
+        premise may have another shape, and is refused before it is read."""
+        if cert.payload.prefix or not isinstance(cert.payload.body, kinds):
+            want = " or ".join(k.__name__ for k in kinds)
+            raise UncheckableDerivation(f"tt->cf: {what} is not a {want} judgement without binders")
+        return cert.payload.body
+
     def _components(self, cert):
         return cf.boundary_components(self.cf, cf.presuppositions_cf(self.cf, cert))
 
     def _retype_to(self, t_cert, ty_cert):
         """Moves a term to an erasure-equal type via CF-Conv-Tm along
         reflexivity."""
-        if t_cert.payload.body.ty == ty_cert.payload.body.ty:
+        if self._body(t_cert, "a term", IsTm).ty == self._body(ty_cert, "a type", IsTy).ty:
             return t_cert
         refl = cf.cf_eqty_refl(self.cf, self._components(t_cert)[0], ty_cert)
         return cf.cf_conv_tm(self.cf, t_cert, refl)
 
-    def _retype_eq(self, eq_cert, target_ty_cert):
-        """Moves a term equation to an erasure-equal type via CF-Conv-EqTm
-        along reflexivity."""
-        a_now = self._components(eq_cert)[0]
-        if a_now.payload == target_ty_cert.payload:
+    def _retype_eq(self, eq_cert, of):
+        """Moves a term equation to the erasure-equal type of the term
+        equation ``of`` via CF-Conv-EqTm along reflexivity."""
+        ty, want = (self._body(c, "a term equation", EqTm).ty for c in (eq_cert, of))
+        if ty == want:
             return eq_cert
-        refl = cf.cf_eqty_refl(self.cf, a_now, target_ty_cert)
+        refl = cf.cf_eqty_refl(self.cf, self._components(eq_cert)[0], self._components(of)[0])
         return cf.cf_conv_eqtm(self.cf, eq_cert, refl)
 
-    def _rectify_eq_lhs(self, eq_cert, lhs_cert):
-        """Replaces the left side of a type equation, which the closure rules
-        take only without binders, by an erasure-equal type."""
-        if eq_cert.payload.body.lhs == lhs_cert.payload.body.ty:
-            return eq_cert
-        r = cf.cf_eqty_refl(self.cf, lhs_cert, self._components(eq_cert)[0])
-        return cf.cf_eqty_trans(self.cf, r, eq_cert)
+    def _rectify_eq(self, eq_cert, left, right=None):
+        """Moves each side of a type equation that is not the type of ``left``,
+        resp. ``right``, onto that erasure-equal type along reflexivity."""
+        eq = self._body(eq_cert, "a type equation", EqTy)
+        if eq.lhs != self._body(left, "a term", IsTm, EqTm).ty:
+            r = cf.cf_eqty_refl(self.cf, self._components(left)[0], self._components(eq_cert)[0])
+            eq_cert = cf.cf_eqty_trans(self.cf, r, eq_cert)
+        if right is not None and eq.rhs != self._body(right, "a term", IsTm).ty:
+            r = cf.cf_eqty_refl(self.cf, self._components(eq_cert)[1], self._components(right)[0])
+            eq_cert = cf.cf_eqty_trans(self.cf, eq_cert, r)
+        return eq_cert
 
     def _equation_boundary_cert(self, fill_l, fill_r):
         """The equation boundary of two object fills of one boundary."""
@@ -448,18 +463,18 @@ class TTtoCF:
         )
         t_prime = None
         if isinstance(rule_cf.conclusion, IsTm):
+            # t': the right instance converted along the conclusion's type
+            # equation, with only the sides that differ moved onto the instances' types
             left_inst = cf.cf_apply_rule(self.cf, name, fs)
             right_inst = cf.cf_apply_rule(self.cf, name, gs)
-            ceq = self._rectify_eq_lhs(c[-1], self._components(left_inst)[0])
-            # rectify the right side to the right-instantiated type
-            r = cf.cf_eqty_refl(self.cf, self._components(ceq)[1], self._components(right_inst)[0])
-            ceq = cf.cf_eqty_trans(self.cf, ceq, r)
+            ceq = self._rectify_eq(c[-1], left_inst, right_inst)
             t_prime = cf.cf_conv_tm(self.cf, right_inst, cf.cf_eqty_sym(self.cf, ceq))
         return cf.cf_congruence(self.cf, name, fs, gs, eqs, t_prime_cert=t_prime)
 
     def _abstraction(self, d, c, metas, variables):
         ty_c, body_c = c
-        return cf.cf_abstract_fwd(self.cf, ty_c, body_c, FreeVar(d.data[2].name, ty_c.payload.body.ty))
+        ty = self._body(ty_c, "an abstraction's binder type", IsTy).ty
+        return cf.cf_abstract_fwd(self.cf, ty_c, body_c, FreeVar(d.data[2].name, ty))
 
     def _in_context(self, d, c, metas, variables):
         match d.rule:
@@ -468,7 +483,8 @@ class TTtoCF:
                 if v not in variables:
                     raise UnsuitableContext(f"no labeling for {v.name}")
                 label = variables[v]
-                return cf.cf_var(self.cf, FreeVar(v.name, label.payload.body.ty), label)
+                ty = self._body(label, "a variable's label", IsTy).ty
+                return cf.cf_var(self.cf, FreeVar(v.name, ty), label)
             case "TT-EqTy-Refl":
                 return cf.cf_eqty_refl(self.cf, c[0], c[0])
             case "TT-EqTm-Refl":
@@ -480,10 +496,9 @@ class TTtoCF:
             case "TT-EqTy-Trans":
                 return cf.cf_eqty_trans(self.cf, c[0], c[1])
             case "TT-EqTm-Trans":
-                c2 = self._retype_eq(c[1], self._components(c[0])[0])
-                return cf.cf_eqtm_trans(self.cf, c[0], c2)
+                return cf.cf_eqtm_trans(self.cf, c[0], self._retype_eq(c[1], c[0]))
             case "TT-Conv-Tm" | "TT-Conv-EqTm":
-                eq = self._rectify_eq_lhs(c[1], self._components(c[0])[0])
+                eq = self._rectify_eq(c[1], c[0])
                 conv = cf.cf_conv_tm if d.rule == "TT-Conv-Tm" else cf.cf_conv_eqtm
                 return conv(self.cf, c[0], eq)
             case "TT-Bdry-Ty":
@@ -617,7 +632,6 @@ def transported_congruence(
         return ttd.judgement(xi, EMPTY_VARS, plain(rule_tt.conclusion)), ttd.mctx_wf(xi)
 
     d, xi_wf = tt_theory.cached(("generic conclusion", rule_name), generic_conclusion)
-    d = tt.weaken_vars(tt_theory, d, list(vctx.entries))
     _, _, d_eq = tt.eq_instantiate(tt_theory, entries, d, mctx, vctx, xi_wf)
     if d_eq is None:
         raise UncheckableDerivation("the rule conclusion is not an object judgement")
@@ -631,9 +645,10 @@ def transported_congruence(
 
 
 def _j_fill_tt(tt_theory, rule_tt, idx, jat_tt, entries):
-    """The right instantiation's fill at its own boundary, obtained from the
-    fill at the left boundary by converting binder types along the earlier
-    premises' equations, which ``entries`` holds with their right fills."""
+    """The right instantiation's fill at its own boundary: the fill at the left
+    boundary with its binder type converted along the earlier premise's
+    equation, which ``entries`` holds with its right fill.  It is converted
+    only when the binder types differ: else it is at that boundary already."""
     _, b = rule_tt.premises[idx]
     if not b.prefix:
         return jat_tt
@@ -651,4 +666,7 @@ def _j_fill_tt(tt_theory, rule_tt, idx, jat_tt, entries):
     )
     if entries[k].eq_deriv is None:
         raise UncheckableDerivation("binder type premise is not an object premise")
+    eq = tt._want_plain_thesis(entries[k].eq_deriv.conclusion, EqTy, "TT-Conv-Abstr")
+    if eq.lhs == eq.rhs:
+        return jat_tt
     return tt.conv_abstr(tt_theory, jat_tt, entries[k].j_at_i_deriv, entries[k].eq_deriv)

@@ -1503,6 +1503,9 @@ def eq_instantiate(
     derivations of  I*J,  J*J  and (object judgements)  (I==J)*J  over the
     target context.
 
+    Only ``d``'s metavariable context is read: every variable context starts
+    from ``target_vctx``, whose names ``d``'s binders avoid.
+
     Specific-rule nodes of object rules give full ``TT-Congr`` equations;
     for term rules the type equation  I*A == J*A  comes from walking the
     node's boundary derivation.  Object metavariables binding more than one
@@ -1519,7 +1522,7 @@ def eq_instantiate(
     inst_i = Instantiation([(e.meta, _argument_of(e.i_deriv)) for e in entries])
     inst_j = Instantiation([(e.meta, _argument_of(e.j_deriv)) for e in entries])
 
-    names: set[str] = set()
+    names: set[str] = {v.name for v, _ in target_vctx}
     for e in entries:
         names |= set(atoms_in_use(_argument_of(e.i_deriv))) | set(
             atoms_in_use(_argument_of(e.j_deriv))

@@ -2,10 +2,12 @@
 cf -> tt reconstruction, tt -> cf elaboration of every node kind, round
 trips."""
 
+import contextlib
 import dataclasses
 import inspect
 import pathlib
 import random
+import sys
 
 import pytest
 
@@ -13,7 +15,7 @@ from fintt import cf_engine as cf
 from fintt import tt_engine as tt
 from fintt import translate as tr
 from fintt.derive import CFDeriver, TTDeriver
-from fintt.errors import KernelError, MissingContextEvidence
+from fintt.errors import KernelError, MissingContextEvidence, TypeMismatch
 from fintt.instantiation import Instantiation
 from fintt.judgements import EMPTY_METAS, EMPTY_VARS, MetaCtx, VarCtx, plain, unfill
 from fintt.syntax import (
@@ -696,18 +698,30 @@ def congruence_of_lam(th):
     ]
 
 
-@pytest.mark.parametrize("rule, most", [("Pi", 1.1), ("Id", 1.1), ("lam", 1.7)])
+def gated(text):
+    """The cf and tt theories of ``text``, through both gates."""
+    decl = parse_theory(text)
+    out = elaborate(decl, "cf"), elaborate(decl, "tt")
+    for th in out:
+        check_finitary(th)
+        check_standard(th)
+    return out
+
+
+@pytest.fixture(scope="module")
+def lambda_theories():
+    return gated(LAMBDA_THEORY)
+
+
+@pytest.mark.parametrize("rule, most", [("Pi", 1.1), ("Id", 1.1), ("lam", 1.3)])
 def test_transported_congruence_makes_about_one_kernel_call_per_node(
-    corpus_cf, corpus_tt, monkeypatch, rule, most
+    corpus_cf, corpus_tt, lambda_theories, monkeypatch, rule, most
 ):
     """tt -> cf of the congruence derivation: one cf constructor per node but
-    for the term equations of lam, whose right fills are retyped."""
+    for lam's term congruence, whose right instance is converted to its
+    left-instantiated type (``t'``)."""
     if rule == "lam":
-        decl = parse_theory(LAMBDA_THEORY)
-        t_cf, t_tt = elaborate(decl, "cf"), elaborate(decl, "tt")
-        for th in (t_cf, t_tt):
-            check_finitary(th)
-            check_standard(th)
+        t_cf, t_tt = lambda_theories
         eqs = congruence_of_lam(t_cf)
     else:
         t_cf, t_tt = corpus_cf, corpus_tt
@@ -752,3 +766,180 @@ def test_round_trips_make_one_kernel_call_per_node(corpus_cf, corpus_tt, monkeyp
 
     assert cf_calls_per_node(monkeypatch, run) <= 1.1
 
+
+# ---------------------------------------------------------------------------
+# Transported congruence at the cost of its premises: no weakening of the
+# generic conclusion, no binder conversion along reflexivity, and t' moved
+# only where its type equation's sides differ from the instances' types.
+
+
+def test_tt_to_cf_of_forged_nodes_refuses_with_kernel_errors(corpus_cf, corpus_tt):
+    """Each premise of each ``node_kind_table`` kind replaced by each other
+    table derivation, without ``node()``: tt -> cf translates the forged node
+    or refuses it with a ``KernelError``, and never reads a premise of the
+    wrong shape as if it had the right one."""
+    table = node_kind_table(corpus_tt)
+    ttd = TTDeriver(corpus_tt)
+    evidence = ttd.mctx_wf(TABLE_METAS), ttd.vctx_wf(TABLE_METAS, TABLE_VARS)
+    forged = [
+        tt.Derivation(d.rule, d.data, d.premises[:i] + (e,) + d.premises[i + 1 :], d.conclusion)
+        for d in table.values()
+        for i in range(len(d.premises))
+        for e in table.values()
+        if e is not d.premises[i]
+    ]
+    assert len(forged) == 1047
+    refused = 0
+    for f in forged:
+        try:
+            tr.tt_to_cf(corpus_tt, corpus_cf, f, *evidence)
+        except KernelError:
+            refused += 1
+    assert refused > 900
+
+
+def test_tt_to_cf_rectifies_the_right_side_of_a_term_congruence_type_equation(
+    corpus_cf, corpus_tt
+):
+    """The congruence of refl(nat, a) with itself whose right fill for a is
+    converted along nat == nat: in cf the right instance lives at Id(nat, convert(a, {}),
+    convert(a, {})), not at the right side Id(nat, a, a) of the conclusion's
+    type equation, so that side is moved onto it before t' is formed."""
+    th = corpus_tt
+    ttd, a_d, id_plain, _, _ = conversion_inputs(th)
+    nat_d = ttd.ty(CONV_METAS, CONV_VARS, NAT)
+    a_conv = tt.conv_tm(th, a_d, tt.eqty_refl(th, nat_d))
+    inst = Instantiation([(MetaName("A"), ExprArg(NAT)), (MetaName("a"), ExprArg(A))])
+    premises = [
+        nat_d, a_d, nat_d, a_conv, tt.eqty_refl(th, nat_d), tt.eqtm_refl(th, a_d),
+        tt.eqty_refl(th, id_plain),
+    ]
+    d = tt.congruence(th, CONV_METAS, CONV_VARS, "refl", inst, inst, premises)
+    cert = translated(corpus_cf, th, d)
+    refl_of = lambda t: SymbolApp("refl", (ExprArg(NAT), ExprArg(t)))
+    want = EqTm(refl_of(A_CF), Convert(refl_of(Convert(A_CF, EMPTY)), EMPTY), id_ty(NAT, A_CF, A_CF), EMPTY)
+    assert cert.payload == plain(want)
+
+
+PQ_THEORY = """\
+rule P: yields type
+rule Q: yields type
+rule pq: yields P == Q
+rule Pi: premise A : type; premise B : {x : A} type; yields type
+"""
+P_TY, Q_TY = SymbolApp("P", ()), SymbolApp("Q", ())
+
+
+@pytest.fixture(scope="module")
+def pq_theories():
+    return gated(PQ_THEORY)
+
+
+def pq_inputs(t_cf):
+    """The premises of Pi's congruence along  P == Q  and  {x : P} P == P."""
+    ty_p = CFDeriver(t_cf).ty(P_TY)
+    fam_eq = cf.cf_abstract_fwd(t_cf, ty_p, cf.cf_eqty_refl(t_cf, ty_p, ty_p), FreeVar("x", P_TY))
+    return [cf.cf_apply_rule(t_cf, "pq", []), fam_eq]
+
+
+def test_transported_congruence_converts_a_binder_type_that_differs(pq_theories, monkeypatch):
+    """Along  P == Q  the right fill of B is moved from  {x : P} P  to its own
+    boundary  {x : Q} P  by one binder conversion, which re-checks."""
+    t_cf, t_tt = pq_theories
+    converted = []
+    real = tt.conv_abstr
+
+    def spy(*args):
+        converted.append(real(*args))
+        return converted[-1]
+
+    monkeypatch.setattr(tt, "conv_abstr", spy)
+    with contextlib.suppress(TypeMismatch):  # the refusal that follows: see the next test
+        tr.transported_congruence(t_cf, t_tt, "Pi", pq_inputs(t_cf))
+    (d,) = converted
+    tt.check_derivation(t_tt, d)
+    assert d.conclusion.jdg == Abstracted((Q_TY,), IsTy(P_TY))
+
+
+@pytest.mark.xfail(strict=True, raises=TypeMismatch, reason=(
+    "tt->cf moves the equation of B onto the boundary of its fills by opening"
+    " both at one variable of type P, which the fill over Q does not take"
+))
+def test_transported_congruence_along_a_binder_type_equation_that_differs(pq_theories):
+    """Pi(P, {x} P) == Pi(Q, {x} P)."""
+    t_cf, t_tt = pq_theories
+    out = tr.transported_congruence(t_cf, t_tt, "Pi", pq_inputs(t_cf))
+    pi = lambda a: SymbolApp("Pi", (ExprArg(a), Abstr(ExprArg(P_TY))))
+    assert isinstance(out.payload.body, EqTy)
+    assert erased_equal(out.payload.body.lhs, pi(P_TY))
+    assert erased_equal(out.payload.body.rhs, pi(Q_TY))
+
+
+def pi_congruence_of(th, dom, cod):
+    """Pi(dom, {x} cod) over reflexivity, as ``translate_mix`` draws it."""
+    d = CFDeriver(th)
+    ty_dom, ty_cod = d.ty(dom), d.ty(cod)
+    x = FreeVar("x7", dom)
+    fam_eq = cf.cf_abstract_fwd(th, ty_dom, cf.cf_eqty_refl(th, ty_cod, ty_cod), x)
+    return [cf.cf_eqty_refl(th, ty_dom, ty_dom), fam_eq]
+
+
+@pytest.mark.parametrize(
+    "shape", ["pi_inputs", "Pi-bool-bool", "Pi-bool-nat", "Pi-nat-bool", "Pi-nat-nat", "lam"]
+)
+def test_transported_congruence_neither_weakens_nor_converts_along_reflexivity(
+    corpus_cf, corpus_tt, lambda_theories, monkeypatch, shape
+):
+    """The generic conclusion goes to equal instantiation as it is cached,
+    not weakened to the target context, and no fill is converted along a
+    binder-type equation whose sides are equal."""
+    if shape == "lam":
+        (t_cf, t_tt), rule, eqs = lambda_theories, "lam", congruence_of_lam(lambda_theories[0])
+    elif shape == "pi_inputs":
+        t_cf, t_tt, rule, eqs = corpus_cf, corpus_tt, "Pi", list(_pi_congruence_inputs(corpus_cf)[:2])
+    else:
+        dom, cod = ({"bool": BOOL, "nat": NAT}[x] for x in shape.split("-")[1:])
+        t_cf, t_tt, rule, eqs = corpus_cf, corpus_tt, "Pi", pi_congruence_of(corpus_cf, dom, cod)
+    calls = []
+    for name in ("weaken_vars", "conv_abstr"):
+
+        def spy(*args, _real=getattr(tt, name), _name=name):
+            calls.append((_name, sys._getframe(1).f_globals["__name__"]))
+            return _real(*args)
+
+        monkeypatch.setattr(tt, name, spy)
+    tr.transported_congruence(t_cf, t_tt, rule, eqs)
+    assert ("weaken_vars", tr.__name__) not in calls
+    assert not [c for c in calls if c[0] == "conv_abstr"]
+
+
+CAPTURE_THEORY = LAMBDA_THEORY + """\
+rule Id: premise A : type; premise s : A; premise t : A; yields type
+rule eq_reflect: premise A : type; premise s : A; premise t : A; premise p : Id(A, s, t); yields s == t : A
+"""
+
+
+def test_transported_congruence_keeps_a_proof_variable_named_like_the_generic_binder():
+    """lam(bool, {x} bool, {x} s) == lam(bool, {x} bool, {x} t), whose body
+    equation is reflected from a proof variable named ``x#0``, the binder
+    name of lam's generic conclusion.  The proof variable is in the target
+    context only through the equation's assumption set; the binder avoids
+    its name, and the result assumes it."""
+    t_cf, t_tt = gated(CAPTURE_THEORY)
+    ty_bool = CFDeriver(t_cf).ty(BOOL)
+    s, t = (cf.cf_var(t_cf, FreeVar(n, BOOL), ty_bool) for n in "st")
+    id_st = cf.cf_apply_rule(t_cf, "Id", [ty_bool, s, t])
+    p = FreeVar("x#0", id_st.payload.body.ty)
+    eq = cf.cf_apply_rule(t_cf, "eq_reflect", [ty_bool, s, t, cf.cf_var(t_cf, p, id_st)])
+    eqs = [
+        cf.cf_eqty_refl(t_cf, ty_bool, ty_bool),
+        cf.cf_abstract_fwd(t_cf, ty_bool, cf.cf_eqty_refl(t_cf, ty_bool, ty_bool), FreeVar("u", BOOL)),
+        cf.cf_abstract_fwd(t_cf, ty_bool, eq, FreeVar("w", BOOL)),
+    ]
+    out = tr.transported_congruence(t_cf, t_tt, "lam", eqs)
+    (binder,) = tt._binding_atoms(t_tt.cached(("generic conclusion", "lam"), None)[0])
+    assert binder.name == p.name
+    fam = Abstr(ExprArg(BOOL))
+    lam = lambda v: SymbolApp("lam", (ExprArg(BOOL), fam, Abstr(ExprArg(v.payload.body.term))))
+    pi = SymbolApp("Pi", (ExprArg(BOOL), fam))
+    assert out.payload == plain(EqTm(lam(s), Convert(lam(t), EMPTY), pi, AssumptionSet(frozenset({p}))))
