@@ -25,10 +25,17 @@ A round trip cf -> tt -> cf labels each atom of the suitable context, which
 the derivation keeps annotated, with the certificate of its own annotation
 from the certificate's annotation cache, and gives back the certificate's
 payload up to its conversion terms.
+
+Transported congruence goes cf -> tt once per premise, reads the fills of a
+premise equation off its derivation, as the presuppositions of a derivable
+judgement are derivable, instantiates the rule's conclusion equally, and
+goes back tt -> cf with each premise's derivation answered by the premise's
+own certificate, as the translations are mutually inverse on it.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from . import cf_engine as cf
@@ -36,6 +43,7 @@ from . import tt_engine as tt
 from .derive import MAX_DEPTH, DeriveError, TTDeriver
 from .errors import (
     NonStandardTheory,
+    PremiseMismatch,
     UncheckableDerivation,
     UnsuitableContext,
 )
@@ -213,26 +221,6 @@ def _erased_conclusions(theory: Theory) -> dict:
     )
 
 
-def _under_binders(cf_theory: Theory, plain_case, *certs) -> tuple:
-    """``plain_case`` under the binders of the first of ``certs``: each binder
-    is opened at a fresh variable, which is substituted into every
-    certificate; ``plain_case`` takes the opened certificates and returns a
-    tuple of results, and each result is abstracted back over the
-    variables."""
-    opened = []
-    while certs[0].payload.prefix:
-        j = certs[0].payload
-        ty_c = cf.binder_type_cert(cf_theory, cf.presuppositions_cf(cf_theory, certs[0]), 0)
-        v = FreeVar(fresh_name("x", atoms_in_use(j)), j.prefix[0])
-        var_c = cf.cf_var(cf_theory, v, ty_c)
-        certs = [cf.cf_substitute(cf_theory, c, var_c) for c in certs]
-        opened.append((ty_c, v))
-    results = plain_case(*certs)
-    for ty_c, v in reversed(opened):
-        results = tuple(cf.cf_abstract_fwd(cf_theory, ty_c, r, v) for r in results)
-    return results
-
-
 class TTtoCF:
     """Translates checked tt derivations into certificates, by induction on
     the derivation.  A context entry's label is a certificate whose payload
@@ -280,9 +268,10 @@ class TTtoCF:
     # term metavariable's congruence, are not translated.
     _READ = {"TT-Meta": 1, "TT-Specific": 1, "TT-Meta-Congr": 3}
 
-    def __init__(self, tt_theory: Theory, cf_theory: Theory):
+    def __init__(self, tt_theory: Theory, cf_theory: Theory, known=()):
         self.tt = tt_theory
         self.cf = cf_theory
+        self.known = list(known)  # (derivation, the caller's certificate of it)
         if cf_theory.finitary_witnesses is None:
             raise NonStandardTheory("cf theory must pass the finitary gate first")
         cf_erased = _erased_conclusions(cf_theory)
@@ -357,15 +346,25 @@ class TTtoCF:
         return eq_cert
 
     def _equation_boundary_cert(self, fill_l, fill_r):
-        """The equation boundary of two object fills of one boundary."""
-
-        def boundary(fill_l, fill_r):
-            if isinstance(fill_l.payload.body, IsTy):
-                return (cf.cf_bdry_eqty(self.cf, fill_l, fill_r),)
-            ty_c = self._components(fill_l)[0]
-            return (cf.cf_bdry_eqtm(self.cf, ty_c, fill_l, self._retype_to(fill_r, ty_c)),)
-
-        return _under_binders(self.cf, boundary, fill_l, fill_r)[0]
+        """The equation boundary of two object fills of one boundary: each
+        binder of the left fill is opened at a fresh variable, substituted
+        into both, and the boundary is abstracted back over the variables."""
+        opened = []
+        while fill_l.payload.prefix:
+            j = fill_l.payload
+            ty_c = cf.binder_type_cert(self.cf, cf.presuppositions_cf(self.cf, fill_l), 0)
+            v = FreeVar(fresh_name("x", atoms_in_use(j)), j.prefix[0])
+            var_c = cf.cf_var(self.cf, v, ty_c)
+            fill_l, fill_r = (cf.cf_substitute(self.cf, c, var_c) for c in (fill_l, fill_r))
+            opened.append((ty_c, v))
+        if isinstance(fill_l.payload.body, IsTy):
+            out = cf.cf_bdry_eqty(self.cf, fill_l, fill_r)
+        else:
+            a_c = self._components(fill_l)[0]
+            out = cf.cf_bdry_eqtm(self.cf, a_c, fill_l, self._retype_to(fill_r, a_c))
+        for ty_c, v in reversed(opened):
+            out = cf.cf_abstract_fwd(self.cf, ty_c, out, v)
+        return out
 
     def _fill(self, certs, boundary, demand):
         """Moves the i-th certificate onto ``boundary(i, fills)``, the
@@ -411,7 +410,10 @@ class TTtoCF:
             return getattr(self, kind)(d, c, metas, variables)
 
         too_deep = (MAX_DEPTH, f"tt->cf: derivation nested deeper than {MAX_DEPTH}")
-        return tt.walk((d, variables), step, lambda x: (id(x[0]), id(x[1])), bound=too_deep)
+        # Each known derivation is answered by its certificate under the top-level
+        # labels.  The keys name derivations by id; ``self.known`` keeps them alive.
+        done = {(id(k), id(variables)): c for k, c in self.known}
+        return tt.walk((d, variables), step, lambda x: (id(x[0]), id(x[1])), done, too_deep)
 
     def _meta(self, d, c, metas, variables):
         m, k = d.data[2], len(d.data[3])
@@ -518,6 +520,7 @@ def tt_to_cf(
     mctx_deriv=None,
     vctx_deriv=None,
     labelings=None,
+    known=(),
 ):
     """Elaborates a contexted derivation into a certificate whose double
     erasure is the derivation's conclusion judgement.
@@ -525,9 +528,10 @@ def tt_to_cf(
     The atoms are labelled from the context well-formedness derivations
     unless the labels are supplied directly as ``(metas, variables)``: maps
     from each metavariable to the certificate of its boundary and from each
-    variable to the certificate of its type.
+    variable to the certificate of its type.  ``known`` pairs derivations
+    with the caller's certificates of them under those labels.
     """
-    tr = TTtoCF(tt_theory, cf_theory)
+    tr = TTtoCF(tt_theory, cf_theory, known)
     if labelings is None:
         if mctx_deriv is None or vctx_deriv is None:
             raise UncheckableDerivation("labelings need context well-formedness evidence")
@@ -574,15 +578,30 @@ def round_trip_cf(cf_theory: Theory, tt_theory: Theory, cert: cf.CertifiedJudgem
 # Transported congruence (judgementally equal instantiations, both ways)
 
 
-def _fill_certs_of_equation(cf_theory: Theory, eq_cert):
-    """Splits a certified (possibly abstracted) equation into certificates of
-    its two object fills, via presuppositions and boundary inversion."""
-
-    def fills(eq_cert):
-        comps = cf.boundary_components(cf_theory, cf.presuppositions_cf(cf_theory, eq_cert))
-        return comps[-2:]  # type equation: (lhs, rhs); term equation: (type, lhs, rhs)
-
-    return _under_binders(cf_theory, fills, eq_cert)
+def _fills_tt(tt_theory: Theory, eq_tt, evidence) -> list:
+    """Derivations of the two object fills of the (possibly abstracted)
+    equation ``eq_tt`` derives, read off ``eq_tt``: under its abstractions,
+    the premises that conclude the two sides at the equation's type, as a
+    reflexivity's premise or ``eq_reflect``'s ``s`` and ``t`` do, else the
+    equation's presuppositions over the context evidence ``evidence()``."""
+    opened, d = [], eq_tt
+    while d.rule == "TT-Abstr":
+        opened.append((d.premises[0], d.data[2]))
+        d = d.premises[1]
+    eq = d.conclusion.jdg.body
+    if not isinstance(eq, (EqTy, EqTm)):
+        raise PremiseMismatch(f"an object premise of congruence is a {type(eq).__name__}, not an equation")
+    by_jdg = {p.conclusion.jdg: p for p in d.premises if isinstance(p.conclusion, tt.JdgTT)}
+    sides = [plain(IsTy(s) if isinstance(eq, EqTy) else IsTm(s, eq.ty)) for s in (eq.lhs, eq.rhs)]
+    fills = [by_jdg.get(s) for s in sides]
+    if None in fills:
+        mctx_ev, vctx_ev = evidence()
+        for ty_k, atom in opened:
+            vctx_ev = tt.vctx_extend(tt_theory, vctx_ev, ty_k, atom)
+        fills = tt.presuppositions(tt_theory, d, mctx_ev, vctx_ev).premises[-2:]
+    for ty_k, atom in reversed(opened):
+        fills = [tt.tt_abstr(tt_theory, ty_k, f, atom) for f in fills]
+    return fills
 
 
 def transported_congruence(
@@ -598,9 +617,13 @@ def transported_congruence(
     ``premise_certs[i]`` is, for the rule's i-th premise: an equation
     certificate  fill(<I>_i B_i, f_i == g'_i by a_i)  when the premise is an
     object premise, and the fill  fill(<I>_i B_i, f_i)  when it is an
-    equality premise.  The result is an equational certificate for the
-    congruence conclusion, rectified onto ``target_bdry_cert`` when given;
-    its assumption set is drawn from the inputs.
+    equality premise; an object premise that is no equation is refused with
+    ``PremiseMismatch``.  Each premise is derived in tt once, and the fills
+    f_i and g'_i are read off the equation's derivation (``_fills_tt``).
+    tt -> cf takes each premise's certificate for its derivation as it is.
+    The result is an equational certificate for the congruence conclusion,
+    rectified onto ``target_bdry_cert`` when given; its assumption set is
+    drawn from the inputs.
     """
     rule_cf = cf_theory.rule(rule_name).rule
     rule_tt = tt_theory.rule(rule_name).rule
@@ -612,18 +635,18 @@ def transported_congruence(
 
     targets = () if target_bdry_cert is None else (target_bdry_cert,)
     ctx = mctx, vctx = _context_of(*(c.payload for c in (*premise_certs, *targets)))
-    translator = CfToTT(cf_theory, tt_theory)
+    translator, ttd = CfToTT(cf_theory, tt_theory), TTDeriver(tt_theory)
+    evidence = functools.cache(lambda: (ttd.mctx_wf(mctx), ttd.vctx_wf(mctx, vctx)))
+    known = [(translator.judgement(c, ctx)[2], c) for c in premise_certs]
     entries: list = []
-    for i, ((m, b), cert) in enumerate(zip(rule_cf.premises, premise_certs)):
+    for i, ((m, b), (p_tt, _)) in enumerate(zip(rule_cf.premises, known)):
         bare = MetaName(m.name, None)
         if boundary_arity(b).cls.is_object:
-            fills = _fill_certs_of_equation(cf_theory, cert)
-            eq_tt, i_tt, jat_tt = (translator.judgement(c, ctx)[2] for c in (cert, *fills))
+            i_tt, jat_tt = _fills_tt(tt_theory, p_tt, evidence)
             j_tt = _j_fill_tt(tt_theory, rule_tt, i, jat_tt, entries)
-            entries.append(tt.EqInstEntry(bare, i_tt, j_tt, jat_tt, eq_tt))
+            entries.append(tt.EqInstEntry(bare, i_tt, j_tt, jat_tt, p_tt))
         else:
-            f_tt = translator.judgement(cert, ctx)[2]
-            entries.append(tt.EqInstEntry(bare, f_tt, f_tt, f_tt, None))
+            entries.append(tt.EqInstEntry(bare, p_tt, p_tt, p_tt, None))
 
     # the rule's own conclusion over its premises, instantiated equally
     def generic_conclusion():
@@ -636,9 +659,9 @@ def transported_congruence(
     if d_eq is None:
         raise UncheckableDerivation("the rule conclusion is not an object judgement")
 
-    # back to cf
+    # back to cf, each premise's certificate standing for its own derivation
     labelings = _labelings_for(mctx, vctx, *premise_certs, *targets)
-    out = tt_to_cf(tt_theory, cf_theory, d_eq, labelings=labelings)
+    out = tt_to_cf(tt_theory, cf_theory, d_eq, labelings=labelings, known=known)
     if target_bdry_cert is None:
         return out
     return cf.boundary_convert(cf_theory, target_bdry_cert, out)

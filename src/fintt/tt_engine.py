@@ -1291,41 +1291,39 @@ def presuppositions(
                 if isinstance(trule.rule.conclusion, IsTy):
                     return bdry_eqty(theory, left, right)
                 type_eq = d.premises[-1]
-                c_ty_b = yield type_eq, vctx_ev
+                c_ty = _bdry_premises((yield type_eq, vctx_ev), "TT-Bdry-EqTy")[0]
                 right_conv = conv_tm(theory, right, eqty_sym(theory, type_eq))
-                return bdry_eqtm(theory, c_ty_b.premises[0], left, right_conv)
+                return bdry_eqtm(theory, c_ty, left, right_conv)
             case "TT-EqTy-Refl":
                 a = d.premises[0]
                 return bdry_eqty(theory, a, a)
             case "TT-EqTy-Sym":
-                inner = yield d.premises[0], vctx_ev
-                return bdry_eqty(theory, inner.premises[1], inner.premises[0])
+                lhs, rhs = _bdry_premises((yield d.premises[0], vctx_ev), "TT-Bdry-EqTy")
+                return bdry_eqty(theory, rhs, lhs)
             case "TT-EqTy-Trans":
-                b1 = yield d.premises[0], vctx_ev
-                b2 = yield d.premises[1], vctx_ev
-                return bdry_eqty(theory, b1.premises[0], b2.premises[1])
+                b1 = _bdry_premises((yield d.premises[0], vctx_ev), "TT-Bdry-EqTy")
+                b2 = _bdry_premises((yield d.premises[1], vctx_ev), "TT-Bdry-EqTy")
+                return bdry_eqty(theory, b1[0], b2[1])
             case "TT-EqTm-Refl":
                 t = d.premises[0]
-                b = yield t, vctx_ev
-                if b.rule != "TT-Bdry-Tm":
-                    raise BadNode("expected a term boundary")
-                return bdry_eqtm(theory, b.premises[0], t, t)
+                (ty,) = _bdry_premises((yield t, vctx_ev), "TT-Bdry-Tm")
+                return bdry_eqtm(theory, ty, t, t)
             case "TT-EqTm-Sym":
-                inner = yield d.premises[0], vctx_ev
-                return bdry_eqtm(theory, inner.premises[0], inner.premises[2], inner.premises[1])
+                ty, lhs, rhs = _bdry_premises((yield d.premises[0], vctx_ev), "TT-Bdry-EqTm")
+                return bdry_eqtm(theory, ty, rhs, lhs)
             case "TT-EqTm-Trans":
-                b1 = yield d.premises[0], vctx_ev
-                b2 = yield d.premises[1], vctx_ev
-                return bdry_eqtm(theory, b1.premises[0], b1.premises[1], b2.premises[2])
+                b1 = _bdry_premises((yield d.premises[0], vctx_ev), "TT-Bdry-EqTm")
+                b2 = _bdry_premises((yield d.premises[1], vctx_ev), "TT-Bdry-EqTm")
+                return bdry_eqtm(theory, b1[0], b1[1], b2[2])
             case "TT-Conv-Tm":
-                eq_b = yield d.premises[1], vctx_ev
-                return bdry_tm(theory, eq_b.premises[1])
+                eq_b = _bdry_premises((yield d.premises[1], vctx_ev), "TT-Bdry-EqTy")
+                return bdry_tm(theory, eq_b[1])
             case "TT-Conv-EqTm":
-                eq_b = yield d.premises[0], vctx_ev
-                ty_b = yield d.premises[1], vctx_ev
-                s_conv = conv_tm(theory, eq_b.premises[1], d.premises[1])
-                t_conv = conv_tm(theory, eq_b.premises[2], d.premises[1])
-                return bdry_eqtm(theory, ty_b.premises[1], s_conv, t_conv)
+                _, s, t = _bdry_premises((yield d.premises[0], vctx_ev), "TT-Bdry-EqTm")
+                ty_b = _bdry_premises((yield d.premises[1], vctx_ev), "TT-Bdry-EqTy")
+                s_conv = conv_tm(theory, s, d.premises[1])
+                t_conv = conv_tm(theory, t, d.premises[1])
+                return bdry_eqtm(theory, ty_b[1], s_conv, t_conv)
         raise BadNode(f"presuppositions does not handle {d.rule}")
 
     def _presup_meta_congr(d: Derivation) -> Derivation:
@@ -1340,14 +1338,20 @@ def presuppositions(
         if isinstance(mctx[m].body, IsTyB):
             return bdry_eqty(theory, left, right)
         type_eq = d.premises[-1]  # C[ss] == C[ts]
-        bdry_s = left.premises[-1]
-        if bdry_s.rule != "TT-Bdry-Tm":
-            raise BadNode("metavariable boundary should be a term boundary")
+        (ty,) = _bdry_premises(left.premises[-1], "TT-Bdry-Tm")
         right_conv = conv_tm(theory, right, eqty_sym(theory, type_eq))
-        return bdry_eqtm(theory, bdry_s.premises[0], left, right_conv)
+        return bdry_eqtm(theory, ty, left, right_conv)
 
     # A shared node is walked once per context evidence.
     return walk((d, vctx_deriv), step, lambda x: (id(x[0]), id(x[1])))
+
+
+def _bdry_premises(b: Derivation, rule: str) -> tuple[Derivation, ...]:
+    """The premises of ``b``, a premise's boundary derivation, which ``rule``
+    concludes: a forged node's premise may have another, refused unread."""
+    if b.rule != rule:
+        raise BadNode(f"expected a {rule} boundary, got {b.rule}")
+    return b.premises
 
 
 def _meta_boundary(theory: Theory, d: Derivation, mctx_deriv: Optional[Derivation]) -> Derivation:

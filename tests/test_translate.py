@@ -15,7 +15,7 @@ from fintt import cf_engine as cf
 from fintt import tt_engine as tt
 from fintt import translate as tr
 from fintt.derive import CFDeriver, TTDeriver
-from fintt.errors import KernelError, MissingContextEvidence, TypeMismatch
+from fintt.errors import KernelError, MissingContextEvidence, PremiseMismatch, TypeMismatch
 from fintt.instantiation import Instantiation
 from fintt.judgements import EMPTY_METAS, EMPTY_VARS, MetaCtx, VarCtx, plain, unfill
 from fintt.syntax import (
@@ -648,15 +648,18 @@ def test_tt_to_cf_moves_a_premise_that_does_not_fill_its_boundary(corpus_cf, cor
 # boundary goes to the constructor as it is.
 
 
-def cf_calls_per_node(monkeypatch, run) -> float:
-    """Runs ``run`` and returns the public ``cf_engine`` calls the tt -> cf
-    node steps make, per node step; a call made from inside another
-    ``cf_engine`` call is not counted."""
-    count = {"cf": 0, "node": 0}
+def kernel_calls(monkeypatch, run) -> dict:
+    """Runs ``run`` and counts the public ``cf_engine`` calls it makes
+    ("all"), those the tt -> cf node steps make ("cf") and the node steps
+    ("node"); a call made from inside another ``cf_engine`` call is not
+    counted."""
+    count = {"all": 0, "cf": 0, "node": 0}
     inside = {"cf": 0, "node": 0}
 
     def counted(f, key):
         def wrapper(*args, **kwargs):
+            if key == "cf" and not inside["cf"]:
+                count["all"] += 1
             if key == "node" or (inside["node"] and not inside["cf"]):
                 count[key] += 1
             inside[key] += 1
@@ -673,6 +676,13 @@ def cf_calls_per_node(monkeypatch, run) -> float:
     for name in set(tr.TTtoCF._KINDS.values()):
         monkeypatch.setattr(tr.TTtoCF, name, counted(getattr(tr.TTtoCF, name), "node"))
     run()
+    return count
+
+
+def cf_calls_per_node(monkeypatch, run) -> float:
+    """The public ``cf_engine`` calls of ``run``'s tt -> cf node steps, per
+    node step."""
+    count = kernel_calls(monkeypatch, run)
     assert count["node"] > 0
     return count["cf"] / count["node"]
 
@@ -713,24 +723,21 @@ def lambda_theories():
     return gated(LAMBDA_THEORY)
 
 
-@pytest.mark.parametrize("rule, most", [("Pi", 1.1), ("Id", 1.1), ("lam", 1.3)])
-def test_transported_congruence_makes_about_one_kernel_call_per_node(
+@pytest.mark.parametrize("rule, most", [("Pi", 4), ("Id", 5), ("lam", 11)])
+def test_transported_congruence_bounds_its_kernel_calls(
     corpus_cf, corpus_tt, lambda_theories, monkeypatch, rule, most
 ):
-    """tt -> cf of the congruence derivation: one cf constructor per node but
-    for lam's term congruence, whose right instance is converted to its
-    left-instantiated type (``t'``)."""
-    if rule == "lam":
-        t_cf, t_tt = lambda_theories
-        eqs = congruence_of_lam(t_cf)
-    else:
-        t_cf, t_tt = corpus_cf, corpus_tt
-        eqs = congruence_of_id(t_cf) if rule == "Id" else list(_pi_congruence_inputs(t_cf)[:2])
+    """tt -> cf of the congruence derivation is handed each premise's own
+    certificate for the premise's derivation, so its cf calls build only the
+    congruence around them: at most 4, 5 and 11, where translating each
+    premise and its fills back took 18, 15 and 36."""
+    shape = "pi_inputs" if rule == "Pi" else rule
+    t_cf, t_tt, _, eqs = congruence_shape(shape, corpus_cf, corpus_tt, lambda_theories)
 
     def run():
         tr.transported_congruence(t_cf, t_tt, rule, eqs)
 
-    assert cf_calls_per_node(monkeypatch, run) <= most
+    assert kernel_calls(monkeypatch, run)["all"] <= most
 
 
 def test_tt_to_cf_of_derived_terms_makes_one_kernel_call_per_node(corpus_cf, corpus_tt, monkeypatch):
@@ -773,21 +780,26 @@ def test_round_trips_make_one_kernel_call_per_node(corpus_cf, corpus_tt, monkeyp
 # only where its type equation's sides differ from the instances' types.
 
 
-def test_tt_to_cf_of_forged_nodes_refuses_with_kernel_errors(corpus_cf, corpus_tt):
+def forged_nodes(th):
     """Each premise of each ``node_kind_table`` kind replaced by each other
-    table derivation, without ``node()``: tt -> cf translates the forged node
-    or refuses it with a ``KernelError``, and never reads a premise of the
-    wrong shape as if it had the right one."""
-    table = node_kind_table(corpus_tt)
-    ttd = TTDeriver(corpus_tt)
-    evidence = ttd.mctx_wf(TABLE_METAS), ttd.vctx_wf(TABLE_METAS, TABLE_VARS)
-    forged = [
+    table derivation, without ``node()``."""
+    table = node_kind_table(th)
+    return [
         tt.Derivation(d.rule, d.data, d.premises[:i] + (e,) + d.premises[i + 1 :], d.conclusion)
         for d in table.values()
         for i in range(len(d.premises))
         for e in table.values()
         if e is not d.premises[i]
     ]
+
+
+def test_tt_to_cf_of_forged_nodes_refuses_with_kernel_errors(corpus_cf, corpus_tt):
+    """tt -> cf translates each of the ``forged_nodes`` or refuses it with a
+    ``KernelError``, and never reads a premise of the wrong shape as if it
+    had the right one."""
+    ttd = TTDeriver(corpus_tt)
+    evidence = ttd.mctx_wf(TABLE_METAS), ttd.vctx_wf(TABLE_METAS, TABLE_VARS)
+    forged = forged_nodes(corpus_tt)
     assert len(forged) == 1047
     refused = 0
     for f in forged:
@@ -796,6 +808,21 @@ def test_tt_to_cf_of_forged_nodes_refuses_with_kernel_errors(corpus_cf, corpus_t
         except KernelError:
             refused += 1
     assert refused > 900
+
+
+def test_presuppositions_of_forged_nodes_refuses_with_kernel_errors(corpus_tt):
+    """``presuppositions`` derives the boundary of each of the
+    ``forged_nodes`` or refuses it with a ``KernelError``: the boundary of a
+    premise is read only once it has the shape its rule reads."""
+    ttd = TTDeriver(corpus_tt)
+    evidence = ttd.mctx_wf(TABLE_METAS), ttd.vctx_wf(TABLE_METAS, TABLE_VARS)
+    refused = 0
+    for f in forged_nodes(corpus_tt):
+        try:
+            tt.presuppositions(corpus_tt, f, *evidence)
+        except KernelError:
+            refused += 1
+    assert refused > 700
 
 
 def test_tt_to_cf_rectifies_the_right_side_of_a_term_congruence_type_equation(
@@ -884,22 +911,30 @@ def pi_congruence_of(th, dom, cod):
     return [cf.cf_eqty_refl(th, ty_dom, ty_dom), fam_eq]
 
 
-@pytest.mark.parametrize(
-    "shape", ["pi_inputs", "Pi-bool-bool", "Pi-bool-nat", "Pi-nat-bool", "Pi-nat-nat", "lam"]
-)
+MIX_SHAPES = ["pi_inputs", "Pi-bool-bool", "Pi-bool-nat", "Pi-nat-bool", "Pi-nat-nat", "lam"]
+
+
+def congruence_shape(shape, corpus_cf, corpus_tt, lambda_theories):
+    """The theories, rule and premises of a transported congruence shaped as
+    ``translate_mix`` draws it."""
+    if shape == "lam":
+        return (*lambda_theories, "lam", congruence_of_lam(lambda_theories[0]))
+    if shape == "pi_inputs":
+        return corpus_cf, corpus_tt, "Pi", list(_pi_congruence_inputs(corpus_cf)[:2])
+    if shape == "Id":
+        return corpus_cf, corpus_tt, "Id", congruence_of_id(corpus_cf)
+    dom, cod = ({"bool": BOOL, "nat": NAT}[x] for x in shape.split("-")[1:])
+    return corpus_cf, corpus_tt, "Pi", pi_congruence_of(corpus_cf, dom, cod)
+
+
+@pytest.mark.parametrize("shape", MIX_SHAPES)
 def test_transported_congruence_neither_weakens_nor_converts_along_reflexivity(
     corpus_cf, corpus_tt, lambda_theories, monkeypatch, shape
 ):
     """The generic conclusion goes to equal instantiation as it is cached,
     not weakened to the target context, and no fill is converted along a
     binder-type equation whose sides are equal."""
-    if shape == "lam":
-        (t_cf, t_tt), rule, eqs = lambda_theories, "lam", congruence_of_lam(lambda_theories[0])
-    elif shape == "pi_inputs":
-        t_cf, t_tt, rule, eqs = corpus_cf, corpus_tt, "Pi", list(_pi_congruence_inputs(corpus_cf)[:2])
-    else:
-        dom, cod = ({"bool": BOOL, "nat": NAT}[x] for x in shape.split("-")[1:])
-        t_cf, t_tt, rule, eqs = corpus_cf, corpus_tt, "Pi", pi_congruence_of(corpus_cf, dom, cod)
+    t_cf, t_tt, rule, eqs = congruence_shape(shape, corpus_cf, corpus_tt, lambda_theories)
     calls = []
     for name in ("weaken_vars", "conv_abstr"):
 
@@ -943,3 +978,114 @@ def test_transported_congruence_keeps_a_proof_variable_named_like_the_generic_bi
     lam = lambda v: SymbolApp("lam", (ExprArg(BOOL), fam, Abstr(ExprArg(v.payload.body.term))))
     pi = SymbolApp("Pi", (ExprArg(BOOL), fam))
     assert out.payload == plain(EqTm(lam(s), Convert(lam(t), EMPTY), pi, AssumptionSet(frozenset({p}))))
+
+
+# ---------------------------------------------------------------------------
+# Transported congruence keeps what it holds: the fills of each premise
+# equation are read off the equation's own tt derivation, and tt -> cf is
+# handed the premise's certificate for that derivation.
+
+
+@pytest.mark.parametrize("shape", [*MIX_SHAPES, "Id"])
+def test_transported_congruence_splits_no_premise_in_cf(
+    corpus_cf, corpus_tt, lambda_theories, monkeypatch, shape
+):
+    """No presupposition of a premise is certified and no boundary is split
+    into its components in cf."""
+    t_cf, t_tt, rule, eqs = congruence_shape(shape, corpus_cf, corpus_tt, lambda_theories)
+    calls = []
+    for name in ("presuppositions_cf", "boundary_components"):
+
+        def spy(*args, _real=getattr(cf, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(cf, name, spy)
+    tr.transported_congruence(t_cf, t_tt, rule, eqs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("first", ["type", "equation"])
+def test_transported_congruence_refuses_a_premise_that_is_not_an_equation(
+    corpus_cf, corpus_tt, first
+):
+    """Pi over  [nat type, nat type]  or  [nat == nat, nat type]: an object
+    premise that is not an equation is refused by name."""
+    ty_nat = CFDeriver(corpus_cf).ty(NAT)
+    head = ty_nat if first == "type" else cf.cf_eqty_refl(corpus_cf, ty_nat, ty_nat)
+    with pytest.raises(PremiseMismatch):
+        tr.transported_congruence(corpus_cf, corpus_tt, "Pi", [head, ty_nat])
+
+
+def presuppositions_in_translate(monkeypatch) -> list:
+    """The boundaries ``tt.presuppositions`` derives when ``translate`` calls
+    it, collected as they are derived."""
+    out = []
+    real = tt.presuppositions
+
+    def spy(*args):
+        b = real(*args)
+        if sys._getframe(1).f_globals["__name__"] == tr.__name__:
+            out.append(b)
+        return b
+
+    monkeypatch.setattr(tt, "presuppositions", spy)
+    return out
+
+
+def test_transported_congruence_reads_the_fills_of_a_rule_equation_off_its_boundary(
+    pq_theories, monkeypatch
+):
+    """pq concludes  P == Q  from no premise: the fills come from the
+    presuppositions of its derivation, and the congruence goes on to the
+    binder conversion and the refusal of the xfail above."""
+    t_cf, t_tt = pq_theories
+    boundaries = presuppositions_in_translate(monkeypatch)
+    with pytest.raises(TypeMismatch):
+        tr.transported_congruence(t_cf, t_tt, "Pi", pq_inputs(t_cf))
+    (b,) = boundaries
+    assert [f.conclusion.jdg for f in b.premises] == [plain(IsTy(P_TY)), plain(IsTy(Q_TY))]
+
+
+def test_transported_congruence_along_a_flipped_reflection(corpus_cf, corpus_tt, monkeypatch):
+    """Id(nat, t, u) == Id(nat, s, u) over  t == s, the symmetry of a
+    reflection, whose derivation has no premise concluding a side: the fills
+    come from its presuppositions, and the result assumes the proof
+    variable."""
+    refl_nat, eq, refl_u = congruence_of_id(corpus_cf)
+    boundaries = presuppositions_in_translate(monkeypatch)
+    flipped = cf.cf_eqtm_sym(corpus_cf, eq)
+    out = tr.transported_congruence(corpus_cf, corpus_tt, "Id", [refl_nat, flipped, refl_u])
+    assert len(boundaries) == 1
+    s, t, u = (FreeVar(x, NAT) for x in "stu")
+    p = FreeVar("p", id_ty(NAT, s, t))
+    assert out.payload == plain(EqTy(id_ty(NAT, t, u), id_ty(NAT, s, u), AssumptionSet(frozenset({p}))))
+
+
+ASSUMED_CONVERSION_THEORY = """\
+rule P: yields type
+rule Q: yields type
+rule E: yields type
+rule pq: premise e : E; yields P == Q
+rule f: premise a : Q; yields : Q
+rule G: premise a : Q; yields type
+"""
+
+
+@pytest.mark.parametrize("rule", ["f", "G"])
+def test_transported_congruence_over_a_premise_converted_under_an_assumption(rule):
+    """f and G over  convert(x, {e}) == convert(x, {e}) : Q, where x : P is
+    converted along  P == Q  by pq(e): handed back its own certificate,
+    tt -> cf concludes what translating the premise's derivation concluded."""
+    t_cf, t_tt = gated(ASSUMED_CONVERSION_THEORY)
+    d = CFDeriver(t_cf)
+    e_ty = SymbolApp("E", ())
+    e = FreeVar("e", e_ty)
+    pq = cf.cf_apply_rule(t_cf, "pq", [cf.cf_var(t_cf, e, d.ty(e_ty))])
+    x = cf.cf_conv_tm(t_cf, cf.cf_var(t_cf, FreeVar("x", P_TY), d.ty(P_TY)), pq)
+    out = tr.transported_congruence(t_cf, t_tt, rule, [cf.cf_eqtm_refl(t_cf, x, x)])
+    side = SymbolApp(rule, (ExprArg(Convert(FreeVar("x", P_TY), AssumptionSet(frozenset({e})))),))
+    if rule == "G":
+        assert out.payload == plain(EqTy(side, side, EMPTY))
+    else:
+        assert out.payload == plain(EqTm(side, Convert(side, EMPTY), Q_TY, EMPTY))
