@@ -89,12 +89,7 @@ from .syntax import (
     subst_bound,
     subst_bound_many,
 )
-from .theory import (
-    Theory,
-    instance_of,
-    metavariable_rule_instance,
-    rule_instance_premises,
-)
+from .theory import Theory, metavariable_rule_instance, rule_instance_premises
 
 _TOKEN = object()
 
@@ -521,7 +516,7 @@ def cf_apply_rule(
     inst = Instantiation(
         [(m, head_of(cert.payload)) for (m, _), cert in zip(rule.premises, premise_certs)]
     )
-    premises, bdry, conclusion = instance_of(rule_instance_premises, rule, inst)
+    premises, bdry, conclusion = theory.origin[0].instance(rule_instance_premises, rule, inst)
     for cert, need in zip(premise_certs, premises):
         _want(cert, need, f"rule {rule_name}")
     if cert_bdry is not None and cert_bdry.payload != bdry:
@@ -559,8 +554,9 @@ def cf_congruence(
     right = Instantiation(
         [(m, head_of(c.payload)) for (m, _), c in zip(rule.premises, right_certs)]
     )
-    lp, _, _ = instance_of(rule_instance_premises, rule, left)
-    rp, _, _ = instance_of(rule_instance_premises, rule, right)
+    instance = theory.origin[0].instance
+    lp, _, _ = instance(rule_instance_premises, rule, left)
+    rp, _, _ = instance(rule_instance_premises, rule, right)
     for cert, need in zip(left_certs, lp):
         _want(cert, need, f"congruence {rule_name} (left)")
     for cert, need in zip(right_certs, rp):

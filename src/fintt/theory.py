@@ -107,8 +107,9 @@ class RawRule:
 
     def __hash__(self) -> int:
         # The fields never change, so neither does the hash, which every
-        # ``instance_of`` lookup asks for: each one costs a Python-level
-        # ``__hash__`` call per node in the premises.
+        # lookup in a rule-instance table (``Origin.instance``) asks for:
+        # each one costs a Python-level ``__hash__`` call per node in the
+        # premises.
         return self._hash
 
     @cached_property
@@ -235,13 +236,20 @@ def is_symbol_rule(sig: Signature, rule: RawRule, flavor: Flavor) -> Optional[st
 # Closure-rule schemas (shared between the two engines)
 
 
-@lru_cache(maxsize=128)
+# The most rule instances a theory family's table (``Origin.instance``)
+# holds: enough for the ~90 a succ^90 chain asks each deriver for, which
+# later chains ask for again; a theory that keeps meeting new instances
+# pays for each entry in memory.
+INSTANCE_CAP = 256
+
+
 def instance_of(schema, *args):
     """A closure-rule schema below (``rule_instance_premises``,
     ``congruence_premises_tt``, ...) applied to a rule and instantiations,
-    remembered: the engines rebuild and re-check many nodes with an
-    instantiation they have seen before.  The premises come back as a
-    tuple."""
+    the premises as a tuple.  The engines call it through the table of
+    their theory's family, ``Origin.instance``, which remembers the last
+    ``INSTANCE_CAP`` distinct calls: they rebuild and re-check many nodes
+    with an instantiation they have seen before."""
     prem, *rest = schema(*args)
     return (tuple(prem), *rest)
 
@@ -376,12 +384,15 @@ class TheoryRule:
 class Origin:
     """The token a theory and all its prefixes share (``Theory.origin``),
     with what they share: the tt engine's table of live derivation nodes
-    (``tt_engine.node``)."""
+    (``tt_engine.node``) and the table of rule instances, ``instance``,
+    a bounded LRU in front of ``instance_of`` that lives and dies with the
+    family."""
 
-    __slots__ = ("nodes",)
+    __slots__ = ("nodes", "instance")
 
     def __init__(self):
         self.nodes: dict = {}
+        self.instance = lru_cache(maxsize=INSTANCE_CAP)(instance_of)
 
 
 class Theory:
@@ -546,22 +557,22 @@ def _annotate(x, mapping: dict[str, MetaName]):
     def bare(m: MetaName) -> MetaName:
         return mapping.get(m.name, m) if m.annotation is None else m
 
-    def walk(y):
-        return _rewrite(y, leaves, _MV)
-
+    # An annotation is rewritten by a call of its own, not by a closure
+    # over ``leaves``: that would be a reference cycle left to the collector.
     def var(y: FreeVar, d: int):
-        return FreeVar(y.name, walk(y.annotation))
+        return FreeVar(y.name, _annotate(y.annotation, mapping))
 
     def meta(y: MetaApp, args: tuple, d: int):
         return MetaApp(bare(y.meta), args)
 
     def aset(y: AssumptionSet, d: int):
         return AssumptionSet(
-            frozenset(map(walk, y.free_vars)), y.bound_vars, frozenset(map(bare, y.metas))
+            frozenset(_annotate(v, mapping) for v in y.free_vars),
+            y.bound_vars,
+            frozenset(map(bare, y.metas)),
         )
 
-    leaves = {FreeVar: var, MetaApp: meta, AssumptionSet: aset}
-    return walk(x)
+    return _rewrite(x, {FreeVar: var, MetaApp: meta, AssumptionSet: aset}, _MV)
 
 
 class TheoryBuilder:

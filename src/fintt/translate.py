@@ -70,7 +70,7 @@ from .syntax import (
     fv,
     mv,
 )
-from .theory import Theory, instance_of, metavariable_rule_instance, rule_instance_premises
+from .theory import Theory, metavariable_rule_instance, rule_instance_premises
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +451,7 @@ class TTtoCF:
 
         def demand(heads):
             inst = Instantiation(zip(rule_cf.parts.metas, heads))
-            return instance_of(rule_instance_premises, rule_cf, inst)[0]
+            return self.cf.origin[0].instance(rule_instance_premises, rule_cf, inst)[0]
 
         fs = self._fill(c[:n], premise, demand)
         if d.rule != "TT-Congr":

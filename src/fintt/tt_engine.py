@@ -102,7 +102,6 @@ from .theory import (
     Theory,
     congruence_premises_tt,
     generic_application,
-    instance_of,
     metavariable_congruence_instance,
     metavariable_rule_instance,
     rule_instance_premises,
@@ -309,18 +308,21 @@ def _fits(rule: str, mctx, vctx, kids, prem, bdry=None, rule_name: Optional[str]
         raise BadNode(f"{rule} boundary premise mismatch")
 
 
-def _instance(rule: RawRule, left: Instantiation, right: Optional[Instantiation] = None):
+def _instance(
+    theory: Theory, rule: RawRule, left: Instantiation, right: Optional[Instantiation] = None
+):
     """The instance of a specific rule at ``left`` (``rule_instance_premises``)
     or of its congruence from ``left`` to ``right`` (``congruence_premises_tt``),
-    kept on ``left``, which a node's data holds: re-inferring the node, as
-    ``check_derivation`` does, reuses it however many instances the shared
-    cache has seen since."""
+    from the table of ``theory``'s family and kept on ``left``, which a
+    node's data holds: re-inferring the node, as ``check_derivation`` does,
+    reuses it however many instances the table has evicted since."""
     kept = left.instance
     if kept is None or kept[0] is not rule or kept[1] is not right:
+        instance = theory.origin[0].instance
         if right is None:
-            out = instance_of(rule_instance_premises, rule, left)
+            out = instance(rule_instance_premises, rule, left)
         else:
-            out = instance_of(congruence_premises_tt, rule, left, right)
+            out = instance(congruence_premises_tt, rule, left, right)
         kept = left.instance = (rule, right, out)
     return kept[2]
 
@@ -487,14 +489,14 @@ def _infer(theory: Theory, rule: str, data: tuple, kids: Sequence[Statement]) ->
         case "TT-Specific" | "TT-Specific-Eco":
             mctx, vctx, rule_name, inst = data
             trule = theory.rule(rule_name)
-            prem, bdry, concl = _instance(trule.rule, inst)
+            prem, bdry, concl = _instance(theory, trule.rule, inst)
             _fits(rule, mctx, vctx, kids, prem, bdry if rule == "TT-Specific" else None, rule_name)
             return JdgTT(mctx, vctx, concl)
 
         case "TT-Congr":
             mctx, vctx, rule_name, left, right = data
             trule = theory.rule(rule_name)
-            prem, concl = _instance(trule.rule, left, right)
+            prem, concl = _instance(theory, trule.rule, left, right)
             _fits(rule, mctx, vctx, kids, prem)
             return JdgTT(mctx, vctx, concl)
 

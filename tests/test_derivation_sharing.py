@@ -2,12 +2,15 @@
 conditions, walks that visit each distinct node once, and one cf -> tt
 translation per distinct certificate in transported congruence."""
 
+import gc
 import time
+import weakref
 
 import pytest
 
 from fintt import cf_engine as cf
 from fintt import tt_engine as tt
+from fintt import theory as theory_module
 from fintt import translate as tr
 from fintt.derive import CFDeriver, TTDeriver
 from fintt.errors import BadNode, UnknownRule
@@ -16,7 +19,7 @@ from fintt.judgements import EMPTY_METAS, EMPTY_VARS, VarCtx, plain
 from fintt.parser import elaborate, parse_script, parse_theory
 from fintt.script import run_script
 from fintt.syntax import ExprArg, FreeVar, IsTy, SymbolApp
-from fintt.theory import check_finitary, check_standard
+from fintt.theory import INSTANCE_CAP, check_finitary, check_standard
 
 from .test_lambda_theory import THEORY_TEXT as LAMBDA_THEORY
 from .test_surface import CORPUS
@@ -252,3 +255,102 @@ def test_check_derivation_computes_no_rule_instance_of_a_fresh_derivation(monkey
     computed[0] = 0
     tt.check_derivation(th, d)
     assert computed[0] == 0
+
+
+# ---------------------------------------------------------------------------
+# The rule instances of a theory family live in its table
+
+
+def succ(t):
+    return SymbolApp("succ", (ExprArg(t),))
+
+
+def count_instances(monkeypatch, module) -> list:
+    """A one-element list counting ``module``'s calls of
+    ``rule_instance_premises``."""
+    computed = [0]
+    real = theory_module.rule_instance_premises
+
+    def counted(*args):
+        computed[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, "rule_instance_premises", counted)
+    return computed
+
+
+@pytest.mark.parametrize("flavor", ["tt", "cf"])
+def test_a_chain_of_more_than_128_instances_is_held_whole(monkeypatch, flavor):
+    """Two succ^90 chains, over two variables, ask for more than 128
+    distinct rule instances and fewer than the table holds: fresh derivers
+    over the same theory derive them again without computing an instance."""
+    th = gated((CORPUS / "mltt.ftt").read_text(), flavor)
+    computed = count_instances(monkeypatch, tt if flavor == "tt" else cf)
+
+    def derive_chains():
+        for name in ("a", "b"):
+            t = FreeVar(name) if flavor == "tt" else FreeVar(name, NAT)
+            for _ in range(90):
+                t = succ(t)
+            if flavor == "tt":
+                TTDeriver(th).tm(EMPTY_METAS, VarCtx([(FreeVar(name), NAT)]), t, NAT)
+            else:
+                CFDeriver(th).tm(t, NAT)
+
+    derive_chains()
+    assert 128 < computed[0] < INSTANCE_CAP
+    computed[0] = 0
+    derive_chains()
+    assert computed[0] == 0
+
+
+def test_a_theory_and_its_prefixes_share_one_bounded_table():
+    th = gated((CORPUS / "mltt.ftt").read_text(), "tt")
+    table = th.origin[0].instance
+    assert th.prefix(3).origin[0].instance is table
+    rule = th.rule("succ").rule
+    (m,) = rule.parts.metas
+    t = FreeVar("a")
+    for _ in range(INSTANCE_CAP + 50):
+        t = succ(t)
+        table(theory_module.rule_instance_premises, rule, Instantiation([(m, ExprArg(t))]))
+    assert table.cache_info().currsize == INSTANCE_CAP
+
+
+def test_two_theories_never_share_an_instance(monkeypatch):
+    """Two elaborations of one text have equal rules and still compute each
+    instance once apiece."""
+    text = (CORPUS / "mltt.ftt").read_text()
+    one, two = gated(text, "cf"), gated(text, "cf")
+    assert one.origin[0].instance is not two.origin[0].instance
+    computed = count_instances(monkeypatch, cf)
+    t = FreeVar("a", NAT)
+    for _ in range(5):
+        t = succ(t)
+    first = CFDeriver(one).tm(t, NAT)
+    assert computed[0] == 6
+    second = CFDeriver(two).tm(t, NAT)
+    assert computed[0] == 12
+    assert first.payload == second.payload
+
+
+@pytest.mark.parametrize("flavor", ["tt", "cf"])
+def test_a_theory_and_its_table_die_by_reference_counting(flavor):
+    """With the collector off, dropping a theory that has derived a chain
+    frees it: its table makes no reference cycle."""
+    th = gated((CORPUS / "mltt.ftt").read_text(), flavor)
+    gc.disable()
+    try:
+        t = FreeVar("a") if flavor == "tt" else FreeVar("a", NAT)
+        for _ in range(20):
+            t = succ(t)
+        if flavor == "tt":
+            d = TTDeriver(th).tm(EMPTY_METAS, VarCtx([(FreeVar("a"), NAT)]), t, NAT)
+        else:
+            d = CFDeriver(th).tm(t, NAT)
+        assert th.origin[0].instance.cache_info().currsize > 0
+        dead = weakref.ref(th)
+        del th, d
+        assert dead() is None
+    finally:
+        gc.enable()
