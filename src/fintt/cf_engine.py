@@ -99,17 +99,19 @@ class Certificate:
     certified annotation judgements.  Only this module holds the token that
     makes one, and it makes every one through ``_cert``."""
 
-    __slots__ = ("payload", "theory", "_annotations")
+    __slots__ = ("payload", "theory", "_annotations", "record")
 
-    def __init__(self, payload: Abstracted, theory: Theory, annotations, token=None):
+    def __init__(self, payload: Abstracted, theory: Theory, annotations, record=None, token=None):
         if token is not _TOKEN:
             raise PermissionError("certificates can only be made by the cf engine")
         self.payload = payload
         self.theory = theory
         self._annotations = annotations
+        self.record = record
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.payload!r})"
+        # The payload, printed and cut; never the record, which may be deep.
+        return f"{type(self).__name__}({print_abstracted_cut(self.payload, SHOWN_LENGTH)})"
 
 
 class CertifiedJudgement(Certificate):
@@ -167,10 +169,13 @@ def _merge(theory: Theory, *certs: Certificate) -> dict:
     return out
 
 
-def _cert(theory: Theory, payload: Abstracted, annotations) -> Certificate:
+def _cert(theory: Theory, payload: Abstracted, annotations, record=None) -> Certificate:
     """The one maker of certificates: a judgement or a boundary certificate as
-    the payload's body is a judgement or a boundary thesis."""
-    return _CLASS_OF[type(payload.body)](payload, theory, annotations, _TOKEN)
+    the payload's body is a judgement or a boundary thesis.  ``record`` is
+    the call that made it, which each caller here writes out inline: the
+    name of the constructor or meta-operation, then its certificates and
+    data.  A certificate without one cannot be replayed."""
+    return _CLASS_OF[type(payload.body)](payload, theory, annotations, record, _TOKEN)
 
 
 def _want(cert: CertifiedJudgement, expected: AbstractedJudgement, what: str) -> None:
@@ -242,7 +247,7 @@ def cf_var(theory: Theory, v: FreeVar, cert_annotation: CertifiedJudgement) -> C
         )
     ann = _merge(theory, cert_annotation)
     ann[cert_annotation.payload] = cert_annotation
-    return _cert(theory, plain(IsTm(v, v.annotation)), ann)
+    return _cert(theory, plain(IsTm(v, v.annotation)), ann, ("cf_var", v, cert_annotation))
 
 
 def cf_abstract_fwd(
@@ -259,7 +264,8 @@ def cf_abstract_fwd(
     if v in fvt(cert_j.payload):
         raise VarInAnnotation(f"{v.name} occurs in a typing annotation of the abstracted body")
     payload = abstract_judgement(cert_j.payload, v, ty)
-    return _cert(theory, payload, _merge(theory, cert_ty, cert_j))
+    ann = _merge(theory, cert_ty, cert_j)
+    return _cert(theory, payload, ann, ("cf_abstract_fwd", cert_ty, cert_j, v))
 
 
 def cf_abstract(
@@ -312,7 +318,7 @@ def cf_meta(
     if cert_bdry is not None and cert_bdry.payload != bdry:
         raise PremiseMismatch("CF-Meta boundary premise mismatch")
     _require_annotations(theory, ann, conclusion)
-    return _cert(theory, conclusion, ann)
+    return _cert(theory, conclusion, ann, ("cf_meta", m, term_certs, cert_bdry, annotation_cert))
 
 
 def cf_meta_congr(
@@ -331,6 +337,7 @@ def cf_meta_congr(
     into the boundary type.
     """
     ann = _meta_annotations(theory, m, [*s_certs, *t_certs, *eq_certs], annotation_cert)
+    record = ("cf_meta_congr", m, s_certs, t_certs, eq_certs, annotation_cert)
     bdry = m.annotation
     k = len(bdry.prefix)
     if len(s_certs) != k or len(t_certs) != k or len(eq_certs) != k:
@@ -342,11 +349,16 @@ def cf_meta_congr(
         rhs = MetaApp(m, tuple(ts))
         mt = cf_meta(theory, m, t_certs, annotation_cert=ann[bdry])
         beta = minimal_suitable([*s_certs, *t_certs, *eq_certs, mt], plain(EqTyB(lhs, rhs)))
-        return _cert(theory, plain(EqTy(lhs, rhs, beta)), ann)
+        return _cert(theory, plain(EqTy(lhs, rhs, beta)), ann, record)
     if not isinstance(body, IsTmB):
         raise NotObjectJudgement("metavariable congruence needs an object boundary")
     # construct v by converting M(ts) to the s-substituted boundary type
-    ty_cert = _cert(theory, Abstracted(bdry.prefix, IsTy(body.ty)), dict(ann))
+    ty_cert = _cert(
+        theory,
+        Abstracted(bdry.prefix, IsTy(body.ty)),
+        dict(ann),
+        ("boundary_components", ann[bdry], 0),
+    )
     ty_eq = cf_subst_eq(theory, ty_cert, s_certs, t_certs, eq_certs)
     mt = cf_meta(theory, m, t_certs, annotation_cert=ann[bdry])
     v_cert = cf_conv_tm(theory, mt, cf_eqty_sym(theory, ty_eq))
@@ -357,7 +369,7 @@ def cf_meta_congr(
     ann = _merge(theory, *s_certs, *t_certs, *eq_certs, v_cert)
     if annotation_cert is not None:
         ann[bdry] = annotation_cert
-    return _cert(theory, plain(EqTm(lhs, v, ty_s_full, beta)), ann)
+    return _cert(theory, plain(EqTm(lhs, v, ty_s_full, beta)), ann, record)
 
 
 # ---------------------------------------------------------------------------
@@ -371,12 +383,19 @@ def cf_eqty_refl(
     a2 = _plain_body(cert_a2, IsTy, "CF-EqTy-Refl").ty
     if not erased_equal(a1, a2):
         raise ErasureMismatch("CF-EqTy-Refl sides differ after erasure")
-    return _cert(theory, plain(EqTy(a1, a2, EMPTY_ASSUMPTIONS)), _merge(theory, cert_a1, cert_a2))
+    return _cert(
+        theory,
+        plain(EqTy(a1, a2, EMPTY_ASSUMPTIONS)),
+        _merge(theory, cert_a1, cert_a2),
+        ("cf_eqty_refl", cert_a1, cert_a2),
+    )
 
 
 def cf_eqty_sym(theory: Theory, cert: CertifiedJudgement) -> CertifiedJudgement:
     eq = _plain_body(cert, EqTy, "CF-EqTy-Sym")
-    return _cert(theory, plain(EqTy(eq.rhs, eq.lhs, eq.by)), _merge(theory, cert))
+    return _cert(
+        theory, plain(EqTy(eq.rhs, eq.lhs, eq.by)), _merge(theory, cert), ("cf_eqty_sym", cert)
+    )
 
 
 def cf_eqty_trans(
@@ -388,7 +407,12 @@ def cf_eqty_trans(
         raise ErasureMismatch("CF-EqTy-Trans middle types differ after erasure")
     bthesis = EqTyB(e1.lhs, e2.rhs)
     gamma = minimal_suitable([cert1, cert2], plain(bthesis))
-    return _cert(theory, plain(EqTy(e1.lhs, e2.rhs, gamma)), _merge(theory, cert1, cert2))
+    return _cert(
+        theory,
+        plain(EqTy(e1.lhs, e2.rhs, gamma)),
+        _merge(theory, cert1, cert2),
+        ("cf_eqty_trans", cert1, cert2),
+    )
 
 
 def cf_eqtm_refl(
@@ -404,12 +428,14 @@ def cf_eqtm_refl(
         theory,
         plain(EqTm(t1.term, t2.term, t1.ty, EMPTY_ASSUMPTIONS)),
         _merge(theory, cert_t1, cert_t2),
+        ("cf_eqtm_refl", cert_t1, cert_t2),
     )
 
 
 def cf_eqtm_sym(theory: Theory, cert: CertifiedJudgement) -> CertifiedJudgement:
     eq = _plain_body(cert, EqTm, "CF-EqTm-Sym")
-    return _cert(theory, plain(EqTm(eq.rhs, eq.lhs, eq.ty, eq.by)), _merge(theory, cert))
+    out = plain(EqTm(eq.rhs, eq.lhs, eq.ty, eq.by))
+    return _cert(theory, out, _merge(theory, cert), ("cf_eqtm_sym", cert))
 
 
 def cf_eqtm_trans(
@@ -423,7 +449,12 @@ def cf_eqtm_trans(
         raise ErasureMismatch("CF-EqTm-Trans middle terms differ after erasure")
     bthesis = EqTmB(e1.lhs, e2.rhs, e1.ty)
     gamma = minimal_suitable([cert1, cert2], plain(bthesis))
-    return _cert(theory, plain(EqTm(e1.lhs, e2.rhs, e1.ty, gamma)), _merge(theory, cert1, cert2))
+    return _cert(
+        theory,
+        plain(EqTm(e1.lhs, e2.rhs, e1.ty, gamma)),
+        _merge(theory, cert1, cert2),
+        ("cf_eqtm_trans", cert1, cert2),
+    )
 
 
 def cf_conv_tm(
@@ -441,7 +472,8 @@ def cf_conv_tm(
     out = IsTm(Convert(tm.term, beta), eq.rhs)
     if asm(out) != everything:
         raise BadNode("conversion side condition failed")
-    return _cert(theory, plain(out), _merge(theory, cert_t, cert_eq))
+    ann = _merge(theory, cert_t, cert_eq)
+    return _cert(theory, plain(out), ann, ("cf_conv_tm", cert_t, cert_eq))
 
 
 def cf_conv_eqtm(
@@ -456,7 +488,9 @@ def cf_conv_eqtm(
     gamma = asm(eq.lhs, eq.ty, tyeq.rhs, tyeq.by).difference(asm(eq.lhs, tyeq.rhs))
     delta = asm(eq.rhs, eq.ty, tyeq.rhs, tyeq.by).difference(asm(eq.rhs, tyeq.rhs))
     out = EqTm(Convert(eq.lhs, gamma), Convert(eq.rhs, delta), tyeq.rhs, eq.by)
-    return _cert(theory, plain(out), _merge(theory, cert_eq, cert_tyeq))
+    return _cert(
+        theory, plain(out), _merge(theory, cert_eq, cert_tyeq), ("cf_conv_eqtm", cert_eq, cert_tyeq)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +498,12 @@ def cf_conv_eqtm(
 
 
 def cf_bdry_ty(theory: Theory) -> CertifiedBoundary:
-    return _cert(theory, plain(IsTyB()), {})
+    return _cert(theory, plain(IsTyB()), {}, ("cf_bdry_ty",))
 
 
 def cf_bdry_tm(theory: Theory, cert_a: CertifiedJudgement) -> CertifiedBoundary:
     a = _plain_body(cert_a, IsTy, "CF-Bdry-Tm").ty
-    return _cert(theory, plain(IsTmB(a)), _merge(theory, cert_a))
+    return _cert(theory, plain(IsTmB(a)), _merge(theory, cert_a), ("cf_bdry_tm", cert_a))
 
 
 def cf_bdry_eqty(
@@ -477,7 +511,9 @@ def cf_bdry_eqty(
 ) -> CertifiedBoundary:
     a = _plain_body(cert_a, IsTy, "CF-Bdry-EqTy").ty
     b = _plain_body(cert_b, IsTy, "CF-Bdry-EqTy").ty
-    return _cert(theory, plain(EqTyB(a, b)), _merge(theory, cert_a, cert_b))
+    return _cert(
+        theory, plain(EqTyB(a, b)), _merge(theory, cert_a, cert_b), ("cf_bdry_eqty", cert_a, cert_b)
+    )
 
 
 def cf_bdry_eqtm(
@@ -491,7 +527,12 @@ def cf_bdry_eqtm(
     t = _plain_body(cert_t, IsTm, "CF-Bdry-EqTm")
     if s.ty != a or t.ty != a:
         raise TypeMismatch("CF-Bdry-EqTm sides must live at the stated type")
-    return _cert(theory, plain(EqTmB(s.term, t.term, a)), _merge(theory, cert_a, cert_s, cert_t))
+    return _cert(
+        theory,
+        plain(EqTmB(s.term, t.term, a)),
+        _merge(theory, cert_a, cert_s, cert_t),
+        ("cf_bdry_eqtm", cert_a, cert_s, cert_t),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -523,7 +564,7 @@ def cf_apply_rule(
         raise PremiseMismatch(f"rule {rule_name}: boundary premise mismatch")
     ann = _merge(theory, *premise_certs, cert_bdry)
     _require_annotations(theory, ann, conclusion)
-    return _cert(theory, conclusion, ann)
+    return _cert(theory, conclusion, ann, ("cf_apply_rule", rule_name, premise_certs, cert_bdry))
 
 
 def cf_congruence(
@@ -582,11 +623,12 @@ def cf_congruence(
                 f"congruence {rule_name}: primed head differs from the right instance"
             )
     all_premises: list = list(left_certs) + list(right_certs) + list(eq_certs)
+    record = ("cf_congruence", rule_name, left_certs, right_certs, eq_certs, t_prime_cert)
     if isinstance(rule.conclusion, IsTy):
         lhs = act(left, rule.conclusion.ty)
         rhs = act(right, rule.conclusion.ty)
         beta = minimal_suitable(all_premises, plain(EqTyB(lhs, rhs)))
-        return _cert(theory, plain(EqTy(lhs, rhs, beta)), _merge(theory, *all_premises))
+        return _cert(theory, plain(EqTy(lhs, rhs, beta)), _merge(theory, *all_premises), record)
     lhs = act(left, rule.conclusion.term)
     ty_l = act(left, rule.conclusion.ty)
     if t_prime_cert is None:
@@ -599,7 +641,7 @@ def cf_congruence(
     all_premises.append(t_prime_cert)
     beta = minimal_suitable(all_premises, plain(EqTmB(lhs, tp.term, ty_l)))
     return _cert(
-        theory, plain(EqTm(lhs, tp.term, ty_l, beta)), _merge(theory, *all_premises)
+        theory, plain(EqTm(lhs, tp.term, ty_l, beta)), _merge(theory, *all_premises), record
     )
 
 
@@ -631,7 +673,8 @@ def cf_substitute(theory: Theory, cert_abs: Certificate, cert_t: CertifiedJudgem
     if tm.ty != j.prefix[0]:
         raise TypeMismatch("substituted term does not live at the binder type")
     payload = instantiate_prefix(j, [tm.term])
-    return _cert(theory, payload, _merge(theory, cert_abs, cert_t))
+    ann = _merge(theory, cert_abs, cert_t)
+    return _cert(theory, payload, ann, ("cf_substitute", cert_abs, cert_t))
 
 
 def _check_subst_eq_premises(
@@ -686,7 +729,8 @@ def cf_subst_eq(
             body = EqTm(s, Convert(right.body.term, beta), a, beta)
         case _:
             raise NotObjectJudgement("CF-Subst-Eq applies to type and term judgements")
-    return _cert(theory, Abstracted(left.prefix, body), _merge(theory, *prem))
+    record = ("cf_subst_eq", cert_abs, s_certs, t_certs, eq_certs)
+    return _cert(theory, Abstracted(left.prefix, body), _merge(theory, *prem), record)
 
 
 def binder_type_cert(theory: Theory, cert_b: CertifiedBoundary, j: int) -> CertifiedJudgement:
@@ -697,7 +741,10 @@ def binder_type_cert(theory: Theory, cert_b: CertifiedBoundary, j: int) -> Certi
     if j < 0 or j >= len(b.prefix):
         raise PremiseMismatch("no such binder")
     return _cert(
-        theory, Abstracted(b.prefix[:j], IsTy(b.prefix[j])), dict(cert_b._annotations)
+        theory,
+        Abstracted(b.prefix[:j], IsTy(b.prefix[j])),
+        dict(cert_b._annotations),
+        ("binder_type_cert", cert_b, j),
     )
 
 
@@ -724,7 +771,7 @@ def cf_instantiate(
     payload = act(inst, cert_j.payload)
     ann = _merge(theory, cert_j, *[c for _, c in entries])
     _require_annotations(theory, ann, payload)
-    return _cert(theory, payload, ann)
+    return _cert(theory, payload, ann, ("cf_instantiate", entries, cert_j))
 
 
 # ---------------------------------------------------------------------------
@@ -735,7 +782,7 @@ def presuppositions_cf(theory: Theory, cert: CertifiedJudgement) -> CertifiedBou
     """Context-free presuppositivity: the boundary of a certified judgement
     with well-typed annotations is itself derivable."""
     b, _ = unfill(cert.payload)
-    return _cert(theory, b, dict(cert._annotations))
+    return _cert(theory, b, dict(cert._annotations), ("presuppositions_cf", cert))
 
 
 def boundary_components(theory: Theory, cert_b: CertifiedBoundary) -> tuple:
@@ -749,14 +796,17 @@ def boundary_components(theory: Theory, cert_b: CertifiedBoundary) -> tuple:
         case IsTyB():
             return ()
         case IsTmB(ty=a):
-            return (_cert(theory, plain(IsTy(a)), ann),)
+            return (_cert(theory, plain(IsTy(a)), ann, ("boundary_components", cert_b, 0)),)
         case EqTyB(lhs=a, rhs=c):
-            return (_cert(theory, plain(IsTy(a)), ann), _cert(theory, plain(IsTy(c)), ann))
+            return (
+                _cert(theory, plain(IsTy(a)), ann, ("boundary_components", cert_b, 0)),
+                _cert(theory, plain(IsTy(c)), ann, ("boundary_components", cert_b, 1)),
+            )
         case EqTmB(lhs=s, rhs=t, ty=a):
             return (
-                _cert(theory, plain(IsTy(a)), ann),
-                _cert(theory, plain(IsTm(s, a)), ann),
-                _cert(theory, plain(IsTm(t, a)), ann),
+                _cert(theory, plain(IsTy(a)), ann, ("boundary_components", cert_b, 0)),
+                _cert(theory, plain(IsTm(s, a)), ann, ("boundary_components", cert_b, 1)),
+                _cert(theory, plain(IsTm(t, a)), ann, ("boundary_components", cert_b, 2)),
             )
     raise PremiseMismatch(f"not a boundary: {b.body!r}")
 
@@ -801,8 +851,8 @@ def invert_cf(theory: Theory, cert: CertifiedJudgement) -> CertifiedJudgement:
     if tm.ty == nat and stripped == tm.term:
         return cert
     if tm.ty == nat:
-        return _cert(theory, plain(IsTm(stripped, nat)), ann)
-    return _cert(theory, plain(IsTm(Convert(stripped, res), tm.ty)), ann)
+        return _cert(theory, plain(IsTm(stripped, nat)), ann, ("invert_cf", cert))
+    return _cert(theory, plain(IsTm(Convert(stripped, res), tm.ty)), ann, ("invert_cf", cert))
 
 
 def natural_type_eq(theory: Theory, cert: CertifiedJudgement) -> CertifiedJudgement:
@@ -810,7 +860,8 @@ def natural_type_eq(theory: Theory, cert: CertifiedJudgement) -> CertifiedJudgem
     tm = _plain_body(cert, IsTm, "natural_type_eq")
     nat = natural_type_cf(theory, tm.term)
     res = conversion_residue(tm.term)
-    return _cert(theory, plain(EqTy(nat, tm.ty, res)), dict(cert._annotations))
+    ann = dict(cert._annotations)
+    return _cert(theory, plain(EqTy(nat, tm.ty, res)), ann, ("natural_type_eq", cert))
 
 
 def uniqueness_of_typing_cf(
@@ -852,7 +903,7 @@ def strengthen(theory: Theory, cert: Certificate, position: Optional[int] = None
     )
     new_body = subst_bound(j.body, marker, n - 1 - pos)
     payload = Abstracted(new_prefix, new_body)
-    return _cert(theory, payload, dict(cert._annotations))
+    return _cert(theory, payload, dict(cert._annotations), ("strengthen", cert, position))
 
 
 def boundary_convert(
@@ -870,36 +921,40 @@ def boundary_convert(
     ann = _merge(theory, cert_b, cert_j)
 
     if not b1.prefix:
-        return _boundary_convert_plain(theory, b1.body, b2.body, j.body, ann)
+        return _boundary_convert_plain(theory, cert_b, cert_j, b1.body, ann)
 
     # abstracted case: open with a fresh variable at the second boundary's
     # binder type, convert it into the first, recurse, and re-abstract: one
     # level per binder of the prefix
     a2_ty = b2.prefix[0]
     v = FreeVar(fresh_name("a", atoms_in_use(b1, b2, j)), a2_ty)
-    ty2_cert = _cert(theory, plain(IsTy(a2_ty)), ann)
+    # The two binder types erase alike: each records the second's.
+    ty2_cert = _cert(theory, plain(IsTy(a2_ty)), ann, ("binder_type_cert", cert_b, 0))
     var_cert = cf_var(theory, v, ty2_cert)
-    ty1_cert = _cert(theory, plain(IsTy(b1.prefix[0])), ann)
+    ty1_cert = _cert(theory, plain(IsTy(b1.prefix[0])), ann, ("binder_type_cert", cert_b, 0))
     conv_var = cf_conv_tm(theory, var_cert, cf_eqty_refl(theory, ty2_cert, ty1_cert))
     inner_j = cf_substitute(theory, cert_j, conv_var)
     inner = boundary_convert(theory, cf_substitute(theory, cert_b, var_cert), inner_j)
     return cf_abstract_fwd(theory, ty2_cert, inner, v)
 
 
-def _boundary_convert_plain(theory, bt1, bt2, jt, ann) -> CertifiedJudgement:
-    """Two erasure-equal, unequal, non-abstracted boundaries: never both
-    ``type``."""
-    match bt1, bt2:
+def _boundary_convert_plain(theory, cert_b, cert_j, bt1, ann) -> CertifiedJudgement:
+    """``cert_j`` moved from its boundary ``bt1`` onto that of ``cert_b``: two
+    erasure-equal, unequal, non-abstracted boundaries, never both ``type``.
+    What is made here erases as ``cert_j`` or a component of ``cert_b`` does,
+    and records so."""
+    jt, same = cert_j.payload.body, ("boundary_convert", cert_b, cert_j)
+    match bt1, cert_b.payload.body:
         case IsTmB(ty=a1), IsTmB(ty=a2):
-            t_cert = _cert(theory, plain(jt), ann)
-            a1_cert = _cert(theory, plain(IsTy(a1)), ann)
-            a2_cert = _cert(theory, plain(IsTy(a2)), ann)
+            t_cert = _cert(theory, plain(jt), ann, same)
+            a1_cert = _cert(theory, plain(IsTy(a1)), ann, ("boundary_components", cert_b, 0))
+            a2_cert = _cert(theory, plain(IsTy(a2)), ann, ("boundary_components", cert_b, 0))
             eq = cf_eqty_refl(theory, a1_cert, a2_cert)
             return cf_conv_tm(theory, t_cert, eq)
         case EqTyB(lhs=a1, rhs=c1), EqTyB(lhs=a2, rhs=c2):
             e2 = asm(jt.by, a1, c1).difference(asm(a2, c2))
-            return _cert(theory, plain(EqTy(a2, c2, e2)), ann)
+            return _cert(theory, plain(EqTy(a2, c2, e2)), ann, same)
         case EqTmB(lhs=s1, rhs=t1, ty=a1), EqTmB(lhs=s2, rhs=t2, ty=a2):
             e2 = asm(jt.by, s1, t1, a1).difference(asm(s2, t2, a2))
-            return _cert(theory, plain(EqTm(s2, t2, a2, e2)), ann)
+            return _cert(theory, plain(EqTm(s2, t2, a2, e2)), ann, same)
     raise ErasureMismatch("boundary shapes differ")

@@ -1,10 +1,10 @@
 """Deterministic, bounded derivation of theory-checking obligations.
 
 The finitary gate must derive each rule's premise boundaries and conclusion
-boundary over the prefix theory, and the cf -> tt translation must derive
-the erasure of a certified judgement, since certificates carry no
-derivations.  One syntax-directed search, ``Deriver``, does this for both
-presentations: object goals follow natural types, inserting a conversion
+boundary over the prefix theory, and the cf -> tt translation derives the
+erasure of a certificate whose record it cannot replay.  One
+syntax-directed search, ``Deriver``, does this for both presentations:
+object goals follow natural types, inserting a conversion
 when the stated type differs, and equational goals are closed under
 reflexivity and matching of specific equality rules whose object
 metavariables are fully determined by the conclusion.  A goal carries
@@ -17,9 +17,7 @@ This is obligation checking, not proof search: the recursion is bounded and
 never backtracks across premise choices.  Each level of a goal costs one
 unit of ``MAX_DEPTH``, and a term costs the search three Python frames per
 level of nesting, so a refusal always comes before Python's recursion
-limit.  A premise object metavariable that matching leaves open is refused
-here; the cf -> tt translation supplies one from the certificate's
-assumption set (``Deriver._undetermined``).
+limit.  A premise object metavariable that matching leaves open is refused.
 
 Each deriver remembers the results of its ``ty``, ``tm`` and ``boundary``
 goals, so a goal met twice in one call (both sides of a reflexivity, the
@@ -54,7 +52,6 @@ from .printer import SHOWN_LENGTH, print_expr_cut
 from .syntax import (
     Abstr,
     Abstracted,
-    Argument,
     BoundVar,
     Convert,
     EqTm,
@@ -69,7 +66,6 @@ from .syntax import (
     IsTy,
     IsTyB,
     MetaApp,
-    MetaName,
     SymbolApp,
     atoms_in_use,
     bv,
@@ -302,8 +298,7 @@ class Deriver:
     and for abstraction, one step for judgements and boundaries alike, and
     the methods ``_bind``, ``_var``, ``_meta``, ``_rule``, ``_refl``,
     ``_body``, ``_head`` and ``_as_stated`` build or read the steps that
-    differ.  ``_undetermined`` may supply a premise that matching leaves
-    open.
+    differ.
 
     ``memo`` holds the successful results of ``ty``, ``tm`` and
     ``boundary`` by goal; a deriver makes its own unless it is given one to
@@ -492,8 +487,8 @@ class Deriver:
     def _apply(self, cx, name: str, rule: RawRule, sol: dict, depth: int):
         """Applies a specific rule economically, deriving each premise fill
         one level down.  An equality metavariable left unmatched gets the
-        fill of its boundary that the search derives, an object one the head
-        ``_undetermined`` gives.  A binder-free object fill goes straight to
+        fill of its boundary that the search derives; an object one is
+        refused.  A binder-free object fill goes straight to
         its goal, so that a term costs the search three frames a level.  Only
         a premise boundary that mentions a metavariable is acted on, with one
         instantiation of the heads known so far and of the rest of ``sol``,
@@ -519,8 +514,7 @@ class Deriver:
                 inst = None
                 continue
             else:
-                head = self._undetermined(cx, m, b_inst)
-                inst = None
+                raise DeriveError(f"object metavariable {m.name} undetermined by matching")
             match b_inst.prefix, b_inst.body, head:
                 case (), IsTmB(ty=a), ExprArg(expr=t):
                     kids.append(self._tm(cx, t, a, depth + 1))
@@ -530,12 +524,6 @@ class Deriver:
                     kids.append(self._judgement(cx, fill(b_inst, head), depth + 1))
             entries.append((m, head))
         return self._rule(cx, name, entries, inst, kids)
-
-    def _undetermined(self, cx, m: MetaName, b: Abstracted) -> Argument:
-        """The head of the object premise ``m``, at its instantiated boundary
-        ``b``, of a rule whose conclusion does not determine it.  The search
-        has no source for one."""
-        raise DeriveError(f"object metavariable {m.name} undetermined by matching")
 
     def _eqty(self, cx, a: Expr, b: Expr, depth: int):
         _limit(depth)

@@ -29,6 +29,7 @@ from .syntax import (
     IsTyB,
     MetaApp,
     MetaArity,
+    MetaName,
     SymbolApp,
     SymbolArity,
     first_difference,
@@ -200,6 +201,10 @@ _THESES = (IsTy, IsTm, EqTy, EqTm, IsTyB, IsTmB, EqTyB, EqTmB)
 
 def _syntax(x, binders: tuple[str, ...]) -> list:
     """The steps printing a syntax node of any kind."""
+    if isinstance(x, MetaName):
+        if x.annotation is None:
+            return [x.name]
+        return [f"{x.name}^(", (_abstracted, x.annotation, ()), ")"]
     if isinstance(x, Abstracted):
         return _abstracted(x, binders)
     if isinstance(x, _THESES):
@@ -209,6 +214,12 @@ def _syntax(x, binders: tuple[str, ...]) -> list:
     if isinstance(x, AssumptionSet):
         return [print_set(x, binders)]
     return _expr(x, binders)
+
+
+def print_syntax_cut(x, limit: int) -> str:
+    """A syntax node of any kind printed and cut to at most ``limit``
+    characters."""
+    return _cut(_pieces(_syntax, x, ()), limit)
 
 
 def print_difference_cut(x, y, limit: int) -> str:

@@ -21,8 +21,8 @@ when it dies (see ``_node``).  Nodes are never mutated after construction,
 so a node's hash is computed when it is made, and its occurrence sets and
 erasures at most once, from its children's; all are cached on the node,
 and so is the plan that the action of instantiations records on its first
-walk of a node.  The caches are not dataclass fields: ``repr`` and
-pickling see the fields only.
+walk of a node.  The caches are not dataclass fields: pickling sees the
+fields only, and ``repr`` prints the node, cut.
 
 Each node kind's shape (its children, the binders each sits under, and its
 rebuild) is written once, in ``_SHAPES``.  One driver, ``_rewrite``, walks
@@ -159,10 +159,15 @@ def _node(cls):
 
     A new node stores ``hash(key)`` as ``_h``: that is the field hash of a
     plain frozen dataclass, so hash values, and with them set iteration
-    orders, are those of plain frozen dataclasses.  The caches ``_occ``,
+    orders, are those of plain frozen dataclasses, but for an atom without
+    an annotation.  CPython before 3.12 hashes ``None`` by its address, so
+    such an atom (a ``FreeVar`` or ``MetaName``) hashes a constant in its
+    place, and its hash, and the order of a set of such atoms, are the same
+    in every process under one ``PYTHONHASHSEED``.  The caches ``_occ``,
     ``_erase``, ``_double_erase`` and ``_plan`` (the steps of ``act``'s walk,
     see ``fintt.instantiation``) read ``None`` until filled; they are not
-    fields, so ``repr`` ignores them and pickling drops them.  No cache
+    fields, so pickling drops them.  ``repr`` prints the node, cut to
+    ``printer.SHOWN_LENGTH`` characters, at any depth.  No cache
     refers to its own node, which would make a reference cycle and keep the
     node alive after its last use: a cached erasure that is the node itself
     reads ``_SELF``, and so does the node in its own plan, and the summary
@@ -181,6 +186,7 @@ def _node(cls):
 
     params = "".join(f", {n}=_default_{n}" if n in defaults else f", {n}" for n in names)
     stores = "".join(f"    fields[{n!r}] = {n}\n" for n in names)
+    hashed = "(name, _NO_ANNOTATION) if annotation is None else key" if "annotation" in names else "key"
     source = (
         f"def __new__(cls{params}):\n"
         f"    key = ({''.join(f'{n}, ' for n in names)})\n"
@@ -192,7 +198,7 @@ def _node(cls):
         "    x = allocate(cls)\n"
         "    fields = x.__dict__\n"
         f"{stores}"
-        "    fields['_h'] = hash(key)\n"
+        f"    fields['_h'] = hash({hashed})\n"
         "    entry = Entry(x, drop)\n"
         "    entry.key = key\n"
         "    first = intern(key, entry)\n"
@@ -207,12 +213,13 @@ def _node(cls):
     scope = {f"_default_{n}": v for n, v in defaults.items()}
     scope.update(
         lookup=table.get, intern=table.setdefault, allocate=object.__new__,
-        table=table, Entry=_Entry, drop=drop,
+        table=table, Entry=_Entry, drop=drop, _NO_ANNOTATION=_NO_ANNOTATION,
     )
     exec(source, scope)
     cls.__new__ = scope["__new__"]
     cls.__new__.__qualname__ = f"{cls.__qualname__}.__new__"
     cls.__hash__ = _node_hash
+    cls.__repr__ = _node_repr
     cls.__reduce__ = lambda self: (type(self), tuple(getattr(self, n) for n in names))
     cls._interned = table
     cls._occ = None
@@ -220,6 +227,10 @@ def _node(cls):
     cls._double_erase = None
     cls._plan = None
     return cls
+
+
+# What an atom without an annotation hashes in its place.
+_NO_ANNOTATION = 0
 
 
 class _Entry(weakref.ref):
@@ -230,6 +241,14 @@ class _Entry(weakref.ref):
 
 def _node_hash(self) -> int:
     return self._h
+
+
+def _node_repr(self) -> str:
+    """The node's class and its text, printed and cut as a refusal shows
+    syntax: bounded, and off the Python stack at any depth."""
+    from .printer import SHOWN_LENGTH, print_syntax_cut  # the printer imports this module
+
+    return f"{type(self).__name__}({print_syntax_cut(self, SHOWN_LENGTH)})"
 
 
 _READY = object()

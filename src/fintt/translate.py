@@ -36,6 +36,7 @@ own certificate, as the translations are mutually inverse on it.
 from __future__ import annotations
 
 import functools
+from types import GeneratorType
 from typing import Sequence
 
 from . import cf_engine as cf
@@ -49,9 +50,8 @@ from .errors import (
 )
 from .instantiation import Instantiation
 from .judgements import EMPTY_VARS, MetaCtx, VarCtx, fill_equation, head_of, plain, unfill
+from .printer import SHOWN_LENGTH, print_statement_cut
 from .syntax import (
-    Abstracted,
-    AssumptionSet,
     EqTm,
     EqTy,
     ExprArg,
@@ -124,75 +124,319 @@ def suitable_context(
 # cf -> tt: judgement reconstruction
 
 
-class _HintDeriver(TTDeriver):
-    """The tt obligation search as cf -> tt runs it.  A fresh atom carries
-    its type as its annotation, as the atoms of a suitable context do, and
-    a premise object metavariable that matching leaves open, such as the
-    proof term of an equality-reflection instance, is the first variable of
-    the assumption set ``hints``, else the innermost atom the search has
-    opened, else the first metavariable of ``hints``, that has the
-    premise's type in the context.  The opened atoms stand for the bound
-    variables of the judgement, which ``hints`` cannot name."""
+def _concludes(d, cert, mctx: MetaCtx, vctx: VarCtx) -> bool:
+    """Whether ``d`` concludes the erasure of ``cert`` in ``mctx; vctx``."""
+    stmt = d.conclusion
+    if isinstance(cert, cf.CertifiedJudgement):
+        ok = type(stmt) is tt.JdgTT and stmt.jdg is erase(cert.payload)
+    else:
+        ok = type(stmt) is tt.BdryTT and stmt.bdry is erase(cert.payload)
+    return ok and (stmt.mctx is mctx or stmt.mctx == mctx) and (stmt.vctx is vctx or stmt.vctx == vctx)
 
-    def __init__(self, theory: Theory, hints: AssumptionSet):
-        super().__init__(theory)
-        self._vars = sorted(hints.free_vars, key=lambda v: v.name)
-        self._metas = sorted(hints.metas, key=lambda m: m.name)
-        self._opened: set = set()
 
-    def _bind(self, cx, j: Abstracted):
-        bare, _ = super()._bind(cx, j)
-        atom = FreeVar(bare.name, j.prefix[0])
-        self._opened.add(atom)
-        return atom, (cx[0], cx[1].extend(atom, j.prefix[0]))
+def _covers(record: tuple, mctx: MetaCtx, vctx: VarCtx) -> bool:
+    """Whether the contexts hold every atom of the certificates of ``record``."""
+    for x in record:
+        if isinstance(x, cf.Certificate):
+            if not (all(v in vctx for v in fv(x.payload)) and all(m in mctx for m in mv(x.payload))):
+                return False
+    return True
 
-    def _undetermined(self, cx, m: MetaName, b: Abstracted):
-        mctx, vctx = cx
-        if not b.prefix and isinstance(b.body, IsTmB):
-            opened = [v for v, _ in reversed(vctx.entries) if v in self._opened]
-            for v in (*self._vars, *opened):
-                if v in vctx and vctx[v] == b.body.ty:
-                    return ExprArg(v)
-            for n in self._metas:
-                if n in mctx and mctx[n] == b:
-                    return ExprArg(MetaApp(n, ()))
-        return super()._undetermined(cx, m, b)
+
+# The rules that conclude a boundary without binders.
+_BOUNDARY_RULES = frozenset({"TT-Bdry-Ty", "TT-Bdry-Tm", "TT-Bdry-EqTy", "TT-Bdry-EqTm"})
 
 
 class CfToTT:
-    """Derives the erasures of certified judgements over a suitable context.
-    Certificates carry no derivations, so the tt obligation search rebuilds
-    one, resolving a premise that matching leaves open from the assumption
-    set of the judgement (see ``_HintDeriver``).  ``tt_theory`` is the
-    contexted counterpart the derivations check against: the rule-wise
-    erasure of the cf theory, which is what ``elaborate`` returns for tt.
-    A result depends only on the payload and the context asked for, so each
-    pair is translated once per translator."""
+    """Derives the erasures of certified judgements over a suitable context
+    by induction on their construction: each certificate's record, the
+    constructor call that made it (``Certificate.record``), is replayed, its
+    certificates first.  ``tt_theory`` is the contexted counterpart the
+    derivations check against: the rule-wise erasure of the cf theory, which
+    is what ``elaborate`` returns for tt.
+
+    Each record kind goes to the tt closure rule of its constructor
+    (``_TWINS``, or a method in ``_ROUTES``), or to the admissible transform
+    the paper's proof of it uses: an abstraction's body is replayed in the
+    context extended by its atom, substitution, equal substitution and
+    instantiation go to ``admissible_substitute``, ``eq_subst_n`` and
+    ``admissible_instantiate``, and the judgements minted from another
+    certificate (its presupposition, a component or binder type of a
+    boundary, inversion, the natural-type equation) are read off that one's
+    derivation, through ``tt_engine.presuppositions`` and
+    ``tt_engine.invert`` where they fit.
+
+    Searched kinds: ``strengthen``, ``cf_substitute``,
+    ``presuppositions_cf``, ``boundary_components``, ``binder_type_cert``
+    and ``natural_type_eq``.  Strengthening is not admissible with contexts,
+    so a ``strengthen`` record has no route.  The others may drop atoms that
+    their certificates mention (a substituted term where the binder is not
+    used, the subject of a presupposition), and a record of theirs whose
+    certificates mention an atom that the context lacks has no route either.
+    The erasure of such a certificate is derived by the tt obligation
+    search, in the context the replay has reached, and ``searched`` counts
+    these derivations.
+
+    A record is not trusted.  Every node is built by ``tt_engine.node``, and
+    a result that does not conclude its certificate's erasure in its context
+    is refused with ``UncheckableDerivation``: a wrong record gives a
+    refusal, never a wrong derivation.  The replay runs on
+    ``tt_engine.walk``, and a record nested deeper than the search may nest a
+    goal is refused alike: a record ``n`` levels below the certificate is the
+    search's goal at depth ``n + 1``.  A result depends only on the payload
+    and the context, so the walk's table is kept across calls and each pair
+    is derived once per translator."""
+
+    # The record kinds whose tt twin takes the first ``n`` certificates of the
+    # record, replayed in the same context: (the twin in ``tt_engine``, n).
+    _TWINS = {
+        "cf_eqty_refl": ("eqty_refl", 1),
+        "cf_eqty_sym": ("eqty_sym", 1),
+        "cf_eqty_trans": ("eqty_trans", 2),
+        "cf_eqtm_refl": ("eqtm_refl", 1),
+        "cf_eqtm_sym": ("eqtm_sym", 1),
+        "cf_eqtm_trans": ("eqtm_trans", 2),
+        "cf_conv_tm": ("conv_tm", 2),
+        "cf_conv_eqtm": ("conv_eqtm", 2),
+        "cf_bdry_tm": ("bdry_tm", 1),
+        "cf_bdry_eqty": ("bdry_eqty", 2),
+        "cf_bdry_eqtm": ("bdry_eqtm", 3),
+    }
+    # The other record kinds with a route: the method given the context and
+    # the rest of the record.  A method that replays certificates is a
+    # generator yielding each with the context to replay it in.
+    _ROUTES = {
+        "cf_var": "_var",
+        "cf_bdry_ty": "_bdry_ty",
+        "cf_abstract_fwd": "_abstract",
+        "cf_meta": "_meta",
+        "cf_meta_congr": "_meta_congr",
+        "cf_apply_rule": "_specific",
+        "cf_congruence": "_congruence",
+        "cf_substitute": "_substitute",
+        "cf_subst_eq": "_subst_eq",
+        "cf_instantiate": "_instantiate",
+        "presuppositions_cf": "_presuppositions",
+        "boundary_components": "_component",
+        "binder_type_cert": "_binder_type",
+        "natural_type_eq": "_natural_type_eq",
+        "invert_cf": "_invert",
+        "boundary_convert": "_as_converted",
+    }
+    # The kinds with a route that may drop atoms their certificates mention.
+    _NARROWING = frozenset(
+        {"cf_substitute", "presuppositions_cf", "boundary_components", "binder_type_cert", "natural_type_eq"}
+    )
 
     def __init__(self, cf_theory: Theory, tt_theory: Theory):
         self.cf = cf_theory
         self.tt = tt_theory
-        self._done: dict = {}
+        self.searched = 0
+        self._table: dict = {}  # (payload, contexts) -> derivation
+        self._evidence_of: dict = {}  # contexts -> their well-formedness
 
     def judgement(self, cert: cf.CertifiedJudgement, ctx=None):
-        key = (cert.payload, ctx)
-        if key not in self._done:
-            self._done[key] = self._judgement(cert.payload, ctx)
-        return self._done[key]
-
-    def _judgement(self, payload, ctx):
         if ctx is None:
-            mctx, vctx = _context_of(payload)
+            ctx = _context_of(cert.payload)
         else:
-            mctx, vctx = ctx
-            need_m, need_v = dependence_closure(list(mv(payload)), list(fv(payload)))
-            if any(m not in mctx for m in need_m) or any(v not in vctx for v in need_v):
+            need_m, need_v = dependence_closure(list(mv(cert.payload)), list(fv(cert.payload)))
+            if any(m not in ctx[0] for m in need_m) or any(v not in ctx[1] for v in need_v):
                 raise UnsuitableContext("context does not cover the judgement")
+
+        def step(item):
+            c, cx = item
+            kind = c.record[0]
+            twin = self._TWINS.get(kind)
+            if twin is not None:
+                kids = []
+                for k in c.record[1 : 1 + twin[1]]:
+                    kids.append((yield k, cx))
+                d = getattr(tt, twin[0])(self.tt, *kids)
+            elif kind in self._ROUTES and (kind not in self._NARROWING or _covers(c.record, *cx)):
+                d = getattr(self, self._ROUTES[kind])(cx, *c.record[1:])
+                if isinstance(d, GeneratorType):
+                    d = yield from d
+            else:
+                d = self._search(c, cx)
+            if not _concludes(d, c, *cx):
+                shown = print_statement_cut(d.conclusion, SHOWN_LENGTH)
+                raise UncheckableDerivation(f"cf->tt: the record of {kind} replays to {shown}")
+            return d
+
+        too_deep = (MAX_DEPTH - 1, "cf->tt: obligation recursion too deep")
+        key = lambda item: (item[0].payload, item[1])
+        return (*ctx, tt.walk((cert, tuple(ctx)), step, key, self._table, too_deep))
+
+    # -- the routes --------------------------------------------------------
+
+    def _var(self, cx, v, cert_annotation):
+        return tt.tt_var(self.tt, *cx, v)
+
+    def _bdry_ty(self, cx):
+        return tt.bdry_ty(self.tt, *cx)
+
+    def _abstract(self, cx, cert_ty, cert_j, v):
+        """The body replayed in the context extended by the atom."""
+        mctx, vctx = cx
+        if v in vctx:
+            raise UncheckableDerivation(f"cf->tt: {v.name} is abstracted where it is bound")
+        ty = yield cert_ty, cx
+        body = yield cert_j, (mctx, vctx.extend(v, tt._want_plain_thesis(ty.conclusion, IsTy, "abstraction").ty))
+        return tt.tt_abstr(self.tt, ty, body, v)
+
+    def _premises(self, cx, certs):
+        out = []
+        for c in certs:
+            out.append((yield c, cx))
+        return out
+
+    def _meta(self, cx, m, term_certs, cert_bdry, annotation_cert):
+        terms = yield from self._premises(cx, term_certs)
+        bdry = None if cert_bdry is None else (yield cert_bdry, cx)
+        return tt.tt_meta(self.tt, *cx, m, terms, bdry)
+
+    def _meta_congr(self, cx, m, s_certs, t_certs, eq_certs, annotation_cert):
+        """TT-Meta-Congr; for a term metavariable the type equation
+        C[ss] == C[ts] is equal substitution into the type C of its
+        boundary, under the boundary's binders."""
+        certs = (*s_certs, *t_certs, *eq_certs)
+        kids = yield from self._premises(cx, certs)
+        k = len(s_certs)
+        if isinstance(m.annotation.body, IsTmB):
+            if annotation_cert is None:
+                annotation_cert = next(
+                    c._annotations[m.annotation] for c in certs if m.annotation in c._annotations
+                )
+            ty = self._component_of((yield annotation_cert, cx), 0)
+            eq = tt.eq_subst_n(
+                self.tt, ty, kids[:k], kids[k : 2 * k], kids[2 * k :], mctx_deriv=self._evidence(cx)[0]
+            )
+            kids.append(eq)
+        sides = [[tt._head_term(d) for d in ds] for ds in (kids[:k], kids[k : 2 * k])]
+        return tt.meta_congr(self.tt, *cx, m, *sides, kids)
+
+    def _instantiation(self, rule_name: str, kids) -> Instantiation:
+        """The tt rule's instantiation at the heads of the premises ``kids``."""
+        premises = self.tt.rule(rule_name).rule.premises
+        return Instantiation([(m, head_of(d.conclusion.jdg)) for (m, _), d in zip(premises, kids)])
+
+    def _specific(self, cx, rule_name, premise_certs, cert_bdry):
+        kids = yield from self._premises(cx, premise_certs)
+        bdry = None if cert_bdry is None else (yield cert_bdry, cx)
+        inst = self._instantiation(rule_name, kids)
+        return tt.specific(self.tt, *cx, rule_name, inst, kids, bdry)
+
+    def _congruence(self, cx, rule_name, left_certs, right_certs, eq_certs, t_prime_cert):
+        """TT-Congr; for a term rule the type equation I*A == J*A is read off
+        t' : I*A, which erases to J*t: inverted, it is J*t converted from its
+        natural type J*A, else the two types are one."""
+        left = yield from self._premises(cx, left_certs)
+        right = yield from self._premises(cx, right_certs)
+        kids = [*left, *right, *(yield from self._premises(cx, eq_certs))]
+        if t_prime_cert is not None:
+            t_prime = yield t_prime_cert, cx
+            inv = tt.invert(self.tt, t_prime)
+            if inv.rule == "TT-Conv-Tm":
+                kids.append(tt.eqty_sym(self.tt, inv.premises[1]))
+            else:
+                kids.append(tt.eqty_refl(self.tt, self._type_of(cx, t_prime)))
+        left_inst, right_inst = self._instantiation(rule_name, left), self._instantiation(rule_name, right)
+        return tt.congruence(self.tt, *cx, rule_name, left_inst, right_inst, kids)
+
+    def _substitute(self, cx, cert_abs, cert_t):
+        d_abs = yield cert_abs, cx
+        return tt.admissible_substitute(self.tt, d_abs, (yield cert_t, cx))
+
+    def _subst_eq(self, cx, cert_abs, s_certs, t_certs, eq_certs):
+        d_abs = yield cert_abs, cx
+        triples = []
+        for certs in (s_certs, t_certs, eq_certs):
+            triples.append((yield from self._premises(cx, certs)))
+        return tt.eq_subst_n(self.tt, d_abs, *triples, mctx_deriv=self._evidence(cx)[0])
+
+    def _instantiate(self, cx, entries, cert_j):
+        """The judgement replayed over the metavariables it is instantiated
+        at, with the context's variables; then instantiated."""
+        mctx, vctx = cx
+        source = MetaCtx([(m, erase(m.annotation)) for m, _ in entries])
+        d = yield cert_j, (source, vctx)
+        derivs = {}
+        for m, c in entries:
+            derivs[m] = yield c, cx
+        inst = Instantiation([(m, head_of(e.conclusion.jdg)) for m, e in derivs.items()])
+        mctx_deriv = self._evidence(cx)[0]
+        return tt.admissible_instantiate(self.tt, inst, derivs, d, mctx, vctx, mctx_deriv=mctx_deriv)
+
+    def _presuppositions(self, cx, cert):
+        return tt.presuppositions(self.tt, (yield cert, cx), *self._evidence(cx))
+
+    def _component(self, cx, cert_b, i: int):
+        return self._component_of((yield cert_b, cx), i)
+
+    def _component_of(self, d, i: int):
+        """The ``i``-th premise of the boundary rule that ends the boundary
+        derivation ``d`` under its binders, abstracted back over them: as
+        ``boundary_components`` reads a boundary, and an abstracted one too."""
+        chain, body = tt._open_abstractions(d)
+        if body.rule not in _BOUNDARY_RULES or i >= len(body.premises):
+            raise UncheckableDerivation(f"cf->tt: no component {i} of a {body.rule} node")
+        out = body.premises[i]
+        for ty, atom in reversed(chain):
+            out = tt.tt_abstr(self.tt, ty, out, atom)
+        return out
+
+    def _binder_type(self, cx, cert_b, j: int):
+        """The type of the ``j``-th binder under the ones before it."""
+        chain, _ = tt._open_abstractions((yield cert_b, cx))
+        if j >= len(chain):
+            raise UncheckableDerivation(f"cf->tt: no binder {j} of {len(chain)}")
+        out = chain[j][0]
+        for ty, atom in reversed(chain[:j]):
+            out = tt.tt_abstr(self.tt, ty, out, atom)
+        return out
+
+    def _natural_type_eq(self, cx, cert):
+        """nat(t) == A: the equation of t's inversion, else reflexivity."""
+        d = yield cert, cx
+        inv = tt.invert(self.tt, d)
+        if inv.rule == "TT-Conv-Tm":
+            return inv.premises[1]
+        return tt.eqty_refl(self.tt, self._type_of(cx, d))
+
+    def _invert(self, cx, cert):
+        return tt.invert(self.tt, (yield cert, cx))
+
+    def _as_converted(self, cx, cert_b, cert_j):
+        """A judgement that boundary conversion moved: it erases as
+        ``cert_j`` does."""
+        return (yield cert_j, cx)
+
+    # -- what the routes need besides replays --------------------------------
+
+    def _type_of(self, cx, d):
+        """The derivation of the type a term derivation ``d`` concludes at,
+        from its presuppositions."""
+        return tt._bdry_premises(tt.presuppositions(self.tt, d, *self._evidence(cx)), "TT-Bdry-Tm")[0]
+
+    def _evidence(self, cx):
+        """Well-formedness derivations of the contexts ``cx``, found by the tt
+        obligation search once per translator."""
+        if cx not in self._evidence_of:
+            ttd = TTDeriver(self.tt)
+            try:
+                self._evidence_of[cx] = ttd.mctx_wf(cx[0]), ttd.vctx_wf(*cx)
+            except DeriveError as exc:
+                raise UncheckableDerivation(f"cf->tt: {exc}") from exc
+        return self._evidence_of[cx]
+
+    def _search(self, cert, cx):
+        """The erasure of ``cert`` derived by the tt obligation search."""
+        self.searched += 1
+        goal = TTDeriver(self.tt).judgement if isinstance(cert, cf.CertifiedJudgement) else TTDeriver(self.tt).boundary
         try:
-            d = _HintDeriver(self.tt, asm(payload)).judgement(mctx, vctx, erase(payload))
+            return goal(*cx, erase(cert.payload))
         except DeriveError as exc:
             raise UncheckableDerivation(f"cf->tt: {exc}") from exc
-        return mctx, vctx, d
 
 
 def _context_of(*payloads) -> tuple[MetaCtx, VarCtx]:

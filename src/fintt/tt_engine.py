@@ -182,6 +182,12 @@ class Derivation:
     def __reduce__(self):  # the stored hash is not pickled
         return Derivation, (self.rule, self.data, self.premises, self.conclusion)
 
+    def __repr__(self) -> str:
+        # The rule and the conclusion, printed and cut; never the premises.
+        stmt = self.conclusion
+        shown = print_statement_cut(stmt, SHOWN_LENGTH) if isinstance(stmt, Statement) else type(stmt).__name__
+        return f"Derivation({self.rule}: {shown}; {len(self.premises)} premises)"
+
 
 _hash_of = attrgetter("_h")
 

@@ -194,7 +194,8 @@ def test_check_derivation_still_compares_every_stored_conclusion(corpus_tt):
 
 def test_transported_congruence_translates_each_distinct_payload_once(monkeypatch):
     """cf -> tt is asked for each premise, once, and for nothing else: the
-    fills of a premise equation are read off its own derivation."""
+    fills of a premise equation are read off its own derivation.  Each
+    premise is replayed from its record, with no search."""
     th_cf, th_tt = gated(LAMBDA_THEORY, "cf"), gated(LAMBDA_THEORY, "tt")
     ty_bool = CFDeriver(th_cf).ty(BOOL)
     b = FreeVar("b", BOOL)
@@ -204,22 +205,20 @@ def test_transported_congruence_translates_each_distinct_payload_once(monkeypatc
         cf.cf_abstract_fwd(th_cf, ty_bool, cf.cf_eqty_refl(th_cf, ty_bool, ty_bool), FreeVar("u", BOOL)),
         cf.cf_abstract_fwd(th_cf, ty_bool, cf.cf_eqtm_refl(th_cf, vb, vb), FreeVar("w", BOOL)),
     ]
-    asked, translated = [], []
-    real_judgement, real_translate = tr.CfToTT.judgement, tr.CfToTT._judgement
+    asked = []
+    real_judgement = tr.CfToTT.judgement
 
     def judgement(self, cert, ctx=None):
         asked.append((cert.payload, ctx))
         return real_judgement(self, cert, ctx)
 
-    def translate(self, payload, ctx):
-        translated.append((payload, ctx))
-        return real_translate(self, payload, ctx)
+    def search(self, cert, cx):
+        raise AssertionError(f"cf->tt searched for {cert!r}")
 
     monkeypatch.setattr(tr.CfToTT, "judgement", judgement)
-    monkeypatch.setattr(tr.CfToTT, "_judgement", translate)
+    monkeypatch.setattr(tr.CfToTT, "_search", search)
     out = tr.transported_congruence(th_cf, th_tt, "lam", eqs)
     assert out.payload.body.lhs.symbol == "lam"
-    assert asked == translated
     assert [payload for payload, _ in asked] == [e.payload for e in eqs]
 
 

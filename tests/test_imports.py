@@ -343,3 +343,54 @@ def test_right_fill_of_transported_congruence_takes_no_callable():
     params = {a.arg for a in f.args.args}
     called = {n.func.id for n in ast.walk(f) if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
     assert params and not params & called
+
+
+def record_writes(path: pathlib.Path) -> list[str]:
+    """The places in a module that write a certificate's record: a call of
+    the engine's maker ``_cert`` or of a certificate class, or an assignment
+    to a ``record`` attribute."""
+    found = []
+    for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(n, ast.Call):
+            name = getattr(n.func, "attr", getattr(n.func, "id", None))
+            if name in ("_cert", "Certificate", "CertifiedJudgement", "CertifiedBoundary"):
+                found.append(f"{path.name}:{n.lineno}")
+        elif isinstance(n, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+            targets = n.targets if isinstance(n, ast.Assign) else [n.target]
+            if any(isinstance(t, ast.Attribute) and t.attr == "record" for t in targets):
+                found.append(f"{path.name}:{n.lineno}")
+    return found
+
+
+def test_only_the_cf_engine_writes_a_certificate_record():
+    """A record is written where its certificate is made, by the engine: no
+    other module makes a certificate or assigns a record."""
+    outside = [w for p in MODULES if p.name != "cf_engine.py" for w in record_writes(p)]
+    assert not outside, outside
+
+
+def recorded_kinds() -> set[str]:
+    """The kinds of the records ``cf_engine`` writes: each tuple whose first
+    item names one of its functions.  Every call of ``_cert`` passes one."""
+    tree = ast.parse((SRC / "cf_engine.py").read_text(encoding="utf-8"))
+    functions = {f.name for f in tree.body if isinstance(f, ast.FunctionDef)}
+    kinds = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_cert":
+            assert len(n.args) == 4, f"cf_engine.py:{n.lineno} makes a certificate without a record"
+        if isinstance(n, ast.Tuple) and n.elts and isinstance(n.elts[0], ast.Constant):
+            if n.elts[0].value in functions:
+                kinds.add(n.elts[0].value)
+    return kinds
+
+
+def test_the_searched_record_kinds_are_the_documented_ones():
+    """The kinds cf -> tt may hand to the search, those with no route and
+    those whose route may need a strengthening, are the ones the ``CfToTT``
+    docstring lists; every other kind the engine records has a route."""
+    routes = set(translate.CfToTT._TWINS) | set(translate.CfToTT._ROUTES)
+    searched = (recorded_kinds() - routes) | translate.CfToTT._NARROWING
+    doc = inspect.getdoc(translate.CfToTT)
+    listed = re.search(r"Searched kinds: (.*?)\.\s", doc, re.S).group(1)
+    assert searched == set(re.findall(r"``(\w+)``", listed))
+    assert routes <= recorded_kinds()

@@ -968,3 +968,80 @@ def test_hyp_abstract_substitute_inverse(e):
     assert substitute(abstract_var(e, fresh), fresh) == ExprArg(e)
     body = close_var(e, FreeVar("a", BOOL))
     assert shift(shift(body, 2, 0), -2, 0) is body
+
+
+# ---------------------------------------------------------------------------
+# Hashes across processes, bounded reprs, the substituted assumption set
+
+
+def test_bare_atoms_hash_alike_in_two_processes():
+    """An atom without an annotation hashes no address: under one hash seed,
+    two fresh interpreters give the same hashes, the same order of a set of
+    bare atoms and the same hash of a derivation over them."""
+    import os
+    import subprocess
+
+    code = (
+        "from fintt.syntax import FreeVar, MetaName, SymbolApp\n"
+        "from fintt.judgements import EMPTY_METAS, VarCtx\n"
+        "from fintt.parser import elaborate, parse_theory\n"
+        "from fintt import tt_engine as tt\n"
+        "th = elaborate(parse_theory('rule nat: yields type'), 'tt')\n"
+        "a = FreeVar('a')\n"
+        "d = tt.tt_var(th, EMPTY_METAS, VarCtx([(a, SymbolApp('nat', ()))]), a)\n"
+        "atoms = frozenset(FreeVar(n) for n in 'abcdefghijklmnop')\n"
+        "print(hash(a), hash(MetaName('M')), [v.name for v in atoms], hash(d))\n"
+    )
+    src = str(pathlib.Path(syntax.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONHASHSEED": "0", "PYTHONPATH": src}
+    runs = {
+        subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60).stdout
+        for _ in range(2)
+    }
+    assert len(runs) == 1 and runs != {""}
+
+
+def test_a_deep_node_has_a_bounded_repr():
+    """repr prints the node as a refusal shows syntax, cut, without
+    recursing once per level."""
+    from fintt.printer import SHOWN_LENGTH
+
+    t = succ_n(2000, X)
+    text = repr(t)
+    assert text.startswith("SymbolApp(succ(succ(") and text.endswith("...)")
+    assert len(text) == len("SymbolApp()") + SHOWN_LENGTH
+    assert repr(X) == "FreeVar(x^nat)" and repr(M) == "MetaName(M^(nat))"
+    assert repr(plain(IsTm(t, NAT))).startswith("Abstracted(succ(succ(")
+
+
+def test_a_deep_certificate_and_derivation_have_bounded_reprs(corpus_cf, corpus_tt):
+    """A certificate shows its payload and a derivation its rule and
+    conclusion, each cut; neither follows its premises or record."""
+    from fintt import cf_engine as cf
+    from fintt import tt_engine as tt
+    from fintt.derive import CFDeriver, TTDeriver
+    from fintt.judgements import EMPTY_METAS, VarCtx
+
+    cert = CFDeriver(corpus_cf).tm(X, NAT)
+    x = FreeVar("x")
+    vctx = VarCtx([(x, NAT)])
+    d = TTDeriver(corpus_tt).tm(EMPTY_METAS, vctx, x, NAT)
+    for i in range(2000):
+        cert = cf.cf_apply_rule(corpus_cf, "succ", [cert])
+        inst = Instantiation([(MetaName("n"), ExprArg(succ_n(i, x)))])
+        d = tt.specific(corpus_tt, EMPTY_METAS, vctx, "succ", inst, [d])
+    text = repr(cert)
+    assert text.startswith("CertifiedJudgement(succ(succ(") and len(text) <= 250
+    text = repr(d)
+    assert text.startswith("Derivation(TT-Specific-Eco: ; x : nat |- succ(succ(")
+    assert text.endswith("...; 1 premises)") and len(text) <= 250
+
+
+def test_substituting_a_variable_its_own_conversion_records():
+    """convert(v, {v}) with v substituted: the term and the recorded set
+    both take the substituted term's atoms."""
+    v = FreeVar("v", NAT)
+    t = succ(Y)
+    out = subst_free(Convert(v, AssumptionSet(frozenset({v}))), v, t)
+    assert out == Convert(t, asm(t))
+    assert subst_free(Convert(X, AssumptionSet(frozenset({v}))), v, t) == Convert(X, asm(t))
