@@ -2,13 +2,20 @@
 constructors with no stored derivations, plus the context-free
 meta-operations.
 
-A :class:`Certificate` carries only its payload and a theory tag; it can be
+A :class:`Certificate` carries its payload and a theory tag; it can be
 produced exclusively by the constructors in this module, each of which
 validates the side conditions of one closure rule or implements one
 admissible meta-operation as a judgement-level computation.  Every
 constructor also maintains a monotone cache of certified annotation
 judgements so that the well-typed-annotation discipline never has to be
-re-established.
+re-established.  Beside the trusted payload a certificate keeps an
+untrusted ``record`` of the call that made it: the name of the constructor
+or meta-operation, then its certificates and data as passed.  Nothing here
+reads a record; cf -> tt replays it (``translate.CfToTT``) and re-checks
+every step, so a wrong record gives a refusal there, never a wrong
+derivation.  A judgement minted from another certificate records that one
+(``boundary_components``, ``binder_type_cert``, ...), and one that boundary
+conversion mints records the certificate whose erasure it shares.
 
 As in the paper, a structural rule has one constructor for abstracted
 judgements and boundaries alike: ``cf_abstract_fwd`` (CF-Abstr and

@@ -2,13 +2,13 @@
 
 cf -> tt: erase the judgement, collect its annotated atoms into a suitable
 context (closed under annotation dependence, as ``mv`` and ``fv`` read it
-off), and derive the erasure there.
-Certificates carry no derivations, so the tt obligation search of
-``derive`` rebuilds one, with its rule choice, failure semantics and depth
-limit; a premise metavariable that the conclusion does not determine (such
-as the proof term of an equality-reflection instance) is resolved from the
-assumption set of the judgement, or from the atoms the search opened for its
-bound variables.
+off), and derive the erasure there by induction on the certificate's
+construction: each certificate keeps the call that made it, and replaying
+that record gives the tt closure rule or admissible transform of each step
+(``CfToTT``).  The record is not trusted: every node is re-inferred, each
+step must conclude its certificate's erasure, and the depth limit is the
+obligation search's.  The search of ``derive`` is left only for the records
+that have no route with contexts.
 
 tt -> cf: induction on the derivation, labelling each context entry with a
 certificate whose payload is its cf annotation: the certificate of a
@@ -23,8 +23,9 @@ refuses a derivation nested deeper than ``MAX_DEPTH`` levels with
 
 A round trip cf -> tt -> cf labels each atom of the suitable context, which
 the derivation keeps annotated, with the certificate of its own annotation
-from the certificate's annotation cache, and gives back the certificate's
-payload up to its conversion terms.
+from the certificate's annotation cache.  The replayed derivation keeps each
+conversion as a ``TT-Conv-*`` node, so the round trip gives back the
+certificate's payload exactly.
 
 Transported congruence goes cf -> tt once per premise, reads the fills of a
 premise equation off its derivation, as the presuppositions of a derivable
@@ -61,7 +62,6 @@ from .syntax import (
     IsTy,
     MetaApp,
     MetaName,
-    asm,
     atoms_in_use,
     boundary_arity,
     double_erase,
@@ -81,9 +81,12 @@ def _dependence_order(atoms, deps) -> list:
     """``atoms`` by (dependence depth, name).  The closed set ``deps(x)`` is
     smaller than that of each atom depending on ``x``, so stepping the atoms
     by its size meets every dependency first."""
+    if len(atoms) < 2:
+        return list(atoms)
+    of = {x: deps(x) for x in atoms}
     depth: dict = {}
-    for x in sorted(atoms, key=lambda x: len(deps(x))):
-        ds = deps(x)
+    for x in sorted(atoms, key=lambda x: len(of[x])):
+        ds = of[x]
         depth[x] = 1 + max(map(depth.__getitem__, ds)) if ds else 0
     return sorted(atoms, key=lambda x: (depth[x], x.name))
 
@@ -95,8 +98,8 @@ def dependence_closure(
     them in a deterministic order extending the dependence order.  ``mv``
     and ``fv`` already descend into annotations; only the variables of the
     metavariables' boundaries are added."""
-    ms = asm(*metas, *variables).metas
-    vs = asm(*variables, *(m.annotation for m in ms)).free_vars
+    ms = frozenset().union(*map(mv, metas), *map(mv, variables))
+    vs = frozenset().union(*map(fv, variables), *(fv(m.annotation) for m in ms))
     return (
         _dependence_order(ms, lambda m: mv(m.annotation)),
         _dependence_order(vs, lambda v: fv(v.annotation)),
@@ -143,6 +146,25 @@ def _covers(record: tuple, mctx: MetaCtx, vctx: VarCtx) -> bool:
     return True
 
 
+# The record kinds whose route the context can block: an abstraction of an
+# atom the context binds already, and the kinds whose certificate may drop an
+# atom that theirs mention, when the context lacks one.
+_BLOCKABLE = frozenset(
+    {
+        "cf_abstract_fwd", "cf_substitute", "presuppositions_cf", "boundary_components",
+        "binder_type_cert", "natural_type_eq",
+    }
+)
+
+
+def _blocked(record: tuple, mctx: MetaCtx, vctx: VarCtx) -> bool:
+    """Whether the contexts block the route of ``record`` (``_BLOCKABLE``)."""
+    kind = record[0]
+    if kind == "cf_abstract_fwd":
+        return record[3] in vctx
+    return kind in _BLOCKABLE and not _covers(record, mctx, vctx)
+
+
 # The rules that conclude a boundary without binders.
 _BOUNDARY_RULES = frozenset({"TT-Bdry-Ty", "TT-Bdry-Tm", "TT-Bdry-EqTy", "TT-Bdry-EqTm"})
 
@@ -166,16 +188,23 @@ class CfToTT:
     derivation, through ``tt_engine.presuppositions`` and
     ``tt_engine.invert`` where they fit.
 
-    Searched kinds: ``strengthen``, ``cf_substitute``,
+    Searched kinds: ``strengthen``, ``cf_abstract_fwd``, ``cf_substitute``,
     ``presuppositions_cf``, ``boundary_components``, ``binder_type_cert``
     and ``natural_type_eq``.  Strengthening is not admissible with contexts,
-    so a ``strengthen`` record has no route.  The others may drop atoms that
-    their certificates mention (a substituted term where the binder is not
-    used, the subject of a presupposition), and a record of theirs whose
-    certificates mention an atom that the context lacks has no route either.
-    The erasure of such a certificate is derived by the tt obligation
-    search, in the context the replay has reached, and ``searched`` counts
-    these derivations.
+    so a ``strengthen`` record has no route.  The others have one that the
+    context can block (``_BLOCKABLE``): an abstraction of an atom that the
+    context binds already, as where a lambda's bound atom is also its
+    application's argument, and, for the kinds whose certificate may drop an
+    atom that theirs mention (a substituted term where the binder is not
+    used, the subject of a presupposition), a record whose certificates
+    mention an atom that the context lacks.  The erasure of such a
+    certificate is derived by the tt obligation search, in the context the
+    replay has reached, and ``searched`` counts these derivations.
+
+    A twin step whose certificate has the payload of one of its own
+    certificates (the symmetry of a reflexive equation, a transitivity with
+    a reflexivity) is answered by that one's derivation: the round trip
+    gives the payload back all the same, with fewer nodes.
 
     A record is not trusted.  Every node is built by ``tt_engine.node``, and
     a result that does not conclude its certificate's erasure in its context
@@ -223,10 +252,6 @@ class CfToTT:
         "invert_cf": "_invert",
         "boundary_convert": "_as_converted",
     }
-    # The kinds with a route that may drop atoms their certificates mention.
-    _NARROWING = frozenset(
-        {"cf_substitute", "presuppositions_cf", "boundary_components", "binder_type_cert", "natural_type_eq"}
-    )
 
     def __init__(self, cf_theory: Theory, tt_theory: Theory):
         self.cf = cf_theory
@@ -251,8 +276,12 @@ class CfToTT:
                 kids = []
                 for k in c.record[1 : 1 + twin[1]]:
                     kids.append((yield k, cx))
-                d = getattr(tt, twin[0])(self.tt, *kids)
-            elif kind in self._ROUTES and (kind not in self._NARROWING or _covers(c.record, *cx)):
+                    if k.payload is c.payload:  # a symmetry or transitivity that changes nothing
+                        d = kids[-1]
+                        break
+                else:
+                    d = getattr(tt, twin[0])(self.tt, *kids)
+            elif kind in self._ROUTES and not _blocked(c.record, *cx):
                 d = getattr(self, self._ROUTES[kind])(cx, *c.record[1:])
                 if isinstance(d, GeneratorType):
                     d = yield from d
@@ -277,11 +306,9 @@ class CfToTT:
 
     def _abstract(self, cx, cert_ty, cert_j, v):
         """The body replayed in the context extended by the atom."""
-        mctx, vctx = cx
-        if v in vctx:
-            raise UncheckableDerivation(f"cf->tt: {v.name} is abstracted where it is bound")
         ty = yield cert_ty, cx
-        body = yield cert_j, (mctx, vctx.extend(v, tt._want_plain_thesis(ty.conclusion, IsTy, "abstraction").ty))
+        binder = tt._want_plain_thesis(ty.conclusion, IsTy, "abstraction").ty
+        body = yield cert_j, (cx[0], cx[1].extend(v, binder))
         return tt.tt_abstr(self.tt, ty, body, v)
 
     def _premises(self, cx, certs):
@@ -304,12 +331,13 @@ class CfToTT:
         k = len(s_certs)
         if isinstance(m.annotation.body, IsTmB):
             if annotation_cert is None:
-                annotation_cert = next(
-                    c._annotations[m.annotation] for c in certs if m.annotation in c._annotations
-                )
+                cached = (c._annotations[m.annotation] for c in certs if m.annotation in c._annotations)
+                annotation_cert = next(cached, None)
+                if annotation_cert is None:
+                    raise UncheckableDerivation(f"cf->tt: no certified boundary of {m.name}")
             ty = self._component_of((yield annotation_cert, cx), 0)
             eq = tt.eq_subst_n(
-                self.tt, ty, kids[:k], kids[k : 2 * k], kids[2 * k :], mctx_deriv=self._evidence(cx)[0]
+                self.tt, ty, kids[:k], kids[k : 2 * k], kids[2 * k :], mctx_deriv=self._mctx_evidence(cx)
             )
             kids.append(eq)
         sides = [[tt._head_term(d) for d in ds] for ds in (kids[:k], kids[k : 2 * k])]
@@ -352,7 +380,7 @@ class CfToTT:
         triples = []
         for certs in (s_certs, t_certs, eq_certs):
             triples.append((yield from self._premises(cx, certs)))
-        return tt.eq_subst_n(self.tt, d_abs, *triples, mctx_deriv=self._evidence(cx)[0])
+        return tt.eq_subst_n(self.tt, d_abs, *triples, mctx_deriv=self._mctx_evidence(cx))
 
     def _instantiate(self, cx, entries, cert_j):
         """The judgement replayed over the metavariables it is instantiated
@@ -364,7 +392,7 @@ class CfToTT:
         for m, c in entries:
             derivs[m] = yield c, cx
         inst = Instantiation([(m, head_of(e.conclusion.jdg)) for m, e in derivs.items()])
-        mctx_deriv = self._evidence(cx)[0]
+        mctx_deriv = self._mctx_evidence(cx)
         return tt.admissible_instantiate(self.tt, inst, derivs, d, mctx, vctx, mctx_deriv=mctx_deriv)
 
     def _presuppositions(self, cx, cert):
@@ -418,6 +446,11 @@ class CfToTT:
         from its presuppositions."""
         return tt._bdry_premises(tt.presuppositions(self.tt, d, *self._evidence(cx)), "TT-Bdry-Tm")[0]
 
+    def _mctx_evidence(self, cx):
+        """Evidence for the metavariable context of ``cx``, where the equal
+        substitutions may need it: None for the empty one."""
+        return self._evidence(cx)[0] if len(cx[0]) else None
+
     def _evidence(self, cx):
         """Well-formedness derivations of the contexts ``cx``, found by the tt
         obligation search once per translator."""
@@ -432,7 +465,8 @@ class CfToTT:
     def _search(self, cert, cx):
         """The erasure of ``cert`` derived by the tt obligation search."""
         self.searched += 1
-        goal = TTDeriver(self.tt).judgement if isinstance(cert, cf.CertifiedJudgement) else TTDeriver(self.tt).boundary
+        ttd = TTDeriver(self.tt)
+        goal = ttd.judgement if isinstance(cert, cf.CertifiedJudgement) else ttd.boundary
         try:
             return goal(*cx, erase(cert.payload))
         except DeriveError as exc:
@@ -441,10 +475,7 @@ class CfToTT:
 
 def _context_of(*payloads) -> tuple[MetaCtx, VarCtx]:
     """The suitable context of the atoms of ``payloads``."""
-    atoms = asm(*payloads)
-    return suitable_context(
-        sorted(atoms.metas, key=lambda m: m.name), sorted(atoms.free_vars, key=lambda v: v.name)
-    )
+    return suitable_context(frozenset().union(*map(mv, payloads)), frozenset().union(*map(fv, payloads)))
 
 
 def cf_judgement_to_tt(cf_theory: Theory, tt_theory: Theory, cert: cf.CertifiedJudgement):
@@ -810,10 +841,11 @@ def _labelings_for(mctx: MetaCtx, vctx: VarCtx, *certs):
 
 def round_trip_cf(cf_theory: Theory, tt_theory: Theory, cert: cf.CertifiedJudgement):
     """cf -> tt -> cf.  The derivation's atoms are the certificate's own, so
-    each is labelled with its own annotation, and the round trip gives back
-    the certificate's payload, but for the conversion terms, which a
-    contexted derivation does not record: a certificate without them comes
-    back as itself, any other erased-equal."""
+    each is labelled with its own annotation.  cf -> tt replays the
+    certificate's record, each conversion as a ``TT-Conv-*`` node, which
+    tt -> cf turns back into that conversion, so a replayed round trip gives
+    the payload back exactly.  Where a step was searched for, its
+    conversion terms may come back otherwise, erased-equal."""
     mctx, vctx, d = cf_judgement_to_tt(cf_theory, tt_theory, cert)
     return tt_to_cf(tt_theory, cf_theory, d, labelings=_labelings_for(mctx, vctx, cert))
 

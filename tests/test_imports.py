@@ -386,10 +386,10 @@ def recorded_kinds() -> set[str]:
 
 def test_the_searched_record_kinds_are_the_documented_ones():
     """The kinds cf -> tt may hand to the search, those with no route and
-    those whose route may need a strengthening, are the ones the ``CfToTT``
+    those whose route the context can block, are the ones the ``CfToTT``
     docstring lists; every other kind the engine records has a route."""
     routes = set(translate.CfToTT._TWINS) | set(translate.CfToTT._ROUTES)
-    searched = (recorded_kinds() - routes) | translate.CfToTT._NARROWING
+    searched = (recorded_kinds() - routes) | translate._BLOCKABLE
     doc = inspect.getdoc(translate.CfToTT)
     listed = re.search(r"Searched kinds: (.*?)\.\s", doc, re.S).group(1)
     assert searched == set(re.findall(r"``(\w+)``", listed))

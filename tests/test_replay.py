@@ -17,8 +17,6 @@ from fintt.errors import KernelError, UncheckableDerivation
 from fintt.judgements import plain
 from fintt.syntax import (
     Abstracted,
-    BoundVar,
-    Convert,
     ExprArg,
     FreeVar,
     IsTmB,
@@ -100,6 +98,7 @@ def constructions(th):
     q1, q2 = FreeVar("q", id_plain.payload.body.ty), FreeVar("q", id_conv_ty.payload.body.ty)
     abs_q = cf.cf_abstract_fwd(th, id_plain, vb, q1)
     abs_conv_bdry = cf.cf_abstract_fwd(th, id_conv_ty, cf.cf_bdry_tm(th, ty_nat), q2)
+    congr_id = refl_along_congruence(th).record[2]  # Id(bool, u, u) == Id(bool, u, v)
     return {
         "cf_var": [va],
         "cf_bdry_ty": [cf.cf_bdry_ty(th)],
@@ -118,13 +117,16 @@ def constructions(th):
         ],
         "cf_apply_rule": [succ_a, cf.cf_apply_rule(th, "succ", [va], cf.cf_bdry_tm(th, ty_nat))],
         "cf_congruence": [
-            refl_along_congruence(th).record[2],
+            congr_id,
             cf.cf_congruence(th, "succ", [vb], [vc], [reflect_bc], succ_c),
             cf.cf_congruence(th, "succ", [vb], [vc], [reflect_bc], cf.cf_conv_tm(th, succ_c, refl_nat)),
         ],
         "cf_eqty_refl": [refl_nat],
-        "cf_eqty_sym": [cf.cf_eqty_sym(th, refl_nat)],
-        "cf_eqty_trans": [cf.cf_eqty_trans(th, refl_nat, refl_nat)],
+        "cf_eqty_sym": [cf.cf_eqty_sym(th, refl_nat), cf.cf_eqty_sym(th, congr_id)],
+        "cf_eqty_trans": [
+            cf.cf_eqty_trans(th, refl_nat, refl_nat),
+            cf.cf_eqty_trans(th, congr_id, cf.cf_eqty_sym(th, congr_id)),
+        ],
         "cf_eqtm_refl": [refl_b],
         "cf_eqtm_sym": [cf.cf_eqtm_sym(th, reflect_bc)],
         "cf_eqtm_trans": [cf.cf_eqtm_trans(th, reflect_bc, cf.cf_eqtm_sym(th, reflect_bc))],
@@ -200,6 +202,29 @@ def test_a_record_that_drops_an_atom_is_searched(corpus_cf, corpus_tt, i):
     """A record whose certificates mention an atom that its certificate's
     context lacks has no route, and its erasure is searched for."""
     replayed(corpus_cf, corpus_tt, narrowed(corpus_cf)[i], searched=1)
+
+
+def test_an_abstraction_of_a_bound_atom_is_searched(corpus_tt):
+    """app(bool, {x} bool, lam(bool, {x} bool, {x} v), v): the lambda's body
+    abstracts v, which the application's argument leaves free, so the
+    context binds it and the body's record cannot be replayed there; it is
+    searched, and the rest replayed."""
+    from fintt.parser import elaborate, parse_theory
+    from fintt.theory import check_finitary
+
+    from .test_lambda_theory import THEORY_TEXT
+
+    decl = parse_theory(THEORY_TEXT)
+    th_cf, th_tt = elaborate(decl, "cf"), elaborate(decl, "tt")
+    for th in (th_cf, th_tt):
+        check_finitary(th)
+    ty_bool = CFDeriver(th_cf).ty(BOOL)
+    v = FreeVar("v", BOOL)
+    vv = cf.cf_var(th_cf, v, ty_bool)
+    fam = cf.cf_abstract_fwd(th_cf, ty_bool, ty_bool, v)
+    lam = cf.cf_apply_rule(th_cf, "lam", [ty_bool, fam, cf.cf_abstract_fwd(th_cf, ty_bool, vv, v)])
+    cert = cf.cf_apply_rule(th_cf, "app", [ty_bool, fam, lam, vv])
+    replayed(th_cf, th_tt, cert, searched=2)
 
 
 def test_refl_converted_along_a_congruence_translates(corpus_cf, corpus_tt):
@@ -286,8 +311,7 @@ def test_a_shared_record_is_replayed_once(corpus_cf, corpus_tt, monkeypatch):
     table."""
     ty_nat = CFDeriver(corpus_cf).ty(NAT)
     vb = cf.cf_var(corpus_cf, FreeVar("b", NAT), ty_nat)
-    refl = cf.cf_eqtm_refl(corpus_cf, vb, vb)
-    cert = cf.cf_eqtm_trans(corpus_cf, refl, refl)
+    cert = cf.cf_bdry_eqtm(corpus_cf, ty_nat, vb, vb)
     built = []
     real = tt.node
 
@@ -298,10 +322,22 @@ def test_a_shared_record_is_replayed_once(corpus_cf, corpus_tt, monkeypatch):
     monkeypatch.setattr(tt, "node", counted)
     translator = tr.CfToTT(corpus_cf, corpus_tt)
     translator.judgement(cert)
-    assert built == ["TT-Var", "TT-EqTm-Refl", "TT-EqTm-Trans"]
+    assert built == ["TT-Specific-Eco", "TT-Var", "TT-Bdry-EqTm"]
     translator.judgement(cert)
-    translator.judgement(refl)
+    translator.judgement(vb)
     assert len(built) == 3
+
+
+def test_a_step_that_changes_no_payload_is_its_premise(corpus_cf, corpus_tt):
+    """The symmetry of a reflexivity, and a transitivity with one, conclude
+    their premise's payload: they replay to that premise's derivation, and
+    the round trip still gives the payload back."""
+    ty_nat = CFDeriver(corpus_cf).ty(NAT)
+    vb = cf.cf_var(corpus_cf, FreeVar("b", NAT), ty_nat)
+    refl = cf.cf_eqtm_refl(corpus_cf, vb, vb)
+    for cert in (cf.cf_eqtm_sym(corpus_cf, refl), cf.cf_eqtm_trans(corpus_cf, refl, refl)):
+        assert replayed(corpus_cf, corpus_tt, cert).rule == "TT-EqTm-Refl"
+        assert tr.round_trip_cf(corpus_cf, corpus_tt, cert).payload == cert.payload
 
 
 def test_records_are_not_followed_by_repr(corpus_cf):
