@@ -13,9 +13,15 @@ untrusted ``record`` of the call that made it: the name of the constructor
 or meta-operation, then its certificates and data as passed.  Nothing here
 reads a record; cf -> tt replays it (``translate.CfToTT``) and re-checks
 every step, so a wrong record gives a refusal there, never a wrong
-derivation.  A judgement minted from another certificate records that one
-(``boundary_components``, ``binder_type_cert``, ...), and one that boundary
-conversion mints records the certificate whose erasure it shares.
+derivation.
+
+Besides the closure-rule constructors (the ``cf_*`` functions), six named
+meta-theorems make a certificate: ``presuppositions_cf``,
+``boundary_components``, ``binder_type_cert``, ``natural_type_eq``,
+``invert_cf`` and ``strengthen``, each recording the certificate it reads
+its judgement off.  Together they are the trusted base of this
+presentation.  Boundary conversion and uniqueness of typing make none of
+their own: they are built from those.
 
 As in the paper, a structural rule has one constructor for abstracted
 judgements and boundaries alike: ``cf_abstract_fwd`` (CF-Abstr and
@@ -275,20 +281,6 @@ def cf_abstract_fwd(
     return _cert(theory, payload, ann, ("cf_abstract_fwd", cert_ty, cert_j, v))
 
 
-def cf_abstract(
-    theory: Theory,
-    cert_ty: CertifiedJudgement,
-    cert_j: Certificate,
-    name_hint: str = "x",
-) -> Certificate:
-    """Backward-form CF-Abstr: abstracts a deterministically chosen fresh
-    variable, for callers that never named one."""
-    ty = _plain_body(cert_ty, IsTy, "CF-Abstr").ty
-    avoid = atoms_in_use(cert_ty.payload, cert_j.payload)
-    v = FreeVar(fresh_name(name_hint, avoid), ty)
-    return cf_abstract_fwd(theory, cert_ty, cert_j, v)
-
-
 def _meta_annotations(theory: Theory, m: MetaName, certs: Sequence, annotation_cert) -> dict:
     """The merged annotation caches of a metavariable rule's premises
     ``certs``, which must hold a certificate of ``m``'s boundary annotation:
@@ -344,38 +336,32 @@ def cf_meta_congr(
     into the boundary type.
     """
     ann = _meta_annotations(theory, m, [*s_certs, *t_certs, *eq_certs], annotation_cert)
-    record = ("cf_meta_congr", m, s_certs, t_certs, eq_certs, annotation_cert)
     bdry = m.annotation
+    annotation_cert = ann[bdry]
+    record = ("cf_meta_congr", m, s_certs, t_certs, eq_certs, annotation_cert)
     k = len(bdry.prefix)
     if len(s_certs) != k or len(t_certs) != k or len(eq_certs) != k:
         raise ArityMismatch(f"{m.name} takes {k} arguments")
     ss, ts = _check_subst_eq_premises(bdry.prefix, s_certs, t_certs, eq_certs, "CF-Meta-Congr")
     body = bdry.body
+    if not isinstance(body, (IsTyB, IsTmB)):
+        raise NotObjectJudgement("metavariable congruence needs an object boundary")
     lhs = MetaApp(m, tuple(ss))
+    mt = cf_meta(theory, m, t_certs, annotation_cert=annotation_cert)
     if isinstance(body, IsTyB):
         rhs = MetaApp(m, tuple(ts))
-        mt = cf_meta(theory, m, t_certs, annotation_cert=ann[bdry])
         beta = minimal_suitable([*s_certs, *t_certs, *eq_certs, mt], plain(EqTyB(lhs, rhs)))
         return _cert(theory, plain(EqTy(lhs, rhs, beta)), ann, record)
-    if not isinstance(body, IsTmB):
-        raise NotObjectJudgement("metavariable congruence needs an object boundary")
     # construct v by converting M(ts) to the s-substituted boundary type
-    ty_cert = _cert(
-        theory,
-        Abstracted(bdry.prefix, IsTy(body.ty)),
-        dict(ann),
-        ("boundary_components", ann[bdry], 0),
-    )
+    ty_cert = boundary_components(theory, annotation_cert)[0]
     ty_eq = cf_subst_eq(theory, ty_cert, s_certs, t_certs, eq_certs)
-    mt = cf_meta(theory, m, t_certs, annotation_cert=ann[bdry])
     v_cert = cf_conv_tm(theory, mt, cf_eqty_sym(theory, ty_eq))
     v = _plain_body(v_cert, IsTm, "CF-Meta-Congr").term
     ty_s_full = subst_bound_many(body.ty, ss)
     bthesis = plain(EqTmB(lhs, v, ty_s_full))
     beta = minimal_suitable([*s_certs, *t_certs, *eq_certs, v_cert], bthesis)
     ann = _merge(theory, *s_certs, *t_certs, *eq_certs, v_cert)
-    if annotation_cert is not None:
-        ann[bdry] = annotation_cert
+    ann[bdry] = annotation_cert
     return _cert(theory, plain(EqTm(lhs, v, ty_s_full, beta)), ann, record)
 
 
@@ -793,29 +779,27 @@ def presuppositions_cf(theory: Theory, cert: CertifiedJudgement) -> CertifiedBou
 
 
 def boundary_components(theory: Theory, cert_b: CertifiedBoundary) -> tuple:
-    """Inverts a non-abstracted certified boundary into certificates of its
-    components (the premises of the boundary closure rule that built it)."""
+    """Inverts a certified boundary into certificates of its components (the
+    premises of the boundary closure rule that built it), each abstracted
+    over the boundary's binders (as the abstraction rules that built it
+    abstract them)."""
     b = cert_b.payload
-    if b.prefix:
-        raise PremiseMismatch("open the abstraction first")
-    ann = dict(cert_b._annotations)
     match b.body:
         case IsTyB():
-            return ()
+            parts: tuple = ()
         case IsTmB(ty=a):
-            return (_cert(theory, plain(IsTy(a)), ann, ("boundary_components", cert_b, 0)),)
+            parts = (IsTy(a),)
         case EqTyB(lhs=a, rhs=c):
-            return (
-                _cert(theory, plain(IsTy(a)), ann, ("boundary_components", cert_b, 0)),
-                _cert(theory, plain(IsTy(c)), ann, ("boundary_components", cert_b, 1)),
-            )
+            parts = (IsTy(a), IsTy(c))
         case EqTmB(lhs=s, rhs=t, ty=a):
-            return (
-                _cert(theory, plain(IsTy(a)), ann, ("boundary_components", cert_b, 0)),
-                _cert(theory, plain(IsTm(s, a)), ann, ("boundary_components", cert_b, 1)),
-                _cert(theory, plain(IsTm(t, a)), ann, ("boundary_components", cert_b, 2)),
-            )
-    raise PremiseMismatch(f"not a boundary: {b.body!r}")
+            parts = (IsTy(a), IsTm(s, a), IsTm(t, a))
+        case _:
+            raise PremiseMismatch(f"not a boundary: {b.body!r}")
+    ann = dict(cert_b._annotations)
+    return tuple(
+        _cert(theory, Abstracted(b.prefix, p), ann, ("boundary_components", cert_b, i))
+        for i, p in enumerate(parts)
+    )
 
 
 def natural_type_cf(theory: Theory, t: Expr) -> Expr:
@@ -918,50 +902,47 @@ def boundary_convert(
 ) -> CertifiedJudgement:
     """Boundary conversion: move the head of a judgement from the boundary it
     fills, its own presupposition, onto an erasure-equal boundary, inserting
-    conversions as the constructive proof prescribes."""
+    conversions as the constructive proof prescribes.  It is built from
+    closure rules: a term is converted along the reflexivity of its two
+    types; an equation is composed by transitivity with a reflexivity at each
+    side that differs, after a term equation's type is converted; and each
+    binder is opened at a variable of the second boundary's binder type,
+    substituted converted into the judgement and plain into the boundary,
+    and abstracted again."""
     j = cert_j.payload
     b1, b2 = unfill(j)[0], cert_b.payload
     if erase(b1) != erase(b2):
         raise ErasureMismatch("boundaries differ after erasure")
     if b1 == b2:
         return cert_j
-    ann = _merge(theory, cert_b, cert_j)
+    if b1.prefix:
+        ty2 = binder_type_cert(theory, cert_b, 0)
+        ty1 = binder_type_cert(theory, presuppositions_cf(theory, cert_j), 0)
+        v = FreeVar(fresh_name("a", atoms_in_use(b1, b2, j)), b2.prefix[0])
+        var = cf_var(theory, v, ty2)
+        conv_var = cf_conv_tm(theory, var, cf_eqty_refl(theory, ty2, ty1))
+        inner_j = cf_substitute(theory, cert_j, conv_var)
+        inner = boundary_convert(theory, cf_substitute(theory, cert_b, var), inner_j)
+        return cf_abstract_fwd(theory, ty2, inner, v)
+    old = boundary_components(theory, presuppositions_cf(theory, cert_j))
+    new = boundary_components(theory, cert_b)
+    if isinstance(b2.body, IsTmB):
+        return cf_conv_tm(theory, cert_j, cf_eqty_refl(theory, old[0], new[0]))
+    if isinstance(b2.body, EqTyB):
+        return _onto_sides(theory, cert_j, old, new, cf_eqty_refl, cf_eqty_trans)
+    if old[0].payload != new[0].payload:
+        cert_j = cf_conv_eqtm(theory, cert_j, cf_eqty_refl(theory, old[0], new[0]))
+        old = boundary_components(theory, presuppositions_cf(theory, cert_j))
+    return _onto_sides(theory, cert_j, old[1:], new[1:], cf_eqtm_refl, cf_eqtm_trans)
 
-    if not b1.prefix:
-        return _boundary_convert_plain(theory, cert_b, cert_j, b1.body, ann)
 
-    # abstracted case: open with a fresh variable at the second boundary's
-    # binder type, convert it into the first, recurse, and re-abstract: one
-    # level per binder of the prefix
-    a2_ty = b2.prefix[0]
-    v = FreeVar(fresh_name("a", atoms_in_use(b1, b2, j)), a2_ty)
-    # The two binder types erase alike: each records the second's.
-    ty2_cert = _cert(theory, plain(IsTy(a2_ty)), ann, ("binder_type_cert", cert_b, 0))
-    var_cert = cf_var(theory, v, ty2_cert)
-    ty1_cert = _cert(theory, plain(IsTy(b1.prefix[0])), ann, ("binder_type_cert", cert_b, 0))
-    conv_var = cf_conv_tm(theory, var_cert, cf_eqty_refl(theory, ty2_cert, ty1_cert))
-    inner_j = cf_substitute(theory, cert_j, conv_var)
-    inner = boundary_convert(theory, cf_substitute(theory, cert_b, var_cert), inner_j)
-    return cf_abstract_fwd(theory, ty2_cert, inner, v)
-
-
-def _boundary_convert_plain(theory, cert_b, cert_j, bt1, ann) -> CertifiedJudgement:
-    """``cert_j`` moved from its boundary ``bt1`` onto that of ``cert_b``: two
-    erasure-equal, unequal, non-abstracted boundaries, never both ``type``.
-    What is made here erases as ``cert_j`` or a component of ``cert_b`` does,
-    and records so."""
-    jt, same = cert_j.payload.body, ("boundary_convert", cert_b, cert_j)
-    match bt1, cert_b.payload.body:
-        case IsTmB(ty=a1), IsTmB(ty=a2):
-            t_cert = _cert(theory, plain(jt), ann, same)
-            a1_cert = _cert(theory, plain(IsTy(a1)), ann, ("boundary_components", cert_b, 0))
-            a2_cert = _cert(theory, plain(IsTy(a2)), ann, ("boundary_components", cert_b, 0))
-            eq = cf_eqty_refl(theory, a1_cert, a2_cert)
-            return cf_conv_tm(theory, t_cert, eq)
-        case EqTyB(lhs=a1, rhs=c1), EqTyB(lhs=a2, rhs=c2):
-            e2 = asm(jt.by, a1, c1).difference(asm(a2, c2))
-            return _cert(theory, plain(EqTy(a2, c2, e2)), ann, same)
-        case EqTmB(lhs=s1, rhs=t1, ty=a1), EqTmB(lhs=s2, rhs=t2, ty=a2):
-            e2 = asm(jt.by, s1, t1, a1).difference(asm(s2, t2, a2))
-            return _cert(theory, plain(EqTm(s2, t2, a2, e2)), ann, same)
-    raise ErasureMismatch("boundary shapes differ")
+def _onto_sides(theory, cert_eq, old, new, refl, trans) -> CertifiedJudgement:
+    """The equation ``cert_eq`` between the sides that ``old`` certifies
+    moved onto the erasure-equal sides that ``new`` certifies, by
+    transitivity with a reflexivity at each side that differs."""
+    (l1, r1), (l2, r2) = old, new
+    if l1.payload != l2.payload:
+        cert_eq = trans(theory, refl(theory, l2, l1), cert_eq)
+    if r1.payload != r2.payload:
+        cert_eq = trans(theory, cert_eq, refl(theory, r1, r2))
+    return cert_eq

@@ -161,9 +161,6 @@ class RuleBoundary:
     def is_object(self) -> bool:
         return thesis_class(self.conclusion).is_object
 
-    def meta_arities(self) -> dict[MetaName, MetaArity]:
-        return {m: boundary_arity(b) for m, b in self.premises}
-
 
 def generic_application(m: MetaName, arity: MetaArity, flavor: Flavor) -> Argument:
     """The canonical head for building a symbol rule from a rule-boundary."""

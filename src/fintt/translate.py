@@ -36,7 +36,6 @@ own certificate, as the translations are mutually inverse on it.
 
 from __future__ import annotations
 
-import functools
 from types import GeneratorType
 from typing import Sequence
 
@@ -182,11 +181,13 @@ class CfToTT:
     the paper's proof of it uses: an abstraction's body is replayed in the
     context extended by its atom, substitution, equal substitution and
     instantiation go to ``admissible_substitute``, ``eq_subst_n`` and
-    ``admissible_instantiate``, and the judgements minted from another
-    certificate (its presupposition, a component or binder type of a
-    boundary, inversion, the natural-type equation) are read off that one's
-    derivation, through ``tt_engine.presuppositions`` and
-    ``tt_engine.invert`` where they fit.
+    ``admissible_instantiate``, and the engine's meta-theorems, which make a
+    judgement from another certificate (its presupposition, a component or
+    binder type of a boundary, inversion, the natural-type equation), are
+    read off that one's derivation, through ``tt_engine.presuppositions``
+    and ``tt_engine.invert`` where they fit.  Boundary conversion and
+    uniqueness of typing write no record of their own: they are built from
+    constructor and meta-theorem calls, whose records are replayed.
 
     Searched kinds: ``strengthen``, ``cf_abstract_fwd``, ``cf_substitute``,
     ``presuppositions_cf``, ``boundary_components``, ``binder_type_cert``
@@ -250,7 +251,6 @@ class CfToTT:
         "binder_type_cert": "_binder_type",
         "natural_type_eq": "_natural_type_eq",
         "invert_cf": "_invert",
-        "boundary_convert": "_as_converted",
     }
 
     def __init__(self, cf_theory: Theory, tt_theory: Theory):
@@ -326,15 +326,9 @@ class CfToTT:
         """TT-Meta-Congr; for a term metavariable the type equation
         C[ss] == C[ts] is equal substitution into the type C of its
         boundary, under the boundary's binders."""
-        certs = (*s_certs, *t_certs, *eq_certs)
-        kids = yield from self._premises(cx, certs)
+        kids = yield from self._premises(cx, (*s_certs, *t_certs, *eq_certs))
         k = len(s_certs)
         if isinstance(m.annotation.body, IsTmB):
-            if annotation_cert is None:
-                cached = (c._annotations[m.annotation] for c in certs if m.annotation in c._annotations)
-                annotation_cert = next(cached, None)
-                if annotation_cert is None:
-                    raise UncheckableDerivation(f"cf->tt: no certified boundary of {m.name}")
             ty = self._component_of((yield annotation_cert, cx), 0)
             eq = tt.eq_subst_n(
                 self.tt, ty, kids[:k], kids[k : 2 * k], kids[2 * k :], mctx_deriv=self._mctx_evidence(cx)
@@ -433,11 +427,6 @@ class CfToTT:
 
     def _invert(self, cx, cert):
         return tt.invert(self.tt, (yield cert, cx))
-
-    def _as_converted(self, cx, cert_b, cert_j):
-        """A judgement that boundary conversion moved: it erases as
-        ``cert_j`` does."""
-        return (yield cert_j, cx)
 
     # -- what the routes need besides replays --------------------------------
 
@@ -885,7 +874,6 @@ def transported_congruence(
     tt_theory: Theory,
     rule_name: str,
     premise_certs: Sequence[cf.CertifiedJudgement],
-    target_bdry_cert=None,
 ):
     """Congruence for judgementally equal instantiations, transported through
     both translations.
@@ -897,9 +885,11 @@ def transported_congruence(
     ``PremiseMismatch``.  Each premise is derived in tt once, and the fills
     f_i and g'_i are read off the equation's derivation (``_fills_tt``).
     tt -> cf takes each premise's certificate for its derivation as it is.
-    The result is an equational certificate for the congruence conclusion,
-    rectified onto ``target_bdry_cert`` when given; its assumption set is
-    drawn from the inputs.
+    The premises are derived in one suitable context, whose well-formedness,
+    which a fill read off presuppositions needs, the same translator finds
+    once (``CfToTT._evidence``).  The result is an equational certificate
+    for the congruence conclusion, whose assumption set is drawn from the
+    inputs.
     """
     rule_cf = cf_theory.rule(rule_name).rule
     rule_tt = tt_theory.rule(rule_name).rule
@@ -909,16 +899,14 @@ def transported_congruence(
     if len(premise_certs) != n:
         raise UncheckableDerivation("one certificate per rule premise required")
 
-    targets = () if target_bdry_cert is None else (target_bdry_cert,)
-    ctx = mctx, vctx = _context_of(*(c.payload for c in (*premise_certs, *targets)))
-    translator, ttd = CfToTT(cf_theory, tt_theory), TTDeriver(tt_theory)
-    evidence = functools.cache(lambda: (ttd.mctx_wf(mctx), ttd.vctx_wf(mctx, vctx)))
+    ctx = mctx, vctx = _context_of(*(c.payload for c in premise_certs))
+    translator = CfToTT(cf_theory, tt_theory)
     known = [(translator.judgement(c, ctx)[2], c) for c in premise_certs]
     entries: list = []
     for i, ((m, b), (p_tt, _)) in enumerate(zip(rule_cf.premises, known)):
         bare = MetaName(m.name, None)
         if boundary_arity(b).cls.is_object:
-            i_tt, jat_tt = _fills_tt(tt_theory, p_tt, evidence)
+            i_tt, jat_tt = _fills_tt(tt_theory, p_tt, lambda: translator._evidence(ctx))
             j_tt = _j_fill_tt(tt_theory, rule_tt, i, jat_tt, entries)
             entries.append(tt.EqInstEntry(bare, i_tt, j_tt, jat_tt, p_tt))
         else:
@@ -936,11 +924,8 @@ def transported_congruence(
         raise UncheckableDerivation("the rule conclusion is not an object judgement")
 
     # back to cf, each premise's certificate standing for its own derivation
-    labelings = _labelings_for(mctx, vctx, *premise_certs, *targets)
-    out = tt_to_cf(tt_theory, cf_theory, d_eq, labelings=labelings, known=known)
-    if target_bdry_cert is None:
-        return out
-    return cf.boundary_convert(cf_theory, target_bdry_cert, out)
+    labelings = _labelings_for(mctx, vctx, *premise_certs)
+    return tt_to_cf(tt_theory, cf_theory, d_eq, labelings=labelings, known=known)
 
 
 def _j_fill_tt(tt_theory, rule_tt, idx, jat_tt, entries):

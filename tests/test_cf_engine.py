@@ -6,6 +6,8 @@ import random
 import pytest
 
 from fintt import cf_engine as cf
+from fintt import translate as tr
+from fintt import tt_engine as tt
 from fintt.derive import CFDeriver
 from fintt.errors import (
     AnnotationMismatch,
@@ -375,6 +377,102 @@ def test_boundary_convert_term_case(env):
     assert got_b == b_id2.payload
     assert erased_equal(out.payload.body.term, vp.payload.body.term)
     assert asm(out.payload.body.term).issubset(asm(vp.payload))
+
+
+def moved_inputs(th, d, ty_nat):
+    """The type A1 = Id(nat, a, a) and the erasure-equal
+    A2 = Id(nat, convert(a, {}), a), certified; and p, q : A1 with
+    p == q : A1 by equality reflection from r : Id(A1, p, q)."""
+    va = cf.cf_var(th, FreeVar("a", NAT), ty_nat)
+    conv_a = cf.cf_conv_tm(th, va, cf.cf_eqty_refl(th, ty_nat, ty_nat))
+    ty1 = cf.cf_apply_rule(th, "Id", [ty_nat, va, va])
+    ty2 = cf.cf_apply_rule(th, "Id", [ty_nat, conv_a, va])
+    a1 = ty1.payload.body.ty
+    vp, vq = (cf.cf_var(th, FreeVar(n, a1), ty1) for n in "pq")
+    id_pq = cf.cf_apply_rule(th, "Id", [ty1, vp, vq])
+    vr = cf.cf_var(th, FreeVar("r", id_pq.payload.body.ty), id_pq)
+    reflect = cf.cf_apply_rule(th, "eq_reflect", [ty1, vp, vq, vr])
+    return ty1, ty2, vp, vq, reflect
+
+
+def assert_replays(th_cf, th_tt, cert):
+    """cf -> tt of ``cert`` re-checks, concludes its erasure and searches
+    nothing."""
+    translator = tr.CfToTT(th_cf, th_tt)
+    mctx, vctx, deriv = translator.judgement(cert)
+    tt.check_derivation(th_tt, deriv)
+    assert deriv.conclusion == tt.JdgTT(mctx, vctx, erase(cert.payload))
+    assert translator.searched == 0
+
+
+def test_boundary_convert_moves_both_sides_of_a_type_equation(env, corpus_tt):
+    """Id(A1, p, p) == Id(A1, p, q) by {r} onto Id(A2, p', p') == Id(A2, p', q'),
+    where p' and q' are p and q converted to A2: both sides move, and the
+    assumption set is what the equation's carries beyond the new sides."""
+    th, d, ty_bool, ty_nat = env
+    ty1, ty2, vp, vq, reflect = moved_inputs(th, d, ty_nat)
+    eqs = [cf.cf_eqty_refl(th, ty1, ty1), cf.cf_eqtm_refl(th, vp, vp), reflect]
+    eq = cf.cf_congruence(th, "Id", [ty1, vp, vp], [ty1, vp, vq], eqs)
+    to_a2 = cf.cf_eqty_refl(th, ty1, ty2)
+    p2, q2 = (cf.cf_conv_tm(th, v, to_a2) for v in (vp, vq))
+    sides = [cf.cf_apply_rule(th, "Id", [ty2, p2, x]) for x in (p2, q2)]
+    target = cf.cf_bdry_eqty(th, *sides)
+    out = cf.boundary_convert(th, target, eq)
+    a1, c1, by = eq.payload.body.lhs, eq.payload.body.rhs, eq.payload.body.by
+    a2, c2 = (s.payload.body.ty for s in sides)
+    assert a1 != a2 and c1 != c2 and by
+    assert out.payload == plain(EqTy(a2, c2, asm(by, a1, c1).difference(asm(a2, c2))))
+    assert type(out) is cf.CertifiedJudgement
+    assert_replays(th, corpus_tt, out)
+
+
+def test_boundary_convert_moves_the_type_and_one_side_of_a_term_equation(env, corpus_tt):
+    """p == q : A1 by {r} onto  convert(convert(p, {}), {}) == convert(q, {}) : A2:
+    the type moves, and the left side moves beyond the conversion the type
+    brings, while the right side is that conversion."""
+    th, d, ty_bool, ty_nat = env
+    ty1, ty2, vp, vq, reflect = moved_inputs(th, d, ty_nat)
+    to_a2 = cf.cf_eqty_refl(th, ty1, ty2)
+    s2 = cf.cf_conv_tm(th, cf.cf_conv_tm(th, vp, cf.cf_eqty_refl(th, ty1, ty1)), to_a2)
+    t2 = cf.cf_conv_tm(th, vq, to_a2)
+    target = cf.cf_bdry_eqtm(th, ty2, s2, t2)
+    out = cf.boundary_convert(th, target, reflect)
+    eq = reflect.payload.body
+    s2, t2, a2 = target.payload.body.lhs, target.payload.body.rhs, target.payload.body.ty
+    assert eq.ty != a2 and eq.lhs != s2 and eq.by
+    by = asm(eq.by, eq.lhs, eq.rhs, eq.ty).difference(asm(s2, t2, a2))
+    assert out.payload == plain(EqTm(s2, t2, a2, by))
+    assert type(out) is cf.CertifiedJudgement
+    assert_replays(th, corpus_tt, out)
+
+
+def test_boundary_convert_opens_two_binders(env, corpus_tt):
+    """{x : A1}{y : Id(A1, x, x)} y onto {x : A2}{y : Id(A2, x, x)} □ : Id(A2, x, x):
+    each binder is opened at the second boundary's type, so the body's
+    variable comes back converted twice, once into the first boundary's type
+    and once out of it."""
+    th, d, ty_bool, ty_nat = env
+    ty1, ty2, *_ = moved_inputs(th, d, ty_nat)
+
+    def family(ty_a):
+        """{x : A}{y : Id(A, x, x)} y : Id(A, x, x) and its boundary."""
+        x = FreeVar("x", ty_a.payload.body.ty)
+        vx = cf.cf_var(th, x, ty_a)
+        ty_id = cf.cf_apply_rule(th, "Id", [ty_a, vx, vx])
+        y = FreeVar("y", ty_id.payload.body.ty)
+        body = cf.cf_abstract_fwd(th, ty_id, cf.cf_var(th, y, ty_id), y)
+        bdry = cf.cf_abstract_fwd(th, ty_id, cf.cf_bdry_tm(th, ty_id), y)
+        return (cf.cf_abstract_fwd(th, ty_a, c, x) for c in (body, bdry))
+
+    cert_j, _ = family(ty1)
+    _, target = family(ty2)
+    out = cf.boundary_convert(th, target, cert_j)
+    a2 = ty2.payload.body.ty
+    y = Convert(Convert(BoundVar(0), EMPTY_ASSUMPTIONS), EMPTY_ASSUMPTIONS)
+    prefix = (a2, id_ty(a2, BoundVar(0), BoundVar(0)))
+    assert out.payload == Abstracted(prefix, IsTm(y, id_ty(a2, BoundVar(1), BoundVar(1))))
+    assert type(out) is cf.CertifiedJudgement
+    assert_replays(th, corpus_tt, out)
 
 
 def test_certificates_are_constructor_private(env):

@@ -394,3 +394,47 @@ def test_the_searched_record_kinds_are_the_documented_ones():
     listed = re.search(r"Searched kinds: (.*?)\.\s", doc, re.S).group(1)
     assert searched == set(re.findall(r"``(\w+)``", listed))
     assert routes <= recorded_kinds()
+
+
+# The cf engine's closure-rule constructors, and the meta-theorems that mint a
+# certificate beside them: the trusted base of the context-free presentation.
+CF_CONSTRUCTORS = {
+    "cf_var", "cf_abstract_fwd", "cf_meta", "cf_meta_congr", "cf_eqty_refl", "cf_eqty_sym",
+    "cf_eqty_trans", "cf_eqtm_refl", "cf_eqtm_sym", "cf_eqtm_trans", "cf_conv_tm", "cf_conv_eqtm",
+    "cf_bdry_ty", "cf_bdry_tm", "cf_bdry_eqty", "cf_bdry_eqtm", "cf_apply_rule", "cf_congruence",
+    "cf_substitute", "cf_subst_eq", "cf_instantiate",
+}
+CF_META_THEOREMS = {
+    "presuppositions_cf", "boundary_components", "binder_type_cert", "invert_cf",
+    "natural_type_eq", "strengthen",
+}
+
+
+def test_only_the_constructors_and_the_named_meta_theorems_mint():
+    """The functions of ``cf_engine`` that call its maker ``_cert`` are the
+    closure-rule constructors and the named meta-theorems: anything else,
+    such as boundary conversion, is built from them."""
+    tree = ast.parse((SRC / "cf_engine.py").read_text(encoding="utf-8"))
+    minting = {
+        f.name
+        for f in tree.body
+        if isinstance(f, ast.FunctionDef)
+        for n in ast.walk(f)
+        if isinstance(n, ast.Call) and getattr(n.func, "id", None) == "_cert"
+    }
+    assert minting == CF_CONSTRUCTORS | CF_META_THEOREMS
+
+
+def test_only_the_tt_engine_makes_a_derivation_node():
+    """No module but ``tt_engine`` constructs a ``Derivation`` or reaches
+    ``_infer``: every other node goes through ``node()``."""
+    found = []
+    for path in MODULES:
+        if path.name == "tt_engine.py":
+            continue
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(n, "attr", getattr(n, "id", None))
+            called = isinstance(n, ast.Call) and getattr(n.func, "attr", getattr(n.func, "id", None))
+            if name == "_infer" or called == "Derivation":
+                found.append(f"{path.name}:{n.lineno}")
+    assert not found, found

@@ -143,10 +143,6 @@ def constructions(th):
         "binder_type_cert": [cf.binder_type_cert(th, cf.presuppositions_cf(th, fam), 0)],
         "natural_type_eq": [cf.natural_type_eq(th, refl_a), cf.natural_type_eq(th, conv_refl_a)],
         "invert_cf": [cf.invert_cf(th, conv_a), cf.invert_cf(th, cf.cf_conv_tm(th, conv_a, refl_nat))],
-        "boundary_convert": [
-            cf.boundary_convert(th, id_conv, vp).record[1],
-            cf.boundary_convert(th, cf.cf_bdry_eqtm(th, ty_nat, conv_a, va), cf.cf_eqtm_refl(th, va, va)),
-        ],
         "strengthen": [cf.strengthen(th, cf.cf_abstract_fwd(th, ty_bool, ty_nat, FreeVar("z", BOOL)))],
     }
 
@@ -166,7 +162,7 @@ KINDS = [
     "cf_congruence", "cf_eqty_refl", "cf_eqty_sym", "cf_eqty_trans", "cf_eqtm_refl", "cf_eqtm_sym",
     "cf_eqtm_trans", "cf_conv_tm", "cf_conv_eqtm", "cf_bdry_tm", "cf_bdry_eqty", "cf_bdry_eqtm",
     "cf_substitute", "cf_subst_eq", "cf_instantiate", "presuppositions_cf", "boundary_components",
-    "binder_type_cert", "natural_type_eq", "invert_cf", "boundary_convert", "strengthen",
+    "binder_type_cert", "natural_type_eq", "invert_cf", "strengthen",
 ]
 
 

@@ -51,12 +51,20 @@ def theories(corpus_text):
     return t_cf, t_tt
 
 
+# A rule whose premise names an assumption set, which the printer prints
+# from the parse tree.
+CONVERT_RULE = "rule cv: premise A : type; premise a : A; premise e : a == convert(a, {a}) : A; yields A type\n"
+
+
 def test_theory_round_trip_byte_identical(corpus_text):
-    assert print_theory_decl(parse_theory(corpus_text)) == corpus_text
+    """The corpus theories, one with a symbol arity, and one with an
+    assumption set, print back as they were written."""
+    for text in (corpus_text, (CORPUS / "pi_short.ftt").read_text(), corpus_text + CONVERT_RULE):
+        assert print_theory_decl(parse_theory(text)) == text
 
 
 def test_script_round_trip_byte_identical():
-    for name in ("pi_bool.fttd", "refl_nat.fttd", "reflect.fttd"):
+    for name in ("pi_bool.fttd", "refl_nat.fttd", "reflect.fttd", "meta_subst.fttd"):
         text = (CORPUS / name).read_text()
         assert print_script(parse_script(text)) == text
 
@@ -414,16 +422,3 @@ def test_script_with_metavariables_both_engines(theories):
     assert body.term.symbol == "succ"
     text = (CORPUS / "meta_subst.fttd").read_text()
     assert print_script(parse_script(text)) == text
-
-
-def test_cf_abstract_backward_wrapper(theories):
-    from fintt import cf_engine as cf
-
-    t_cf, _ = theories
-    from fintt.derive import CFDeriver
-
-    d = CFDeriver(t_cf)
-    tb = d.ty(BOOL)
-    out = cf.cf_abstract(t_cf, tb, tb)
-    assert out.payload.prefix == (BOOL,)
-    assert out.payload.body == IsTy(BOOL)
