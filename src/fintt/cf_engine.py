@@ -898,7 +898,11 @@ def strengthen(theory: Theory, cert: Certificate, position: Optional[int] = None
 
 
 def boundary_convert(
-    theory: Theory, cert_b: CertifiedBoundary, cert_j: CertifiedJudgement
+    theory: Theory,
+    cert_b: CertifiedBoundary,
+    cert_j: CertifiedJudgement,
+    *,
+    avoid: frozenset = frozenset(),
 ) -> CertifiedJudgement:
     """Boundary conversion: move the head of a judgement from the boundary it
     fills, its own presupposition, onto an erasure-equal boundary, inserting
@@ -908,7 +912,9 @@ def boundary_convert(
     side that differs, after a term equation's type is converted; and each
     binder is opened at a variable of the second boundary's binder type,
     substituted converted into the judgement and plain into the boundary,
-    and abstracted again."""
+    and abstracted again.  That variable's name is fresh for every level
+    opened so far, whose names the recursion passes down in ``avoid``, even
+    where the judgement does not use an outer one."""
     j = cert_j.payload
     b1, b2 = unfill(j)[0], cert_b.payload
     if erase(b1) != erase(b2):
@@ -918,11 +924,13 @@ def boundary_convert(
     if b1.prefix:
         ty2 = binder_type_cert(theory, cert_b, 0)
         ty1 = binder_type_cert(theory, presuppositions_cf(theory, cert_j), 0)
-        v = FreeVar(fresh_name("a", atoms_in_use(b1, b2, j)), b2.prefix[0])
+        avoid = avoid | atoms_in_use(b1, b2, j)
+        v = FreeVar(fresh_name("a", avoid), b2.prefix[0])
         var = cf_var(theory, v, ty2)
         conv_var = cf_conv_tm(theory, var, cf_eqty_refl(theory, ty2, ty1))
         inner_j = cf_substitute(theory, cert_j, conv_var)
-        inner = boundary_convert(theory, cf_substitute(theory, cert_b, var), inner_j)
+        inner_b = cf_substitute(theory, cert_b, var)
+        inner = boundary_convert(theory, inner_b, inner_j, avoid=avoid | {v.name})
         return cf_abstract_fwd(theory, ty2, inner, v)
     old = boundary_components(theory, presuppositions_cf(theory, cert_j))
     new = boundary_components(theory, cert_b)

@@ -3,6 +3,7 @@ and metavariable closure-rule schemas, and the theory well-formedness gates."""
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Union
@@ -233,11 +234,13 @@ def is_symbol_rule(sig: Signature, rule: RawRule, flavor: Flavor) -> Optional[st
 # Closure-rule schemas (shared between the two engines)
 
 
-# The most rule instances a theory family's table (``Origin.instance``)
-# holds: enough for the ~90 a succ^90 chain asks each deriver for, which
-# later chains ask for again; a theory that keeps meeting new instances
-# pays for each entry in memory.
+# The size a theory family's table of rule instances (``Origin.instance``)
+# starts at: enough for the ~90 a succ^90 chain asks each deriver for, which
+# later chains ask for again.  ``_Sizing`` doubles a family's table, up to
+# ``INSTANCE_CEILING``, while its misses mostly recompute evicted instances;
+# a family that keeps meeting new ones stays at this size.
 INSTANCE_CAP = 256
+INSTANCE_CEILING = 16 * INSTANCE_CAP
 
 
 def instance_of(schema, *args):
@@ -245,8 +248,8 @@ def instance_of(schema, *args):
     ``congruence_premises_tt``, ...) applied to a rule and instantiations,
     the premises as a tuple.  The engines call it through the table of
     their theory's family, ``Origin.instance``, which remembers the last
-    ``INSTANCE_CAP`` distinct calls: they rebuild and re-check many nodes
-    with an instantiation they have seen before."""
+    ``INSTANCE_CAP`` distinct calls or more (``_Sizing``): they rebuild and
+    re-check many nodes with an instantiation they have seen before."""
     prem, *rest = schema(*args)
     return (tuple(prem), *rest)
 
@@ -378,18 +381,63 @@ class TheoryRule:
     symbol_for: Optional[str] = None  # set when the rule was generated for a symbol
 
 
+class _Sizing:
+    """The size of one family's table (``Origin.instance``), chosen from its
+    misses, after the ghost entries of Megiddo and Modha's ARC.  The table
+    is an ``lru_cache`` over ``miss``, so a hit never runs Python code.  A
+    miss records the hash of its call, never the call: a term the table
+    evicted is not kept alive.  The hashes of the last two windows of
+    ``size`` misses are kept, and a window in which more than half of the
+    misses recomputed one of them has seen the table evict what its family
+    asks for again: the table is replaced by one twice the size, up to
+    ``INSTANCE_CEILING``, and the record starts afresh, so refilling the
+    new table counts for nothing.  Otherwise the windows roll over.  The
+    family is held through a weak reference, so no reference cycle forms."""
+
+    __slots__ = ("origin", "size", "misses", "recurred", "recent", "older")
+
+    def __init__(self, origin: "Origin"):
+        self.origin = weakref.ref(origin)
+        self.size = INSTANCE_CAP
+        self.misses = self.recurred = 0
+        self.recent: set = set()
+        self.older: set = set()
+
+    def table(self):
+        return lru_cache(maxsize=self.size)(self.miss)
+
+    def miss(self, *args):
+        key = hash(args)
+        if key in self.recent or key in self.older:
+            self.recurred += 1
+        self.recent.add(key)
+        self.misses += 1
+        if self.misses == self.size:
+            origin = self.origin()
+            if 2 * self.recurred > self.size and self.size < INSTANCE_CEILING and origin is not None:
+                self.size *= 2
+                origin.instance = self.table()
+                self.older = set()
+            else:
+                self.older = self.recent
+            self.recent = set()
+            self.misses = self.recurred = 0
+        return instance_of(*args)
+
+
 class Origin:
     """The token a theory and all its prefixes share (``Theory.origin``),
     with what they share: the tt engine's table of live derivation nodes
-    (``tt_engine.node``) and the table of rule instances, ``instance``,
-    a bounded LRU in front of ``instance_of`` that lives and dies with the
-    family."""
+    (``tt_engine.node``) and the table of rule instances, ``instance``, an
+    LRU in front of ``instance_of`` that ``_Sizing`` sizes and that lives
+    and dies with the family.  Callers read ``instance`` at each call, as
+    growing replaces it."""
 
-    __slots__ = ("nodes", "instance")
+    __slots__ = ("nodes", "instance", "__weakref__")
 
     def __init__(self):
         self.nodes: dict = {}
-        self.instance = lru_cache(maxsize=INSTANCE_CAP)(instance_of)
+        self.instance = _Sizing(self).table()
 
 
 class Theory:

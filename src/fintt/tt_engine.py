@@ -51,6 +51,7 @@ from .errors import (
     MissingContextEvidence,
     NoSymbolRule,
     NotObjectJudgement,
+    PremiseMismatch,
     SideConditionFailed,
     UnknownVar,
 )
@@ -1470,7 +1471,12 @@ def uniqueness_of_typing(
     mctx_deriv: Derivation,
     vctx_deriv: Derivation,
 ) -> Derivation:
-    """From two typings  t : A  and  t : B  derive  A == B."""
+    """From two typings  t : A  and  t : B  derive  A == B.  Refuses a
+    subject that is no plain term judgement, and typings of two terms."""
+    t1 = _want_plain_thesis(d1.conclusion, IsTm, "uniqueness")
+    t2 = _want_plain_thesis(d2.conclusion, IsTm, "uniqueness")
+    if t1.term != t2.term:
+        raise PremiseMismatch("uniqueness applies to two typings of one term")
     i1 = invert(theory, d1)
     i2 = invert(theory, d2)
 

@@ -475,6 +475,30 @@ def test_boundary_convert_opens_two_binders(env, corpus_tt):
     assert_replays(th, corpus_tt, out)
 
 
+def test_boundary_convert_opens_each_binder_at_its_own_atom(env, corpus_tt):
+    """{x : A1}{y : A1} y onto {x : A2}{y : A2} □ : A2: the body does not use
+    the outer binder, and the inner level still opens at an atom other than
+    the outer level's, so cf -> tt replays the result without a search."""
+    th, d, ty_bool, ty_nat = env
+    ty1, ty2, *_ = moved_inputs(th, d, ty_nat)
+
+    def family(ty_a):
+        """{x : A}{y : A} y : A and its boundary."""
+        x, y = (FreeVar(n, ty_a.payload.body.ty) for n in "xy")
+        body = cf.cf_abstract_fwd(th, ty_a, cf.cf_var(th, y, ty_a), y)
+        bdry = cf.cf_abstract_fwd(th, ty_a, cf.cf_bdry_tm(th, ty_a), y)
+        return (cf.cf_abstract_fwd(th, ty_a, c, x) for c in (body, bdry))
+
+    cert_j, _ = family(ty1)
+    _, target = family(ty2)
+    out = cf.boundary_convert(th, target, cert_j)
+    a2 = ty2.payload.body.ty
+    y = Convert(Convert(BoundVar(0), EMPTY_ASSUMPTIONS), EMPTY_ASSUMPTIONS)
+    assert out.payload == Abstracted((a2, a2), IsTm(y, a2))
+    assert type(out) is cf.CertifiedJudgement
+    assert_replays(th, corpus_tt, out)
+
+
 def test_certificates_are_constructor_private(env):
     th, d, ty_bool, _ = env
     from fintt.judgements import plain

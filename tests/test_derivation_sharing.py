@@ -353,3 +353,83 @@ def test_a_theory_and_its_table_die_by_reference_counting(flavor):
         assert dead() is None
     finally:
         gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# A family's table grows to the instances that recur
+
+
+def derive_chain(th, flavor: str, name: str, n: int) -> None:
+    """succ^n(name) : nat, by a fresh deriver."""
+    t = FreeVar(name) if flavor == "tt" else FreeVar(name, NAT)
+    for _ in range(n):
+        t = succ(t)
+    if flavor == "tt":
+        TTDeriver(th).tm(EMPTY_METAS, VarCtx([(FreeVar(name), NAT)]), t, NAT)
+    else:
+        CFDeriver(th).tm(t, NAT)
+
+
+def table_size(th) -> int:
+    return th.origin[0].instance.cache_info().maxsize
+
+
+def derive_loop(th, flavor: str) -> None:
+    """Four succ^90 chains: about 360 distinct instances, more than the
+    table starts with, asked for in the same order on every pass."""
+    for name in "abcd":
+        derive_chain(th, flavor, name, 90)
+
+
+@pytest.mark.parametrize("flavor", ["tt", "cf"])
+def test_a_loop_over_more_instances_than_the_table_holds_grows_it(monkeypatch, flavor):
+    """Each pass evicts what the next asks for first, so the family's
+    misses recompute instances seen before: the table doubles, and once
+    refilled a further pass computes no instance.  The sizing keeps hashes
+    only, and a grown table still dies with its theory, the collector off."""
+    th = gated((CORPUS / "mltt.ftt").read_text(), flavor)
+    computed = count_instances(monkeypatch, tt if flavor == "tt" else cf)
+    derive_loop(th, flavor)
+    assert computed[0] > INSTANCE_CAP and table_size(th) == INSTANCE_CAP
+    for _ in range(3):
+        derive_loop(th, flavor)
+    assert table_size(th) == 2 * INSTANCE_CAP
+    computed[0] = 0
+    derive_loop(th, flavor)
+    assert computed[0] == 0
+
+    table = th.origin[0].instance
+    assert type(table).__name__ == "_lru_cache_wrapper"
+    sizing = table.__wrapped__.__self__
+    assert all(type(h) is int for h in sizing.recent | sizing.older)
+    gc.disable()
+    try:
+        dead = weakref.ref(th)
+        del th, table, sizing
+        assert dead() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("flavor", ["tt", "cf"])
+def test_a_stream_of_fresh_instances_never_grows_the_table(monkeypatch, flavor):
+    """Chains over ever new variables miss on every instance of ``succ``,
+    several tables' worth, and none of those misses recomputes an instance
+    seen before: the table keeps its size."""
+    th = gated((CORPUS / "mltt.ftt").read_text(), flavor)
+    computed = count_instances(monkeypatch, tt if flavor == "tt" else cf)
+    for i in range(300):
+        derive_chain(th, flavor, f"v{i}", 4)
+    assert computed[0] > 4 * INSTANCE_CAP
+    assert table_size(th) == INSTANCE_CAP
+
+
+def test_two_theories_size_their_tables_independently():
+    text = (CORPUS / "mltt.ftt").read_text()
+    one, two = gated(text, "cf"), gated(text, "cf")
+    for _ in range(4):
+        derive_loop(one, "cf")
+        derive_chain(two, "cf", "a", 90)
+    assert table_size(one) == 2 * INSTANCE_CAP
+    assert table_size(two) == INSTANCE_CAP
+    assert table_size(one.prefix(5)) == 2 * INSTANCE_CAP

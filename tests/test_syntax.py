@@ -1037,6 +1037,32 @@ def test_a_deep_certificate_and_derivation_have_bounded_reprs(corpus_cf, corpus_
     assert text.endswith("...; 1 premises)") and len(text) <= 250
 
 
+def test_instantiations_contexts_and_signatures_repr_their_names():
+    """These reprs name what the object binds and print no syntax."""
+    from fintt.judgements import MetaCtx, VarCtx
+
+    n, a = MetaName("N"), FreeVar("a")
+    assert repr(Instantiation([(n, ExprArg(succ_n(50, a)))])) == "Instantiation(['N'])"
+    assert repr(MetaCtx([(n, Abstracted((NAT,), IsTmB(NAT)))])) == "MetaCtx(['N'])"
+    assert repr(VarCtx([(a, NAT), (FreeVar("b"), NAT)])) == "VarCtx(['a', 'b'])"
+    sig = elaborate(parse_theory("rule nat: yields type\nrule zero: yields : nat"), "tt").signature
+    assert repr(sig) == "Signature(['nat', 'zero'])"
+
+
+def test_a_statement_prints_its_metavariable_context():
+    from fintt import tt_engine as tt
+    from fintt.judgements import MetaCtx, VarCtx
+    from fintt.printer import print_statement
+
+    n, a = MetaName("N"), FreeVar("a")
+    mctx = MetaCtx([(n, Abstracted((NAT,), IsTmB(NAT))), (MetaName("P"), plain(IsTyB()))])
+    vctx = VarCtx([(a, NAT)])
+    jdg = tt.JdgTT(mctx, vctx, plain(IsTm(MetaApp(n, (a,)), NAT)))
+    assert print_statement(jdg) == "N : {x : nat} nat, P : type; a : nat |- N(a) : nat"
+    bdry = tt.BdryTT(mctx, vctx, plain(IsTmB(NAT)))
+    assert print_statement(bdry) == "N : {x : nat} nat, P : type; a : nat |- nat (boundary)"
+
+
 def test_substituting_a_variable_its_own_conversion_records():
     """convert(v, {v}) with v substituted: the term and the recorded set
     both take the substituted term's atoms."""

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from fintt import tt_engine as tt
-from fintt.errors import BadNode, KernelError, SideConditionFailed
+from fintt.errors import BadNode, KernelError, PremiseMismatch, SideConditionFailed
 from fintt.derive import TTDeriver
 from fintt.instantiation import Instantiation, act
 from fintt.judgements import (
@@ -350,6 +350,35 @@ def test_uniqueness_of_typing(corpus_tt):
     eq = tt.uniqueness_of_typing(th, var_b, c1, mctx_d, vctx_d)
     assert eq.conclusion.jdg == plain(EqTy(BOOL, BOOL, DUMMY))
     tt.check_derivation(th, eq)
+
+
+def test_uniqueness_of_typing_refuses_a_subject_that_is_no_typing(corpus_tt):
+    """A type judgement has no type to compare: refused as the cf twin
+    refuses it, not by reading a premise the node does not have."""
+    th = corpus_tt
+    deriver = TTDeriver(th)
+    nat_d = deriver.ty(EMPTY_METAS, EMPTY_VARS, NAT)
+    mctx_d, vctx_d = tt.mctx_empty(th), deriver.vctx_wf(EMPTY_METAS, EMPTY_VARS)
+    with pytest.raises(BadNode, match="IsTm"):
+        tt.uniqueness_of_typing(th, nat_d, nat_d, mctx_d, vctx_d)
+    a = FreeVar("a")
+    vctx = VarCtx([(a, NAT)])
+    var_a = tt.tt_var(th, EMPTY_METAS, vctx, a)
+    refl = tt.eqty_refl(th, deriver.ty(EMPTY_METAS, vctx, NAT))
+    with pytest.raises(BadNode):
+        tt.uniqueness_of_typing(th, var_a, refl, mctx_d, deriver.vctx_wf(EMPTY_METAS, vctx))
+
+
+def test_uniqueness_of_typing_refuses_two_terms(corpus_tt):
+    th = corpus_tt
+    deriver = TTDeriver(th)
+    a, b = FreeVar("a"), FreeVar("b")
+    vctx = VarCtx([(a, NAT), (b, NAT)])
+    var_a = tt.tt_var(th, EMPTY_METAS, vctx, a)
+    var_b = tt.tt_var(th, EMPTY_METAS, vctx, b)
+    mctx_d, vctx_d = tt.mctx_empty(th), deriver.vctx_wf(EMPTY_METAS, vctx)
+    with pytest.raises(PremiseMismatch, match="one term"):
+        tt.uniqueness_of_typing(th, var_a, var_b, mctx_d, vctx_d)
 
 
 def test_meta_congr_eco_agrees_with_full(corpus_tt):
