@@ -29,7 +29,7 @@ certificate's payload exactly.
 
 Transported congruence goes cf -> tt once per premise, reads the fills of a
 premise equation off its derivation, as the presuppositions of a derivable
-judgement are derivable, instantiates the rule's conclusion equally, and
+judgement are derivable, applies the congruence closure rule to them, and
 goes back tt -> cf with each premise's derivation answered by the premise's
 own certificate, as the translations are mutually inverse on it.
 """
@@ -49,7 +49,7 @@ from .errors import (
     UnsuitableContext,
 )
 from .instantiation import Instantiation
-from .judgements import EMPTY_VARS, MetaCtx, VarCtx, fill_equation, head_of, plain, unfill
+from .judgements import MetaCtx, VarCtx, fill_equation, head_of, plain, unfill
 from .printer import SHOWN_LENGTH, print_statement_cut
 from .syntax import (
     EqTm,
@@ -580,22 +580,17 @@ class TTtoCF:
     def _components(self, cert):
         return cf.boundary_components(self.cf, cf.presuppositions_cf(self.cf, cert))
 
-    def _retype_to(self, t_cert, ty_cert):
-        """Moves a term to an erasure-equal type via CF-Conv-Tm along
-        reflexivity."""
-        if self._body(t_cert, "a term", IsTm).ty == self._body(ty_cert, "a type", IsTy).ty:
-            return t_cert
-        refl = cf.cf_eqty_refl(self.cf, self._components(t_cert)[0], ty_cert)
-        return cf.cf_conv_tm(self.cf, t_cert, refl)
-
-    def _retype_eq(self, eq_cert, of):
-        """Moves a term equation to the erasure-equal type of the term
-        equation ``of`` via CF-Conv-EqTm along reflexivity."""
-        ty, want = (self._body(c, "a term equation", EqTm).ty for c in (eq_cert, of))
-        if ty == want:
-            return eq_cert
-        refl = cf.cf_eqty_refl(self.cf, self._components(eq_cert)[0], self._components(of)[0])
-        return cf.cf_conv_eqtm(self.cf, eq_cert, refl)
+    def _retype(self, cert, of):
+        """Moves a term or term equation onto the erasure-equal type of ``of``,
+        a type or a term equation, via conversion along reflexivity; the
+        wanted type is certified only where the two types differ."""
+        want = self._body(of, "a type or term equation", IsTy, EqTm)
+        term = isinstance(want, IsTy)
+        if self._body(cert, *(("a term", IsTm) if term else ("a term equation", EqTm))).ty == want.ty:
+            return cert
+        have = self._components(cert)[0]
+        refl = cf.cf_eqty_refl(self.cf, have, of if term else self._components(of)[0])
+        return (cf.cf_conv_tm if term else cf.cf_conv_eqtm)(self.cf, cert, refl)
 
     def _rectify_eq(self, eq_cert, left, right=None):
         """Moves each side of a type equation that is not the type of ``left``,
@@ -625,7 +620,7 @@ class TTtoCF:
             out = cf.cf_bdry_eqty(self.cf, fill_l, fill_r)
         else:
             a_c = self._components(fill_l)[0]
-            out = cf.cf_bdry_eqtm(self.cf, a_c, fill_l, self._retype_to(fill_r, a_c))
+            out = cf.cf_bdry_eqtm(self.cf, a_c, fill_l, self._retype(fill_r, a_c))
         for ty_c, v in reversed(opened):
             out = cf.cf_abstract_fwd(self.cf, ty_c, out, v)
         return out
@@ -762,7 +757,7 @@ class TTtoCF:
             case "TT-EqTy-Trans":
                 return cf.cf_eqty_trans(self.cf, c[0], c[1])
             case "TT-EqTm-Trans":
-                return cf.cf_eqtm_trans(self.cf, c[0], self._retype_eq(c[1], c[0]))
+                return cf.cf_eqtm_trans(self.cf, c[0], self._retype(c[1], c[0]))
             case "TT-Conv-Tm" | "TT-Conv-EqTm":
                 eq = self._rectify_eq(c[1], c[0])
                 conv = cf.cf_conv_tm if d.rule == "TT-Conv-Tm" else cf.cf_conv_eqtm
@@ -774,7 +769,7 @@ class TTtoCF:
             case "TT-Bdry-EqTy":
                 return cf.cf_bdry_eqty(self.cf, c[0], c[1])
         a_c, s_c, t_c = c  # TT-Bdry-EqTm
-        return cf.cf_bdry_eqtm(self.cf, a_c, self._retype_to(s_c, a_c), self._retype_to(t_c, a_c))
+        return cf.cf_bdry_eqtm(self.cf, a_c, self._retype(s_c, a_c), self._retype(t_c, a_c))
 
 
 def tt_to_cf(
@@ -884,6 +879,10 @@ def transported_congruence(
     equality premise; an object premise that is no equation is refused with
     ``PremiseMismatch``.  Each premise is derived in tt once, and the fills
     f_i and g'_i are read off the equation's derivation (``_fills_tt``).
+    The congruence is one ``TT-Congr`` node; a term rule's type equation
+    I*A == J*A  is equal instantiation of the conclusion type that the tt
+    rule's finitary witness derives, refused with ``MissingContextEvidence``
+    over a tt theory that has not passed the finitary gate.
     tt -> cf takes each premise's certificate for its derivation as it is.
     The premises are derived in one suitable context, whose well-formedness,
     which a fill read off presuppositions needs, the same translator finds
@@ -895,33 +894,30 @@ def transported_congruence(
     rule_tt = tt_theory.rule(rule_name).rule
     if not rule_cf.is_object:
         raise NonStandardTheory(f"rule {rule_name} is not an object rule")
-    n = len(rule_cf.premises)
-    if len(premise_certs) != n:
+    if len(premise_certs) != len(rule_cf.premises):
         raise UncheckableDerivation("one certificate per rule premise required")
 
     ctx = mctx, vctx = _context_of(*(c.payload for c in premise_certs))
     translator = CfToTT(cf_theory, tt_theory)
     known = [(translator.judgement(c, ctx)[2], c) for c in premise_certs]
     entries: list = []
-    for i, ((m, b), (p_tt, _)) in enumerate(zip(rule_cf.premises, known)):
-        bare = MetaName(m.name, None)
+    for i, ((m, b), (p_tt, _)) in enumerate(zip(rule_tt.premises, known)):
         if boundary_arity(b).cls.is_object:
             i_tt, jat_tt = _fills_tt(tt_theory, p_tt, lambda: translator._evidence(ctx))
             j_tt = _j_fill_tt(tt_theory, rule_tt, i, jat_tt, entries)
-            entries.append(tt.EqInstEntry(bare, i_tt, j_tt, jat_tt, p_tt))
+            entries.append(tt.EqInstEntry(m, i_tt, j_tt, jat_tt, p_tt))
         else:
-            entries.append(tt.EqInstEntry(bare, p_tt, p_tt, p_tt, None))
+            entries.append(tt.EqInstEntry(m, p_tt, p_tt, p_tt, None))
 
-    # the rule's own conclusion over its premises, instantiated equally
-    def generic_conclusion():
-        ttd = TTDeriver(tt_theory)
-        xi = MetaCtx(list(rule_tt.premises))
-        return ttd.judgement(xi, EMPTY_VARS, plain(rule_tt.conclusion)), ttd.mctx_wf(xi)
-
-    d, xi_wf = tt_theory.cached(("generic conclusion", rule_name), generic_conclusion)
-    _, _, d_eq = tt.eq_instantiate(tt_theory, entries, d, mctx, vctx, xi_wf)
-    if d_eq is None:
-        raise UncheckableDerivation("the rule conclusion is not an object judgement")
+    # TT-Congr over the fills and equations, and I*A == J*A for a term rule
+    left, right = [e.i_deriv for e in entries], [e.j_deriv for e in entries]
+    kids = [*left, *right, *(e.eq_deriv for e in entries if e.eq_deriv is not None)]
+    if isinstance(rule_tt.conclusion, IsTm):
+        (ty,) = tt._bdry_premises(tt._finitary_boundary_witness(tt_theory, rule_name), "TT-Bdry-Tm")
+        xi_wf = tt_theory.finitary_witnesses[rule_name]["mctx"]
+        kids.append(tt.eq_instantiate(tt_theory, entries, ty, mctx, vctx, xi_wf)[2])
+    insts = translator._instantiation(rule_name, left), translator._instantiation(rule_name, right)
+    d_eq = tt.congruence(tt_theory, mctx, vctx, rule_name, *insts, kids)
 
     # back to cf, each premise's certificate standing for its own derivation
     labelings = _labelings_for(mctx, vctx, *premise_certs)

@@ -46,6 +46,7 @@ from fintt.syntax import (
     AsmArg,
     AssumptionSet,
     BoundVar,
+    Convert,
     ExprArg,
     FreeVar,
     IsTm,
@@ -453,6 +454,13 @@ def test_cf_to_tt_depth_edge(corpus_cf, corpus_tt):
         deeper = cf.cf_apply_rule(corpus_cf, "succ", [deeper])
     with pytest.raises(KernelError):
         tr.cf_judgement_to_tt(corpus_cf, corpus_tt, deeper)
+
+
+def test_the_tt_search_refuses_a_conversion_goal(corpus_tt):
+    """A conversion term exists only in the context-free presentation."""
+    a = FreeVar("a")
+    with pytest.raises(DeriveError, match=r"cannot derive a typing for convert\(a, \{\}\)"):
+        TTDeriver(corpus_tt).tm(EMPTY_METAS, VarCtx([(a, NAT)]), Convert(a, AssumptionSet()), NAT)
 
 
 def test_refusal_messages_are_printed_and_bounded(corpus_cf, corpus_tt):

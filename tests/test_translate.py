@@ -13,7 +13,7 @@ import pytest
 from fintt import cf_engine as cf
 from fintt import tt_engine as tt
 from fintt import translate as tr
-from fintt.derive import CFDeriver, TTDeriver
+from fintt.derive import CFDeriver, DeriveError, TTDeriver
 from fintt.errors import KernelError, MissingContextEvidence, PremiseMismatch, TypeMismatch
 from fintt.instantiation import Instantiation
 from fintt.judgements import EMPTY_METAS, EMPTY_VARS, MetaCtx, VarCtx, plain, unfill
@@ -37,6 +37,7 @@ from fintt.syntax import (
     MetaName,
     SymbolApp,
     asm,
+    boundary_arity,
     double_erase,
     erase,
     erased_equal,
@@ -47,7 +48,9 @@ from fintt.parser import elaborate, parse_theory
 from fintt.theory import check_finitary, check_standard, erase_theory
 
 from .gen import CertGen
+from .test_equational_premises import THEORY_TEXT as EQUATIONAL_THEORY
 from .test_lambda_theory import THEORY_TEXT as LAMBDA_THEORY
+from .test_theory import mltt_builder
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
 
@@ -552,6 +555,26 @@ def test_tt_to_cf_of_a_metavariable_binding_two_variables(corpus_cf, corpus_tt):
     assert cert.payload == plain(IsTy(MetaApp(MetaName("M", CONV_METAS[M2]), (A_CF, P_CF))))
 
 
+def test_tt_to_cf_moves_converted_arguments_onto_a_metavariable_s_binder_types(
+    corpus_cf, corpus_tt, monkeypatch
+):
+    """M(a', p'), a converted along nat == nat and p along the reflexivity
+    of Id(nat, convert(a, {}), a): each argument is moved onto its binder
+    type, the second with a' substituted, and the result replays."""
+    th = corpus_tt
+    ttd, a_d, _, id_conv, p_d = conversion_inputs(th)
+    a_conv = tt.conv_tm(th, a_d, tt.eqty_refl(th, ttd.ty(CONV_METAS, CONV_VARS, NAT)))
+    p_conv = tt.conv_tm(th, p_d, tt.eqty_refl(th, id_conv))
+    calls = []
+    real = cf.binder_type_cert
+    monkeypatch.setattr(cf, "binder_type_cert", lambda *a: calls.append(a[2]) or real(*a))
+    cert = translated(corpus_cf, th, tt.tt_meta(th, CONV_METAS, CONV_VARS, M2, [a_conv, p_conv]))
+    assert calls == [0, 1]
+    a2 = Convert(A_CF, EMPTY)
+    args = (a2, Convert(Convert(P_CF, EMPTY), EMPTY))
+    assert cert.payload == plain(IsTy(MetaApp(MetaName("M", CONV_METAS[M2]), args)))
+
+
 def test_tt_to_cf_converts_a_type_equation_onto_its_fills(corpus_cf, corpus_tt):
     """Congruence of Pi over Id(nat, a, a), whose domain equation is
     reflexivity of Id(nat, convert(a, {}), a): boundary conversion moves it
@@ -760,9 +783,10 @@ def test_round_trips_make_one_kernel_call_per_node(corpus_cf, corpus_tt, monkeyp
 
 
 # ---------------------------------------------------------------------------
-# Transported congruence at the cost of its premises: no weakening of the
-# generic conclusion, no binder conversion along reflexivity, and t' moved
-# only where its type equation's sides differ from the instances' types.
+# Transported congruence at the cost of its premises: the congruence rule
+# applied to the fills with no weakening of the rule's witness, no binder
+# conversion along reflexivity, and t' moved only where its type equation's
+# sides differ from the instances' types.
 
 
 def forged_nodes(th):
@@ -916,9 +940,10 @@ def congruence_shape(shape, corpus_cf, corpus_tt, lambda_theories):
 def test_transported_congruence_neither_weakens_nor_converts_along_reflexivity(
     corpus_cf, corpus_tt, lambda_theories, monkeypatch, shape
 ):
-    """The generic conclusion goes to equal instantiation as it is cached,
-    not weakened to the target context, and no fill is converted along a
-    binder-type equation whose sides are equal."""
+    """A term rule's conclusion type, as the rule's finitary witness derives
+    it, goes to equal instantiation as it is, not weakened to the target
+    context, and no fill is converted along a binder-type equation whose
+    sides are equal."""
     t_cf, t_tt, rule, eqs = congruence_shape(shape, corpus_cf, corpus_tt, lambda_theories)
     calls = []
     for name in ("weaken_vars", "conv_abstr"):
@@ -933,6 +958,122 @@ def test_transported_congruence_neither_weakens_nor_converts_along_reflexivity(
     assert not [c for c in calls if c[0] == "conv_abstr"]
 
 
+# ---------------------------------------------------------------------------
+# Transported congruence by the congruence closure rule: TT-Congr over the
+# premises' fills and equations, with a term rule's type equation from equal
+# instantiation of the conclusion type its finitary witness derives.
+
+
+def refl2_premises(th):
+    """bool, u, v and  e : u == v  reflected from  p : Id(bool, u, v)."""
+    ty_bool = CFDeriver(th).ty(BOOL)
+    u, v = (cf.cf_var(th, FreeVar(x, BOOL), ty_bool) for x in "uv")
+    id_uv = cf.cf_apply_rule(th, "Id", [ty_bool, u, v])
+    p = cf.cf_var(th, FreeVar("p", id_uv.payload.body.ty), id_uv)
+    return ty_bool, u, v, cf.cf_apply_rule(th, "eq_reflect", [ty_bool, u, v, p])
+
+
+def by_the_generic_conclusion(t_cf, t_tt, rule, certs):
+    """Transported congruence by the older route: the rule's generic
+    conclusion derived by the obligation search, instantiated equally with
+    the premises' fills and equations, then tt -> cf with the same known
+    premise certificates."""
+    rule_tt = t_tt.rule(rule).rule
+    ctx = mctx, vctx = tr._context_of(*(c.payload for c in certs))
+    translator = tr.CfToTT(t_cf, t_tt)
+    known = [(translator.judgement(c, ctx)[2], c) for c in certs]
+    entries = []
+    for i, ((m, b), (p, _)) in enumerate(zip(rule_tt.premises, known)):
+        if boundary_arity(b).cls.is_object:
+            i_d, jat_d = tr._fills_tt(t_tt, p, lambda: translator._evidence(ctx))
+            entries.append(tt.EqInstEntry(m, i_d, tr._j_fill_tt(t_tt, rule_tt, i, jat_d, entries), jat_d, p))
+        else:
+            entries.append(tt.EqInstEntry(m, p, p, p, None))
+    ttd = TTDeriver(t_tt)
+    xi = MetaCtx(list(rule_tt.premises))
+    generic = ttd.judgement(xi, EMPTY_VARS, plain(rule_tt.conclusion))
+    _, _, d_eq = tt.eq_instantiate(t_tt, entries, generic, mctx, vctx, ttd.mctx_wf(xi))
+    return tr.tt_to_cf(t_tt, t_cf, d_eq, labelings=tr._labelings_for(mctx, vctx, *certs), known=known)
+
+
+@pytest.mark.parametrize("shape", [*MIX_SHAPES, "Id"])
+def test_transported_congruence_gives_what_the_generic_conclusion_gave(
+    corpus_cf, corpus_tt, lambda_theories, shape
+):
+    """The payload, certificate class and annotation cache keys are those of
+    the route through the generic conclusion."""
+    t_cf, t_tt, rule, eqs = congruence_shape(shape, corpus_cf, corpus_tt, lambda_theories)
+    out = tr.transported_congruence(t_cf, t_tt, rule, eqs)
+    ref = by_the_generic_conclusion(t_cf, t_tt, rule, eqs)
+    assert out.payload == ref.payload
+    assert type(out) is type(ref)
+    assert set(out._annotations) == set(ref._annotations)
+
+
+def test_transported_congruence_over_a_rule_with_an_equation_premise():
+    """refl2 along reflexivity, with its equation premise e as it is: the
+    obligation search does not derive the generic conclusion
+    refl2(A, s, t, *) : Id(A, s, t), but the congruence rule gives
+    r == convert(r, {}) : Id(bool, u, v)  for  r = refl2(bool, u, v, e)."""
+    t_cf, t_tt = gated(EQUATIONAL_THEORY)
+    ty_bool, u, v, e = refl2_premises(t_cf)
+    eqs = [cf.cf_eqty_refl(t_cf, ty_bool, ty_bool), cf.cf_eqtm_refl(t_cf, u, u), cf.cf_eqtm_refl(t_cf, v, v), e]
+    with pytest.raises(DeriveError):
+        by_the_generic_conclusion(t_cf, t_tt, "refl2", eqs)
+    out = tr.transported_congruence(t_cf, t_tt, "refl2", eqs)
+    r = cf.cf_apply_rule(t_cf, "refl2", [ty_bool, u, v, e]).payload.body
+    assert out.payload == plain(EqTm(r.term, Convert(r.term, EMPTY), r.ty, EMPTY))
+
+
+def fresh_shape(shape):
+    """The congruence ``shape`` over freshly elaborated and gated theories."""
+    if shape == "lam":
+        t_cf, t_tt = gated(LAMBDA_THEORY)
+    else:
+        t_cf, t_tt = (mltt_builder(flavor).theory() for flavor in ("cf", "tt"))
+        for th in (t_cf, t_tt):
+            check_finitary(th)
+            check_standard(th)
+    return congruence_shape(shape, t_cf, t_tt, (t_cf, t_tt))
+
+
+@pytest.mark.parametrize("shape", [*MIX_SHAPES, "Id"])
+def test_transported_congruence_searches_nothing(monkeypatch, shape):
+    """No ``TTDeriver`` method runs, on theories no earlier call has
+    touched."""
+    t_cf, t_tt, rule, eqs = fresh_shape(shape)
+    calls = []
+    for name, f in inspect.getmembers(TTDeriver, inspect.isfunction):
+        monkeypatch.setattr(TTDeriver, name, lambda *a, _f=f, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    tr.transported_congruence(t_cf, t_tt, rule, eqs)
+    assert calls == []
+
+
+@pytest.mark.parametrize("shape", [*MIX_SHAPES, "Id"])
+def test_transported_congruence_instantiates_only_a_term_rules_type(
+    corpus_cf, corpus_tt, lambda_theories, monkeypatch, shape
+):
+    """Equal instantiation runs once for lam, over its conclusion type, and
+    never for the type rules Pi and Id."""
+    t_cf, t_tt, rule, eqs = congruence_shape(shape, corpus_cf, corpus_tt, lambda_theories)
+    calls = []
+    real = tt.eq_instantiate
+    monkeypatch.setattr(tt, "eq_instantiate", lambda *a: calls.append(a) or real(*a))
+    tr.transported_congruence(t_cf, t_tt, rule, eqs)
+    assert len(calls) == (rule == "lam")
+
+
+def test_transported_congruence_of_a_term_rule_needs_the_gated_tt_theory():
+    """lam over a tt theory that has not passed the finitary gate has no
+    witness for its conclusion type, and is refused by name."""
+    decl = parse_theory(LAMBDA_THEORY)
+    t_cf, t_tt = elaborate(decl, "cf"), elaborate(decl, "tt")
+    check_finitary(t_cf)
+    check_standard(t_cf)
+    with pytest.raises(MissingContextEvidence):
+        tr.transported_congruence(t_cf, t_tt, "lam", congruence_of_lam(t_cf))
+
+
 CAPTURE_THEORY = LAMBDA_THEORY + """\
 rule Id: premise A : type; premise s : A; premise t : A; yields type
 rule eq_reflect: premise A : type; premise s : A; premise t : A; premise p : Id(A, s, t); yields s == t : A
@@ -942,9 +1083,10 @@ rule eq_reflect: premise A : type; premise s : A; premise t : A; premise p : Id(
 def test_transported_congruence_keeps_a_proof_variable_named_like_the_generic_binder():
     """lam(bool, {x} bool, {x} s) == lam(bool, {x} bool, {x} t), whose body
     equation is reflected from a proof variable named ``x#0``, the binder
-    name of lam's generic conclusion.  The proof variable is in the target
-    context only through the equation's assumption set; the binder avoids
-    its name, and the result assumes it."""
+    name of the type derivation in lam's finitary witness, which equal
+    instantiation walks for the type equation.  The proof variable is in the
+    target context only through the equation's assumption set; the binder
+    avoids its name, and the result assumes it."""
     t_cf, t_tt = gated(CAPTURE_THEORY)
     ty_bool = CFDeriver(t_cf).ty(BOOL)
     s, t = (cf.cf_var(t_cf, FreeVar(n, BOOL), ty_bool) for n in "st")
@@ -957,7 +1099,7 @@ def test_transported_congruence_keeps_a_proof_variable_named_like_the_generic_bi
         cf.cf_abstract_fwd(t_cf, ty_bool, eq, FreeVar("w", BOOL)),
     ]
     out = tr.transported_congruence(t_cf, t_tt, "lam", eqs)
-    (binder,) = tt._binding_atoms(t_tt.cached(("generic conclusion", "lam"), None)[0])
+    (binder,) = tt._binding_atoms(t_tt.finitary_witnesses["lam"]["boundary"].premises[0])
     assert binder.name == p.name
     fam = Abstr(ExprArg(BOOL))
     lam = lambda v: SymbolApp("lam", (ExprArg(BOOL), fam, Abstr(ExprArg(v.payload.body.term))))

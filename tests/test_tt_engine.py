@@ -1,6 +1,7 @@
 """The contexted engine: derivation checking, admissible substitution and
 instantiation against syntactic oracles, presuppositions, inversion."""
 
+import pickle
 import random
 
 import pytest
@@ -335,6 +336,16 @@ def test_inversion_collapses_conversions(corpus_tt):
     # conversion-free input returned unchanged
     assert tt.invert(th, var_b) is var_b
     tt.check_derivation(th, inv)
+
+
+def test_a_derivation_pickles_without_its_stored_hash(corpus_tt):
+    """succ(succ(a)) : nat, pickled and loaded back, is equal to the
+    original and hashes alike."""
+    vctx = VarCtx([(FreeVar("a"), NAT)])
+    d = TTDeriver(corpus_tt).tm(EMPTY_METAS, vctx, succ(succ(FreeVar("a"))), NAT)
+    back = pickle.loads(pickle.dumps(d))
+    assert back is not d and back == d and hash(back) == hash(d)
+    tt.check_derivation(corpus_tt, back)
 
 
 def test_uniqueness_of_typing(corpus_tt):
