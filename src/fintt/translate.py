@@ -16,7 +16,9 @@ metavariable's boundary, or of a variable's type.  The step of a node
 translates its premises and applies the context-free rule of its kind.  A
 premise that does not already fill the boundary the rule instantiates with
 the earlier premises is first moved onto it by boundary conversion, which
-takes up the slack that erasure leaves.  The induction runs on
+takes up the slack that erasure leaves.  A congruence's equation is held to
+its left fill and its own right side, which the rule checks against the
+right fill only up to erasure.  The induction runs on
 ``tt_engine.walk``, which keeps no Python frame per level; as a policy it
 refuses a derivation nested deeper than ``MAX_DEPTH`` levels with
 ``DepthExceeded``.
@@ -49,9 +51,10 @@ from .errors import (
     UnsuitableContext,
 )
 from .instantiation import Instantiation
-from .judgements import MetaCtx, VarCtx, fill_equation, head_of, plain, unfill
+from .judgements import MetaCtx, VarCtx, head_of, plain
 from .printer import SHOWN_LENGTH, print_statement_cut
 from .syntax import (
+    Abstracted,
     EqTm,
     EqTy,
     ExprArg,
@@ -485,6 +488,16 @@ def _erased_conclusions(theory: Theory) -> dict:
     )
 
 
+def _sides(j, what: str) -> list:
+    """The two sides of the equation ``j`` as object judgements under its
+    binders; ``what`` names ``j`` in the refusal of one that is no equation."""
+    eq = j.body
+    if not isinstance(eq, (EqTy, EqTm)):
+        raise PremiseMismatch(f"{what} is a {type(eq).__name__}, not an equation")
+    side = IsTy if isinstance(eq, EqTy) else lambda s: IsTm(s, eq.ty)
+    return [Abstracted(j.prefix, side(s)) for s in (eq.lhs, eq.rhs)]
+
+
 class TTtoCF:
     """Translates checked tt derivations into certificates, by induction on
     the derivation.  A context entry's label is a certificate whose payload
@@ -498,7 +511,8 @@ class TTtoCF:
     kind (``_KINDS``).  Every rule case then does the same: it moves a
     premise by boundary conversion onto the boundary it fills, which the rule
     instantiates with the earlier premises (``_fill``), or an equation onto
-    that of its two fills (``_equations``), unless it fills it already:
+    that of its left fill and its own right side (``_equations``), unless it
+    fills it already:
 
     - ``_meta``: TT-Meta, TT-Meta-Eco and TT-Meta-Congr, whose arguments fill
       the metavariable's binder types;
@@ -604,23 +618,28 @@ class TTtoCF:
             eq_cert = cf.cf_eqty_trans(self.cf, eq_cert, r)
         return eq_cert
 
-    def _equation_boundary_cert(self, fill_l, fill_r):
-        """The equation boundary of two object fills of one boundary: each
-        binder of the left fill is opened at a fresh variable, substituted
-        into both, and the boundary is abstracted back over the variables."""
+    def _equation_boundary_cert(self, left, right):
+        """The equation boundary of an object fill and a right side over
+        erasure-equal binders: each binder of the fill is opened at a fresh
+        variable, substituted into the fill, and into the right side
+        converted onto its binder type where that differs, and the boundary
+        is abstracted back over the variables."""
         opened = []
-        while fill_l.payload.prefix:
-            j = fill_l.payload
-            ty_c = cf.binder_type_cert(self.cf, cf.presuppositions_cf(self.cf, fill_l), 0)
-            v = FreeVar(fresh_name("x", atoms_in_use(j)), j.prefix[0])
-            var_c = cf.cf_var(self.cf, v, ty_c)
-            fill_l, fill_r = (cf.cf_substitute(self.cf, c, var_c) for c in (fill_l, fill_r))
+        while left.payload.prefix:
+            j = left.payload
+            ty_c = cf.binder_type_cert(self.cf, cf.presuppositions_cf(self.cf, left), 0)
+            v = FreeVar(fresh_name("x", atoms_in_use(j, right.payload)), j.prefix[0])
+            var_c = var_r = cf.cf_var(self.cf, v, ty_c)
+            if right.payload.prefix[:1] != j.prefix[:1]:
+                ty_r = cf.binder_type_cert(self.cf, cf.presuppositions_cf(self.cf, right), 0)
+                var_r = cf.cf_conv_tm(self.cf, var_c, cf.cf_eqty_refl(self.cf, ty_c, ty_r))
+            left, right = (cf.cf_substitute(self.cf, c, x) for c, x in ((left, var_c), (right, var_r)))
             opened.append((ty_c, v))
-        if isinstance(fill_l.payload.body, IsTy):
-            out = cf.cf_bdry_eqty(self.cf, fill_l, fill_r)
+        if isinstance(left.payload.body, IsTy):
+            out = cf.cf_bdry_eqty(self.cf, left, right)
         else:
-            a_c = self._components(fill_l)[0]
-            out = cf.cf_bdry_eqtm(self.cf, a_c, fill_l, self._retype(fill_r, a_c))
+            a_c = self._components(left)[0]
+            out = cf.cf_bdry_eqtm(self.cf, a_c, left, self._retype(right, a_c))
         for ty_c, v in reversed(opened):
             out = cf.cf_abstract_fwd(self.cf, ty_c, out, v)
         return out
@@ -636,13 +655,15 @@ class TTtoCF:
             fills.append(cf.boundary_convert(self.cf, boundary(len(fills), fills), c))
         return fills
 
-    def _equations(self, certs, lefts, rights):
-        """Moves each equation not already on it onto the equation boundary
-        of its left and right fill, whose left side is the left fill's head."""
+    def _equations(self, certs, lefts):
+        """Moves each equation onto the equation boundary of its left fill and
+        its own right side, unless its left side, under its binders and at
+        its type, is that fill already: the congruence rules hold the right
+        side to the right fill only up to erasure."""
         out = []
-        for c, left, right in zip(certs, lefts, rights):
-            (b, hl), (br, hr) = unfill(left.payload), unfill(right.payload)
-            if b != br or unfill(c.payload)[0] != unfill(fill_equation(b, hl, hr))[0]:
+        for c, left in zip(certs, lefts):
+            if _sides(c.payload, "a congruence's equation premise")[0] != left.payload:
+                right = self._components(c)[-1]
                 c = cf.boundary_convert(self.cf, self._equation_boundary_cert(left, right), c)
             out.append(c)
         return out
@@ -695,7 +716,7 @@ class TTtoCF:
         if d.rule != "TT-Meta-Congr":
             return cf.cf_meta(self.cf, m_cf, ss, annotation_cert=label)
         ts = self._fill(c[k : 2 * k], binder, demand)
-        eqs = self._equations(c[2 * k :], ss, ts)
+        eqs = self._equations(c[2 * k :], ss)
         return cf.cf_meta_congr(self.cf, m_cf, ss, ts, eqs, annotation_cert=label)
 
     def _specific(self, d, c, metas, variables):
@@ -716,12 +737,8 @@ class TTtoCF:
         if d.rule != "TT-Congr":
             return cf.cf_apply_rule(self.cf, name, fs)
         gs = self._fill(c[n : 2 * n], premise, demand)
-        objects = [
-            i for i, (_, b) in enumerate(rule_cf.premises) if boundary_arity(b).cls.is_object
-        ]
-        eqs = self._equations(
-            c[2 * n : 2 * n + len(objects)], [fs[i] for i in objects], [gs[i] for i in objects]
-        )
+        lefts = [f for f, is_object in zip(fs, rule_cf.parts.objects) if is_object]
+        eqs = self._equations(c[2 * n : 2 * n + len(lefts)], lefts)
         t_prime = None
         if isinstance(rule_cf.conclusion, IsTm):
             # t': the right instance converted along the conclusion's type
@@ -848,12 +865,8 @@ def _fills_tt(tt_theory: Theory, eq_tt, evidence) -> list:
     while d.rule == "TT-Abstr":
         opened.append((d.premises[0], d.data[2]))
         d = d.premises[1]
-    eq = d.conclusion.jdg.body
-    if not isinstance(eq, (EqTy, EqTm)):
-        raise PremiseMismatch(f"an object premise of congruence is a {type(eq).__name__}, not an equation")
     by_jdg = {p.conclusion.jdg: p for p in d.premises if isinstance(p.conclusion, tt.JdgTT)}
-    sides = [plain(IsTy(s) if isinstance(eq, EqTy) else IsTm(s, eq.ty)) for s in (eq.lhs, eq.rhs)]
-    fills = [by_jdg.get(s) for s in sides]
+    fills = [by_jdg.get(s) for s in _sides(d.conclusion.jdg, "an object premise of congruence")]
     if None in fills:
         mctx_ev, vctx_ev = evidence()
         for ty_k, atom in opened:

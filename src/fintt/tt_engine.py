@@ -900,10 +900,8 @@ def vctx_entry_type(theory: Theory, vctx_deriv: Derivation, v: FreeVar) -> Deriv
         d = d.premises[0]
     if d.rule != "VCtx-Extend":
         raise MissingContextEvidence(f"{v.name} not in the variable context")
-    out = d.premises[1]
-    for vv, ty in [(v, _want_plain_thesis(out.conclusion, IsTy, "VCtx-Extend").ty)] + later[::-1]:
-        out = weaken_var(theory, out, vv, ty)
-    return out
+    own = _want_plain_thesis(d.premises[1].conclusion, IsTy, "VCtx-Extend").ty
+    return weaken_vars(theory, d.premises[1], [(v, own)] + later[::-1])
 
 
 def _check_mctx_evidence(mctx_deriv: Derivation, mctx: MetaCtx) -> None:
@@ -950,13 +948,9 @@ def admissible_substitute(theory: Theory, d_abs: Derivation, d_t: Derivation) ->
         if d.rule != "TT-Var" or d.data[2] != v:
             return (yield from rebuild(d))
         before, after = _split_vctx(d.data[1], v)
-        out = d_t
         # d_t may sit over a prefix of Gamma; first pad to Gamma
-        for (w, ty) in before[len(base_vctx.entries):]:
-            out = weaken_var(theory, out, w, ty)
-        for (w, ty) in after:
-            out = weaken_var(theory, out, w, subst_free(ty, v, t))
-        return out
+        pad = before[len(base_vctx.entries) :] + [(w, subst_free(ty, v, t)) for w, ty in after]
+        return weaken_vars(theory, d_t, pad)
 
     opened = _avoid_binding_clashes(theory, opened, set(atoms_in_use(t)))
     maps = {"vctx": sub_vctx, "expr": lambda x: subst_free(x, v, t)}
@@ -1126,10 +1120,8 @@ def prepare_subst_eq(
         if d.rule != "TT-Var" or d.data[2] not in by_var:
             return (yield from step(item))
         e = by_var[d.data[2]]
-        out = (e.s_deriv, e.t_deriv, e.eq_deriv)
-        for (w, ty) in ctx(d, delta)[1].entries[base_len:]:
-            out = tuple(weaken_var(theory, x, w, ty) for x in out)
-        return out
+        pad = ctx(d, delta)[1].entries[base_len:]
+        return tuple(weaken_vars(theory, x, pad) for x in (e.s_deriv, e.t_deriv, e.eq_deriv))
 
     names: set[str] = set()
     for e in subs:
@@ -1241,9 +1233,8 @@ def admissible_instantiate(
         kids = []
         for p in d.premises[: 3 * k if rule == "TT-Meta-Congr" else k]:
             kids.append((yield p))
-        base = inst_derivs[m]
-        for u, ty in d.data[1].entries[n:]:
-            base = weaken_var(theory, base, u, act(inst, ty))
+        pad = [(u, act(inst, ty)) for u, ty in d.data[1].entries[n:]]
+        base = weaken_vars(theory, inst_derivs[m], pad)
         if rule == "TT-Meta-Congr":
             return eq_subst_n(
                 theory, base, kids[:k], kids[k : 2 * k], kids[2 * k :], mctx_deriv=mctx_deriv

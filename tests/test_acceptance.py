@@ -1,7 +1,9 @@
 """The acceptance gate: one test per criterion, each printing a PASS line.
 
 Run with  pytest tests/test_acceptance.py -s  to see the per-criterion
-report.
+report.  Each PASS line must be the one pinned in
+``tests/criterion_lines.txt``; a change that alters a line on purpose
+updates that file and says why.
 """
 
 import pathlib
@@ -64,14 +66,18 @@ from .test_syntax import oracle_fv, oracle_mv, oracle_occurrences
 from .test_theory import id_typo_builder, mltt_builder, pi_family_builder, succ_typo_builder
 
 CORPUS = pathlib.Path(__file__).parent / "corpus"
+CRITERION_LINES = (pathlib.Path(__file__).parent / "criterion_lines.txt").read_text("utf-8").splitlines()
 BOOL = SymbolApp("bool", ())
 NAT = SymbolApp("nat", ())
 
 
 def report(n: int, text: str, elapsed: float | None = None) -> None:
-    """Prints the criterion's line, and its wall time on a line of its own,
-    so that two runs of the same code print the same CRITERION lines."""
-    print(f"\nCRITERION {n}: PASS — {text}")
+    """Prints the criterion's line, which must be its pinned line, and its
+    wall time on a line of its own, so that two runs of the same code print
+    the same CRITERION lines."""
+    line = f"CRITERION {n}: PASS — {text}"
+    assert line == CRITERION_LINES[n - 1], f"criterion {n} differs from its pinned line"
+    print(f"\n{line}")
     if elapsed is not None:
         print(f"TIME {n}: {elapsed:.2f}s")
 

@@ -14,6 +14,7 @@ from fintt.script import ScriptRunner, run_script
 from fintt.syntax import (
     Abstr,
     AsmArg,
+    AssumptionSet,
     DUMMY,
     EqTm,
     EqTmB,
@@ -259,3 +260,44 @@ def test_equal_substitution_into_a_term_rule_translates(corpus_cf, corpus_tt):
     cert = tr.tt_to_cf(th, corpus_cf, out, tt.mctx_empty(th), ttd.vctx_wf(EMPTY_METAS, vctx))
     assert double_erase(cert.payload) == out.conclusion.jdg
     assert any(v.name == "p" for v in cert.payload.body.by.free_vars)
+
+
+CONGRUENCE_RULE_TEXT = """\
+rule nat: yields type
+rule a: yields : nat
+rule b: yields : nat
+rule ab: yields a == b : nat
+rule succ: premise n : nat; yields : nat
+rule congr: premise m : nat; premise n : nat; premise e : m == n : nat; yields succ(m) == succ(n) : nat
+"""
+NAT, A, B = (SymbolApp(name, ()) for name in ("nat", "a", "b"))
+SUCC_A, SUCC_B = (SymbolApp("succ", (ExprArg(x),)) for x in (A, B))
+
+
+@pytest.fixture(scope="module")
+def congruence_rule_theories():
+    decl = parse_theory(CONGRUENCE_RULE_TEXT)
+    out = elaborate(decl, "cf"), elaborate(decl, "tt")
+    for th in out:
+        check_finitary(th)
+        check_standard(th)
+    return out
+
+
+def test_cf_search_derives_the_equation_premise_matching_leaves_open(congruence_rule_theories):
+    """Matching  succ(a) == succ(b)  against congr's conclusion fixes m and
+    n but not e: the search derives  a == b : nat  for it, from ab."""
+    t_cf, _ = congruence_rule_theories
+    out = CFDeriver(t_cf).eqtm(SUCC_A, SUCC_B, NAT)
+    assert out.payload == plain(EqTm(SUCC_A, SUCC_B, NAT, AssumptionSet()))
+
+
+def test_tt_search_derives_the_equation_premise_matching_leaves_open(congruence_rule_theories):
+    """The tt search fills congr's equation premise with the derivation of
+    a == b : nat  from ab, in an economic node that re-checks."""
+    _, t_tt = congruence_rule_theories
+    d = TTDeriver(t_tt).eqtm(EMPTY_METAS, EMPTY_VARS, SUCC_A, SUCC_B, NAT)
+    tt.check_derivation(t_tt, d)
+    assert (d.rule, d.data[2]) == ("TT-Specific-Eco", "congr")
+    assert d.conclusion.jdg == plain(EqTm(SUCC_A, SUCC_B, NAT, DUMMY))
+    assert d.premises[2].conclusion.jdg == plain(EqTm(A, B, NAT, DUMMY))

@@ -1049,6 +1049,12 @@ def test_instantiations_contexts_and_signatures_repr_their_names():
     assert repr(sig) == "Signature(['nat', 'zero'])"
 
 
+def test_a_theory_reprs_its_rule_names_and_flavor():
+    """A theory's repr names its rules and its flavor, and prints no syntax."""
+    th = elaborate(parse_theory("rule nat: yields type\nrule zero: yields : nat"), "cf")
+    assert repr(th) == "Theory(['nat', 'zero'], flavor='cf')"
+
+
 def test_a_statement_prints_its_metavariable_context():
     from fintt import tt_engine as tt
     from fintt.judgements import MetaCtx, VarCtx

@@ -2,7 +2,6 @@
 cf -> tt reconstruction, tt -> cf elaboration of every node kind, round
 trips."""
 
-import contextlib
 import inspect
 import pathlib
 import random
@@ -14,7 +13,7 @@ from fintt import cf_engine as cf
 from fintt import tt_engine as tt
 from fintt import translate as tr
 from fintt.derive import CFDeriver, DeriveError, TTDeriver
-from fintt.errors import KernelError, MissingContextEvidence, PremiseMismatch, TypeMismatch
+from fintt.errors import KernelError, MissingContextEvidence, PremiseMismatch
 from fintt.instantiation import Instantiation
 from fintt.judgements import EMPTY_METAS, EMPTY_VARS, MetaCtx, VarCtx, plain, unfill
 from fintt.syntax import (
@@ -591,6 +590,36 @@ def test_tt_to_cf_converts_a_type_equation_onto_its_fills(corpus_cf, corpus_tt):
     assert cert.payload.body.lhs == cert.payload.body.rhs == pi_cf
 
 
+def test_tt_to_cf_moves_a_family_equation_over_a_binder_type_that_differs(
+    corpus_cf, corpus_tt, monkeypatch
+):
+    """The Pi congruence above whose family equation is abstracted over
+    Id(nat, convert(a, {}), a), not over the binder type Id(nat, a, a) of its
+    left fill: ``_equations`` moves it onto that fill's binder, converting
+    the variable it opens its right side at, and the certificate re-checks."""
+    moved = []
+    real = cf.boundary_convert
+
+    def spy(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_equations":
+            moved.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cf, "boundary_convert", spy)
+    th = corpus_tt
+    ttd, _, id_plain, id_conv, _ = conversion_inputs(th)
+    idt = id_ty(NAT, A, A)
+    fam = ttd.judgement(CONV_METAS, CONV_VARS, Abstracted((idt,), IsTy(NAT)))
+    fam_eq = ttd.judgement(CONV_METAS, CONV_VARS, Abstracted((idt,), EqTy(NAT, NAT, DUMMY)))
+    fam_eq = tt.tt_abstr(th, id_conv, fam_eq.premises[1], fam_eq.data[2])
+    pi = Instantiation([(MetaName("A"), ExprArg(idt)), (MetaName("B"), Abstr(ExprArg(NAT)))])
+    premises = [id_plain, fam, id_plain, fam, tt.eqty_refl(th, id_conv), fam_eq]
+    cert = translated(corpus_cf, th, tt.congruence(th, CONV_METAS, CONV_VARS, "Pi", pi, pi, premises))
+    assert moved
+    pi_cf = SymbolApp("Pi", (ExprArg(id_ty(NAT, A_CF, A_CF)), Abstr(ExprArg(NAT))))
+    assert cert.payload == plain(EqTy(pi_cf, pi_cf, EMPTY))
+
+
 def test_tt_to_cf_of_a_specific_node_certifies_no_presupposition(corpus_cf, corpus_tt, monkeypatch):
     """succ(a): the premise is moved onto the boundary it fills, read off its
     own judgement, so no presupposition is certified."""
@@ -857,6 +886,27 @@ def test_tt_to_cf_rectifies_the_right_side_of_a_term_congruence_type_equation(
     assert cert.payload == plain(want)
 
 
+def test_tt_to_cf_holds_a_congruence_equation_to_its_left_fill_alone(
+    corpus_cf, corpus_tt, monkeypatch
+):
+    """In the congruence of refl(nat, a) with a converted right fill, the
+    equation  a == a  already lies over its left fill  a : nat.  It goes to
+    ``cf_congruence`` with no boundary conversion, though its right side is
+    not the right fill  convert(a, {}), and the certificate is the one the
+    test above pins."""
+    moved = []
+    real = cf.boundary_convert
+
+    def spy(*args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "_equations":
+            moved.append(args[2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cf, "boundary_convert", spy)
+    test_tt_to_cf_rectifies_the_right_side_of_a_term_congruence_type_equation(corpus_cf, corpus_tt)
+    assert moved == []
+
+
 PQ_THEORY = """\
 rule P: yields type
 rule Q: yields type
@@ -890,25 +940,25 @@ def test_transported_congruence_converts_a_binder_type_that_differs(pq_theories,
         return converted[-1]
 
     monkeypatch.setattr(tt, "conv_abstr", spy)
-    with contextlib.suppress(TypeMismatch):  # the refusal that follows: see the next test
-        tr.transported_congruence(t_cf, t_tt, "Pi", pq_inputs(t_cf))
+    tr.transported_congruence(t_cf, t_tt, "Pi", pq_inputs(t_cf))
     (d,) = converted
     tt.check_derivation(t_tt, d)
     assert d.conclusion.jdg == Abstracted((Q_TY,), IsTy(P_TY))
 
 
-@pytest.mark.xfail(strict=True, raises=TypeMismatch, reason=(
-    "tt->cf moves the equation of B onto the boundary of its fills by opening"
-    " both at one variable of type P, which the fill over Q does not take"
-))
 def test_transported_congruence_along_a_binder_type_equation_that_differs(pq_theories):
-    """Pi(P, {x} P) == Pi(Q, {x} P)."""
+    """Pi(P, {x} P) == Pi(Q, {x} P).  The family equation  {x : P} P == P
+    already lies over its left fill  {x : P} P, and goes to the congruence
+    rule as it is: its right side need agree with the right fill  {x : Q} P
+    only up to erasure.  The result re-checks in tt and round-trips to its
+    own payload."""
     t_cf, t_tt = pq_theories
     out = tr.transported_congruence(t_cf, t_tt, "Pi", pq_inputs(t_cf))
     pi = lambda a: SymbolApp("Pi", (ExprArg(a), Abstr(ExprArg(P_TY))))
-    assert isinstance(out.payload.body, EqTy)
-    assert erased_equal(out.payload.body.lhs, pi(P_TY))
-    assert erased_equal(out.payload.body.rhs, pi(Q_TY))
+    assert out.payload == plain(EqTy(pi(P_TY), pi(Q_TY), EMPTY))
+    _, _, d = tr.cf_judgement_to_tt(t_cf, t_tt, out)
+    tt.check_derivation(t_tt, d)
+    assert tr.round_trip_cf(t_cf, t_tt, out).payload == out.payload
 
 
 def pi_congruence_of(th, dom, cod):
@@ -1164,12 +1214,11 @@ def test_transported_congruence_reads_the_fills_of_a_rule_equation_off_its_bound
     pq_theories, monkeypatch
 ):
     """pq concludes  P == Q  from no premise: the fills come from the
-    presuppositions of its derivation, and the congruence goes on to the
-    binder conversion and the refusal of the xfail above."""
+    presuppositions of its derivation, read once, and the congruence goes on
+    to the binder conversion and back to cf."""
     t_cf, t_tt = pq_theories
     boundaries = presuppositions_in_translate(monkeypatch)
-    with pytest.raises(TypeMismatch):
-        tr.transported_congruence(t_cf, t_tt, "Pi", pq_inputs(t_cf))
+    tr.transported_congruence(t_cf, t_tt, "Pi", pq_inputs(t_cf))
     (b,) = boundaries
     assert [f.conclusion.jdg for f in b.premises] == [plain(IsTy(P_TY)), plain(IsTy(Q_TY))]
 
