@@ -52,6 +52,7 @@ from .printer import SHOWN_LENGTH, print_expr_cut
 from .syntax import (
     Abstr,
     Abstracted,
+    AsmArg,
     BoundVar,
     Convert,
     EqTm,
@@ -66,6 +67,7 @@ from .syntax import (
     IsTy,
     IsTyB,
     MetaApp,
+    MetaName,
     SymbolApp,
     atoms_in_use,
     bv,
@@ -74,7 +76,7 @@ from .syntax import (
     fresh_name,
     mv,
 )
-from .theory import RawRule, Theory, check_raw_once, metavariable_rule_instance
+from .theory import RawRule, Theory, check_raw_once, generic_application, metavariable_rule_instance
 
 
 class DeriveError(KernelError):
@@ -190,6 +192,7 @@ def match_expr(pattern: Expr, subject: Expr, unknowns: dict, sol: dict, depth: i
 
 
 def _match_arg(pattern, subject, unknowns, sol, depth) -> bool:
+    whole_pattern, whole_subject = pattern, subject
     while isinstance(pattern, Abstr):
         if not isinstance(subject, Abstr):
             return False
@@ -199,8 +202,22 @@ def _match_arg(pattern, subject, unknowns, sol, depth) -> bool:
     match pattern, subject:
         case ExprArg(expr=p), ExprArg(expr=s):
             return match_expr(p, s, unknowns, sol, depth)
+        case AsmArg(assumptions=a), AsmArg() if pattern != subject and len(a.metas) == 1:
+            return _solve_equation(whole_pattern, whole_subject, *a.metas, unknowns, sol)
         case _:
             return pattern == subject
+
+
+def _solve_equation(pattern, subject, m: MetaName, unknowns: dict, sol: dict) -> bool:
+    """An assumption set under the binders of ``pattern``, the generic head
+    of the unknown equality metavariable ``m``, with no index escaping them,
+    solves ``m`` to itself: the search then derives the equation it states."""
+    if m not in unknowns or pattern != generic_application(m, unknowns[m], "cf") or bv(subject):
+        return False
+    if m in sol:
+        return sol[m] == subject
+    sol[m] = subject
+    return True
 
 
 def read_arguments(head: SymbolApp, generic: tuple, e: Expr) -> Optional[dict]:
@@ -209,22 +226,24 @@ def read_arguments(head: SymbolApp, generic: tuple, e: Expr) -> Optional[dict]:
     (``generic`` is the rule's ``RuleParts.generic``), read straight off the
     arguments of ``e``; None where matching fails.  An object premise binding
     k variables is solved by its argument itself, which must be an
-    expression under exactly k binders with no index escaping them; an
-    equality premise's argument must be the pattern's, and solves nothing."""
+    expression under exactly k binders with no index escaping them.  An
+    equality premise's argument that is its pattern solves nothing; any
+    other is solved the same way, and must be of its pattern's class (an
+    assumption set, as tt has only the pattern ``*``).  ``Deriver._apply``
+    derives the equation that a solved equality premise states, so the rule
+    is taken only where the derived head is the argument."""
     if type(e) is not SymbolApp or e.symbol != head.symbol or len(e.args) != len(generic):
         return None
     sol = {}
     for (m, k, is_object), pattern, arg in zip(generic, head.args, e.args):
-        if not is_object:
-            if arg is not pattern:
-                return None
+        if arg is pattern and not is_object:
             continue
-        core = arg
+        core, want = arg, pattern
         for _ in range(k):
             if type(core) is not Abstr:
                 return None
-            core = core.body
-        if type(core) is not ExprArg or bv(arg):
+            core, want = core.body, want.body
+        if type(core) is not type(want) or bv(arg):
             return None
         sol[m] = arg
     return sol
@@ -629,30 +648,30 @@ class TTDeriver(Deriver):
     def _as_stated(self, d, body):
         return d
 
-    def mctx_wf(self, mctx: MetaCtx, depth: int = 0):
+    def mctx_wf(self, mctx: MetaCtx):
         """``mctx`` is well formed.  This extends the chain remembered for
         the longest prefix of ``mctx`` and remembers the chain of each longer
         prefix, under the rules of ``_recall`` and ``_remember``."""
         entries, refused = mctx.entries, self._refused
         for k in range(len(entries), -1, -1):
-            d = self._recall(("mctx_wf", entries[:k]), depth)
+            d = self._recall(("mctx_wf", entries[:k]), 0)
             if d is not None:
                 break
         else:
-            d = self._remember(("mctx_wf", ()), depth, refused, tt.mctx_empty(self.theory))
+            d = self._remember(("mctx_wf", ()), 0, refused, tt.mctx_empty(self.theory))
         sofar = MetaCtx(entries[:k])
         for m, b in entries[k:]:
-            bd = self._boundary((sofar, EMPTY_VARS), b, depth + 1)
+            bd = self._boundary((sofar, EMPTY_VARS), b, 1)
             sofar = sofar.extend(m, b)
             d = tt.mctx_extend(self.theory, d, bd, m)
-            d = self._remember(("mctx_wf", sofar.entries), depth, refused, d)
+            d = self._remember(("mctx_wf", sofar.entries), 0, refused, d)
         return d
 
-    def vctx_wf(self, mctx: MetaCtx, vctx: VarCtx, depth: int = 0):
+    def vctx_wf(self, mctx: MetaCtx, vctx: VarCtx):
         d = tt.vctx_empty(self.theory, mctx)
         sofar = EMPTY_VARS
         for v, ty in vctx:
-            ty_d = self._ty((mctx, sofar), ty, depth + 1)
+            ty_d = self._ty((mctx, sofar), ty, 1)
             d = tt.vctx_extend(self.theory, d, ty_d, v)
             sofar = sofar.extend(v, ty)
         return d

@@ -20,6 +20,7 @@ from .syntax import (
     MetaName,
     asm,
     erase,
+    flat_reduce,
     mv,
     shift,
     subst_bound_many,
@@ -42,6 +43,12 @@ class Instantiation:
         # The closure-rule instance a tt node holding this instantiation was
         # inferred with, with its rule (``tt_engine._instance``).
         self.instance = None
+
+    def _flat_args(self) -> tuple:
+        return (self.entries,)
+
+    # Rebuilt on load, without the hash and the instance.
+    __reduce__ = flat_reduce
 
     def __contains__(self, m: MetaName) -> bool:
         return m in self._map

@@ -31,6 +31,7 @@ from .syntax import (
     Thesis,
     asm,
     close_var,
+    flat_reduce,
     substitute,
 )
 
@@ -198,6 +199,12 @@ class _Context:
 
     def extend(self, name, declared):
         return type(self)(self.entries + ((name, declared),))
+
+    def _flat_args(self) -> tuple:
+        return (self.entries,)
+
+    # Rebuilt on load, so that the hash is the loading process's.
+    __reduce__ = flat_reduce
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({[n.name for n, _ in self.entries]})"

@@ -97,13 +97,12 @@ class ScriptRunner:
 
     def _align(self, d):
         """Weakens a tt derivation up to the ambient contexts."""
-        ambient = ((self.mctx, tt.weaken_meta, "metavariable"), (self.vctx, tt.weaken_var, "variable"))
+        ambient = ((self.mctx, tt.weaken_metas, "metavariable"), (self.vctx, tt.weaken_vars, "variable"))
         for i, (ctx, weaken, what) in enumerate(ambient):
             own = tt._ctxs(d.conclusion)[i].entries
             if own != ctx.entries[: len(own)]:
                 raise ScriptError(f"{what} contexts diverge")
-            for name, declared in ctx.entries[len(own):]:
-                d = weaken(self.theory, d, name, declared)
+            d = weaken(self.theory, d, ctx.entries[len(own):])
         return d
 
     # -- running -------------------------------------------------------------

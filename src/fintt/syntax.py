@@ -152,7 +152,7 @@ def _node(cls):
     equality is identity (``object.__eq__``).  Every construction path goes
     through ``__new__``: positional, keyword and defaulted calls,
     ``dataclasses.replace``, and pickling, ``copy`` and ``deepcopy``, whose
-    ``__reduce__`` rebuilds the node from its fields.  The constructor is
+    ``__reduce__`` (``flat_reduce``) rebuilds the node from its fields.  The constructor is
     generated per class, as dataclasses generate ``__init__``, and inserts
     with one ``setdefault``, so threads that build the same term at once get
     one node.  A node leaves its table when it dies.
@@ -220,13 +220,74 @@ def _node(cls):
     cls.__new__.__qualname__ = f"{cls.__qualname__}.__new__"
     cls.__hash__ = _node_hash
     cls.__repr__ = _node_repr
-    cls.__reduce__ = lambda self: (type(self), tuple(getattr(self, n) for n in names))
+    cls._flat_args = lambda self: tuple(getattr(self, n) for n in names)
+    cls.__reduce__ = flat_reduce
     cls._interned = table
     cls._occ = None
     cls._erase = None
     cls._double_erase = None
     cls._plan = None
     return cls
+
+
+class _At(int):
+    """In a flat record, the object of an earlier record, by its index."""
+
+    __slots__ = ()
+
+
+def flat_reduce(root) -> tuple:
+    """``root``'s reduction for pickling and copying, with no Python frame
+    per level of nesting.  Objects whose class has ``_flat_args`` (the
+    arguments its constructor rebuilds it from: syntax nodes, derivation
+    nodes, statements, contexts, instantiations) pickle flat: ``root`` and
+    every such object under it are listed once each, in post order, as
+    (class, arguments), where an argument that is such an object, inside
+    tuples and frozensets too, is the ``_At`` of its earlier record."""
+    at: dict[int, int] = {}
+    records: list = []
+    todo: list = []
+
+    def ref(x):
+        if type(x) in (tuple, frozenset):
+            return type(x)(map(ref, x))
+        if not hasattr(type(x), "_flat_args"):
+            return x
+        if id(x) not in at:
+            todo.append(x)
+            return None
+        return _At(at[id(x)])
+
+    stack = [root]
+    while stack:
+        x = stack[-1]
+        if id(x) in at:
+            stack.pop()
+            continue
+        args = ref(type(x)._flat_args(x))
+        if todo:
+            stack += todo
+            todo.clear()
+            continue
+        stack.pop()
+        at[id(x)] = len(records)
+        records.append((type(x), args))
+    return _unflatten, (records,)
+
+
+def _unflatten(records: list):
+    """The object of the last record, rebuilt from the first up, so that
+    syntax nodes are interned again."""
+    done: list = []
+
+    def load(x):
+        if type(x) in (tuple, frozenset):
+            return type(x)(map(load, x))
+        return done[x] if type(x) is _At else x
+
+    for cls, args in records:
+        done.append(cls(*map(load, args)))
+    return done[-1]
 
 
 # What an atom without an annotation hashes in its place.

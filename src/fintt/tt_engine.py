@@ -22,10 +22,10 @@ The economic node kinds ``TT-Meta-Eco`` and ``TT-Specific-Eco`` omit the
 boundary premise; they are sound in finitary theories, which are the only
 ones the engine is run against.  Economic congruence is not a node kind: it
 is admissible, and the equal-substitution and equal-instantiation walks
-(``prepare_subst_eq``, ``eq_instantiate``, and ``eq_subst_n`` over them)
-derive it as full ``TT-Congr`` and ``TT-Meta-Congr`` nodes, carrying both
-sides' fills and, for term conclusions, the type equation walked from the
-node's boundary derivation (``_specific_boundary``, ``_meta_boundary``).
+(``eq_subst_n`` and ``eq_instantiate``) derive it as full ``TT-Congr`` and
+``TT-Meta-Congr`` nodes, carrying both sides' fills and, for term
+conclusions, the type equation walked from the node's boundary derivation
+(``_specific_boundary``, ``_meta_boundary``).
 
 ``_SLOTS`` gives the kind of each slot of a node's ``data`` for every
 closure rule: contexts, atoms, metavariables, term tuples, rule names and
@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import weakref
 from _weakref import _remove_dead_weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import attrgetter
 from typing import Iterator, Optional, Sequence, Union
 
@@ -92,6 +92,7 @@ from .syntax import (
     SymbolApp,
     atoms_in_use,
     boundary_arity,
+    flat_reduce,
     fresh_name,
     fv,
     rename_atoms,
@@ -149,6 +150,13 @@ class VctxWF:
 Statement = Union[JdgTT, BdryTT, MctxWF, VctxWF]
 
 
+def _statement_args(self) -> tuple:  # a statement pickles flat within a derivation
+    return tuple(getattr(self, f.name) for f in fields(self))
+
+
+JdgTT._flat_args = BdryTT._flat_args = MctxWF._flat_args = VctxWF._flat_args = _statement_args
+
+
 @dataclass(frozen=True, eq=False)
 class Derivation:
     """A node.  Its hash is computed once, on first use, from its rule, its
@@ -180,8 +188,10 @@ class Derivation:
                 stack += zip(a.premises, b.premises)
         return True
 
-    def __reduce__(self):  # the stored hash is not pickled
-        return Derivation, (self.rule, self.data, self.premises, self.conclusion)
+    def _flat_args(self) -> tuple:  # the stored hash is not pickled
+        return self.rule, self.data, self.premises, self.conclusion
+
+    __reduce__ = flat_reduce
 
     def __repr__(self) -> str:
         # The rule and the conclusion, printed and cut; never the premises.
@@ -836,15 +846,10 @@ def _avoid_binding_clashes(theory: Theory, d: Derivation, names: set[str]) -> De
     return rename_derivation(theory, d, vm)
 
 
-def weaken_var(theory: Theory, d: Derivation, v: FreeVar, ty: Expr) -> Derivation:
-    """Inserts ``v : ty`` after the root context of every node (entries added
-    by abstractions inside the derivation stay to the right of it)."""
-    return weaken_vars(theory, d, [(v, ty)])
-
-
 def weaken_vars(theory: Theory, d: Derivation, entries: Sequence[tuple[FreeVar, Expr]]) -> Derivation:
     """Inserts the entries, in order, after the root context of every node,
-    in one pass."""
+    in one pass (entries added by abstractions inside the derivation stay to
+    the right of them)."""
     if not entries:
         return d
     entries = tuple(entries)
@@ -863,15 +868,18 @@ def weaken_vars(theory: Theory, d: Derivation, entries: Sequence[tuple[FreeVar, 
     return _map_derivation(theory, d, {"vctx": insert}, refuse)
 
 
-def weaken_meta(theory: Theory, d: Derivation, m: MetaName, b: AbstractedBoundary) -> Derivation:
-    """Appends ``m : b`` to the metavariable context of every node."""
+def weaken_metas(theory: Theory, d: Derivation, entries: Sequence[tuple[MetaName, AbstractedBoundary]]) -> Derivation:
+    """Appends the entries, in order, to the metavariable context of every
+    node, in one pass."""
+    if not entries:
+        return d
 
     def refuse(d: Derivation, rebuild):
         if d.rule in ("MCtx-Empty", "MCtx-Extend"):
             raise BadNode("cannot weaken a metavariable-context derivation")
         return rebuild(d)
 
-    return _map_derivation(theory, d, {"mctx": lambda mctx: mctx.extend(m, b)}, refuse)
+    return _map_derivation(theory, d, {"mctx": lambda mctx: MetaCtx((*mctx.entries, *entries))}, refuse)
 
 
 # ---------------------------------------------------------------------------
@@ -886,10 +894,8 @@ def mctx_entry_boundary(theory: Theory, mctx_deriv: Derivation, m: MetaName) -> 
         d = d.premises[0]
     if d.rule != "MCtx-Extend":
         raise MissingContextEvidence(f"{m.name} not in the metavariable context")
-    out = d.premises[1]
-    for mm, bb in [(m, out.conclusion.bdry)] + later[::-1]:
-        out = weaken_meta(theory, out, mm, bb)
-    return out
+    own = d.premises[1]
+    return weaken_metas(theory, own, [(m, own.conclusion.bdry)] + later[::-1])
 
 
 def vctx_entry_type(theory: Theory, vctx_deriv: Derivation, v: FreeVar) -> Derivation:
@@ -967,26 +973,15 @@ def conv_abstr(theory: Theory, d_abs: Derivation, d_b: Derivation, d_eq: Derivat
     mctx, vctx = _ctxs(d_abs.conclusion)
     taken = frozenset(_all_names(d_abs) | _all_names(d_b) | _all_names(d_eq))
     a = FreeVar(fresh_name("a", taken))
-    w_abs = weaken_var(theory, d_abs, a, eq.rhs)
+    w_abs = weaken_vars(theory, d_abs, [(a, eq.rhs)])
     var_a = tt_var(theory, mctx, vctx.extend(a, eq.rhs), a)
-    eq_w = weaken_var(theory, d_eq, a, eq.rhs)
+    eq_w = weaken_vars(theory, d_eq, [(a, eq.rhs)])
     conv_a = conv_tm(theory, var_a, eqty_sym(theory, eq_w))
     return tt_abstr(theory, d_b, admissible_substitute(theory, w_abs, conv_a), a)
 
 
 # ---------------------------------------------------------------------------
 # Simultaneous substitution along equalities
-
-
-@dataclass
-class EqSubst:
-    """One substituted context entry: the atom, its s- and t-derivations and
-    the equation  s == t  at the s-substituted type."""
-
-    var: FreeVar
-    s_deriv: Derivation
-    t_deriv: Derivation
-    eq_deriv: Derivation
 
 
 def _equal_sides(theory: Theory, what: str, names: set[str], ctx, sides, mctx_deriv=None):
@@ -1016,8 +1011,8 @@ def _equal_sides(theory: Theory, what: str, names: set[str], ctx, sides, mctx_de
             new_ty_s = _want_plain_thesis(ty_s.conclusion, IsTy, "abstr").ty
             new_ty_t = _want_plain_thesis(ty_t.conclusion, IsTy, "abstr").ty
             assert ty_eq is not None
-            eqs2 = {u: weaken_var(theory, e, atom, new_ty_s) for u, e in delta_eqs.items()}
-            eqs2[atom] = weaken_var(theory, ty_eq, atom, new_ty_s)
+            eqs2 = {u: weaken_vars(theory, e, [(atom, new_ty_s)]) for u, e in delta_eqs.items()}
+            eqs2[atom] = weaken_vars(theory, ty_eq, [(atom, new_ty_s)])
             body_s, body_t, body_eq = yield d.premises[1], delta + [(atom, src_ty)], eqs2
             if rule == "TT-Bdry-Abstr":
                 raise BadNode(f"{what} across an abstracted boundary is not supported")
@@ -1069,72 +1064,6 @@ def _equal_sides(theory: Theory, what: str, names: set[str], ctx, sides, mctx_de
     return step
 
 
-def prepare_subst_eq(
-    theory: Theory,
-    d: Derivation,
-    subs: Sequence[EqSubst],
-    *,
-    mctx_deriv: Optional[Derivation] = None,
-) -> tuple[Derivation, Derivation, Optional[Derivation]]:
-    """Simultaneous equal substitution: from a derivation over
-    Gamma, a_1:A_1', ..., a_n:A_n', Delta  and, for each i, derivations of
-    s_i : A_i[s-prefix], t_i : A_i[t-prefix] and s_i == t_i : A_i[s-prefix],
-    produce derivations over  Gamma, Delta[ss/as]  of  J[ss/as],  J[ts/as]
-    and, for object judgements, the distributed equation  J[(ss==ts)/as].
-
-    Boundary derivations yield (s-side, t-side, None).
-
-    Specific-rule nodes of object rules give full ``TT-Congr`` equations
-    and object metavariables full ``TT-Meta-Congr`` equations; for term
-    conclusions the type equation  A[ss] == A[ts]  comes from walking the
-    node's boundary derivation.  A ``TT-Meta-Eco`` node of a term
-    metavariable has its boundary from ``mctx_deriv``, evidence for the
-    metavariable context, and is refused with ``MissingContextEvidence``
-    without it.
-    """
-    if not subs:
-        raise BadNode("prepare_subst_eq needs at least one substituted variable")
-    if mctx_deriv is not None:
-        _check_mctx_evidence(mctx_deriv, _ctxs(d.conclusion)[0])
-    svars = [e.var for e in subs]
-    by_var = {e.var: e for e in subs}
-    base_len = len(_ctxs(subs[0].s_deriv.conclusion)[1].entries)
-
-    def sub_by(terms: dict):
-        def sub(x):
-            for v in svars:
-                x = subst_free(x, v, terms[v])
-            return x
-
-        return sub
-
-    sub_s = sub_by({e.var: _head_term(e.s_deriv) for e in subs})
-    sub_t = sub_by({e.var: _head_term(e.t_deriv) for e in subs})
-
-    def ctx(d: Derivation, delta) -> tuple[MetaCtx, VarCtx]:
-        mctx, vctx = _ctxs(d.conclusion)
-        return mctx, VarCtx([(u, sub_s(ty)) for u, ty in vctx.entries if u not in by_var])
-
-    def substituted_var(item):
-        d, delta, _ = item
-        if d.rule != "TT-Var" or d.data[2] not in by_var:
-            return (yield from step(item))
-        e = by_var[d.data[2]]
-        pad = ctx(d, delta)[1].entries[base_len:]
-        return tuple(weaken_vars(theory, x, pad) for x in (e.s_deriv, e.t_deriv, e.eq_deriv))
-
-    names: set[str] = set()
-    for e in subs:
-        names |= set(atoms_in_use(_head_term(e.s_deriv))) | set(
-            atoms_in_use(_head_term(e.t_deriv))
-        )
-    d = _avoid_binding_clashes(theory, d, names)
-    step = _equal_sides(theory, "equal substitution", names, ctx, (sub_s, sub_t), mctx_deriv)
-    # A subderivation is walked once under each list of binders.
-    d_s, d_t, d_eq = walk((d, [], {}), substituted_var, lambda x: (id(x[0]), tuple(x[1])))
-    return d_s, d_t, None if isinstance(d.conclusion, BdryTT) else d_eq
-
-
 def _open_abstractions(d: Derivation) -> tuple[list[tuple[Derivation, FreeVar]], Derivation]:
     """Peels a chain of abstraction nodes: [(type derivation, atom)...], body."""
     chain = []
@@ -1154,12 +1083,21 @@ def eq_subst_n(
     mctx_deriv: Optional[Derivation] = None,
 ) -> Derivation:
     """Iterated equal substitution into an abstracted object judgement
-    (TT-Subst-EqTy / TT-Subst-EqTm): from  {xs:As} plug(B, e)  and triples
-    s_i, t_i, s_i == t_i  for the outermost binders derive
-    plug(B[ss], e[ss] == e[ts]), leaving any surplus abstraction in place;
-    with no triples, reflexivity.  This is how economic congruence is
-    derived; ``mctx_deriv`` is as for ``prepare_subst_eq``."""
+    (TT-Subst-EqTy / TT-Subst-EqTm): from  {xs:As} plug(B, e)  and, for the
+    outermost binders, derivations of  s_i : A_i[s-prefix],
+    t_i : A_i[t-prefix]  and  s_i == t_i : A_i[s-prefix]  over a prefix of
+    its context, derive  plug(B[ss], e[ss] == e[ts]),  leaving any surplus
+    abstraction in place; with no triples, reflexivity.  This is how
+    economic congruence is derived: specific-rule nodes of object rules
+    give full ``TT-Congr`` equations and object metavariables full
+    ``TT-Meta-Congr`` equations, whose type equation  A[ss] == A[ts]  for a
+    term comes from walking the node's boundary derivation.  A
+    ``TT-Meta-Eco`` node of a term metavariable has its boundary from
+    ``mctx_deriv``, evidence for the metavariable context, and is refused
+    with ``MissingContextEvidence`` without it."""
     m = len(s_derivs)
+    if not len(t_derivs) == len(eq_derivs) == m:
+        raise BadNode("eq_subst_n needs as many t-sides and equations as s-sides")
     if m == 0:
         j = _want_jdg(d_abs.conclusion, "eq_subst_n")
         if j.prefix:
@@ -1172,14 +1110,42 @@ def eq_subst_n(
     chain, body = _open_abstractions(d_abs)
     if len(chain) < m:
         raise BadNode("more terms than binders")
-    # Re-abstract any surplus inner binders back onto the body first.
     for ty_d, atom in reversed(chain[m:]):
         body = tt_abstr(theory, ty_d, body, atom)
-    subs = [
-        EqSubst(chain[i][1], s_derivs[i], t_derivs[i], eq_derivs[i]) for i in range(m)
-    ]
-    _, _, d_eq = prepare_subst_eq(theory, body, subs, mctx_deriv=mctx_deriv)
-    if d_eq is None:
+    by_var = {v: x for (_, v), *x in zip(chain, s_derivs, t_derivs, eq_derivs)}
+    if mctx_deriv is not None:
+        _check_mctx_evidence(mctx_deriv, _ctxs(body.conclusion)[0])
+    base_len = len(_ctxs(s_derivs[0].conclusion)[1].entries)
+
+    def sub_by(side: int):
+        terms = [(v, _head_term(x[side])) for v, x in by_var.items()]
+
+        def sub(x):
+            for v, t in terms:
+                x = subst_free(x, v, t)
+            return x
+
+        return sub, set(atoms_in_use(*(t for _, t in terms)))
+
+    (sub_s, names_s), (sub_t, names_t) = sub_by(0), sub_by(1)
+    names = names_s | names_t
+
+    def ctx(d: Derivation, delta) -> tuple[MetaCtx, VarCtx]:
+        mctx, vctx = _ctxs(d.conclusion)
+        return mctx, VarCtx([(u, sub_s(ty)) for u, ty in vctx.entries if u not in by_var])
+
+    def substituted_var(item):
+        d, delta, _ = item
+        if d.rule != "TT-Var" or d.data[2] not in by_var:
+            return (yield from step(item))
+        pad = ctx(d, delta)[1].entries[base_len:]
+        return tuple(weaken_vars(theory, x, pad) for x in by_var[d.data[2]])
+
+    body = _avoid_binding_clashes(theory, body, names)
+    step = _equal_sides(theory, "equal substitution", names, ctx, (sub_s, sub_t), mctx_deriv)
+    # A subderivation is walked once under each list of binders.
+    d_eq = walk((body, [], {}), substituted_var, lambda x: (id(x[0]), tuple(x[1])))[2]
+    if d_eq is None or isinstance(body.conclusion, BdryTT):
         raise NotObjectJudgement("eq_subst_n needs an object judgement")
     return d_eq
 

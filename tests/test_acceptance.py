@@ -378,7 +378,7 @@ def test_criterion_8_substitution_and_economic_oracles(corpus_tt):
             )
         else:
             body = tt.eqtm_refl(th, ttd.tm(EMPTY_METAS, vctx_inner, body_term, NAT))
-        d_nat = tt.weaken_var(th, ttd.ty(EMPTY_METAS, EMPTY_VARS, NAT), b, NAT)
+        d_nat = tt.weaken_vars(th, ttd.ty(EMPTY_METAS, EMPTY_VARS, NAT), [(b, NAT)])
         absd = tt.tt_abstr(th, d_nat, body, a)
         t_deriv = ttd.tm(EMPTY_METAS, VarCtx(entries), random_term(entries, 3), NAT)
         out = tt.admissible_substitute(th, absd, t_deriv)

@@ -7,6 +7,7 @@ from fintt import cf_engine as cf
 from fintt import tt_engine as tt
 from fintt import translate as tr
 from fintt.derive import CFDeriver, TTDeriver
+from fintt.errors import KernelError
 from fintt.instantiation import Instantiation
 from fintt.judgements import EMPTY_METAS, EMPTY_VARS, VarCtx, plain
 from fintt.parser import elaborate, parse_script, parse_theory
@@ -123,6 +124,37 @@ def test_translations_across_equational_premise(theories):
         t_tt, t_cf, d_tt, tt.mctx_empty(t_tt), ttd.vctx_wf(m, v)
     )
     assert double_erase(cert2.payload) == d_tt.conclusion.jdg
+
+
+def refl2_of(u, by):
+    return SymbolApp("refl2", (ExprArg(BOOL), ExprArg(u), ExprArg(u), by))
+
+
+def id_of(u):
+    return SymbolApp("Id", (ExprArg(BOOL), ExprArg(u), ExprArg(u)))
+
+
+def test_cf_search_derives_an_equation_premise_that_is_no_pattern(theories):
+    """The argument  {}  of refl2's equation premise is not the pattern
+    {e}: the search derives  u == u : bool  for it and keeps the rule,
+    whose conclusion is the goal exactly; an argument the derived equation
+    does not carry is refused."""
+    t_cf, _ = theories
+    u = FreeVar("u", BOOL)
+    out = CFDeriver(t_cf).tm(refl2_of(u, AsmArg(AssumptionSet())), id_of(u))
+    assert out.payload == plain(IsTm(refl2_of(u, AsmArg(AssumptionSet())), id_of(u)))
+    with pytest.raises(KernelError, match="no specific rule concludes"):
+        CFDeriver(t_cf).tm(refl2_of(u, AsmArg(AssumptionSet(frozenset([u])))), id_of(u))
+
+
+def test_tt_search_derives_the_erasure_of_refl2(theories):
+    _, t_tt = theories
+    u = FreeVar("u")
+    vctx = VarCtx([(u, BOOL)])
+    d = TTDeriver(t_tt).tm(EMPTY_METAS, vctx, refl2_of(u, DUMMY), id_of(u))
+    tt.check_derivation(t_tt, d)
+    assert d.conclusion.jdg == plain(IsTm(refl2_of(u, DUMMY), id_of(u)))
+    assert d.premises[3].conclusion.jdg == plain(EqTm(u, u, BOOL, DUMMY))
 
 
 def test_translations_with_reflection_on_a_bound_variable():

@@ -438,3 +438,44 @@ def test_only_the_tt_engine_makes_a_derivation_node():
             if name == "_infer" or called == "Derivation":
                 found.append(f"{path.name}:{n.lineno}")
     assert not found, found
+
+
+# The definitions behind each row of README's "Trusted base" table, by
+# module: a row's figure is the lines of each group, joined by " + ".
+TT_CONSTRUCTORS = {
+    "tt_var", "tt_meta", "tt_abstr", "specific", "congruence", "meta_congr", "bdry_ty",
+    "mctx_empty", "mctx_extend", "vctx_empty", "vctx_extend", "_in_context",
+    "eqty_refl", "eqty_sym", "eqty_trans", "eqtm_refl", "eqtm_sym", "eqtm_trans",
+    "conv_tm", "conv_eqtm", "bdry_tm", "bdry_eqty", "bdry_eqtm",
+}
+TRUSTED_BASE = {
+    "tt kernel": ("tt_engine", [{"node"}, {"_infer"}]),
+    "tt re-checking": ("tt_engine", [{"check_derivation"}]),
+    "tt closure-rule constructors": ("tt_engine", [TT_CONSTRUCTORS]),
+    "cf maker": (
+        "cf_engine",
+        [{"_cert"}, {"Certificate", "CertifiedJudgement", "CertifiedBoundary", "_CLASS_OF"}],
+    ),
+    "cf closure-rule constructors": ("cf_engine", [CF_CONSTRUCTORS]),
+    "cf meta-theorems": ("cf_engine", [CF_META_THEOREMS | {"natural_type_cf"}]),
+}
+
+
+def test_the_trusted_base_table_counts_the_lines_of_its_definitions():
+    """Each figure of README's "Trusted base" table is the lines
+    (``end_lineno - lineno + 1``) of the definitions its row stands for, and
+    each figure its functions cell gives one definition is that
+    definition's."""
+    table = (ROOT / "README.md").read_text(encoding="utf-8").split("### Trusted base", 1)[1]
+    row = re.compile(r"^\| ([\w -]+) \| (.*) \| ([\d +]+) \|$", re.M)
+    rows = {part: (cell, figure) for part, cell, figure in row.findall(table)}
+    assert set(rows) == set(TRUSTED_BASE)
+    lines = {}
+    for module in ("tt_engine", "cf_engine"):
+        tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+        lines[module] = {qualname: last - first + 1 for qualname, _, first, last in definitions(tree)}
+    for part, (module, groups) in TRUSTED_BASE.items():
+        cell, figure = rows[part]
+        assert figure == " + ".join(str(sum(lines[module][n] for n in g)) for g in groups), part
+        for name, n in re.findall(r"`(\w+)`,? \(?(\d+)", cell):
+            assert lines[module][name] == int(n), (part, name)

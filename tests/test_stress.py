@@ -148,9 +148,9 @@ def test_subst_eqty_with_distinct_sides(corpus_tt):
     m = MetaName("F")
     bdry_f = Abstracted((NAT,), IsTmB(NAT))
     mctx = MetaCtx([(m, bdry_f)])
-    eq_m = tt.weaken_meta(th, eq, m, bdry_f)
-    s_m = tt.weaken_meta(th, s_d, m, bdry_f)
-    t_m = tt.weaken_meta(th, t_d, m, bdry_f)
+    eq_m = tt.weaken_metas(th, eq, [(m, bdry_f)])
+    s_m = tt.weaken_metas(th, s_d, [(m, bdry_f)])
+    t_m = tt.weaken_metas(th, t_d, [(m, bdry_f)])
     ty_eq = tt.eqty_refl(th, TTDeriver(th).ty(mctx, vctx, NAT))
     congr = tt.meta_congr(th, mctx, vctx, m, [a], [b], [s_m, t_m, eq_m, ty_eq])
     tt.check_derivation(th, congr)

@@ -1,6 +1,7 @@
 """The contexted engine: derivation checking, admissible substitution and
 instantiation against syntactic oracles, presuppositions, inversion."""
 
+import copy
 import pickle
 import random
 
@@ -10,6 +11,8 @@ from fintt import tt_engine as tt
 from fintt.errors import BadNode, KernelError, PremiseMismatch, SideConditionFailed
 from fintt.derive import TTDeriver
 from fintt.instantiation import Instantiation, act
+from fintt.parser import parse_script
+from fintt.script import run_script
 from fintt.judgements import (
     EMPTY_METAS,
     EMPTY_VARS,
@@ -111,7 +114,7 @@ def test_abstraction_and_substitution_inverse(corpus_tt):
     b = FreeVar("b")
     vctx_b = VarCtx([(b, NAT)])
     var_b = tt.tt_var(th, EMPTY_METAS, vctx_b, b)
-    absd_b = tt.weaken_var(th, tt.tt_abstr(th, d_nat, d_succ, a), b, NAT)
+    absd_b = tt.weaken_vars(th, tt.tt_abstr(th, d_nat, d_succ, a), [(b, NAT)])
     # align contexts: abstract over empty context, weaken, then substitute
     out = tt.admissible_substitute(th, absd_b, var_b)
     assert out.conclusion.jdg == plain(IsTm(succ(b), NAT))
@@ -121,10 +124,10 @@ def test_abstraction_and_substitution_inverse(corpus_tt):
 def test_weakening_preserves_checkability(corpus_tt):
     th = corpus_tt
     d = rule_bool(th)
-    w = tt.weaken_var(th, d, FreeVar("c"), NAT)
+    w = tt.weaken_vars(th, d, [(FreeVar("c"), NAT)])
     tt.check_derivation(th, w)
     assert w.conclusion.vctx == VarCtx([(FreeVar("c"), NAT)])
-    wm = tt.weaken_meta(th, d, MetaName("M"), plain(IsTyB()))
+    wm = tt.weaken_metas(th, d, [(MetaName("M"), plain(IsTyB()))])
     tt.check_derivation(th, wm)
 
 
@@ -140,8 +143,27 @@ def test_weakening_by_several_entries_at_once(corpus_tt):
     tt.check_derivation(th, w)
     assert w.conclusion.vctx == VarCtx(entries)
     assert w.conclusion.jdg == d.conclusion.jdg
-    one_at_a_time = tt.weaken_var(th, tt.weaken_var(th, d, x, NAT), y, BOOL)
+    one_at_a_time = tt.weaken_vars(th, tt.weaken_vars(th, d, [(x, NAT)]), [(y, BOOL)])
     assert w.conclusion == one_at_a_time.conclusion
+
+
+def test_weakening_by_several_metavariables_at_once(corpus_tt):
+    """One pass appends the entries in order, under a binder too; the result
+    is the derivation that nested one-entry passes give.  A
+    metavariable-context derivation is refused."""
+    th = corpus_tt
+    n, x = MetaName("N"), FreeVar("x")
+    mctx = MetaCtx([(n, plain(IsTmB(NAT)))])
+    body = TTDeriver(th).tm(mctx, VarCtx([(x, NAT)]), succ(MetaApp(n, ())), NAT)
+    d = tt.tt_abstr(th, rule_nat(th, mctx), body, x)
+    entries = [(MetaName("M"), plain(IsTyB())), (MetaName("F"), Abstracted((NAT,), IsTmB(NAT)))]
+    w = tt.weaken_metas(th, d, entries)
+    tt.check_derivation(th, w)
+    assert w.conclusion.mctx == MetaCtx(list(mctx.entries) + entries)
+    assert w.conclusion.jdg == d.conclusion.jdg
+    assert w == tt.weaken_metas(th, tt.weaken_metas(th, d, entries[:1]), entries[1:])
+    with pytest.raises(BadNode):
+        tt.weaken_metas(th, TTDeriver(th).mctx_wf(mctx), entries)
 
 
 def test_renaming_invariance(corpus_tt):
@@ -176,7 +198,7 @@ def test_admissible_substitute_matches_syntactic_oracle(corpus_tt):
         d_nat = rule_nat(th)
         entries = [(b, NAT)]
         body = _random_closed_term_derivs(th, rng, entries + [(a, NAT)], 4)
-        absd = tt.tt_abstr(th, tt.weaken_var(th, d_nat, b, NAT), body, a)
+        absd = tt.tt_abstr(th, tt.weaken_vars(th, d_nat, [(b, NAT)]), body, a)
         t_deriv = _random_closed_term_derivs(th, rng, entries, 3)
         out = tt.admissible_substitute(th, absd, t_deriv)
         t = t_deriv.conclusion.jdg.body.term
@@ -211,6 +233,8 @@ def test_subst_eqty_example(corpus_tt):
     s2 = tt.tt_var(th, EMPTY_METAS, vctx2, b)
     eq = tt.eqtm_refl(th, s2)
     out = tt.eq_subst_n(th, fam2, [s_d], [s_d], [eq])
+    with pytest.raises(BadNode):
+        tt.eq_subst_n(th, fam2, [s_d], [], [eq])
     want = EqTy(
         SymbolApp("Id", (ExprArg(NAT), ExprArg(b), ExprArg(b))),
         SymbolApp("Id", (ExprArg(NAT), ExprArg(b), ExprArg(b))),
@@ -248,7 +272,7 @@ def test_admissible_instantiate(corpus_tt):
 def _weaken_to(th, d, vctx):
     out = d
     for v, ty in vctx.entries:
-        out = tt.weaken_var(th, out, v, ty)
+        out = tt.weaken_vars(th, out, [(v, ty)])
     return out
 
 
@@ -346,6 +370,43 @@ def test_a_derivation_pickles_without_its_stored_hash(corpus_tt):
     back = pickle.loads(pickle.dumps(d))
     assert back is not d and back == d and hash(back) == hash(d)
     tt.check_derivation(corpus_tt, back)
+
+
+def test_deep_derivations_and_terms_pickle_and_copy_without_recursion(corpus_tt):
+    """The succ^199(a) : nat derivation that the search builds within
+    ``MAX_DEPTH`` and a 2,000-step scripted succ derivation load back equal,
+    and deep-copy equal; a loaded succ^300 term is the interned node."""
+    a = FreeVar("a")
+    t = a
+    for _ in range(199):
+        t = succ(t)
+    searched = TTDeriver(corpus_tt).tm(EMPTY_METAS, VarCtx([(a, NAT)]), t, NAT)
+    steps = ["let tn = rule(nat);", "var n : tn;", "let s0 = rule(succ, n);"]
+    steps += [f"let s{i} = rule(succ, s{i - 1});" for i in range(1, 2000)]
+    scripted = run_script(corpus_tt, parse_script("\n".join(steps + ["return s1999;"]) + "\n"), "tt")
+    for d in (searched, scripted):
+        back = pickle.loads(pickle.dumps(d))
+        assert back is not d and back == d and hash(back) == hash(d)
+        assert copy.deepcopy(d) == d
+    tt.check_derivation(corpus_tt, pickle.loads(pickle.dumps(searched)))
+    for _ in range(101):
+        t = succ(t)
+    assert pickle.loads(pickle.dumps(t)) is t
+    assert copy.copy(t) is t and copy.deepcopy(t) is t
+
+
+def test_contexts_and_instantiations_pickle_without_their_caches():
+    """A context's hash, and an instantiation's hash and closure-rule
+    instance, are not pickled but rebuilt on load, so a loaded context
+    hashes as the loading process hashes it."""
+    vctx = VarCtx([(FreeVar("a"), NAT)])
+    inst = Instantiation([(MetaName("n"), ExprArg(FreeVar("a")))])
+    hash(inst)
+    inst.instance = "cached instance"
+    for x in (vctx, inst):
+        data = pickle.dumps(x)
+        assert b"_hash" not in data and b"cached instance" not in data
+        assert pickle.loads(data) == x
 
 
 def test_uniqueness_of_typing(corpus_tt):
@@ -465,7 +526,7 @@ def test_checker_rejects_malformed_nodes(corpus_tt):
     bool_d = rule_bool(th, vctx=vctx)
     nat_d = rule_nat(th)
     # conversion along an equation whose left side is not the term's type
-    refl_nat = tt.eqty_refl(th, tt.weaken_var(th, nat_d, a, BOOL))
+    refl_nat = tt.eqty_refl(th, tt.weaken_vars(th, nat_d, [(a, BOOL)]))
     with pytest.raises(BadNode):
         tt.conv_tm(th, var_a, refl_nat)
     # transitivity with non-chaining middles
@@ -480,7 +541,7 @@ def test_checker_rejects_malformed_nodes(corpus_tt):
         tt.specific(th, EMPTY_METAS, EMPTY_VARS, "Pi", inst, [fam, rule_bool(th)])
     # abstraction over an atom already in the context
     with pytest.raises(KernelError):
-        tt.tt_abstr(th, bool_d, tt.weaken_var(th, var_a, FreeVar("c"), BOOL), a)
+        tt.tt_abstr(th, bool_d, tt.weaken_vars(th, var_a, [(FreeVar("c"), BOOL)]), a)
 
 
 # ---------------------------------------------------------------------------

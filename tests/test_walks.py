@@ -14,7 +14,7 @@ from fintt import cf_engine as cf
 from fintt import translate as tr
 from fintt import tt_engine as tt
 from fintt.derive import TTDeriver
-from fintt.errors import BadNode, KernelError, MissingContextEvidence
+from fintt.errors import BadNode, KernelError, MissingContextEvidence, NotObjectJudgement
 from fintt.instantiation import Instantiation
 from fintt.judgements import EMPTY_METAS, MetaCtx, VarCtx, plain
 from fintt.parser import parse_script
@@ -56,11 +56,23 @@ def evidence(th, vctx):
     return tt.mctx_empty(th), TTDeriver(th).vctx_wf(EMPTY_METAS, vctx)
 
 
+def conversions(th, vctx, v, n):
+    """``v : nat`` under n conversions along the reflexivity  nat == nat:
+    n + 3 nodes, nested n deep."""
+    refl = tt.eqty_refl(th, TTDeriver(th).ty(EMPTY_METAS, vctx, NAT))
+    d = tt.tt_var(th, EMPTY_METAS, vctx, v)
+    for _ in range(n):
+        d = tt.conv_tm(th, d, refl)
+    return d
+
+
 def subst_b_for_a(th, d):
-    """Equal substitution of  b == b  for ``a`` in ``d`` over  b, a : nat."""
-    b_d = tt.tt_var(th, EMPTY_METAS, VarCtx([(B, NAT)]), B)
-    sub = tt.EqSubst(A, b_d, b_d, tt.eqtm_refl(th, b_d))
-    return tt.prepare_subst_eq(th, d, [sub])
+    """Equal substitution of  b == b  for ``a`` in ``d`` over  b, a : nat,
+    through ``eq_subst_n`` of ``d`` abstracted over ``a``."""
+    b_vctx = VarCtx([(B, NAT)])
+    b_d = tt.tt_var(th, EMPTY_METAS, b_vctx, B)
+    d_abs = tt.tt_abstr(th, TTDeriver(th).ty(EMPTY_METAS, b_vctx, NAT), d, A)
+    return tt.eq_subst_n(th, d_abs, [b_d], [b_d], [tt.eqtm_refl(th, b_d)])
 
 
 def _frames() -> int:
@@ -120,11 +132,17 @@ def test_presuppositions_of_a_two_thousand_step_chain(corpus_tt):
 
 
 def test_equal_substitution_into_a_two_thousand_step_chain(corpus_tt):
-    d = chain(corpus_tt, VarCtx([(B, NAT), (A, NAT)]), A, LONG)
-    d_s, d_t, d_eq = subst_b_for_a(corpus_tt, d)
-    assert d_s is d_t and d_eq is None  # an equation is no object judgement
-    assert d_s.conclusion.jdg == plain(EqTm(B, B, NAT))
-    tt.check_derivation(corpus_tt, d_s)
+    vctx = VarCtx([(B, NAT), (A, NAT)])
+    with pytest.raises(NotObjectJudgement):  # an equation is no object judgement
+        subst_b_for_a(corpus_tt, chain(corpus_tt, vctx, A, LONG))
+    d = conversions(corpus_tt, vctx, A, LONG)
+    d_eq = subst_b_for_a(corpus_tt, d)
+    assert d_eq.conclusion.jdg == plain(EqTm(B, B, NAT))
+    tt.check_derivation(corpus_tt, d_eq)
+    depth, leaf = 0, d_eq
+    while leaf.rule == "TT-Conv-EqTm":
+        leaf, depth = leaf.premises[0], depth + 1
+    assert depth == LONG and leaf.rule == "TT-EqTm-Refl"
 
 
 def test_invert_a_two_thousand_step_conversion_chain(corpus_tt):
@@ -144,17 +162,20 @@ def test_invert_a_two_thousand_step_conversion_chain(corpus_tt):
 
 
 def test_equal_substitution_steps_each_node_of_the_tower_once(corpus_tt, monkeypatch):
-    """d_{j+1} = eqtm_trans(d_j, d_j) over  b, a : nat: 2**K paths to the
-    variable a, K + 2 distinct nodes."""
+    """The variable a converted along e_K, where e_{j+1} = eqty_trans(e_j,
+    e_j) over  b, a : nat  and e_0 is the reflexivity  nat == nat: 2**K
+    paths to nat, K + 4 distinct nodes."""
     th = corpus_tt
-    d = tt.eqtm_refl(th, tt.tt_var(th, EMPTY_METAS, VarCtx([(B, NAT), (A, NAT)]), A))
+    vctx = VarCtx([(B, NAT), (A, NAT)])
+    e = tt.eqty_refl(th, TTDeriver(th).ty(EMPTY_METAS, vctx, NAT))
     for _ in range(K):
-        d = tt.eqtm_trans(th, d, d)
+        e = tt.eqty_trans(th, e, e)
+    d = tt.conv_tm(th, tt.tt_var(th, EMPTY_METAS, vctx, A), e)
     start = time.perf_counter()
     items = steps_of(monkeypatch, "substituted_var", lambda: subst_b_for_a(th, d))
     assert time.perf_counter() - start < 0.5
     nodes = [id(x[0]) for x in items]
-    assert len(nodes) == len(set(nodes)) == K + 2
+    assert len(nodes) == len(set(nodes)) == K + 4
     assert {len(x[1]) for x in items} == {0}
 
 
@@ -202,13 +223,13 @@ def test_presuppositions_reach_the_leaf_at_one_frame_depth(corpus_tt, monkeypatc
 
 
 def test_equal_substitution_reaches_the_leaf_at_one_frame_depth(corpus_tt, monkeypatch):
-    """The chain is over b, which the substitution keeps: its leaf is the
-    variable case of the shared step, which builds the reflexivity."""
+    """The conversions are of b, which the substitution keeps: their leaf is
+    the variable case of the shared step, which builds the reflexivity."""
     vctx = VarCtx([(B, NAT), (A, NAT)])
     depth = [
         deepest_call(
             monkeypatch, tt, "eqtm_refl",
-            lambda n=n: subst_b_for_a(corpus_tt, chain(corpus_tt, vctx, B, n)),
+            lambda n=n: subst_b_for_a(corpus_tt, conversions(corpus_tt, vctx, B, n)),
         )
         for n in (20, 40)
     ]
